@@ -5,18 +5,16 @@ contributions from both sides during standard triplet assembly, which
 realizes the coupled block system directly: FE-interior dofs never share a
 stored entry with VE-interior dofs because no single element contains both.
 
-Assembly is deterministic: elements are evaluated in id order and triplets
-are sorted before compression, so repeated runs give bit-identical matrices.
-The ``FEVEC_THREADS`` environment variable (0 or unset = auto/serial) caps
-an optional thread pool used for element evaluation; results are merged in
-element order, which keeps the accumulation order fixed.
+Element kernels run batched: one call per block of elements of the same
+kind and vertex count (``Mesh.map_element_blocks``).  Assembly is deterministic:
+the element triplets are concatenated in element-id order and stably sorted
+before compression, so repeated runs give bit-identical matrices, equal to an
+element-by-element loop in id order.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +22,8 @@ import scipy.sparse as sp
 
 from . import fem, vem
 from .errors import AssemblyError
-from .materials import MaterialProps
-from .mesh import ElementKind, Mesh
+from .materials import MaterialProps, gather_materials
+from .mesh import Mesh
 
 
 @dataclass
@@ -110,19 +108,17 @@ def build_dof_map(mesh: Mesh, field_kind: str) -> DofMap:
 
     touches_fe = np.zeros(mesh.n_nodes, dtype=bool)
     touches_any = np.zeros(mesh.n_nodes, dtype=bool)
-    for e in mesh.elements:
-        for v in e.vertices:
-            touches_any[v] = True
-            if e.kind == ElementKind.FE_QUAD:
-                touches_fe[v] = True
+    for is_fe, _, verts in mesh.element_blocks():
+        touches_any[verts] = True
+        if is_fe:
+            touches_fe[verts] = True
     orphans = np.where(~touches_any)[0]
     if orphans.size:
         raise AssemblyError(f"nodes without any element: {orphans.tolist()[:10]}")
 
     node_class = np.full(mesh.n_nodes, DOF_VE_INTERIOR, dtype="U1")
     node_class[touches_fe] = DOF_FE_INTERIOR
-    for n in mesh.interface_nodes:
-        node_class[n] = DOF_INTERFACE
+    node_class[sorted(mesh.interface_nodes)] = DOF_INTERFACE
     classes = np.repeat(node_class, per)
     return DofMap(field_kind=field_kind, n_nodes=mesh.n_nodes,
                   dofs_per_node=per, classes=classes)
@@ -158,42 +154,36 @@ class ReducedSystem:
         return full
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FEVEC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return 1
-    return n
+def _in_id_order(mesh: Mesh, parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Concatenate per-element rows of ``(positions, (m, k) values)`` parts in element-id order."""
+    lengths = np.zeros(mesh.n_elements, dtype=np.int64)
+    for pos, values in parts:
+        lengths[pos] = values.shape[1]
+    ordered = lengths[mesh.element_order]
+    start = np.empty_like(lengths)
+    start[mesh.element_order] = np.cumsum(ordered) - ordered
+    out = np.empty(int(ordered.sum()), dtype=parts[0][1].dtype if parts else float)
+    for pos, values in parts:
+        out[start[pos][:, None] + np.arange(values.shape[1])] = values
+    return out
 
 
-def _evaluate_elements(jobs, worker):
-    threads = _worker_count()
-    if threads <= 1:
-        return [worker(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs))
+def _vector_dofs(verts: np.ndarray) -> np.ndarray:
+    """(m, 2 n_v) interleaved (ux, uy) dofs of a vertex block."""
+    return (2 * verts[..., None] + np.arange(2)).reshape(verts.shape[0], -1)
 
 
-def _compress(ndof: int, rows: list[np.ndarray], cols: list[np.ndarray],
-              vals: list[np.ndarray]) -> sp.csr_matrix:
-    if not rows:
+def _compress(mesh: Mesh, ndof: int,
+              blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> sp.csr_matrix:
+    """CSR matrix of ``(positions, (m, n) dofs, (m, n, n) matrices)`` element blocks."""
+    if not blocks:
         return sp.csr_matrix((ndof, ndof))
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    v = np.concatenate(vals)
+    r = _in_id_order(mesh, [(p, np.repeat(d, d.shape[1], axis=1)) for p, d, _ in blocks])
+    c = _in_id_order(mesh, [(p, np.tile(d, (1, d.shape[1]))) for p, d, _ in blocks])
+    v = _in_id_order(mesh, [(p, ke.reshape(len(p), -1)) for p, _, ke in blocks])
     order = np.lexsort((c, r))   # stable: fixed summation order run-to-run
     mat = sp.coo_matrix((v[order], (r[order], c[order])), shape=(ndof, ndof))
     return mat.tocsr()
-
-
-def _material_for(region: int, materials: dict[int, MaterialProps]) -> MaterialProps:
-    try:
-        return materials[region]
-    except KeyError:
-        raise AssemblyError(f"no material defined for region {region}") from None
 
 
 def _check_node(node: int, n_nodes: int, what: str) -> None:
@@ -206,23 +196,18 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
                      tau: float = vem.DEFAULT_STABILIZATION) -> SparseSystem:
     """Coupled thermal system: FE quads and VE polygons into one matrix."""
     dof_map = build_dof_map(mesh, "thermal")
-    rows, cols, vals = [], [], []
     rhs = np.zeros(dof_map.ndof)
 
-    def element_matrix(elem):
-        coords = mesh.element_coords(elem)
-        props = _material_for(elem.region, materials)
-        if elem.kind == ElementKind.FE_QUAD:
-            return fem.thermal_stiffness_q4(coords, props, elem.id)
-        return vem.thermal_element_matrices(coords, props, tau=tau, elem_id=elem.id)
+    def element_matrices(is_fe, pos, verts):
+        coords = mesh.coords[verts]
+        conductivity = gather_materials(materials, mesh.element_regions[pos]).conductivity
+        ids = mesh.element_ids[pos]
+        if is_fe:
+            return fem.thermal_stiffness_q4_batch(fem.q4_batch_eval(coords, ids), conductivity)
+        projection = vem.thermal_projection_batch(coords, conductivity, ids)
+        return vem.thermal_element_matrices_batch(projection, tau)
 
-    matrices = _evaluate_elements(mesh.elements, element_matrix)
-    for elem, ke in zip(mesh.elements, matrices):
-        dofs = dof_map.element_dofs(elem.vertices)
-        n = dofs.size
-        rows.append(np.repeat(dofs, n))
-        cols.append(np.tile(dofs, n))
-        vals.append(ke.ravel())
+    blocks = mesh.map_element_blocks(element_matrices)
 
     for (a, b, q_bar) in bcs.flux_edges:
         _check_node(a, mesh.n_nodes, "flux edge")
@@ -236,7 +221,7 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
         _check_node(node, mesh.n_nodes, "Dirichlet temperature")
         dirichlet[node] = value
 
-    matrix = _compress(dof_map.ndof, rows, cols, vals)
+    matrix = _compress(mesh, dof_map.ndof, blocks)
     return SparseSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, dirichlet=dirichlet)
 
 
@@ -255,35 +240,30 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
                       stacklevel=2)
 
     dof_map = build_dof_map(mesh, "mechanical")
-    rows, cols, vals = [], [], []
     rhs = np.zeros(dof_map.ndof)
 
-    def element_contribution(elem):
-        coords = mesh.element_coords(elem)
-        props = _material_for(elem.region, materials)
-        t_nodal = None if temperature is None else temperature[list(elem.vertices)]
-        if elem.kind == ElementKind.FE_QUAD:
-            ke = fem.mechanical_stiffness_q4(coords, props, elem.id)
-            fe = None
-            if t_nodal is not None:
-                fe = fem.thermal_load_q4(coords, props, t_nodal, elem.id)
-            return ke, fe
-        projection = vem.elastic_projection(coords, props, elem_id=elem.id)
-        ke = vem.elastic_element_matrices(coords, props, tau=tau, projection=projection)
-        fe = None
-        if t_nodal is not None:
-            fe = vem.vem_thermal_load(coords, props, t_nodal, projection=projection)
+    def element_contributions(is_fe, pos, verts):
+        coords = mesh.coords[verts]
+        mats = gather_materials(materials, mesh.element_regions[pos])
+        ids = mesh.element_ids[pos]
+        t_nodal = None if temperature is None else temperature[verts]
+        if is_fe:
+            q = fem.q4_batch_eval(coords, ids)
+            ke = fem.mechanical_stiffness_q4_batch(q, mats.D)
+            fe = None if t_nodal is None else fem.thermal_load_q4_batch(q, mats, t_nodal)
+        else:
+            projection = vem.elastic_projection_batch(coords, mats.D, ids)
+            ke = vem.elastic_element_matrices_batch(projection, tau)
+            fe = None if t_nodal is None else vem.vem_thermal_load_batch(projection, mats,
+                                                                         t_nodal)
         return ke, fe
 
-    contributions = _evaluate_elements(mesh.elements, element_contribution)
-    for elem, (ke, fe) in zip(mesh.elements, contributions):
-        dofs = dof_map.element_dofs(elem.vertices)
-        n = dofs.size
-        rows.append(np.repeat(dofs, n))
-        cols.append(np.tile(dofs, n))
-        vals.append(ke.ravel())
-        if fe is not None:
-            np.add.at(rhs, dofs, fe)
+    blocks = [(pos, _vector_dofs(verts), ke, fe) for pos, verts, (ke, fe)
+              in mesh.map_element_blocks(element_contributions)]
+    if temperature is not None and blocks:
+        np.add.at(rhs, _in_id_order(mesh, [(pos, dofs) for pos, dofs, _, _ in blocks]),
+                  _in_id_order(mesh, [(pos, fe) for pos, _, _, fe in blocks]))
+    matrix = _compress(mesh, dof_map.ndof, [(pos, dofs, ke) for pos, dofs, ke, _ in blocks])
 
     for (a, b, t_bar) in bcs.traction_edges:
         _check_node(a, mesh.n_nodes, "traction edge")
@@ -299,7 +279,6 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
         if uy is not None:
             dirichlet[2 * node + 1] = uy
 
-    matrix = _compress(dof_map.ndof, rows, cols, vals)
     return SparseSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, dirichlet=dirichlet)
 
 

@@ -10,7 +10,14 @@ class FevecError(Exception):
 
 
 class MeshError(FevecError):
-    """A mesh violates a structural invariant (orientation, degeneracy, ...)."""
+    """A mesh violates a structural invariant (orientation, degeneracy, ...).
+
+    ``element_id`` names the offending element when the check is per element.
+    """
+
+    def __init__(self, message: str, element_id: int | None = None):
+        self.element_id = element_id
+        super().__init__(message)
 
 
 class ParseError(FevecError):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshError
-from .materials import MaterialProps, elasticity_matrix, thermal_strain_voigt
+from .materials import MaterialArrays, MaterialProps, elasticity_matrix, thermal_strain_voigt
+from .mesh import rowdot
 
 _G = 1.0 / math.sqrt(3.0)
 # 2x2 Gauss rule on [-1,1]^2: points +-1/sqrt(3), unit weights.
@@ -117,3 +118,107 @@ def traction_load_edge(p0: np.ndarray, p1: np.ndarray,
         raise MeshError("traction edge has zero length")
     tx, ty = traction
     return 0.5 * length * np.array([tx, ty, tx, ty])
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels: one call evaluates a stack of quads.  Each Gauss-point
+# product is a stacked matmul whose per-element BLAS call matches the
+# per-element kernel above, so the results agree bit for bit.
+
+
+@dataclass(frozen=True)
+class Q4Batch:
+    """Shape data of a stack of quads at the 2x2 Gauss points."""
+
+    N: np.ndarray        # (4, 4) shape values, [Gauss point, node]
+    detJ: np.ndarray     # (m, 4)
+    B_T: np.ndarray      # (m, 4, 2, 4) global gradients, [element, Gauss point]
+
+
+def q4_batch_eval(coords: np.ndarray, elem_ids: np.ndarray | None = None) -> Q4Batch:
+    """Jacobians and gradients of (m, 4, 2) corner coordinates, once per Gauss point.
+
+    A non-positive Jacobian raises the ``q4_shape_eval`` MeshError for the
+    first flagged element (lowest row) at its first flagged Gauss point.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape[1:] != (4, 2):
+        eid = int(elem_ids[0]) if elem_ids is not None and len(elem_ids) else None
+        tag = f"element {eid}" if eid is not None else "quad"
+        raise MeshError(f"{tag}: FE_QUAD must have 4 vertices, has {coords.shape[1]}",
+                        element_id=eid)
+    n = np.array([0.25 * (1.0 + _XI_I * xi) * (1.0 + _ETA_I * eta)
+                  for xi, eta, _ in GAUSS_2X2])
+    dn = np.array([np.vstack((0.25 * _XI_I * (1.0 + _ETA_I * eta),
+                              0.25 * _ETA_I * (1.0 + _XI_I * xi)))
+                   for xi, eta, _ in GAUSS_2X2])                  # (4, 2, 4)
+    jac = dn @ coords[:, None]                                    # (m, 4, 2, 2)
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    bad = det <= 0.0
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        g = int(np.argmax(bad[row]))
+        xi, eta, _ = GAUSS_2X2[g]
+        eid = None if elem_ids is None else int(elem_ids[row])
+        tag = f"element {eid}" if eid is not None else "quad"
+        raise MeshError(f"{tag}: non-positive Jacobian {det[row, g]:g} at ({xi:g},{eta:g})",
+                        element_id=eid)
+    inv = np.empty_like(jac)
+    inv[..., 0, 0] = jac[..., 1, 1]
+    inv[..., 0, 1] = -jac[..., 0, 1]
+    inv[..., 1, 0] = -jac[..., 1, 0]
+    inv[..., 1, 1] = jac[..., 0, 0]
+    inv /= det[..., None, None]
+    return Q4Batch(N=n, detJ=det, B_T=inv @ dn)
+
+
+def _strain_displacement(b_t: np.ndarray) -> np.ndarray:
+    """(..., 3, 8) strain-displacement matrices from (..., 2, 4) gradients."""
+    b_u = np.zeros(b_t.shape[:-2] + (3, 8))
+    b_u[..., 0, 0::2] = b_t[..., 0, :]
+    b_u[..., 1, 1::2] = b_t[..., 1, :]
+    b_u[..., 2, 0::2] = b_t[..., 1, :]
+    b_u[..., 2, 1::2] = b_t[..., 0, :]
+    return b_u
+
+
+def thermal_stiffness_q4_batch(q: Q4Batch, conductivity: np.ndarray) -> np.ndarray:
+    """(m, 4, 4) stack of ``thermal_stiffness_q4``; one conductivity per element."""
+    k = np.zeros((q.detJ.shape[0], 4, 4))
+    for g, (_, _, w) in enumerate(GAUSS_2X2):
+        b_t = q.B_T[:, g]
+        k += (w * conductivity * q.detJ[:, g])[:, None, None] * (np.swapaxes(b_t, 1, 2) @ b_t)
+    return 0.5 * (k + np.swapaxes(k, 1, 2))
+
+
+def mechanical_stiffness_q4_batch(q: Q4Batch, d: np.ndarray) -> np.ndarray:
+    """(m, 8, 8) stack of ``mechanical_stiffness_q4``; ``d`` is (m, 3, 3)."""
+    k = np.zeros((q.detJ.shape[0], 8, 8))
+    for g, (_, _, w) in enumerate(GAUSS_2X2):
+        b_u = _strain_displacement(q.B_T[:, g])
+        k += (w * q.detJ[:, g])[:, None, None] * (np.swapaxes(b_u, 1, 2) @ d @ b_u)
+    return 0.5 * (k + np.swapaxes(k, 1, 2))
+
+
+def thermal_load_q4_batch(q: Q4Batch, mats: MaterialArrays,
+                          nodal_temperature: np.ndarray) -> np.ndarray:
+    """(m, 8) stack of ``thermal_load_q4``; temperatures are (m, 4)."""
+    f = np.zeros((q.detJ.shape[0], 8))
+    for g, (_, _, w) in enumerate(GAUSS_2X2):
+        b_u = _strain_displacement(q.B_T[:, g])
+        eps_th = mats.thermal_strain(rowdot(nodal_temperature, q.N[g]))
+        stress = mats.D @ eps_th[..., None]
+        f += (w * q.detJ[:, g])[:, None] * (np.swapaxes(b_u, 1, 2) @ stress)[..., 0]
+    return f
+
+
+def stress_q4_batch(q: Q4Batch, mats: MaterialArrays, nodal_displacement: np.ndarray,
+                    nodal_temperature: np.ndarray | None) -> np.ndarray:
+    """(m, 3) Gauss-point-averaged stresses; displacements (m, 8), temperatures (m, 4)."""
+    sigma = np.zeros((q.detJ.shape[0], 3))
+    for g in range(len(GAUSS_2X2)):
+        strain = (_strain_displacement(q.B_T[:, g]) @ nodal_displacement[..., None])[..., 0]
+        if nodal_temperature is not None:
+            strain = strain - mats.thermal_strain(rowdot(nodal_temperature, q.N[g]))
+        sigma += (mats.D @ strain[..., None])[..., 0]
+    return sigma / len(GAUSS_2X2)

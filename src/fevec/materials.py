@@ -67,3 +67,44 @@ def thermal_strain_voigt(props: MaterialProps, temperature: float) -> np.ndarray
     if props.plane == Plane.STRAIN:
         coeff *= 1.0 + props.nu
     return np.array([coeff, coeff, 0.0])
+
+
+@dataclass(frozen=True)
+class MaterialArrays:
+    """Material data of a block of elements, one row per element."""
+
+    conductivity: np.ndarray   # (m,)
+    D: np.ndarray              # (m, 3, 3) elasticity matrices
+    alpha: np.ndarray          # (m,)
+    T0: np.ndarray             # (m,)
+    nu: np.ndarray             # (m,)
+    plane_strain: np.ndarray   # (m,) bool
+
+    def thermal_strain(self, temperature: np.ndarray) -> np.ndarray:
+        """(m, 3) ``thermal_strain_voigt`` of each element at its temperature."""
+        coeff = self.alpha * (temperature - self.T0)
+        coeff = np.where(self.plane_strain, coeff * (1.0 + self.nu), coeff)
+        return np.column_stack((coeff, coeff, np.zeros_like(coeff)))
+
+
+def gather_materials(materials: dict[int, MaterialProps],
+                     regions: np.ndarray) -> MaterialArrays:
+    """Look each distinct region up once and spread its data over the elements."""
+    uniq, inverse = np.unique(regions, return_inverse=True)
+    props = []
+    for region in uniq.tolist():
+        try:
+            props.append(materials[region])
+        except KeyError:
+            raise AssemblyError(f"no material defined for region {region}") from None
+
+    def spread(values) -> np.ndarray:
+        return np.array(values, dtype=float)[inverse]
+
+    return MaterialArrays(
+        conductivity=spread([p.conductivity for p in props]),
+        D=np.array([elasticity_matrix(p) for p in props]).reshape(-1, 3, 3)[inverse],
+        alpha=spread([p.alpha for p in props]),
+        T0=spread([p.T0 for p in props]),
+        nu=spread([p.nu for p in props]),
+        plane_strain=np.array([p.plane == Plane.STRAIN for p in props], dtype=bool)[inverse])

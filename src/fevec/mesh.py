@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -63,6 +64,22 @@ def shoelace_area(coords: np.ndarray) -> float:
     x = coords[:, 0]
     y = coords[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching last-axis rows.
+
+    Each row goes through the same BLAS dot as ``np.dot`` on one vector pair,
+    so a batch reproduces the per-element sums bit for bit.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def shoelace_areas(coords: np.ndarray) -> np.ndarray:
+    """Signed areas of a stack of polygons (m, n_v, 2), as ``shoelace_area`` per row."""
+    x = coords[..., 0]
+    y = coords[..., 1]
+    return 0.5 * (rowdot(x, np.roll(y, -1, axis=-1)) - rowdot(y, np.roll(x, -1, axis=-1)))
 
 
 def polygon_geometry(element: Element, nodes: Sequence[Node] | np.ndarray) -> PolygonGeometry:
@@ -138,6 +155,20 @@ class Mesh:
                 self._edge_elems.setdefault(_edge_key(a, b), []).append(e.id)
         self.interface_nodes: set[int] = find_interface_nodes(self)
 
+        # Array views of the element list; index = position in ``elements``.
+        self.element_ids = np.array([e.id for e in self.elements], dtype=np.int64)
+        self.element_fe = np.array([e.kind == ElementKind.FE_QUAD for e in self.elements],
+                                   dtype=bool)
+        self.element_regions = np.array([e.region for e in self.elements], dtype=np.int64)
+        self.element_order = np.argsort(self.element_ids, kind="stable")
+        # n_v -> (positions in element-id order, (m, n_v) vertex ids)
+        self.vertex_groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        n_v = np.array([len(e.vertices) for e in self.elements], dtype=np.int64)
+        for count in np.unique(n_v).tolist():
+            pos = self.element_order[n_v[self.element_order] == count]
+            verts = np.array([self.elements[p].vertices for p in pos.tolist()], dtype=np.int64)
+            self.vertex_groups[count] = (pos, verts.reshape(pos.size, count))
+
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -172,6 +203,65 @@ class Mesh:
 
     def regions(self) -> set[int]:
         return {e.region for e in self.elements}
+
+    def element_blocks(self) -> list[tuple[bool, np.ndarray, np.ndarray]]:
+        """(is_fe, positions, (m, n_v) vertices) per group of one kind and vertex count.
+
+        Positions index ``elements`` and run in element-id order within a block.
+        """
+        blocks = []
+        for count in sorted(self.vertex_groups):
+            pos, verts = self.vertex_groups[count]
+            fe = self.element_fe[pos]
+            for flag in (True, False):
+                if (fe == flag).any():
+                    blocks.append((flag, pos[fe == flag], verts[fe == flag]))
+        return blocks
+
+    def map_element_blocks(self, kernel: Callable[[bool, np.ndarray, np.ndarray], Any]
+                           ) -> list[tuple[np.ndarray, np.ndarray, Any]]:
+        """Apply ``kernel(is_fe, positions, vertices)`` to every element block.
+
+        Returns ``(positions, vertices, result)`` per block.  When kernels
+        raise MeshError, the error of the lowest element id is raised, as an
+        element-by-element loop in id order would raise it.
+        """
+        out, failures = [], []
+        for is_fe, pos, verts in self.element_blocks():
+            try:
+                out.append((pos, verts, kernel(is_fe, pos, verts)))
+            except MeshError as exc:
+                failures.append(self._earliest_failure(kernel, is_fe, pos, verts, exc))
+        if failures:
+            raise min(failures, key=lambda exc: exc.element_id)
+        return out
+
+    def _earliest_failure(self, kernel, is_fe: bool, pos: np.ndarray, verts: np.ndarray,
+                          exc: MeshError) -> MeshError:
+        """The failure of the lowest element id in one block.
+
+        A block kernel runs its checks in stages over all rows (geometry, then
+        the projection solve), so a row flagged by an early stage can hide an
+        earlier row that fails only a later stage; the rows before it are rerun.
+        """
+        while exc.element_id is not None:
+            row = int(np.searchsorted(self.element_ids[pos], exc.element_id))
+            if row == 0:
+                break
+            try:
+                kernel(is_fe, pos[:row], verts[:row])
+                break
+            except MeshError as earlier:
+                exc = earlier
+        return exc
+
+    @cached_property
+    def element_areas(self) -> np.ndarray:
+        """Signed shoelace area of every element, by position in ``elements``."""
+        areas = np.empty(self.n_elements)
+        for pos, verts in self.vertex_groups.values():
+            areas[pos] = shoelace_areas(self.coords[verts])
+        return areas
 
 
 def find_interface_nodes(mesh: Mesh) -> set[int]:

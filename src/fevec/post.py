@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem, vem
 from .errors import FevecError
-from .materials import MaterialProps, Plane, elasticity_matrix, thermal_strain_voigt
-from .mesh import ElementKind, Mesh, polygon_geometry_from_coords
+from .materials import MaterialProps, Plane, gather_materials
+from .mesh import ElementKind, Mesh
 from .solver import SolutionFields
 
 PROVENANCE_FE = "FE_GAUSS_AVG"
@@ -34,12 +35,18 @@ class ElementStress:
 
 def von_mises(sigma: np.ndarray, plane: Plane = Plane.STRESS, nu: float = 0.0) -> float:
     """Equivalent stress; plane strain includes sigma_zz = nu*(sxx + syy)."""
-    sxx, syy, sxy = float(sigma[0]), float(sigma[1]), float(sigma[2])
-    if plane == Plane.STRESS:
-        return math.sqrt(max(sxx * sxx - sxx * syy + syy * syy + 3.0 * sxy * sxy, 0.0))
+    sigma = np.asarray(sigma, dtype=float)[None, :3]
+    return float(von_mises_batch(sigma, np.array([plane == Plane.STRAIN]), np.array([nu]))[0])
+
+
+def von_mises_batch(sigma: np.ndarray, plane_strain: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Equivalent stresses of (m, 3) Voigt stresses with per-element plane flags and nu."""
+    sxx, syy, sxy = sigma[:, 0], sigma[:, 1], sigma[:, 2]
+    stress = sxx * sxx - sxx * syy + syy * syy + 3.0 * sxy * sxy
     szz = nu * (sxx + syy)
-    val = 0.5 * ((sxx - syy) ** 2 + (syy - szz) ** 2 + (szz - sxx) ** 2) + 3.0 * sxy * sxy
-    return math.sqrt(max(val, 0.0))
+    d_xy, d_yz, d_zx = sxx - syy, syy - szz, szz - sxx
+    strain = 0.5 * (d_xy * d_xy + d_yz * d_yz + d_zx * d_zx) + 3.0 * sxy * sxy
+    return np.sqrt(np.maximum(np.where(plane_strain, strain, stress), 0.0))
 
 
 def recover_stress(mesh: Mesh, materials: dict[int, MaterialProps],
@@ -48,35 +55,28 @@ def recover_stress(mesh: Mesh, materials: dict[int, MaterialProps],
         raise FevecError("stress recovery needs a solved displacement field")
     u = solution.displacement
     temps = solution.temperature
-    out: list[ElementStress] = []
-    for elem in mesh.elements:
-        props = materials[elem.region]
-        coords = mesh.element_coords(elem)
-        verts = list(elem.vertices)
-        ue = u[verts].ravel()
+
+    def element_stresses(is_fe, pos, verts):
+        coords = mesh.coords[verts]
+        mats = gather_materials(materials, mesh.element_regions[pos])
+        ids = mesh.element_ids[pos]
+        ue = u[verts].reshape(verts.shape[0], -1)
         te = None if temps is None else temps[verts]
-        if elem.kind == ElementKind.FE_QUAD:
-            sigma = _fe_stress(coords, props, ue, te, elem.id)
-            prov = PROVENANCE_FE
+        if is_fe:
+            sigma = fem.stress_q4_batch(fem.q4_batch_eval(coords, ids), mats, ue, te)
         else:
-            projection = vem.elastic_projection(coords, props, elem_id=elem.id)
-            sigma = vem.projected_stress(projection, props, ue, te)
-            prov = PROVENANCE_VE
-        out.append(ElementStress(elem.id, sigma, von_mises(sigma, props.plane, props.nu),
-                                 prov))
-    return out
+            projection = vem.elastic_projection_batch(coords, mats.D, ids)
+            sigma = vem.projected_stress_batch(projection, mats, ue, te)
+        return sigma, von_mises_batch(sigma, mats.plane_strain, mats.nu)
 
-
-def _fe_stress(coords, props, ue, te, elem_id):
-    dhat = elasticity_matrix(props)
-    sigma = np.zeros(3)
-    for xi, eta, w in fem.GAUSS_2X2:
-        ev = fem.q4_shape_eval(coords, xi, eta, elem_id)
-        strain = ev.B_u @ ue
-        if te is not None:
-            strain = strain - thermal_strain_voigt(props, float(ev.N @ te))
-        sigma += dhat @ strain
-    return sigma / len(fem.GAUSS_2X2)
+    sigma = np.empty((mesh.n_elements, 3))
+    vm = np.empty(mesh.n_elements)
+    for pos, _, (block_sigma, block_vm) in mesh.map_element_blocks(element_stresses):
+        sigma[pos] = block_sigma
+        vm[pos] = block_vm
+    return [ElementStress(e.id, sigma[k], float(vm[k]),
+                          PROVENANCE_FE if fe else PROVENANCE_VE)
+            for k, (e, fe) in enumerate(zip(mesh.elements, mesh.element_fe.tolist()))]
 
 
 def nodal_von_mises(mesh: Mesh, stresses: list[ElementStress],
@@ -88,18 +88,30 @@ def nodal_von_mises(mesh: Mesh, stresses: list[ElementStress],
     per-material-side value at interfaces); ``element_ids`` restricts to an
     explicit subset (per-side values at a coupling interface).  Nodes with
     no contributing element hold NaN.
+
+    The sums are one sparse node x element product whose columns run in
+    element-id order, so each node adds its elements' terms in that order.
     """
-    acc = np.zeros(mesh.n_nodes)
-    wsum = np.zeros(mesh.n_nodes)
-    for elem, es in zip(mesh.elements, stresses):
-        if region is not None and elem.region != region:
-            continue
-        if element_ids is not None and elem.id not in element_ids:
-            continue
-        area = polygon_geometry_from_coords(mesh.element_coords(elem), elem.id).area
-        for v in elem.vertices:
-            acc[v] += area * es.von_mises
-            wsum[v] += area
+    keep = np.ones(mesh.n_elements, dtype=bool)
+    if region is not None:
+        keep &= mesh.element_regions == region
+    if element_ids is not None:
+        keep &= np.isin(mesh.element_ids, list(element_ids))
+    rank = np.empty(mesh.n_elements, dtype=np.int64)
+    rank[mesh.element_order] = np.arange(mesh.n_elements)
+    rows, cols = [], []
+    for pos, verts in mesh.vertex_groups.values():
+        sel = keep[pos]
+        rows.append(verts[sel].ravel())
+        cols.append(np.repeat(rank[pos[sel]], verts.shape[1]))
+    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
+    areas = mesh.element_areas[mesh.element_order]
+    incidence = sp.csr_matrix((areas[cols], (rows, cols)),
+                              shape=(mesh.n_nodes, mesh.n_elements))
+    vm = np.array([es.von_mises for es in stresses], dtype=float)[mesh.element_order]
+    acc = incidence @ vm
+    wsum = incidence @ np.ones(mesh.n_elements)
     with np.errstate(invalid="ignore"):
         return np.where(wsum > 0, acc / np.maximum(wsum, 1e-300), np.nan)
 

@@ -98,19 +98,21 @@ def _solve_cg(matrix, rhs, options: SolveOptions):
             raise SolverError("non-positive diagonal entry; system is not SPD")
         inv = 1.0 / d
         precond = spla.LinearOperator(matrix.shape, matvec=lambda v: inv * v)
-    history: list[float] = []
+    iterations = 0
 
-    def track(xk):
-        history.append(float(np.linalg.norm(matrix @ xk - rhs)))
+    def count(_xk):
+        nonlocal iterations
+        iterations += 1
 
     x, info = spla.cg(matrix, rhs, rtol=options.cg_rel_tol, atol=0.0,
-                      maxiter=options.cg_max_iter, M=precond, callback=track)
+                      maxiter=options.cg_max_iter, M=precond, callback=count)
     if info != 0:
-        tail = ", ".join(f"{r:.3e}" for r in history[-5:])
+        residual = float(np.linalg.norm(matrix @ x - rhs))
+        scale = float(np.linalg.norm(rhs)) or 1.0
         raise SolverError(
             f"CG did not converge in {options.cg_max_iter} iterations "
-            f"(last residuals: {tail})")
-    return x, len(history)
+            f"(final residuals: absolute {residual:.3e}, relative {residual / scale:.3e})")
+    return x, iterations
 
 
 def run_pipeline(mesh: Mesh, materials: dict[int, MaterialProps],

@@ -234,11 +234,12 @@ class TestApplyDirichlet:
         assert diff < 1e-14 * abs(red.matrix).max()
 
 
-class TestThreadedAssembly:
-    def test_fevec_threads_same_result(self, monkeypatch):
+class TestDeterministicAssembly:
+    def test_repeat_assembly_bit_identical(self):
         mesh = generate_split_square(2.0, 1.0, 6, 3)
         mats = {0: simple_props()}
-        serial = assemble_thermal(mesh, mats, BoundaryConditionSet()).matrix
-        monkeypatch.setenv("FEVEC_THREADS", "4")
-        threaded = assemble_thermal(mesh, mats, BoundaryConditionSet()).matrix
-        assert abs(serial - threaded).max() == 0.0
+        first = assemble_thermal(mesh, mats, BoundaryConditionSet()).matrix
+        second = assemble_thermal(mesh, mats, BoundaryConditionSet()).matrix
+        assert np.array_equal(first.data, second.data)
+        assert np.array_equal(first.indices, second.indices)
+        assert np.array_equal(first.indptr, second.indptr)
