@@ -5,8 +5,9 @@ contributions from both sides during standard triplet assembly, which
 realizes the coupled block system directly: FE-interior dofs never share a
 stored entry with VE-interior dofs because no single element contains both.
 
-Element kernels run batched: one call per block of elements of the same
-kind and vertex count (``Mesh.map_element_blocks``).  Assembly is deterministic:
+FE quads run batched: one kernel call per block of quads
+(``Mesh.map_element_blocks``).  VE polygons are evaluated one element at a
+time by the per-element ``vem`` kernels.  Assembly is deterministic:
 the element triplets are concatenated in element-id order and stably sorted
 before compression, so repeated runs give bit-identical matrices, equal to an
 element-by-element loop in id order.
@@ -22,7 +23,7 @@ import scipy.sparse as sp
 
 from . import fem, vem
 from .errors import AssemblyError
-from .materials import MaterialProps, gather_materials
+from .materials import MaterialProps, gather_materials, material_for
 from .mesh import Mesh
 
 
@@ -88,14 +89,15 @@ class DofMap:
         base = node * self.dofs_per_node
         return [base + k for k in range(self.dofs_per_node)]
 
-    def element_dofs(self, vertices: tuple[int, ...]) -> np.ndarray:
+    def element_dofs(self, vertices) -> np.ndarray:
+        """Dofs of an element's vertices; an (m, n_v) vertex block gives one row per element.
+
+        Vector fields interleave the components: (2v, 2v + 1) per vertex.
+        """
+        verts = np.asarray(vertices, dtype=np.int64)
         if self.dofs_per_node == 1:
-            return np.asarray(vertices, dtype=np.int64)
-        out = np.empty(2 * len(vertices), dtype=np.int64)
-        for k, v in enumerate(vertices):
-            out[2 * k] = 2 * v
-            out[2 * k + 1] = 2 * v + 1
-        return out
+            return verts
+        return (2 * verts[..., None] + np.arange(2)).reshape(verts.shape[:-1] + (-1,))
 
     def dofs_in_class(self, cls: str) -> np.ndarray:
         return np.where(self.classes == cls)[0]
@@ -168,11 +170,6 @@ def _in_id_order(mesh: Mesh, parts: list[tuple[np.ndarray, np.ndarray]]) -> np.n
     return out
 
 
-def _vector_dofs(verts: np.ndarray) -> np.ndarray:
-    """(m, 2 n_v) interleaved (ux, uy) dofs of a vertex block."""
-    return (2 * verts[..., None] + np.arange(2)).reshape(verts.shape[0], -1)
-
-
 def _compress(mesh: Mesh, ndof: int,
               blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> sp.csr_matrix:
     """CSR matrix of ``(positions, (m, n) dofs, (m, n, n) matrices)`` element blocks."""
@@ -198,16 +195,21 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
     dof_map = build_dof_map(mesh, "thermal")
     rhs = np.zeros(dof_map.ndof)
 
-    def element_matrices(is_fe, pos, verts):
-        coords = mesh.coords[verts]
-        conductivity = gather_materials(materials, mesh.element_regions[pos]).conductivity
-        ids = mesh.element_ids[pos]
-        if is_fe:
-            return fem.thermal_stiffness_q4_batch(fem.q4_batch_eval(coords, ids), conductivity)
-        projection = vem.thermal_projection_batch(coords, conductivity, ids)
-        return vem.thermal_element_matrices_batch(projection, tau)
+    def ve_matrix(elem):
+        props = material_for(materials, elem.region)
+        return vem.thermal_element_matrices(mesh.element_coords(elem), props, tau=tau,
+                                            elem_id=elem.id)
 
-    blocks = mesh.map_element_blocks(element_matrices)
+    def element_matrices(is_fe, pos, verts):
+        if not is_fe:
+            return np.array(mesh.per_element(pos, ve_matrix))
+        ids = mesh.element_ids[pos]
+        conductivity = gather_materials(materials, mesh.element_regions[pos], ids).conductivity
+        return fem.thermal_stiffness_q4_batch(fem.q4_batch_eval(mesh.coords[verts], ids),
+                                              conductivity)
+
+    blocks = [(pos, dof_map.element_dofs(verts), ke) for pos, verts, ke
+              in mesh.map_element_blocks(element_matrices)]
 
     for (a, b, q_bar) in bcs.flux_edges:
         _check_node(a, mesh.n_nodes, "flux edge")
@@ -242,23 +244,31 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     dof_map = build_dof_map(mesh, "mechanical")
     rhs = np.zeros(dof_map.ndof)
 
-    def element_contributions(is_fe, pos, verts):
-        coords = mesh.coords[verts]
-        mats = gather_materials(materials, mesh.element_regions[pos])
-        ids = mesh.element_ids[pos]
-        t_nodal = None if temperature is None else temperature[verts]
-        if is_fe:
-            q = fem.q4_batch_eval(coords, ids)
-            ke = fem.mechanical_stiffness_q4_batch(q, mats.D)
-            fe = None if t_nodal is None else fem.thermal_load_q4_batch(q, mats, t_nodal)
-        else:
-            projection = vem.elastic_projection_batch(coords, mats.D, ids)
-            ke = vem.elastic_element_matrices_batch(projection, tau)
-            fe = None if t_nodal is None else vem.vem_thermal_load_batch(projection, mats,
-                                                                         t_nodal)
+    def ve_contribution(elem):
+        coords = mesh.element_coords(elem)
+        props = material_for(materials, elem.region)
+        projection = vem.elastic_projection(coords, props, elem_id=elem.id)
+        ke = vem.elastic_element_matrices(coords, props, tau=tau, projection=projection)
+        fe = None
+        if temperature is not None:
+            fe = vem.vem_thermal_load(coords, props, temperature[list(elem.vertices)],
+                                      projection=projection)
         return ke, fe
 
-    blocks = [(pos, _vector_dofs(verts), ke, fe) for pos, verts, (ke, fe)
+    def element_contributions(is_fe, pos, verts):
+        if not is_fe:
+            ke, fe = zip(*mesh.per_element(pos, ve_contribution))
+            return np.array(ke), None if temperature is None else np.array(fe)
+        ids = mesh.element_ids[pos]
+        mats = gather_materials(materials, mesh.element_regions[pos], ids)
+        q = fem.q4_batch_eval(mesh.coords[verts], ids)
+        ke = fem.mechanical_stiffness_q4_batch(q, mats.D)
+        fe = None
+        if temperature is not None:
+            fe = fem.thermal_load_q4_batch(q, mats, temperature[verts])
+        return ke, fe
+
+    blocks = [(pos, dof_map.element_dofs(verts), ke, fe) for pos, verts, (ke, fe)
               in mesh.map_element_blocks(element_contributions)]
     if temperature is not None and blocks:
         np.add.at(rhs, _in_id_order(mesh, [(pos, dofs) for pos, dofs, _, _ in blocks]),

@@ -6,18 +6,18 @@ solver problems -> 2, parse/IO problems -> 3.
 
 
 class FevecError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``element_id`` names the offending element when the error comes from one.
+    """
+
+    def __init__(self, message: str = "", element_id: int | None = None):
+        self.element_id = element_id
+        super().__init__(message)
 
 
 class MeshError(FevecError):
-    """A mesh violates a structural invariant (orientation, degeneracy, ...).
-
-    ``element_id`` names the offending element when the check is per element.
-    """
-
-    def __init__(self, message: str, element_id: int | None = None):
-        self.element_id = element_id
-        super().__init__(message)
+    """A mesh violates a structural invariant (orientation, degeneracy, ...)."""
 
 
 class ParseError(FevecError):

@@ -135,7 +135,7 @@ class Q4Batch:
     B_T: np.ndarray      # (m, 4, 2, 4) global gradients, [element, Gauss point]
 
 
-def q4_batch_eval(coords: np.ndarray, elem_ids: np.ndarray | None = None) -> Q4Batch:
+def q4_batch_eval(coords: np.ndarray, elem_ids: np.ndarray) -> Q4Batch:
     """Jacobians and gradients of (m, 4, 2) corner coordinates, once per Gauss point.
 
     A non-positive Jacobian raises the ``q4_shape_eval`` MeshError for the
@@ -143,9 +143,8 @@ def q4_batch_eval(coords: np.ndarray, elem_ids: np.ndarray | None = None) -> Q4B
     """
     coords = np.asarray(coords, dtype=float)
     if coords.shape[1:] != (4, 2):
-        eid = int(elem_ids[0]) if elem_ids is not None and len(elem_ids) else None
-        tag = f"element {eid}" if eid is not None else "quad"
-        raise MeshError(f"{tag}: FE_QUAD must have 4 vertices, has {coords.shape[1]}",
+        eid = int(elem_ids[0])
+        raise MeshError(f"element {eid}: FE_QUAD must have 4 vertices, has {coords.shape[1]}",
                         element_id=eid)
     n = np.array([0.25 * (1.0 + _XI_I * xi) * (1.0 + _ETA_I * eta)
                   for xi, eta, _ in GAUSS_2X2])
@@ -159,10 +158,9 @@ def q4_batch_eval(coords: np.ndarray, elem_ids: np.ndarray | None = None) -> Q4B
         row = int(np.argmax(bad.any(axis=1)))
         g = int(np.argmax(bad[row]))
         xi, eta, _ = GAUSS_2X2[g]
-        eid = None if elem_ids is None else int(elem_ids[row])
-        tag = f"element {eid}" if eid is not None else "quad"
-        raise MeshError(f"{tag}: non-positive Jacobian {det[row, g]:g} at ({xi:g},{eta:g})",
-                        element_id=eid)
+        eid = int(elem_ids[row])
+        raise MeshError(f"element {eid}: non-positive Jacobian {det[row, g]:g} "
+                        f"at ({xi:g},{eta:g})", element_id=eid)
     inv = np.empty_like(jac)
     inv[..., 0, 0] = jac[..., 1, 1]
     inv[..., 0, 1] = -jac[..., 0, 1]

@@ -87,16 +87,27 @@ class MaterialArrays:
         return np.column_stack((coeff, coeff, np.zeros_like(coeff)))
 
 
-def gather_materials(materials: dict[int, MaterialProps],
-                     regions: np.ndarray) -> MaterialArrays:
-    """Look each distinct region up once and spread its data over the elements."""
-    uniq, inverse = np.unique(regions, return_inverse=True)
-    props = []
-    for region in uniq.tolist():
-        try:
-            props.append(materials[region])
-        except KeyError:
-            raise AssemblyError(f"no material defined for region {region}") from None
+def material_for(materials: dict[int, MaterialProps], region: int,
+                 element_id: int | None = None) -> MaterialProps:
+    """The material of ``region``; a missing one raises AssemblyError."""
+    try:
+        return materials[region]
+    except KeyError:
+        raise AssemblyError(f"no material defined for region {region}",
+                            element_id=element_id) from None
+
+
+def gather_materials(materials: dict[int, MaterialProps], regions: np.ndarray,
+                     element_ids: np.ndarray) -> MaterialArrays:
+    """Look each distinct region up once and spread its data over the elements.
+
+    When regions are missing, the AssemblyError names the first element (in
+    the given order) whose region has no material.
+    """
+    uniq, first, inverse = np.unique(regions, return_index=True, return_inverse=True)
+    props = [None] * len(uniq)
+    for k in np.argsort(first).tolist():      # in order of first use
+        props[k] = material_for(materials, int(uniq[k]), int(element_ids[first[k]]))
 
     def spread(values) -> np.ndarray:
         return np.array(values, dtype=float)[inverse]

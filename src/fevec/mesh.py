@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import MeshError, ParseError
+from .errors import FevecError, MeshError, ParseError
 
 
 class ElementKind(Enum):
@@ -223,37 +223,59 @@ class Mesh:
         """Apply ``kernel(is_fe, positions, vertices)`` to every element block.
 
         Returns ``(positions, vertices, result)`` per block.  When kernels
-        raise MeshError, the error of the lowest element id is raised, as an
+        raise errors that name an element (MeshError, a missing material's
+        AssemblyError), the one of the lowest element id is raised, as an
         element-by-element loop in id order would raise it.
         """
         out, failures = [], []
         for is_fe, pos, verts in self.element_blocks():
             try:
                 out.append((pos, verts, kernel(is_fe, pos, verts)))
-            except MeshError as exc:
+            except FevecError as exc:
+                if exc.element_id is None:
+                    raise
                 failures.append(self._earliest_failure(kernel, is_fe, pos, verts, exc))
         if failures:
             raise min(failures, key=lambda exc: exc.element_id)
         return out
 
     def _earliest_failure(self, kernel, is_fe: bool, pos: np.ndarray, verts: np.ndarray,
-                          exc: MeshError) -> MeshError:
+                          exc: FevecError) -> FevecError:
         """The failure of the lowest element id in one block.
 
-        A block kernel runs its checks in stages over all rows (geometry, then
-        the projection solve), so a row flagged by an early stage can hide an
-        earlier row that fails only a later stage; the rows before it are rerun.
+        A block kernel runs its checks in stages over all rows (material
+        lookup, then the Jacobians), so a row flagged by an early stage can
+        hide an earlier row that fails only a later stage; the rows before it
+        are rerun.
         """
-        while exc.element_id is not None:
+        while True:
             row = int(np.searchsorted(self.element_ids[pos], exc.element_id))
             if row == 0:
-                break
+                return exc
             try:
                 kernel(is_fe, pos[:row], verts[:row])
-                break
-            except MeshError as earlier:
+                return exc
+            except FevecError as earlier:
+                if earlier.element_id is None:
+                    raise
                 exc = earlier
-        return exc
+
+    def per_element(self, pos: np.ndarray, fn: Callable[[Element], Any]) -> list:
+        """``fn(element)`` for the elements at positions ``pos``, in that order.
+
+        A FevecError that names no element is given the id of the element
+        it came from.
+        """
+        out = []
+        for p in pos.tolist():
+            elem = self.elements[p]
+            try:
+                out.append(fn(elem))
+            except FevecError as exc:
+                if exc.element_id is None:
+                    exc.element_id = elem.id
+                raise
+        return out
 
     @cached_property
     def element_areas(self) -> np.ndarray:

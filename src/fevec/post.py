@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from . import fem, vem
 from .errors import FevecError
-from .materials import MaterialProps, Plane, gather_materials
+from .materials import MaterialProps, Plane, gather_materials, material_for
 from .mesh import ElementKind, Mesh
 from .solver import SolutionFields
 
@@ -35,17 +35,25 @@ class ElementStress:
 
 def von_mises(sigma: np.ndarray, plane: Plane = Plane.STRESS, nu: float = 0.0) -> float:
     """Equivalent stress; plane strain includes sigma_zz = nu*(sxx + syy)."""
-    sigma = np.asarray(sigma, dtype=float)[None, :3]
-    return float(von_mises_batch(sigma, np.array([plane == Plane.STRAIN]), np.array([nu]))[0])
+    sxx, syy, sxy = float(sigma[0]), float(sigma[1]), float(sigma[2])
+    if plane == Plane.STRESS:
+        return math.sqrt(max(sxx * sxx - sxx * syy + syy * syy + 3.0 * sxy * sxy, 0.0))
+    szz = nu * (sxx + syy)
+    val = 0.5 * ((sxx - syy) ** 2 + (syy - szz) ** 2 + (szz - sxx) ** 2) + 3.0 * sxy * sxy
+    return math.sqrt(max(val, 0.0))
 
 
 def von_mises_batch(sigma: np.ndarray, plane_strain: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Equivalent stresses of (m, 3) Voigt stresses with per-element plane flags and nu."""
+    """``von_mises`` of (m, 3) Voigt stresses with per-element plane flags and nu.
+
+    Squares go through ``float_power`` (libm ``pow``, as ``** 2`` on a Python
+    float), so each value equals the scalar function's.
+    """
     sxx, syy, sxy = sigma[:, 0], sigma[:, 1], sigma[:, 2]
     stress = sxx * sxx - sxx * syy + syy * syy + 3.0 * sxy * sxy
     szz = nu * (sxx + syy)
-    d_xy, d_yz, d_zx = sxx - syy, syy - szz, szz - sxx
-    strain = 0.5 * (d_xy * d_xy + d_yz * d_yz + d_zx * d_zx) + 3.0 * sxy * sxy
+    strain = 0.5 * (np.float_power(sxx - syy, 2) + np.float_power(syy - szz, 2)
+                    + np.float_power(szz - sxx, 2)) + 3.0 * sxy * sxy
     return np.sqrt(np.maximum(np.where(plane_strain, strain, stress), 0.0))
 
 
@@ -56,17 +64,23 @@ def recover_stress(mesh: Mesh, materials: dict[int, MaterialProps],
     u = solution.displacement
     temps = solution.temperature
 
-    def element_stresses(is_fe, pos, verts):
-        coords = mesh.coords[verts]
-        mats = gather_materials(materials, mesh.element_regions[pos])
-        ids = mesh.element_ids[pos]
-        ue = u[verts].reshape(verts.shape[0], -1)
+    def ve_stress(elem):
+        props = material_for(materials, elem.region)
+        verts = list(elem.vertices)
         te = None if temps is None else temps[verts]
-        if is_fe:
-            sigma = fem.stress_q4_batch(fem.q4_batch_eval(coords, ids), mats, ue, te)
-        else:
-            projection = vem.elastic_projection_batch(coords, mats.D, ids)
-            sigma = vem.projected_stress_batch(projection, mats, ue, te)
+        projection = vem.elastic_projection(mesh.element_coords(elem), props, elem_id=elem.id)
+        sigma = vem.projected_stress(projection, props, u[verts].ravel(), te)
+        return sigma, von_mises(sigma, props.plane, props.nu)
+
+    def element_stresses(is_fe, pos, verts):
+        if not is_fe:
+            sigma, vm = zip(*mesh.per_element(pos, ve_stress))
+            return np.array(sigma), np.array(vm)
+        ids = mesh.element_ids[pos]
+        mats = gather_materials(materials, mesh.element_regions[pos], ids)
+        te = None if temps is None else temps[verts]
+        q = fem.q4_batch_eval(mesh.coords[verts], ids)
+        sigma = fem.stress_q4_batch(q, mats, u[verts].reshape(len(pos), -1), te)
         return sigma, von_mises_batch(sigma, mats.plane_strain, mats.nu)
 
     sigma = np.empty((mesh.n_elements, 3))

@@ -32,21 +32,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshError
-from .materials import MaterialArrays, MaterialProps, elasticity_matrix, thermal_strain_voigt
-from .mesh import PolygonGeometry, polygon_geometry_from_coords, rowdot, shoelace_areas
+from .materials import MaterialProps, elasticity_matrix, thermal_strain_voigt
+from .mesh import PolygonGeometry, polygon_geometry_from_coords
 
 DEFAULT_STABILIZATION = 0.5
 
 
-def vertex_normal_lengths(geom: PolygonGeometry | PolygonBatch) -> np.ndarray:
+def vertex_normal_lengths(geom: PolygonGeometry) -> np.ndarray:
     """Per-vertex boundary weights d_i = (n_prev*L_prev + n_next*L_next)/2.
 
     d_i equals the exact boundary integral of the hat trace psi_i against a
-    constant normal field; the rows sum to zero on any closed polygon.  A
-    batch gives one (n_v, 2) block per polygon.
+    constant normal field; the rows sum to zero on any closed polygon.
     """
-    weighted = geom.edge_normals * geom.edge_lengths[..., None]
-    return 0.5 * (weighted + np.roll(weighted, 1, axis=-2))
+    weighted = geom.edge_normals * geom.edge_lengths[:, None]
+    return 0.5 * (weighted + np.roll(weighted, 1, axis=0))
 
 
 def scaled_coords(coords: np.ndarray, geom: PolygonGeometry) -> np.ndarray:
@@ -245,219 +244,3 @@ def projected_stress(projection: ElasticProjection, props: MaterialProps,
     if nodal_temperature is not None:
         strain = strain - thermal_strain_voigt(props, float(np.mean(nodal_temperature)))
     return dhat @ strain
-
-
-# ---------------------------------------------------------------------------
-# Batched kernels: one call evaluates a stack of polygons with the same vertex
-# count (Sutton's stacked formulation).  Every step mirrors the per-element
-# functions above operation for operation; the projection systems go through
-# one stacked LAPACK solve.
-
-
-@dataclass(frozen=True)
-class PolygonBatch:
-    """Geometry of m polygons with n_v vertices each."""
-
-    coords: np.ndarray        # (m, n_v, 2)
-    centroid: np.ndarray      # (m, 2)
-    area: np.ndarray          # (m,)
-    h: np.ndarray             # (m,)
-    edge_normals: np.ndarray  # (m, n_v, 2)
-    edge_lengths: np.ndarray  # (m, n_v)
-
-
-def _tag(elem_ids: np.ndarray | None, row: int) -> tuple[str, int | None]:
-    eid = None if elem_ids is None else int(elem_ids[row])
-    return (f"element {eid}" if eid is not None else "polygon"), eid
-
-
-def polygon_geometry_batch(coords: np.ndarray,
-                           elem_ids: np.ndarray | None = None) -> PolygonBatch:
-    """``polygon_geometry_from_coords`` on a stack; the first degenerate row raises."""
-    coords = np.asarray(coords, dtype=float)
-    m, n_v = coords.shape[:2]
-    if n_v < 3 and m:
-        tag, eid = _tag(elem_ids, 0)
-        raise MeshError(f"{tag}: needs at least 3 vertices, got {n_v}", element_id=eid)
-
-    deltas = np.roll(coords, -1, axis=1) - coords
-    lengths = np.hypot(deltas[..., 0], deltas[..., 1])
-    scale = np.maximum(lengths.max(axis=1, initial=0.0), 1.0)
-    short = np.any(lengths <= 1e-14 * scale[:, None], axis=1)
-    area = shoelace_areas(coords)
-    bad = short | (area <= 0.0)
-    if bad.any():
-        row = int(np.argmax(bad))
-        tag, eid = _tag(elem_ids, row)
-        if short[row]:
-            raise MeshError(f"{tag}: zero-length edge (repeated or collinear-coincident vertices)",
-                            element_id=eid)
-        raise MeshError(f"{tag}: non-positive area {area[row]:g} (clockwise or degenerate)",
-                        element_id=eid)
-
-    x = coords[..., 0]
-    y = coords[..., 1]
-    x_next = np.roll(x, -1, axis=1)
-    y_next = np.roll(y, -1, axis=1)
-    cross = x * y_next - x_next * y
-    centroid = np.column_stack((rowdot(x + x_next, cross) / (6.0 * area),
-                                rowdot(y + y_next, cross) / (6.0 * area)))
-    diffs = coords[:, :, None, :] - coords[:, None, :, :]
-    h = np.sqrt((diffs ** 2).sum(axis=3).max(axis=(1, 2), initial=0.0))
-    normals = np.stack((deltas[..., 1], -deltas[..., 0]), axis=-1) / lengths[..., None]
-    return PolygonBatch(coords=coords, centroid=centroid, area=area, h=h,
-                        edge_normals=normals, edge_lengths=lengths)
-
-
-def _solve_stack(a: np.ndarray, b: np.ndarray, elem_ids: np.ndarray | None,
-                 what: str) -> np.ndarray:
-    """Stacked solve; a singular member raises the per-element MeshError."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        for row in range(a.shape[0]):
-            try:
-                np.linalg.solve(a[row], b[row])
-            except np.linalg.LinAlgError as exc:
-                tag, eid = _tag(elem_ids, row)
-                raise MeshError(f"{tag}: singular {what} projection system",
-                                element_id=eid) from exc
-        raise
-
-
-def _stabilized(pi_star: np.ndarray, energy: np.ndarray, pi: np.ndarray,
-                tau: float) -> np.ndarray:
-    """Consistency plus scaled stabilization, as the per-element matrices."""
-    pi_star_t = np.swapaxes(pi_star, 1, 2)
-    k_c = pi_star_t @ energy @ pi_star
-    k_c = 0.5 * (k_c + np.swapaxes(k_c, 1, 2))
-    residual = np.eye(pi.shape[1]) - pi
-    k_s = (tau * np.trace(k_c, axis1=1, axis2=2))[:, None, None] * (
-        np.swapaxes(residual, 1, 2) @ residual)
-    return k_c + k_s
-
-
-@dataclass(frozen=True)
-class ThermalProjectionBatch:
-    geom: PolygonBatch
-    G_energy: np.ndarray      # (m, 3, 3)
-    Pi_star: np.ndarray       # (m, 3, n_v)
-    Pi: np.ndarray            # (m, n_v, n_v)
-
-
-def thermal_projection_batch(coords: np.ndarray, conductivity: np.ndarray,
-                             elem_ids: np.ndarray | None = None) -> ThermalProjectionBatch:
-    """``thermal_projection`` on a stack; one conductivity per element."""
-    geom = polygon_geometry_batch(coords, elem_ids)
-    m, n_v = geom.edge_lengths.shape
-    lam, h, area = conductivity, geom.h, geom.area
-
-    sc = (geom.coords - geom.centroid[:, None, :]) / h[:, None, None]
-    dmat = np.concatenate((np.ones((m, n_v, 1)), sc), axis=2)
-
-    g_energy = np.zeros((m, 3, 3))
-    g_energy[:, 1, 1] = g_energy[:, 2, 2] = lam * area / (h * h)
-
-    d_i = vertex_normal_lengths(geom)
-    b = np.zeros((m, 3, n_v))
-    b[:, 1] = (lam / h)[:, None] * d_i[..., 0]
-    b[:, 2] = (lam / h)[:, None] * d_i[..., 1]
-
-    g = g_energy.copy()
-    g[:, 0] = dmat.mean(axis=1)
-    b[:, 0] = 1.0 / n_v
-
-    pi_star = _solve_stack(g, b, elem_ids, "thermal")
-    return ThermalProjectionBatch(geom=geom, G_energy=g_energy, Pi_star=pi_star,
-                                  Pi=dmat @ pi_star)
-
-
-def thermal_element_matrices_batch(projection: ThermalProjectionBatch,
-                                   tau: float = DEFAULT_STABILIZATION) -> np.ndarray:
-    """(m, n_v, n_v) stack of ``thermal_element_matrices``."""
-    return _stabilized(projection.Pi_star, projection.G_energy, projection.Pi, tau)
-
-
-@dataclass(frozen=True)
-class ElasticProjectionBatch:
-    geom: PolygonBatch
-    M_energy: np.ndarray      # (m, 6, 6)
-    Pi_star: np.ndarray       # (m, 6, 2 n_v)
-    Pi: np.ndarray            # (m, 2 n_v, 2 n_v)
-    strain_basis: np.ndarray  # (m, 3, 6)
-
-
-def elastic_projection_batch(coords: np.ndarray, d: np.ndarray,
-                             elem_ids: np.ndarray | None = None) -> ElasticProjectionBatch:
-    """``elastic_projection`` on a stack; ``d`` holds (m, 3, 3) elasticity matrices."""
-    geom = polygon_geometry_batch(coords, elem_ids)
-    m, n_v = geom.edge_lengths.shape
-    area, h = geom.area, geom.h
-
-    eps = np.zeros((m, 3, 6))
-    eps[:, 2, 3] = 2.0 / h
-    eps[:, 0, 4] = 1.0 / h
-    eps[:, 1, 5] = 1.0 / h
-
-    sc = (geom.coords - geom.centroid[:, None, :]) / h[:, None, None]
-    zeta, rho = sc[..., 0], sc[..., 1]
-    dbar = np.zeros((m, 2 * n_v, 6))
-    dbar[:, 0::2, 0] = 1.0
-    dbar[:, 1::2, 1] = 1.0
-    dbar[:, 0::2, 2] = -rho
-    dbar[:, 1::2, 2] = zeta
-    dbar[:, 0::2, 3] = rho
-    dbar[:, 1::2, 3] = zeta
-    dbar[:, 0::2, 4] = zeta
-    dbar[:, 1::2, 5] = rho
-
-    eps_t = np.swapaxes(eps, 1, 2)
-    m_energy = area[:, None, None] * (eps_t @ d @ eps)
-
-    d_i = vertex_normal_lengths(geom)
-    sig = d @ eps
-    b_bar = np.zeros((m, 6, 2 * n_v))
-    dx, dy = d_i[:, None, :, 0], d_i[:, None, :, 1]
-    b_bar[:, :, 0::2] = sig[:, 0, :, None] * dx + sig[:, 2, :, None] * dy
-    b_bar[:, :, 1::2] = sig[:, 2, :, None] * dx + sig[:, 1, :, None] * dy
-
-    closure = np.zeros((m, 3, 2 * n_v))
-    closure[:, 0, 0::2] = 1.0 / n_v
-    closure[:, 1, 1::2] = 1.0 / n_v
-    closure[:, 2, 0::2] = -d_i[..., 1] / (2.0 * area)[:, None]
-    closure[:, 2, 1::2] = d_i[..., 0] / (2.0 * area)[:, None]
-
-    mat = m_energy.copy()
-    mat[:, :3] = closure @ dbar
-    b_bar[:, :3] = closure
-
-    pi_star = _solve_stack(mat, b_bar, elem_ids, "elastic")
-    return ElasticProjectionBatch(geom=geom, M_energy=m_energy, Pi_star=pi_star,
-                                  Pi=dbar @ pi_star, strain_basis=eps)
-
-
-def elastic_element_matrices_batch(projection: ElasticProjectionBatch,
-                                   tau: float = DEFAULT_STABILIZATION) -> np.ndarray:
-    """(m, 2 n_v, 2 n_v) stack of ``elastic_element_matrices``."""
-    return _stabilized(projection.Pi_star, projection.M_energy, projection.Pi, tau)
-
-
-def vem_thermal_load_batch(projection: ElasticProjectionBatch, mats: MaterialArrays,
-                           nodal_temperature: np.ndarray) -> np.ndarray:
-    """(m, 2 n_v) stack of ``vem_thermal_load``; temperatures are (m, n_v)."""
-    eps_th = mats.thermal_strain(nodal_temperature.mean(axis=1))
-    stress = mats.D @ eps_th[..., None]
-    cell = projection.geom.area[:, None, None] * (
-        np.swapaxes(projection.strain_basis, 1, 2) @ stress)
-    return (np.swapaxes(projection.Pi_star, 1, 2) @ cell)[..., 0]
-
-
-def projected_stress_batch(projection: ElasticProjectionBatch, mats: MaterialArrays,
-                           nodal_displacement: np.ndarray,
-                           nodal_temperature: np.ndarray | None) -> np.ndarray:
-    """(m, 3) stack of ``projected_stress``; displacements (m, 2 n_v), temperatures (m, n_v)."""
-    coeffs = projection.Pi_star @ nodal_displacement[..., None]
-    strain = (projection.strain_basis @ coeffs)[..., 0]
-    if nodal_temperature is not None:
-        strain = strain - mats.thermal_strain(nodal_temperature.mean(axis=1))
-    return (mats.D @ strain[..., None])[..., 0]

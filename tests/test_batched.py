@@ -1,9 +1,11 @@
-"""Batched element kernels against the per-element kernels they replace.
+"""Block-wise assembly and stress recovery against element-by-element loops.
 
+FE quads go through the batched ``fem.*_batch`` kernels and VE polygons
+through the per-element ``vem`` kernels, one block of elements at a time.
 The per-element functions (``fem.*_q4``, ``vem.*_projection``,
 ``vem.*_element_matrices``, ``vem.vem_thermal_load``, ``vem.projected_stress``)
-are the oracles: every batched path must agree with them within 1e-13
-relative, and must raise the MeshError of the same element id.
+are the oracles: every block path must agree with them within 1e-13
+relative, and must raise the error of the same element id.
 """
 
 import numpy as np
@@ -14,12 +16,12 @@ from hypothesis import strategies as st
 
 from fevec import fem, post, vem
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
-from fevec.errors import MeshError
+from fevec.errors import AssemblyError, FevecError, MeshError
 from fevec.materials import (MaterialProps, Plane, elasticity_matrix, gather_materials,
-                             thermal_strain_voigt)
+                             material_for, thermal_strain_voigt)
 from fevec.mesh import (Element, ElementKind, Mesh, Node, generate_plate_with_hole,
                         generate_structured_quads, polygon_geometry_from_coords,
-                        shoelace_area)
+                        shoelace_area, shoelace_areas)
 from fevec.solver import SolutionFields
 from conftest import polygon_family, random_polygon
 
@@ -55,13 +57,13 @@ def fe_stress_oracle(coords, props, ue, te, elem_id):
     return sigma / len(fem.GAUSS_2X2)
 
 
-def first_element_error(mesh, kernel):
-    """Message of the first MeshError of an element-by-element loop in id order."""
+def first_element_error(mesh, kernel, materials=MATERIALS):
+    """(type, message) of the first error of an element-by-element loop in id order."""
     for e in sorted(mesh.elements, key=lambda e: e.id):
         try:
-            kernel(e, mesh.element_coords(e), MATERIALS[e.region])
-        except MeshError as exc:
-            return str(exc)
+            kernel(e, mesh.element_coords(e), material_for(materials, e.region))
+        except FevecError as exc:
+            return type(exc), str(exc)
     return None
 
 
@@ -140,39 +142,43 @@ def random_partition(seed):
     return Mesh(base.nodes, elements, base.boundary_edges)
 
 
+def disjoint_polygons(seed):
+    """VE mesh of unconnected 3-10-vertex polygons from ``polygon_family``."""
+    rng = np.random.default_rng(seed)
+    nodes, elements = [], []
+    for k, poly in enumerate(polygon_family(seed=seed, count=80)):
+        ids = tuple(range(len(nodes), len(nodes) + len(poly)))
+        nodes.extend(Node(i, x, y) for i, (x, y) in zip(ids, poly))
+        elements.append(Element(k, ids, VE, int(rng.integers(0, 3))))
+    return Mesh(nodes, elements)
+
+
 class TestPolygonKernels:
     @pytest.mark.parametrize("seed", [5, 6])
-    def test_vem_batches_match_per_element(self, seed):
-        rng = np.random.default_rng(seed)
+    def test_shoelace_areas_match_per_polygon(self, seed):
         polys = polygon_family(seed=seed, count=160)
         for n_v in range(3, 11):
             coords = np.array([p for p in polys if len(p) == n_v])
-            m = len(coords)
-            ids = np.arange(m) + 100
-            regions = rng.integers(0, 3, m)
-            mats = gather_materials(MATERIALS, regions)
-            temps = rng.uniform(-50.0, 150.0, (m, n_v))
-            disp = rng.normal(size=(m, 2 * n_v))
-            thermal = vem.thermal_element_matrices_batch(
-                vem.thermal_projection_batch(coords, mats.conductivity, ids), 0.7)
-            proj = vem.elastic_projection_batch(coords, mats.D, ids)
-            elastic = vem.elastic_element_matrices_batch(proj, 0.7)
-            load = vem.vem_thermal_load_batch(proj, mats, temps)
-            sigma = vem.projected_stress_batch(proj, mats, disp, temps)
-            for k in range(m):
-                props = MATERIALS[regions[k]]
-                geom = polygon_geometry_from_coords(coords[k])
-                assert rel_diff(proj.geom.area[k], geom.area) <= RTOL
-                assert rel_diff(proj.geom.centroid[k], geom.centroid) <= RTOL
-                ref = vem.elastic_projection(coords[k], props)
-                assert rel_diff(thermal[k], vem.thermal_element_matrices(
-                    coords[k], props, tau=0.7)) <= RTOL
-                assert rel_diff(elastic[k], vem.elastic_element_matrices(
-                    coords[k], props, tau=0.7, projection=ref)) <= RTOL
-                assert rel_diff(load[k], vem.vem_thermal_load(
-                    coords[k], props, temps[k], projection=ref)) <= RTOL
-                assert rel_diff(sigma[k], vem.projected_stress(
-                    ref, props, disp[k], temps[k])) <= RTOL
+            areas = shoelace_areas(coords)
+            assert [float(a) for a in areas] == [shoelace_area(c) for c in coords]
+
+    @pytest.mark.filterwarnings("ignore:regions mix plane stress and plane strain")
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_polygon_blocks_match_per_element(self, seed):
+        mesh = disjoint_polygons(seed)
+        assert {len(e.vertices) for e in mesh.elements} == set(range(3, 11))
+        rng = np.random.default_rng(seed)
+        temperature = rng.uniform(-50.0, 150.0, mesh.n_nodes)
+        thermal = assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())
+        assert rel_diff(thermal.matrix.toarray(), reference_thermal(mesh)) <= RTOL
+        system = assemble_mechanical(mesh, MATERIALS, BoundaryConditionSet(), temperature)
+        k_ref, f_ref = reference_mechanical(mesh, temperature)
+        assert rel_diff(system.matrix.toarray(), k_ref) <= RTOL
+        assert rel_diff(system.rhs, f_ref) <= RTOL
+        fields = SolutionFields(temperature=temperature,
+                                displacement=rng.normal(size=(mesh.n_nodes, 2)))
+        sigma = np.array([s.sigma for s in post.recover_stress(mesh, MATERIALS, fields)])
+        assert rel_diff(sigma, reference_stress(mesh, fields)) <= RTOL
 
     def test_q4_batches_match_per_element(self):
         rng = np.random.default_rng(7)
@@ -180,7 +186,7 @@ class TestPolygonKernels:
                                           center=rng.uniform(-9, 9, 2), convex=True)
                            for _ in range(60)])
         regions = rng.integers(0, 3, len(coords))
-        mats = gather_materials(MATERIALS, regions)
+        mats = gather_materials(MATERIALS, regions, np.arange(len(coords)))
         temps = rng.uniform(0.0, 200.0, (len(coords), 4))
         disp = rng.normal(size=(len(coords), 8))
         q = fem.q4_batch_eval(coords, np.arange(len(coords)))
@@ -196,7 +202,7 @@ class TestPolygonKernels:
             assert rel_diff(sigma[k], fe_stress_oracle(c, props, disp[k], temps[k],
                                                        None)) <= RTOL
 
-    def test_von_mises_batch_matches_scalar(self):
+    def test_von_mises_batch_equals_scalar(self):
         rng = np.random.default_rng(8)
         sigma = rng.normal(scale=50.0, size=(200, 3))
         strain = rng.random(200) < 0.5
@@ -299,12 +305,12 @@ def inverted(element):
     return Element(element.id, element.vertices[::-1], element.kind, element.region)
 
 
-class TestBatchedErrors:
+class TestBlockErrors:
     def test_bad_jacobian_names_first_element(self):
         base = generate_structured_quads(4.0, 2.0, 4, 2)
         elements = [inverted(e) if e.id in (6, 3) else e for e in base.elements]
         mesh = Mesh(base.nodes, elements, base.boundary_edges)
-        expected = first_element_error(mesh, thermal_oracle_kernel)
+        _, expected = first_element_error(mesh, thermal_oracle_kernel)
         assert expected.startswith("element 3: non-positive Jacobian")
         with pytest.raises(MeshError) as info:
             assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())
@@ -315,13 +321,38 @@ class TestBatchedErrors:
         elements = [Element(e.id, e.vertices, VE if e.id % 2 else FE, 0) for e in base.elements]
         elements = [inverted(e) if e.id in (5, 2) else e for e in elements]
         mesh = Mesh(base.nodes, elements, base.boundary_edges)
-        expected = first_element_error(mesh, thermal_oracle_kernel)
+        _, expected = first_element_error(mesh, thermal_oracle_kernel)
         assert expected.startswith("element 2:")
         with pytest.raises(MeshError, match="^element 2: non-positive Jacobian"):
             assemble_mechanical(mesh, MATERIALS, BoundaryConditionSet(), None)
         with pytest.raises(MeshError) as info:
             assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())
         assert str(info.value) == expected
+
+    @pytest.mark.parametrize("kinds", ["FE", "VE", "mixed"])
+    @pytest.mark.parametrize("first", ["geometry", "material"])
+    def test_missing_material_and_bad_element_lowest_id_wins(self, kinds, first):
+        # element 2 and element 5 fail, one for an inverted shape and one for a
+        # region without material; the lower id is raised, whatever its kind
+        # of error, as an element loop in id order raises it ("mixed" puts the
+        # two in different blocks).
+        base = generate_structured_quads(4.0, 2.0, 4, 2)
+        inverted_id, unknown_id = (2, 5) if first == "geometry" else (5, 2)
+        elements = []
+        for e in base.elements:
+            kind = {"FE": FE, "VE": VE}.get(kinds, VE if e.id % 2 else FE)
+            elem = Element(e.id, e.vertices, kind, 9 if e.id == unknown_id else 0)
+            elements.append(inverted(elem) if e.id == inverted_id else elem)
+        mesh = Mesh(base.nodes, elements, base.boundary_edges)
+        error_type, expected = first_element_error(mesh, thermal_oracle_kernel)
+        assert error_type is (MeshError if first == "geometry" else AssemblyError)
+        fields = SolutionFields(temperature=None, displacement=np.zeros((mesh.n_nodes, 2)))
+        for run in (lambda: assemble_thermal(mesh, MATERIALS, BoundaryConditionSet()),
+                    lambda: assemble_mechanical(mesh, MATERIALS, BoundaryConditionSet(), None),
+                    lambda: post.recover_stress(mesh, MATERIALS, fields)):
+            with pytest.raises(error_type) as info:
+                run()
+            assert str(info.value) == expected and info.value.element_id == 2
 
     def test_singular_projection_before_later_degenerate_polygon(self):
         # element 1 is a valid square with a conductivity so small that its
@@ -339,16 +370,6 @@ class TestBatchedErrors:
             assemble_thermal(mesh, materials, BoundaryConditionSet())
         assert str(info.value) == "element 1: singular thermal projection system"
         assert info.value.element_id == 1
-
-    def test_degenerate_polygon_message_matches(self):
-        poly = random_polygon(np.random.default_rng(9), 5, convex=True)
-        coords = np.array([poly, poly, poly[::-1]])
-        with pytest.raises(MeshError) as per_element:
-            polygon_geometry_from_coords(coords[2], elem_id=12)
-        with pytest.raises(MeshError) as batch:
-            vem.polygon_geometry_batch(coords, np.array([10, 11, 12]))
-        assert str(batch.value) == str(per_element.value)
-        assert batch.value.element_id == 12
 
     def test_fe_quad_with_three_vertices_is_typed(self):
         nodes = [Node(0, 0, 0), Node(1, 1, 0), Node(2, 1, 1)]
