@@ -132,6 +132,16 @@ def _edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _edge_map(elements: Sequence[Element]) -> dict[tuple[int, int], list[int]]:
+    """Sorted node pair -> ids of the elements that have that edge, in list order."""
+    edges: dict[tuple[int, int], list[int]] = {}
+    for e in elements:
+        v = e.vertices
+        for a, b in zip(v, v[1:] + v[:1]):
+            edges.setdefault(_edge_key(a, b), []).append(e.id)
+    return edges
+
+
 class Mesh:
     """Immutable-after-construction mesh with precomputed adjacency.
 
@@ -149,10 +159,7 @@ class Mesh:
             _edge_key(*k): v for k, v in (boundary_edges or {}).items()
         }
         self.coords: np.ndarray = np.array([[n.x, n.y] for n in self.nodes], dtype=float).reshape(-1, 2)
-        self._edge_elems: dict[tuple[int, int], list[int]] = {}
-        for e in self.elements:
-            for a, b in self.element_edges(e):
-                self._edge_elems.setdefault(_edge_key(a, b), []).append(e.id)
+        self._edge_elems: dict[tuple[int, int], list[int]] = _edge_map(self.elements)
         self.interface_nodes: set[int] = find_interface_nodes(self)
 
         # Array views of the element list; index = position in ``elements``.
@@ -179,11 +186,6 @@ class Mesh:
 
     def element_coords(self, element: Element) -> np.ndarray:
         return self.coords[list(element.vertices)]
-
-    @staticmethod
-    def element_edges(element: Element) -> list[tuple[int, int]]:
-        v = element.vertices
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def edge_elements(self, a: int, b: int) -> list[int]:
         return self._edge_elems.get(_edge_key(a, b), [])
@@ -309,20 +311,109 @@ class Violation:
     message: str
 
 
-def _segments_cross(p0, p1, q0, q1) -> bool:
-    """Proper (interior) intersection of two segments."""
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+# (code, message) of each per-element check, in the order the checks run;
+# an element is reported under the first one it fails.  Indexed by the
+# check numbers in ``_element_violations``.
+_ELEMENT_CHECKS = (
+    ("element-vertices", "element {id}: vertex id out of range"),
+    ("element-vertices", "element {id}: repeated vertex"),
+    ("element-vertices", "element {id}: fewer than 3 vertices"),
+    ("fe-quad-arity", "element {id}: FE_QUAD must have 4 vertices, has {n_v}"),
+    ("orientation", "element {id}: non-positive area {area:g} (clockwise vertex order?)"),
+    ("degenerate", "element {id}: zero-length edge"),
+    ("self-intersection", "element {id}: edges {i} and {j} cross"),
+)
 
-    d1 = orient(q0, q1, p0)
-    d2 = orient(q0, q1, p1)
-    d3 = orient(p0, p1, q0)
-    d4 = orient(p0, p1, q1)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
+# Vertices or edge pairs per chunk of the geometry checks; bounds their
+# temporaries to a few hundred kB.
+_CHECK_CHUNK = 1 << 14
+
+
+def _edge_pairs(n_v: int) -> np.ndarray:
+    """Non-adjacent edge pairs (i, j), i < j, of an n_v-gon in lexicographic order."""
+    pairs = [(i, j) for i in range(n_v) for j in range(i + 2, n_v)
+             if not (i == 0 and j == n_v - 1)]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) \
+        - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
+
+
+def _first_crossings(coords: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """First properly crossing edge pair of each polygon in a (m, n_v, 2) stack.
+
+    Returns the index into ``pairs`` (``_edge_pairs(n_v)``), or -1 for a
+    simple polygon.  Two edges cross when each one's end points lie strictly
+    on opposite sides of the other's line.
+    """
+    m, n_v = coords.shape[:2]
+    first = np.full(m, -1, dtype=np.int64)
+    if not len(pairs):
+        return first
+    i, j = pairs.T
+    p0, p1 = coords[:, i], coords[:, (i + 1) % n_v]
+    q0, q1 = coords[:, j], coords[:, (j + 1) % n_v]
+    d1, d2 = _orient(q0, q1, p0), _orient(q0, q1, p1)
+    d3, d4 = _orient(p0, p1, q0), _orient(p0, p1, q1)
+    cross = (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+             & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0))
+    hit = cross.any(axis=1)
+    first[hit] = cross[hit].argmax(axis=1)
+    return first
+
+
+def _element_violations(mesh: Mesh) -> dict[int, Violation]:
+    """The first failed check of every flawed element, keyed by position in ``elements``.
+
+    Each vertex-count block is checked in one array pass (the geometry in
+    row chunks); coordinates are read only for rows that pass the vertex-id
+    checks.
+    """
+    out: dict[int, Violation] = {}
+    for n_v, (pos, verts) in mesh.vertex_groups.items():
+        m = pos.size
+        pairs = _edge_pairs(n_v)
+        srt = np.sort(verts, axis=1)
+        failed = np.select(
+            [((verts < 0) | (verts >= mesh.n_nodes)).any(axis=1),
+             (srt[:, 1:] == srt[:, :-1]).any(axis=1),
+             np.full(m, n_v < 3),
+             mesh.element_fe[pos] & (n_v != 4)],
+            [0, 1, 2, 3], -1)
+        live = np.flatnonzero(failed < 0)
+        areas = np.zeros(m)
+        crossing = np.full(m, -1, dtype=np.int64)
+        step = max(1, _CHECK_CHUNK // max(1, n_v, len(pairs)))
+        for s in range(0, live.size, step):
+            rows = live[s:s + step]
+            coords = mesh.coords[verts[rows]]
+            areas[rows] = shoelace_areas(coords)
+            deltas = np.roll(coords, -1, axis=1) - coords
+            lengths = np.hypot(deltas[..., 0], deltas[..., 1])
+            scale = np.maximum(lengths.max(axis=1), 1.0)
+            crossing[rows] = _first_crossings(coords, pairs)
+            failed[rows] = np.select(
+                [areas[rows] <= 0.0,
+                 (lengths <= 1e-14 * scale[:, None]).any(axis=1),
+                 crossing[rows] >= 0],
+                [4, 5, 6], -1)
+        for r in np.flatnonzero(failed >= 0).tolist():
+            code, text = _ELEMENT_CHECKS[failed[r]]
+            i, j = pairs[crossing[r]].tolist() if crossing[r] >= 0 else (None, None)
+            p = int(pos[r])
+            out[p] = Violation(code, text.format(id=mesh.elements[p].id, n_v=n_v,
+                                                 area=float(areas[r]), i=i, j=j))
+    return out
 
 
 def validate_mesh(mesh: Mesh) -> list[Violation]:
-    """Check every mesh invariant; returns an empty list iff the mesh is valid."""
+    """Check every mesh invariant; returns an empty list iff the mesh is valid.
+
+    Elements are reported in list order, each under its first failed check
+    and after the duplicate-id message of its id, if any.
+    """
     report: list[Violation] = []
     n_nodes = mesh.n_nodes
 
@@ -335,50 +426,14 @@ def validate_mesh(mesh: Mesh) -> list[Violation]:
         report.append(Violation("node-coords", f"non-finite coordinates at nodes {bad.tolist()}"))
         return report
 
-    seen_elem_ids = set()
-    for e in mesh.elements:
-        if e.id in seen_elem_ids:
-            report.append(Violation("element-ids", f"duplicate element id {e.id}"))
-        seen_elem_ids.add(e.id)
-
-        if any(v < 0 or v >= n_nodes for v in e.vertices):
-            report.append(Violation("element-vertices", f"element {e.id}: vertex id out of range"))
-            continue
-        if len(set(e.vertices)) != len(e.vertices):
-            report.append(Violation("element-vertices", f"element {e.id}: repeated vertex"))
-            continue
-        if len(e.vertices) < 3:
-            report.append(Violation("element-vertices", f"element {e.id}: fewer than 3 vertices"))
-            continue
-        if e.kind == ElementKind.FE_QUAD and len(e.vertices) != 4:
-            report.append(Violation("fe-quad-arity",
-                                    f"element {e.id}: FE_QUAD must have 4 vertices, has {len(e.vertices)}"))
-            continue
-
-        coords = mesh.element_coords(e)
-        area = shoelace_area(coords)
-        if area <= 0.0:
-            report.append(Violation("orientation",
-                                    f"element {e.id}: non-positive area {area:g} (clockwise vertex order?)"))
-            continue
-        deltas = np.roll(coords, -1, axis=0) - coords
-        lengths = np.hypot(deltas[:, 0], deltas[:, 1])
-        if np.any(lengths <= 1e-14 * max(lengths.max(), 1.0)):
-            report.append(Violation("degenerate", f"element {e.id}: zero-length edge"))
-            continue
-        nv = len(e.vertices)
-        simple = True
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                if j == i + 1 or (i == 0 and j == nv - 1):
-                    continue  # adjacent edges share a vertex
-                if _segments_cross(coords[i], coords[(i + 1) % nv], coords[j], coords[(j + 1) % nv]):
-                    report.append(Violation("self-intersection",
-                                            f"element {e.id}: edges {i} and {j} cross"))
-                    simple = False
-                    break
-            if not simple:
-                break
+    flawed = _element_violations(mesh)
+    duplicate = np.ones(mesh.n_elements, dtype=bool)
+    duplicate[np.unique(mesh.element_ids, return_index=True)[1]] = False
+    for p in sorted(flawed.keys() | set(np.flatnonzero(duplicate).tolist())):
+        if duplicate[p]:
+            report.append(Violation("element-ids", f"duplicate element id {mesh.elements[p].id}"))
+        if p in flawed:
+            report.append(flawed[p])
 
     for (a, b), elems in mesh._edge_elems.items():
         if len(elems) > 2:
@@ -402,42 +457,54 @@ def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
     other kind breaks the coincident-node coupling assumption.  Hanging
     nodes within the VE region are legal (they appear as extra polygon
     vertices), so only cross-kind pairs are scanned, and only near nodes
-    shared by both kinds.
+    shared by both kinds.  Elements with out-of-range vertex ids (reported
+    by the element checks) are left out.
     """
     report: list[Violation] = []
-    elems = {e.id: e for e in mesh.elements}
-
-    node_kinds: dict[int, set[ElementKind]] = {}
-    for e in mesh.elements:
-        for v in e.vertices:
-            node_kinds.setdefault(v, set()).add(e.kind)
-    mixed_nodes = {n for n, kinds in node_kinds.items() if len(kinds) > 1}
-    if not mixed_nodes:
+    n_nodes = mesh.n_nodes
+    in_range = np.ones(mesh.n_elements, dtype=bool)
+    touches = {fe: np.zeros(n_nodes, dtype=bool) for fe in (True, False)}
+    for pos, verts in mesh.vertex_groups.values():
+        ok = ((verts >= 0) & (verts < n_nodes)).all(axis=1)
+        in_range[pos] = ok
+        for fe in (True, False):
+            touches[fe][verts[ok & (mesh.element_fe[pos] == fe)]] = True
+    mixed = touches[True] & touches[False]
+    if not mixed.any():
         return report
+    mixed_nodes = set(np.flatnonzero(mixed).tolist())
 
-    nodes_of_kind = {
-        kind: np.array(sorted(n for n, kinds in node_kinds.items() if kind in kinds))
-        for kind in ElementKind
-    }
+    edge_elems = mesh._edge_elems
+    if not in_range.all():
+        edge_elems = _edge_map([e for e, ok in zip(mesh.elements, in_range.tolist()) if ok])
+    fe_of = dict(zip(mesh.element_ids[in_range].tolist(), mesh.element_fe[in_range].tolist()))
 
-    for (a, b), eids in mesh._edge_elems.items():
-        edge_kinds = {elems[i].kind for i in eids}
+    # Nodes of each kind, sorted by x, so each edge scans only the nodes
+    # inside its x range.
+    candidates = {}
+    for fe in (True, False):
+        ids = np.flatnonzero(touches[fe])
+        ids = ids[np.argsort(mesh.coords[ids, 0], kind="stable")]
+        candidates[fe] = (ids, mesh.coords[ids, 0], mesh.coords[ids])
+
+    for (a, b), eids in edge_elems.items():
+        if a not in mixed_nodes and b not in mixed_nodes:
+            continue  # edge nowhere near the interface
+        edge_kinds = {fe_of[i] for i in eids}
         if len(edge_kinds) > 1:
             continue  # properly matched interface edge
-        if not (a in mixed_nodes or b in mixed_nodes):
-            continue  # edge nowhere near the interface
-        (edge_kind,) = edge_kinds
-        other = (ElementKind.VE_POLY if edge_kind == ElementKind.FE_QUAD
-                 else ElementKind.FE_QUAD)
-        candidates = nodes_of_kind[other]
+        (edge_fe,) = edge_kinds
+        ids, xs, pts = candidates[not edge_fe]
         pa, pb = mesh.coords[a], mesh.coords[b]
         ab = pb - pa
         len2 = float(ab @ ab)
+        if len2 == 0.0:
+            continue  # collapsed edge (reported as degenerate); nothing lies inside it
         length = math.sqrt(len2)
-        pts = mesh.coords[candidates]
         lo = np.minimum(pa, pb) - 1e-9 * length
         hi = np.maximum(pa, pb) + 1e-9 * length
-        near = candidates[((pts >= lo) & (pts <= hi)).all(axis=1)]
+        window = slice(xs.searchsorted(lo[0], "left"), xs.searchsorted(hi[0], "right"))
+        near = np.sort(ids[window][((pts[window] >= lo) & (pts[window] <= hi)).all(axis=1)])
         for n in near:
             if n == a or n == b:
                 continue
@@ -658,19 +725,18 @@ def generate_tagged_grid(xs: Sequence[float], ys: Sequence[float],
         v = (node_at(i, j), node_at(i + 1, j), node_at(i + 1, j + 1), node_at(i, j + 1))
         elements.append(Element(eid, v, kind, region))
 
-    mesh = Mesh(nodes, elements)
     bedges: dict[tuple[int, int], str] = {}
-    for (a, b), eids in mesh._edge_elems.items():
-        mx = 0.5 * (mesh.coords[a, 0] + mesh.coords[b, 0])
-        my = 0.5 * (mesh.coords[a, 1] + mesh.coords[b, 1])
+    for (a, b), eids in _edge_map(elements).items():
+        mx = 0.5 * (nodes[a].x + nodes[b].x)
+        my = 0.5 * (nodes[a].y + nodes[b].y)
         if len(eids) == 1:
             if label_of is not None:
                 lab = label_of(mx, my)
                 if lab is not None:
                     bedges[(a, b)] = lab
         elif interior_label_of is not None:
-            r0 = mesh.elements[eids[0]].region
-            r1 = mesh.elements[eids[1]].region
+            r0 = elements[eids[0]].region
+            r1 = elements[eids[1]].region
             if r0 != r1:
                 lab = interior_label_of(r0, r1, mx, my)
                 if lab is not None:

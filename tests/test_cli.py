@@ -111,6 +111,16 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "1 violations" in out
 
+    def test_out_of_range_vertex_at_interface_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("mesh 2d v1\nnode 0 0 0\nnode 1 1 0\nnode 2 1 1\nnode 3 0 1\n"
+                        "node 4 2 0\nnode 5 2 1\nelem 0 FE 0 4 0 1 2 3\n"
+                        "elem 1 VE 0 4 1 4 9 2\n")
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "1 violations" in out
+        assert "[element-vertices] element 1: vertex id out of range" in out
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         path.write_text("mesh 2d v1\nnode 0 0 0\nnode 0 1 0\n")

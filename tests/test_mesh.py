@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fevec.errors import MeshError, ParseError
-from fevec.mesh import (Element, ElementKind, Mesh, Node, find_interface_nodes,
+from fevec.mesh import (Element, ElementKind, Mesh, Node, Violation, find_interface_nodes,
                         generate_plate_with_hole, generate_quarter_annulus,
                         generate_split_square, generate_structured_quads,
                         load_mesh, polygon_geometry, polygon_geometry_from_coords,
@@ -92,6 +92,43 @@ class TestValidation:
         nodes = [Node(i, *xy) for i, xy in enumerate([(0, 0), (1, 1), (1, 0), (0, 1)])]
         report = validate_mesh(Mesh(nodes, [Element(0, (0, 1, 2, 3), VE, 0)]))
         assert any(v.code in ("self-intersection", "orientation") for v in report)
+
+    def test_positive_area_self_crossing_flagged(self):
+        # edge 2 runs from (2, 2) down to (1, -1), through edge 0; area +1
+        nodes = [Node(i, *xy) for i, xy in enumerate(
+            [(0, 0), (2, 0), (2, 2), (1, -1), (0, 2)])]
+        mesh = Mesh(nodes, [Element(0, (0, 1, 2, 3, 4), VE, 0)])
+        assert shoelace_area(mesh.coords) == pytest.approx(1.0)
+        assert validate_mesh(mesh) == [
+            Violation("self-intersection", "element 0: edges 0 and 2 cross")]
+
+    @pytest.mark.parametrize("bad_id", [9, -1])
+    def test_out_of_range_vertex_at_interface_reported(self, bad_id):
+        # element 1 shares edge (1,2) with the FE quad; its id 9 (or -1,
+        # which would wrap to node 5) is left out of the interface scan
+        nodes = [Node(i, *xy) for i, xy in enumerate(
+            [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1)])]
+        elems = [Element(0, (0, 1, 2, 3), FE, 0), Element(1, (1, 4, bad_id, 2), VE, 0)]
+        assert validate_mesh(Mesh(nodes, elems)) == [
+            Violation("element-vertices", "element 1: vertex id out of range")]
+
+    def test_out_of_range_vertex_at_interface_load_mesh(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("mesh 2d v1\nnode 0 0 0\nnode 1 1 0\nnode 2 1 1\nnode 3 0 1\n"
+                        "node 4 2 0\nnode 5 2 1\nelem 0 FE 0 4 0 1 2 3\n"
+                        "elem 1 VE 0 4 1 4 9 2\n")
+        with pytest.raises(MeshError, match="vertex id out of range"):
+            load_mesh(str(path))
+
+    def test_collapsed_edge_at_interface_reported(self):
+        # nodes 0, 1 and 4 coincide: VE edge (1,4) has zero length next to
+        # FE node 0
+        nodes = [Node(i, *xy) for i, xy in enumerate(
+            [(1, 0), (1, 0), (1, 1), (0, 1), (1, 0), (2, 1)])]
+        elems = [Element(0, (0, 1, 2, 3), FE, 0), Element(1, (1, 4, 5, 2), VE, 0)]
+        assert validate_mesh(Mesh(nodes, elems)) == [
+            Violation("degenerate", "element 0: zero-length edge"),
+            Violation("degenerate", "element 1: zero-length edge")]
 
     def test_hanging_node_across_interface(self):
         # Left FE quad (0,1), (1,1) column shared with a VE block whose edge
