@@ -6,8 +6,9 @@ realizes the coupled block system directly: FE-interior dofs never share a
 stored entry with VE-interior dofs because no single element contains both.
 
 FE quads run batched: one kernel call per block of quads
-(``Mesh.map_element_blocks``).  VE polygons are evaluated one element at a
-time by the per-element ``vem`` kernels.  Assembly is deterministic:
+(``Mesh.map_element_blocks``).  VE polygons get their geometry once per
+block (``polygon_geometries``) and then run one element at a time through
+the per-element ``vem`` kernels.  Assembly is deterministic:
 the element triplets are concatenated in element-id order and stably sorted
 before compression, so repeated runs give bit-identical matrices, equal to an
 element-by-element loop in id order.
@@ -23,8 +24,8 @@ import scipy.sparse as sp
 
 from . import fem, vem
 from .errors import AssemblyError
-from .materials import MaterialProps, gather_materials, material_for
-from .mesh import Mesh
+from .materials import MaterialProps, element_materials, gather_materials
+from .mesh import Mesh, polygon_geometries
 
 
 @dataclass
@@ -84,10 +85,6 @@ class DofMap:
     @property
     def ndof(self) -> int:
         return self.n_nodes * self.dofs_per_node
-
-    def node_dofs(self, node: int) -> list[int]:
-        base = node * self.dofs_per_node
-        return [base + k for k in range(self.dofs_per_node)]
 
     def element_dofs(self, vertices) -> np.ndarray:
         """Dofs of an element's vertices; an (m, n_v) vertex block gives one row per element.
@@ -195,15 +192,16 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
     dof_map = build_dof_map(mesh, "thermal")
     rhs = np.zeros(dof_map.ndof)
 
-    def ve_matrix(elem):
-        props = material_for(materials, elem.region)
-        return vem.thermal_element_matrices(mesh.element_coords(elem), props, tau=tau,
-                                            elem_id=elem.id)
-
     def element_matrices(is_fe, pos, verts):
-        if not is_fe:
-            return np.array(mesh.per_element(pos, ve_matrix))
         ids = mesh.element_ids[pos]
+        if not is_fe:
+            coords = mesh.coords[verts]
+            props = element_materials(materials, mesh.element_regions[pos], ids)
+            geoms = polygon_geometries(coords, ids)
+            return np.array([
+                vem.thermal_element_matrices(c, p, tau=tau,
+                                             projection=vem.thermal_projection(c, p, g, i))
+                for c, p, g, i in zip(coords, props, geoms, ids.tolist())])
         conductivity = gather_materials(materials, mesh.element_regions[pos], ids).conductivity
         return fem.thermal_stiffness_q4_batch(fem.q4_batch_eval(mesh.coords[verts], ids),
                                               conductivity)
@@ -244,22 +242,23 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     dof_map = build_dof_map(mesh, "mechanical")
     rhs = np.zeros(dof_map.ndof)
 
-    def ve_contribution(elem):
-        coords = mesh.element_coords(elem)
-        props = material_for(materials, elem.region)
-        projection = vem.elastic_projection(coords, props, elem_id=elem.id)
+    def ve_contribution(coords, props, geom, elem_id, vertices):
+        projection = vem.elastic_projection(coords, props, geom, elem_id)
         ke = vem.elastic_element_matrices(coords, props, tau=tau, projection=projection)
         fe = None
         if temperature is not None:
-            fe = vem.vem_thermal_load(coords, props, temperature[list(elem.vertices)],
+            fe = vem.vem_thermal_load(coords, props, temperature[vertices],
                                       projection=projection)
         return ke, fe
 
     def element_contributions(is_fe, pos, verts):
-        if not is_fe:
-            ke, fe = zip(*mesh.per_element(pos, ve_contribution))
-            return np.array(ke), None if temperature is None else np.array(fe)
         ids = mesh.element_ids[pos]
+        if not is_fe:
+            coords = mesh.coords[verts]
+            props = element_materials(materials, mesh.element_regions[pos], ids)
+            geoms = polygon_geometries(coords, ids)
+            ke, fe = zip(*map(ve_contribution, coords, props, geoms, ids.tolist(), verts))
+            return np.array(ke), None if temperature is None else np.array(fe)
         mats = gather_materials(materials, mesh.element_regions[pos], ids)
         q = fem.q4_batch_eval(mesh.coords[verts], ids)
         ke = fem.mechanical_stiffness_q4_batch(q, mats.D)
@@ -292,15 +291,13 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     return SparseSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, dirichlet=dirichlet)
 
 
-def apply_dirichlet(system: SparseSystem,
-                    constraints: dict[int, float] | None = None) -> ReducedSystem:
-    """Symmetric row/column elimination of prescribed dofs.
+def apply_dirichlet(system: SparseSystem) -> ReducedSystem:
+    """Symmetric row/column elimination of the system's prescribed dofs.
 
     Constrained columns move to the right-hand side; the reduced matrix stays
     symmetric and (for well-posed problems) positive definite.
     """
-    if constraints is None:
-        constraints = system.dirichlet
+    constraints = system.dirichlet
     ndof = system.dof_map.ndof
     for dof in constraints:
         if dof < 0 or dof >= ndof:

@@ -106,7 +106,6 @@ class BenchmarkCase:
     materials: dict[int, MaterialProps]
     metric: str                      # 'rms_temperature' | 'mre_interface_vm' | 'property'
     thermal_only: bool = False
-    reference_level: int | None = None
     expected: list[ExpectedMetric] = field(default_factory=list)
 
     def build_mesh(self, level: int, method: str) -> Mesh:
@@ -229,7 +228,6 @@ def _plate_case() -> PlateCase:
         levels=[0, 1, 2],
         materials={0: mat},
         metric="mre_interface_vm",
-        reference_level=-1,
         expected=[
             ExpectedMetric("slope_coupled", 0.25, 0.6, "reference rate 0.442"),
         ])
@@ -585,10 +583,10 @@ def interface_continuity(mesh: Mesh, materials, fields: SolutionFields) -> float
         return 0.0
     evaluator = post.FieldEvaluator(mesh, materials, fields)
     by_node: dict[int, dict[ElementKind, int]] = {}
-    for e in mesh.elements:
+    for pos, e in enumerate(mesh.elements):
         for v in e.vertices:
             if v in mesh.interface_nodes:
-                by_node.setdefault(v, {})[e.kind] = e.id
+                by_node.setdefault(v, {})[e.kind] = pos
 
     quantities = []
     if fields.temperature is not None:

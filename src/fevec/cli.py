@@ -18,8 +18,8 @@ from . import bench as benchmod
 from . import config as configmod
 from . import post
 from .errors import AssemblyError, FevecError, MeshError, ParseError, SolverError
-from .mesh import load_mesh, mesh_text, save_mesh, validate_mesh
-from .solver import SolveOptions, run_pipeline
+from .mesh import Mesh, load_mesh, mesh_text, save_mesh, validate_mesh
+from .solver import run_pipeline
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -32,24 +32,22 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _solve_options(spec: configmod.SolverSpec) -> SolveOptions:
-    return SolveOptions(method=spec.method, cg_rel_tol=spec.cg_rel_tol,
-                        cg_max_iter=spec.cg_max_iter,
-                        diag_precond=spec.diag_precond, tau=spec.tau)
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _read_config(path: str) -> tuple[configmod.RunConfig, Mesh]:
+    """Parse a run or mesh-gen spec and build its mesh (OSError, ParseError, MeshError)."""
+    with open(path) as f:
+        cfg = configmod.parse_config(f.read(), path)
+    return cfg, configmod.build_mesh(cfg, os.path.dirname(path) or ".")
+
+
 def cmd_run(config_path: str) -> int:
     try:
-        with open(config_path) as f:
-            text = f.read()
-        cfg = configmod.parse_config(text, config_path)
-        mesh = configmod.build_mesh(cfg, os.path.dirname(config_path) or ".")
+        cfg, mesh = _read_config(config_path)
     except (OSError, ParseError, MeshError) as exc:
-        return _fail(EXIT_IO if not isinstance(exc, MeshError) else EXIT_VALIDATION, str(exc))
+        return _fail(EXIT_VALIDATION if isinstance(exc, MeshError) else EXIT_IO, str(exc))
 
     report = validate_mesh(mesh)
     if report:
@@ -60,9 +58,8 @@ def cmd_run(config_path: str) -> int:
     except AssemblyError as exc:
         return _fail(EXIT_VALIDATION, str(exc))
 
-    options = _solve_options(cfg.solver)
     try:
-        fields = run_pipeline(mesh, cfg.materials, bcs, options,
+        fields = run_pipeline(mesh, cfg.materials, bcs, cfg.solver,
                               mechanical=(cfg.solver.fields == "both"))
         stresses = None
         if fields.displacement is not None:
@@ -93,8 +90,7 @@ def _write_provenance(cfg: configmod.RunConfig, mesh, path: str) -> None:
     buf.write(f"config_sha256 {_sha256(cfg.source_text.encode())}\n")
     buf.write(f"mesh_sha256 {_sha256(mesh_text(mesh).encode())}\n")
     buf.write(f"solver method={s.method} cg_rel_tol={s.cg_rel_tol!r} "
-              f"cg_max_iter={s.cg_max_iter} diag_precond={int(s.diag_precond)} "
-              f"tau={s.tau!r} fields={s.fields}\n")
+              f"cg_max_iter={s.cg_max_iter} tau={s.tau!r} fields={s.fields}\n")
     buf.write(f"mesh nodes={mesh.n_nodes} elements={mesh.n_elements}\n")
     with open(path, "w") as f:
         f.write(buf.getvalue())
@@ -163,12 +159,9 @@ def cmd_validate(mesh_path: str) -> int:
 
 def cmd_mesh_gen(spec_path: str) -> int:
     try:
-        with open(spec_path) as f:
-            text = f.read()
-        cfg = configmod.parse_config(text, spec_path)
-        mesh = configmod.build_mesh(cfg, os.path.dirname(spec_path) or ".")
+        cfg, mesh = _read_config(spec_path)
     except (OSError, ParseError, MeshError) as exc:
-        return _fail(EXIT_IO, str(exc))
+        return _fail(EXIT_VALIDATION if isinstance(exc, MeshError) else EXIT_IO, str(exc))
     report = validate_mesh(mesh)
     if report:
         return _fail(EXIT_VALIDATION, f"generated mesh invalid: {report[0].message}")

@@ -40,21 +40,23 @@ whitespace separated, ``#`` comments.  Example::
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from .assembly import BoundaryConditionSet
-from .errors import AssemblyError, ParseError
+from .errors import AssemblyError, ParseError, SolverError
 from .materials import MaterialProps, Plane
 from .mesh import (Mesh, generate_fcbga, generate_igbt, generate_plate_with_hole,
                    generate_quarter_annulus, generate_sandwich,
                    generate_split_square, generate_structured_quads, load_mesh,
                    ElementKind)
+from .solver import SolveOptions
 
-# name -> (callable, ordered (param, type) pairs); optional params carry defaults
+# name -> (callable, ordered (param, converter) pairs); optional params carry defaults
 GENERATORS = {
     "structured_quads": (generate_structured_quads,
                          [("width", float), ("height", float), ("nx", int), ("ny", int),
-                          ("kind", str, "FE")]),
+                          ("kind", ElementKind, ElementKind.FE_QUAD)]),
     "split_square": (generate_split_square,
                      [("width", float), ("height", float), ("nx", int), ("ny", int),
                       ("split_x", float, None)]),
@@ -64,8 +66,9 @@ GENERATORS = {
     "plate_with_hole": (generate_plate_with_hole,
                         [("hole_radius", float), ("size", float), ("n_t", int),
                          ("n_r_ring", int), ("n_r_outer", int), ("split_radius", float),
-                         ("ring_kind", str, "VE"), ("outer_kind", str, "FE"),
-                         ("split_ring", int, 0)]),
+                         ("ring_kind", ElementKind, ElementKind.VE_POLY),
+                         ("outer_kind", ElementKind, ElementKind.FE_QUAD),
+                         ("split_ring", lambda raw: bool(int(raw)), False)]),
     "sandwich": (generate_sandwich, [("level", int)]),
     "fcbga": (generate_fcbga, [("level", int)]),
     "igbt": (generate_igbt, [("level", int)]),
@@ -88,13 +91,21 @@ class ProbeSpec:
 
 
 @dataclass
-class SolverSpec:
-    method: str = "direct"
-    cg_rel_tol: float = 1e-10
-    cg_max_iter: int = 20000
-    diag_precond: bool = True
-    tau: float = 0.5
+class SolverSpec(SolveOptions):
+    """Solve options plus the fields to solve."""
+
     fields: str = "both"        # both | thermal
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.fields not in ("both", "thermal"):
+            raise SolverError(f"fields must be 'both' or 'thermal', got '{self.fields}'")
+
+
+# Keys each section accepts ([mesh] and [bc] are checked where they are read).
+MATERIAL_KEYS = ("E_MPa", "nu", "k_W_per_mK", "alpha_per_C", "T0_C", "plane")
+SOLVER_KEYS = dict(method=str, cg_rel_tol=float, cg_max_iter=int, tau=float, fields=str)
+PROBE_KEYS = ("quantity", "x0", "y0", "x1", "y1", "n_samples")
 
 
 @dataclass
@@ -129,11 +140,15 @@ def _sections(text: str, path: str) -> list[tuple[str, list[tuple[int, list[str]
     return out
 
 
-def _kv(records, path) -> dict[str, list[str]]:
+def _kv(records, path, known=None) -> dict[str, list[str]]:
+    """Key -> value tokens of a section; with ``known`` set, other keys are rejected."""
     out = {}
     for lineno, tok in records:
         if len(tok) < 2:
             raise ParseError(f"expected 'key value', got '{' '.join(tok)}'", path, lineno)
+        if known is not None and tok[0] not in known:
+            raise ParseError(f"unknown key '{tok[0]}' (known: {', '.join(known)})",
+                             path, lineno)
         if tok[0] in out:
             raise ParseError(f"duplicate key '{tok[0]}'", path, lineno)
         out[tok[0]] = tok[1:]
@@ -165,21 +180,19 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
                 region = int(parts[1])
             except ValueError:
                 raise ParseError(f"region id must be an integer, got '{parts[1]}'", path)
-            cfg.materials[region] = _parse_material(_kv(records, path), path)
+            cfg.materials[region] = _parse_material(_kv(records, path, MATERIAL_KEYS), path)
         elif name == "bc":
             if len(parts) != 2:
                 raise ParseError("bc section needs a label: [bc <label>]", path)
             cfg.bcs.append((parts[1], _parse_bc(records, path)))
         elif name == "solver":
-            cfg.solver = _parse_solver(_kv(records, path), path)
+            cfg.solver = _parse_solver(_kv(records, path, SOLVER_KEYS), path)
         elif name == "probe":
             if len(parts) != 2:
                 raise ParseError("probe section needs a name: [probe <name>]", path)
-            cfg.probes.append(_parse_probe(parts[1], _kv(records, path), path))
+            cfg.probes.append(_parse_probe(parts[1], _kv(records, path, PROBE_KEYS), path))
         elif name == "output":
-            kv = _kv(records, path)
-            if "dir" in kv:
-                cfg.output_dir = kv["dir"][0]
+            cfg.output_dir = _kv(records, path, ("dir",)).get("dir", [cfg.output_dir])[0]
         else:
             raise ParseError(f"unknown section '[{header}]'", path)
     if not seen_mesh:
@@ -209,9 +222,7 @@ def _parse_bc(records, path) -> BcSpec:
     lineno, tok = records[0]
     kind = tok[0]
     try:
-        if kind == "dirichlet_T":
-            return BcSpec(kind, (float(tok[1]),))
-        if kind == "flux":
+        if kind in ("dirichlet_T", "flux"):
             return BcSpec(kind, (float(tok[1]),))
         if kind == "dirichlet_u":
             vals = tuple(None if t == "free" else float(t) for t in tok[1:3])
@@ -226,25 +237,10 @@ def _parse_bc(records, path) -> BcSpec:
 
 
 def _parse_solver(kv, path) -> SolverSpec:
-    spec = SolverSpec()
     try:
-        if "method" in kv:
-            spec.method = kv["method"][0]
-        if "cg_rel_tol" in kv:
-            spec.cg_rel_tol = float(kv["cg_rel_tol"][0])
-        if "cg_max_iter" in kv:
-            spec.cg_max_iter = int(kv["cg_max_iter"][0])
-        if "diag_precond" in kv:
-            spec.diag_precond = bool(int(kv["diag_precond"][0]))
-        if "tau" in kv:
-            spec.tau = float(kv["tau"][0])
-        if "fields" in kv:
-            spec.fields = kv["fields"][0]
-            if spec.fields not in ("both", "thermal"):
-                raise ValueError(f"fields must be 'both' or 'thermal', got '{spec.fields}'")
-    except ValueError as exc:
-        raise ParseError(f"bad solver value: {exc}", path) from exc
-    return spec
+        return SolverSpec(**{key: SOLVER_KEYS[key](tok[0]) for key, tok in kv.items()})
+    except (ValueError, SolverError) as exc:
+        raise ParseError(f"bad solver value: {exc}", path) from None
 
 
 def _parse_probe(name, kv, path) -> ProbeSpec:
@@ -263,37 +259,24 @@ def _parse_probe(name, kv, path) -> ProbeSpec:
 
 def build_mesh(cfg: RunConfig, base_dir: str = ".") -> Mesh:
     if cfg.mesh_path is not None:
-        import os
-        p = cfg.mesh_path
-        if not os.path.isabs(p):
-            p = os.path.join(base_dir, p)
-        return load_mesh(p)
+        return load_mesh(os.path.join(base_dir, cfg.mesh_path))   # an absolute path stays
     if cfg.generator not in GENERATORS:
         raise ParseError(f"unknown generator '{cfg.generator}' "
                          f"(known: {sorted(GENERATORS)})")
     fn, params = GENERATORS[cfg.generator]
     kwargs = {}
     given = dict(cfg.generator_params)
-    for spec in params:
-        pname, ptype = spec[0], spec[1]
+    for pname, ptype, *default in params:
         if pname in given:
             raw = given.pop(pname)
-            if ptype is str:
-                kwargs[pname] = raw
-            else:
-                try:
-                    kwargs[pname] = ptype(raw)
-                except ValueError:
-                    raise ParseError(f"generator parameter {pname}: bad value '{raw}'")
-        elif len(spec) == 2:
+            try:
+                kwargs[pname] = ptype(raw)
+            except ValueError:
+                raise ParseError(f"generator parameter {pname}: bad value '{raw}'") from None
+        elif not default:
             raise ParseError(f"generator '{cfg.generator}' missing parameter '{pname}'")
     if given:
         raise ParseError(f"generator '{cfg.generator}': unknown parameters {sorted(given)}")
-    for key in ("kind", "ring_kind", "outer_kind"):
-        if key in kwargs:
-            kwargs[key] = ElementKind(kwargs[key])
-    if "split_ring" in kwargs:
-        kwargs["split_ring"] = bool(kwargs["split_ring"])
     return fn(**kwargs)
 
 

@@ -19,6 +19,12 @@ class FevecError(Exception):
 class MeshError(FevecError):
     """A mesh violates a structural invariant (orientation, degeneracy, ...)."""
 
+    @classmethod
+    def of_element(cls, element_id: int | None, text: str, unnamed: str = "polygon"):
+        """``element <id>: text`` naming the element; ``<unnamed>: text`` without an id."""
+        tag = unnamed if element_id is None else f"element {element_id}"
+        return cls(f"{tag}: {text}", element_id=element_id)
+
 
 class ParseError(FevecError):
     """A mesh or config file could not be parsed."""

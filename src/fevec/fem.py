@@ -52,8 +52,8 @@ def q4_shape_eval(coords: np.ndarray, xi: float, eta: float,
     jac = dn @ coords
     det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
     if det <= 0.0:
-        tag = f"element {elem_id}" if elem_id is not None else "quad"
-        raise MeshError(f"{tag}: non-positive Jacobian {det:g} at ({xi:g},{eta:g})")
+        raise MeshError.of_element(elem_id, f"non-positive Jacobian {det:g} at ({xi:g},{eta:g})",
+                                   unnamed="quad")
     inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
     b_t = inv @ dn
     b_u = np.zeros((3, 8))
@@ -143,9 +143,8 @@ def q4_batch_eval(coords: np.ndarray, elem_ids: np.ndarray) -> Q4Batch:
     """
     coords = np.asarray(coords, dtype=float)
     if coords.shape[1:] != (4, 2):
-        eid = int(elem_ids[0])
-        raise MeshError(f"element {eid}: FE_QUAD must have 4 vertices, has {coords.shape[1]}",
-                        element_id=eid)
+        raise MeshError.of_element(int(elem_ids[0]),
+                                   f"FE_QUAD must have 4 vertices, has {coords.shape[1]}")
     n = np.array([0.25 * (1.0 + _XI_I * xi) * (1.0 + _ETA_I * eta)
                   for xi, eta, _ in GAUSS_2X2])
     dn = np.array([np.vstack((0.25 * _XI_I * (1.0 + _ETA_I * eta),
@@ -158,9 +157,8 @@ def q4_batch_eval(coords: np.ndarray, elem_ids: np.ndarray) -> Q4Batch:
         row = int(np.argmax(bad.any(axis=1)))
         g = int(np.argmax(bad[row]))
         xi, eta, _ = GAUSS_2X2[g]
-        eid = int(elem_ids[row])
-        raise MeshError(f"element {eid}: non-positive Jacobian {det[row, g]:g} "
-                        f"at ({xi:g},{eta:g})", element_id=eid)
+        raise MeshError.of_element(int(elem_ids[row]), f"non-positive Jacobian {det[row, g]:g} "
+                                   f"at ({xi:g},{eta:g})")
     inv = np.empty_like(jac)
     inv[..., 0, 0] = jac[..., 1, 1]
     inv[..., 0, 1] = -jac[..., 0, 1]

@@ -88,44 +88,74 @@ def polygon_geometry(element: Element, nodes: Sequence[Node] | np.ndarray) -> Po
     Raises MeshError (naming the element) for degenerate polygons: zero-length
     edges or non-positive area.
     """
-    if isinstance(nodes, np.ndarray):
-        coords = nodes[list(element.vertices)]
-    else:
-        coords = np.array([[nodes[v].x, nodes[v].y] for v in element.vertices], dtype=float)
-    return polygon_geometry_from_coords(coords, elem_id=element.id)
+    if not isinstance(nodes, np.ndarray):
+        nodes = np.array([[n.x, n.y] for n in nodes], dtype=float)
+    return polygon_geometry_from_coords(nodes[list(element.vertices)], elem_id=element.id)
 
 
 def polygon_geometry_from_coords(coords: np.ndarray, elem_id: int | None = None) -> PolygonGeometry:
+    """``polygon_geometries`` of one polygon's (n_v, 2) coordinates."""
     coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
-    tag = f"element {elem_id}" if elem_id is not None else "polygon"
-    if n < 3:
-        raise MeshError(f"{tag}: needs at least 3 vertices, got {n}")
+    return polygon_geometries(coords[None], None if elem_id is None else [elem_id])[0]
 
-    deltas = np.roll(coords, -1, axis=0) - coords
-    lengths = np.hypot(deltas[:, 0], deltas[:, 1])
-    scale = max(lengths.max(), 1.0)
-    if np.any(lengths <= 1e-14 * scale):
-        raise MeshError(f"{tag}: zero-length edge (repeated or collinear-coincident vertices)")
 
-    area = shoelace_area(coords)
-    if area <= 0.0:
-        raise MeshError(f"{tag}: non-positive area {area:g} (clockwise or degenerate)")
+def _edges(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge vectors (vertex i to i+1, cyclic) and lengths of a (..., n_v, 2) stack.
 
-    x = coords[:, 0]
-    y = coords[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    cx = float(np.dot(x + np.roll(x, -1), cross)) / (6.0 * area)
-    cy = float(np.dot(y + np.roll(y, -1), cross)) / (6.0 * area)
+    The third array flags the polygons with a zero-length edge: one no longer
+    than 1e-14 x max(longest edge, 1).
+    """
+    deltas = np.roll(coords, -1, axis=-2) - coords
+    lengths = np.hypot(deltas[..., 0], deltas[..., 1])
+    scale = np.maximum(lengths.max(axis=-1), 1.0)
+    return deltas, lengths, (lengths <= 1e-14 * scale[..., None]).any(axis=-1)
 
-    diffs = coords[:, None, :] - coords[None, :, :]
-    h = float(np.sqrt((diffs ** 2).sum(axis=2).max()))
+
+def polygon_geometries(coords: np.ndarray,
+                       element_ids: Sequence[int] | np.ndarray | None = None
+                       ) -> list[PolygonGeometry]:
+    """Geometry of each polygon in a (m, n_v, 2) stack, one PolygonGeometry per row.
+
+    The first degenerate row raises MeshError naming ``element_ids[row]``
+    (``polygon`` without ids): fewer than 3 vertices, a zero-length edge or
+    non-positive area, checked in that order.  Each row equals the geometry
+    of that polygon computed on its own, bit for bit.
+    """
+    coords = np.asarray(coords, dtype=float)
+    m, n_v = coords.shape[:2]
+
+    def fail(row: int, text: str):
+        raise MeshError.of_element(None if element_ids is None else int(element_ids[row]), text)
+
+    if m and n_v < 3:
+        fail(0, f"needs at least 3 vertices, got {n_v}")
+    deltas, lengths, short = _edges(coords)
+    areas = shoelace_areas(coords)
+    bad = short | (areas <= 0.0)
+    if bad.any():
+        row = int(bad.argmax())
+        if short[row]:
+            fail(row, "zero-length edge (repeated or collinear-coincident vertices)")
+        fail(row, f"non-positive area {areas[row]:g} (clockwise or degenerate)")
+
+    x, y = coords[..., 0], coords[..., 1]
+    x_next, y_next = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    cross = x * y_next - x_next * y
+    cx = rowdot(x + x_next, cross) / (6.0 * areas)
+    cy = rowdot(y + y_next, cross) / (6.0 * areas)
+
+    diffs = coords[:, :, None, :] - coords[:, None, :, :]
+    h = np.sqrt((diffs ** 2).sum(axis=3).max(axis=(1, 2)))
 
     # Outward normal of a CCW edge is the tangent rotated -90 degrees.
-    normals = np.column_stack((deltas[:, 1], -deltas[:, 0])) / lengths[:, None]
+    normals = np.stack((deltas[..., 1], -deltas[..., 0]), axis=-1) / lengths[..., None]
 
-    return PolygonGeometry(centroid=(cx, cy), area=float(area), h=h,
-                           edge_normals=normals, edge_lengths=lengths)
+    return [PolygonGeometry(centroid=(float(cx[r]), float(cy[r])), area=float(areas[r]),
+                            h=float(h[r]), edge_normals=normals[r], edge_lengths=lengths[r])
+            for r in range(m)]
+
+
+_VE_BLOCK_ROWS = 1 << 10   # see Mesh.element_blocks
 
 
 def _edge_key(a: int, b: int) -> tuple[int, int]:
@@ -210,14 +240,18 @@ class Mesh:
         """(is_fe, positions, (m, n_v) vertices) per group of one kind and vertex count.
 
         Positions index ``elements`` and run in element-id order within a block.
+        VE groups are cut into blocks of at most ``_VE_BLOCK_ROWS`` elements: a VE
+        block holds one PolygonGeometry per element while its projections are built.
         """
         blocks = []
         for count in sorted(self.vertex_groups):
             pos, verts = self.vertex_groups[count]
             fe = self.element_fe[pos]
             for flag in (True, False):
-                if (fe == flag).any():
-                    blocks.append((flag, pos[fe == flag], verts[fe == flag]))
+                rows = np.flatnonzero(fe == flag)
+                step = max(rows.size, 1) if flag else _VE_BLOCK_ROWS
+                for s in range(0, rows.size, step):
+                    blocks.append((flag, pos[rows[s:s + step]], verts[rows[s:s + step]]))
         return blocks
 
     def map_element_blocks(self, kernel: Callable[[bool, np.ndarray, np.ndarray], Any]
@@ -261,23 +295,6 @@ class Mesh:
                 if earlier.element_id is None:
                     raise
                 exc = earlier
-
-    def per_element(self, pos: np.ndarray, fn: Callable[[Element], Any]) -> list:
-        """``fn(element)`` for the elements at positions ``pos``, in that order.
-
-        A FevecError that names no element is given the id of the element
-        it came from.
-        """
-        out = []
-        for p in pos.tolist():
-            elem = self.elements[p]
-            try:
-                out.append(fn(elem))
-            except FevecError as exc:
-                if exc.element_id is None:
-                    exc.element_id = elem.id
-                raise
-        return out
 
     @cached_property
     def element_areas(self) -> np.ndarray:
@@ -390,13 +407,10 @@ def _element_violations(mesh: Mesh) -> dict[int, Violation]:
             rows = live[s:s + step]
             coords = mesh.coords[verts[rows]]
             areas[rows] = shoelace_areas(coords)
-            deltas = np.roll(coords, -1, axis=1) - coords
-            lengths = np.hypot(deltas[..., 0], deltas[..., 1])
-            scale = np.maximum(lengths.max(axis=1), 1.0)
             crossing[rows] = _first_crossings(coords, pairs)
             failed[rows] = np.select(
                 [areas[rows] <= 0.0,
-                 (lengths <= 1e-14 * scale[:, None]).any(axis=1),
+                 _edges(coords)[2],
                  crossing[rows] >= 0],
                 [4, 5, 6], -1)
         for r in np.flatnonzero(failed >= 0).tolist():

@@ -17,8 +17,9 @@ import scipy.sparse as sp
 
 from . import fem, vem
 from .errors import FevecError
-from .materials import MaterialProps, Plane, gather_materials, material_for
-from .mesh import ElementKind, Mesh
+from .materials import (MaterialProps, Plane, element_materials, gather_materials,
+                        material_for)
+from .mesh import ElementKind, Mesh, polygon_geometries
 from .solver import SolutionFields
 
 PROVENANCE_FE = "FE_GAUSS_AVG"
@@ -64,19 +65,20 @@ def recover_stress(mesh: Mesh, materials: dict[int, MaterialProps],
     u = solution.displacement
     temps = solution.temperature
 
-    def ve_stress(elem):
-        props = material_for(materials, elem.region)
-        verts = list(elem.vertices)
-        te = None if temps is None else temps[verts]
-        projection = vem.elastic_projection(mesh.element_coords(elem), props, elem_id=elem.id)
-        sigma = vem.projected_stress(projection, props, u[verts].ravel(), te)
+    def ve_stress(coords, props, geom, elem_id, vertices):
+        te = None if temps is None else temps[vertices]
+        projection = vem.elastic_projection(coords, props, geom, elem_id)
+        sigma = vem.projected_stress(projection, props, u[vertices].ravel(), te)
         return sigma, von_mises(sigma, props.plane, props.nu)
 
     def element_stresses(is_fe, pos, verts):
-        if not is_fe:
-            sigma, vm = zip(*mesh.per_element(pos, ve_stress))
-            return np.array(sigma), np.array(vm)
         ids = mesh.element_ids[pos]
+        if not is_fe:
+            coords = mesh.coords[verts]
+            props = element_materials(materials, mesh.element_regions[pos], ids)
+            geoms = polygon_geometries(coords, ids)
+            sigma, vm = zip(*map(ve_stress, coords, props, geoms, ids.tolist(), verts))
+            return np.array(sigma), np.array(vm)
         mats = gather_materials(materials, mesh.element_regions[pos], ids)
         te = None if temps is None else temps[verts]
         q = fem.q4_batch_eval(mesh.coords[verts], ids)
@@ -173,7 +175,8 @@ class FieldEvaluator:
     """Point evaluation of solved fields over a mesh.
 
     Element lookup uses a bounding-box prefilter and deterministic
-    tie-breaking (lowest element id) for points on shared edges.
+    tie-breaking (lowest element id) for points on shared edges; elements are
+    named by their position in ``mesh.elements`` and ``stresses``.
     """
 
     def __init__(self, mesh: Mesh, materials: dict[int, MaterialProps],
@@ -183,39 +186,41 @@ class FieldEvaluator:
         self.materials = materials
         self.solution = solution
         self.stresses = stresses
-        lo = np.full((mesh.n_elements, 2), np.inf)
-        hi = np.full((mesh.n_elements, 2), -np.inf)
-        for e in mesh.elements:
-            c = mesh.element_coords(e)
-            lo[e.id] = c.min(axis=0)
-            hi[e.id] = c.max(axis=0)
+        lo = np.empty((mesh.n_elements, 2))
+        hi = np.empty((mesh.n_elements, 2))
+        for pos, verts in mesh.vertex_groups.values():
+            c = mesh.coords[verts]
+            lo[pos] = c.min(axis=1)
+            hi[pos] = c.max(axis=1)
         pad = 1e-9 * max(float((hi - lo).max()), 1.0)
-        self._lo = lo - pad
-        self._hi = hi + pad
+        # Bounding boxes in element-id order: row k is element_order[k].
+        self._lo = lo[mesh.element_order] - pad
+        self._hi = hi[mesh.element_order] + pad
         self._tol = pad
 
     def locate(self, x: float, y: float) -> int | None:
+        """Position of the lowest-id element containing (x, y), or None."""
         p = np.array([x, y])
-        candidates = np.where((self._lo[:, 0] <= x) & (x <= self._hi[:, 0]) &
-                              (self._lo[:, 1] <= y) & (y <= self._hi[:, 1]))[0]
-        for eid in candidates:
-            coords = self.mesh.element_coords(self.mesh.elements[eid])
+        ranks = np.flatnonzero((self._lo[:, 0] <= x) & (x <= self._hi[:, 0]) &
+                               (self._lo[:, 1] <= y) & (y <= self._hi[:, 1]))
+        for pos in self.mesh.element_order[ranks].tolist():
+            coords = self.mesh.element_coords(self.mesh.elements[pos])
             if _point_in_polygon(p, coords, self._tol):
-                return int(eid)
+                return pos
         return None
 
     def evaluate(self, quantity: str, x: float, y: float) -> float:
-        eid = self.locate(x, y)
-        if eid is None:
+        pos = self.locate(x, y)
+        if pos is None:
             return math.nan
-        return self.evaluate_in_element(quantity, eid, x, y)
+        return self.evaluate_in_element(quantity, pos, x, y)
 
-    def evaluate_in_element(self, quantity: str, eid: int, x: float, y: float) -> float:
-        elem = self.mesh.elements[eid]
+    def evaluate_in_element(self, quantity: str, pos: int, x: float, y: float) -> float:
+        elem = self.mesh.elements[pos]
         if quantity in ("von_mises", "sxx", "syy", "sxy"):
             if self.stresses is None:
                 raise FevecError("stress quantities need recovered stresses")
-            es = self.stresses[eid]
+            es = self.stresses[pos]
             if quantity == "von_mises":
                 return es.von_mises
             return float(es.sigma[("sxx", "syy", "sxy").index(quantity)])
@@ -239,7 +244,7 @@ class FieldEvaluator:
             xi, eta = _inverse_q4_map(coords, x, y)
             ev = fem.q4_shape_eval(coords, xi, eta, elem.id)
             return float(ev.N @ values)
-        props = self.materials[elem.region]
+        props = material_for(self.materials, elem.region, elem.id)
         projection = vem.thermal_projection(coords, props, elem_id=elem.id)
         c = projection.Pi_star @ values
         gx, gy = projection.geom.centroid

@@ -27,14 +27,15 @@ class SolveOptions:
     method: str = METHOD_DIRECT
     cg_rel_tol: float = 1e-10
     cg_max_iter: int = 20000
-    diag_precond: bool = True
     tau: float = DEFAULT_STABILIZATION   # VEM stabilization override
 
     def __post_init__(self):
         if self.method not in (METHOD_DIRECT, METHOD_CG):
-            raise SolverError(f"unknown solve method '{self.method}'")
-        if self.cg_rel_tol <= 0 or self.cg_max_iter <= 0:
-            raise SolverError("cg_rel_tol and cg_max_iter must be positive")
+            raise SolverError(f"method must be '{METHOD_DIRECT}' or '{METHOD_CG}', "
+                              f"got '{self.method}'")
+        for name in ("cg_rel_tol", "cg_max_iter"):
+            if not getattr(self, name) > 0:
+                raise SolverError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -91,13 +92,12 @@ def _solve_direct(matrix, rhs):
 
 
 def _solve_cg(matrix, rhs, options: SolveOptions):
-    precond = None
-    if options.diag_precond:
-        d = matrix.diagonal()
-        if np.any(d <= 0):
-            raise SolverError("non-positive diagonal entry; system is not SPD")
-        inv = 1.0 / d
-        precond = spla.LinearOperator(matrix.shape, matvec=lambda v: inv * v)
+    """Jacobi-preconditioned CG."""
+    d = matrix.diagonal()
+    if np.any(d <= 0):
+        raise SolverError("non-positive diagonal entry; system is not SPD")
+    inv = 1.0 / d
+    precond = spla.LinearOperator(matrix.shape, matvec=lambda v: inv * v)
     iterations = 0
 
     def count(_xk):

@@ -107,8 +107,7 @@ def thermal_projection(coords: np.ndarray, props: MaterialProps,
     try:
         pi_star = np.linalg.solve(g, b)
     except np.linalg.LinAlgError as exc:
-        tag = f"element {elem_id}" if elem_id is not None else "polygon"
-        raise MeshError(f"{tag}: singular thermal projection system") from exc
+        raise MeshError.of_element(elem_id, "singular thermal projection system") from exc
     pi = dmat @ pi_star
     return ThermalProjection(geom=geom, G=g, G_energy=g_energy, B=b,
                              D=dmat, Pi_star=pi_star, Pi=pi)
@@ -193,8 +192,7 @@ def elastic_projection(coords: np.ndarray, props: MaterialProps,
     try:
         pi_star = np.linalg.solve(m, b_bar)
     except np.linalg.LinAlgError as exc:
-        tag = f"element {elem_id}" if elem_id is not None else "polygon"
-        raise MeshError(f"{tag}: singular elastic projection system") from exc
+        raise MeshError.of_element(elem_id, "singular elastic projection system") from exc
     pi = dbar @ pi_star
     return ElasticProjection(geom=geom, M=m, M_energy=m_energy, B_bar=b_bar,
                              D_bar=dbar, Pi_star=pi_star, Pi=pi,

@@ -8,6 +8,8 @@ are the oracles: every block path must agree with them within 1e-13
 relative, and must raise the error of the same element id.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fevec import fem, post, vem
+from fevec import mesh as meshmod
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
 from fevec.errors import AssemblyError, FevecError, MeshError
 from fevec.materials import (MaterialProps, Plane, elasticity_matrix, gather_materials,
@@ -370,6 +373,35 @@ class TestBlockErrors:
             assemble_thermal(mesh, materials, BoundaryConditionSet())
         assert str(info.value) == "element 1: singular thermal projection system"
         assert info.value.element_id == 1
+
+    @pytest.mark.filterwarnings("ignore:regions mix plane stress and plane strain")
+    def test_cut_ve_blocks(self):
+        # VE groups are cut into blocks of _VE_BLOCK_ROWS elements: results and
+        # the lowest-id error must not depend on where the cuts fall
+        with mock.patch.object(meshmod, "_VE_BLOCK_ROWS", 2):
+            mesh = disjoint_polygons(5)
+            blocks = mesh.element_blocks()
+            assert max(len(pos) for _, pos, _ in blocks) == 2
+            assert sorted(np.concatenate([pos for _, pos, _ in blocks])) == list(
+                range(mesh.n_elements))
+            temperature = np.random.default_rng(5).uniform(0.0, 100.0, mesh.n_nodes)
+            thermal = assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())
+            assert rel_diff(thermal.matrix.toarray(), reference_thermal(mesh)) <= RTOL
+            system = assemble_mechanical(mesh, MATERIALS, BoundaryConditionSet(), temperature)
+            k_ref, f_ref = reference_mechanical(mesh, temperature)
+            assert rel_diff(system.matrix.toarray(), k_ref) <= RTOL
+            assert rel_diff(system.rhs, f_ref) <= RTOL
+
+            base = generate_structured_quads(4.0, 2.0, 4, 2, kind=VE)
+            for inverted_id, unknown_id in ((1, 6), (6, 1)):
+                elements = [Element(e.id, e.vertices, VE, 9 if e.id == unknown_id else 0)
+                            for e in base.elements]
+                elements[inverted_id] = inverted(elements[inverted_id])
+                mesh = Mesh(base.nodes, elements, base.boundary_edges)
+                error_type, expected = first_element_error(mesh, thermal_oracle_kernel)
+                with pytest.raises(error_type) as info:
+                    assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())
+                assert str(info.value) == expected and info.value.element_id == 1
 
     def test_fe_quad_with_three_vertices_is_typed(self):
         nodes = [Node(0, 0, 0), Node(1, 1, 0), Node(2, 1, 1)]

@@ -87,6 +87,20 @@ class TestRun:
         assert main(["run", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error:1:")
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("[probe mid]", "[solver]\nmethod lu\n\n[probe mid]", "method"),
+        ("[probe mid]", "[solver]\ncg_rel_tol -1\n\n[probe mid]", "cg_rel_tol"),
+        ("T0_C 25", "T0_c 25", "T0_c"),
+        ("ny 2", "ny 2\nkind XX", "kind"),
+    ])
+    def test_bad_config_value_exit_3(self, tmp_path, capsys, old, new, key):
+        text = RUN_CFG.format(out=tmp_path / "o").replace(old, new)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:3:") and key in err
+
     def test_probe_outside_mesh_exit_1(self, tmp_path, capsys):
         text = RUN_CFG.format(out=tmp_path / "o").replace("x0 0", "x0 50").replace(
             "x1 2", "x1 60")
@@ -137,6 +151,13 @@ class TestMeshGen:
         mesh_path = tmp_path / "mesh.txt"
         assert mesh_path.exists()
         assert main(["validate", str(mesh_path)]) == 0
+
+    def test_generator_mesh_error_exit_1(self, tmp_path, capsys):
+        spec = tmp_path / "gen.cfg"
+        spec.write_text("[mesh]\ngenerator structured_quads\nwidth 1\nheight 1\n"
+                        f"nx 0\nny 1\n[output]\ndir {tmp_path}\n")
+        assert main(["mesh-gen", str(spec)]) == 1
+        assert capsys.readouterr().err.startswith("error:1: subdivision counts")
 
 
 class TestBench:

@@ -93,6 +93,35 @@ class TestParse:
             configmod.parse_config("[mesh]\ngenerator structured_quads\n"
                                    "width 1\nwidth 2\nheight 1\nnx 1\nny 1\n")
 
+    @pytest.mark.parametrize("old,new,text", [
+        ("method cg", "method lu", "method"),            # SolveOptions' checks name the key
+        ("cg_rel_tol 1e-9", "cg_rel_tol -1", "cg_rel_tol"),
+        ("cg_rel_tol 1e-9", "cg_max_iter 0", "cg_max_iter"),
+        ("tau 0.4", "fields all", "fields"),
+        ("cg_rel_tol 1e-9", "cg_max_iter many", "invalid literal"),
+    ])
+    def test_bad_solver_value(self, old, new, text):
+        with pytest.raises(ParseError, match=f"bad solver value: {text}"):
+            configmod.parse_config(MINIMAL.replace(old, new))
+
+    @pytest.mark.parametrize("old,new", [
+        ("T0_C 25", "T0_c 25"),             # material
+        ("method cg", "methd cg"),          # solver
+        ("n_samples 21", "samples 21"),     # probe
+        ("dir out/demo", "directory out/demo"),
+        ("tau 0.4", "diag_precond 1"),      # removed option
+    ])
+    def test_unknown_key_rejected(self, old, new):
+        key = new.split()[0]
+        with pytest.raises(ParseError, match=f"unknown key '{key}'"):
+            configmod.parse_config(MINIMAL.replace(old, new))
+
+    def test_solver_spec_is_the_solve_options(self):
+        from fevec.solver import SolveOptions
+        spec = configmod.parse_config(MINIMAL).solver
+        assert isinstance(spec, SolveOptions)
+        assert (spec.method, spec.cg_rel_tol, spec.fields) == ("cg", 1e-9, "both")
+
 
 class TestBuild:
     def test_generator_mesh(self):
@@ -111,6 +140,25 @@ class TestBuild:
         cfg = configmod.parse_config(text)
         with pytest.raises(ParseError, match="missing parameter 'nx'"):
             configmod.build_mesh(cfg)
+
+    @pytest.mark.parametrize("old,new", [("ny 2", "ny 2\nkind XX"), ("nx 4", "nx four")])
+    def test_bad_generator_value(self, old, new):
+        key, value = new.split()[-2:]
+        cfg = configmod.parse_config(MINIMAL.replace(old, new))
+        with pytest.raises(ParseError, match=f"generator parameter {key}: bad value '{value}'"):
+            configmod.build_mesh(cfg)
+
+    def test_typed_generator_parameters(self):
+        from fevec.mesh import ElementKind
+        cfg = configmod.parse_config(MINIMAL.replace("ny 2\n", "ny 2\nkind VE\n"))
+        mesh = configmod.build_mesh(cfg)
+        assert {e.kind for e in mesh.elements} == {ElementKind.VE_POLY}
+        cfg = configmod.parse_config(
+            "[mesh]\ngenerator plate_with_hole\nhole_radius 0.5\nsize 2\nn_t 4\n"
+            "n_r_ring 2\nn_r_outer 2\nsplit_radius 1\nsplit_ring 1\nouter_kind VE\n")
+        mesh = configmod.build_mesh(cfg)
+        assert {len(e.vertices) for e in mesh.elements} == {3, 4}
+        assert {e.kind for e in mesh.elements} == {ElementKind.VE_POLY}
 
     def test_bcs_resolved_by_label(self):
         cfg = configmod.parse_config(MINIMAL)
