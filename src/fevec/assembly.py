@@ -5,10 +5,10 @@ contributions from both sides during standard triplet assembly, which
 realizes the coupled block system directly: FE-interior dofs never share a
 stored entry with VE-interior dofs because no single element contains both.
 
-FE quads run batched: one kernel call per block of quads
-(``Mesh.map_element_blocks``).  VE polygons get their geometry once per
-block (``polygon_geometries``) and then run one element at a time through
-the per-element ``vem`` kernels.  Assembly is deterministic:
+Both kinds run batched: one kernel call per block of elements of one kind
+and vertex count (``Mesh.map_element_blocks``), through the batched Q4
+kernels of ``fem`` and the stacked polygon kernels of ``vem``.  Assembly is
+deterministic:
 the element triplets are concatenated in element-id order and stably sorted
 before compression, so repeated runs give bit-identical matrices, equal to an
 element-by-element loop in id order.
@@ -24,8 +24,8 @@ import scipy.sparse as sp
 
 from . import fem, vem
 from .errors import AssemblyError
-from .materials import MaterialProps, element_materials, gather_materials
-from .mesh import Mesh, polygon_geometries
+from .materials import MaterialProps, gather_materials
+from .mesh import Mesh
 
 
 @dataclass
@@ -176,8 +176,12 @@ def _compress(mesh: Mesh, ndof: int,
     c = _in_id_order(mesh, [(p, np.tile(d, (1, d.shape[1]))) for p, d, _ in blocks])
     v = _in_id_order(mesh, [(p, ke.reshape(len(p), -1)) for p, _, ke in blocks])
     order = np.lexsort((c, r))   # stable: fixed summation order run-to-run
-    mat = sp.coo_matrix((v[order], (r[order], c[order])), shape=(ndof, ndof))
-    return mat.tocsr()
+    # one permuted copy at a time: a lower heap high-water mark, so a lower peak RSS
+    r = r[order]
+    c = c[order]
+    v = v[order]
+    del order
+    return sp.coo_matrix((v, (r, c)), shape=(ndof, ndof)).tocsr()
 
 
 def _check_node(node: int, n_nodes: int, what: str) -> None:
@@ -194,17 +198,12 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
 
     def element_matrices(is_fe, pos, verts):
         ids = mesh.element_ids[pos]
+        mats = gather_materials(materials, mesh.element_regions[pos], ids)
         if not is_fe:
-            coords = mesh.coords[verts]
-            props = element_materials(materials, mesh.element_regions[pos], ids)
-            geoms = polygon_geometries(coords, ids)
-            return np.array([
-                vem.thermal_element_matrices(c, p, tau=tau,
-                                             projection=vem.thermal_projection(c, p, g, i))
-                for c, p, g, i in zip(coords, props, geoms, ids.tolist())])
-        conductivity = gather_materials(materials, mesh.element_regions[pos], ids).conductivity
+            projection = vem.thermal_projection(mesh.coords[verts], mats, element_ids=ids)
+            return vem.thermal_element_matrices(projection, tau)
         return fem.thermal_stiffness_q4_batch(fem.q4_batch_eval(mesh.coords[verts], ids),
-                                              conductivity)
+                                              mats.conductivity)
 
     blocks = [(pos, dof_map.element_dofs(verts), ke) for pos, verts, ke
               in mesh.map_element_blocks(element_matrices)]
@@ -242,30 +241,17 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     dof_map = build_dof_map(mesh, "mechanical")
     rhs = np.zeros(dof_map.ndof)
 
-    def ve_contribution(coords, props, geom, elem_id, vertices):
-        projection = vem.elastic_projection(coords, props, geom, elem_id)
-        ke = vem.elastic_element_matrices(coords, props, tau=tau, projection=projection)
-        fe = None
-        if temperature is not None:
-            fe = vem.vem_thermal_load(coords, props, temperature[vertices],
-                                      projection=projection)
-        return ke, fe
-
     def element_contributions(is_fe, pos, verts):
         ids = mesh.element_ids[pos]
-        if not is_fe:
-            coords = mesh.coords[verts]
-            props = element_materials(materials, mesh.element_regions[pos], ids)
-            geoms = polygon_geometries(coords, ids)
-            ke, fe = zip(*map(ve_contribution, coords, props, geoms, ids.tolist(), verts))
-            return np.array(ke), None if temperature is None else np.array(fe)
         mats = gather_materials(materials, mesh.element_regions[pos], ids)
+        te = None if temperature is None else temperature[verts]
+        if not is_fe:
+            projection = vem.elastic_projection(mesh.coords[verts], mats, element_ids=ids)
+            ke = vem.elastic_element_matrices(projection, tau)
+            return ke, None if te is None else vem.vem_thermal_load(projection, mats, te)
         q = fem.q4_batch_eval(mesh.coords[verts], ids)
         ke = fem.mechanical_stiffness_q4_batch(q, mats.D)
-        fe = None
-        if temperature is not None:
-            fe = fem.thermal_load_q4_batch(q, mats, temperature[verts])
-        return ke, fe
+        return ke, None if te is None else fem.thermal_load_q4_batch(q, mats, te)
 
     blocks = [(pos, dof_map.element_dofs(verts), ke, fe) for pos, verts, (ke, fe)
               in mesh.map_element_blocks(element_contributions)]

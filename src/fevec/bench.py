@@ -33,8 +33,8 @@ from . import mesh as meshmod
 from . import post, vem
 from .assembly import BoundaryConditionSet, assemble_thermal
 from .errors import FevecError, SolverError
-from .materials import MaterialProps, Plane
-from .mesh import ElementKind, Mesh
+from .materials import MaterialProps, Plane, gather_materials
+from .mesh import ElementKind, Mesh, polygon_stack
 from .solver import SolutionFields, SolveOptions, run_pipeline, solve_system
 
 METHODS = ("coupled", "fe", "ve")
@@ -609,19 +609,24 @@ def interface_continuity(mesh: Mesh, materials, fields: SolutionFields) -> float
 
 
 def check_kernel_invariants(mesh: Mesh, materials, tol: float = 1e-9) -> bool:
-    """Projection reproduction on every VE element of a generated mesh."""
-    for e in mesh.elements:
-        if e.kind != ElementKind.VE_POLY:
-            continue
-        coords = mesh.element_coords(e)
-        props = materials[e.region]
-        tp = vem.thermal_projection(coords, props, elem_id=e.id)
-        if np.abs(tp.Pi @ tp.D - tp.D).max() > tol:
-            return False
-        ep = vem.elastic_projection(coords, props, elem_id=e.id)
-        if np.abs(ep.Pi @ ep.D_bar - ep.D_bar).max() > tol:
-            return False
-    return True
+    """Projection reproduction on every VE element of a generated mesh.
+
+    One stacked projection per block of polygons; a region without material
+    raises AssemblyError naming the element.
+    """
+    def reproduces(is_fe, pos, verts):
+        if is_fe:
+            return True
+        ids = mesh.element_ids[pos]
+        coords = mesh.coords[verts]
+        mats = gather_materials(materials, mesh.element_regions[pos], ids)
+        geom = polygon_stack(coords, ids)
+        tp = vem.thermal_projection(coords, mats, geom, ids)
+        ep = vem.elastic_projection(coords, mats, geom, ids)
+        return not (np.abs(tp.Pi @ tp.D - tp.D).max() > tol
+                    or np.abs(ep.Pi @ ep.D_bar - ep.D_bar).max() > tol)
+
+    return all(ok for _, _, ok in mesh.map_element_blocks(reproduces))
 
 
 def run_property_case(case: BenchmarkCase, level: int | None = None,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshError
-from .materials import MaterialArrays, MaterialProps, elasticity_matrix, thermal_strain_voigt
+from .materials import MaterialArrays
 from .mesh import rowdot
 
 _G = 1.0 / math.sqrt(3.0)
@@ -64,40 +64,6 @@ def q4_shape_eval(coords: np.ndarray, xi: float, eta: float,
     return ShapeEval(N=n, dN_dxi=dn, J=jac, detJ=float(det), B_T=b_t, B_u=b_u)
 
 
-def thermal_stiffness_q4(coords: np.ndarray, props: MaterialProps,
-                         elem_id: int | None = None) -> np.ndarray:
-    k = np.zeros((4, 4))
-    lam = props.conductivity
-    for xi, eta, w in GAUSS_2X2:
-        ev = q4_shape_eval(coords, xi, eta, elem_id)
-        k += (w * lam * ev.detJ) * (ev.B_T.T @ ev.B_T)
-    return 0.5 * (k + k.T)
-
-
-def mechanical_stiffness_q4(coords: np.ndarray, props: MaterialProps,
-                            elem_id: int | None = None) -> np.ndarray:
-    k = np.zeros((8, 8))
-    d = elasticity_matrix(props)
-    for xi, eta, w in GAUSS_2X2:
-        ev = q4_shape_eval(coords, xi, eta, elem_id)
-        k += (w * ev.detJ) * (ev.B_u.T @ d @ ev.B_u)
-    return 0.5 * (k + k.T)
-
-
-def thermal_load_q4(coords: np.ndarray, props: MaterialProps,
-                    nodal_temperature: np.ndarray,
-                    elem_id: int | None = None) -> np.ndarray:
-    """Equivalent nodal forces of the thermal strain, T interpolated bilinearly."""
-    f = np.zeros(8)
-    d = elasticity_matrix(props)
-    for xi, eta, w in GAUSS_2X2:
-        ev = q4_shape_eval(coords, xi, eta, elem_id)
-        t_gp = float(ev.N @ nodal_temperature)
-        eps_th = thermal_strain_voigt(props, t_gp)
-        f += (w * ev.detJ) * (ev.B_u.T @ (d @ eps_th))
-    return f
-
-
 def flux_load_edge(p0: np.ndarray, p1: np.ndarray, q_bar: float) -> np.ndarray:
     """Nodal loads of a constant prescribed outward flux on one boundary edge.
 
@@ -122,8 +88,8 @@ def traction_load_edge(p0: np.ndarray, p1: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # Batched kernels: one call evaluates a stack of quads.  Each Gauss-point
-# product is a stacked matmul whose per-element BLAS call matches the
-# per-element kernel above, so the results agree bit for bit.
+# product is a stacked matmul whose per-element BLAS call matches a
+# one-quad computation with ``q4_shape_eval``, so the results agree bit for bit.
 
 
 @dataclass(frozen=True)
@@ -179,7 +145,7 @@ def _strain_displacement(b_t: np.ndarray) -> np.ndarray:
 
 
 def thermal_stiffness_q4_batch(q: Q4Batch, conductivity: np.ndarray) -> np.ndarray:
-    """(m, 4, 4) stack of ``thermal_stiffness_q4``; one conductivity per element."""
+    """(m, 4, 4) thermal stiffness matrices; one conductivity per element."""
     k = np.zeros((q.detJ.shape[0], 4, 4))
     for g, (_, _, w) in enumerate(GAUSS_2X2):
         b_t = q.B_T[:, g]
@@ -188,7 +154,7 @@ def thermal_stiffness_q4_batch(q: Q4Batch, conductivity: np.ndarray) -> np.ndarr
 
 
 def mechanical_stiffness_q4_batch(q: Q4Batch, d: np.ndarray) -> np.ndarray:
-    """(m, 8, 8) stack of ``mechanical_stiffness_q4``; ``d`` is (m, 3, 3)."""
+    """(m, 8, 8) plane-elastic stiffness matrices; ``d`` is (m, 3, 3)."""
     k = np.zeros((q.detJ.shape[0], 8, 8))
     for g, (_, _, w) in enumerate(GAUSS_2X2):
         b_u = _strain_displacement(q.B_T[:, g])
@@ -198,7 +164,7 @@ def mechanical_stiffness_q4_batch(q: Q4Batch, d: np.ndarray) -> np.ndarray:
 
 def thermal_load_q4_batch(q: Q4Batch, mats: MaterialArrays,
                           nodal_temperature: np.ndarray) -> np.ndarray:
-    """(m, 8) stack of ``thermal_load_q4``; temperatures are (m, 4)."""
+    """(m, 8) nodal forces of the thermal strain, T interpolated bilinearly; temperatures (m, 4)."""
     f = np.zeros((q.detJ.shape[0], 8))
     for g, (_, _, w) in enumerate(GAUSS_2X2):
         b_u = _strain_displacement(q.B_T[:, g])

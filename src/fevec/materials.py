@@ -97,13 +97,6 @@ def material_for(materials: dict[int, MaterialProps], region: int,
                             element_id=element_id) from None
 
 
-def element_materials(materials: dict[int, MaterialProps], regions: np.ndarray,
-                      element_ids: np.ndarray) -> list[MaterialProps]:
-    """``material_for`` of each element, in the given order."""
-    return [material_for(materials, r, i)
-            for r, i in zip(regions.tolist(), element_ids.tolist())]
-
-
 def gather_materials(materials: dict[int, MaterialProps], regions: np.ndarray,
                      element_ids: np.ndarray) -> MaterialArrays:
     """Look each distinct region up once and spread its data over the elements.

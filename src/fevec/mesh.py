@@ -111,10 +111,20 @@ def _edges(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return deltas, lengths, (lengths <= 1e-14 * scale[..., None]).any(axis=-1)
 
 
-def polygon_geometries(coords: np.ndarray,
-                       element_ids: Sequence[int] | np.ndarray | None = None
-                       ) -> list[PolygonGeometry]:
-    """Geometry of each polygon in a (m, n_v, 2) stack, one PolygonGeometry per row.
+@dataclass(frozen=True)
+class PolygonStack:
+    """``PolygonGeometry`` of a stack of polygons, one row per polygon."""
+
+    centroid: np.ndarray      # (m, 2)
+    area: np.ndarray          # (m,)
+    h: np.ndarray             # (m,)
+    edge_normals: np.ndarray  # (m, n_v, 2)
+    edge_lengths: np.ndarray  # (m, n_v)
+
+
+def polygon_stack(coords: np.ndarray,
+                  element_ids: Sequence[int] | np.ndarray | None = None) -> PolygonStack:
+    """Geometry of a (m, n_v, 2) stack of polygons, in arrays with one row per polygon.
 
     The first degenerate row raises MeshError naming ``element_ids[row]``
     (``polygon`` without ids): fewer than 3 vertices, a zero-length edge or
@@ -149,10 +159,19 @@ def polygon_geometries(coords: np.ndarray,
 
     # Outward normal of a CCW edge is the tangent rotated -90 degrees.
     normals = np.stack((deltas[..., 1], -deltas[..., 0]), axis=-1) / lengths[..., None]
+    return PolygonStack(centroid=np.column_stack((cx, cy)), area=areas, h=h,
+                        edge_normals=normals, edge_lengths=lengths)
 
-    return [PolygonGeometry(centroid=(float(cx[r]), float(cy[r])), area=float(areas[r]),
-                            h=float(h[r]), edge_normals=normals[r], edge_lengths=lengths[r])
-            for r in range(m)]
+
+def polygon_geometries(coords: np.ndarray,
+                       element_ids: Sequence[int] | np.ndarray | None = None
+                       ) -> list[PolygonGeometry]:
+    """``polygon_stack`` of a (m, n_v, 2) stack, as one PolygonGeometry per row."""
+    g = polygon_stack(coords, element_ids)
+    return [PolygonGeometry(centroid=(float(g.centroid[r, 0]), float(g.centroid[r, 1])),
+                            area=float(g.area[r]), h=float(g.h[r]),
+                            edge_normals=g.edge_normals[r], edge_lengths=g.edge_lengths[r])
+            for r in range(len(g.area))]
 
 
 _VE_BLOCK_ROWS = 1 << 10   # see Mesh.element_blocks
@@ -240,8 +259,8 @@ class Mesh:
         """(is_fe, positions, (m, n_v) vertices) per group of one kind and vertex count.
 
         Positions index ``elements`` and run in element-id order within a block.
-        VE groups are cut into blocks of at most ``_VE_BLOCK_ROWS`` elements: a VE
-        block holds one PolygonGeometry per element while its projections are built.
+        VE groups are cut into blocks of at most ``_VE_BLOCK_ROWS`` elements, which
+        bounds the stacked projection arrays a VE block holds at once.
         """
         blocks = []
         for count in sorted(self.vertex_groups):
@@ -768,6 +787,13 @@ def subdivided(breaks: Sequence[float], cells_per_span: Sequence[int]) -> list[f
     return out
 
 
+def _level_scale(level: int) -> int:
+    """Cells per base cell of a generator refinement ``level``: 2 ** level."""
+    if level < 0:
+        raise ParseError(f"level must be >= 0, got {level}")
+    return 2 ** level
+
+
 # Region ids of the sandwich benchmark (chip / interconnect / substrate).
 SANDWICH_CHIP, SANDWICH_SILVER, SANDWICH_COPPER = 0, 1, 2
 SANDWICH_STACK_X = (1.2, 3.0)      # chip/interconnect footprint, mm
@@ -783,7 +809,7 @@ def generate_sandwich(level: int = 0, all_kind: ElementKind | None = None) -> Me
     or pure-VE run).  ``level`` halves the 0.1 mm base cell per increment.
     Labels: bottom, top, right.
     """
-    s = 2 ** level
+    s = _level_scale(level)
     xs = subdivided([0.0, 1.2, 3.0], [12 * s, 18 * s])
     ys = subdivided([0.0, 0.8, 1.1, 1.6], [8 * s, 3 * s, 5 * s])
     x0, x1 = SANDWICH_STACK_X
@@ -825,7 +851,7 @@ def generate_fcbga(level: int = 0) -> Mesh:
     other components VE.  Labels: pcb_bottom, mold_top, die (die perimeter,
     used for the prescribed die temperature).
     """
-    s = 2 ** level
+    s = _level_scale(level)
     xs = subdivided([-6.75, 6.75], [54 * s])
     ys = subdivided([0.0, 0.8, 1.36, 1.76, 1.86, 2.16, 2.96],
                     [2 * s, 2 * s, 2 * s, s, s, 3 * s])
@@ -877,7 +903,7 @@ def generate_igbt(level: int = 0) -> Mesh:
     second copper pad.  Baseplate and wire are VE, the stack FE.  Labels:
     base_bottom, chip_top.
     """
-    s = 2 ** level
+    s = _level_scale(level)
     xs = subdivided([-9.0, 9.0], [36 * s])
     ys = subdivided([0.0, 3.0, 3.15, 3.45, 3.83, 4.13, 4.28, 4.48, 5.48, 5.98],
                     [4 * s, s, s, s, s, s, s, 2 * s, s])

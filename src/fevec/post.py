@@ -1,7 +1,8 @@
 """Stress recovery, error norms, line probes and field export.
 
 FE stress is the average of the four Gauss-point stresses; VE stress is the
-constant stress of the projected displacement polynomial.  Nodal stress
+constant stress of the projected displacement polynomial, from elastic
+projections recomputed in one stacked call per block of polygons.  Nodal stress
 plots average adjacent element values weighted by element area, optionally
 restricted to one region (per-material-side values at bimaterial
 interfaces).
@@ -17,9 +18,8 @@ import scipy.sparse as sp
 
 from . import fem, vem
 from .errors import FevecError
-from .materials import (MaterialProps, Plane, element_materials, gather_materials,
-                        material_for)
-from .mesh import ElementKind, Mesh, polygon_geometries
+from .materials import MaterialProps, Plane, gather_materials
+from .mesh import ElementKind, Mesh
 from .solver import SolutionFields
 
 PROVENANCE_FE = "FE_GAUSS_AVG"
@@ -65,24 +65,17 @@ def recover_stress(mesh: Mesh, materials: dict[int, MaterialProps],
     u = solution.displacement
     temps = solution.temperature
 
-    def ve_stress(coords, props, geom, elem_id, vertices):
-        te = None if temps is None else temps[vertices]
-        projection = vem.elastic_projection(coords, props, geom, elem_id)
-        sigma = vem.projected_stress(projection, props, u[vertices].ravel(), te)
-        return sigma, von_mises(sigma, props.plane, props.nu)
-
     def element_stresses(is_fe, pos, verts):
         ids = mesh.element_ids[pos]
-        if not is_fe:
-            coords = mesh.coords[verts]
-            props = element_materials(materials, mesh.element_regions[pos], ids)
-            geoms = polygon_geometries(coords, ids)
-            sigma, vm = zip(*map(ve_stress, coords, props, geoms, ids.tolist(), verts))
-            return np.array(sigma), np.array(vm)
         mats = gather_materials(materials, mesh.element_regions[pos], ids)
+        coords = mesh.coords[verts]
+        ue = u[verts].reshape(len(pos), -1)
         te = None if temps is None else temps[verts]
-        q = fem.q4_batch_eval(mesh.coords[verts], ids)
-        sigma = fem.stress_q4_batch(q, mats, u[verts].reshape(len(pos), -1), te)
+        if is_fe:
+            sigma = fem.stress_q4_batch(fem.q4_batch_eval(coords, ids), mats, ue, te)
+        else:
+            projection = vem.elastic_projection(coords, mats, element_ids=ids)
+            sigma = vem.projected_stress(projection, mats, ue, te)
         return sigma, von_mises_batch(sigma, mats.plane_strain, mats.nu)
 
     sigma = np.empty((mesh.n_elements, 3))
@@ -244,11 +237,12 @@ class FieldEvaluator:
             xi, eta = _inverse_q4_map(coords, x, y)
             ev = fem.q4_shape_eval(coords, xi, eta, elem.id)
             return float(ev.N @ values)
-        props = material_for(self.materials, elem.region, elem.id)
-        projection = vem.thermal_projection(coords, props, elem_id=elem.id)
-        c = projection.Pi_star @ values
-        gx, gy = projection.geom.centroid
-        h = projection.geom.h
+        ids = np.array([elem.id])
+        mats = gather_materials(self.materials, np.array([elem.region]), ids)
+        projection = vem.thermal_projection(coords[None], mats, element_ids=ids)
+        c = projection.Pi_star[0] @ values
+        gx, gy = projection.geom.centroid[0]
+        h = projection.geom.h[0]
         return float(c[0] + c[1] * (x - gx) / h + c[2] * (y - gy) / h)
 
 
@@ -339,12 +333,26 @@ def line_probe(mesh: Mesh, materials: dict[int, MaterialProps],
 
 
 def _edge_crossings(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Sorted parameters s in [0, 1] at which the segment a-b crosses a mesh edge.
+
+    One array pass over all edges keeps those whose s and t lie within a
+    loose margin of [0, 1]; only these go through the exact scalar test.
+    """
     d = b - a
     len2 = float(d @ d)
     if len2 == 0.0:
         return []
+    edges = np.array(list(mesh._edge_elems), dtype=np.int64).reshape(-1, 2)
+    start = mesh.coords[edges[:, 0]]
+    ev = mesh.coords[edges[:, 1]] - start
+    wv = start - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = d[0] * ev[:, 1] - d[1] * ev[:, 0]
+        sv = (wv[:, 0] * ev[:, 1] - wv[:, 1] * ev[:, 0]) / denom
+        tv = (wv[:, 0] * d[1] - wv[:, 1] * d[0]) / denom
+    near = (np.abs(sv - 0.5) <= 0.5 + 1e-6) & (np.abs(tv - 0.5) <= 0.5 + 1e-6)
     out: set[float] = set()
-    for (i, j) in mesh._edge_elems:
+    for (i, j) in edges[near].tolist():
         p = mesh.coords[i]
         q = mesh.coords[j]
         e = q - p

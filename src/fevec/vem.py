@@ -1,4 +1,4 @@
-"""First-order virtual element kernel on arbitrary polygons.
+"""First-order virtual element kernel on arbitrary polygons, stacked.
 
 Element matrices are built without ever evaluating the (implicit) shape
 functions: an energy projection onto linear polynomials provides the
@@ -23,6 +23,15 @@ the half-sum of its two adjacent edge normal-length vectors.  The energy
 bilinear forms are singular on constants/rigid modes, so the projection
 systems are closed with vertex-average conditions (and a boundary-integral
 mean rotation for m3), the standard first-order closure.
+
+Every kernel works on a stack of m polygons with the same vertex count,
+(m, n_v, 2) coordinates with one ``MaterialArrays`` row each, and makes one
+numpy call per step for the whole stack: the projection systems go through
+one stacked ``np.linalg.solve`` (Sutton, "The virtual element method in 50
+lines of MATLAB", Numer. Algorithms 2017).  Each product is a stacked
+``matmul`` in the operation order of a one-polygon computation, so every row
+equals that polygon computed on its own, bit for bit.  A single polygon is
+the one-row stack.
 """
 
 from __future__ import annotations
@@ -32,213 +41,219 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshError
-from .materials import MaterialProps, elasticity_matrix, thermal_strain_voigt
-from .mesh import PolygonGeometry, polygon_geometry_from_coords
+from .materials import MaterialArrays
+from .mesh import PolygonGeometry, PolygonStack, polygon_stack
 
 DEFAULT_STABILIZATION = 0.5
 
 
-def vertex_normal_lengths(geom: PolygonGeometry) -> np.ndarray:
-    """Per-vertex boundary weights d_i = (n_prev*L_prev + n_next*L_next)/2.
+def vertex_normal_lengths(geom: PolygonGeometry | PolygonStack) -> np.ndarray:
+    """Per-vertex boundary weights d_i = (n_prev*L_prev + n_next*L_next)/2, (..., n_v, 2).
 
     d_i equals the exact boundary integral of the hat trace psi_i against a
     constant normal field; the rows sum to zero on any closed polygon.
     """
-    weighted = geom.edge_normals * geom.edge_lengths[:, None]
-    return 0.5 * (weighted + np.roll(weighted, 1, axis=0))
+    weighted = geom.edge_normals * geom.edge_lengths[..., None]
+    return 0.5 * (weighted + np.roll(weighted, 1, axis=-2))
 
 
-def scaled_coords(coords: np.ndarray, geom: PolygonGeometry) -> np.ndarray:
+def scaled_coords(coords: np.ndarray, geom: PolygonGeometry | PolygonStack) -> np.ndarray:
     """Monomial coordinates (zeta, rho) of the vertices, bounded by 1."""
-    return (coords - np.asarray(geom.centroid)) / geom.h
+    return (coords - np.asarray(geom.centroid)[..., None, :]) / np.asarray(geom.h)[..., None, None]
+
+
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _solve(systems: np.ndarray, rhs: np.ndarray, element_ids, field: str) -> np.ndarray:
+    """Stacked solve; a singular stack raises MeshError naming its first singular row."""
+    try:
+        return np.linalg.solve(systems, rhs)
+    except np.linalg.LinAlgError as exc:
+        for row in range(len(systems)):
+            try:
+                np.linalg.solve(systems[row], rhs[row])
+            except np.linalg.LinAlgError:
+                eid = None if element_ids is None else int(element_ids[row])
+                raise MeshError.of_element(eid, f"singular {field} projection system") from exc
+        raise
 
 
 @dataclass(frozen=True)
 class ThermalProjection:
-    geom: PolygonGeometry
-    G: np.ndarray          # (3, 3) closed system matrix
-    G_energy: np.ndarray   # (3, 3) raw energy matrix (constant row zero)
-    B: np.ndarray          # (3, n_v) closed right-hand sides
-    D: np.ndarray          # (n_v, 3) basis values at vertices
-    Pi_star: np.ndarray    # (3, n_v) polynomial coefficients of projection
-    Pi: np.ndarray         # (n_v, n_v) projector in dof space
+    """Energy projections of a stack of polygons onto {1, zeta, rho}."""
+
+    geom: PolygonStack
+    G_energy: np.ndarray   # (m, 3, 3) raw energy matrices (constant row zero)
+    D: np.ndarray          # (m, n_v, 3) basis values at vertices
+    Pi_star: np.ndarray    # (m, 3, n_v) polynomial coefficients of the projection
+    Pi: np.ndarray         # (m, n_v, n_v) projector in dof space
 
 
 @dataclass(frozen=True)
 class ElasticProjection:
-    geom: PolygonGeometry
-    M: np.ndarray          # (6, 6) closed system matrix
-    M_energy: np.ndarray   # (6, 6) raw energy matrix (rigid rows/cols zero)
-    B_bar: np.ndarray      # (6, 2 n_v) closed right-hand sides
-    D_bar: np.ndarray      # (2 n_v, 6) basis values at vertex dofs
-    Pi_star: np.ndarray    # (6, 2 n_v)
-    Pi: np.ndarray         # (2 n_v, 2 n_v)
-    strain_basis: np.ndarray  # (3, 6) constant Voigt strains of m1..m6
+    """Ritz projections of a stack of polygons onto m1..m6."""
+
+    geom: PolygonStack
+    M_energy: np.ndarray      # (m, 6, 6) raw energy matrices (rigid rows/cols zero)
+    D_bar: np.ndarray         # (m, 2 n_v, 6) basis values at vertex dofs
+    Pi_star: np.ndarray       # (m, 6, 2 n_v)
+    Pi: np.ndarray            # (m, 2 n_v, 2 n_v)
+    strain_basis: np.ndarray  # (m, 3, 6) constant Voigt strains of m1..m6
 
 
-def thermal_projection(coords: np.ndarray, props: MaterialProps,
-                       geom: PolygonGeometry | None = None,
-                       elem_id: int | None = None) -> ThermalProjection:
-    """Energy projection of the scalar virtual space onto {1, zeta, rho}."""
+def thermal_projection(coords: np.ndarray, mats: MaterialArrays,
+                       geom: PolygonStack | None = None,
+                       element_ids=None) -> ThermalProjection:
+    """Energy projection of the scalar virtual space of each polygon in a (m, n_v, 2) stack.
+
+    Without ``geom`` the geometry is computed here.  A degenerate or singular
+    row raises MeshError naming ``element_ids[row]``.
+    """
     coords = np.asarray(coords, dtype=float)
     if geom is None:
-        geom = polygon_geometry_from_coords(coords, elem_id)
-    n_v = coords.shape[0]
-    lam = props.conductivity
+        geom = polygon_stack(coords, element_ids)
+    m, n_v = coords.shape[:2]
+    lam = mats.conductivity
     h = geom.h
-    area = geom.area
 
-    sc = scaled_coords(coords, geom)
-    dmat = np.column_stack((np.ones(n_v), sc[:, 0], sc[:, 1]))
+    dmat = np.concatenate((np.ones((m, n_v, 1)), scaled_coords(coords, geom)), axis=2)
 
     # grad p2 = (1/h, 0), grad p3 = (0, 1/h); constant over E.
-    g_energy = np.zeros((3, 3))
-    g_energy[1, 1] = g_energy[2, 2] = lam * area / (h * h)
+    g_energy = np.zeros((m, 3, 3))
+    g_energy[:, 1, 1] = g_energy[:, 2, 2] = lam * geom.area / (h * h)
 
     d_i = vertex_normal_lengths(geom)
-    b = np.zeros((3, n_v))
-    b[1] = (lam / h) * d_i[:, 0]
-    b[2] = (lam / h) * d_i[:, 1]
+    b = np.empty((m, 3, n_v))
+    b[:, 0] = 1.0 / n_v
+    b[:, 1:] = (lam / h)[:, None, None] * _transpose(d_i)
 
     g = g_energy.copy()
-    g[0] = dmat.mean(axis=0)          # vertex-average closure of the constant mode
-    b[0] = 1.0 / n_v
+    g[:, 0] = dmat.mean(axis=1)       # vertex-average closure of the constant mode
 
-    try:
-        pi_star = np.linalg.solve(g, b)
-    except np.linalg.LinAlgError as exc:
-        raise MeshError.of_element(elem_id, "singular thermal projection system") from exc
-    pi = dmat @ pi_star
-    return ThermalProjection(geom=geom, G=g, G_energy=g_energy, B=b,
-                             D=dmat, Pi_star=pi_star, Pi=pi)
+    pi_star = _solve(g, b, element_ids, "thermal")
+    return ThermalProjection(geom=geom, G_energy=g_energy, D=dmat, Pi_star=pi_star,
+                             Pi=dmat @ pi_star)
 
 
-def thermal_element_matrices(coords: np.ndarray, props: MaterialProps,
-                             tau: float = DEFAULT_STABILIZATION,
-                             projection: ThermalProjection | None = None,
-                             elem_id: int | None = None) -> np.ndarray:
-    """Thermal stiffness K = consistency + stabilization, (n_v, n_v)."""
-    if projection is None:
-        projection = thermal_projection(coords, props, elem_id=elem_id)
-    k_c = projection.Pi_star.T @ projection.G_energy @ projection.Pi_star
-    k_c = 0.5 * (k_c + k_c.T)
-    residual = np.eye(projection.Pi.shape[0]) - projection.Pi
-    k_s = (tau * np.trace(k_c)) * (residual.T @ residual)
+def _stabilized(k_c: np.ndarray, pi: np.ndarray, tau: float) -> np.ndarray:
+    """Symmetrized consistency part plus tau * trace-scaled (I - Pi)^T (I - Pi)."""
+    k_c = 0.5 * (k_c + _transpose(k_c))
+    residual = np.eye(pi.shape[-1]) - pi
+    k_s = (tau * np.trace(k_c, axis1=-2, axis2=-1))[:, None, None] * (
+        _transpose(residual) @ residual)
     return k_c + k_s
 
 
-def vector_strain_basis(geom: PolygonGeometry) -> np.ndarray:
-    """Voigt strains of m1..m6 as columns of a 3x6 matrix (constant on E)."""
+def thermal_element_matrices(projection: ThermalProjection,
+                             tau: float = DEFAULT_STABILIZATION) -> np.ndarray:
+    """(m, n_v, n_v) thermal stiffness: consistency + stabilization."""
+    p = projection
+    return _stabilized(_transpose(p.Pi_star) @ p.G_energy @ p.Pi_star, p.Pi, tau)
+
+
+def vector_strain_basis(geom: PolygonStack) -> np.ndarray:
+    """(m, 3, 6) Voigt strains of m1..m6 as columns (constant on each polygon)."""
     h = geom.h
-    eps = np.zeros((3, 6))
-    eps[2, 3] = 2.0 / h     # m4 = (rho, zeta): pure shear
-    eps[0, 4] = 1.0 / h     # m5 = (zeta, 0): x stretch
-    eps[1, 5] = 1.0 / h     # m6 = (0, rho): y stretch
+    eps = np.zeros((len(h), 3, 6))
+    eps[:, 2, 3] = 2.0 / h     # m4 = (rho, zeta): pure shear
+    eps[:, 0, 4] = 1.0 / h     # m5 = (zeta, 0): x stretch
+    eps[:, 1, 5] = 1.0 / h     # m6 = (0, rho): y stretch
     return eps
 
 
-def vector_dof_matrix(coords: np.ndarray, geom: PolygonGeometry) -> np.ndarray:
-    """(2 n_v, 6) values of the vector basis at interleaved (ux, uy) dofs."""
-    n_v = coords.shape[0]
+def vector_dof_matrix(coords: np.ndarray, geom: PolygonStack) -> np.ndarray:
+    """(m, 2 n_v, 6) values of the vector basis at interleaved (ux, uy) dofs."""
+    m, n_v = coords.shape[:2]
     sc = scaled_coords(coords, geom)
-    zeta, rho = sc[:, 0], sc[:, 1]
-    dbar = np.zeros((2 * n_v, 6))
-    dbar[0::2, 0] = 1.0
-    dbar[1::2, 1] = 1.0
-    dbar[0::2, 2] = -rho
-    dbar[1::2, 2] = zeta
-    dbar[0::2, 3] = rho
-    dbar[1::2, 3] = zeta
-    dbar[0::2, 4] = zeta
-    dbar[1::2, 5] = rho
+    zeta, rho = sc[..., 0], sc[..., 1]
+    dbar = np.zeros((m, 2 * n_v, 6))
+    dbar[:, 0::2, 0] = 1.0
+    dbar[:, 1::2, 1] = 1.0
+    dbar[:, 0::2, 2] = -rho
+    dbar[:, 1::2, 2] = zeta
+    dbar[:, 0::2, 3] = rho
+    dbar[:, 1::2, 3] = zeta
+    dbar[:, 0::2, 4] = zeta
+    dbar[:, 1::2, 5] = rho
     return dbar
 
 
-def elastic_projection(coords: np.ndarray, props: MaterialProps,
-                       geom: PolygonGeometry | None = None,
-                       elem_id: int | None = None) -> ElasticProjection:
-    """Ritz projection of the vector virtual space onto m1..m6."""
+def elastic_projection(coords: np.ndarray, mats: MaterialArrays,
+                       geom: PolygonStack | None = None,
+                       element_ids=None) -> ElasticProjection:
+    """Ritz projection of the vector virtual space of each polygon in a (m, n_v, 2) stack.
+
+    Without ``geom`` the geometry is computed here.  A degenerate or singular
+    row raises MeshError naming ``element_ids[row]``.
+    """
     coords = np.asarray(coords, dtype=float)
     if geom is None:
-        geom = polygon_geometry_from_coords(coords, elem_id)
-    n_v = coords.shape[0]
+        geom = polygon_stack(coords, element_ids)
+    m, n_v = coords.shape[:2]
     area = geom.area
-    dhat = elasticity_matrix(props)
     eps = vector_strain_basis(geom)
     dbar = vector_dof_matrix(coords, geom)
 
-    m_energy = area * (eps.T @ dhat @ eps)
+    m_energy = area[:, None, None] * (_transpose(eps) @ mats.D @ eps)
 
     # Boundary right-hand sides: node i receives the constant traction of
     # each basis mode integrated against its hat trace.
-    d_i = vertex_normal_lengths(geom)
-    sig = dhat @ eps                      # (3, 6) constant stresses
-    b_bar = np.zeros((6, 2 * n_v))
-    b_bar[:, 0::2] = (np.outer(sig[0], d_i[:, 0]) + np.outer(sig[2], d_i[:, 1]))
-    b_bar[:, 1::2] = (np.outer(sig[2], d_i[:, 0]) + np.outer(sig[1], d_i[:, 1]))
+    d_i = vertex_normal_lengths(geom)[:, None]            # (m, 1, n_v, 2)
+    sig = (mats.D @ eps)[..., None]                       # (m, 3, 6, 1) constant stresses
+    b_bar = np.empty((m, 6, 2 * n_v))
+    b_bar[:, :, 0::2] = sig[:, 0] * d_i[..., 0] + sig[:, 2] * d_i[..., 1]
+    b_bar[:, :, 1::2] = sig[:, 2] * d_i[..., 0] + sig[:, 1] * d_i[..., 1]
 
     # Close the three strain-free modes: preserve the vertex averages of ux
     # and uy, and the boundary-integral mean rotation.
-    closure = np.zeros((3, 2 * n_v))
-    closure[0, 0::2] = 1.0 / n_v
-    closure[1, 1::2] = 1.0 / n_v
-    closure[2, 0::2] = -d_i[:, 1] / (2.0 * area)
-    closure[2, 1::2] = d_i[:, 0] / (2.0 * area)
+    closure = np.zeros((m, 3, 2 * n_v))
+    closure[:, 0, 0::2] = 1.0 / n_v
+    closure[:, 1, 1::2] = 1.0 / n_v
+    closure[:, 2, 0::2] = -d_i[:, 0, :, 1] / (2.0 * area)[:, None]
+    closure[:, 2, 1::2] = d_i[:, 0, :, 0] / (2.0 * area)[:, None]
 
-    m = m_energy.copy()
-    m[:3] = closure @ dbar                # functionals applied to the basis
-    b_bar[:3] = closure
+    systems = m_energy.copy()
+    systems[:, :3] = closure @ dbar       # functionals applied to the basis
+    b_bar[:, :3] = closure
 
-    try:
-        pi_star = np.linalg.solve(m, b_bar)
-    except np.linalg.LinAlgError as exc:
-        raise MeshError.of_element(elem_id, "singular elastic projection system") from exc
-    pi = dbar @ pi_star
-    return ElasticProjection(geom=geom, M=m, M_energy=m_energy, B_bar=b_bar,
-                             D_bar=dbar, Pi_star=pi_star, Pi=pi,
-                             strain_basis=eps)
+    pi_star = _solve(systems, b_bar, element_ids, "elastic")
+    return ElasticProjection(geom=geom, M_energy=m_energy, D_bar=dbar, Pi_star=pi_star,
+                             Pi=dbar @ pi_star, strain_basis=eps)
 
 
-def elastic_element_matrices(coords: np.ndarray, props: MaterialProps,
-                             tau: float = DEFAULT_STABILIZATION,
-                             projection: ElasticProjection | None = None,
-                             elem_id: int | None = None) -> np.ndarray:
-    """Elastic stiffness K = consistency + stabilization, (2 n_v, 2 n_v)."""
-    if projection is None:
-        projection = elastic_projection(coords, props, elem_id=elem_id)
-    k_c = projection.Pi_star.T @ projection.M_energy @ projection.Pi_star
-    k_c = 0.5 * (k_c + k_c.T)
-    residual = np.eye(projection.Pi.shape[0]) - projection.Pi
-    k_s = (tau * np.trace(k_c)) * (residual.T @ residual)
-    return k_c + k_s
+def elastic_element_matrices(projection: ElasticProjection,
+                             tau: float = DEFAULT_STABILIZATION) -> np.ndarray:
+    """(m, 2 n_v, 2 n_v) elastic stiffness: consistency + stabilization."""
+    p = projection
+    return _stabilized(_transpose(p.Pi_star) @ p.M_energy @ p.Pi_star, p.Pi, tau)
 
 
-def vem_thermal_load(coords: np.ndarray, props: MaterialProps,
-                     nodal_temperature: np.ndarray,
-                     projection: ElasticProjection | None = None,
-                     elem_id: int | None = None) -> np.ndarray:
-    """Equivalent nodal forces of the thermal strain on a polygon.
+def vem_thermal_load(projection: ElasticProjection, mats: MaterialArrays,
+                     nodal_temperature: np.ndarray) -> np.ndarray:
+    """(m, 2 n_v) equivalent nodal forces of the thermal strain; temperatures (m, n_v).
 
     The element temperature representative is the mean of the nodal values,
     which integrates the projected (linear) temperature exactly under the
     vertex-average closure.
     """
-    if projection is None:
-        projection = elastic_projection(coords, props, elem_id=elem_id)
-    t_c = float(np.mean(nodal_temperature))
-    eps_th = thermal_strain_voigt(props, t_c)
-    dhat = elasticity_matrix(props)
-    cell = projection.geom.area * (projection.strain_basis.T @ (dhat @ eps_th))
-    return projection.Pi_star.T @ cell
+    p = projection
+    eps_th = mats.thermal_strain(nodal_temperature.mean(axis=1))
+    stress = mats.D @ eps_th[..., None]
+    cell = p.geom.area[:, None, None] * (_transpose(p.strain_basis) @ stress)
+    return (_transpose(p.Pi_star) @ cell)[..., 0]
 
 
-def projected_stress(projection: ElasticProjection, props: MaterialProps,
+def projected_stress(projection: ElasticProjection, mats: MaterialArrays,
                      nodal_displacement: np.ndarray,
                      nodal_temperature: np.ndarray | None) -> np.ndarray:
-    """Constant element stress from the projected displacement polynomial."""
-    coeffs = projection.Pi_star @ nodal_displacement
-    strain = projection.strain_basis @ coeffs
-    dhat = elasticity_matrix(props)
+    """(m, 3) constant stresses of the projected displacement polynomials.
+
+    Displacements are (m, 2 n_v) interleaved, temperatures (m, n_v).
+    """
+    coeffs = projection.Pi_star @ nodal_displacement[..., None]
+    strain = (projection.strain_basis @ coeffs)[..., 0]
     if nodal_temperature is not None:
-        strain = strain - thermal_strain_voigt(props, float(np.mean(nodal_temperature)))
-    return dhat @ strain
+        strain = strain - mats.thermal_strain(nodal_temperature.mean(axis=1))
+    return (mats.D @ strain[..., None])[..., 0]

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from fevec.materials import MaterialProps, Plane
+from fevec import vem
+from fevec.materials import MaterialProps, Plane, gather_materials
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -40,3 +43,53 @@ def polygon_family(seed=42, count=200):
         center = rng.uniform(-20.0, 20.0, 2)
         out.append(random_polygon(rng, n_v, scale, center, convex=(k % 3 == 0)))
     return out
+
+
+# One-polygon calls of the stacked VE kernels: each runs the kernel on a
+# one-row stack and returns row 0.
+
+
+def one_material(props):
+    """MaterialArrays of a one-element stack of ``props``."""
+    return gather_materials({0: props}, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+
+
+def first_row(stack):
+    """Row 0 of every array field of a stacked projection."""
+    return SimpleNamespace(**{k: v[0] for k, v in vars(stack).items()
+                              if isinstance(v, np.ndarray)})
+
+
+def _one_row(projection, coords, props, element_id):
+    ids = None if element_id is None else [element_id]
+    return projection(np.asarray(coords, dtype=float)[None], one_material(props),
+                      element_ids=ids)
+
+
+def thermal_row(coords, props, element_id=None):
+    """Row 0 of ``vem.thermal_projection`` of one polygon."""
+    return first_row(_one_row(vem.thermal_projection, coords, props, element_id))
+
+
+def elastic_row(coords, props, element_id=None):
+    """Row 0 of ``vem.elastic_projection`` of one polygon."""
+    return first_row(_one_row(vem.elastic_projection, coords, props, element_id))
+
+
+def thermal_matrix(coords, props, element_id=None):
+    """VE thermal stiffness of one polygon."""
+    projection = _one_row(vem.thermal_projection, coords, props, element_id)
+    return vem.thermal_element_matrices(projection)[0]
+
+
+def elastic_matrix(coords, props, element_id=None):
+    """VE elastic stiffness of one polygon."""
+    projection = _one_row(vem.elastic_projection, coords, props, element_id)
+    return vem.elastic_element_matrices(projection)[0]
+
+
+def thermal_load_row(coords, props, nodal_temperature):
+    """VE thermal load of one polygon."""
+    projection = _one_row(vem.elastic_projection, coords, props, None)
+    return vem.vem_thermal_load(projection, one_material(props),
+                                np.asarray(nodal_temperature, dtype=float)[None])[0]

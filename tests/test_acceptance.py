@@ -10,13 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from fevec import bench, fem, post, vem
+from fevec import bench, post
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
 from fevec.cli import main as cli_main
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_split_square
 from fevec.solver import run_pipeline, solve_system
-from conftest import polygon_family
+from conftest import (elastic_matrix, elastic_row, polygon_family, thermal_matrix,
+                      thermal_row)
+from kernel_oracles import mechanical_stiffness_q4, thermal_stiffness_q4
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -122,13 +124,13 @@ def test_criterion_4_vem_property_suite():
         polys = polygon_family(seed=42, count=200)
         assert len(polys) == 200
         for poly in polys:
-            tp = vem.thermal_projection(poly, mats)
-            ep = vem.elastic_projection(poly, mats)
+            tp = thermal_row(poly, mats)
+            ep = elastic_row(poly, mats)
             assert np.abs(tp.Pi @ tp.D - tp.D).max() < 1e-9
             assert np.abs(ep.Pi @ ep.D_bar - ep.D_bar).max() < 1e-9
 
-            kt = vem.thermal_element_matrices(poly, mats, projection=tp)
-            ke = vem.elastic_element_matrices(poly, mats, projection=ep)
+            kt = thermal_matrix(poly, mats)
+            ke = elastic_matrix(poly, mats)
             assert np.abs(kt - kt.T).max() <= 1e-12 * np.abs(kt).max()
             assert np.abs(ke - ke.T).max() <= 1e-12 * np.abs(ke).max()
 
@@ -190,14 +192,14 @@ def test_criterion_6_coupled_block_structure():
             for e in mesh.elements:
                 coords = mesh.element_coords(e)
                 if field_kind == "thermal":
-                    ke = (fem.thermal_stiffness_q4(coords, mats[0], e.id)
+                    ke = (thermal_stiffness_q4(coords, mats[0], e.id)
                           if e.kind == ElementKind.FE_QUAD
-                          else vem.thermal_element_matrices(coords, mats[0], elem_id=e.id))
+                          else thermal_matrix(coords, mats[0], e.id))
                     dofs = np.array(e.vertices)
                 else:
-                    ke = (fem.mechanical_stiffness_q4(coords, mats[0], e.id)
+                    ke = (mechanical_stiffness_q4(coords, mats[0], e.id)
                           if e.kind == ElementKind.FE_QUAD
-                          else vem.elastic_element_matrices(coords, mats[0], elem_id=e.id))
+                          else elastic_matrix(coords, mats[0], e.id))
                     dofs = np.array([2 * v + k for v in e.vertices for k in (0, 1)])
                 target = k_fe if e.kind == ElementKind.FE_QUAD else k_ve
                 target[np.ix_(dofs, dofs)] += ke

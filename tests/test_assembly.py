@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fevec import fem, vem
 from fevec.assembly import (BoundaryConditionSet, SparseSystem, apply_dirichlet,
                             assemble_mechanical, assemble_thermal, build_dof_map)
 from fevec.errors import AssemblyError
@@ -10,6 +9,8 @@ from fevec.materials import MaterialProps, Plane
 from fevec.mesh import (Element, ElementKind, Mesh, Node, generate_split_square,
                         generate_structured_quads)
 from fevec.solver import solve_system
+from conftest import thermal_matrix
+from kernel_oracles import thermal_stiffness_q4
 
 FE = ElementKind.FE_QUAD
 VE = ElementKind.VE_POLY
@@ -120,10 +121,10 @@ class TestBlockStructure:
         for e in mesh.elements:
             coords = mesh.element_coords(e)
             if e.kind == FE:
-                ke = fem.thermal_stiffness_q4(coords, mats[0], e.id)
+                ke = thermal_stiffness_q4(coords, mats[0], e.id)
                 target = k_fe
             else:
-                ke = vem.thermal_element_matrices(coords, mats[0], elem_id=e.id)
+                ke = thermal_matrix(coords, mats[0], e.id)
                 target = k_ve
             idx = np.array(e.vertices)
             target[np.ix_(idx, idx)] += ke

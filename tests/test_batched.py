@@ -1,11 +1,10 @@
 """Block-wise assembly and stress recovery against element-by-element loops.
 
 FE quads go through the batched ``fem.*_batch`` kernels and VE polygons
-through the per-element ``vem`` kernels, one block of elements at a time.
-The per-element functions (``fem.*_q4``, ``vem.*_projection``,
-``vem.*_element_matrices``, ``vem.vem_thermal_load``, ``vem.projected_stress``)
-are the oracles: every block path must agree with them within 1e-13
-relative, and must raise the error of the same element id.
+through the stacked ``vem`` kernels, one block of elements at a time.  The
+per-element kernels in ``kernel_oracles`` are the oracles: every block path
+must agree with them within 1e-13 relative, and must raise the error of the
+same element id.
 """
 
 from unittest import mock
@@ -16,7 +15,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fevec import fem, post, vem
+from fevec import fem, post
 from fevec import mesh as meshmod
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
 from fevec.errors import AssemblyError, FevecError, MeshError
@@ -26,7 +25,8 @@ from fevec.mesh import (Element, ElementKind, Mesh, Node, generate_plate_with_ho
                         generate_structured_quads, polygon_geometry_from_coords,
                         shoelace_area, shoelace_areas)
 from fevec.solver import SolutionFields
-from conftest import polygon_family, random_polygon
+from conftest import polygon_family, random_polygon, thermal_row
+import kernel_oracles as oracle
 
 FE = ElementKind.FE_QUAD
 VE = ElementKind.VE_POLY
@@ -72,8 +72,8 @@ def first_element_error(mesh, kernel, materials=MATERIALS):
 
 def thermal_oracle_kernel(e, coords, props):
     if e.kind == FE:
-        return fem.thermal_stiffness_q4(coords, props, e.id)
-    return vem.thermal_element_matrices(coords, props, elem_id=e.id)
+        return oracle.thermal_stiffness_q4(coords, props, e.id)
+    return oracle.thermal_element_matrices(coords, props, elem_id=e.id)
 
 
 def reference_thermal(mesh):
@@ -95,12 +95,12 @@ def reference_mechanical(mesh, temperature):
         props = MATERIALS[e.region]
         t_nodal = temperature[list(e.vertices)]
         if e.kind == FE:
-            ke = fem.mechanical_stiffness_q4(coords, props, e.id)
-            fe = fem.thermal_load_q4(coords, props, t_nodal, e.id)
+            ke = oracle.mechanical_stiffness_q4(coords, props, e.id)
+            fe = oracle.thermal_load_q4(coords, props, t_nodal, e.id)
         else:
-            proj = vem.elastic_projection(coords, props, elem_id=e.id)
-            ke = vem.elastic_element_matrices(coords, props, projection=proj)
-            fe = vem.vem_thermal_load(coords, props, t_nodal, projection=proj)
+            proj = oracle.elastic_projection(coords, props, elem_id=e.id)
+            ke = oracle.elastic_element_matrices(coords, props, projection=proj)
+            fe = oracle.vem_thermal_load(coords, props, t_nodal, projection=proj)
         idx = np.ravel([(2 * v, 2 * v + 1) for v in e.vertices])
         k[np.ix_(idx, idx)] += ke
         f[idx] += fe
@@ -118,8 +118,8 @@ def reference_stress(mesh, fields):
         if e.kind == FE:
             out.append(fe_stress_oracle(coords, props, ue, te, e.id))
         else:
-            proj = vem.elastic_projection(coords, props, elem_id=e.id)
-            out.append(vem.projected_stress(proj, props, ue, te))
+            proj = oracle.elastic_projection(coords, props, elem_id=e.id)
+            out.append(oracle.projected_stress(proj, props, ue, te))
     return np.array(out)
 
 
@@ -199,9 +199,9 @@ class TestPolygonKernels:
         sigma = fem.stress_q4_batch(q, mats, disp, temps)
         for k, c in enumerate(coords):
             props = MATERIALS[regions[k]]
-            assert rel_diff(thermal[k], fem.thermal_stiffness_q4(c, props)) <= RTOL
-            assert rel_diff(mech[k], fem.mechanical_stiffness_q4(c, props)) <= RTOL
-            assert rel_diff(load[k], fem.thermal_load_q4(c, props, temps[k])) <= RTOL
+            assert rel_diff(thermal[k], oracle.thermal_stiffness_q4(c, props)) <= RTOL
+            assert rel_diff(mech[k], oracle.mechanical_stiffness_q4(c, props)) <= RTOL
+            assert rel_diff(load[k], oracle.thermal_load_q4(c, props, temps[k])) <= RTOL
             assert rel_diff(sigma[k], fe_stress_oracle(c, props, disp[k], temps[k],
                                                        None)) <= RTOL
 
@@ -368,7 +368,7 @@ class TestBlockErrors:
         elements = [inverted(e) if e.id == 4 else e for e in elements]
         mesh = Mesh(base.nodes, elements, base.boundary_edges)
         with pytest.raises(MeshError, match="^element 1: singular thermal projection system$"):
-            vem.thermal_projection(mesh.element_coords(elements[1]), materials[1], elem_id=1)
+            thermal_row(mesh.element_coords(elements[1]), materials[1], 1)
         with pytest.raises(MeshError) as info:
             assemble_thermal(mesh, materials, BoundaryConditionSet())
         assert str(info.value) == "element 1: singular thermal projection system"

@@ -5,9 +5,10 @@ import pytest
 
 from fevec import bench, post
 from fevec.assembly import BoundaryConditionSet
-from fevec.errors import FevecError
+from fevec.errors import AssemblyError, FevecError
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import ElementKind, generate_split_square, generate_structured_quads
+from fevec.mesh import (Element, ElementKind, Mesh, generate_split_square,
+                        generate_structured_quads)
 from fevec.solver import run_pipeline
 
 
@@ -137,6 +138,20 @@ class TestPropertyHelpers:
         case = bench.builtin_cases()["igbt"]
         mesh = case.build_mesh(0)
         assert bench.check_kernel_invariants(mesh, case.materials)
+
+    def test_kernel_invariants_region_without_material(self):
+        # VE elements 3 and 6 sit in region 7, which has no material: the
+        # lower id is named, as for assembly
+        base = generate_split_square(2.0, 1.0, 4, 2)
+        elements = [Element(e.id, e.vertices, e.kind, 7 if e.id in (6, 3) else 0)
+                    for e in base.elements]
+        mesh = Mesh(base.nodes, elements, base.boundary_edges)
+        assert [mesh.elements[i].kind for i in (3, 6)] == [ElementKind.VE_POLY] * 2
+        materials = {0: MaterialProps(E=1.0, nu=0.3, conductivity=1.0, alpha=0.0, T0=0.0)}
+        with pytest.raises(AssemblyError) as info:
+            bench.check_kernel_invariants(mesh, materials)
+        assert str(info.value) == "no material defined for region 7"
+        assert info.value.element_id == 3
 
 
 class TestSandwichStudyHelpers:

@@ -160,6 +160,15 @@ class TestMeshGen:
         assert capsys.readouterr().err.startswith("error:1: subdivision counts")
 
 
+    @pytest.mark.parametrize("command", ["mesh-gen", "run"])
+    @pytest.mark.parametrize("generator", ["sandwich", "fcbga", "igbt"])
+    def test_negative_level_exit_3(self, tmp_path, capsys, command, generator):
+        spec = tmp_path / "gen.cfg"
+        spec.write_text(f"[mesh]\ngenerator {generator}\nlevel -1\n[output]\ndir {tmp_path}\n")
+        assert main([command, str(spec)]) == 3
+        assert capsys.readouterr().err.startswith("error:3: level must be >= 0, got -1")
+
+
 class TestBench:
     def test_unknown_case(self, capsys):
         assert main(["bench", "nonsense"]) == 3

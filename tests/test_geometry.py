@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fevec import vem
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical
 from fevec.errors import MeshError
 from fevec.materials import MaterialProps
 from fevec.mesh import (Element, ElementKind, Mesh, generate_structured_quads,
                         polygon_geometries, polygon_geometry_from_coords, shoelace_area)
-from conftest import UNIT_SQUARE, polygon_family, random_polygon
+from conftest import UNIT_SQUARE, elastic_row, polygon_family, random_polygon, thermal_row
 
 VE = ElementKind.VE_POLY
 STACK_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -180,14 +179,14 @@ class TestProjectionErrorIds:
     def test_thermal_singular_projection_carries_id(self):
         props = MaterialProps(E=1.0, conductivity=5e-324, **self.TINY)
         with pytest.raises(MeshError) as info:
-            vem.thermal_projection(UNIT_SQUARE, props, elem_id=8)
+            thermal_row(UNIT_SQUARE, props, 8)
         assert str(info.value) == "element 8: singular thermal projection system"
         assert info.value.element_id == 8
 
     def test_elastic_singular_projection_carries_id(self):
         props = MaterialProps(E=5e-324, conductivity=1.0, **self.TINY)
         with pytest.raises(MeshError) as info:
-            vem.elastic_projection(UNIT_SQUARE, props, elem_id=9)
+            elastic_row(UNIT_SQUARE, props, 9)
         assert str(info.value) == "element 9: singular elastic projection system"
         assert info.value.element_id == 9
 

@@ -251,6 +251,14 @@ class TestGenerators:
         assert all(e.kind == VE for e in tri)
 
 
+class TestGeneratorLevels:
+    @pytest.mark.parametrize("name", ["generate_sandwich", "generate_fcbga", "generate_igbt"])
+    def test_negative_level_is_parse_error(self, name):
+        import fevec.mesh as meshmod
+        with pytest.raises(ParseError, match="^level must be >= 0, got -1$"):
+            getattr(meshmod, name)(-1)
+
+
 class TestMeshIO:
     def test_round_trip_identity(self, tmp_path):
         from fevec.mesh import generate_fcbga, generate_igbt, generate_sandwich

@@ -4,7 +4,9 @@ import pytest
 from fevec import vem
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import polygon_geometry_from_coords
-from conftest import UNIT_SQUARE, polygon_family
+from conftest import (UNIT_SQUARE, elastic_matrix, elastic_row, polygon_family,
+                      thermal_load_row, thermal_matrix, thermal_row)
+from kernel_oracles import thermal_stiffness_q4
 
 
 def props(E=1.0, nu=0.0, lam=1.0, alpha=1.0, T0=0.0, plane=Plane.STRESS):
@@ -19,7 +21,7 @@ def linear_samples(coords, geom):
 
 class TestThermalProjection:
     def test_unit_square_energy_matrix(self):
-        p = vem.thermal_projection(UNIT_SQUARE, props())
+        p = thermal_row(UNIT_SQUARE, props())
         # area/h^2 with h = sqrt(2)
         assert p.G_energy[1, 1] == pytest.approx(0.5, rel=1e-12)
         assert p.G_energy[2, 2] == pytest.approx(0.5, rel=1e-12)
@@ -27,7 +29,7 @@ class TestThermalProjection:
 
     def test_polynomial_reproduction(self):
         for poly in polygon_family(seed=1, count=40):
-            p = vem.thermal_projection(poly, props())
+            p = thermal_row(poly, props())
             for beta in range(3):
                 coeffs = p.Pi_star @ p.D[:, beta]
                 expected = np.zeros(3)
@@ -36,27 +38,27 @@ class TestThermalProjection:
 
     def test_constant_preserved(self):
         poly = polygon_family(seed=2, count=1)[0]
-        p = vem.thermal_projection(poly, props())
+        p = thermal_row(poly, props())
         assert np.allclose(p.Pi @ np.ones(len(poly)), 1.0)
 
     def test_row_sums_one(self):
         for poly in polygon_family(seed=3, count=10):
-            p = vem.thermal_projection(poly, props())
+            p = thermal_row(poly, props())
             assert np.abs(p.Pi.sum(axis=1) - 1.0).max() < 1e-10
 
 
 class TestThermalStiffness:
     def test_constant_nullspace(self):
         for poly in polygon_family(seed=4, count=20):
-            k = vem.thermal_element_matrices(poly, props(lam=2.5))
+            k = thermal_matrix(poly, props(lam=2.5))
             assert np.abs(k @ np.ones(len(poly))).max() < 1e-12 * np.abs(k).max()
 
     def test_linear_data_pure_consistency(self):
         # stabilization annihilates nodal samples of the monomials
         for poly in polygon_family(seed=5, count=20):
             geom = polygon_geometry_from_coords(poly)
-            p = vem.thermal_projection(poly, props(), geom=geom)
-            k = vem.thermal_element_matrices(poly, props(), projection=p)
+            p = thermal_row(poly, props())
+            k = thermal_matrix(poly, props())
             k_c = p.Pi_star.T @ p.G_energy @ p.Pi_star
             d = linear_samples(poly, geom)
             assert np.abs((k - k_c) @ d).max() < 1e-10 * np.abs(k).max()
@@ -66,16 +68,15 @@ class TestThermalStiffness:
         lam = 3.7
         for poly in polygon_family(seed=6, count=15):
             geom = polygon_geometry_from_coords(poly)
-            k = vem.thermal_element_matrices(poly, props(lam=lam))
+            k = thermal_matrix(poly, props(lam=lam))
             d = linear_samples(poly, geom)
             g2 = lam * geom.area / geom.h ** 2
             for vec, exact in ((d[:, 1], g2), (d[:, 2], g2), (d[:, 1] + d[:, 2], 2 * g2)):
                 assert vec @ (k @ vec) == pytest.approx(exact, rel=1e-9)
 
     def test_fem_vem_agree_on_linear_energy(self, unit_props):
-        from fevec import fem
-        k_fe = fem.thermal_stiffness_q4(UNIT_SQUARE, unit_props)
-        k_ve = vem.thermal_element_matrices(UNIT_SQUARE, unit_props)
+        k_fe = thermal_stiffness_q4(UNIT_SQUARE, unit_props)
+        k_ve = thermal_matrix(UNIT_SQUARE, unit_props)
         geom = polygon_geometry_from_coords(UNIT_SQUARE)
         d = linear_samples(UNIT_SQUARE, geom)
         for beta in (1, 2):
@@ -85,25 +86,25 @@ class TestThermalStiffness:
 
     def test_coordinate_scale_invariance(self):
         poly = polygon_family(seed=7, count=1)[0]
-        k1 = vem.thermal_element_matrices(poly, props())
-        k2 = vem.thermal_element_matrices(4.0 * poly, props())
+        k1 = thermal_matrix(poly, props())
+        k2 = thermal_matrix(4.0 * poly, props())
         assert np.abs(k1 - k2).max() < 1e-12 * np.abs(k1).max()
 
     def test_conductivity_scaling(self):
         poly = polygon_family(seed=8, count=1)[0]
-        k1 = vem.thermal_element_matrices(poly, props(lam=1.0))
-        k5 = vem.thermal_element_matrices(poly, props(lam=5.0))
+        k1 = thermal_matrix(poly, props(lam=1.0))
+        k5 = thermal_matrix(poly, props(lam=5.0))
         assert np.allclose(k5, 5.0 * k1, rtol=1e-12)
 
 
 class TestElasticProjection:
     def test_unit_square_m55(self):
-        p = vem.elastic_projection(UNIT_SQUARE, props())
+        p = elastic_row(UNIT_SQUARE, props())
         assert p.M_energy[4, 4] == pytest.approx(0.5, rel=1e-12)
 
     def test_reproduction_of_all_modes(self):
         for poly in polygon_family(seed=9, count=40):
-            p = vem.elastic_projection(poly, props(E=3.0, nu=0.25))
+            p = elastic_row(poly, props(E=3.0, nu=0.25))
             for alpha in range(6):
                 coeffs = p.Pi_star @ p.D_bar[:, alpha]
                 expected = np.zeros(6)
@@ -112,7 +113,7 @@ class TestElasticProjection:
 
     def test_rigid_translation_strain_free(self):
         poly = polygon_family(seed=10, count=1)[0]
-        p = vem.elastic_projection(poly, props())
+        p = elastic_row(poly, props())
         ux = np.zeros(2 * len(poly))
         ux[0::2] = 1.0
         coeffs = p.Pi_star @ ux
@@ -123,7 +124,7 @@ class TestElasticProjection:
 class TestElasticStiffness:
     def test_rigid_modes_nullspace(self):
         for poly in polygon_family(seed=11, count=20):
-            k = vem.elastic_element_matrices(poly, props(E=200.0, nu=0.3))
+            k = elastic_matrix(poly, props(E=200.0, nu=0.3))
             n = len(poly)
             tx = np.tile([1.0, 0.0], n)
             ty = np.tile([0.0, 1.0], n)
@@ -137,8 +138,8 @@ class TestElasticStiffness:
         dhat = elasticity_matrix(mats)
         for poly in polygon_family(seed=12, count=15):
             geom = polygon_geometry_from_coords(poly)
-            p = vem.elastic_projection(poly, mats, geom=geom)
-            k = vem.elastic_element_matrices(poly, mats, projection=p)
+            p = elastic_row(poly, mats)
+            k = elastic_matrix(poly, mats)
             for alpha in (3, 4, 5):
                 d = p.D_bar[:, alpha]
                 eps = p.strain_basis[:, alpha]
@@ -147,8 +148,8 @@ class TestElasticStiffness:
 
     def test_nullspace_dimensions(self):
         for poly in polygon_family(seed=13, count=25):
-            kt = vem.thermal_element_matrices(poly, props())
-            ke = vem.elastic_element_matrices(poly, props(E=10.0, nu=0.3))
+            kt = thermal_matrix(poly, props())
+            ke = elastic_matrix(poly, props(E=10.0, nu=0.3))
             wt = np.linalg.eigvalsh(kt)
             we = np.linalg.eigvalsh(ke)
             assert (np.abs(wt) < 1e-9 * wt.max()).sum() == 1
@@ -156,16 +157,16 @@ class TestElasticStiffness:
 
     def test_symmetry(self):
         for poly in polygon_family(seed=14, count=10):
-            kt = vem.thermal_element_matrices(poly, props())
-            ke = vem.elastic_element_matrices(poly, props(E=5.0, nu=0.1))
+            kt = thermal_matrix(poly, props())
+            ke = elastic_matrix(poly, props(E=5.0, nu=0.1))
             assert np.abs(kt - kt.T).max() <= 1e-12 * np.abs(kt).max()
             assert np.abs(ke - ke.T).max() <= 1e-12 * np.abs(ke).max()
 
     def test_elastic_scale_invariance(self):
         poly = polygon_family(seed=15, count=1)[0]
         mats = props(E=100.0, nu=0.3)
-        k1 = vem.elastic_element_matrices(poly, mats)
-        k2 = vem.elastic_element_matrices(2.5 * poly, mats)
+        k1 = elastic_matrix(poly, mats)
+        k2 = elastic_matrix(2.5 * poly, mats)
         assert np.abs(k1 - k2).max() < 1e-11 * np.abs(k1).max()
 
     def test_quad_as_polygon_patch_tractions(self):
@@ -179,7 +180,7 @@ class TestElasticStiffness:
         sigma = dhat @ eps
         for poly in polygon_family(seed=16, count=10):
             geom = polygon_geometry_from_coords(poly)
-            k = vem.elastic_element_matrices(poly, mats)
+            k = elastic_matrix(poly, mats)
             d = (grad @ poly.T).T.ravel()
             d_i = vem.vertex_normal_lengths(geom)
             f = np.zeros_like(d)
@@ -191,14 +192,14 @@ class TestElasticStiffness:
 class TestVemThermalLoad:
     def test_zero_at_reference(self):
         poly = polygon_family(seed=17, count=1)[0]
-        f = vem.vem_thermal_load(poly, props(T0=20.0), np.full(len(poly), 20.0))
+        f = thermal_load_row(poly, props(T0=20.0), np.full(len(poly), 20.0))
         assert np.abs(f).max() == 0.0
 
     def test_sign_flip(self):
         poly = polygon_family(seed=18, count=1)[0]
         mats = props(T0=0.0)
-        hot = vem.vem_thermal_load(poly, mats, np.full(len(poly), 30.0))
-        cold = vem.vem_thermal_load(poly, mats, np.full(len(poly), -30.0))
+        hot = thermal_load_row(poly, mats, np.full(len(poly), 30.0))
+        cold = thermal_load_row(poly, mats, np.full(len(poly), -30.0))
         assert np.allclose(hot, -cold)
 
     def test_single_element_free_expansion(self):
@@ -229,7 +230,7 @@ class TestAcceptancePropertySweep:
     def test_sweep_small(self):
         mats = props(E=10.0, nu=0.3)
         for poly in polygon_family(seed=100, count=30):
-            tp = vem.thermal_projection(poly, mats)
-            ep = vem.elastic_projection(poly, mats)
+            tp = thermal_row(poly, mats)
+            ep = elastic_row(poly, mats)
             assert np.abs(tp.Pi @ tp.D - tp.D).max() < 1e-9
             assert np.abs(ep.Pi @ ep.D_bar - ep.D_bar).max() < 1e-9
