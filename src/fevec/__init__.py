@@ -6,10 +6,10 @@ from .assembly import (BoundaryConditionSet, DofMap, SparseSystem,
 from .errors import (AssemblyError, FevecError, MeshError, ParseError,
                      SolverError)
 from .materials import MaterialProps, Plane, elasticity_matrix, thermal_strain_voigt
-from .mesh import (Element, ElementKind, Mesh, Node, PolygonGeometry,
+from .mesh import (Element, ElementKind, Mesh, Node, PolygonStack,
                    find_interface_nodes, generate_plate_with_hole,
                    generate_quarter_annulus, generate_split_square,
-                   generate_structured_quads, load_mesh, polygon_geometry,
+                   generate_structured_quads, load_mesh, polygon_stack,
                    save_mesh, validate_mesh)
 from .post import (ElementStress, LineProbe, export_fields, line_probe,
                    mean_relative_error, nodal_von_mises, recover_stress,

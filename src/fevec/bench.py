@@ -31,11 +31,11 @@ import numpy as np
 
 from . import mesh as meshmod
 from . import post, vem
-from .assembly import BoundaryConditionSet, assemble_thermal
+from .assembly import BoundaryConditionSet, assemble_thermal  # noqa: F401 (public alias)
 from .errors import FevecError, SolverError
 from .materials import MaterialProps, Plane, gather_materials
 from .mesh import ElementKind, Mesh, polygon_stack
-from .solver import SolutionFields, SolveOptions, run_pipeline, solve_system
+from .solver import SolutionFields, SolveOptions, run_pipeline
 
 METHODS = ("coupled", "fe", "ve")
 
@@ -378,18 +378,11 @@ def solve_case(case: BenchmarkCase, level: int, method: str,
                ) -> tuple[Mesh, SolutionFields, list[post.ElementStress] | None, int]:
     """Run one refinement; returns mesh, fields, stresses and dof count."""
     mesh = case.build_mesh(level, method)
-    bcs = case.make_bcs(mesh)
-    options = options or SolveOptions()
-    if case.thermal_only:
-        system = assemble_thermal(mesh, case.materials, bcs, tau=options.tau)
-        temperature, diag = solve_system(system, options)
-        fields = SolutionFields(temperature=temperature, displacement=None,
-                                thermal_diag=diag)
+    fields = run_pipeline(mesh, case.materials, case.make_bcs(mesh), options,
+                          mechanical=not case.thermal_only)
+    if fields.displacement is None:
         return mesh, fields, None, mesh.n_nodes
-    fields = run_pipeline(mesh, case.materials, bcs, options)
-    stresses = post.recover_stress(mesh, case.materials, fields)
-    ndof = 2 * mesh.n_nodes
-    return mesh, fields, stresses, ndof
+    return mesh, fields, post.recover_stress(mesh, case.materials, fields), 2 * mesh.n_nodes
 
 
 def run_convergence(case: BenchmarkCase, method: str,
@@ -566,12 +559,11 @@ class PropertyRunResult:
 
 def material_interface_elements(mesh: Mesh) -> set[int]:
     """Elements with at least one edge shared with a different region."""
-    out: set[int] = set()
-    region = {e.id: e.region for e in mesh.elements}
-    for eids in mesh._edge_elems.values():
-        if len(eids) == 2 and region[eids[0]] != region[eids[1]]:
-            out.update(eids)
-    return out
+    owners, start = mesh.edge_owners()
+    two = start[mesh.edge_counts == 2]
+    first, second = owners[two], owners[two + 1]
+    differ = mesh.element_regions[first] != mesh.element_regions[second]
+    return set(mesh.element_ids[np.concatenate((first[differ], second[differ]))].tolist())
 
 
 def interface_continuity(mesh: Mesh, materials, fields: SolutionFields) -> float:

@@ -43,6 +43,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .assembly import BoundaryConditionSet
 from .errors import AssemblyError, ParseError, SolverError
 from .materials import MaterialProps, Plane
@@ -294,16 +296,18 @@ def build_bcs(cfg: RunConfig, mesh: Mesh) -> BoundaryConditionSet:
         elif spec.kind == "dirichlet_u":
             for n in mesh.nodes_with_label(label):
                 bcs.set_displacement(n, spec.values[0], spec.values[1])
-        elif spec.kind == "flux":
-            for (a, b) in mesh.edges_with_label(label):
-                if len(mesh.edge_elements(a, b)) != 1:
-                    raise AssemblyError(f"flux label '{label}' sits on interior edge ({a},{b})")
-                bcs.flux_edges.append((a, b, spec.values[0]))
-        elif spec.kind == "traction":
-            for (a, b) in mesh.edges_with_label(label):
-                if len(mesh.edge_elements(a, b)) != 1:
-                    raise AssemblyError(f"traction label '{label}' sits on interior edge ({a},{b})")
-                bcs.traction_edges.append((a, b, (spec.values[0], spec.values[1])))
+        else:   # flux or traction: true boundary edges only
+            edges = mesh.edges_with_label(label)
+            # An edge of no element (index -1) reads the appended count 0.
+            counts = np.append(mesh.edge_counts, 0)[mesh.edge_index(edges)]
+            if (counts != 1).any():
+                a, b = edges[int(np.argmax(counts != 1))]
+                raise AssemblyError(f"{spec.kind} label '{label}' sits on interior edge ({a},{b})")
+            if spec.kind == "flux":
+                bcs.flux_edges.extend((a, b, spec.values[0]) for a, b in edges)
+            else:
+                traction = (spec.values[0], spec.values[1])
+                bcs.traction_edges.extend((a, b, traction) for a, b in edges)
     missing = {r for r in mesh.regions() if r not in cfg.materials}
     if missing:
         raise AssemblyError(f"mesh regions without material blocks: {sorted(missing)}")

@@ -7,6 +7,10 @@ kernel.  Elements of the two kinds may only meet along edges whose end nodes
 are shared (coincident interface nodes); the set of such nodes is computed
 once and stored on the mesh.
 
+Edge topology is built once per mesh as arrays (``Mesh.edges`` and, per
+element side, ``side_element`` / ``side_edge``); every edge reader uses them
+and reads element data by position, never by element id.
+
 All lengths are millimetres.  Vertex order is counter-clockwise everywhere.
 """
 
@@ -43,22 +47,6 @@ class Element:
     region: int
 
 
-@dataclass(frozen=True)
-class PolygonGeometry:
-    """Derived geometry of one polygonal element.
-
-    ``h`` is the characteristic size (maximum pairwise vertex distance);
-    ``edge_normals[i]`` is the outward unit normal of the edge from vertex i
-    to vertex i+1 (cyclic).
-    """
-
-    centroid: tuple[float, float]
-    area: float
-    h: float
-    edge_normals: np.ndarray  # (n_v, 2)
-    edge_lengths: np.ndarray  # (n_v,)
-
-
 def shoelace_area(coords: np.ndarray) -> float:
     """Signed polygon area; positive for counter-clockwise vertex order."""
     x = coords[:, 0]
@@ -82,23 +70,6 @@ def shoelace_areas(coords: np.ndarray) -> np.ndarray:
     return 0.5 * (rowdot(x, np.roll(y, -1, axis=-1)) - rowdot(y, np.roll(x, -1, axis=-1)))
 
 
-def polygon_geometry(element: Element, nodes: Sequence[Node] | np.ndarray) -> PolygonGeometry:
-    """Centroid, area, characteristic size and edge data for one element.
-
-    Raises MeshError (naming the element) for degenerate polygons: zero-length
-    edges or non-positive area.
-    """
-    if not isinstance(nodes, np.ndarray):
-        nodes = np.array([[n.x, n.y] for n in nodes], dtype=float)
-    return polygon_geometry_from_coords(nodes[list(element.vertices)], elem_id=element.id)
-
-
-def polygon_geometry_from_coords(coords: np.ndarray, elem_id: int | None = None) -> PolygonGeometry:
-    """``polygon_geometries`` of one polygon's (n_v, 2) coordinates."""
-    coords = np.asarray(coords, dtype=float)
-    return polygon_geometries(coords[None], None if elem_id is None else [elem_id])[0]
-
-
 def _edges(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge vectors (vertex i to i+1, cyclic) and lengths of a (..., n_v, 2) stack.
 
@@ -113,7 +84,10 @@ def _edges(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PolygonStack:
-    """``PolygonGeometry`` of a stack of polygons, one row per polygon."""
+    """Derived geometry of a stack of polygons, one row per polygon.
+
+    ``h`` is the maximum pairwise vertex distance; ``edge_normals[:, i]`` is
+    the outward unit normal of the edge from vertex i to i+1 (cyclic)."""
 
     centroid: np.ndarray      # (m, 2)
     area: np.ndarray          # (m,)
@@ -163,17 +137,6 @@ def polygon_stack(coords: np.ndarray,
                         edge_normals=normals, edge_lengths=lengths)
 
 
-def polygon_geometries(coords: np.ndarray,
-                       element_ids: Sequence[int] | np.ndarray | None = None
-                       ) -> list[PolygonGeometry]:
-    """``polygon_stack`` of a (m, n_v, 2) stack, as one PolygonGeometry per row."""
-    g = polygon_stack(coords, element_ids)
-    return [PolygonGeometry(centroid=(float(g.centroid[r, 0]), float(g.centroid[r, 1])),
-                            area=float(g.area[r]), h=float(g.h[r]),
-                            edge_normals=g.edge_normals[r], edge_lengths=g.edge_lengths[r])
-            for r in range(len(g.area))]
-
-
 _VE_BLOCK_ROWS = 1 << 10   # see Mesh.element_blocks
 
 
@@ -181,14 +144,16 @@ def _edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _edge_map(elements: Sequence[Element]) -> dict[tuple[int, int], list[int]]:
-    """Sorted node pair -> ids of the elements that have that edge, in list order."""
-    edges: dict[tuple[int, int], list[int]] = {}
-    for e in elements:
-        v = e.vertices
-        for a, b in zip(v, v[1:] + v[:1]):
-            edges.setdefault(_edge_key(a, b), []).append(e.id)
-    return edges
+def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the distinct values of ``keys`` in order of first use.
+
+    Returns the sorted distinct values, the number of each, and the number
+    of every entry of ``keys`` (shaped like ``keys``).
+    """
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    number = np.empty_like(first)
+    number[np.argsort(first)] = np.arange(first.size)
+    return distinct, number, number[inverse].reshape(keys.shape)
 
 
 class Mesh:
@@ -208,8 +173,6 @@ class Mesh:
             _edge_key(*k): v for k, v in (boundary_edges or {}).items()
         }
         self.coords: np.ndarray = np.array([[n.x, n.y] for n in self.nodes], dtype=float).reshape(-1, 2)
-        self._edge_elems: dict[tuple[int, int], list[int]] = _edge_map(self.elements)
-        self.interface_nodes: set[int] = find_interface_nodes(self)
 
         # Array views of the element list; index = position in ``elements``.
         self.element_ids = np.array([e.id for e in self.elements], dtype=np.int64)
@@ -220,10 +183,31 @@ class Mesh:
         # n_v -> (positions in element-id order, (m, n_v) vertex ids)
         self.vertex_groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         n_v = np.array([len(e.vertices) for e in self.elements], dtype=np.int64)
+        # Every element side (vertex i to i+1, cyclic) as a sorted node pair, in
+        # element-list order: side i of the element at position p is row start[p] + i.
+        start = np.cumsum(n_v) - n_v
+        pairs = np.empty((int(n_v.sum()), 2), dtype=np.int64)
         for count in np.unique(n_v).tolist():
             pos = self.element_order[n_v[self.element_order] == count]
-            verts = np.array([self.elements[p].vertices for p in pos.tolist()], dtype=np.int64)
-            self.vertex_groups[count] = (pos, verts.reshape(pos.size, count))
+            verts = np.array([self.elements[p].vertices for p in pos.tolist()],
+                             dtype=np.int64).reshape(pos.size, count)
+            self.vertex_groups[count] = (pos, verts)
+            sides = np.stack((verts, np.roll(verts, -1, axis=1)), axis=2).reshape(-1, 2)
+            pairs[(start[pos, None] + np.arange(count)).ravel()] = np.sort(sides, axis=1)
+
+        # Edge table: ``side_element`` and ``side_edge`` give each side's element
+        # position and edge; ``edges`` are the distinct sorted node pairs,
+        # numbered in order of first appearance.
+        self.side_element: np.ndarray = np.repeat(np.arange(n_v.size), n_v)
+        # An exact int64 key per pair from the ranks of its end nodes.
+        ends, rank = np.unique(pairs, return_inverse=True)
+        rank = rank.reshape(pairs.shape)
+        keys, edge_of_key, self.side_edge = _first_use(rank[:, 0] * ends.size + rank[:, 1])
+        self.edges = np.empty((keys.size, 2), dtype=np.int64)
+        self.edges[self.side_edge] = pairs
+        self.edge_counts: np.ndarray = np.bincount(self.side_edge, minlength=keys.size)
+        self._edge_lookup = (ends, keys, edge_of_key)
+        self.interface_nodes: set[int] = find_interface_nodes(self)
 
     @property
     def n_nodes(self) -> int:
@@ -236,8 +220,22 @@ class Mesh:
     def element_coords(self, element: Element) -> np.ndarray:
         return self.coords[list(element.vertices)]
 
-    def edge_elements(self, a: int, b: int) -> list[int]:
-        return self._edge_elems.get(_edge_key(a, b), [])
+    def edge_index(self, pairs) -> np.ndarray:
+        """Index in ``edges`` of each node pair (either order), -1 where no element has it."""
+        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+        ends, keys, edge_of_key = self._edge_lookup
+        if not keys.size:
+            return np.full(len(pairs), -1, dtype=np.int64)
+        rank = np.searchsorted(ends, pairs).clip(max=ends.size - 1)
+        key = rank[:, 0] * ends.size + rank[:, 1]
+        k = np.searchsorted(keys, key).clip(max=keys.size - 1)
+        return np.where((ends[rank] == pairs).all(axis=1) & (keys[k] == key), edge_of_key[k], -1)
+
+    def edge_owners(self) -> tuple[np.ndarray, np.ndarray]:
+        """Element positions of all sides grouped by edge, and where each edge starts:
+        edge k's owners, one per side in list order, are ``owners[start[k]:][:edge_counts[k]]``."""
+        start = np.cumsum(self.edge_counts) - self.edge_counts
+        return self.side_element[np.argsort(self.side_edge, kind="stable")], start
 
     def edges_with_label(self, label: str) -> list[tuple[int, int]]:
         return sorted(k for k, lab in self.boundary_edges.items() if lab == label)
@@ -326,15 +324,9 @@ class Mesh:
 
 def find_interface_nodes(mesh: Mesh) -> set[int]:
     """Nodes on edges shared by exactly one FE and one VE element."""
-    kind_of = {e.id: e.kind for e in mesh.elements}
-    out: set[int] = set()
-    for (a, b), elems in mesh._edge_elems.items():
-        if len(elems) == 2:
-            k0, k1 = kind_of[elems[0]], kind_of[elems[1]]
-            if k0 != k1:
-                out.add(a)
-                out.add(b)
-    return out
+    fe_sides = np.bincount(mesh.side_edge[mesh.element_fe[mesh.side_element]],
+                           minlength=len(mesh.edges))
+    return set(np.unique(mesh.edges[(mesh.edge_counts == 2) & (fe_sides == 1)]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +460,19 @@ def validate_mesh(mesh: Mesh) -> list[Violation]:
         if p in flawed:
             report.append(flawed[p])
 
-    for (a, b), elems in mesh._edge_elems.items():
-        if len(elems) > 2:
-            report.append(Violation("edge-sharing",
-                                    f"edge ({a},{b}) shared by {len(elems)} elements {sorted(elems)}"))
+    shared = np.flatnonzero(mesh.edge_counts > 2)
+    if shared.size:
+        owners, start = mesh.edge_owners()
+        for k in shared.tolist():
+            (a, b), n = mesh.edges[k].tolist(), int(mesh.edge_counts[k])
+            ids = sorted(mesh.element_ids[owners[start[k]:start[k] + n]].tolist())
+            report.append(Violation("edge-sharing", f"edge ({a},{b}) shared by {n} elements {ids}"))
 
-    for (a, b) in mesh.boundary_edges:
+    orphan = mesh.edge_index(list(mesh.boundary_edges)) < 0
+    for (a, b), lost in zip(mesh.boundary_edges, orphan.tolist()):
         if a >= n_nodes or b >= n_nodes:
             report.append(Violation("bedge-nodes", f"labeled edge ({a},{b}) references missing node"))
-        elif not mesh.edge_elements(a, b):
+        elif lost:
             report.append(Violation("bedge-orphan", f"labeled edge ({a},{b}) is not an edge of any element"))
 
     report.extend(_check_interface_coincidence(mesh))
@@ -505,12 +501,17 @@ def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
     mixed = touches[True] & touches[False]
     if not mixed.any():
         return report
-    mixed_nodes = set(np.flatnonzero(mixed).tolist())
 
-    edge_elems = mesh._edge_elems
-    if not in_range.all():
-        edge_elems = _edge_map([e for e, ok in zip(mesh.elements, in_range.tolist()) if ok])
-    fe_of = dict(zip(mesh.element_ids[in_range].tolist(), mesh.element_fe[in_range].tolist()))
+    # Edges of the in-range elements, in order of their first in-range side,
+    # that have sides of one kind only and touch a mixed node.
+    kept = in_range[mesh.side_element]
+    sides = mesh.side_edge[kept]
+    n_sides = np.bincount(sides, minlength=len(mesh.edges))
+    n_fe = np.bincount(sides[mesh.element_fe[mesh.side_element[kept]]], minlength=len(mesh.edges))
+    scan, first = np.unique(sides, return_index=True)
+    scan = scan[np.argsort(first)]
+    one_kind = (n_fe[scan] == 0) | (n_fe[scan] == n_sides[scan])
+    scan = scan[one_kind & mixed[mesh.edges[scan]].any(axis=1)]
 
     # Nodes of each kind, sorted by x, so each edge scans only the nodes
     # inside its x range.
@@ -520,13 +521,9 @@ def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
         ids = ids[np.argsort(mesh.coords[ids, 0], kind="stable")]
         candidates[fe] = (ids, mesh.coords[ids, 0], mesh.coords[ids])
 
-    for (a, b), eids in edge_elems.items():
-        if a not in mixed_nodes and b not in mixed_nodes:
-            continue  # edge nowhere near the interface
-        edge_kinds = {fe_of[i] for i in eids}
-        if len(edge_kinds) > 1:
-            continue  # properly matched interface edge
-        (edge_fe,) = edge_kinds
+    for k in scan.tolist():
+        a, b = mesh.edges[k].tolist()
+        edge_fe = bool(n_fe[k])
         ids, xs, pts = candidates[not edge_fe]
         pa, pb = mesh.coords[a], mesh.coords[b]
         ab = pb - pa
@@ -741,40 +738,37 @@ def generate_tagged_grid(xs: Sequence[float], ys: Sequence[float],
             cx, cy = 0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])
             tag = cell_of(cx, cy)
             if tag is not None:
-                cells.append((i, j, tag[0], tag[1]))
+                cells.append((j * (nx + 1) + i, tag[0], tag[1]))
 
-    grid_id: dict[tuple[int, int], int] = {}
-    nodes: list[Node] = []
+    # Grid corner (i, j) has key j * (nx + 1) + i, a cell that of its lower-left
+    # corner; nodes are numbered in order of first use by the kept cells' corners.
+    corners = np.array([c[0] for c in cells], dtype=np.int64)[:, None] + [0, 1, nx + 2, nx + 1]
+    keys, node_of_key, verts = _first_use(corners)
+    j_of, i_of = np.divmod(keys[np.argsort(node_of_key)], nx + 1)
+    nodes = [Node(n, xs[i], ys[j]) for n, (i, j) in enumerate(zip(i_of.tolist(), j_of.tolist()))]
+    elements = [Element(eid, tuple(v), kind, region)
+                for eid, (v, (_, region, kind)) in enumerate(zip(verts.tolist(), cells))]
+    mesh = Mesh(nodes, elements)
 
-    def node_at(i: int, j: int) -> int:
-        key = (i, j)
-        if key not in grid_id:
-            grid_id[key] = len(nodes)
-            nodes.append(Node(len(nodes), xs[i], ys[j]))
-        return grid_id[key]
-
-    elements = []
-    for eid, (i, j, region, kind) in enumerate(cells):
-        v = (node_at(i, j), node_at(i + 1, j), node_at(i + 1, j + 1), node_at(i, j + 1))
-        elements.append(Element(eid, v, kind, region))
-
+    # Labels come from the mesh's own edge table, so they are set after
+    # construction; the callbacks see only boundary and region-change edges.
+    count = mesh.edge_counts
+    owners, start = mesh.edge_owners()
+    r0 = mesh.element_regions[owners[start]]
+    r1 = mesh.element_regions[owners[start + count - 1]]
+    boundary = (count == 1) & (label_of is not None)
+    interface = (count == 2) & (r0 != r1) & (interior_label_of is not None)
     bedges: dict[tuple[int, int], str] = {}
-    for (a, b), eids in _edge_map(elements).items():
+    for k in np.flatnonzero(boundary | interface).tolist():
+        a, b = mesh.edges[k].tolist()
         mx = 0.5 * (nodes[a].x + nodes[b].x)
         my = 0.5 * (nodes[a].y + nodes[b].y)
-        if len(eids) == 1:
-            if label_of is not None:
-                lab = label_of(mx, my)
-                if lab is not None:
-                    bedges[(a, b)] = lab
-        elif interior_label_of is not None:
-            r0 = elements[eids[0]].region
-            r1 = elements[eids[1]].region
-            if r0 != r1:
-                lab = interior_label_of(r0, r1, mx, my)
-                if lab is not None:
-                    bedges[(a, b)] = lab
-    return Mesh(nodes, elements, bedges)
+        lab = (label_of(mx, my) if boundary[k]
+               else interior_label_of(int(r0[k]), int(r1[k]), mx, my))
+        if lab is not None:
+            bedges[(a, b)] = lab
+    mesh.boundary_edges = bedges
+    return mesh
 
 
 def subdivided(breaks: Sequence[float], cells_per_span: Sequence[int]) -> list[float]:
@@ -977,6 +971,13 @@ def save_mesh(mesh: Mesh, path: str) -> None:
         f.write(mesh_text(mesh))
 
 
+def _int64(token: str) -> int:
+    """An integer record field; ids, regions and node ids are stored as int64."""
+    if not -2 ** 63 <= (value := int(token)) < 2 ** 63:
+        raise ValueError(f"integer {token} outside the int64 range")
+    return value
+
+
 def load_mesh(path: str, validate: bool = True) -> Mesh:
     """Parse a mesh file.
 
@@ -1008,28 +1009,28 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
             if tok[0] == "node":
                 if len(tok) != 4:
                     raise ValueError("node record needs: node <id> <x> <y>")
-                nid = int(tok[1])
+                nid = _int64(tok[1])
                 if nid in nodes:
                     raise ValueError(f"duplicate node id {nid}")
                 nodes[nid] = Node(nid, float(tok[2]), float(tok[3]))
             elif tok[0] == "elem":
-                eid = int(tok[1])
+                eid = _int64(tok[1])
                 if eid in elements:
                     raise ValueError(f"duplicate element id {eid}")
                 try:
                     kind = ElementKind(tok[2])
                 except ValueError:
                     raise ValueError(f"unknown element kind '{tok[2]}' (expected FE or VE)")
-                region = int(tok[3])
+                region = _int64(tok[3])
                 nv = int(tok[4])
-                verts = tuple(int(t) for t in tok[5:])
+                verts = tuple(_int64(t) for t in tok[5:])
                 if len(verts) != nv:
                     raise ValueError(f"element {eid}: declared {nv} vertices, found {len(verts)}")
                 elements[eid] = Element(eid, verts, kind, region)
             elif tok[0] == "bedge":
                 if len(tok) != 4:
                     raise ValueError("bedge record needs: bedge <label> <n0> <n1>")
-                bedges[_edge_key(int(tok[2]), int(tok[3]))] = tok[1]
+                bedges[_edge_key(_int64(tok[2]), _int64(tok[3]))] = tok[1]
             else:
                 raise ValueError(f"unknown record '{tok[0]}'")
         except (ValueError, IndexError) as exc:

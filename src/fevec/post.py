@@ -342,9 +342,8 @@ def _edge_crossings(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> list[float]:
     len2 = float(d @ d)
     if len2 == 0.0:
         return []
-    edges = np.array(list(mesh._edge_elems), dtype=np.int64).reshape(-1, 2)
-    start = mesh.coords[edges[:, 0]]
-    ev = mesh.coords[edges[:, 1]] - start
+    start = mesh.coords[mesh.edges[:, 0]]
+    ev = mesh.coords[mesh.edges[:, 1]] - start
     wv = start - a
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = d[0] * ev[:, 1] - d[1] * ev[:, 0]
@@ -352,7 +351,7 @@ def _edge_crossings(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> list[float]:
         tv = (wv[:, 0] * d[1] - wv[:, 1] * d[0]) / denom
     near = (np.abs(sv - 0.5) <= 0.5 + 1e-6) & (np.abs(tv - 0.5) <= 0.5 + 1e-6)
     out: set[float] = set()
-    for (i, j) in edges[near].tolist():
+    for (i, j) in mesh.edges[near].tolist():
         p = mesh.coords[i]
         q = mesh.coords[j]
         e = q - p

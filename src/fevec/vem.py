@@ -42,12 +42,12 @@ import numpy as np
 
 from .errors import MeshError
 from .materials import MaterialArrays
-from .mesh import PolygonGeometry, PolygonStack, polygon_stack
+from .mesh import PolygonStack, polygon_stack
 
 DEFAULT_STABILIZATION = 0.5
 
 
-def vertex_normal_lengths(geom: PolygonGeometry | PolygonStack) -> np.ndarray:
+def vertex_normal_lengths(geom: PolygonStack) -> np.ndarray:
     """Per-vertex boundary weights d_i = (n_prev*L_prev + n_next*L_next)/2, (..., n_v, 2).
 
     d_i equals the exact boundary integral of the hat trace psi_i against a
@@ -57,7 +57,7 @@ def vertex_normal_lengths(geom: PolygonGeometry | PolygonStack) -> np.ndarray:
     return 0.5 * (weighted + np.roll(weighted, 1, axis=-2))
 
 
-def scaled_coords(coords: np.ndarray, geom: PolygonGeometry | PolygonStack) -> np.ndarray:
+def scaled_coords(coords: np.ndarray, geom: PolygonStack) -> np.ndarray:
     """Monomial coordinates (zeta, rho) of the vertices, bounded by 1."""
     return (coords - np.asarray(geom.centroid)[..., None, :]) / np.asarray(geom.h)[..., None, None]
 

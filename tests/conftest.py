@@ -5,6 +5,7 @@ import pytest
 
 from fevec import vem
 from fevec.materials import MaterialProps, Plane, gather_materials
+from fevec.mesh import polygon_stack
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -33,6 +34,20 @@ def random_polygon(rng, n_v, scale=1.0, center=(0.0, 0.0), convex=False):
     return scale * pts + np.asarray(center)
 
 
+def edge_dict(mesh):
+    """Sorted node pair -> positions of the elements with a side on it, one per side.
+
+    The element-by-element loop that the mesh's edge arrays replaced; keys
+    are in order of first appearance.
+    """
+    edges = {}
+    for pos, e in enumerate(mesh.elements):
+        v = e.vertices
+        for a, b in zip(v, v[1:] + v[:1]):
+            edges.setdefault((min(a, b), max(a, b)), []).append(pos)
+    return edges
+
+
 def polygon_family(seed=42, count=200):
     """Seeded mixed family of convex and non-convex polygons, 3..10 vertices."""
     rng = np.random.default_rng(seed)
@@ -55,9 +70,15 @@ def one_material(props):
 
 
 def first_row(stack):
-    """Row 0 of every array field of a stacked projection."""
+    """Row 0 of every array field of a stacked projection or geometry."""
     return SimpleNamespace(**{k: v[0] for k, v in vars(stack).items()
                               if isinstance(v, np.ndarray)})
+
+
+def polygon_row(coords, element_id=None):
+    """Row 0 of ``polygon_stack`` of one polygon."""
+    ids = None if element_id is None else [element_id]
+    return first_row(polygon_stack(np.asarray(coords, dtype=float)[None], ids))
 
 
 def _one_row(projection, coords, props, element_id):

@@ -3,19 +3,21 @@
 These are the one-element-at-a-time bodies that ``fevec.vem`` (stacked VE
 projections, matrices, loads and stresses) and ``fevec.fem`` (batched Q4
 matrices and loads) replaced.  Tests compare the library kernels against
-them row by row, bit for bit.
+them row by row, bit for bit.  A polygon's geometry ``geom`` is one row of
+``polygon_stack`` (``conftest.polygon_row``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from fevec.errors import MeshError
 from fevec.fem import GAUSS_2X2, q4_shape_eval
 from fevec.materials import MaterialProps, elasticity_matrix, thermal_strain_voigt
-from fevec.mesh import PolygonGeometry, polygon_geometry_from_coords
+from conftest import polygon_row
 
 DEFAULT_STABILIZATION = 0.5
 
@@ -62,18 +64,18 @@ def thermal_load_q4(coords: np.ndarray, props: MaterialProps,
 # Virtual element polygon
 
 
-def vertex_normal_lengths(geom: PolygonGeometry) -> np.ndarray:
+def vertex_normal_lengths(geom: SimpleNamespace) -> np.ndarray:
     weighted = geom.edge_normals * geom.edge_lengths[:, None]
     return 0.5 * (weighted + np.roll(weighted, 1, axis=0))
 
 
-def scaled_coords(coords: np.ndarray, geom: PolygonGeometry) -> np.ndarray:
+def scaled_coords(coords: np.ndarray, geom: SimpleNamespace) -> np.ndarray:
     return (coords - np.asarray(geom.centroid)) / geom.h
 
 
 @dataclass(frozen=True)
 class ThermalProjection:
-    geom: PolygonGeometry
+    geom: SimpleNamespace
     G: np.ndarray          # (3, 3) closed system matrix
     G_energy: np.ndarray   # (3, 3) raw energy matrix (constant row zero)
     B: np.ndarray          # (3, n_v) closed right-hand sides
@@ -84,7 +86,7 @@ class ThermalProjection:
 
 @dataclass(frozen=True)
 class ElasticProjection:
-    geom: PolygonGeometry
+    geom: SimpleNamespace
     M: np.ndarray          # (6, 6) closed system matrix
     M_energy: np.ndarray   # (6, 6) raw energy matrix (rigid rows/cols zero)
     B_bar: np.ndarray      # (6, 2 n_v) closed right-hand sides
@@ -95,11 +97,11 @@ class ElasticProjection:
 
 
 def thermal_projection(coords: np.ndarray, props: MaterialProps,
-                       geom: PolygonGeometry | None = None,
+                       geom: SimpleNamespace | None = None,
                        elem_id: int | None = None) -> ThermalProjection:
     coords = np.asarray(coords, dtype=float)
     if geom is None:
-        geom = polygon_geometry_from_coords(coords, elem_id)
+        geom = polygon_row(coords, elem_id)
     n_v = coords.shape[0]
     lam = props.conductivity
     h = geom.h
@@ -142,7 +144,7 @@ def thermal_element_matrices(coords: np.ndarray, props: MaterialProps,
     return k_c + k_s
 
 
-def vector_strain_basis(geom: PolygonGeometry) -> np.ndarray:
+def vector_strain_basis(geom: SimpleNamespace) -> np.ndarray:
     h = geom.h
     eps = np.zeros((3, 6))
     eps[2, 3] = 2.0 / h
@@ -151,7 +153,7 @@ def vector_strain_basis(geom: PolygonGeometry) -> np.ndarray:
     return eps
 
 
-def vector_dof_matrix(coords: np.ndarray, geom: PolygonGeometry) -> np.ndarray:
+def vector_dof_matrix(coords: np.ndarray, geom: SimpleNamespace) -> np.ndarray:
     n_v = coords.shape[0]
     sc = scaled_coords(coords, geom)
     zeta, rho = sc[:, 0], sc[:, 1]
@@ -168,11 +170,11 @@ def vector_dof_matrix(coords: np.ndarray, geom: PolygonGeometry) -> np.ndarray:
 
 
 def elastic_projection(coords: np.ndarray, props: MaterialProps,
-                       geom: PolygonGeometry | None = None,
+                       geom: SimpleNamespace | None = None,
                        elem_id: int | None = None) -> ElasticProjection:
     coords = np.asarray(coords, dtype=float)
     if geom is None:
-        geom = polygon_geometry_from_coords(coords, elem_id)
+        geom = polygon_row(coords, elem_id)
     n_v = coords.shape[0]
     area = geom.area
     dhat = elasticity_matrix(props)

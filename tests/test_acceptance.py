@@ -16,7 +16,7 @@ from fevec.cli import main as cli_main
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_split_square
 from fevec.solver import run_pipeline, solve_system
-from conftest import (elastic_matrix, elastic_row, polygon_family, thermal_matrix,
+from conftest import (edge_dict, elastic_matrix, elastic_row, polygon_family, thermal_matrix,
                       thermal_row)
 from kernel_oracles import mechanical_stiffness_q4, thermal_stiffness_q4
 
@@ -39,7 +39,7 @@ def report(criterion, name, seconds=None):
 
 def boundary_nodes(mesh):
     out = set()
-    for (a, b), elems in mesh._edge_elems.items():
+    for (a, b), elems in edge_dict(mesh).items():
         if len(elems) == 1:
             out.update((a, b))
     return out

@@ -22,10 +22,9 @@ from fevec.errors import AssemblyError, FevecError, MeshError
 from fevec.materials import (MaterialProps, Plane, elasticity_matrix, gather_materials,
                              material_for, thermal_strain_voigt)
 from fevec.mesh import (Element, ElementKind, Mesh, Node, generate_plate_with_hole,
-                        generate_structured_quads, polygon_geometry_from_coords,
-                        shoelace_area, shoelace_areas)
+                        generate_structured_quads, shoelace_area, shoelace_areas)
 from fevec.solver import SolutionFields
-from conftest import polygon_family, random_polygon, thermal_row
+from conftest import polygon_family, polygon_row, random_polygon, thermal_row
 import kernel_oracles as oracle
 
 FE = ElementKind.FE_QUAD
@@ -284,7 +283,7 @@ class TestNodalAveraging:
                 continue
             if element_ids is not None and elem.id not in element_ids:
                 continue
-            area = polygon_geometry_from_coords(mesh.element_coords(elem), elem.id).area
+            area = polygon_row(mesh.element_coords(elem), elem.id).area
             for v in elem.vertices:
                 acc[v] += area * es.von_mises
                 wsum[v] += area

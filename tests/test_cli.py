@@ -142,6 +142,25 @@ class TestValidate:
         assert capsys.readouterr().err.startswith("error:3:")
 
 
+    def test_integer_outside_int64_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("mesh 2d v1\nnode 0 0 0\nnode 1 1 0\nnode 2 1 1\n"
+                        "elem 0 VE 0 3 0 1 99999999999999999999999\n")
+        assert main(["validate", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:3:") and f"{path}:5:" in err and "int64" in err
+
+    def test_run_with_oversized_region_exit_3(self, tmp_path, capsys):
+        mesh = tmp_path / "m.txt"
+        mesh.write_text("mesh 2d v1\nnode 0 0 0\nnode 1 1 0\nnode 2 1 1\nnode 3 0 1\n"
+                        "elem 0 FE 99999999999999999999999 4 0 1 2 3\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[mesh]\npath {mesh.name}\n[output]\ndir {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:3:") and f"{mesh}:6:" in err and "int64" in err
+
+
 class TestMeshGen:
     def test_generates_file(self, tmp_path, capsys):
         spec = tmp_path / "gen.cfg"

@@ -3,6 +3,7 @@ import pytest
 from fevec import config as configmod
 from fevec.errors import AssemblyError, ParseError
 from fevec.materials import Plane
+from conftest import edge_dict
 
 MINIMAL = """
 [mesh]
@@ -194,6 +195,35 @@ flux 1.0
                          __import__("fevec.bench", fromlist=["x"])._fcbga_materials().items()}
         with pytest.raises(AssemblyError, match="interior edge"):
             configmod.build_bcs(cfg, mesh)
+
+    @pytest.mark.parametrize("kind, values", [("flux", "1.0"), ("traction", "1.0 2.0")])
+    def test_interior_edge_error_names_first_labeled_interior_edge(self, kind, values):
+        cfg = configmod.parse_config(f"[mesh]\ngenerator fcbga\nlevel 0\n[bc die]\n{kind} {values}\n")
+        mesh = configmod.build_mesh(cfg)
+        owners = edge_dict(mesh)
+        a, b = next(e for e in mesh.edges_with_label("die") if len(owners.get(e, [])) != 1)
+        with pytest.raises(AssemblyError) as info:
+            configmod.build_bcs(cfg, mesh)
+        assert str(info.value) == f"{kind} label 'die' sits on interior edge ({a},{b})"
+
+    def test_flux_on_edge_of_no_element_rejected(self):
+        from fevec.mesh import Mesh, generate_structured_quads
+        base = generate_structured_quads(1, 1, 1, 1)
+        for mesh in (Mesh(base.nodes, base.elements, {(0, 3): "diag"}),
+                     Mesh(base.nodes, [], {(0, 3): "diag"})):
+            cfg = configmod.parse_config("[mesh]\npath m.txt\n[bc diag]\nflux 1.0\n")
+            with pytest.raises(AssemblyError, match=r"^flux label 'diag' sits on interior edge \(0,3\)$"):
+                configmod.build_bcs(cfg, mesh)
+
+    def test_boundary_flux_and_traction_edges_in_label_order(self):
+        cfg = configmod.parse_config("[mesh]\ngenerator structured_quads\nwidth 2\nheight 1\n"
+                                     "nx 3\nny 2\n[bc top]\nflux 2.5\n[bc right]\ntraction 1 -1\n"
+                                     "[material 0]\nE_MPa 1\nnu 0\nk_W_per_mK 1\n"
+                                     "alpha_per_C 0\nT0_C 0\nplane stress\n")
+        mesh = configmod.build_mesh(cfg)
+        bcs = configmod.build_bcs(cfg, mesh)
+        assert bcs.flux_edges == [(a, b, 2.5) for a, b in mesh.edges_with_label("top")]
+        assert bcs.traction_edges == [(a, b, (1.0, -1.0)) for a, b in mesh.edges_with_label("right")]
 
     def test_mesh_path_loading(self, tmp_path):
         from fevec.mesh import generate_structured_quads, save_mesh

@@ -7,8 +7,7 @@ from fevec import fem
 from fevec.errors import MeshError
 from fevec.materials import MaterialProps, Plane
 from fevec.vem import vertex_normal_lengths
-from fevec.mesh import polygon_geometry_from_coords
-from conftest import UNIT_SQUARE
+from conftest import UNIT_SQUARE, edge_dict, polygon_row
 from kernel_oracles import mechanical_stiffness_q4, thermal_load_q4, thermal_stiffness_q4
 
 # Frozen closed form of the bilinear Laplacian stiffness on the unit square.
@@ -104,7 +103,7 @@ class TestThermalStiffness:
         quad = np.array([[0, 0], [2, 0.2], [2.2, 1.7], [-0.3, 1.5]])
         b, c = 1.7, -0.6
         t_nodal = 0.4 + b * quad[:, 0] + c * quad[:, 1]
-        d_i = vertex_normal_lengths(polygon_geometry_from_coords(quad))
+        d_i = vertex_normal_lengths(polygon_row(quad))
         expected = d_i @ np.array([b, c])
         got = thermal_stiffness_q4(quad, unit_props) @ t_nodal
         assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
@@ -122,7 +121,7 @@ class TestThermalStiffness:
         system = assemble_thermal(mesh, {0: unit_props}, BoundaryConditionSet())
         t_lin = 0.7 + 1.3 * mesh.coords[:, 0] - 2.1 * mesh.coords[:, 1]
         resid = system.matrix @ t_lin
-        boundary = {n for (a, b), es in mesh._edge_elems.items()
+        boundary = {n for (a, b), es in edge_dict(mesh).items()
                     if len(es) == 1 for n in (a, b)}
         interior = [n for n in range(mesh.n_nodes) if n not in boundary]
         assert interior and np.abs(resid[interior]).max() < 1e-10

@@ -1,7 +1,7 @@
 """Stacked polygon geometry against the per-polygon computation.
 
 ``geometry_oracle`` is the per-element geometry routine that
-``polygon_geometries`` replaced.  Every row of a stack must equal the
+``polygon_stack`` replaced.  Every row of a stack must equal the
 oracle bit for bit (centroid, area, h, edge normals and lengths), and a
 degenerate stack must raise the oracle's error for its first degenerate
 row, with that row's element id.
@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical
 from fevec.errors import MeshError
 from fevec.materials import MaterialProps
-from fevec.mesh import (Element, ElementKind, Mesh, generate_structured_quads,
-                        polygon_geometries, polygon_geometry_from_coords, shoelace_area)
-from conftest import UNIT_SQUARE, elastic_row, polygon_family, random_polygon, thermal_row
+from fevec.mesh import (Element, ElementKind, Mesh, generate_structured_quads, polygon_stack,
+                        shoelace_area)
+from conftest import (UNIT_SQUARE, elastic_row, polygon_family, polygon_row, random_polygon,
+                      thermal_row)
 
 VE = ElementKind.VE_POLY
 STACK_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -55,15 +56,15 @@ def geometry_oracle(coords, elem_id=None):
 
 
 def assert_rows_match_oracle(stack, ids=None):
-    geoms = polygon_geometries(stack, ids)
-    assert len(geoms) == len(stack)
-    for coords, geom in zip(stack, geoms):
+    g = polygon_stack(stack, ids)
+    assert len(g.area) == len(stack)
+    assert g.centroid.dtype == g.area.dtype == g.h.dtype == np.float64
+    for r, coords in enumerate(stack):
         centroid, area, h, normals, lengths = geometry_oracle(coords)
-        assert geom.centroid == centroid
-        assert type(geom.centroid[0]) is float and type(geom.area) is float
-        assert geom.area == area and geom.h == h
-        assert np.array_equal(geom.edge_normals, normals)
-        assert np.array_equal(geom.edge_lengths, lengths)
+        assert tuple(g.centroid[r].tolist()) == centroid
+        assert g.area[r] == area and g.h[r] == h
+        assert np.array_equal(g.edge_normals[r], normals)
+        assert np.array_equal(g.edge_lengths[r], lengths)
 
 
 def oracle_error(stack, ids):
@@ -111,9 +112,9 @@ class TestStackedGeometry:
 
     def test_one_row_call_matches_oracle(self):
         for poly in polygon_family(count=200):
-            geom = polygon_geometry_from_coords(poly, 3)
+            geom = polygon_row(poly, 3)
             centroid, area, h, normals, lengths = geometry_oracle(poly)
-            assert (geom.centroid, geom.area, geom.h) == (centroid, area, h)
+            assert (tuple(geom.centroid.tolist()), geom.area, geom.h) == (centroid, area, h)
             assert np.array_equal(geom.edge_normals, normals)
             assert np.array_equal(geom.edge_lengths, lengths)
 
@@ -129,18 +130,19 @@ class TestStackedGeometry:
         expected = oracle_error(stack, ids.tolist())
         assert expected is not None
         with pytest.raises(MeshError) as info:
-            polygon_geometries(stack, ids)
+            polygon_stack(stack, ids)
         assert (str(info.value), info.value.element_id) == expected
 
     def test_empty_stack(self):
-        assert polygon_geometries(np.zeros((0, 4, 2)), []) == []
+        g = polygon_stack(np.zeros((0, 4, 2)), [])
+        assert g.area.shape == g.h.shape == (0,) and g.edge_normals.shape == (0, 4, 2)
 
 
 class TestDegenerateRows:
     @staticmethod
     def raised(stack, ids=None):
         with pytest.raises(MeshError) as info:
-            polygon_geometries(np.asarray(stack, dtype=float), ids)
+            polygon_stack(np.asarray(stack, dtype=float), ids)
         return str(info.value), info.value.element_id
 
     def test_fewer_than_three_vertices(self):
@@ -170,7 +172,7 @@ class TestDegenerateRows:
         assert self.raised([UNIT_SQUARE[::-1]]) == (
             "polygon: non-positive area -1 (clockwise or degenerate)", None)
         with pytest.raises(MeshError, match="^polygon: needs at least 3 vertices, got 2$"):
-            polygon_geometry_from_coords(np.array([[0.0, 0.0], [1.0, 0.0]]))
+            polygon_row(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
 class TestProjectionErrorIds:

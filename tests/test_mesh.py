@@ -7,9 +7,8 @@ from fevec.errors import MeshError, ParseError
 from fevec.mesh import (Element, ElementKind, Mesh, Node, Violation, find_interface_nodes,
                         generate_plate_with_hole, generate_quarter_annulus,
                         generate_split_square, generate_structured_quads,
-                        load_mesh, polygon_geometry, polygon_geometry_from_coords,
-                        save_mesh, shoelace_area, validate_mesh)
-from conftest import polygon_family
+                        load_mesh, save_mesh, shoelace_area, validate_mesh)
+from conftest import polygon_family, polygon_row
 
 FE = ElementKind.FE_QUAD
 VE = ElementKind.VE_POLY
@@ -17,13 +16,13 @@ VE = ElementKind.VE_POLY
 
 class TestPolygonGeometry:
     def test_unit_square(self):
-        g = polygon_geometry_from_coords(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
+        g = polygon_row(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
         assert g.area == pytest.approx(1.0)
         assert g.centroid == pytest.approx((0.5, 0.5))
         assert g.h == pytest.approx(math.sqrt(2.0))
 
     def test_triangle(self):
-        g = polygon_geometry_from_coords(np.array([[0, 0], [1, 0], [0, 1]], float))
+        g = polygon_row(np.array([[0, 0], [1, 0], [0, 1]], float))
         assert g.area == pytest.approx(0.5)
         assert g.centroid == pytest.approx((1 / 3, 1 / 3))
 
@@ -38,20 +37,20 @@ class TestPolygonGeometry:
             hand += x0 * y1 - x1 * y0
         hand *= 0.5
         assert hand == pytest.approx(3.0 * math.sqrt(3.0) / 2.0, rel=1e-12)
-        g = polygon_geometry_from_coords(np.array(pts))
+        g = polygon_row(np.array(pts))
         assert g.area == pytest.approx(hand, rel=1e-12)
         assert g.area == pytest.approx(2.598076, abs=1e-6)
 
     def test_outward_normals_unit_length(self):
         rng = np.random.default_rng(3)
         for poly in polygon_family(seed=9, count=25):
-            g = polygon_geometry_from_coords(poly)
+            g = polygon_row(poly)
             assert np.hypot(g.edge_normals[:, 0], g.edge_normals[:, 1]) == pytest.approx(
                 np.ones(len(poly)), abs=1e-12)
 
     def test_closed_polygon_normal_sum(self):
         for poly in polygon_family(seed=10, count=25):
-            g = polygon_geometry_from_coords(poly)
+            g = polygon_row(poly)
             resid = (g.edge_normals * g.edge_lengths[:, None]).sum(axis=0)
             assert np.abs(resid).max() < 1e-10 * g.edge_lengths.sum()
 
@@ -61,15 +60,16 @@ class TestPolygonGeometry:
 
     def test_degenerate_rejected(self):
         with pytest.raises(MeshError, match="area"):
-            polygon_geometry_from_coords(np.array([[0, 0], [0, 1], [1, 1], [1, 0]], float))
+            polygon_row(np.array([[0, 0], [0, 1], [1, 1], [1, 0]], float))
         with pytest.raises(MeshError, match="zero-length"):
-            polygon_geometry_from_coords(np.array([[0, 0], [0, 0], [1, 1]], float))
+            polygon_row(np.array([[0, 0], [0, 0], [1, 1]], float))
 
     def test_element_wrapper_names_element(self):
         nodes = [Node(0, 0, 0), Node(1, 0, 1), Node(2, 1, 1), Node(3, 1, 0)]
         elem = Element(7, (0, 1, 2, 3), VE, 0)  # clockwise
+        coords = np.array([[n.x, n.y] for n in nodes])[list(elem.vertices)]
         with pytest.raises(MeshError, match="element 7"):
-            polygon_geometry(elem, nodes)
+            polygon_row(coords, elem.id)
 
 
 class TestValidation:
@@ -295,6 +295,31 @@ class TestMeshIO:
         with pytest.raises(ParseError) as err:
             load_mesh(str(path))
         assert err.value.line == 3
+
+    SQUARE = "mesh 2d v1\nnode 0 0 0\nnode 1 1 0\nnode 2 1 1\nnode 3 0 1\n"
+    HUGE = "99999999999999999999999"
+
+    @pytest.mark.parametrize("record", [f"elem 0 VE 0 3 0 1 {HUGE}",
+                                        f"elem 0 FE {HUGE} 4 0 1 2 3",
+                                        f"elem {HUGE} VE 0 4 0 1 2 3",
+                                        f"elem 0 VE 0 4 0 1 2 -{HUGE}",
+                                        f"bedge x 0 {HUGE}",
+                                        f"node {HUGE} 0 0"])
+    def test_integer_outside_int64_is_parse_error(self, tmp_path, record):
+        path = tmp_path / "huge.txt"
+        path.write_text(self.SQUARE + record + "\n")
+        with pytest.raises(ParseError, match="outside the int64 range") as err:
+            load_mesh(str(path), validate=False)
+        assert err.value.line == 6
+
+    def test_int64_extremes_reach_validation(self, tmp_path):
+        path = tmp_path / "extreme.txt"
+        path.write_text(self.SQUARE + f"elem 0 VE 0 4 0 1 2 {2 ** 63 - 1}\n"
+                        f"bedge x {-2 ** 63} 1\n")
+        report = validate_mesh(load_mesh(str(path), validate=False))
+        assert [v.message for v in report] == [
+            "element 0: vertex id out of range",
+            f"labeled edge ({-2 ** 63},1) is not an edge of any element"]
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "hdr.txt"

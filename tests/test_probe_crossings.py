@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from fevec import config as configmod
 from fevec import post
 from fevec.mesh import generate_quarter_annulus, generate_split_square
+from conftest import edge_dict
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 MESHES = {
@@ -30,7 +31,7 @@ def crossings_oracle(mesh, a, b):
     if len2 == 0.0:
         return []
     out = set()
-    for (i, j) in mesh._edge_elems:
+    for (i, j) in edge_dict(mesh):
         p = mesh.coords[i]
         q = mesh.coords[j]
         e = q - p
@@ -81,7 +82,8 @@ def segments(draw):
     if how == "free":
         return name, point(), point()
     if how == "edge":                  # on an edge's line, possibly beyond its ends
-        i, j = sorted(mesh._edge_elems)[draw(st.integers(0, len(mesh._edge_elems) - 1))]
+        edges = sorted(edge_dict(mesh))
+        i, j = edges[draw(st.integers(0, len(edges) - 1))]
         p, q = coords[i], coords[j]
         s0, s1 = draw(st.floats(-2.0, 1.0)), draw(st.floats(0.0, 3.0))
         return name, p + s0 * (q - p), p + s1 * (q - p)

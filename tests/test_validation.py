@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from fevec import mesh as meshmod
 from fevec.mesh import (Element, ElementKind, Mesh, Node, Violation, generate_quarter_annulus,
                         generate_split_square, shoelace_area, validate_mesh)
+from conftest import edge_dict
 
 FE = ElementKind.FE_QUAD
 VE = ElementKind.VE_POLY
@@ -91,15 +92,17 @@ def oracle_validate(mesh: Mesh) -> list[Violation]:
             if not simple:
                 break
 
-    for (a, b), elems in mesh._edge_elems.items():
-        if len(elems) > 2:
+    edges = edge_dict(mesh)
+    for (a, b), owners in edges.items():
+        if len(owners) > 2:
+            ids = sorted(mesh.elements[p].id for p in owners)
             report.append(Violation("edge-sharing",
-                                    f"edge ({a},{b}) shared by {len(elems)} elements {sorted(elems)}"))
+                                    f"edge ({a},{b}) shared by {len(owners)} elements {ids}"))
 
     for (a, b) in mesh.boundary_edges:
         if a >= n_nodes or b >= n_nodes:
             report.append(Violation("bedge-nodes", f"labeled edge ({a},{b}) references missing node"))
-        elif not mesh.edge_elements(a, b):
+        elif (a, b) not in edges:
             report.append(Violation("bedge-orphan", f"labeled edge ({a},{b}) is not an edge of any element"))
 
     report.extend(oracle_interface_coincidence(mesh))
@@ -114,13 +117,12 @@ def oracle_interface_coincidence(mesh: Mesh) -> list[Violation]:
     """
     report: list[Violation] = []
     elements = [e for e in mesh.elements if all(0 <= v < mesh.n_nodes for v in e.vertices)]
-    elems = {e.id: e for e in elements}
     edge_elems: dict[tuple[int, int], list[int]] = {}
-    for e in elements:
+    for pos, e in enumerate(elements):
         v = e.vertices
         for i in range(len(v)):
             a, b = v[i], v[(i + 1) % len(v)]
-            edge_elems.setdefault((min(a, b), max(a, b)), []).append(e.id)
+            edge_elems.setdefault((min(a, b), max(a, b)), []).append(pos)
 
     node_kinds: dict[int, set[ElementKind]] = {}
     for e in elements:
@@ -135,8 +137,8 @@ def oracle_interface_coincidence(mesh: Mesh) -> list[Violation]:
         for kind in ElementKind
     }
 
-    for (a, b), eids in edge_elems.items():
-        edge_kinds = {elems[i].kind for i in eids}
+    for (a, b), owners in edge_elems.items():
+        edge_kinds = {elements[p].kind for p in owners}
         if len(edge_kinds) > 1:
             continue  # properly matched interface edge
         if not (a in mixed_nodes or b in mixed_nodes):

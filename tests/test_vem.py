@@ -3,8 +3,7 @@ import pytest
 
 from fevec import vem
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import polygon_geometry_from_coords
-from conftest import (UNIT_SQUARE, elastic_matrix, elastic_row, polygon_family,
+from conftest import (UNIT_SQUARE, elastic_matrix, elastic_row, polygon_family, polygon_row,
                       thermal_load_row, thermal_matrix, thermal_row)
 from kernel_oracles import thermal_stiffness_q4
 
@@ -56,7 +55,7 @@ class TestThermalStiffness:
     def test_linear_data_pure_consistency(self):
         # stabilization annihilates nodal samples of the monomials
         for poly in polygon_family(seed=5, count=20):
-            geom = polygon_geometry_from_coords(poly)
+            geom = polygon_row(poly)
             p = thermal_row(poly, props())
             k = thermal_matrix(poly, props())
             k_c = p.Pi_star.T @ p.G_energy @ p.Pi_star
@@ -67,7 +66,7 @@ class TestThermalStiffness:
         # d^T K d = lam * area * |grad p|^2 for p in {zeta, rho, zeta+rho}
         lam = 3.7
         for poly in polygon_family(seed=6, count=15):
-            geom = polygon_geometry_from_coords(poly)
+            geom = polygon_row(poly)
             k = thermal_matrix(poly, props(lam=lam))
             d = linear_samples(poly, geom)
             g2 = lam * geom.area / geom.h ** 2
@@ -77,7 +76,7 @@ class TestThermalStiffness:
     def test_fem_vem_agree_on_linear_energy(self, unit_props):
         k_fe = thermal_stiffness_q4(UNIT_SQUARE, unit_props)
         k_ve = thermal_matrix(UNIT_SQUARE, unit_props)
-        geom = polygon_geometry_from_coords(UNIT_SQUARE)
+        geom = polygon_row(UNIT_SQUARE)
         d = linear_samples(UNIT_SQUARE, geom)
         for beta in (1, 2):
             e_fe = d[:, beta] @ k_fe @ d[:, beta]
@@ -137,7 +136,7 @@ class TestElasticStiffness:
         from fevec.materials import elasticity_matrix
         dhat = elasticity_matrix(mats)
         for poly in polygon_family(seed=12, count=15):
-            geom = polygon_geometry_from_coords(poly)
+            geom = polygon_row(poly)
             p = elastic_row(poly, mats)
             k = elastic_matrix(poly, mats)
             for alpha in (3, 4, 5):
@@ -179,7 +178,7 @@ class TestElasticStiffness:
         eps = np.array([grad[0, 0], grad[1, 1], grad[0, 1] + grad[1, 0]])
         sigma = dhat @ eps
         for poly in polygon_family(seed=16, count=10):
-            geom = polygon_geometry_from_coords(poly)
+            geom = polygon_row(poly)
             k = elastic_matrix(poly, mats)
             d = (grad @ poly.T).T.ravel()
             d_i = vem.vertex_normal_lengths(geom)
