@@ -81,6 +81,7 @@ class DofMap:
     n_nodes: int
     dofs_per_node: int
     classes: np.ndarray          # (ndof,) of 'F'/'I'/'V'
+    mesh: Mesh | None = field(default=None, repr=False, compare=False)   # None: no geometry
 
     @property
     def ndof(self) -> int:
@@ -98,6 +99,19 @@ class DofMap:
 
     def dofs_in_class(self, cls: str) -> np.ndarray:
         return np.where(self.classes == cls)[0]
+
+    def elimination_order(self, free: np.ndarray) -> np.ndarray:
+        """Positions in ``free`` in the order the direct solve eliminates them.
+
+        With a mesh, the nodes' ``Mesh.dissection_order`` expanded to
+        interleaved dofs; without one, natural order.
+        """
+        if self.mesh is None:
+            return np.arange(len(free))
+        position = np.full(self.ndof, -1, dtype=np.int64)
+        position[free] = np.arange(len(free))
+        order = position[self.element_dofs(self.mesh.dissection_order[:, None]).ravel()]
+        return order[order >= 0]
 
 
 def build_dof_map(mesh: Mesh, field_kind: str) -> DofMap:
@@ -120,7 +134,7 @@ def build_dof_map(mesh: Mesh, field_kind: str) -> DofMap:
     node_class[sorted(mesh.interface_nodes)] = DOF_INTERFACE
     classes = np.repeat(node_class, per)
     return DofMap(field_kind=field_kind, n_nodes=mesh.n_nodes,
-                  dofs_per_node=per, classes=classes)
+                  dofs_per_node=per, classes=classes, mesh=mesh)
 
 
 @dataclass

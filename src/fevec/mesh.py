@@ -23,6 +23,8 @@ from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import FevecError, MeshError, ParseError
 
@@ -321,6 +323,99 @@ class Mesh:
             areas[pos] = shoelace_areas(self.coords[verts])
         return areas
 
+    @cached_property
+    def node_components(self) -> tuple[int, np.ndarray]:
+        """Connected components of the node graph whose edges are ``edges``: count, label per node."""
+        n = self.n_nodes
+        graph = sp.coo_matrix((np.ones(len(self.edges)), (self.edges[:, 0], self.edges[:, 1])),
+                              shape=(n, n))
+        return connected_components(graph, directed=False)
+
+    @cached_property
+    def dissection_order(self) -> np.ndarray:
+        """Nested-dissection elimination order of the nodes (see ``_dissection_order``)."""
+        return _dissection_order(self.coords, [verts for _, verts in self.vertex_groups.values()])
+
+
+# Node sets of at most this many nodes are not split.  Measured on the
+# sandwich and fcbga meshes, 16 gives less LU fill than 64 at every level
+# (fcbga L1 mechanical: 283 k vs 366 k; COLAMD 300 k) at the same factor time.
+_DISSECTION_LEAF = 16
+
+
+def _dissection_order(coords: np.ndarray, vertex_blocks: list[np.ndarray]) -> np.ndarray:
+    """Geometric nested-dissection order of the nodes (George, SIAM J. Numer. Anal. 1973).
+
+    A node set is split at the median coordinate of its longer bounding-box
+    axis: nodes below the median go left (at or below it when none is
+    below).  Every element with live vertices on both sides puts its left
+    ones into the separator, which is ordered after both halves; a half sees
+    each element through its own vertices only, so every separator cuts the
+    matrix graph, Q4 diagonals and polygon chords included.  Sets of at most
+    ``_DISSECTION_LEAF`` nodes, or that cannot be split, are leaves.  Leaves
+    and separators keep node-id order.  All sets of one recursion depth are
+    split together, one array pass per element block.
+    """
+    n = len(coords)
+    node_set = np.zeros(n, dtype=np.int64)   # live set of each node; -1 once placed
+    placed_in = np.zeros(n, dtype=np.int64)  # the set a node is a leaf or separator node of
+    children: list[tuple[int, int] | None] = [None]
+    while True:
+        live = np.flatnonzero(node_set >= 0)
+        if not live.size:
+            break
+        live = live[np.argsort(node_set[live], kind="stable")]
+        sets, start, size = np.unique(node_set[live], return_index=True, return_counts=True)
+        group = np.repeat(np.arange(sets.size), size)
+        pts = coords[live]
+        span = np.maximum.reduceat(pts, start) - np.minimum.reduceat(pts, start)
+        value = pts[np.arange(live.size), (span[:, 1] > span[:, 0]).astype(np.int64)[group]]
+        ranked = value[np.lexsort((value, group))]
+        median = (ranked[start + (size - 1) // 2] + ranked[start + size // 2]) / 2
+        left = value < median[group]
+        none_left = np.bincount(group, weights=left, minlength=sets.size) == 0
+        left |= none_left[group] & (value <= median[group])
+        n_left = np.bincount(group, weights=left, minlength=sets.size)
+        split = (size > _DISSECTION_LEAF) & (n_left > 0) & (n_left < size)
+
+        leaf = live[~split[group]]
+        placed_in[leaf] = node_set[leaf]
+        node_set[leaf] = -1
+        side = np.zeros(n, dtype=np.int8)   # 1 left, 2 right, 0 placed
+        cut = split[group]
+        side[live[cut]] = np.where(left[cut], 1, 2)
+        separator = [np.zeros(0, dtype=np.int64)]
+        for verts in vertex_blocks:
+            sides = side[verts]
+            on_left = sides == 1
+            crossing = on_left.any(axis=1) & (sides == 2).any(axis=1)
+            separator.append(verts[crossing][on_left[crossing]])
+        separator = np.unique(np.concatenate(separator))
+        placed_in[separator] = node_set[separator]
+        node_set[separator] = -1
+        side[separator] = 0
+
+        first_child = np.full(len(children), -1, dtype=np.int64)
+        parents = sets[split]
+        first_child[parents] = len(children) + 2 * np.arange(parents.size)
+        for p, c in zip(parents.tolist(), first_child[parents].tolist()):
+            children[p] = (c, c + 1)
+        children.extend([None] * (2 * parents.size))
+        moved = np.flatnonzero(side)
+        node_set[moved] = first_child[node_set[moved]] + side[moved] - 1
+
+    # Post-order of the set tree: both halves of a set, then the set's own nodes.
+    rank = np.empty(len(children), dtype=np.int64)
+    stack, k = [(0, False)], 0
+    while stack:
+        s, expanded = stack.pop()
+        if expanded or children[s] is None:
+            rank[s] = k
+            k += 1
+        else:
+            stack += [(s, True), (children[s][1], False), (children[s][0], False)]
+    return np.argsort(rank[placed_in], kind="stable")
+
 
 def find_interface_nodes(mesh: Mesh) -> set[int]:
     """Nodes on edges shared by exactly one FE and one VE element."""
@@ -554,13 +649,10 @@ def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
 # Generators
 
 
-def generate_structured_quads(width: float, height: float, nx: int, ny: int,
-                              kind: ElementKind = ElementKind.FE_QUAD,
-                              region: int = 0) -> Mesh:
-    """Regular nx-by-ny grid on [0,width]x[0,height].
-
-    Boundary edge labels: left, right, bottom, top.
-    """
+def _structured_grid(width: float, height: float, nx: int, ny: int,
+                     kind: ElementKind = ElementKind.FE_QUAD, region: int = 0
+                     ) -> tuple[list[Node], list[Element], dict[tuple[int, int], str]]:
+    """Nodes, elements and boundary labels of ``generate_structured_quads``."""
     if nx < 1 or ny < 1:
         raise MeshError(f"subdivision counts must be >= 1, got nx={nx} ny={ny}")
     nodes = []
@@ -582,7 +674,17 @@ def generate_structured_quads(width: float, height: float, nx: int, ny: int,
         bedges[_edge_key(j * (nx + 1), (j + 1) * (nx + 1))] = "left"
         r0 = j * (nx + 1) + nx
         bedges[_edge_key(r0, r0 + nx + 1)] = "right"
-    return Mesh(nodes, elements, bedges)
+    return nodes, elements, bedges
+
+
+def generate_structured_quads(width: float, height: float, nx: int, ny: int,
+                              kind: ElementKind = ElementKind.FE_QUAD,
+                              region: int = 0) -> Mesh:
+    """Regular nx-by-ny grid on [0,width]x[0,height].
+
+    Boundary edge labels: left, right, bottom, top.
+    """
+    return Mesh(*_structured_grid(width, height, nx, ny, kind, region))
 
 
 def generate_split_square(width: float, height: float, nx: int, ny: int,
@@ -594,13 +696,13 @@ def generate_split_square(width: float, height: float, nx: int, ny: int,
     """
     if split_x is None:
         split_x = 0.5 * width
-    base = generate_structured_quads(width, height, nx, ny)
-    elements = []
-    for e in base.elements:
-        mid_x = base.element_coords(e)[:, 0].mean()
-        kind = ElementKind.FE_QUAD if mid_x < split_x else ElementKind.VE_POLY
-        elements.append(Element(e.id, e.vertices, kind, e.region))
-    return Mesh(base.nodes, elements, base.boundary_edges)
+    nodes, elements, bedges = _structured_grid(width, height, nx, ny)
+    xs = np.array([n.x for n in nodes], dtype=float)
+    mid_x = xs[np.array([e.vertices for e in elements], dtype=np.int64)].mean(axis=1)
+    elements = [Element(e.id, e.vertices,
+                        ElementKind.FE_QUAD if m < split_x else ElementKind.VE_POLY, e.region)
+                for e, m in zip(elements, mid_x.tolist())]
+    return Mesh(nodes, elements, bedges)
 
 
 def generate_quarter_annulus(r_a: float, r_b: float, n_r: int, n_t: int,

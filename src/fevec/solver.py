@@ -2,6 +2,21 @@
 
 The pipeline is strictly one-way: temperature is solved first, the thermal
 strain enters the mechanical load, and mechanics never feeds back.
+
+Before any solve, direct or CG, ``solve_system`` checks that the constraints
+fix every rigid mode of every connected part of the mesh: a Dirichlet
+temperature per part for heat conduction; for elasticity, constrained dofs on
+which the two translations and the rotation have rank 3.  An ill-posed system
+raises ``SolverError`` naming the part's lowest node id and what it lacks.
+
+The direct solve is one path: SuperLU in symmetric mode (Li, ACM TOMS 2005)
+with diagonal pivots and the unknowns in the order of
+``DofMap.elimination_order``.  For a mesh-assembled system that is the
+mesh's geometric nested-dissection order (``Mesh.dissection_order``,
+computed once per mesh and shared by the thermal and mechanical solves);
+a system without a mesh keeps natural order.  Both reduced systems are
+symmetric positive definite, so no pivoting is needed.  CG never computes
+the order.
 """
 
 from __future__ import annotations
@@ -10,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .assembly import (BoundaryConditionSet, SparseSystem, apply_dirichlet,
                        assemble_mechanical, assemble_thermal)
@@ -20,6 +36,14 @@ from .vem import DEFAULT_STABILIZATION
 
 METHOD_DIRECT = "direct"
 METHOD_CG = "cg"
+
+ORDERING_NESTED_DISSECTION = "nested_dissection"
+ORDERING_NATURAL = "natural"
+ORDERING_NONE = "none"        # CG, or nothing left to solve
+
+# Eigenvalues of a part's rigid-mode Gram matrix below this fraction of its
+# largest one count as zero: a rigid mode left free.
+_RIGID_RANK_TOL = 1e-10
 
 
 @dataclass
@@ -40,10 +64,14 @@ class SolveOptions:
 
 @dataclass
 class SolveDiagnostics:
+    """What a solve saw; for callers and logs, never written to run outputs."""
+
     method: str
     n_dof: int
     iterations: int = 0
     residual: float = 0.0
+    ordering: str = ORDERING_NONE
+    lu_fill: int = 0            # L.nnz + U.nnz of the direct factorization
 
 
 @dataclass
@@ -58,6 +86,7 @@ def solve_system(system: SparseSystem, options: SolveOptions | None = None
                  ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Reduce, solve and recover the full-length solution vector."""
     options = options or SolveOptions()
+    _check_well_posed(system)
     reduced = apply_dirichlet(system)
     n = reduced.matrix.shape[0]
     diag = SolveDiagnostics(method=options.method, n_dof=n)
@@ -65,7 +94,10 @@ def solve_system(system: SparseSystem, options: SolveOptions | None = None
         return reduced.recover(np.zeros(0)), diag
 
     if options.method == METHOD_DIRECT:
-        x = _solve_direct(reduced.matrix, reduced.rhs)
+        diag.ordering = (ORDERING_NATURAL if system.dof_map.mesh is None
+                         else ORDERING_NESTED_DISSECTION)
+        x, diag.lu_fill = _solve_direct(reduced.matrix, reduced.rhs,
+                                        system.dof_map.elimination_order(reduced.free))
     else:
         x, diag.iterations = _solve_cg(reduced.matrix, reduced.rhs, options)
 
@@ -81,14 +113,94 @@ def solve_system(system: SparseSystem, options: SolveOptions | None = None
     return reduced.recover(x), diag
 
 
-def _solve_direct(matrix, rhs):
+def _check_well_posed(system: SparseSystem) -> None:
+    """Raise SolverError unless the constraints fix every rigid mode of every connected part.
+
+    Parts are the connected components of the mesh's node graph.  Heat
+    conduction needs a Dirichlet temperature in each part; elasticity needs
+    the modes (1, 0), (0, 1) and (-y, x), centred on the part and restricted
+    to its constrained dofs, to have rank 3.  A system without a mesh takes
+    the components of its matrix graph and the thermal rule, for the parts
+    on which the matrix annihilates the constant vector.
+    """
+    dof_map = system.dof_map
+    fixed = np.fromiter(system.dirichlet, dtype=np.int64, count=len(system.dirichlet))
+    if dof_map.mesh is None:
+        n_parts, part = connected_components(system.matrix, directed=False)
+        ones = np.ones(system.matrix.shape[0])
+        residual = np.zeros(n_parts)
+        scale = np.zeros(n_parts)
+        np.maximum.at(residual, part, np.abs(system.matrix @ ones))
+        np.maximum.at(scale, part, abs(system.matrix) @ ones)
+        _require_fixed_value(part, residual <= 1e-12 * scale, fixed,
+                             "ill-posed system: the connected part containing dof {} has no "
+                             "Dirichlet value and its matrix is singular (missing constraints)")
+    elif dof_map.dofs_per_node == 1:
+        n_parts, part = dof_map.mesh.node_components
+        _require_fixed_value(part, np.ones(n_parts, dtype=bool), fixed,
+                             "ill-posed thermal problem: the connected mesh part containing "
+                             "node {} has no Dirichlet temperature (missing constraints; the "
+                             "temperature is fixed only up to a constant)")
+    else:
+        _require_rigid_modes_fixed(dof_map.mesh, fixed)
+
+
+def _require_fixed_value(part: np.ndarray, needs: np.ndarray, fixed: np.ndarray,
+                         message: str) -> None:
+    """Raise ``message`` with the lowest index of a part in ``needs`` that holds no ``fixed`` index."""
+    floating = needs.copy()
+    floating[part[fixed]] = False
+    if floating.any():
+        raise SolverError(message.format(int(np.flatnonzero(floating[part])[0])))
+
+
+def _require_rigid_modes_fixed(mesh: Mesh, fixed: np.ndarray) -> None:
+    """Raise unless the constrained dofs of every mesh part fix its three rigid modes."""
+    n_parts, part = mesh.node_components
+    count = np.bincount(part, minlength=n_parts)
+    centre = np.column_stack([np.bincount(part, mesh.coords[:, k], n_parts) / count
+                              for k in (0, 1)])
+    rel = mesh.coords - centre[part]
+    extent = np.zeros(n_parts)
+    np.maximum.at(extent, part, np.abs(rel).max(axis=1))
+    rel /= np.where(extent > 0, extent, 1.0)[part, None]
+    node, component = np.divmod(fixed, 2)
+    modes = np.zeros((fixed.size, 3))
+    modes[np.arange(fixed.size), component] = 1.0
+    modes[:, 2] = np.where(component == 0, -rel[node, 1], rel[node, 0])
+    gram = np.zeros((n_parts, 3, 3))
+    np.add.at(gram, part[node], modes[:, :, None] * modes[:, None, :])
+    eig = np.linalg.eigvalsh(gram)
+    rank = (eig > _RIGID_RANK_TOL * eig[:, -1:]).sum(axis=1)
+    if (rank == 3).all():
+        return
+    lowest = int(np.flatnonzero(rank[part] < 3)[0])
+    p = part[lowest]
+    missing = [mode for mode, k in (("x translation", 0), ("y translation", 1))
+               if p not in part[node[component == k]]]
+    if 3 - rank[p] > len(missing):
+        missing.append("rotation")
+    named = missing[0] if len(missing) == 1 else f"{', '.join(missing[:-1])} and {missing[-1]}"
+    raise SolverError(
+        f"ill-posed mechanical problem: the connected mesh part containing node {lowest} "
+        f"lacks displacement constraints against {named} (a rigid-body mode is free)")
+
+
+def _solve_direct(matrix, rhs, order: np.ndarray) -> tuple[np.ndarray, int]:
+    """Symmetric-mode SuperLU of ``matrix`` with its unknowns eliminated in ``order``.
+
+    Returns the solution and the fill (``L.nnz + U.nnz``).
+    """
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = spla.splu(matrix[order][:, order].tocsc(), permc_spec="NATURAL",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(
             f"sparse factorization failed ({exc}); the system is likely "
             "singular -- check for missing constraints (rigid-body modes)") from exc
-    return lu.solve(rhs)
+    x = np.empty_like(rhs)
+    x[order] = lu.solve(rhs[order])
+    return x, int(lu.L.nnz + lu.U.nnz)
 
 
 def _solve_cg(matrix, rhs, options: SolveOptions):

@@ -80,6 +80,28 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error:2:")
 
+    @pytest.mark.parametrize("support, missing", [
+        ("dirichlet_u 0 free", "y translation"),
+        ("dirichlet_u free free", "x translation, y translation and rotation")])
+    def test_ill_posed_supports_exit_2(self, tmp_path, capsys, support, missing):
+        text = RUN_CFG.format(out=tmp_path / "o").replace("dirichlet_u 0 0", support)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:2: ill-posed mechanical problem")
+        assert f"against {missing} (" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_solve_diagnostics_stay_out_of_outputs(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(RUN_CFG.format(out=out))
+        assert main(["run", str(cfg)]) == 0
+        for path in out.iterdir():
+            text = path.read_text()
+            assert "nested_dissection" not in text and "fill" not in text
+
     def test_unknown_bc_label_exit_1(self, tmp_path, capsys):
         text = RUN_CFG.format(out=tmp_path / "o").replace("[bc right]", "[bc nope]")
         cfg = tmp_path / "bad.cfg"

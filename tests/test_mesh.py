@@ -193,7 +193,30 @@ class TestInterfaceNodes:
         assert mesh.interface_nodes
 
 
+def split_square_two_step(width, height, nx, ny, split_x=None):
+    """The former ``generate_split_square``: a full structured-grid Mesh, then a second one."""
+    if split_x is None:
+        split_x = 0.5 * width
+    base = generate_structured_quads(width, height, nx, ny)
+    elements = []
+    for e in base.elements:
+        mid_x = base.element_coords(e)[:, 0].mean()
+        kind = ElementKind.FE_QUAD if mid_x < split_x else ElementKind.VE_POLY
+        elements.append(Element(e.id, e.vertices, kind, e.region))
+    return Mesh(base.nodes, elements, base.boundary_edges)
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("args", [(2.0, 1.0, 2, 1), (2.0, 1.0, 8, 4), (3.0, 2.0, 7, 3),
+                                      (1.0, 1.0, 5, 5, 0.3), (0.7, 0.3, 9, 2, 0.35),
+                                      (2.0, 1.0, 6, 3, 1.0), (4.0, 1.0, 3, 1, 0.0)])
+    def test_split_square_matches_two_step_construction(self, args):
+        new, old = generate_split_square(*args), split_square_two_step(*args)
+        assert new.nodes == old.nodes
+        assert new.elements == old.elements          # ids, vertices, kinds, regions
+        assert new.boundary_edges == old.boundary_edges
+        assert new.interface_nodes == old.interface_nodes
+
     def test_structured_counts(self):
         mesh = generate_structured_quads(1, 1, 1, 1)
         assert mesh.n_nodes == 4 and mesh.n_elements == 1

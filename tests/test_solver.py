@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from fevec.assembly import BoundaryConditionSet, SparseSystem
+from fevec.assembly import (BoundaryConditionSet, SparseSystem, assemble_mechanical,
+                            assemble_thermal)
 from fevec.errors import SolverError
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import generate_split_square
-from fevec.solver import (METHOD_CG, SolveOptions, run_pipeline, solve_system)
+from fevec.mesh import Element, Mesh, Node, generate_split_square, generate_structured_quads
+from fevec.solver import (METHOD_CG, METHOD_DIRECT, SolveOptions, run_pipeline, solve_system)
 
 
 def props():
@@ -109,3 +110,118 @@ class TestPipeline:
         fields = run_pipeline(mesh, mats, bcs, mechanical=False)
         assert fields.temperature is not None
         assert fields.displacement is None
+
+
+def heated(mesh):
+    """Left edge at 25 degC, right edge at 125 degC; no displacement constraint."""
+    bcs = BoundaryConditionSet()
+    for n in mesh.nodes_with_label("left"):
+        bcs.set_temperature(n, 25.0)
+    for n in mesh.nodes_with_label("right"):
+        bcs.set_temperature(n, 125.0)
+    return bcs
+
+
+def two_squares():
+    """Two disjoint 2 x 2 grids; nodes 0-8 and 9-17."""
+    a = generate_structured_quads(1.0, 1.0, 2, 2)
+    nodes = a.nodes + [Node(n.id + 9, n.x + 3.0, n.y) for n in a.nodes]
+    elements = a.elements + [Element(e.id + 4, tuple(v + 9 for v in e.vertices), e.kind, 0)
+                             for e in a.elements]
+    return Mesh(nodes, elements)
+
+
+@pytest.mark.parametrize("method", [METHOD_DIRECT, METHOD_CG])
+class TestWellPosedness:
+    """Ill-posed systems fail before the solve, whatever the method."""
+
+    def run(self, mesh, bcs, method):
+        return run_pipeline(mesh, {0: props()}, bcs, SolveOptions(method=method))
+
+    @pytest.mark.parametrize("build", [lambda: generate_split_square(2, 1, 8, 4),
+                                       lambda: generate_structured_quads(1.0, 1.0, 16, 16)])
+    def test_free_thermal_expansion(self, build, method):
+        mesh = build()
+        with pytest.raises(SolverError, match="node 0 lacks displacement constraints against "
+                                              "x translation, y translation and rotation"):
+            self.run(mesh, heated(mesh), method)
+
+    def test_single_pinned_node_leaves_rotation_free(self, method):
+        mesh = generate_split_square(2, 1, 8, 4)
+        bcs = heated(mesh)
+        bcs.set_displacement(20, 0.0, 0.0)
+        with pytest.raises(SolverError, match="node 0 lacks displacement constraints "
+                                              "against rotation \\("):
+            self.run(mesh, bcs, method)
+
+    def test_ux_only_supports(self, method):
+        mesh = generate_split_square(2, 1, 8, 4)
+        bcs = heated(mesh)
+        for n in mesh.nodes_with_label("left"):
+            bcs.set_displacement(n, 0.0, None)
+        with pytest.raises(SolverError, match="against y translation \\("):
+            self.run(mesh, bcs, method)
+        bcs = heated(mesh)
+        for n in mesh.nodes_with_label("bottom"):     # collinear along x: rotation free too
+            bcs.set_displacement(n, 0.0, None)
+        with pytest.raises(SolverError, match="against y translation and rotation \\("):
+            self.run(mesh, bcs, method)
+
+    def test_rollers_on_two_edges_are_enough(self, method):
+        mesh = generate_split_square(2, 1, 8, 4)
+        bcs = heated(mesh)
+        for n in mesh.nodes_with_label("left"):
+            bcs.set_displacement(n, 0.0, None)
+        bcs.set_displacement(0, None, 0.0)
+        fields = self.run(mesh, bcs, method)
+        assert np.all(np.isfinite(fields.displacement))
+
+    def test_second_component_unconstrained(self, method):
+        mesh = two_squares()
+        bcs = BoundaryConditionSet()
+        for n in range(9):
+            bcs.set_temperature(n, 10.0)
+        with pytest.raises(SolverError, match="containing node 9 has no Dirichlet temperature"):
+            self.run(mesh, bcs, method)
+        for n in range(9, 18):
+            bcs.set_temperature(n, 20.0)
+        for n in (0, 3, 6):
+            bcs.set_displacement(n, 0.0, 0.0)
+        with pytest.raises(SolverError, match="containing node 9 lacks displacement constraints"):
+            self.run(mesh, bcs, method)
+        for n in (9, 12, 15):
+            bcs.set_displacement(n, 0.0, 0.0)
+        fields = self.run(mesh, bcs, method)
+        assert np.allclose(fields.temperature, [10.0] * 9 + [20.0] * 9)
+
+    def test_matrix_without_mesh(self, method):
+        floating = SparseSystem.from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2))
+        with pytest.raises(SolverError, match="dof 0 has no Dirichlet value"):
+            solve_system(floating, SolveOptions(method=method))
+        fixed = SparseSystem.from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2), {1: 2.0})
+        assert np.allclose(solve_system(fixed, SolveOptions(method=method))[0], [2.0, 2.0])
+
+
+class TestDiagnostics:
+    def problem(self):
+        mesh = generate_split_square(2.0, 1.0, 8, 4)
+        bcs = heated(mesh)
+        for n in mesh.nodes_with_label("left"):
+            bcs.set_displacement(n, 0.0, 0.0)
+        return mesh, bcs
+
+    def test_direct_reports_order_and_fill(self):
+        mesh, bcs = self.problem()
+        fields = run_pipeline(mesh, {0: props()}, bcs)
+        for diag in (fields.thermal_diag, fields.mechanical_diag):
+            assert diag.ordering == "nested_dissection"
+            assert diag.lu_fill >= diag.n_dof       # L and U hold at least the diagonal
+        _, diag = solve_system(SparseSystem.from_dense(np.eye(3), np.ones(3)))
+        assert (diag.ordering, diag.lu_fill) == ("natural", 6)
+
+    def test_cg_reports_no_order(self):
+        mesh, bcs = self.problem()
+        fields = run_pipeline(mesh, {0: props()}, bcs, SolveOptions(method=METHOD_CG))
+        for diag in (fields.thermal_diag, fields.mechanical_diag):
+            assert (diag.ordering, diag.lu_fill) == ("none", 0)
+            assert diag.iterations > 0
