@@ -158,7 +158,7 @@ class SparseSystem:
 class ReducedSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    free: np.ndarray              # free dof indices into the full vector
+    free: np.ndarray              # full-vector index of each unknown, in unknown order
     prescribed: np.ndarray        # full-length vector holding prescribed values
 
     def recover(self, x_free: np.ndarray) -> np.ndarray:
@@ -291,11 +291,13 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     return SparseSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, dirichlet=dirichlet)
 
 
-def apply_dirichlet(system: SparseSystem) -> ReducedSystem:
+def apply_dirichlet(system: SparseSystem, elimination_order: bool = False) -> ReducedSystem:
     """Symmetric row/column elimination of the system's prescribed dofs.
 
     Constrained columns move to the right-hand side; the reduced matrix stays
-    symmetric and (for well-posed problems) positive definite.
+    symmetric and (for well-posed problems) positive definite.  The free
+    dofs run in natural order, or in ``DofMap.elimination_order`` when
+    ``elimination_order`` is set; the matrix rows are sliced once either way.
     """
     constraints = system.dirichlet
     ndof = system.dof_map.ndof
@@ -310,11 +312,12 @@ def apply_dirichlet(system: SparseSystem) -> ReducedSystem:
         mask[dof] = True
     free = np.where(~mask)[0]
     fixed = np.where(mask)[0]
+    if elimination_order:
+        free = free[system.dof_map.elimination_order(free)]
 
-    k = system.matrix.tocsr()
-    k_ff = k[free][:, free]
+    rows = system.matrix.tocsr()[free]
     rhs = system.rhs[free]
     if fixed.size:
-        rhs = rhs - k[free][:, fixed] @ prescribed[fixed]
-    return ReducedSystem(matrix=k_ff.tocsr(), rhs=np.asarray(rhs).ravel(),
+        rhs = rhs - rows[:, fixed] @ prescribed[fixed]
+    return ReducedSystem(matrix=rows[:, free].tocsr(), rhs=np.asarray(rhs).ravel(),
                          free=free, prescribed=prescribed)

@@ -570,15 +570,22 @@ def interface_continuity(mesh: Mesh, materials, fields: SolutionFields) -> float
     """Worst FE-side vs VE-side point-evaluation mismatch at interface nodes.
 
     Checks temperature and both displacement components (whichever are
-    solved), each normalized by its field range."""
+    solved), each normalized by its field range.  A node's side of each kind
+    is the last element of that kind in the element list that has it as a
+    vertex."""
     if not mesh.interface_nodes:
         return 0.0
+    interface = np.zeros(mesh.n_nodes, dtype=bool)
+    interface[list(mesh.interface_nodes)] = True
+    side = np.full((2, mesh.n_nodes), -1, dtype=np.int64)     # rows: VE, FE
+    for pos, verts in mesh.vertex_groups.values():
+        at = interface[verts]
+        nodes = verts[at]
+        owner = np.broadcast_to(pos[:, None], verts.shape)[at]
+        np.maximum.at(side, (mesh.element_fe[owner].astype(np.int64), nodes), owner)
+    both = np.flatnonzero((side >= 0).all(axis=0))
+    points = mesh.coords[both]
     evaluator = post.FieldEvaluator(mesh, materials, fields)
-    by_node: dict[int, dict[ElementKind, int]] = {}
-    for pos, e in enumerate(mesh.elements):
-        for v in e.vertices:
-            if v in mesh.interface_nodes:
-                by_node.setdefault(v, {})[e.kind] = pos
 
     quantities = []
     if fields.temperature is not None:
@@ -589,14 +596,9 @@ def interface_continuity(mesh: Mesh, materials, fields: SolutionFields) -> float
         quantities.extend((q, span) for q in ("ux", "uy"))
 
     worst = 0.0
-    for node, sides in by_node.items():
-        if len(sides) < 2:
-            continue
-        x, y = mesh.coords[node]
-        for quantity, span in quantities:
-            vals = [evaluator.evaluate_in_element(quantity, eid, x, y)
-                    for eid in sides.values()]
-            worst = max(worst, abs(vals[0] - vals[1]) / span)
+    for quantity, span in quantities:
+        ve, fe = (evaluator.evaluate_at(quantity, side[k, both], points) for k in (0, 1))
+        worst = float(np.fmax.reduce(np.abs(fe - ve) / span, initial=worst))
     return worst
 
 

@@ -134,6 +134,27 @@ def q4_batch_eval(coords: np.ndarray, elem_ids: np.ndarray) -> Q4Batch:
     return Q4Batch(N=n, detJ=det, B_T=inv @ dn)
 
 
+def q4_shape_batch(coords: np.ndarray, xi: np.ndarray, eta: np.ndarray,
+                   elem_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shape values (m, 4) and Jacobians (m, 2, 2) of (m, 4, 2) quads, each at its own (xi, eta).
+
+    Row k equals ``q4_shape_eval(coords[k], xi[k], eta[k])`` bit for bit; a
+    non-positive Jacobian raises MeshError naming the first flagged row.
+    """
+    xi, eta = xi[:, None], eta[:, None]
+    n = 0.25 * (1.0 + _XI_I * xi) * (1.0 + _ETA_I * eta)
+    dn = np.stack((0.25 * _XI_I * (1.0 + _ETA_I * eta),
+                   0.25 * _ETA_I * (1.0 + _XI_I * xi)), axis=1)
+    jac = dn @ coords
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    bad = det <= 0.0
+    if bad.any():
+        row = int(bad.argmax())
+        raise MeshError.of_element(int(elem_ids[row]), f"non-positive Jacobian {det[row]:g} "
+                                   f"at ({xi[row, 0]:g},{eta[row, 0]:g})")
+    return n, jac
+
+
 def _strain_displacement(b_t: np.ndarray) -> np.ndarray:
     """(..., 3, 8) strain-displacement matrices from (..., 2, 4) gradients."""
     b_u = np.zeros(b_t.shape[:-2] + (3, 8))

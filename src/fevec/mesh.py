@@ -315,6 +315,23 @@ class Mesh:
                     raise
                 exc = earlier
 
+    def format_elements(self, line_format: Callable[[int, np.ndarray], Any],
+                        columns: Callable[[np.ndarray, np.ndarray], list[np.ndarray]]) -> str:
+        """One formatted text line per element, in element-list order.
+
+        Each ``vertex_groups`` block of ``n_v``-vertex elements is formatted at
+        once: ``line_format(n_v, positions)`` (one format, or one per element)
+        ``%`` the integers ``columns(positions, vertices)`` (one (m,) or (m, k)
+        array per field, row by row).
+        """
+        lines = np.empty(self.n_elements, dtype=object)
+        for n_v, (pos, verts) in self.vertex_groups.items():
+            fmt = line_format(n_v, pos)
+            fmt = fmt * len(pos) if isinstance(fmt, str) else "".join(fmt.tolist())
+            text = fmt % tuple(np.column_stack(columns(pos, verts)).ravel().tolist())
+            lines[pos] = np.array(text.splitlines(keepends=True), dtype=object)
+        return "".join(lines.tolist())
+
     @cached_property
     def element_areas(self) -> np.ndarray:
         """Signed shoelace area of every element, by position in ``elements``."""
@@ -1056,15 +1073,19 @@ FORMAT_HEADER = "mesh 2d v1"
 
 def mesh_text(mesh: Mesh) -> str:
     """Canonical text form of a mesh (see load_mesh for the grammar)."""
-    lines = [FORMAT_HEADER]
-    for n in mesh.nodes:
-        lines.append(f"node {n.id} {n.x!r} {n.y!r}")
-    for e in mesh.elements:
-        verts = " ".join(str(v) for v in e.vertices)
-        lines.append(f"elem {e.id} {e.kind.value} {e.region} {len(e.vertices)} {verts}")
-    for (a, b) in sorted(mesh.boundary_edges):
-        lines.append(f"bedge {mesh.boundary_edges[(a, b)]} {a} {b}")
-    return "\n".join(lines) + "\n"
+    def elem_format(n_v: int, pos: np.ndarray) -> np.ndarray:
+        rest = f" %d {n_v}" + " %d" * n_v + "\n"
+        return np.where(mesh.element_fe[pos], f"elem %d {ElementKind.FE_QUAD.value}{rest}",
+                        f"elem %d {ElementKind.VE_POLY.value}{rest}")
+
+    edges = sorted(mesh.boundary_edges)
+    return "".join((
+        f"{FORMAT_HEADER}\n",
+        ("node %s %r %r\n" * mesh.n_nodes) % tuple(v for n in mesh.nodes for v in (n.id, n.x, n.y)),
+        mesh.format_elements(elem_format, lambda pos, verts: [
+            mesh.element_ids[pos], mesh.element_regions[pos], verts]),
+        ("bedge %s %s %s\n" * len(edges)) % tuple(
+            v for a, b in edges for v in (mesh.boundary_edges[(a, b)], a, b))))
 
 
 def save_mesh(mesh: Mesh, path: str) -> None:

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from . import fem, vem
 from .errors import FevecError
 from .materials import MaterialProps, Plane, gather_materials
-from .mesh import ElementKind, Mesh
+from .mesh import Mesh, rowdot
 from .solver import SolutionFields
 
 PROVENANCE_FE = "FE_GAUSS_AVG"
@@ -163,13 +163,19 @@ def mean_relative_error(numeric: np.ndarray, reference: np.ndarray,
 # ---------------------------------------------------------------------------
 # Point location and field evaluation
 
+_STRESS_QUANTITIES = ("von_mises", "sxx", "syy", "sxy")
+
 
 class FieldEvaluator:
-    """Point evaluation of solved fields over a mesh.
+    """Point evaluation of solved fields over a mesh, for arrays of points.
 
-    Element lookup uses a bounding-box prefilter and deterministic
-    tie-breaking (lowest element id) for points on shared edges; elements are
-    named by their position in ``mesh.elements`` and ``stresses``.
+    A point belongs to the lowest-id element that contains it, boundary
+    included, so points on shared edges go to the lower id.  Candidates are
+    the elements whose padded bounding box holds the point, read from a
+    uniform bucket grid over the boxes that is built once here.  Elements
+    are named by their position in ``mesh.elements`` and ``stresses``;
+    ``locate``, ``evaluate`` and ``evaluate_in_element`` are one-point calls
+    of ``locate_many`` and ``evaluate_at``.
     """
 
     def __init__(self, mesh: Mesh, materials: dict[int, MaterialProps],
@@ -181,108 +187,199 @@ class FieldEvaluator:
         self.stresses = stresses
         lo = np.empty((mesh.n_elements, 2))
         hi = np.empty((mesh.n_elements, 2))
-        for pos, verts in mesh.vertex_groups.values():
+        # Vertex count and row in its ``vertex_groups`` block, by position.
+        self._n_v = np.empty(mesh.n_elements, dtype=np.int64)
+        self._row = np.empty(mesh.n_elements, dtype=np.int64)
+        for count, (pos, verts) in mesh.vertex_groups.items():
             c = mesh.coords[verts]
             lo[pos] = c.min(axis=1)
             hi[pos] = c.max(axis=1)
+            self._n_v[pos] = count
+            self._row[pos] = np.arange(pos.size)
         pad = 1e-9 * max(float((hi - lo).max()), 1.0)
         # Bounding boxes in element-id order: row k is element_order[k].
         self._lo = lo[mesh.element_order] - pad
         self._hi = hi[mesh.element_order] + pad
         self._tol = pad
 
+        # Cells of about the mean box size, at most four per element; each
+        # bucket lists the boxes that overlap its cell in element-id order.
+        self._origin = self._lo.min(axis=0)
+        extent = self._hi.max(axis=0) - self._origin
+        cells = np.maximum(np.ceil(extent / (self._hi - self._lo).mean(axis=0)), 1.0)
+        excess = cells.prod() / (4.0 * mesh.n_elements)
+        if excess > 1.0:
+            cells = np.maximum(np.ceil(cells / math.sqrt(excess)), 1.0)
+        self._cells = cells
+        self._cell_size = extent / cells
+        first, last = self._cell_of(self._lo), self._cell_of(self._hi)
+        span = last - first + 1
+        count = span[:, 0] * span[:, 1]
+        rank = np.repeat(np.arange(mesh.n_elements), count)
+        offset = _run_offsets(count)
+        cell = ((first[rank, 1] + offset // span[rank, 0]) * int(cells[0])
+                + first[rank, 0] + offset % span[rank, 0])
+        self._bucket = rank[np.argsort(cell, kind="stable")]
+        self._bucket_start = np.concatenate(
+            ([0], np.cumsum(np.bincount(cell, minlength=int(cells.prod())))))
+
+    def _cell_of(self, points: np.ndarray) -> np.ndarray:
+        """(column, row) of the grid cell of each point, clamped to the grid (NaN to 0)."""
+        with np.errstate(invalid="ignore"):
+            index = np.floor((points - self._origin) / self._cell_size)
+        return np.fmin(np.fmax(index, 0.0), self._cells - 1).astype(np.int64)
+
+    def locate_many(self, points) -> np.ndarray:
+        """Position of the lowest-id element containing each (x, y) row of ``points``, -1 for none."""
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        cell = self._cell_of(points) @ np.array([1, int(self._cells[0])])
+        start = self._bucket_start[cell]
+        count = self._bucket_start[cell + 1] - start
+        point = np.repeat(np.arange(len(points)), count)
+        rank = self._bucket[np.repeat(start, count) + _run_offsets(count)]
+        x, y = points[point, 0], points[point, 1]
+        lo, hi = self._lo[rank], self._hi[rank]
+        in_box = (lo[:, 0] <= x) & (x <= hi[:, 0]) & (lo[:, 1] <= y) & (y <= hi[:, 1])
+        point = point[in_box]
+        pos = self.mesh.element_order[rank[in_box]]
+        n_v = self._n_v[pos]
+        hit = np.zeros(pos.size, dtype=bool)
+        for n, (_, verts) in self.mesh.vertex_groups.items():
+            sel = np.flatnonzero(n_v == n)
+            hit[sel] = _polygons_contain(self.mesh.coords[verts[self._row[pos[sel]]]],
+                                         points[point[sel]], self._tol)
+        # Candidates run in element-id order per point: keep each point's first hit.
+        found = np.full(len(points), -1, dtype=np.int64)
+        hit_points, first = np.unique(point[hit], return_index=True)
+        found[hit_points] = pos[hit][first]
+        return found
+
     def locate(self, x: float, y: float) -> int | None:
         """Position of the lowest-id element containing (x, y), or None."""
-        p = np.array([x, y])
-        ranks = np.flatnonzero((self._lo[:, 0] <= x) & (x <= self._hi[:, 0]) &
-                               (self._lo[:, 1] <= y) & (y <= self._hi[:, 1]))
-        for pos in self.mesh.element_order[ranks].tolist():
-            coords = self.mesh.element_coords(self.mesh.elements[pos])
-            if _point_in_polygon(p, coords, self._tol):
-                return pos
-        return None
+        pos = int(self.locate_many([x, y])[0])
+        return None if pos < 0 else pos
 
     def evaluate(self, quantity: str, x: float, y: float) -> float:
-        pos = self.locate(x, y)
-        if pos is None:
-            return math.nan
-        return self.evaluate_in_element(quantity, pos, x, y)
+        point = np.array([x, y], dtype=float)
+        return float(self.evaluate_at(quantity, self.locate_many(point), point)[0])
 
     def evaluate_in_element(self, quantity: str, pos: int, x: float, y: float) -> float:
-        elem = self.mesh.elements[pos]
-        if quantity in ("von_mises", "sxx", "syy", "sxy"):
+        return float(self.evaluate_at(quantity, [pos], [x, y])[0])
+
+    def evaluate_at(self, quantity: str, positions, points) -> np.ndarray:
+        """``quantity`` at each (x, y) row of ``points`` in the element at that position.
+
+        Position -1 gives NaN.  Stress quantities are the element's constant
+        values; FE fields are interpolated bilinearly at the inverse-mapped
+        point, VE fields by the element's projected linear polynomial, from
+        one stacked projection of the distinct elements per vertex count.
+        """
+        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        values = np.full(positions.size, np.nan)
+        rows = np.flatnonzero(positions >= 0)
+        if not rows.size:
+            return values
+        pos = positions[rows]
+        if quantity in _STRESS_QUANTITIES:
             if self.stresses is None:
                 raise FevecError("stress quantities need recovered stresses")
-            es = self.stresses[pos]
             if quantity == "von_mises":
-                return es.von_mises
-            return float(es.sigma[("sxx", "syy", "sxy").index(quantity)])
+                values[rows] = [self.stresses[p].von_mises for p in pos.tolist()]
+            else:
+                k = ("sxx", "syy", "sxy").index(quantity)
+                values[rows] = [self.stresses[p].sigma[k] for p in pos.tolist()]
+            return values
         if quantity == "temperature":
-            field = self.solution.temperature
-            if field is None:
+            nodal = self.solution.temperature
+            if nodal is None:
                 raise FevecError("no temperature field solved")
-            values = field[list(elem.vertices)]
-            return self._interpolate_scalar(elem, values, x, y)
-        if quantity in ("ux", "uy"):
+        elif quantity in ("ux", "uy"):
             if self.solution.displacement is None:
                 raise FevecError("no displacement field solved")
-            comp = 0 if quantity == "ux" else 1
-            values = self.solution.displacement[list(elem.vertices), comp]
-            return self._interpolate_scalar(elem, values, x, y)
-        raise FevecError(f"unknown probe quantity '{quantity}'")
+            nodal = self.solution.displacement[:, 0 if quantity == "ux" else 1]
+        else:
+            raise FevecError(f"unknown probe quantity '{quantity}'")
 
-    def _interpolate_scalar(self, elem, values, x, y) -> float:
-        coords = self.mesh.element_coords(elem)
-        if elem.kind == ElementKind.FE_QUAD:
-            xi, eta = _inverse_q4_map(coords, x, y)
-            ev = fem.q4_shape_eval(coords, xi, eta, elem.id)
-            return float(ev.N @ values)
-        ids = np.array([elem.id])
-        mats = gather_materials(self.materials, np.array([elem.region]), ids)
-        projection = vem.thermal_projection(coords[None], mats, element_ids=ids)
-        c = projection.Pi_star[0] @ values
-        gx, gy = projection.geom.centroid[0]
-        h = projection.geom.h[0]
-        return float(c[0] + c[1] * (x - gx) / h + c[2] * (y - gy) / h)
+        fe = self.mesh.element_fe[pos]
+        n_v = self._n_v[pos]
+        for n, (_, verts) in self.mesh.vertex_groups.items():
+            for is_fe in (True, False):
+                sel = np.flatnonzero((n_v == n) & (fe == is_fe))
+                if not sel.size:
+                    continue
+                block = verts[self._row[pos[sel]]]
+                interpolate = self._interpolate_fe if is_fe else self._interpolate_ve
+                values[rows[sel]] = interpolate(pos[sel], self.mesh.coords[block],
+                                                nodal[block], points[rows[sel]])
+        return values
 
+    def _interpolate_fe(self, pos, coords, nodal, points) -> np.ndarray:
+        ids = self.mesh.element_ids[pos]
+        xi, eta = _inverse_q4_map(coords, points, ids)
+        n, _ = fem.q4_shape_batch(coords, xi, eta, ids)
+        return rowdot(n, nodal)
 
-def _point_in_polygon(p: np.ndarray, coords: np.ndarray, tol: float) -> bool:
-    """Inclusive point-in-simple-polygon test (handles non-convex shapes)."""
-    n = coords.shape[0]
-    for i in range(n):
-        a = coords[i]
-        b = coords[(i + 1) % n]
-        e = b - a
-        len2 = float(e @ e)
-        cross = e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0])
-        if cross * cross <= tol * tol * max(len2, 1e-300):
-            t = float((p - a) @ e) / max(len2, 1e-300)
-            if -1e-9 <= t <= 1.0 + 1e-9:
-                return True     # on this edge
-    inside = False
-    for i in range(n):          # even-odd ray cast toward +x
-        a = coords[i]
-        b = coords[(i + 1) % n]
-        if (a[1] > p[1]) != (b[1] > p[1]):
-            x_int = a[0] + (p[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
-            if x_int > p[0]:
-                inside = not inside
-    return inside
+    def _interpolate_ve(self, pos, coords, nodal, points) -> np.ndarray:
+        distinct, first, inverse = np.unique(pos, return_index=True, return_inverse=True)
+        ids = self.mesh.element_ids[distinct]
+        mats = gather_materials(self.materials, self.mesh.element_regions[distinct], ids)
+        projection = vem.thermal_projection(coords[first], mats, element_ids=ids)
+        c = (projection.Pi_star[inverse] @ nodal[..., None])[..., 0]
+        centroid = projection.geom.centroid[inverse]
+        h = projection.geom.h[inverse]
+        return (c[:, 0] + c[:, 1] * (points[:, 0] - centroid[:, 0]) / h
+                + c[:, 2] * (points[:, 1] - centroid[:, 1]) / h)
 
 
-def _inverse_q4_map(coords: np.ndarray, x: float, y: float,
-                    max_iter: int = 20) -> tuple[float, float]:
-    xi = eta = 0.0
-    target = np.array([x, y])
+def _run_offsets(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n-1 for each run length n, concatenated."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _polygons_contain(coords: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
+    """Inclusive point-in-polygon test of each point in its polygon of a (m, n_v, 2) stack.
+
+    A point within ``tol`` of an edge (its foot on the edge, up to 1e-9 in the
+    edge parameter) is inside; otherwise an even-odd ray cast toward +x
+    decides, so non-convex polygons are handled.
+    """
+    following = np.roll(coords, -1, axis=1)
+    e = following - coords
+    to_point = points[:, None, :] - coords
+    len2 = np.maximum(rowdot(e, e), 1e-300)
+    cross = e[..., 0] * to_point[..., 1] - e[..., 1] * to_point[..., 0]
+    t = rowdot(to_point, e) / len2
+    on_edge = (cross * cross <= tol * tol * len2) & (-1e-9 <= t) & (t <= 1.0 + 1e-9)
+    y = points[:, None, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_int = coords[..., 0] + (y - coords[..., 1]) * e[..., 0] / e[..., 1]
+    crossings = ((coords[..., 1] > y) != (following[..., 1] > y)) & (x_int > points[:, None, 0])
+    return on_edge.any(axis=1) | (crossings.sum(axis=1) % 2 == 1)
+
+
+def _inverse_q4_map(coords: np.ndarray, points: np.ndarray, ids: np.ndarray,
+                    max_iter: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """Local (xi, eta) of each point in its quad of a (m, 4, 2) stack.
+
+    Newton from (0, 0); a row stops once its residual is below 1e-13 x
+    max(1, |point|), so each row takes the iterations it would take alone.
+    """
+    xi = np.zeros(len(points))
+    eta = np.zeros(len(points))
+    tol = 1e-13 * np.fmax(1.0, np.abs(points).max(axis=1))
+    active = np.arange(len(points))
     for _ in range(max_iter):
-        ev = fem.q4_shape_eval(coords, xi, eta)
-        res = ev.N @ coords - target
-        if float(np.abs(res).max()) < 1e-13 * max(1.0, float(np.abs(target).max())):
+        n, jac = fem.q4_shape_batch(coords[active], xi[active], eta[active], ids[active])
+        res = (n[:, None, :] @ coords[active])[:, 0] - points[active]
+        going = ~(np.abs(res).max(axis=1) < tol[active])
+        active, res, jac = active[going], res[going], jac[going]
+        if not active.size:
             break
-        # ev.J rows are d(x,y)/d(xi,eta): solve J^T * delta = res
-        delta = np.linalg.solve(ev.J.T, res)
-        xi -= float(delta[0])
-        eta -= float(delta[1])
+        # jac rows are d(x,y)/d(xi,eta): solve J^T * delta = res
+        delta = np.linalg.solve(np.swapaxes(jac, 1, 2), res[..., None])[..., 0]
+        xi[active] -= delta[:, 0]
+        eta[active] -= delta[:, 1]
     return xi, eta
 
 
@@ -323,8 +420,7 @@ def line_probe(mesh: Mesh, materials: dict[int, MaterialProps],
                 params.add(cand)
     svals = np.array(sorted(params))
     points = a[None, :] + svals[:, None] * (b - a)[None, :]
-    values = np.array([evaluator.evaluate(quantity, float(p[0]), float(p[1]))
-                       for p in points])
+    values = evaluator.evaluate_at(quantity, evaluator.locate_many(points), points)
     inside = np.isfinite(values)
     if not inside.any():
         raise FevecError("probe line lies entirely outside the mesh")
@@ -367,16 +463,23 @@ def _edge_crossings(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> list[float]:
 
 
 def write_probe_csv(probe: LineProbe, path: str) -> None:
-    lines = ["s,x,y,value"]
-    for s, (x, y), v in zip(probe.s, probe.points, probe.values):
-        sval = "" if not np.isfinite(v) else f"{v:.17g}"
-        lines.append(f"{s:.17g},{x:.17g},{y:.17g},{sval}")
+    """``s,x,y,value`` rows; the value is left empty where it is not finite."""
+    finite = np.isfinite(probe.values)
+    rows = np.column_stack((probe.s, probe.points, probe.values))
+    fmt = np.where(finite, "%.17g,%.17g,%.17g,%.17g\n", "%.17g,%.17g,%.17g,\n")
+    keep = np.column_stack((np.ones((len(rows), 3), dtype=bool), finite))
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("s,x,y,value\n" + "".join(fmt.tolist()) % tuple(rows[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------
 # Field export (legacy ASCII unstructured grid)
+
+
+def _format_rows(line_format: str, values) -> str:
+    """``line_format`` once per row of ``values``, ``%`` the row-major values."""
+    values = np.asarray(values)
+    return (line_format * len(values)) % tuple(values.ravel().tolist())
 
 
 def export_fields(mesh: Mesh, solution: SolutionFields,
@@ -384,43 +487,29 @@ def export_fields(mesh: Mesh, solution: SolutionFields,
     """Write a legacy ASCII unstructured-grid file (version 3.0 header).
 
     Points carry temperature (scalar) and displacement (vector); cells carry
-    von Mises (scalar) and the full stress tensor.
+    von Mises (scalar) and the full stress tensor.  Each section is formatted
+    as one block and written on its own.
     """
     n = mesh.n_nodes
     temps = solution.temperature if solution.temperature is not None else np.zeros(n)
     disp = solution.displacement if solution.displacement is not None else np.zeros((n, 2))
-
-    lines = ["# vtk DataFile Version 3.0",
-             "fevec fields",
-             "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {n} double"]
-    for x, y in mesh.coords:
-        lines.append(f"{x:.17g} {y:.17g} 0")
-    size = sum(len(e.vertices) + 1 for e in mesh.elements)
-    lines.append(f"CELLS {mesh.n_elements} {size}")
-    for e in mesh.elements:
-        lines.append(f"{len(e.vertices)} " + " ".join(str(v) for v in e.vertices))
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    lines.extend("7" for _ in mesh.elements)
-
-    lines.append(f"POINT_DATA {n}")
-    lines.append("SCALARS temperature double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(f"{t:.17g}" for t in temps)
-    lines.append("VECTORS displacement double")
-    lines.extend(f"{ux:.17g} {uy:.17g} 0" for ux, uy in disp)
-
-    if stresses is not None:
-        lines.append(f"CELL_DATA {mesh.n_elements}")
-        lines.append("SCALARS von_mises double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{es.von_mises:.17g}" for es in stresses)
-        lines.append("TENSORS stress double")
-        for es in stresses:
-            sxx, syy, sxy = es.sigma
-            lines.append(f"{sxx:.17g} {sxy:.17g} 0")
-            lines.append(f"{sxy:.17g} {syy:.17g} 0")
-            lines.append("0 0 0")
+    size = sum(verts.size + len(pos) for pos, verts in mesh.vertex_groups.values())
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("# vtk DataFile Version 3.0\nfevec fields\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                f"POINTS {n} double\n")
+        f.write(_format_rows("%.17g %.17g 0\n", mesh.coords))
+        f.write(f"CELLS {mesh.n_elements} {size}\n")
+        f.write(mesh.format_elements(lambda n_v, pos: f"{n_v}" + " %d" * n_v + "\n",
+                                     lambda pos, verts: [verts]))
+        f.write(f"CELL_TYPES {mesh.n_elements}\n" + "7\n" * mesh.n_elements)
+        f.write(f"POINT_DATA {n}\nSCALARS temperature double 1\nLOOKUP_TABLE default\n")
+        f.write(_format_rows("%.17g\n", temps))
+        f.write("VECTORS displacement double\n")
+        f.write(_format_rows("%.17g %.17g 0\n", disp))
+        if stresses is not None:
+            f.write(f"CELL_DATA {mesh.n_elements}\nSCALARS von_mises double 1\n"
+                    "LOOKUP_TABLE default\n")
+            f.write(_format_rows("%.17g\n", [es.von_mises for es in stresses]))
+            f.write("TENSORS stress double\n")
+            sigma = np.array([es.sigma for es in stresses], dtype=float).reshape(-1, 3)
+            f.write(_format_rows("%.17g %.17g 0\n%.17g %.17g 0\n0 0 0\n", sigma[:, [0, 2, 2, 1]]))

@@ -87,17 +87,17 @@ def solve_system(system: SparseSystem, options: SolveOptions | None = None
     """Reduce, solve and recover the full-length solution vector."""
     options = options or SolveOptions()
     _check_well_posed(system)
-    reduced = apply_dirichlet(system)
+    direct = options.method == METHOD_DIRECT
+    reduced = apply_dirichlet(system, elimination_order=direct)
     n = reduced.matrix.shape[0]
     diag = SolveDiagnostics(method=options.method, n_dof=n)
     if n == 0:
         return reduced.recover(np.zeros(0)), diag
 
-    if options.method == METHOD_DIRECT:
+    if direct:
         diag.ordering = (ORDERING_NATURAL if system.dof_map.mesh is None
                          else ORDERING_NESTED_DISSECTION)
-        x, diag.lu_fill = _solve_direct(reduced.matrix, reduced.rhs,
-                                        system.dof_map.elimination_order(reduced.free))
+        x, diag.lu_fill = _solve_direct(reduced.matrix, reduced.rhs)
     else:
         x, diag.iterations = _solve_cg(reduced.matrix, reduced.rhs, options)
 
@@ -186,21 +186,19 @@ def _require_rigid_modes_fixed(mesh: Mesh, fixed: np.ndarray) -> None:
         f"lacks displacement constraints against {named} (a rigid-body mode is free)")
 
 
-def _solve_direct(matrix, rhs, order: np.ndarray) -> tuple[np.ndarray, int]:
-    """Symmetric-mode SuperLU of ``matrix`` with its unknowns eliminated in ``order``.
+def _solve_direct(matrix, rhs) -> tuple[np.ndarray, int]:
+    """Symmetric-mode SuperLU of ``matrix`` with its unknowns eliminated in the given order.
 
     Returns the solution and the fill (``L.nnz + U.nnz``).
     """
     try:
-        lu = spla.splu(matrix[order][:, order].tocsc(), permc_spec="NATURAL",
+        lu = spla.splu(matrix.tocsc(), permc_spec="NATURAL",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(
             f"sparse factorization failed ({exc}); the system is likely "
             "singular -- check for missing constraints (rigid-body modes)") from exc
-    x = np.empty_like(rhs)
-    x[order] = lu.solve(rhs[order])
-    return x, int(lu.L.nnz + lu.U.nnz)
+    return lu.solve(rhs), int(lu.L.nnz + lu.U.nnz)
 
 
 def _solve_cg(matrix, rhs, options: SolveOptions):

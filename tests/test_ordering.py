@@ -32,11 +32,24 @@ def colamd_solve(system: SparseSystem) -> tuple[np.ndarray, int]:
     return reduced.recover(lu.solve(reduced.rhs)), int(lu.L.nnz + lu.U.nnz)
 
 
+def permuted_solve(system: SparseSystem) -> np.ndarray:
+    """The direct solve as a natural-order reduction whose matrix is then permuted
+    into elimination order; the in-order reduction must give the same bits."""
+    reduced = apply_dirichlet(system)
+    order = system.dof_map.elimination_order(reduced.free)
+    lu = spla.splu(reduced.matrix[order][:, order].tocsc(), permc_spec="NATURAL",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    x = np.empty_like(reduced.rhs)
+    x[order] = lu.solve(reduced.rhs[order])
+    return reduced.recover(x)
+
+
 def assert_matches_oracle(system: SparseSystem) -> np.ndarray:
     x, diag = solve_system(system)
     ref, _ = colamd_solve(system)
     assert diag.ordering == "nested_dissection"
     assert np.abs(x - ref).max() <= TOL * np.abs(ref).max()
+    assert np.array_equal(x, permuted_solve(system))
     return x
 
 
@@ -100,6 +113,16 @@ class TestDissectionOrder:
         assert np.all(np.diff(dofs)[same_node] == 1)
         runs = dofs[np.r_[True, ~same_node]] // 2
         assert np.array_equal(runs, mesh.dissection_order[np.isin(mesh.dissection_order, dofs // 2)])
+
+    def test_reduction_in_elimination_order(self):
+        mesh = generate_split_square(2.0, 1.0, 16, 8)
+        system = assemble_mechanical(mesh, {0: props()}, clamped_heated(mesh), None)
+        natural = apply_dirichlet(system)
+        ordered = apply_dirichlet(system, elimination_order=True)
+        order = system.dof_map.elimination_order(natural.free)
+        assert np.array_equal(ordered.free, natural.free[order])
+        assert np.array_equal(ordered.rhs, natural.rhs[order])
+        assert (ordered.matrix != natural.matrix[order][:, order]).nnz == 0
 
     def test_cg_never_computes_the_order(self):
         mesh = generate_split_square(2.0, 1.0, 16, 8)
