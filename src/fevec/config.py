@@ -41,13 +41,14 @@ whitespace separated, ``#`` comments.  Example::
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assembly import BoundaryConditionSet
 from .errors import AssemblyError, ParseError, SolverError
-from .materials import MaterialProps, Plane
+from .materials import MaterialProps, Plane, table_material
 from .mesh import (Mesh, generate_fcbga, generate_igbt, generate_plate_with_hole,
                    generate_quarter_annulus, generate_sandwich,
                    generate_split_square, generate_structured_quads, load_mesh,
@@ -77,7 +78,7 @@ GENERATORS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class BcSpec:
     kind: str                   # dirichlet_T | flux | dirichlet_u | traction
     values: tuple
@@ -205,16 +206,12 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
 def _parse_material(kv, path) -> MaterialProps:
     try:
         plane = Plane(kv.get("plane", ["stress"])[0])
-        return MaterialProps(
-            E=float(kv["E_MPa"][0]),
-            nu=float(kv["nu"][0]),
-            conductivity=float(kv["k_W_per_mK"][0]) / 1000.0,
-            alpha=float(kv["alpha_per_C"][0]),
-            T0=float(kv.get("T0_C", ["25"])[0]),
-            plane=plane)
+        return table_material(float(kv["E_MPa"][0]), float(kv["nu"][0]),
+                              float(kv["k_W_per_mK"][0]), float(kv["alpha_per_C"][0]),
+                              float(kv.get("T0_C", ["25"])[0]), plane)
     except KeyError as exc:
         raise ParseError(f"material block missing key {exc}", path) from exc
-    except ValueError as exc:
+    except (ValueError, AssemblyError) as exc:
         raise ParseError(f"bad material value: {exc}", path) from exc
 
 
@@ -282,11 +279,11 @@ def build_mesh(cfg: RunConfig, base_dir: str = ".") -> Mesh:
     return fn(**kwargs)
 
 
-def build_bcs(cfg: RunConfig, mesh: Mesh) -> BoundaryConditionSet:
-    """Resolve label-keyed BC specs against the mesh."""
+def resolve_bcs(mesh: Mesh, specs: Iterable[tuple[str, BcSpec]]) -> BoundaryConditionSet:
+    """Resolve ``(label, BcSpec)`` pairs against the mesh, in the given order."""
     labels = mesh.labels()
     bcs = BoundaryConditionSet()
-    for label, spec in cfg.bcs:
+    for label, spec in specs:
         if label not in labels:
             raise AssemblyError(f"bc label '{label}' not present in the mesh "
                                 f"(known labels: {sorted(labels)})")
@@ -308,6 +305,12 @@ def build_bcs(cfg: RunConfig, mesh: Mesh) -> BoundaryConditionSet:
             else:
                 traction = (spec.values[0], spec.values[1])
                 bcs.traction_edges.extend((a, b, traction) for a, b in edges)
+    return bcs
+
+
+def build_bcs(cfg: RunConfig, mesh: Mesh) -> BoundaryConditionSet:
+    """Resolve the config's BC specs; every mesh region needs a material block."""
+    bcs = resolve_bcs(mesh, cfg.bcs)
     missing = {r for r in mesh.regions() if r not in cfg.materials}
     if missing:
         raise AssemblyError(f"mesh regions without material blocks: {sorted(missing)}")

@@ -2,12 +2,14 @@
 
 Internal units: E in MPa, conductivity in W/(mm*K), lengths in mm,
 temperatures in Celsius (only differences enter the physics).  Material
-tables quoted in W/(m*K) must be divided by 1000 before construction; the
-config layer does this for its ``k_W_per_mK`` key.
+tables quoted in W/(m*K) must be divided by 1000 before construction;
+``table_material`` does this for the config's ``[material]`` blocks and the
+built-in benchmark cases.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +35,10 @@ class MaterialProps:
     plane: Plane = Plane.STRESS
 
     def __post_init__(self):
+        for name in ("E", "nu", "conductivity", "alpha", "T0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise AssemblyError(f"material {name} must be finite, got {value}")
         if not self.E > 0:
             raise AssemblyError(f"Young's modulus must be positive, got {self.E}")
         if not (0.0 <= self.nu < 0.5):
@@ -41,6 +47,16 @@ class MaterialProps:
             raise AssemblyError(f"conductivity must be positive, got {self.conductivity}")
         if self.alpha < 0:
             raise AssemblyError(f"thermal expansion must be non-negative, got {self.alpha}")
+
+
+def table_material(E_MPa: float, nu: float, k_W_per_mK: float, alpha_per_C: float,
+                   T0_C: float, plane: Plane) -> MaterialProps:
+    """A material from the table units of a ``[material]`` block.
+
+    Only the conductivity changes unit: W/(m*K) in, W/(mm*K) internally.
+    """
+    return MaterialProps(E=E_MPa, nu=nu, conductivity=k_W_per_mK / 1000.0,
+                         alpha=alpha_per_C, T0=T0_C, plane=plane)
 
 
 def elasticity_matrix(props: MaterialProps) -> np.ndarray:

@@ -1,15 +1,20 @@
+import collections
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from fevec import bench, post
+from fevec import config as configmod
 from fevec.assembly import BoundaryConditionSet
 from fevec.errors import AssemblyError, FevecError
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import (Element, ElementKind, Mesh, generate_split_square,
                         generate_structured_quads)
 from fevec.solver import run_pipeline
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestCylinderExact:
@@ -78,6 +83,21 @@ class TestBuiltinCases:
         bcs = case.make_bcs(mesh)
         assert bcs.flux_edges
         assert all(q == pytest.approx(-1.0) for (_, _, q) in bcs.flux_edges)
+
+    @pytest.mark.parametrize("name", ["plate", "cylinder", "sandwich", "fcbga", "igbt"])
+    def test_shipped_config_matches_case(self, name):
+        # configs/<name>.cfg and the built-in case state the same problem;
+        # the order of the BC sections may differ
+        case = bench.builtin_cases()[name]
+        cfg = configmod.parse_config((CONFIGS / f"{name}.cfg").read_text())
+        assert cfg.materials == case.materials
+        assert collections.Counter(cfg.bcs) == collections.Counter(case.bc_specs)
+
+    def test_absent_bc_label_rejected(self):
+        cases = bench.builtin_cases()
+        mesh = cases["cylinder"].build_mesh(0, "coupled")
+        with pytest.raises(AssemblyError, match="bc label 'top' not present"):
+            cases["sandwich"].make_bcs(mesh)
 
 
 class TestManufacturedExactness:

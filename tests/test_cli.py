@@ -123,6 +123,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:3:") and key in err
 
+    @pytest.mark.parametrize("command", ["run", "mesh-gen"])
+    @pytest.mark.parametrize("old,new", [
+        ("E_MPa 100", "E_MPa -5"), ("E_MPa 100", "E_MPa inf"), ("nu 0.3", "nu nan"),
+        ("k_W_per_mK 1000", "k_W_per_mK 0"), ("k_W_per_mK 1000", "k_W_per_mK inf"),
+        ("alpha_per_C 1e-5", "alpha_per_C -1"), ("alpha_per_C 1e-5", "alpha_per_C nan"),
+        ("T0_C 25", "T0_C inf"),
+    ])
+    def test_bad_material_value_exit_3(self, tmp_path, capsys, command, old, new):
+        text = RUN_CFG.format(out=tmp_path / "o").replace(old, new)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main([command, str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:3: {cfg}: bad material value:")
+        assert not (tmp_path / "o").exists()
+
     def test_probe_outside_mesh_exit_1(self, tmp_path, capsys):
         text = RUN_CFG.format(out=tmp_path / "o").replace("x0 0", "x0 50").replace(
             "x1 2", "x1 60")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,14 @@ class TestElasticityMatrix:
             mk(nu=0.5)
         with pytest.raises(AssemblyError):
             MaterialProps(E=1, nu=0.3, conductivity=0, alpha=0, T0=0)
+
+    @pytest.mark.parametrize("name", ["E", "nu", "conductivity", "alpha", "T0"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_props_rejected(self, name, value):
+        props = dict(E=10.0, nu=0.3, conductivity=1.0, alpha=1e-5, T0=25.0)
+        props[name] = value
+        with pytest.raises(AssemblyError, match=f"material {name} must be finite"):
+            MaterialProps(**props)
 
 
 class TestThermalStrain:
