@@ -6,10 +6,10 @@ realizes the coupled block system directly: FE-interior dofs never share a
 stored entry with VE-interior dofs because no single element contains both.
 
 Both kinds run batched: one kernel call per block of elements of one kind
-and vertex count (``Mesh.map_element_blocks``), through the batched Q4
-kernels of ``fem`` and the stacked polygon kernels of ``vem``.  Assembly is
-deterministic:
-the element triplets are concatenated in element-id order and stably sorted
+and vertex count (``Mesh.element_blocks``), through the batched Q4 kernels
+of ``fem`` and the stacked polygon kernels of ``vem``, after the mesh and
+the materials pass ``require_valid``.  Assembly is deterministic: the
+element triplets are concatenated in element-id order and stably sorted
 before compression, so repeated runs give bit-identical matrices, equal to an
 element-by-element loop in id order.
 """
@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from . import fem, vem
 from .errors import AssemblyError
 from .materials import MaterialProps, gather_materials
-from .mesh import Mesh
+from .mesh import Mesh, require_valid
 
 
 @dataclass
@@ -207,20 +207,20 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
                      bcs: BoundaryConditionSet,
                      tau: float = vem.DEFAULT_STABILIZATION) -> SparseSystem:
     """Coupled thermal system: FE quads and VE polygons into one matrix."""
+    require_valid(mesh, materials)
     dof_map = build_dof_map(mesh, "thermal")
     rhs = np.zeros(dof_map.ndof)
 
     def element_matrices(is_fe, pos, verts):
-        ids = mesh.element_ids[pos]
-        mats = gather_materials(materials, mesh.element_regions[pos], ids)
+        mats = gather_materials(materials, mesh.element_regions[pos])
         if not is_fe:
-            projection = vem.thermal_projection(mesh.coords[verts], mats, element_ids=ids)
+            projection = vem.thermal_projection(mesh.coords[verts], mats)
             return vem.thermal_element_matrices(projection, tau)
-        return fem.thermal_stiffness_q4_batch(fem.q4_batch_eval(mesh.coords[verts], ids),
+        return fem.thermal_stiffness_q4_batch(fem.q4_batch_eval(mesh.coords[verts]),
                                               mats.conductivity)
 
-    blocks = [(pos, dof_map.element_dofs(verts), ke) for pos, verts, ke
-              in mesh.map_element_blocks(element_matrices)]
+    blocks = [(pos, dof_map.element_dofs(verts), element_matrices(is_fe, pos, verts))
+              for is_fe, pos, verts in mesh.element_blocks()]
 
     for (a, b, q_bar) in bcs.flux_edges:
         _check_node(a, mesh.n_nodes, "flux edge")
@@ -247,7 +247,8 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     ``temperature=None`` means an isothermal problem at reference temperature
     (zero thermal load).
     """
-    planes = {materials[r].plane for r in mesh.regions() if r in materials}
+    require_valid(mesh, materials)
+    planes = {materials[r].plane for r in mesh.regions()}
     if len(planes) > 1:
         warnings.warn("regions mix plane stress and plane strain in one solve",
                       stacklevel=2)
@@ -256,19 +257,18 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     rhs = np.zeros(dof_map.ndof)
 
     def element_contributions(is_fe, pos, verts):
-        ids = mesh.element_ids[pos]
-        mats = gather_materials(materials, mesh.element_regions[pos], ids)
+        mats = gather_materials(materials, mesh.element_regions[pos])
         te = None if temperature is None else temperature[verts]
         if not is_fe:
-            projection = vem.elastic_projection(mesh.coords[verts], mats, element_ids=ids)
+            projection = vem.elastic_projection(mesh.coords[verts], mats)
             ke = vem.elastic_element_matrices(projection, tau)
             return ke, None if te is None else vem.vem_thermal_load(projection, mats, te)
-        q = fem.q4_batch_eval(mesh.coords[verts], ids)
+        q = fem.q4_batch_eval(mesh.coords[verts])
         ke = fem.mechanical_stiffness_q4_batch(q, mats.D)
         return ke, None if te is None else fem.thermal_load_q4_batch(q, mats, te)
 
-    blocks = [(pos, dof_map.element_dofs(verts), ke, fe) for pos, verts, (ke, fe)
-              in mesh.map_element_blocks(element_contributions)]
+    blocks = [(pos, dof_map.element_dofs(verts), *element_contributions(is_fe, pos, verts))
+              for is_fe, pos, verts in mesh.element_blocks()]
     if temperature is not None and blocks:
         np.add.at(rhs, _in_id_order(mesh, [(pos, dofs) for pos, dofs, _, _ in blocks]),
                   _in_id_order(mesh, [(pos, fe) for pos, _, _, fe in blocks]))

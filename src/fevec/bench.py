@@ -36,7 +36,7 @@ from .assembly import BoundaryConditionSet, assemble_thermal  # noqa: F401 (publ
 from .config import BcSpec, resolve_bcs
 from .errors import FevecError, SolverError
 from .materials import MaterialProps, Plane, gather_materials, table_material
-from .mesh import ElementKind, Mesh, polygon_stack
+from .mesh import ElementKind, Mesh, polygon_stack, require_valid
 from .solver import SolutionFields, SolveOptions, run_pipeline
 
 METHODS = ("coupled", "fe", "ve")
@@ -563,22 +563,22 @@ def interface_continuity(mesh: Mesh, materials, fields: SolutionFields) -> float
 def check_kernel_invariants(mesh: Mesh, materials, tol: float = 1e-9) -> bool:
     """Projection reproduction on every VE element of a generated mesh.
 
-    One stacked projection per block of polygons; a region without material
-    raises AssemblyError naming the element.
+    One stacked projection per block of polygons, after ``require_valid``.
     """
+    require_valid(mesh, materials)
+
     def reproduces(is_fe, pos, verts):
         if is_fe:
             return True
-        ids = mesh.element_ids[pos]
         coords = mesh.coords[verts]
-        mats = gather_materials(materials, mesh.element_regions[pos], ids)
-        geom = polygon_stack(coords, ids)
-        tp = vem.thermal_projection(coords, mats, geom, ids)
-        ep = vem.elastic_projection(coords, mats, geom, ids)
+        mats = gather_materials(materials, mesh.element_regions[pos])
+        geom = polygon_stack(coords)
+        tp = vem.thermal_projection(coords, mats, geom)
+        ep = vem.elastic_projection(coords, mats, geom)
         return not (np.abs(tp.Pi @ tp.D - tp.D).max() > tol
                     or np.abs(ep.Pi @ ep.D_bar - ep.D_bar).max() > tol)
 
-    return all(ok for _, _, ok in mesh.map_element_blocks(reproduces))
+    return all(reproduces(*block) for block in mesh.element_blocks())
 
 
 def run_property_case(case: BenchmarkCase, level: int | None = None,

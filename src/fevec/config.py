@@ -51,7 +51,7 @@ from .errors import AssemblyError, ParseError, SolverError
 from .materials import MaterialProps, Plane, table_material
 from .mesh import (Mesh, generate_fcbga, generate_igbt, generate_plate_with_hole,
                    generate_quarter_annulus, generate_sandwich,
-                   generate_split_square, generate_structured_quads, load_mesh,
+                   generate_split_square, generate_structured_quads, load_mesh, require_valid,
                    ElementKind)
 from .solver import SolveOptions
 
@@ -309,9 +309,7 @@ def resolve_bcs(mesh: Mesh, specs: Iterable[tuple[str, BcSpec]]) -> BoundaryCond
 
 
 def build_bcs(cfg: RunConfig, mesh: Mesh) -> BoundaryConditionSet:
-    """Resolve the config's BC specs; every mesh region needs a material block."""
+    """Resolve the config's BC specs, then check the mesh and materials with ``require_valid``."""
     bcs = resolve_bcs(mesh, cfg.bcs)
-    missing = {r for r in mesh.regions() if r not in cfg.materials}
-    if missing:
-        raise AssemblyError(f"mesh regions without material blocks: {sorted(missing)}")
+    require_valid(mesh, cfg.materials)
     return bcs

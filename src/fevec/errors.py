@@ -2,28 +2,20 @@
 
 The CLI maps these onto process exit codes: validation problems -> 1,
 solver problems -> 2, parse/IO problems -> 3.
+
+``mesh.require_valid`` runs in front of every element kernel: a mesh that
+``mesh.validate_mesh`` rejects raises MeshError with the report's first
+message, then a region without a material raises AssemblyError.  A singular
+VE projection, reachable only through moduli that underflow, is a SolverError.
 """
 
 
 class FevecError(Exception):
-    """Base class for all package errors.
-
-    ``element_id`` names the offending element when the error comes from one.
-    """
-
-    def __init__(self, message: str = "", element_id: int | None = None):
-        self.element_id = element_id
-        super().__init__(message)
+    """Base class for all package errors."""
 
 
 class MeshError(FevecError):
     """A mesh violates a structural invariant (orientation, degeneracy, ...)."""
-
-    @classmethod
-    def of_element(cls, element_id: int | None, text: str, unnamed: str = "polygon"):
-        """``element <id>: text`` naming the element; ``<unnamed>: text`` without an id."""
-        tag = unnamed if element_id is None else f"element {element_id}"
-        return cls(f"{tag}: {text}", element_id=element_id)
 
 
 class ParseError(FevecError):

@@ -11,6 +11,11 @@ Edge topology is built once per mesh as arrays (``Mesh.edges`` and, per
 element side, ``side_element`` / ``side_edge``); every edge reader uses them
 and reads element data by position, never by element id.
 
+``validate_mesh`` is the one definition of a valid mesh: every element a
+simple counter-clockwise polygon, every FE quad strictly convex.  The
+assembly, stress recovery and probes pass ``require_valid`` before any
+element kernel, so the kernels check nothing themselves.
+
 All lengths are millimetres.  Vertex order is counter-clockwise everywhere.
 """
 
@@ -26,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import FevecError, MeshError, ParseError
+from .errors import AssemblyError, MeshError, ParseError
 
 
 class ElementKind(Enum):
@@ -49,13 +54,6 @@ class Element:
     region: int
 
 
-def shoelace_area(coords: np.ndarray) -> float:
-    """Signed polygon area; positive for counter-clockwise vertex order."""
-    x = coords[:, 0]
-    y = coords[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching last-axis rows.
 
@@ -66,10 +64,17 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def shoelace_areas(coords: np.ndarray) -> np.ndarray:
-    """Signed areas of a stack of polygons (m, n_v, 2), as ``shoelace_area`` per row."""
+    """Signed areas of a stack of polygons (m, n_v, 2); positive for counter-clockwise order."""
     x = coords[..., 0]
     y = coords[..., 1]
     return 0.5 * (rowdot(x, np.roll(y, -1, axis=-1)) - rowdot(y, np.roll(x, -1, axis=-1)))
+
+
+def _area_rounding(coords: np.ndarray) -> np.ndarray:
+    """Bound on the rounding error of ``shoelace_areas``, per polygon of a (m, n_v, 2) stack."""
+    x, y = np.abs(coords[..., 0]), np.abs(coords[..., 1])
+    return coords.shape[-2] * np.finfo(float).eps * 0.5 * (
+        rowdot(x, np.roll(y, -1, axis=-1)) + rowdot(y, np.roll(x, -1, axis=-1)))
 
 
 def _edges(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,31 +103,15 @@ class PolygonStack:
     edge_lengths: np.ndarray  # (m, n_v)
 
 
-def polygon_stack(coords: np.ndarray,
-                  element_ids: Sequence[int] | np.ndarray | None = None) -> PolygonStack:
+def polygon_stack(coords: np.ndarray) -> PolygonStack:
     """Geometry of a (m, n_v, 2) stack of polygons, in arrays with one row per polygon.
 
-    The first degenerate row raises MeshError naming ``element_ids[row]``
-    (``polygon`` without ids): fewer than 3 vertices, a zero-length edge or
-    non-positive area, checked in that order.  Each row equals the geometry
-    of that polygon computed on its own, bit for bit.
+    The polygons must be ones ``validate_mesh`` accepts.  Each row equals the
+    geometry of that polygon computed on its own, bit for bit.
     """
     coords = np.asarray(coords, dtype=float)
-    m, n_v = coords.shape[:2]
-
-    def fail(row: int, text: str):
-        raise MeshError.of_element(None if element_ids is None else int(element_ids[row]), text)
-
-    if m and n_v < 3:
-        fail(0, f"needs at least 3 vertices, got {n_v}")
-    deltas, lengths, short = _edges(coords)
+    deltas, lengths, _ = _edges(coords)
     areas = shoelace_areas(coords)
-    bad = short | (areas <= 0.0)
-    if bad.any():
-        row = int(bad.argmax())
-        if short[row]:
-            fail(row, "zero-length edge (repeated or collinear-coincident vertices)")
-        fail(row, f"non-positive area {areas[row]:g} (clockwise or degenerate)")
 
     x, y = coords[..., 0], coords[..., 1]
     x_next, y_next = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
@@ -219,9 +208,6 @@ class Mesh:
     def n_elements(self) -> int:
         return len(self.elements)
 
-    def element_coords(self, element: Element) -> np.ndarray:
-        return self.coords[list(element.vertices)]
-
     def edge_index(self, pairs) -> np.ndarray:
         """Index in ``edges`` of each node pair (either order), -1 where no element has it."""
         pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
@@ -253,7 +239,7 @@ class Mesh:
         return set(self.boundary_edges.values())
 
     def regions(self) -> set[int]:
-        return {e.region for e in self.elements}
+        return set(np.unique(self.element_regions).tolist())
 
     def element_blocks(self) -> list[tuple[bool, np.ndarray, np.ndarray]]:
         """(is_fe, positions, (m, n_v) vertices) per group of one kind and vertex count.
@@ -272,48 +258,6 @@ class Mesh:
                 for s in range(0, rows.size, step):
                     blocks.append((flag, pos[rows[s:s + step]], verts[rows[s:s + step]]))
         return blocks
-
-    def map_element_blocks(self, kernel: Callable[[bool, np.ndarray, np.ndarray], Any]
-                           ) -> list[tuple[np.ndarray, np.ndarray, Any]]:
-        """Apply ``kernel(is_fe, positions, vertices)`` to every element block.
-
-        Returns ``(positions, vertices, result)`` per block.  When kernels
-        raise errors that name an element (MeshError, a missing material's
-        AssemblyError), the one of the lowest element id is raised, as an
-        element-by-element loop in id order would raise it.
-        """
-        out, failures = [], []
-        for is_fe, pos, verts in self.element_blocks():
-            try:
-                out.append((pos, verts, kernel(is_fe, pos, verts)))
-            except FevecError as exc:
-                if exc.element_id is None:
-                    raise
-                failures.append(self._earliest_failure(kernel, is_fe, pos, verts, exc))
-        if failures:
-            raise min(failures, key=lambda exc: exc.element_id)
-        return out
-
-    def _earliest_failure(self, kernel, is_fe: bool, pos: np.ndarray, verts: np.ndarray,
-                          exc: FevecError) -> FevecError:
-        """The failure of the lowest element id in one block.
-
-        A block kernel runs its checks in stages over all rows (material
-        lookup, then the Jacobians), so a row flagged by an early stage can
-        hide an earlier row that fails only a later stage; the rows before it
-        are rerun.
-        """
-        while True:
-            row = int(np.searchsorted(self.element_ids[pos], exc.element_id))
-            if row == 0:
-                return exc
-            try:
-                kernel(is_fe, pos[:row], verts[:row])
-                return exc
-            except FevecError as earlier:
-                if earlier.element_id is None:
-                    raise
-                exc = earlier
 
     def format_elements(self, line_format: Callable[[int, np.ndarray], Any],
                         columns: Callable[[np.ndarray, np.ndarray], list[np.ndarray]]) -> str:
@@ -347,6 +291,11 @@ class Mesh:
         graph = sp.coo_matrix((np.ones(len(self.edges)), (self.edges[:, 0], self.edges[:, 1])),
                               shape=(n, n))
         return connected_components(graph, directed=False)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """The report of ``validate_mesh``; computed once, as the mesh does not change."""
+        return tuple(_violations(self))
 
     @cached_property
     def dissection_order(self) -> np.ndarray:
@@ -461,7 +410,9 @@ _ELEMENT_CHECKS = (
     ("fe-quad-arity", "element {id}: FE_QUAD must have 4 vertices, has {n_v}"),
     ("orientation", "element {id}: non-positive area {area:g} (clockwise vertex order?)"),
     ("degenerate", "element {id}: zero-length edge"),
+    ("degenerate", "element {id}: area {area:g} is zero to rounding"),
     ("self-intersection", "element {id}: edges {i} and {j} cross"),
+    ("fe-quad-convexity", "element {id}: FE_QUAD not strictly convex at node {node}"),
 )
 
 # Vertices or edge pairs per chunk of the geometry checks; bounds their
@@ -509,7 +460,11 @@ def _element_violations(mesh: Mesh) -> dict[int, Violation]:
 
     Each vertex-count block is checked in one array pass (the geometry in
     row chunks); coordinates are read only for rows that pass the vertex-id
-    checks.
+    checks.  An area within its rounding error (every vertex on one line)
+    would make the elastic projection singular.  An FE quad must turn left
+    at every corner: a strictly convex bilinear quad has det J > 0 on the
+    whole reference square, so the Q4 kernels and the probes' inverse map
+    never meet a singular Jacobian.
     """
     out: dict[int, Violation] = {}
     for n_v, (pos, verts) in mesh.vertex_groups.items():
@@ -525,23 +480,30 @@ def _element_violations(mesh: Mesh) -> dict[int, Violation]:
         live = np.flatnonzero(failed < 0)
         areas = np.zeros(m)
         crossing = np.full(m, -1, dtype=np.int64)
+        reflex = np.zeros(m, dtype=np.int64)   # first corner that does not turn left
         step = max(1, _CHECK_CHUNK // max(1, n_v, len(pairs)))
         for s in range(0, live.size, step):
             rows = live[s:s + step]
             coords = mesh.coords[verts[rows]]
             areas[rows] = shoelace_areas(coords)
             crossing[rows] = _first_crossings(coords, pairs)
+            straight = _orient(np.roll(coords, 1, axis=1), coords,
+                               np.roll(coords, -1, axis=1)) <= 0.0
+            reflex[rows] = straight.argmax(axis=1)
             failed[rows] = np.select(
                 [areas[rows] <= 0.0,
                  _edges(coords)[2],
-                 crossing[rows] >= 0],
-                [4, 5, 6], -1)
+                 areas[rows] <= _area_rounding(coords),
+                 crossing[rows] >= 0,
+                 mesh.element_fe[pos[rows]] & straight.any(axis=1)],
+                [4, 5, 6, 7, 8], -1)
         for r in np.flatnonzero(failed >= 0).tolist():
             code, text = _ELEMENT_CHECKS[failed[r]]
             i, j = pairs[crossing[r]].tolist() if crossing[r] >= 0 else (None, None)
             p = int(pos[r])
             out[p] = Violation(code, text.format(id=mesh.elements[p].id, n_v=n_v,
-                                                 area=float(areas[r]), i=i, j=j))
+                                                 area=float(areas[r]), i=i, j=j,
+                                                 node=int(verts[r, reflex[r]])))
     return out
 
 
@@ -549,8 +511,24 @@ def validate_mesh(mesh: Mesh) -> list[Violation]:
     """Check every mesh invariant; returns an empty list iff the mesh is valid.
 
     Elements are reported in list order, each under its first failed check
-    and after the duplicate-id message of its id, if any.
+    and after the duplicate-id message of its id, if any.  The report is
+    computed once per mesh (``Mesh.violations``).
     """
+    return list(mesh.violations)
+
+
+def require_valid(mesh: Mesh, materials: dict) -> None:
+    """The gate in front of every element kernel: MeshError with the first message of
+    ``validate_mesh``, then AssemblyError when a region has no entry in ``materials``."""
+    report = validate_mesh(mesh)
+    if report:
+        raise MeshError(report[0].message)
+    missing = sorted(mesh.regions() - materials.keys())
+    if missing:
+        raise AssemblyError(f"mesh regions without material blocks: {missing}")
+
+
+def _violations(mesh: Mesh) -> list[Violation]:
     report: list[Violation] = []
     n_nodes = mesh.n_nodes
 

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from . import fem, vem
 from .errors import FevecError
 from .materials import MaterialProps, Plane, gather_materials
-from .mesh import Mesh, rowdot
+from .mesh import Mesh, require_valid, rowdot
 from .solver import SolutionFields
 
 PROVENANCE_FE = "FE_GAUSS_AVG"
@@ -60,29 +60,28 @@ def von_mises_batch(sigma: np.ndarray, plane_strain: np.ndarray, nu: np.ndarray)
 
 def recover_stress(mesh: Mesh, materials: dict[int, MaterialProps],
                    solution: SolutionFields) -> list[ElementStress]:
+    require_valid(mesh, materials)
     if solution.displacement is None:
         raise FevecError("stress recovery needs a solved displacement field")
     u = solution.displacement
     temps = solution.temperature
 
     def element_stresses(is_fe, pos, verts):
-        ids = mesh.element_ids[pos]
-        mats = gather_materials(materials, mesh.element_regions[pos], ids)
+        mats = gather_materials(materials, mesh.element_regions[pos])
         coords = mesh.coords[verts]
         ue = u[verts].reshape(len(pos), -1)
         te = None if temps is None else temps[verts]
         if is_fe:
-            sigma = fem.stress_q4_batch(fem.q4_batch_eval(coords, ids), mats, ue, te)
+            sigma = fem.stress_q4_batch(fem.q4_batch_eval(coords), mats, ue, te)
         else:
-            projection = vem.elastic_projection(coords, mats, element_ids=ids)
+            projection = vem.elastic_projection(coords, mats)
             sigma = vem.projected_stress(projection, mats, ue, te)
         return sigma, von_mises_batch(sigma, mats.plane_strain, mats.nu)
 
     sigma = np.empty((mesh.n_elements, 3))
     vm = np.empty(mesh.n_elements)
-    for pos, _, (block_sigma, block_vm) in mesh.map_element_blocks(element_stresses):
-        sigma[pos] = block_sigma
-        vm[pos] = block_vm
+    for is_fe, pos, verts in mesh.element_blocks():
+        sigma[pos], vm[pos] = element_stresses(is_fe, pos, verts)
     return [ElementStress(e.id, sigma[k], float(vm[k]),
                           PROVENANCE_FE if fe else PROVENANCE_VE)
             for k, (e, fe) in enumerate(zip(mesh.elements, mesh.element_fe.tolist()))]
@@ -181,6 +180,7 @@ class FieldEvaluator:
     def __init__(self, mesh: Mesh, materials: dict[int, MaterialProps],
                  solution: SolutionFields,
                  stresses: list[ElementStress] | None = None):
+        require_valid(mesh, materials)
         self.mesh = mesh
         self.materials = materials
         self.solution = solution
@@ -315,16 +315,14 @@ class FieldEvaluator:
         return values
 
     def _interpolate_fe(self, pos, coords, nodal, points) -> np.ndarray:
-        ids = self.mesh.element_ids[pos]
-        xi, eta = _inverse_q4_map(coords, points, ids)
-        n, _ = fem.q4_shape_batch(coords, xi, eta, ids)
+        xi, eta = _inverse_q4_map(coords, points)
+        n, _ = fem.q4_shape_batch(coords, xi, eta)
         return rowdot(n, nodal)
 
     def _interpolate_ve(self, pos, coords, nodal, points) -> np.ndarray:
         distinct, first, inverse = np.unique(pos, return_index=True, return_inverse=True)
-        ids = self.mesh.element_ids[distinct]
-        mats = gather_materials(self.materials, self.mesh.element_regions[distinct], ids)
-        projection = vem.thermal_projection(coords[first], mats, element_ids=ids)
+        mats = gather_materials(self.materials, self.mesh.element_regions[distinct])
+        projection = vem.thermal_projection(coords[first], mats)
         c = (projection.Pi_star[inverse] @ nodal[..., None])[..., 0]
         centroid = projection.geom.centroid[inverse]
         h = projection.geom.h[inverse]
@@ -358,19 +356,20 @@ def _polygons_contain(coords: np.ndarray, points: np.ndarray, tol: float) -> np.
     return on_edge.any(axis=1) | (crossings.sum(axis=1) % 2 == 1)
 
 
-def _inverse_q4_map(coords: np.ndarray, points: np.ndarray, ids: np.ndarray,
+def _inverse_q4_map(coords: np.ndarray, points: np.ndarray,
                     max_iter: int = 20) -> tuple[np.ndarray, np.ndarray]:
     """Local (xi, eta) of each point in its quad of a (m, 4, 2) stack.
 
     Newton from (0, 0); a row stops once its residual is below 1e-13 x
     max(1, |point|), so each row takes the iterations it would take alone.
+    The quads are strictly convex, so J is non-singular along the path.
     """
     xi = np.zeros(len(points))
     eta = np.zeros(len(points))
     tol = 1e-13 * np.fmax(1.0, np.abs(points).max(axis=1))
     active = np.arange(len(points))
     for _ in range(max_iter):
-        n, jac = fem.q4_shape_batch(coords[active], xi[active], eta[active], ids[active])
+        n, jac = fem.q4_shape_batch(coords[active], xi[active], eta[active])
         res = (n[:, None, :] @ coords[active])[:, 0] - points[active]
         going = ~(np.abs(res).max(axis=1) < tol[active])
         active, res, jac = active[going], res[going], jac[going]

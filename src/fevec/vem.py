@@ -32,6 +32,11 @@ lines of MATLAB", Numer. Algorithms 2017).  Each product is a stacked
 ``matmul`` in the operation order of a one-polygon computation, so every row
 equals that polygon computed on its own, bit for bit.  A single polygon is
 the one-row stack.
+
+On polygons that ``mesh.validate_mesh`` accepts both projection systems
+are non-singular for positive moduli (the thermal one is [[1, ., .], [0, c,
+0], [0, 0, c]], c = lambda |E| / h^2; the elastic one is block-triangular),
+so a singular stack means moduli that underflow: a SolverError.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshError
+from .errors import SolverError
 from .materials import MaterialArrays
 from .mesh import PolygonStack, polygon_stack
 
@@ -66,18 +71,12 @@ def _transpose(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _solve(systems: np.ndarray, rhs: np.ndarray, element_ids, field: str) -> np.ndarray:
-    """Stacked solve; a singular stack raises MeshError naming its first singular row."""
+def _solve(systems: np.ndarray, rhs: np.ndarray, field: str) -> np.ndarray:
+    """Stacked solve of the projection systems of one field."""
     try:
         return np.linalg.solve(systems, rhs)
     except np.linalg.LinAlgError as exc:
-        for row in range(len(systems)):
-            try:
-                np.linalg.solve(systems[row], rhs[row])
-            except np.linalg.LinAlgError:
-                eid = None if element_ids is None else int(element_ids[row])
-                raise MeshError.of_element(eid, f"singular {field} projection system") from exc
-        raise
+        raise SolverError(f"singular {field} projection system") from exc
 
 
 @dataclass(frozen=True)
@@ -104,16 +103,14 @@ class ElasticProjection:
 
 
 def thermal_projection(coords: np.ndarray, mats: MaterialArrays,
-                       geom: PolygonStack | None = None,
-                       element_ids=None) -> ThermalProjection:
+                       geom: PolygonStack | None = None) -> ThermalProjection:
     """Energy projection of the scalar virtual space of each polygon in a (m, n_v, 2) stack.
 
-    Without ``geom`` the geometry is computed here.  A degenerate or singular
-    row raises MeshError naming ``element_ids[row]``.
+    Without ``geom`` the geometry is computed here.
     """
     coords = np.asarray(coords, dtype=float)
     if geom is None:
-        geom = polygon_stack(coords, element_ids)
+        geom = polygon_stack(coords)
     m, n_v = coords.shape[:2]
     lam = mats.conductivity
     h = geom.h
@@ -132,7 +129,7 @@ def thermal_projection(coords: np.ndarray, mats: MaterialArrays,
     g = g_energy.copy()
     g[:, 0] = dmat.mean(axis=1)       # vertex-average closure of the constant mode
 
-    pi_star = _solve(g, b, element_ids, "thermal")
+    pi_star = _solve(g, b, "thermal")
     return ThermalProjection(geom=geom, G_energy=g_energy, D=dmat, Pi_star=pi_star,
                              Pi=dmat @ pi_star)
 
@@ -181,16 +178,14 @@ def vector_dof_matrix(coords: np.ndarray, geom: PolygonStack) -> np.ndarray:
 
 
 def elastic_projection(coords: np.ndarray, mats: MaterialArrays,
-                       geom: PolygonStack | None = None,
-                       element_ids=None) -> ElasticProjection:
+                       geom: PolygonStack | None = None) -> ElasticProjection:
     """Ritz projection of the vector virtual space of each polygon in a (m, n_v, 2) stack.
 
-    Without ``geom`` the geometry is computed here.  A degenerate or singular
-    row raises MeshError naming ``element_ids[row]``.
+    Without ``geom`` the geometry is computed here.
     """
     coords = np.asarray(coords, dtype=float)
     if geom is None:
-        geom = polygon_stack(coords, element_ids)
+        geom = polygon_stack(coords)
     m, n_v = coords.shape[:2]
     area = geom.area
     eps = vector_strain_basis(geom)
@@ -218,7 +213,7 @@ def elastic_projection(coords: np.ndarray, mats: MaterialArrays,
     systems[:, :3] = closure @ dbar       # functionals applied to the basis
     b_bar[:, :3] = closure
 
-    pi_star = _solve(systems, b_bar, element_ids, "elastic")
+    pi_star = _solve(systems, b_bar, "elastic")
     return ElasticProjection(geom=geom, M_energy=m_energy, D_bar=dbar, Pi_star=pi_star,
                              Pi=dbar @ pi_star, strain_basis=eps)
 

@@ -66,7 +66,7 @@ def polygon_family(seed=42, count=200):
 
 def one_material(props):
     """MaterialArrays of a one-element stack of ``props``."""
-    return gather_materials({0: props}, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    return gather_materials({0: props}, np.zeros(1, dtype=np.int64))
 
 
 def first_row(stack):
@@ -75,42 +75,37 @@ def first_row(stack):
                               if isinstance(v, np.ndarray)})
 
 
-def polygon_row(coords, element_id=None):
+def polygon_row(coords):
     """Row 0 of ``polygon_stack`` of one polygon."""
-    ids = None if element_id is None else [element_id]
-    return first_row(polygon_stack(np.asarray(coords, dtype=float)[None], ids))
+    return first_row(polygon_stack(np.asarray(coords, dtype=float)[None]))
 
 
-def _one_row(projection, coords, props, element_id):
-    ids = None if element_id is None else [element_id]
-    return projection(np.asarray(coords, dtype=float)[None], one_material(props),
-                      element_ids=ids)
+def _one_row(projection, coords, props):
+    return projection(np.asarray(coords, dtype=float)[None], one_material(props))
 
 
-def thermal_row(coords, props, element_id=None):
+def thermal_row(coords, props):
     """Row 0 of ``vem.thermal_projection`` of one polygon."""
-    return first_row(_one_row(vem.thermal_projection, coords, props, element_id))
+    return first_row(_one_row(vem.thermal_projection, coords, props))
 
 
-def elastic_row(coords, props, element_id=None):
+def elastic_row(coords, props):
     """Row 0 of ``vem.elastic_projection`` of one polygon."""
-    return first_row(_one_row(vem.elastic_projection, coords, props, element_id))
+    return first_row(_one_row(vem.elastic_projection, coords, props))
 
 
-def thermal_matrix(coords, props, element_id=None):
+def thermal_matrix(coords, props):
     """VE thermal stiffness of one polygon."""
-    projection = _one_row(vem.thermal_projection, coords, props, element_id)
-    return vem.thermal_element_matrices(projection)[0]
+    return vem.thermal_element_matrices(_one_row(vem.thermal_projection, coords, props))[0]
 
 
-def elastic_matrix(coords, props, element_id=None):
+def elastic_matrix(coords, props):
     """VE elastic stiffness of one polygon."""
-    projection = _one_row(vem.elastic_projection, coords, props, element_id)
-    return vem.elastic_element_matrices(projection)[0]
+    return vem.elastic_element_matrices(_one_row(vem.elastic_projection, coords, props))[0]
 
 
 def thermal_load_row(coords, props, nodal_temperature):
     """VE thermal load of one polygon."""
-    projection = _one_row(vem.elastic_projection, coords, props, None)
+    projection = _one_row(vem.elastic_projection, coords, props)
     return vem.vem_thermal_load(projection, one_material(props),
                                 np.asarray(nodal_temperature, dtype=float)[None])[0]

@@ -4,7 +4,9 @@ These are the one-element-at-a-time bodies that ``fevec.vem`` (stacked VE
 projections, matrices, loads and stresses) and ``fevec.fem`` (batched Q4
 matrices and loads) replaced.  Tests compare the library kernels against
 them row by row, bit for bit.  A polygon's geometry ``geom`` is one row of
-``polygon_stack`` (``conftest.polygon_row``).
+``polygon_stack`` (``conftest.polygon_row``).  ``q4_shape_eval``,
+``shoelace_area`` and ``element_coords`` are the one-element helpers the
+library no longer needs.
 """
 
 from __future__ import annotations
@@ -14,46 +16,88 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fevec.errors import MeshError
-from fevec.fem import GAUSS_2X2, q4_shape_eval
+from fevec.errors import SolverError
+from fevec.fem import GAUSS_2X2
 from fevec.materials import MaterialProps, elasticity_matrix, thermal_strain_voigt
 from conftest import polygon_row
 
 DEFAULT_STABILIZATION = 0.5
+
+# Parent-element corner signs, CCW from (-1,-1).
+_XI_I = np.array([-1.0, 1.0, 1.0, -1.0])
+_ETA_I = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+def shoelace_area(coords: np.ndarray) -> float:
+    """Signed polygon area; positive for counter-clockwise vertex order."""
+    x = coords[:, 0]
+    y = coords[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def element_coords(mesh, element) -> np.ndarray:
+    """(n_v, 2) vertex coordinates of one element."""
+    return mesh.coords[list(element.vertices)]
 
 
 # ---------------------------------------------------------------------------
 # Four-node quadrilateral
 
 
-def thermal_stiffness_q4(coords: np.ndarray, props: MaterialProps,
-                         elem_id: int | None = None) -> np.ndarray:
+@dataclass(frozen=True)
+class ShapeEval:
+    """Shape functions and derived matrices at one local point."""
+
+    N: np.ndarray        # (4,)
+    dN_dxi: np.ndarray   # (2, 4) local gradients
+    J: np.ndarray        # (2, 2)
+    detJ: float
+    B_T: np.ndarray      # (2, 4) global gradients (thermal)
+    B_u: np.ndarray      # (3, 8) strain-displacement
+
+
+def q4_shape_eval(coords: np.ndarray, xi: float, eta: float) -> ShapeEval:
+    """Bilinear shape data of one quad, (4, 2) CCW corners, at local point (xi, eta)."""
+    n = 0.25 * (1.0 + _XI_I * xi) * (1.0 + _ETA_I * eta)
+    dn = np.vstack((0.25 * _XI_I * (1.0 + _ETA_I * eta),
+                    0.25 * _ETA_I * (1.0 + _XI_I * xi)))
+    jac = dn @ coords
+    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
+    b_t = inv @ dn
+    b_u = np.zeros((3, 8))
+    b_u[0, 0::2] = b_t[0]
+    b_u[1, 1::2] = b_t[1]
+    b_u[2, 0::2] = b_t[1]
+    b_u[2, 1::2] = b_t[0]
+    return ShapeEval(N=n, dN_dxi=dn, J=jac, detJ=float(det), B_T=b_t, B_u=b_u)
+
+
+def thermal_stiffness_q4(coords: np.ndarray, props: MaterialProps) -> np.ndarray:
     k = np.zeros((4, 4))
     lam = props.conductivity
     for xi, eta, w in GAUSS_2X2:
-        ev = q4_shape_eval(coords, xi, eta, elem_id)
+        ev = q4_shape_eval(coords, xi, eta)
         k += (w * lam * ev.detJ) * (ev.B_T.T @ ev.B_T)
     return 0.5 * (k + k.T)
 
 
-def mechanical_stiffness_q4(coords: np.ndarray, props: MaterialProps,
-                            elem_id: int | None = None) -> np.ndarray:
+def mechanical_stiffness_q4(coords: np.ndarray, props: MaterialProps) -> np.ndarray:
     k = np.zeros((8, 8))
     d = elasticity_matrix(props)
     for xi, eta, w in GAUSS_2X2:
-        ev = q4_shape_eval(coords, xi, eta, elem_id)
+        ev = q4_shape_eval(coords, xi, eta)
         k += (w * ev.detJ) * (ev.B_u.T @ d @ ev.B_u)
     return 0.5 * (k + k.T)
 
 
 def thermal_load_q4(coords: np.ndarray, props: MaterialProps,
-                    nodal_temperature: np.ndarray,
-                    elem_id: int | None = None) -> np.ndarray:
+                    nodal_temperature: np.ndarray) -> np.ndarray:
     """Equivalent nodal forces of the thermal strain, T interpolated bilinearly."""
     f = np.zeros(8)
     d = elasticity_matrix(props)
     for xi, eta, w in GAUSS_2X2:
-        ev = q4_shape_eval(coords, xi, eta, elem_id)
+        ev = q4_shape_eval(coords, xi, eta)
         t_gp = float(ev.N @ nodal_temperature)
         eps_th = thermal_strain_voigt(props, t_gp)
         f += (w * ev.detJ) * (ev.B_u.T @ (d @ eps_th))
@@ -97,11 +141,10 @@ class ElasticProjection:
 
 
 def thermal_projection(coords: np.ndarray, props: MaterialProps,
-                       geom: SimpleNamespace | None = None,
-                       elem_id: int | None = None) -> ThermalProjection:
+                       geom: SimpleNamespace | None = None) -> ThermalProjection:
     coords = np.asarray(coords, dtype=float)
     if geom is None:
-        geom = polygon_row(coords, elem_id)
+        geom = polygon_row(coords)
     n_v = coords.shape[0]
     lam = props.conductivity
     h = geom.h
@@ -125,7 +168,7 @@ def thermal_projection(coords: np.ndarray, props: MaterialProps,
     try:
         pi_star = np.linalg.solve(g, b)
     except np.linalg.LinAlgError as exc:
-        raise MeshError.of_element(elem_id, "singular thermal projection system") from exc
+        raise SolverError("singular thermal projection system") from exc
     pi = dmat @ pi_star
     return ThermalProjection(geom=geom, G=g, G_energy=g_energy, B=b,
                              D=dmat, Pi_star=pi_star, Pi=pi)
@@ -133,10 +176,9 @@ def thermal_projection(coords: np.ndarray, props: MaterialProps,
 
 def thermal_element_matrices(coords: np.ndarray, props: MaterialProps,
                              tau: float = DEFAULT_STABILIZATION,
-                             projection: ThermalProjection | None = None,
-                             elem_id: int | None = None) -> np.ndarray:
+                             projection: ThermalProjection | None = None) -> np.ndarray:
     if projection is None:
-        projection = thermal_projection(coords, props, elem_id=elem_id)
+        projection = thermal_projection(coords, props)
     k_c = projection.Pi_star.T @ projection.G_energy @ projection.Pi_star
     k_c = 0.5 * (k_c + k_c.T)
     residual = np.eye(projection.Pi.shape[0]) - projection.Pi
@@ -170,11 +212,10 @@ def vector_dof_matrix(coords: np.ndarray, geom: SimpleNamespace) -> np.ndarray:
 
 
 def elastic_projection(coords: np.ndarray, props: MaterialProps,
-                       geom: SimpleNamespace | None = None,
-                       elem_id: int | None = None) -> ElasticProjection:
+                       geom: SimpleNamespace | None = None) -> ElasticProjection:
     coords = np.asarray(coords, dtype=float)
     if geom is None:
-        geom = polygon_row(coords, elem_id)
+        geom = polygon_row(coords)
     n_v = coords.shape[0]
     area = geom.area
     dhat = elasticity_matrix(props)
@@ -202,7 +243,7 @@ def elastic_projection(coords: np.ndarray, props: MaterialProps,
     try:
         pi_star = np.linalg.solve(m, b_bar)
     except np.linalg.LinAlgError as exc:
-        raise MeshError.of_element(elem_id, "singular elastic projection system") from exc
+        raise SolverError("singular elastic projection system") from exc
     pi = dbar @ pi_star
     return ElasticProjection(geom=geom, M=m, M_energy=m_energy, B_bar=b_bar,
                              D_bar=dbar, Pi_star=pi_star, Pi=pi,
@@ -211,10 +252,9 @@ def elastic_projection(coords: np.ndarray, props: MaterialProps,
 
 def elastic_element_matrices(coords: np.ndarray, props: MaterialProps,
                              tau: float = DEFAULT_STABILIZATION,
-                             projection: ElasticProjection | None = None,
-                             elem_id: int | None = None) -> np.ndarray:
+                             projection: ElasticProjection | None = None) -> np.ndarray:
     if projection is None:
-        projection = elastic_projection(coords, props, elem_id=elem_id)
+        projection = elastic_projection(coords, props)
     k_c = projection.Pi_star.T @ projection.M_energy @ projection.Pi_star
     k_c = 0.5 * (k_c + k_c.T)
     residual = np.eye(projection.Pi.shape[0]) - projection.Pi
@@ -224,10 +264,9 @@ def elastic_element_matrices(coords: np.ndarray, props: MaterialProps,
 
 def vem_thermal_load(coords: np.ndarray, props: MaterialProps,
                      nodal_temperature: np.ndarray,
-                     projection: ElasticProjection | None = None,
-                     elem_id: int | None = None) -> np.ndarray:
+                     projection: ElasticProjection | None = None) -> np.ndarray:
     if projection is None:
-        projection = elastic_projection(coords, props, elem_id=elem_id)
+        projection = elastic_projection(coords, props)
     t_c = float(np.mean(nodal_temperature))
     eps_th = thermal_strain_voigt(props, t_c)
     dhat = elasticity_matrix(props)

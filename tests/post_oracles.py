@@ -13,10 +13,11 @@ import math
 
 import numpy as np
 
-from fevec import fem, vem
+from fevec import vem
 from fevec.errors import FevecError
 from fevec.materials import gather_materials
 from fevec.mesh import FORMAT_HEADER, ElementKind
+from kernel_oracles import element_coords, q4_shape_eval
 
 
 class PointEvaluator:
@@ -27,8 +28,8 @@ class PointEvaluator:
         self.materials = materials
         self.solution = solution
         self.stresses = stresses
-        lo = np.array([mesh.element_coords(e).min(axis=0) for e in mesh.elements])
-        hi = np.array([mesh.element_coords(e).max(axis=0) for e in mesh.elements])
+        lo = np.array([element_coords(mesh, e).min(axis=0) for e in mesh.elements])
+        hi = np.array([element_coords(mesh, e).max(axis=0) for e in mesh.elements])
         pad = 1e-9 * max(float((hi - lo).max()), 1.0)
         self._lo = lo[mesh.element_order] - pad
         self._hi = hi[mesh.element_order] + pad
@@ -39,7 +40,7 @@ class PointEvaluator:
         ranks = np.flatnonzero((self._lo[:, 0] <= x) & (x <= self._hi[:, 0]) &
                                (self._lo[:, 1] <= y) & (y <= self._hi[:, 1]))
         for pos in self.mesh.element_order[ranks].tolist():
-            coords = self.mesh.element_coords(self.mesh.elements[pos])
+            coords = element_coords(self.mesh, self.mesh.elements[pos])
             if point_in_polygon(p, coords, self._tol):
                 return pos
         return None
@@ -73,14 +74,13 @@ class PointEvaluator:
         raise FevecError(f"unknown probe quantity '{quantity}'")
 
     def _interpolate_scalar(self, elem, values, x, y) -> float:
-        coords = self.mesh.element_coords(elem)
+        coords = element_coords(self.mesh, elem)
         if elem.kind == ElementKind.FE_QUAD:
             xi, eta = inverse_q4_map(coords, x, y)
-            ev = fem.q4_shape_eval(coords, xi, eta, elem.id)
+            ev = q4_shape_eval(coords, xi, eta)
             return float(ev.N @ values)
-        ids = np.array([elem.id])
-        mats = gather_materials(self.materials, np.array([elem.region]), ids)
-        projection = vem.thermal_projection(coords[None], mats, element_ids=ids)
+        mats = gather_materials(self.materials, np.array([elem.region]))
+        projection = vem.thermal_projection(coords[None], mats)
         c = projection.Pi_star[0] @ values
         gx, gy = projection.geom.centroid[0]
         h = projection.geom.h[0]
@@ -116,7 +116,7 @@ def inverse_q4_map(coords: np.ndarray, x: float, y: float,
     xi = eta = 0.0
     target = np.array([x, y])
     for _ in range(max_iter):
-        ev = fem.q4_shape_eval(coords, xi, eta)
+        ev = q4_shape_eval(coords, xi, eta)
         res = ev.N @ coords - target
         if float(np.abs(res).max()) < 1e-13 * max(1.0, float(np.abs(target).max())):
             break

@@ -18,7 +18,7 @@ from fevec.mesh import ElementKind, Mesh, generate_split_square
 from fevec.solver import run_pipeline, solve_system
 from conftest import (edge_dict, elastic_matrix, elastic_row, polygon_family, thermal_matrix,
                       thermal_row)
-from kernel_oracles import mechanical_stiffness_q4, thermal_stiffness_q4
+from kernel_oracles import element_coords, mechanical_stiffness_q4, thermal_stiffness_q4
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -190,16 +190,16 @@ def test_criterion_6_coupled_block_structure():
             k_fe = np.zeros((n, n))
             k_ve = np.zeros((n, n))
             for e in mesh.elements:
-                coords = mesh.element_coords(e)
+                coords = element_coords(mesh, e)
                 if field_kind == "thermal":
-                    ke = (thermal_stiffness_q4(coords, mats[0], e.id)
+                    ke = (thermal_stiffness_q4(coords, mats[0])
                           if e.kind == ElementKind.FE_QUAD
-                          else thermal_matrix(coords, mats[0], e.id))
+                          else thermal_matrix(coords, mats[0]))
                     dofs = np.array(e.vertices)
                 else:
-                    ke = (mechanical_stiffness_q4(coords, mats[0], e.id)
+                    ke = (mechanical_stiffness_q4(coords, mats[0])
                           if e.kind == ElementKind.FE_QUAD
-                          else elastic_matrix(coords, mats[0], e.id))
+                          else elastic_matrix(coords, mats[0]))
                     dofs = np.array([2 * v + k for v in e.vertices for k in (0, 1)])
                 target = k_fe if e.kind == ElementKind.FE_QUAD else k_ve
                 target[np.ix_(dofs, dofs)] += ke

@@ -10,7 +10,7 @@ from fevec.mesh import (Element, ElementKind, Mesh, Node, generate_split_square,
                         generate_structured_quads)
 from fevec.solver import solve_system
 from conftest import thermal_matrix
-from kernel_oracles import thermal_stiffness_q4
+from kernel_oracles import element_coords, thermal_stiffness_q4
 
 FE = ElementKind.FE_QUAD
 VE = ElementKind.VE_POLY
@@ -76,7 +76,7 @@ class TestAssembleThermal:
 
     def test_missing_material(self):
         mesh = generate_structured_quads(1, 1, 1, 1, region=3)
-        with pytest.raises(AssemblyError, match="region 3"):
+        with pytest.raises(AssemblyError, match=r"^mesh regions without material blocks: \[3\]$"):
             assemble_thermal(mesh, {0: simple_props()}, BoundaryConditionSet())
 
     def test_dirichlet_out_of_range(self):
@@ -119,12 +119,12 @@ class TestBlockStructure:
         k_fe = np.zeros((n, n))
         k_ve = np.zeros((n, n))
         for e in mesh.elements:
-            coords = mesh.element_coords(e)
+            coords = element_coords(mesh, e)
             if e.kind == FE:
-                ke = thermal_stiffness_q4(coords, mats[0], e.id)
+                ke = thermal_stiffness_q4(coords, mats[0])
                 target = k_fe
             else:
-                ke = thermal_matrix(coords, mats[0], e.id)
+                ke = thermal_matrix(coords, mats[0])
                 target = k_ve
             idx = np.array(e.vertices)
             target[np.ix_(idx, idx)] += ke

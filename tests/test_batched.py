@@ -3,8 +3,9 @@
 FE quads go through the batched ``fem.*_batch`` kernels and VE polygons
 through the stacked ``vem`` kernels, one block of elements at a time.  The
 per-element kernels in ``kernel_oracles`` are the oracles: every block path
-must agree with them within 1e-13 relative, and must raise the error of the
-same element id.
+must agree with them within 1e-13 relative.  A mesh with a flawed element
+or a region without material is refused before any block runs, with the
+first message of ``validate_mesh`` or the missing regions.
 """
 
 from unittest import mock
@@ -18,14 +19,15 @@ from hypothesis import strategies as st
 from fevec import fem, post
 from fevec import mesh as meshmod
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
-from fevec.errors import AssemblyError, FevecError, MeshError
+from fevec.errors import AssemblyError, MeshError, SolverError
 from fevec.materials import (MaterialProps, Plane, elasticity_matrix, gather_materials,
-                             material_for, thermal_strain_voigt)
+                             thermal_strain_voigt)
 from fevec.mesh import (Element, ElementKind, Mesh, Node, generate_plate_with_hole,
-                        generate_structured_quads, shoelace_area, shoelace_areas)
+                        generate_structured_quads, shoelace_areas, validate_mesh)
 from fevec.solver import SolutionFields
-from conftest import polygon_family, polygon_row, random_polygon, thermal_row
+from conftest import polygon_family, polygon_row, random_polygon
 import kernel_oracles as oracle
+from kernel_oracles import element_coords, shoelace_area
 
 FE = ElementKind.FE_QUAD
 VE = ElementKind.VE_POLY
@@ -46,12 +48,12 @@ def rel_diff(a, b):
     return float(np.abs(a - b).max()) / scale
 
 
-def fe_stress_oracle(coords, props, ue, te, elem_id):
+def fe_stress_oracle(coords, props, ue, te):
     """Gauss-point-averaged stress of one quad from ``q4_shape_eval``."""
     dhat = elasticity_matrix(props)
     sigma = np.zeros(3)
     for xi, eta, _ in fem.GAUSS_2X2:
-        ev = fem.q4_shape_eval(coords, xi, eta, elem_id)
+        ev = oracle.q4_shape_eval(coords, xi, eta)
         strain = ev.B_u @ ue
         if te is not None:
             strain = strain - thermal_strain_voigt(props, float(ev.N @ te))
@@ -59,20 +61,10 @@ def fe_stress_oracle(coords, props, ue, te, elem_id):
     return sigma / len(fem.GAUSS_2X2)
 
 
-def first_element_error(mesh, kernel, materials=MATERIALS):
-    """(type, message) of the first error of an element-by-element loop in id order."""
-    for e in sorted(mesh.elements, key=lambda e: e.id):
-        try:
-            kernel(e, mesh.element_coords(e), material_for(materials, e.region))
-        except FevecError as exc:
-            return type(exc), str(exc)
-    return None
-
-
 def thermal_oracle_kernel(e, coords, props):
     if e.kind == FE:
-        return oracle.thermal_stiffness_q4(coords, props, e.id)
-    return oracle.thermal_element_matrices(coords, props, elem_id=e.id)
+        return oracle.thermal_stiffness_q4(coords, props)
+    return oracle.thermal_element_matrices(coords, props)
 
 
 def reference_thermal(mesh):
@@ -80,7 +72,7 @@ def reference_thermal(mesh):
     k = np.zeros((n, n))
     for e in mesh.elements:
         idx = np.array(e.vertices)
-        k[np.ix_(idx, idx)] += thermal_oracle_kernel(e, mesh.element_coords(e),
+        k[np.ix_(idx, idx)] += thermal_oracle_kernel(e, element_coords(mesh, e),
                                                      MATERIALS[e.region])
     return k
 
@@ -90,14 +82,14 @@ def reference_mechanical(mesh, temperature):
     k = np.zeros((n, n))
     f = np.zeros(n)
     for e in mesh.elements:
-        coords = mesh.element_coords(e)
+        coords = element_coords(mesh, e)
         props = MATERIALS[e.region]
         t_nodal = temperature[list(e.vertices)]
         if e.kind == FE:
-            ke = oracle.mechanical_stiffness_q4(coords, props, e.id)
-            fe = oracle.thermal_load_q4(coords, props, t_nodal, e.id)
+            ke = oracle.mechanical_stiffness_q4(coords, props)
+            fe = oracle.thermal_load_q4(coords, props, t_nodal)
         else:
-            proj = oracle.elastic_projection(coords, props, elem_id=e.id)
+            proj = oracle.elastic_projection(coords, props)
             ke = oracle.elastic_element_matrices(coords, props, projection=proj)
             fe = oracle.vem_thermal_load(coords, props, t_nodal, projection=proj)
         idx = np.ravel([(2 * v, 2 * v + 1) for v in e.vertices])
@@ -109,15 +101,15 @@ def reference_mechanical(mesh, temperature):
 def reference_stress(mesh, fields):
     out = []
     for e in mesh.elements:
-        coords = mesh.element_coords(e)
+        coords = element_coords(mesh, e)
         props = MATERIALS[e.region]
         verts = list(e.vertices)
         ue = fields.displacement[verts].ravel()
         te = fields.temperature[verts]
         if e.kind == FE:
-            out.append(fe_stress_oracle(coords, props, ue, te, e.id))
+            out.append(fe_stress_oracle(coords, props, ue, te))
         else:
-            proj = oracle.elastic_projection(coords, props, elem_id=e.id)
+            proj = oracle.elastic_projection(coords, props)
             out.append(oracle.projected_stress(proj, props, ue, te))
     return np.array(out)
 
@@ -188,10 +180,10 @@ class TestPolygonKernels:
                                           center=rng.uniform(-9, 9, 2), convex=True)
                            for _ in range(60)])
         regions = rng.integers(0, 3, len(coords))
-        mats = gather_materials(MATERIALS, regions, np.arange(len(coords)))
+        mats = gather_materials(MATERIALS, regions)
         temps = rng.uniform(0.0, 200.0, (len(coords), 4))
         disp = rng.normal(size=(len(coords), 8))
-        q = fem.q4_batch_eval(coords, np.arange(len(coords)))
+        q = fem.q4_batch_eval(coords)
         thermal = fem.thermal_stiffness_q4_batch(q, mats.conductivity)
         mech = fem.mechanical_stiffness_q4_batch(q, mats.D)
         load = fem.thermal_load_q4_batch(q, mats, temps)
@@ -201,8 +193,7 @@ class TestPolygonKernels:
             assert rel_diff(thermal[k], oracle.thermal_stiffness_q4(c, props)) <= RTOL
             assert rel_diff(mech[k], oracle.mechanical_stiffness_q4(c, props)) <= RTOL
             assert rel_diff(load[k], oracle.thermal_load_q4(c, props, temps[k])) <= RTOL
-            assert rel_diff(sigma[k], fe_stress_oracle(c, props, disp[k], temps[k],
-                                                       None)) <= RTOL
+            assert rel_diff(sigma[k], fe_stress_oracle(c, props, disp[k], temps[k])) <= RTOL
 
     def test_von_mises_batch_equals_scalar(self):
         rng = np.random.default_rng(8)
@@ -230,7 +221,7 @@ class TestMeshViews:
     def test_element_areas_equal_shoelace(self):
         mesh = random_partition(1)
         for k, e in enumerate(mesh.elements):
-            assert mesh.element_areas[k] == shoelace_area(mesh.element_coords(e))
+            assert mesh.element_areas[k] == shoelace_area(element_coords(mesh, e))
 
 
 class TestPartitionedAssembly:
@@ -283,7 +274,7 @@ class TestNodalAveraging:
                 continue
             if element_ids is not None and elem.id not in element_ids:
                 continue
-            area = polygon_row(mesh.element_coords(elem), elem.id).area
+            area = polygon_row(element_coords(mesh, elem)).area
             for v in elem.vertices:
                 acc[v] += area * es.von_mises
                 wsum[v] += area
@@ -307,25 +298,32 @@ def inverted(element):
     return Element(element.id, element.vertices[::-1], element.kind, element.region)
 
 
+def first_violation(mesh):
+    """The message every kernel caller raises for a mesh that ``validate_mesh`` rejects."""
+    report = validate_mesh(mesh)
+    assert report
+    return report[0].message
+
+
 class TestBlockErrors:
     def test_bad_jacobian_names_first_element(self):
         base = generate_structured_quads(4.0, 2.0, 4, 2)
         elements = [inverted(e) if e.id in (6, 3) else e for e in base.elements]
         mesh = Mesh(base.nodes, elements, base.boundary_edges)
-        _, expected = first_element_error(mesh, thermal_oracle_kernel)
-        assert expected.startswith("element 3: non-positive Jacobian")
+        expected = first_violation(mesh)
+        assert expected.startswith("element 3: non-positive area")
         with pytest.raises(MeshError) as info:
             assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())
-        assert str(info.value) == expected and info.value.element_id == 3
+        assert str(info.value) == expected
 
     def test_mixed_kinds_lowest_id_wins(self):
         base = generate_structured_quads(4.0, 2.0, 4, 2)
         elements = [Element(e.id, e.vertices, VE if e.id % 2 else FE, 0) for e in base.elements]
         elements = [inverted(e) if e.id in (5, 2) else e for e in elements]
         mesh = Mesh(base.nodes, elements, base.boundary_edges)
-        _, expected = first_element_error(mesh, thermal_oracle_kernel)
+        expected = first_violation(mesh)
         assert expected.startswith("element 2:")
-        with pytest.raises(MeshError, match="^element 2: non-positive Jacobian"):
+        with pytest.raises(MeshError, match="^element 2: non-positive area"):
             assemble_mechanical(mesh, MATERIALS, BoundaryConditionSet(), None)
         with pytest.raises(MeshError) as info:
             assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())
@@ -335,9 +333,9 @@ class TestBlockErrors:
     @pytest.mark.parametrize("first", ["geometry", "material"])
     def test_missing_material_and_bad_element_lowest_id_wins(self, kinds, first):
         # element 2 and element 5 fail, one for an inverted shape and one for a
-        # region without material; the lower id is raised, whatever its kind
-        # of error, as an element loop in id order raises it ("mixed" puts the
-        # two in different blocks).
+        # region without material ("mixed" puts the two in different blocks).
+        # The inverted element is raised whatever the ids: the mesh is checked
+        # before the materials.
         base = generate_structured_quads(4.0, 2.0, 4, 2)
         inverted_id, unknown_id = (2, 5) if first == "geometry" else (5, 2)
         elements = []
@@ -346,37 +344,42 @@ class TestBlockErrors:
             elem = Element(e.id, e.vertices, kind, 9 if e.id == unknown_id else 0)
             elements.append(inverted(elem) if e.id == inverted_id else elem)
         mesh = Mesh(base.nodes, elements, base.boundary_edges)
-        error_type, expected = first_element_error(mesh, thermal_oracle_kernel)
-        assert error_type is (MeshError if first == "geometry" else AssemblyError)
+        expected = first_violation(mesh)
+        assert expected.startswith(f"element {inverted_id}: non-positive area")
         fields = SolutionFields(temperature=None, displacement=np.zeros((mesh.n_nodes, 2)))
         for run in (lambda: assemble_thermal(mesh, MATERIALS, BoundaryConditionSet()),
                     lambda: assemble_mechanical(mesh, MATERIALS, BoundaryConditionSet(), None),
                     lambda: post.recover_stress(mesh, MATERIALS, fields)):
-            with pytest.raises(error_type) as info:
+            with pytest.raises(MeshError) as info:
                 run()
-            assert str(info.value) == expected and info.value.element_id == 2
+            assert str(info.value) == expected
+        restored = Mesh(base.nodes, [inverted(e) if e.id == inverted_id else e for e in elements],
+                        base.boundary_edges)
+        with pytest.raises(AssemblyError, match=r"^mesh regions without material blocks: \[9\]$"):
+            assemble_thermal(restored, MATERIALS, BoundaryConditionSet())
 
     def test_singular_projection_before_later_degenerate_polygon(self):
         # element 1 is a valid square with a conductivity so small that its
         # projection system underflows to singular; element 4 (same vertex
-        # count, later id) is clockwise.  The element loop stops at 1.
+        # count, later id) is clockwise.  The gate refuses element 4 before
+        # any projection runs; without it, the singular system is a SolverError.
         base = generate_structured_quads(3.0, 2.0, 3, 2, kind=VE)
         materials = dict(MATERIALS)
         materials[1] = MaterialProps(E=1.0, nu=0.0, conductivity=5e-324, alpha=0.0, T0=0.0)
         elements = [Element(e.id, e.vertices, VE, 1 if e.id == 1 else 0) for e in base.elements]
+        with pytest.raises(SolverError, match="^singular thermal projection system$"):
+            assemble_thermal(Mesh(base.nodes, elements, base.boundary_edges), materials,
+                             BoundaryConditionSet())
         elements = [inverted(e) if e.id == 4 else e for e in elements]
         mesh = Mesh(base.nodes, elements, base.boundary_edges)
-        with pytest.raises(MeshError, match="^element 1: singular thermal projection system$"):
-            thermal_row(mesh.element_coords(elements[1]), materials[1], 1)
         with pytest.raises(MeshError) as info:
             assemble_thermal(mesh, materials, BoundaryConditionSet())
-        assert str(info.value) == "element 1: singular thermal projection system"
-        assert info.value.element_id == 1
+        assert str(info.value) == "element 4: non-positive area -1 (clockwise vertex order?)"
 
     @pytest.mark.filterwarnings("ignore:regions mix plane stress and plane strain")
     def test_cut_ve_blocks(self):
         # VE groups are cut into blocks of _VE_BLOCK_ROWS elements: results and
-        # the lowest-id error must not depend on where the cuts fall
+        # the refusal of a flawed mesh must not depend on where the cuts fall
         with mock.patch.object(meshmod, "_VE_BLOCK_ROWS", 2):
             mesh = disjoint_polygons(5)
             blocks = mesh.element_blocks()
@@ -397,10 +400,10 @@ class TestBlockErrors:
                             for e in base.elements]
                 elements[inverted_id] = inverted(elements[inverted_id])
                 mesh = Mesh(base.nodes, elements, base.boundary_edges)
-                error_type, expected = first_element_error(mesh, thermal_oracle_kernel)
-                with pytest.raises(error_type) as info:
+                with pytest.raises(MeshError) as info:
                     assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())
-                assert str(info.value) == expected and info.value.element_id == 1
+                assert str(info.value) == first_violation(mesh)
+                assert str(info.value).startswith(f"element {inverted_id}: ")
 
     def test_fe_quad_with_three_vertices_is_typed(self):
         nodes = [Node(0, 0, 0), Node(1, 1, 0), Node(2, 1, 1)]

@@ -160,8 +160,8 @@ class TestPropertyHelpers:
         assert bench.check_kernel_invariants(mesh, case.materials)
 
     def test_kernel_invariants_region_without_material(self):
-        # VE elements 3 and 6 sit in region 7, which has no material: the
-        # lower id is named, as for assembly
+        # VE elements 3 and 6 sit in region 7, which has no material: refused
+        # as by assembly, naming the region
         base = generate_split_square(2.0, 1.0, 4, 2)
         elements = [Element(e.id, e.vertices, e.kind, 7 if e.id in (6, 3) else 0)
                     for e in base.elements]
@@ -170,8 +170,7 @@ class TestPropertyHelpers:
         materials = {0: MaterialProps(E=1.0, nu=0.3, conductivity=1.0, alpha=0.0, T0=0.0)}
         with pytest.raises(AssemblyError) as info:
             bench.check_kernel_invariants(mesh, materials)
-        assert str(info.value) == "no material defined for region 7"
-        assert info.value.element_id == 3
+        assert str(info.value) == "mesh regions without material blocks: [7]"
 
 
 class TestSandwichStudyHelpers:

@@ -139,6 +139,19 @@ class TestRun:
         assert err.startswith(f"error:3: {cfg}: bad material value:")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("k_W_per_mK 1000", "k_W_per_mK 4e-321", "thermal"),
+        ("E_MPa 100", "E_MPa 5e-324", "elastic")])
+    def test_underflowing_moduli_on_ve_mesh_exit_2(self, tmp_path, capsys, old, new, field):
+        # valid polygons with moduli that underflow give a singular projection
+        text = RUN_CFG.format(out=tmp_path / "o").replace(old, new).replace(
+            "generator split_square", "generator structured_quads").replace("ny 2", "ny 2\nkind VE")
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error:2: singular {field} projection system\n"
+        assert not (tmp_path / "o").exists()
+
     def test_probe_outside_mesh_exit_1(self, tmp_path, capsys):
         text = RUN_CFG.format(out=tmp_path / "o").replace("x0 0", "x0 50").replace(
             "x1 2", "x1 60")
@@ -162,6 +175,26 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert "1 violations" in out
+
+    def test_non_convex_fe_quad_exit_1(self, tmp_path, capsys):
+        # positive area and no crossing edges, but det J < 0 near node 2
+        path = tmp_path / "m.txt"
+        path.write_text("mesh 2d v1\nnode 0 0 0\nnode 1 2 0\nnode 2 0.5 0.5\nnode 3 0 2\n"
+                        "elem 0 FE 0 4 0 1 2 3\nbedge left 0 3\nbedge bottom 0 1\n")
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out == ("1 violations\n  [fe-quad-convexity] element 0: FE_QUAD not strictly "
+                       "convex at node 2\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[mesh]\npath {path.name}\n\n[material 0]\nE_MPa 100\nnu 0.3\n"
+                       "k_W_per_mK 1000\nalpha_per_C 1e-5\n\n[bc left]\ndirichlet_T 25\n\n"
+                       "[bc left]\ndirichlet_u 0 0\n\n[bc bottom]\ndirichlet_T 75\n\n"
+                       f"[output]\ndir {tmp_path / 'o'}\n")
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:1: ") and err.count("\n") == 1
+        assert "element 0: FE_QUAD not strictly convex at node 2" in err
+        assert not (tmp_path / "o").exists()
 
     def test_out_of_range_vertex_at_interface_exit_1(self, tmp_path, capsys):
         path = tmp_path / "m.txt"

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from fevec import fem
+from fevec.assembly import BoundaryConditionSet, assemble_thermal
 from fevec.errors import MeshError
 from fevec.materials import MaterialProps, Plane
+from fevec.mesh import Element, ElementKind, Mesh, Node, validate_mesh
 from fevec.vem import vertex_normal_lengths
 from conftest import UNIT_SQUARE, edge_dict, polygon_row
-from kernel_oracles import mechanical_stiffness_q4, thermal_load_q4, thermal_stiffness_q4
+from kernel_oracles import (mechanical_stiffness_q4, q4_shape_eval, thermal_load_q4,
+                            thermal_stiffness_q4)
 
 # Frozen closed form of the bilinear Laplacian stiffness on the unit square.
 K_THERMAL_UNIT_SQUARE = np.array([[4, -1, -2, -1],
@@ -23,7 +26,7 @@ def fine_quadrature_thermal(coords, lam, n=10):
     k = np.zeros((4, 4))
     for xi, wx in zip(pts, wts):
         for eta, wy in zip(pts, wts):
-            ev = fem.q4_shape_eval(coords, xi, eta)
+            ev = q4_shape_eval(coords, xi, eta)
             k += wx * wy * lam * ev.detJ * (ev.B_T.T @ ev.B_T)
     return k
 
@@ -33,38 +36,43 @@ def fine_quadrature_mechanical(coords, d, n=10):
     k = np.zeros((8, 8))
     for xi, wx in zip(pts, wts):
         for eta, wy in zip(pts, wts):
-            ev = fem.q4_shape_eval(coords, xi, eta)
+            ev = q4_shape_eval(coords, xi, eta)
             k += wx * wy * ev.detJ * (ev.B_u.T @ d @ ev.B_u)
     return k
 
 
 class TestShapeEval:
     def test_center_of_parent(self):
-        ev = fem.q4_shape_eval(UNIT_SQUARE, 0.0, 0.0)
+        ev = q4_shape_eval(UNIT_SQUARE, 0.0, 0.0)
         assert np.allclose(ev.N, 0.25)
         assert ev.detJ == pytest.approx(0.25)
 
     def test_nodal_interpolation(self):
-        ev = fem.q4_shape_eval(UNIT_SQUARE, -1.0, -1.0)
+        ev = q4_shape_eval(UNIT_SQUARE, -1.0, -1.0)
         assert np.allclose(ev.N, [1, 0, 0, 0])
 
     def test_partition_of_unity_and_gradients(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             xi, eta = rng.uniform(-1, 1, 2)
-            ev = fem.q4_shape_eval(UNIT_SQUARE, xi, eta)
+            ev = q4_shape_eval(UNIT_SQUARE, xi, eta)
             assert ev.N.sum() == pytest.approx(1.0)
             assert np.abs(ev.dN_dxi.sum(axis=1)).max() < 1e-14
 
     def test_rectangle_jacobian(self):
         rect = np.array([[0, 0], [2, 0], [2, 1], [0, 1]], float)
         for xi, eta, _ in fem.GAUSS_2X2:
-            assert fem.q4_shape_eval(rect, xi, eta).detJ == pytest.approx(0.5)
+            assert q4_shape_eval(rect, xi, eta).detJ == pytest.approx(0.5)
 
-    def test_distorted_element_rejected(self):
-        bowtie = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], float)
-        with pytest.raises(MeshError, match="Jacobian"):
-            fem.q4_shape_eval(bowtie, 0.577, 0.577, elem_id=3)
+    def test_distorted_element_rejected(self, unit_props):
+        # the Q4 kernels check no Jacobian: a bowtie quad is refused in front of
+        # them, with the message of validate_mesh
+        nodes = [Node(i, x, y) for i, (x, y) in enumerate([(0, 0), (1, 1), (1, 0), (0, 1)])]
+        mesh = Mesh(nodes, [Element(3, (0, 1, 2, 3), ElementKind.FE_QUAD, 0)])
+        (violation,) = validate_mesh(mesh)
+        with pytest.raises(MeshError) as info:
+            assemble_thermal(mesh, {0: unit_props}, BoundaryConditionSet())
+        assert str(info.value) == violation.message
 
 
 class TestThermalStiffness:

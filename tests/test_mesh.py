@@ -7,8 +7,9 @@ from fevec.errors import MeshError, ParseError
 from fevec.mesh import (Element, ElementKind, Mesh, Node, Violation, find_interface_nodes,
                         generate_plate_with_hole, generate_quarter_annulus,
                         generate_split_square, generate_structured_quads,
-                        load_mesh, save_mesh, shoelace_area, validate_mesh)
+                        load_mesh, require_valid, save_mesh, validate_mesh)
 from conftest import polygon_family, polygon_row
+from kernel_oracles import element_coords, shoelace_area
 
 FE = ElementKind.FE_QUAD
 VE = ElementKind.VE_POLY
@@ -59,17 +60,18 @@ class TestPolygonGeometry:
             assert shoelace_area(poly[::-1]) == pytest.approx(-shoelace_area(poly), rel=1e-12)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(MeshError, match="area"):
-            polygon_row(np.array([[0, 0], [0, 1], [1, 1], [1, 0]], float))
-        with pytest.raises(MeshError, match="zero-length"):
-            polygon_row(np.array([[0, 0], [0, 0], [1, 1]], float))
+        # the geometry checks nothing; the gate in front of the kernels does
+        for pts, message in (([(0, 0), (0, 1), (1, 1), (1, 0)], "non-positive area"),
+                             ([(0, 0), (0, 0), (1, 1), (0, 1)], "zero-length edge")):
+            nodes = [Node(i, x, y) for i, (x, y) in enumerate(pts)]
+            with pytest.raises(MeshError, match=f"^element 0: {message}"):
+                require_valid(Mesh(nodes, [Element(0, (0, 1, 2, 3), VE, 0)]), {})
 
     def test_element_wrapper_names_element(self):
         nodes = [Node(0, 0, 0), Node(1, 0, 1), Node(2, 1, 1), Node(3, 1, 0)]
         elem = Element(7, (0, 1, 2, 3), VE, 0)  # clockwise
-        coords = np.array([[n.x, n.y] for n in nodes])[list(elem.vertices)]
-        with pytest.raises(MeshError, match="element 7"):
-            polygon_row(coords, elem.id)
+        with pytest.raises(MeshError, match="^element 7: "):
+            require_valid(Mesh(nodes, [elem]), {})
 
 
 class TestValidation:
@@ -200,7 +202,7 @@ def split_square_two_step(width, height, nx, ny, split_x=None):
     base = generate_structured_quads(width, height, nx, ny)
     elements = []
     for e in base.elements:
-        mid_x = base.element_coords(e)[:, 0].mean()
+        mid_x = element_coords(base, e)[:, 0].mean()
         kind = ElementKind.FE_QUAD if mid_x < split_x else ElementKind.VE_POLY
         elements.append(Element(e.id, e.vertices, kind, e.region))
     return Mesh(base.nodes, elements, base.boundary_edges)

@@ -19,7 +19,8 @@ from fevec.bench import interface_continuity
 from fevec.errors import FevecError, MeshError
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import (Element, ElementKind, Mesh, Node, generate_plate_with_hole,
-                        generate_quarter_annulus, generate_split_square, mesh_text, save_mesh)
+                        generate_quarter_annulus, generate_split_square, mesh_text, save_mesh,
+                        validate_mesh)
 from fevec.solver import SolutionFields, run_pipeline
 import post_oracles as oracle
 from conftest import polygon_family
@@ -116,7 +117,6 @@ def star_polygons_mesh():
 
 GENERATED = {
     "notch": notch_mesh,
-    "repeated_ids": repeated_id_mesh,
     "plate_split_ring": plate_mesh,
     "annulus": lambda: generate_quarter_annulus(1.0, 2.0, 4, 8, 1.5),
 }
@@ -176,7 +176,7 @@ class TestProbesMatchPointOracle:
         assert_config_probes_match(text, str(CONFIGS / "cylinder.cfg"))
 
     def test_interface_continuity_matches_per_node_loop(self):
-        for mesh in (repeated_id_mesh(), plate_mesh(), generate_split_square(2.0, 1.0, 5, 3)):
+        for mesh in (plate_mesh(), generate_split_square(2.0, 1.0, 5, 3)):
             fields, _ = random_fields(mesh, 4)
             assert interface_continuity(mesh, MATERIALS, fields) == \
                 oracle.interface_continuity(mesh, MATERIALS, fields)
@@ -203,11 +203,19 @@ class TestEvaluationErrors:
         nodes = [Node(i, x, y) for i, (x, y) in enumerate([(0.0, 0.0), (0.0, 1.0),
                                                            (1.0, 1.0), (1.0, 0.0)])]
         mesh = Mesh(nodes, [Element(7, (0, 1, 2, 3), FE, 0)])      # clockwise
-        evaluator = post.FieldEvaluator(mesh, MATERIALS, SolutionFields(
-            temperature=np.zeros(4), displacement=None))
-        assert evaluator.locate(0.5, 0.5) == 0
-        with pytest.raises(MeshError, match="element 7: non-positive Jacobian"):
-            evaluator.evaluate_at("temperature", [0, -1], [[0.5, 0.5], [9.0, 9.0]])
+        with pytest.raises(MeshError, match=r"^element 7: non-positive area -1 \(clockwise"):
+            post.FieldEvaluator(mesh, MATERIALS, SolutionFields(
+                temperature=np.zeros(4), displacement=None))
+
+    def test_repeated_ids_refused(self):
+        # a point belongs to the lowest-id element containing it, so element ids
+        # must be unique; the probes refuse a mesh that repeats them
+        mesh = repeated_id_mesh()
+        fields = SolutionFields(temperature=np.zeros(mesh.n_nodes), displacement=None)
+        with pytest.raises(MeshError) as info:
+            post.line_probe(mesh, MATERIALS, fields, None, (0.0, 0.5), (2.0, 0.5),
+                            "temperature", 10)
+        assert str(info.value) == validate_mesh(mesh)[0].message == "duplicate element id 8"
 
     def test_checks_run_only_when_a_point_is_located(self):
         mesh = plate_mesh()
@@ -258,7 +266,7 @@ def interleaved_plate_mesh():
     return Mesh(base.nodes, base.elements[1::2] + base.elements[::2], base.boundary_edges)
 
 
-WRITER_MESHES = {**GENERATED, "float64_nodes": float64_node_mesh,
+WRITER_MESHES = {**GENERATED, "repeated_ids": repeated_id_mesh, "float64_nodes": float64_node_mesh,
                  "interleaved": interleaved_plate_mesh}
 
 

@@ -1,9 +1,10 @@
 """Batched ``validate_mesh`` against an element-by-element oracle.
 
 ``oracle_validate`` is the per-element validation loop with its pairwise
-``segments_cross`` test, and an interface scan over every node of the
-other kind.  ``validate_mesh`` must return the same report, codes,
-messages and order, on meshes mutated by seeded hypothesis draws.
+``segments_cross`` test, a rounding bound on each area, a corner-by-corner
+convexity test of FE quads, and an interface scan over every node of the
+other kind.  ``validate_mesh`` must return the same report, codes, messages
+and order, on meshes mutated by seeded hypothesis draws.
 """
 
 import math
@@ -15,18 +16,20 @@ from hypothesis import strategies as st
 
 from fevec import mesh as meshmod
 from fevec.mesh import (Element, ElementKind, Mesh, Node, Violation, generate_quarter_annulus,
-                        generate_split_square, shoelace_area, validate_mesh)
+                        generate_split_square, validate_mesh)
 from conftest import edge_dict
+from kernel_oracles import element_coords, shoelace_area
 
 FE = ElementKind.FE_QUAD
 VE = ElementKind.VE_POLY
 
 
+def orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
 def segments_cross(p0, p1, q0, q1) -> bool:
     """Proper (interior) intersection of two segments."""
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
     d1 = orient(q0, q1, p0)
     d2 = orient(q0, q1, p1)
     d3 = orient(p0, p1, q0)
@@ -67,7 +70,7 @@ def oracle_validate(mesh: Mesh) -> list[Violation]:
                                     f"element {e.id}: FE_QUAD must have 4 vertices, has {len(e.vertices)}"))
             continue
 
-        coords = mesh.element_coords(e)
+        coords = element_coords(mesh, e)
         area = shoelace_area(coords)
         if area <= 0.0:
             report.append(Violation("orientation",
@@ -77,6 +80,13 @@ def oracle_validate(mesh: Mesh) -> list[Violation]:
         lengths = np.hypot(deltas[:, 0], deltas[:, 1])
         if np.any(lengths <= 1e-14 * max(lengths.max(), 1.0)):
             report.append(Violation("degenerate", f"element {e.id}: zero-length edge"))
+            continue
+        ax, ay = np.abs(coords[:, 0]), np.abs(coords[:, 1])
+        rounding = len(coords) * np.finfo(float).eps * 0.5 * (
+            float(np.dot(ax, np.roll(ay, -1))) + float(np.dot(ay, np.roll(ax, -1))))
+        if area <= rounding:
+            report.append(Violation("degenerate",
+                                    f"element {e.id}: area {area:g} is zero to rounding"))
             continue
         nv = len(e.vertices)
         simple = True
@@ -91,6 +101,13 @@ def oracle_validate(mesh: Mesh) -> list[Violation]:
                     break
             if not simple:
                 break
+        if simple and e.kind == ElementKind.FE_QUAD:
+            for k in range(4):
+                if orient(coords[k - 1], coords[k], coords[(k + 1) % 4]) <= 0.0:
+                    report.append(Violation("fe-quad-convexity",
+                                            f"element {e.id}: FE_QUAD not strictly convex "
+                                            f"at node {e.vertices[k]}"))
+                    break
 
     edges = edge_dict(mesh)
     for (a, b), owners in edges.items():
@@ -177,7 +194,7 @@ CROSSED_PENTAGON = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (1.0, -1.0), (0.0, 2.0))
 
 MUTATIONS = ("reverse", "out_of_range", "negative_id", "repeat", "duplicate_id",
              "drop_vertex", "split_edge", "collapse", "move", "crossed_pentagon",
-             "copy_element", "nan", "orphan_bedge", "missing_bedge")
+             "copy_element", "nan", "orphan_bedge", "missing_bedge", "flatten")
 
 
 @st.composite
@@ -239,6 +256,10 @@ def mutated_meshes(draw):
         elif op == "copy_element":
             kind = draw(st.sampled_from([FE, VE]))
             elements.append([len(elements), list(verts), kind])
+        elif op == "flatten" and all(0 <= v < n_nodes for v in verts):
+            x0, y0 = coords[verts[0]] if verts else (0.0, 0.0)
+            for k, v in enumerate(verts):       # every vertex on one horizontal line
+                coords[v] = [x0 + 0.37 * k, y0]
         elif op == "nan":
             coords[draw(st.integers(0, n_nodes - 1))][draw(st.integers(0, 1))] = math.nan
         elif op == "orphan_bedge":
@@ -258,7 +279,9 @@ class TestValidationOracle:
         expected = oracle_validate(mesh)
         assert validate_mesh(mesh) == expected
         with mock.patch.object(meshmod, "_CHECK_CHUNK", 8):   # chunks of 1-2 rows
-            assert validate_mesh(mesh) == expected
+            # a new mesh: the report is computed once per mesh
+            fresh = Mesh(mesh.nodes, mesh.elements, mesh.boundary_edges)
+            assert validate_mesh(fresh) == expected
 
     def test_cylinder_config_mesh_valid(self):
         mesh = generate_quarter_annulus(20.0, 60.0, 30, 60, 40.0)   # configs/cylinder.cfg

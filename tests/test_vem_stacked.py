@@ -2,8 +2,9 @@
 
 Every row of a stacked projection, element matrix, thermal load and
 projected stress must equal the per-element computation of that polygon in
-``kernel_oracles`` exactly, whatever its neighbours in the stack.  Singular
-and degenerate rows raise the per-element error of the lowest element id.
+``kernel_oracles`` exactly, whatever its neighbours in the stack.  A stack
+with a singular row raises SolverError; degenerate polygons never reach the
+kernels, because ``require_valid`` refuses their mesh first.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import kernel_oracles as oracle
 from fevec import bench, post, vem
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
-from fevec.errors import MeshError
+from fevec.errors import MeshError, SolverError
 from fevec.materials import MaterialProps, Plane, gather_materials
 from fevec.mesh import Element, ElementKind, Mesh, generate_structured_quads
 from fevec.solver import SolutionFields
@@ -34,14 +35,13 @@ TINY = MaterialProps(E=5e-324, nu=0.0, conductivity=5e-324, alpha=0.0, T0=0.0)
 def assert_stack_matches_oracle(stack, regions, rng):
     """Every stacked VE kernel output equals the oracle row by row."""
     m, n_v = stack.shape[:2]
-    ids = np.arange(m)
-    mats = gather_materials(MATERIALS, regions, ids)
+    mats = gather_materials(MATERIALS, regions)
     temps = rng.uniform(-50.0, 150.0, (m, n_v))
     disp = rng.normal(size=(m, 2 * n_v))
 
-    tp = vem.thermal_projection(stack, mats, element_ids=ids)
+    tp = vem.thermal_projection(stack, mats)
     kt = vem.thermal_element_matrices(tp, tau=0.3)
-    ep = vem.elastic_projection(stack, mats, element_ids=ids)
+    ep = vem.elastic_projection(stack, mats)
     ke = vem.elastic_element_matrices(ep)
     load = vem.vem_thermal_load(ep, mats, temps)
     sigma = vem.projected_stress(ep, mats, disp, temps)
@@ -102,46 +102,47 @@ class TestSingularRows:
     def stack_with_tiny(rows, m=5):
         materials = {**MATERIALS, 9: TINY}
         regions = np.array([9 if r in rows else 0 for r in range(m)])
-        ids = 10 + 3 * np.arange(m)
         stack = np.array([UNIT_SQUARE + 2.0 * r for r in range(m)])
-        return stack, gather_materials(materials, regions, ids), ids
+        return stack, gather_materials(materials, regions)
+
+    @staticmethod
+    def tiny_and_clockwise_mesh(tiny_id, clockwise_id):
+        """VE grid: element ``tiny_id`` has underflowing moduli, ``clockwise_id`` is clockwise."""
+        base = generate_structured_quads(3.0, 2.0, 3, 2, kind=VE)
+        elements = [Element(e.id, e.vertices, VE, 9 if e.id == tiny_id else 0)
+                    for e in base.elements]
+        elements[clockwise_id] = Element(clockwise_id, elements[clockwise_id].vertices[::-1], VE, 0)
+        return Mesh(base.nodes, elements, base.boundary_edges)
 
     @pytest.mark.parametrize("field", ["thermal", "elastic"])
     def test_first_singular_row_named(self, field):
-        stack, mats, ids = self.stack_with_tiny({3, 1})
+        # the error names no row: only moduli that underflow make a valid
+        # polygon's projection singular
+        stack, mats = self.stack_with_tiny({3, 1})
         projection = getattr(vem, f"{field}_projection")
-        with pytest.raises(MeshError) as info:
-            projection(stack, mats, element_ids=ids)
-        assert str(info.value) == f"element 13: singular {field} projection system"
-        assert info.value.element_id == 13
-        with pytest.raises(MeshError, match=f"^polygon: singular {field} projection system$"):
+        with pytest.raises(SolverError, match=f"^singular {field} projection system$"):
             projection(stack, mats)
 
     def test_degenerate_row_checked_before_projection(self):
-        # within one stack the geometry checks run first, over all rows
-        stack, mats, ids = self.stack_with_tiny({1})
-        stack[3] = stack[3][::-1]
-        with pytest.raises(MeshError, match="^element 19: non-positive area"):
-            vem.thermal_projection(stack, mats, element_ids=ids)
+        # the gate runs before any projection: clockwise element 4 is reported
+        # although element 1's projection is singular
+        mesh = self.tiny_and_clockwise_mesh(1, 4)
+        with pytest.raises(MeshError, match="^element 4: non-positive area"):
+            assemble_thermal(mesh, {**MATERIALS, 9: TINY}, BoundaryConditionSet())
 
     def test_lowest_id_wins_through_every_caller(self):
-        # element 1 has a singular projection (tiny moduli) and element 4, in
-        # the same block, is clockwise: an element loop in id order stops at 1
-        base = generate_structured_quads(3.0, 2.0, 3, 2, kind=VE)
+        # element 1 is clockwise and element 4, in the same block, has tiny
+        # moduli: every caller reports element 1, from validate_mesh
+        mesh = self.tiny_and_clockwise_mesh(4, 1)
         materials = {**MATERIALS, 9: TINY}
-        elements = [Element(e.id, e.vertices, VE, 9 if e.id == 1 else 0) for e in base.elements]
-        elements[4] = Element(4, elements[4].vertices[::-1], VE, 0)
-        mesh = Mesh(base.nodes, elements, base.boundary_edges)
         fields = SolutionFields(temperature=np.zeros(mesh.n_nodes),
                                 displacement=np.zeros((mesh.n_nodes, 2)))
-        for field, run in (
-                ("thermal", lambda: assemble_thermal(mesh, materials, BoundaryConditionSet())),
-                ("elastic", lambda: assemble_mechanical(mesh, materials, BoundaryConditionSet(),
-                                                        fields.temperature)),
-                ("elastic", lambda: post.recover_stress(mesh, materials, fields)),
-                ("thermal", lambda: bench.check_kernel_invariants(mesh, materials))):
+        for run in (lambda: assemble_thermal(mesh, materials, BoundaryConditionSet()),
+                    lambda: assemble_mechanical(mesh, materials, BoundaryConditionSet(),
+                                                fields.temperature),
+                    lambda: post.recover_stress(mesh, materials, fields),
+                    lambda: post.FieldEvaluator(mesh, materials, fields),
+                    lambda: bench.check_kernel_invariants(mesh, materials)):
             with pytest.raises(MeshError) as info:
                 run()
-            assert str(info.value) == f"element 1: singular {field} projection system"
-            assert info.value.element_id == 1
-
+            assert str(info.value) == "element 1: non-positive area -1 (clockwise vertex order?)"
