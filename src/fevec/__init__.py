@@ -6,7 +6,7 @@ from .assembly import (BoundaryConditionSet, DofMap, SparseSystem,
 from .errors import (AssemblyError, FevecError, MeshError, ParseError,
                      SolverError)
 from .materials import MaterialProps, Plane, elasticity_matrix, thermal_strain_voigt
-from .mesh import (Element, ElementKind, Mesh, Node, PolygonStack,
+from .mesh import (Element, ElementKind, Mesh, PolygonStack,
                    find_interface_nodes, generate_plate_with_hole,
                    generate_quarter_annulus, generate_split_square,
                    generate_structured_quads, load_mesh, polygon_stack,

@@ -9,9 +9,10 @@ Both kinds run batched: one kernel call per block of elements of one kind
 and vertex count (``Mesh.element_blocks``), through the batched Q4 kernels
 of ``fem`` and the stacked polygon kernels of ``vem``, after the mesh and
 the materials pass ``require_valid``.  Assembly is deterministic: the
-element triplets are concatenated in element-id order and stably sorted
-before compression, so repeated runs give bit-identical matrices, equal to an
-element-by-element loop in id order.
+element triplets are concatenated in element order (an element's id is its
+position in ``Mesh.elements``) and stably sorted before compression, so
+repeated runs give bit-identical matrices, equal to an element-by-element
+loop.
 """
 
 from __future__ import annotations
@@ -167,15 +168,13 @@ class ReducedSystem:
         return full
 
 
-def _in_id_order(mesh: Mesh, parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Concatenate per-element rows of ``(positions, (m, k) values)`` parts in element-id order."""
+def _in_element_order(mesh: Mesh, parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Concatenate per-element rows of ``(positions, (m, k) values)`` parts in element order."""
     lengths = np.zeros(mesh.n_elements, dtype=np.int64)
     for pos, values in parts:
         lengths[pos] = values.shape[1]
-    ordered = lengths[mesh.element_order]
-    start = np.empty_like(lengths)
-    start[mesh.element_order] = np.cumsum(ordered) - ordered
-    out = np.empty(int(ordered.sum()), dtype=parts[0][1].dtype if parts else float)
+    start = np.cumsum(lengths) - lengths
+    out = np.empty(int(lengths.sum()), dtype=parts[0][1].dtype if parts else float)
     for pos, values in parts:
         out[start[pos][:, None] + np.arange(values.shape[1])] = values
     return out
@@ -186,9 +185,9 @@ def _compress(mesh: Mesh, ndof: int,
     """CSR matrix of ``(positions, (m, n) dofs, (m, n, n) matrices)`` element blocks."""
     if not blocks:
         return sp.csr_matrix((ndof, ndof))
-    r = _in_id_order(mesh, [(p, np.repeat(d, d.shape[1], axis=1)) for p, d, _ in blocks])
-    c = _in_id_order(mesh, [(p, np.tile(d, (1, d.shape[1]))) for p, d, _ in blocks])
-    v = _in_id_order(mesh, [(p, ke.reshape(len(p), -1)) for p, _, ke in blocks])
+    r = _in_element_order(mesh, [(p, np.repeat(d, d.shape[1], axis=1)) for p, d, _ in blocks])
+    c = _in_element_order(mesh, [(p, np.tile(d, (1, d.shape[1]))) for p, d, _ in blocks])
+    v = _in_element_order(mesh, [(p, ke.reshape(len(p), -1)) for p, _, ke in blocks])
     order = np.lexsort((c, r))   # stable: fixed summation order run-to-run
     # one permuted copy at a time: a lower heap high-water mark, so a lower peak RSS
     r = r[order]
@@ -270,8 +269,8 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     blocks = [(pos, dof_map.element_dofs(verts), *element_contributions(is_fe, pos, verts))
               for is_fe, pos, verts in mesh.element_blocks()]
     if temperature is not None and blocks:
-        np.add.at(rhs, _in_id_order(mesh, [(pos, dofs) for pos, dofs, _, _ in blocks]),
-                  _in_id_order(mesh, [(pos, fe) for pos, _, _, fe in blocks]))
+        np.add.at(rhs, _in_element_order(mesh, [(pos, dofs) for pos, dofs, _, _ in blocks]),
+                  _in_element_order(mesh, [(pos, fe) for pos, _, _, fe in blocks]))
     matrix = _compress(mesh, dof_map.ndof, [(pos, dofs, ke) for pos, dofs, ke, _ in blocks])
 
     for (a, b, t_bar) in bcs.traction_edges:

@@ -251,9 +251,9 @@ class SandwichCase(BenchmarkCase):
         """Nodes on the coupling interface under the stack, ordered by x."""
         x0, x1 = meshmod.SANDWICH_STACK_X
         yi = meshmod.SANDWICH_INTERFACE_Y
-        ids = [n.id for n in mesh.nodes
-               if abs(n.y - yi) < 1e-9 and x0 - 1e-9 <= n.x <= x1 + 1e-9]
-        return sorted(ids, key=lambda i: mesh.nodes[i].x)
+        x, y = mesh.coords[:, 0], mesh.coords[:, 1]
+        ids = np.flatnonzero((np.abs(y - yi) < 1e-9) & (x0 - 1e-9 <= x) & (x <= x1 + 1e-9))
+        return ids[np.argsort(x[ids], kind="stable")].tolist()
 
 
 def _sandwich_case() -> SandwichCase:
@@ -521,7 +521,7 @@ def material_interface_elements(mesh: Mesh) -> set[int]:
     two = start[mesh.edge_counts == 2]
     first, second = owners[two], owners[two + 1]
     differ = mesh.element_regions[first] != mesh.element_regions[second]
-    return set(mesh.element_ids[np.concatenate((first[differ], second[differ]))].tolist())
+    return set(np.concatenate((first[differ], second[differ])).tolist())
 
 
 def interface_continuity(mesh: Mesh, materials, fields: SolutionFields) -> float:

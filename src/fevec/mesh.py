@@ -1,6 +1,7 @@
 """Mesh data model, geometry helpers, validation, generators and file I/O.
 
-A mesh is a flat list of nodes plus mixed quadrilateral/polygon elements.
+A mesh is a coordinate array, whose row i is node i, plus a list of mixed
+quadrilateral/polygon elements, each named by its position in the list.
 Each element carries a discretization tag: ``FE_QUAD`` elements are handled
 by the four-node quadrilateral kernel, ``VE_POLY`` elements by the polygonal
 kernel.  Elements of the two kinds may only meet along edges whose end nodes
@@ -9,7 +10,7 @@ once and stored on the mesh.
 
 Edge topology is built once per mesh as arrays (``Mesh.edges`` and, per
 element side, ``side_element`` / ``side_edge``); every edge reader uses them
-and reads element data by position, never by element id.
+and reads element data by position.
 
 ``validate_mesh`` is the one definition of a valid mesh: every element a
 simple counter-clockwise polygon, every FE quad strictly convex.  The
@@ -37,13 +38,6 @@ from .errors import AssemblyError, MeshError, ParseError
 class ElementKind(Enum):
     FE_QUAD = "FE"
     VE_POLY = "VE"
-
-
-@dataclass(frozen=True)
-class Node:
-    id: int
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -150,28 +144,28 @@ def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class Mesh:
     """Immutable-after-construction mesh with precomputed adjacency.
 
+    ``coords`` is the node table: node i is row i of the (n, 2) array.  An
+    element is named by its position in ``elements``; ``validate_mesh``
+    requires every element's id to equal that position.
     ``boundary_edges`` maps a node pair (sorted tuple) to a label string.
     Labels name edge sets for boundary conditions; labels on interior edges
     are allowed (used for embedded Dirichlet surfaces) but flux/traction may
     only be applied to true boundary edges.
     """
 
-    def __init__(self, nodes: Sequence[Node], elements: Sequence[Element],
+    def __init__(self, coords, elements: Sequence[Element],
                  boundary_edges: dict[tuple[int, int], str] | None = None):
-        self.nodes: list[Node] = list(nodes)
+        self.coords: np.ndarray = np.array(coords, dtype=float).reshape(-1, 2)
         self.elements: list[Element] = list(elements)
         self.boundary_edges: dict[tuple[int, int], str] = {
             _edge_key(*k): v for k, v in (boundary_edges or {}).items()
         }
-        self.coords: np.ndarray = np.array([[n.x, n.y] for n in self.nodes], dtype=float).reshape(-1, 2)
 
         # Array views of the element list; index = position in ``elements``.
-        self.element_ids = np.array([e.id for e in self.elements], dtype=np.int64)
         self.element_fe = np.array([e.kind == ElementKind.FE_QUAD for e in self.elements],
                                    dtype=bool)
         self.element_regions = np.array([e.region for e in self.elements], dtype=np.int64)
-        self.element_order = np.argsort(self.element_ids, kind="stable")
-        # n_v -> (positions in element-id order, (m, n_v) vertex ids)
+        # n_v -> (positions in increasing order, (m, n_v) vertex ids)
         self.vertex_groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         n_v = np.array([len(e.vertices) for e in self.elements], dtype=np.int64)
         # Every element side (vertex i to i+1, cyclic) as a sorted node pair, in
@@ -179,7 +173,7 @@ class Mesh:
         start = np.cumsum(n_v) - n_v
         pairs = np.empty((int(n_v.sum()), 2), dtype=np.int64)
         for count in np.unique(n_v).tolist():
-            pos = self.element_order[n_v[self.element_order] == count]
+            pos = np.flatnonzero(n_v == count)
             verts = np.array([self.elements[p].vertices for p in pos.tolist()],
                              dtype=np.int64).reshape(pos.size, count)
             self.vertex_groups[count] = (pos, verts)
@@ -202,7 +196,7 @@ class Mesh:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.coords)
 
     @property
     def n_elements(self) -> int:
@@ -244,7 +238,7 @@ class Mesh:
     def element_blocks(self) -> list[tuple[bool, np.ndarray, np.ndarray]]:
         """(is_fe, positions, (m, n_v) vertices) per group of one kind and vertex count.
 
-        Positions index ``elements`` and run in element-id order within a block.
+        Positions index ``elements`` and increase within a block.
         VE groups are cut into blocks of at most ``_VE_BLOCK_ROWS`` elements, which
         bounds the stacked projection arrays a VE block holds at once.
         """
@@ -501,7 +495,7 @@ def _element_violations(mesh: Mesh) -> dict[int, Violation]:
             code, text = _ELEMENT_CHECKS[failed[r]]
             i, j = pairs[crossing[r]].tolist() if crossing[r] >= 0 else (None, None)
             p = int(pos[r])
-            out[p] = Violation(code, text.format(id=mesh.elements[p].id, n_v=n_v,
+            out[p] = Violation(code, text.format(id=p, n_v=n_v,
                                                  area=float(areas[r]), i=i, j=j,
                                                  node=int(verts[r, reflex[r]])))
     return out
@@ -510,9 +504,10 @@ def _element_violations(mesh: Mesh) -> dict[int, Violation]:
 def validate_mesh(mesh: Mesh) -> list[Violation]:
     """Check every mesh invariant; returns an empty list iff the mesh is valid.
 
-    Elements are reported in list order, each under its first failed check
-    and after the duplicate-id message of its id, if any.  The report is
-    computed once per mesh (``Mesh.violations``).
+    Element ids must equal list positions, as a node's id is its row of
+    ``coords``; the first element that breaks this is reported once, first.
+    Elements are then reported in list order, each under its first failed
+    check.  The report is computed once per mesh (``Mesh.violations``).
     """
     return list(mesh.violations)
 
@@ -532,30 +527,27 @@ def _violations(mesh: Mesh) -> list[Violation]:
     report: list[Violation] = []
     n_nodes = mesh.n_nodes
 
-    for i, node in enumerate(mesh.nodes):
-        if node.id != i:
-            report.append(Violation("node-ids", f"node ids not dense: position {i} holds id {node.id}"))
+    for p, element in enumerate(mesh.elements):
+        if element.id != p:
+            report.append(Violation("element-ids",
+                                    f"element ids not dense: position {p} holds id {element.id}"))
             break
+    if not mesh.elements:
+        report.append(Violation("no-elements", "mesh has no elements"))
     if not np.all(np.isfinite(mesh.coords)):
         bad = np.where(~np.isfinite(mesh.coords).all(axis=1))[0]
         report.append(Violation("node-coords", f"non-finite coordinates at nodes {bad.tolist()}"))
         return report
 
     flawed = _element_violations(mesh)
-    duplicate = np.ones(mesh.n_elements, dtype=bool)
-    duplicate[np.unique(mesh.element_ids, return_index=True)[1]] = False
-    for p in sorted(flawed.keys() | set(np.flatnonzero(duplicate).tolist())):
-        if duplicate[p]:
-            report.append(Violation("element-ids", f"duplicate element id {mesh.elements[p].id}"))
-        if p in flawed:
-            report.append(flawed[p])
+    report.extend(flawed[p] for p in sorted(flawed))
 
     shared = np.flatnonzero(mesh.edge_counts > 2)
     if shared.size:
         owners, start = mesh.edge_owners()
         for k in shared.tolist():
             (a, b), n = mesh.edges[k].tolist(), int(mesh.edge_counts[k])
-            ids = sorted(mesh.element_ids[owners[start[k]:start[k] + n]].tolist())
+            ids = owners[start[k]:start[k] + n].tolist()
             report.append(Violation("edge-sharing", f"edge ({a},{b}) shared by {n} elements {ids}"))
 
     orphan = mesh.edge_index(list(mesh.boundary_edges)) < 0
@@ -646,14 +638,12 @@ def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
 
 def _structured_grid(width: float, height: float, nx: int, ny: int,
                      kind: ElementKind = ElementKind.FE_QUAD, region: int = 0
-                     ) -> tuple[list[Node], list[Element], dict[tuple[int, int], str]]:
-    """Nodes, elements and boundary labels of ``generate_structured_quads``."""
+                     ) -> tuple[np.ndarray, list[Element], dict[tuple[int, int], str]]:
+    """Coordinates, elements and boundary labels of ``generate_structured_quads``."""
     if nx < 1 or ny < 1:
         raise MeshError(f"subdivision counts must be >= 1, got nx={nx} ny={ny}")
-    nodes = []
-    for j in range(ny + 1):
-        for i in range(nx + 1):
-            nodes.append(Node(j * (nx + 1) + i, width * i / nx, height * j / ny))
+    coords = np.column_stack((np.tile(width * np.arange(nx + 1) / nx, ny + 1),
+                              np.repeat(height * np.arange(ny + 1) / ny, nx + 1)))
     elements = []
     for j in range(ny):
         for i in range(nx):
@@ -669,7 +659,17 @@ def _structured_grid(width: float, height: float, nx: int, ny: int,
         bedges[_edge_key(j * (nx + 1), (j + 1) * (nx + 1))] = "left"
         r0 = j * (nx + 1) + nx
         bedges[_edge_key(r0, r0 + nx + 1)] = "right"
-    return nodes, elements, bedges
+    return coords, elements, bedges
+
+
+def _quarter_turn(n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the n_t + 1 angles (pi / 2) * j / n_t, j = 0..n_t.
+
+    Each value comes from ``math``, so it does not depend on which SIMD
+    kernels numpy dispatches to on the host CPU.
+    """
+    th = (0.5 * math.pi * np.arange(n_t + 1) / n_t).tolist()
+    return np.array([math.cos(t) for t in th]), np.array([math.sin(t) for t in th])
 
 
 def generate_structured_quads(width: float, height: float, nx: int, ny: int,
@@ -691,13 +691,12 @@ def generate_split_square(width: float, height: float, nx: int, ny: int,
     """
     if split_x is None:
         split_x = 0.5 * width
-    nodes, elements, bedges = _structured_grid(width, height, nx, ny)
-    xs = np.array([n.x for n in nodes], dtype=float)
-    mid_x = xs[np.array([e.vertices for e in elements], dtype=np.int64)].mean(axis=1)
+    coords, elements, bedges = _structured_grid(width, height, nx, ny)
+    mid_x = coords[np.array([e.vertices for e in elements], dtype=np.int64), 0].mean(axis=1)
     elements = [Element(e.id, e.vertices,
                         ElementKind.FE_QUAD if m < split_x else ElementKind.VE_POLY, e.region)
                 for e, m in zip(elements, mid_x.tolist())]
-    return Mesh(nodes, elements, bedges)
+    return Mesh(coords, elements, bedges)
 
 
 def generate_quarter_annulus(r_a: float, r_b: float, n_r: int, n_t: int,
@@ -716,13 +715,9 @@ def generate_quarter_annulus(r_a: float, r_b: float, n_r: int, n_t: int,
     if n_r < 1 or n_t < 1:
         raise MeshError(f"subdivision counts must be >= 1, got n_r={n_r} n_t={n_t}")
 
-    half_pi = 0.5 * math.pi
-    nodes = []
-    for i in range(n_r + 1):
-        r = r_a + (r_b - r_a) * i / n_r
-        for j in range(n_t + 1):
-            th = half_pi * j / n_t
-            nodes.append(Node(i * (n_t + 1) + j, r * math.cos(th), r * math.sin(th)))
+    r = r_a + (r_b - r_a) * np.arange(n_r + 1) / n_r
+    cos, sin = _quarter_turn(n_t)
+    coords = np.stack((np.outer(r, cos), np.outer(r, sin)), axis=-1).reshape(-1, 2)
     elements = []
     for i in range(n_r):
         r_mid = r_a + (r_b - r_a) * (i + 0.5) / n_r
@@ -740,7 +735,7 @@ def generate_quarter_annulus(r_a: float, r_b: float, n_r: int, n_t: int,
         bedges[_edge_key(i * (n_t + 1), (i + 1) * (n_t + 1))] = "theta0"
         t0 = i * (n_t + 1) + n_t
         bedges[_edge_key(t0, t0 + n_t + 1)] = "theta90"
-    return Mesh(nodes, elements, bedges)
+    return Mesh(coords, elements, bedges)
 
 
 def generate_plate_with_hole(hole_radius: float, size: float, n_t: int,
@@ -761,28 +756,20 @@ def generate_plate_with_hole(hole_radius: float, size: float, n_t: int,
         raise MeshError("split_ring needs a polygon-capable ring kind (VE_POLY)")
     if not (0 < hole_radius < split_radius < size):
         raise MeshError("need 0 < hole_radius < split_radius < size")
-    half_pi = 0.5 * math.pi
+    if n_t < 1 or n_r_ring < 1 or n_r_outer < 0:
+        raise MeshError(f"need n_t >= 1, n_r_ring >= 1 and n_r_outer >= 0, got n_t={n_t} "
+                        f"n_r_ring={n_r_ring} n_r_outer={n_r_outer}")
     n_rows = n_r_ring + n_r_outer + 1
     cols = n_t + 1
 
-    def square_point(th: float) -> tuple[float, float]:
-        c, s = math.cos(th), math.sin(th)
-        scale = size / max(c, s)
-        return scale * c, scale * s
-
-    nodes = []
-    for i in range(n_rows):
-        for j in range(cols):
-            th = half_pi * j / n_t
-            if i <= n_r_ring:
-                r = hole_radius + (split_radius - hole_radius) * i / n_r_ring
-                x, y = r * math.cos(th), r * math.sin(th)
-            else:
-                s = (i - n_r_ring) / n_r_outer
-                qx, qy = square_point(th)
-                x = (1 - s) * split_radius * math.cos(th) + s * qx
-                y = (1 - s) * split_radius * math.sin(th) + s * qy
-            nodes.append(Node(i * cols + j, x, y))
+    # Ring rows on circles; outer rows blend the split circle into the square.
+    cos, sin = _quarter_turn(n_t)
+    r = hole_radius + (split_radius - hole_radius) * np.arange(n_r_ring + 1) / n_r_ring
+    scale = size / np.maximum(cos, sin)
+    s = (np.arange(n_r_ring + 1, n_rows) - n_r_ring)[:, None] / n_r_outer
+    x = np.vstack((np.outer(r, cos), (1 - s) * split_radius * cos + s * (scale * cos)))
+    y = np.vstack((np.outer(r, sin), (1 - s) * split_radius * sin + s * (scale * sin)))
+    coords = np.stack((x, y), axis=-1).reshape(-1, 2)
 
     elements = []
     for i in range(n_rows - 1):
@@ -801,14 +788,13 @@ def generate_plate_with_hole(hole_radius: float, size: float, n_t: int,
     for j in range(n_t):
         bedges[_edge_key(j, j + 1)] = "hole"
         o0 = (n_rows - 1) * cols + j
-        mx = 0.5 * (nodes[o0].x + nodes[o0 + 1].x)
-        my = 0.5 * (nodes[o0].y + nodes[o0 + 1].y)
+        mx, my = 0.5 * (coords[o0] + coords[o0 + 1])
         bedges[_edge_key(o0, o0 + 1)] = "right" if mx > my else "top"
     for i in range(n_rows - 1):
         bedges[_edge_key(i * cols, (i + 1) * cols)] = "bottom"
         t0 = i * cols + n_t
         bedges[_edge_key(t0, t0 + cols)] = "left"
-    return Mesh(nodes, elements, bedges)
+    return Mesh(coords, elements, bedges)
 
 
 def generate_tagged_grid(xs: Sequence[float], ys: Sequence[float],
@@ -842,10 +828,10 @@ def generate_tagged_grid(xs: Sequence[float], ys: Sequence[float],
     corners = np.array([c[0] for c in cells], dtype=np.int64)[:, None] + [0, 1, nx + 2, nx + 1]
     keys, node_of_key, verts = _first_use(corners)
     j_of, i_of = np.divmod(keys[np.argsort(node_of_key)], nx + 1)
-    nodes = [Node(n, xs[i], ys[j]) for n, (i, j) in enumerate(zip(i_of.tolist(), j_of.tolist()))]
+    coords = np.column_stack((np.asarray(xs, dtype=float)[i_of], np.asarray(ys, dtype=float)[j_of]))
     elements = [Element(eid, tuple(v), kind, region)
                 for eid, (v, (_, region, kind)) in enumerate(zip(verts.tolist(), cells))]
-    mesh = Mesh(nodes, elements)
+    mesh = Mesh(coords, elements)
 
     # Labels come from the mesh's own edge table, so they are set after
     # construction; the callbacks see only boundary and region-change edges.
@@ -856,10 +842,10 @@ def generate_tagged_grid(xs: Sequence[float], ys: Sequence[float],
     boundary = (count == 1) & (label_of is not None)
     interface = (count == 2) & (r0 != r1) & (interior_label_of is not None)
     bedges: dict[tuple[int, int], str] = {}
-    for k in np.flatnonzero(boundary | interface).tolist():
-        a, b = mesh.edges[k].tolist()
-        mx = 0.5 * (nodes[a].x + nodes[b].x)
-        my = 0.5 * (nodes[a].y + nodes[b].y)
+    labeled = np.flatnonzero(boundary | interface)
+    ends = mesh.edges[labeled]
+    mids = 0.5 * (mesh.coords[ends[:, 0]] + mesh.coords[ends[:, 1]])
+    for k, (a, b), (mx, my) in zip(labeled.tolist(), ends.tolist(), mids.tolist()):
         lab = (label_of(mx, my) if boundary[k]
                else interior_label_of(int(r0[k]), int(r1[k]), mx, my))
         if lab is not None:
@@ -1059,9 +1045,10 @@ def mesh_text(mesh: Mesh) -> str:
     edges = sorted(mesh.boundary_edges)
     return "".join((
         f"{FORMAT_HEADER}\n",
-        ("node %s %r %r\n" * mesh.n_nodes) % tuple(v for n in mesh.nodes for v in (n.id, n.x, n.y)),
+        ("node %s %r %r\n" * mesh.n_nodes) % tuple(
+            v for i, (x, y) in enumerate(mesh.coords.tolist()) for v in (i, x, y)),
         mesh.format_elements(elem_format, lambda pos, verts: [
-            mesh.element_ids[pos], mesh.element_regions[pos], verts]),
+            pos, mesh.element_regions[pos], verts]),
         ("bedge %s %s %s\n" * len(edges)) % tuple(
             v for a, b in edges for v in (mesh.boundary_edges[(a, b)], a, b))))
 
@@ -1091,7 +1078,7 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
     with open(path) as f:
         raw_lines = f.readlines()
 
-    nodes: dict[int, Node] = {}
+    nodes: dict[int, tuple[float, float]] = {}
     elements: dict[int, Element] = {}
     bedges: dict[tuple[int, int], str] = {}
     header_seen = False
@@ -1113,7 +1100,7 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
                 nid = _int64(tok[1])
                 if nid in nodes:
                     raise ValueError(f"duplicate node id {nid}")
-                nodes[nid] = Node(nid, float(tok[2]), float(tok[3]))
+                nodes[nid] = (float(tok[2]), float(tok[3]))
             elif tok[0] == "elem":
                 eid = _int64(tok[1])
                 if eid in elements:

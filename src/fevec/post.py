@@ -5,7 +5,8 @@ constant stress of the projected displacement polynomial, from elastic
 projections recomputed in one stacked call per block of polygons.  Nodal stress
 plots average adjacent element values weighted by element area, optionally
 restricted to one region (per-material-side values at bimaterial
-interfaces).
+interfaces).  Elements are named by their position in ``Mesh.elements``,
+which ``require_valid`` makes equal to their id.
 """
 
 from __future__ import annotations
@@ -82,9 +83,8 @@ def recover_stress(mesh: Mesh, materials: dict[int, MaterialProps],
     vm = np.empty(mesh.n_elements)
     for is_fe, pos, verts in mesh.element_blocks():
         sigma[pos], vm[pos] = element_stresses(is_fe, pos, verts)
-    return [ElementStress(e.id, sigma[k], float(vm[k]),
-                          PROVENANCE_FE if fe else PROVENANCE_VE)
-            for k, (e, fe) in enumerate(zip(mesh.elements, mesh.element_fe.tolist()))]
+    return [ElementStress(k, sigma[k], float(vm[k]), PROVENANCE_FE if fe else PROVENANCE_VE)
+            for k, fe in enumerate(mesh.element_fe.tolist())]
 
 
 def nodal_von_mises(mesh: Mesh, stresses: list[ElementStress],
@@ -94,30 +94,27 @@ def nodal_von_mises(mesh: Mesh, stresses: list[ElementStress],
 
     With ``region`` set, only elements of that region contribute (the
     per-material-side value at interfaces); ``element_ids`` restricts to an
-    explicit subset (per-side values at a coupling interface).  Nodes with
-    no contributing element hold NaN.
+    explicit subset of element positions (per-side values at a coupling
+    interface).  Nodes with no contributing element hold NaN.
 
     The sums are one sparse node x element product whose columns run in
-    element-id order, so each node adds its elements' terms in that order.
+    element order, so each node adds its elements' terms in that order.
     """
     keep = np.ones(mesh.n_elements, dtype=bool)
     if region is not None:
         keep &= mesh.element_regions == region
     if element_ids is not None:
-        keep &= np.isin(mesh.element_ids, list(element_ids))
-    rank = np.empty(mesh.n_elements, dtype=np.int64)
-    rank[mesh.element_order] = np.arange(mesh.n_elements)
+        keep &= np.isin(np.arange(mesh.n_elements), list(element_ids))
     rows, cols = [], []
     for pos, verts in mesh.vertex_groups.values():
         sel = keep[pos]
         rows.append(verts[sel].ravel())
-        cols.append(np.repeat(rank[pos[sel]], verts.shape[1]))
+        cols.append(np.repeat(pos[sel], verts.shape[1]))
     rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
     cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    areas = mesh.element_areas[mesh.element_order]
-    incidence = sp.csr_matrix((areas[cols], (rows, cols)),
+    incidence = sp.csr_matrix((mesh.element_areas[cols], (rows, cols)),
                               shape=(mesh.n_nodes, mesh.n_elements))
-    vm = np.array([es.von_mises for es in stresses], dtype=float)[mesh.element_order]
+    vm = np.array([es.von_mises for es in stresses], dtype=float)
     acc = incidence @ vm
     wsum = incidence @ np.ones(mesh.n_elements)
     with np.errstate(invalid="ignore"):
@@ -168,13 +165,13 @@ _STRESS_QUANTITIES = ("von_mises", "sxx", "syy", "sxy")
 class FieldEvaluator:
     """Point evaluation of solved fields over a mesh, for arrays of points.
 
-    A point belongs to the lowest-id element that contains it, boundary
-    included, so points on shared edges go to the lower id.  Candidates are
-    the elements whose padded bounding box holds the point, read from a
-    uniform bucket grid over the boxes that is built once here.  Elements
-    are named by their position in ``mesh.elements`` and ``stresses``;
-    ``locate``, ``evaluate`` and ``evaluate_in_element`` are one-point calls
-    of ``locate_many`` and ``evaluate_at``.
+    A point belongs to the first element of ``mesh.elements`` that contains
+    it, boundary included, so points on shared edges go to the lower
+    position.  Candidates are the elements whose padded bounding box holds
+    the point, read from a uniform bucket grid over the boxes that is built
+    once here.  Elements are named by their position in ``mesh.elements``
+    and ``stresses``; ``locate``, ``evaluate`` and ``evaluate_in_element``
+    are one-point calls of ``locate_many`` and ``evaluate_at``.
     """
 
     def __init__(self, mesh: Mesh, materials: dict[int, MaterialProps],
@@ -197,13 +194,12 @@ class FieldEvaluator:
             self._n_v[pos] = count
             self._row[pos] = np.arange(pos.size)
         pad = 1e-9 * max(float((hi - lo).max()), 1.0)
-        # Bounding boxes in element-id order: row k is element_order[k].
-        self._lo = lo[mesh.element_order] - pad
-        self._hi = hi[mesh.element_order] + pad
+        self._lo = lo - pad
+        self._hi = hi + pad
         self._tol = pad
 
         # Cells of about the mean box size, at most four per element; each
-        # bucket lists the boxes that overlap its cell in element-id order.
+        # bucket lists the boxes that overlap its cell in element order.
         self._origin = self._lo.min(axis=0)
         extent = self._hi.max(axis=0) - self._origin
         cells = np.maximum(np.ceil(extent / (self._hi - self._lo).mean(axis=0)), 1.0)
@@ -215,11 +211,11 @@ class FieldEvaluator:
         first, last = self._cell_of(self._lo), self._cell_of(self._hi)
         span = last - first + 1
         count = span[:, 0] * span[:, 1]
-        rank = np.repeat(np.arange(mesh.n_elements), count)
+        pos = np.repeat(np.arange(mesh.n_elements), count)
         offset = _run_offsets(count)
-        cell = ((first[rank, 1] + offset // span[rank, 0]) * int(cells[0])
-                + first[rank, 0] + offset % span[rank, 0])
-        self._bucket = rank[np.argsort(cell, kind="stable")]
+        cell = ((first[pos, 1] + offset // span[pos, 0]) * int(cells[0])
+                + first[pos, 0] + offset % span[pos, 0])
+        self._bucket = pos[np.argsort(cell, kind="stable")]
         self._bucket_start = np.concatenate(
             ([0], np.cumsum(np.bincount(cell, minlength=int(cells.prod())))))
 
@@ -230,32 +226,32 @@ class FieldEvaluator:
         return np.fmin(np.fmax(index, 0.0), self._cells - 1).astype(np.int64)
 
     def locate_many(self, points) -> np.ndarray:
-        """Position of the lowest-id element containing each (x, y) row of ``points``, -1 for none."""
+        """Position of the first element containing each (x, y) row of ``points``, -1 for none."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         cell = self._cell_of(points) @ np.array([1, int(self._cells[0])])
         start = self._bucket_start[cell]
         count = self._bucket_start[cell + 1] - start
         point = np.repeat(np.arange(len(points)), count)
-        rank = self._bucket[np.repeat(start, count) + _run_offsets(count)]
+        pos = self._bucket[np.repeat(start, count) + _run_offsets(count)]
         x, y = points[point, 0], points[point, 1]
-        lo, hi = self._lo[rank], self._hi[rank]
+        lo, hi = self._lo[pos], self._hi[pos]
         in_box = (lo[:, 0] <= x) & (x <= hi[:, 0]) & (lo[:, 1] <= y) & (y <= hi[:, 1])
         point = point[in_box]
-        pos = self.mesh.element_order[rank[in_box]]
+        pos = pos[in_box]
         n_v = self._n_v[pos]
         hit = np.zeros(pos.size, dtype=bool)
         for n, (_, verts) in self.mesh.vertex_groups.items():
             sel = np.flatnonzero(n_v == n)
             hit[sel] = _polygons_contain(self.mesh.coords[verts[self._row[pos[sel]]]],
                                          points[point[sel]], self._tol)
-        # Candidates run in element-id order per point: keep each point's first hit.
+        # Candidates run in element order per point: keep each point's first hit.
         found = np.full(len(points), -1, dtype=np.int64)
         hit_points, first = np.unique(point[hit], return_index=True)
         found[hit_points] = pos[hit][first]
         return found
 
     def locate(self, x: float, y: float) -> int | None:
-        """Position of the lowest-id element containing (x, y), or None."""
+        """Position of the first element containing (x, y), or None."""
         pos = int(self.locate_many([x, y])[0])
         return None if pos < 0 else pos
 

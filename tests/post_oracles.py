@@ -31,15 +31,15 @@ class PointEvaluator:
         lo = np.array([element_coords(mesh, e).min(axis=0) for e in mesh.elements])
         hi = np.array([element_coords(mesh, e).max(axis=0) for e in mesh.elements])
         pad = 1e-9 * max(float((hi - lo).max()), 1.0)
-        self._lo = lo[mesh.element_order] - pad
-        self._hi = hi[mesh.element_order] + pad
+        self._lo = lo - pad
+        self._hi = hi + pad
         self._tol = pad
 
     def locate(self, x: float, y: float) -> int | None:
         p = np.array([x, y])
-        ranks = np.flatnonzero((self._lo[:, 0] <= x) & (x <= self._hi[:, 0]) &
-                               (self._lo[:, 1] <= y) & (y <= self._hi[:, 1]))
-        for pos in self.mesh.element_order[ranks].tolist():
+        candidates = np.flatnonzero((self._lo[:, 0] <= x) & (x <= self._hi[:, 0]) &
+                                    (self._lo[:, 1] <= y) & (y <= self._hi[:, 1]))
+        for pos in candidates.tolist():
             coords = element_coords(self.mesh, self.mesh.elements[pos])
             if point_in_polygon(p, coords, self._tol):
                 return pos
@@ -176,11 +176,11 @@ def fields_vtk_text(mesh, solution, stresses) -> str:
 
 def mesh_text(mesh) -> str:
     lines = [FORMAT_HEADER]
-    for n in mesh.nodes:
-        lines.append(f"node {n.id} {n.x!r} {n.y!r}")
-    for e in mesh.elements:
+    for i, (x, y) in enumerate(mesh.coords.tolist()):
+        lines.append(f"node {i} {x!r} {y!r}")
+    for pos, e in enumerate(mesh.elements):
         verts = " ".join(str(v) for v in e.vertices)
-        lines.append(f"elem {e.id} {e.kind.value} {e.region} {len(e.vertices)} {verts}")
+        lines.append(f"elem {pos} {e.kind.value} {e.region} {len(e.vertices)} {verts}")
     for (a, b) in sorted(mesh.boundary_edges):
         lines.append(f"bedge {mesh.boundary_edges[(a, b)]} {a} {b}")
     return "\n".join(lines) + "\n"

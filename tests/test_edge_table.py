@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fevec.mesh import (Element, ElementKind, Mesh, Node, find_interface_nodes,
-                        generate_fcbga, generate_igbt, generate_sandwich,
-                        generate_split_square, mesh_text, validate_mesh)
+from fevec.mesh import (Element, ElementKind, Mesh, find_interface_nodes,
+                        generate_fcbga, generate_igbt, generate_plate_with_hole,
+                        generate_quarter_annulus, generate_sandwich, generate_split_square,
+                        generate_structured_quads, mesh_text, validate_mesh)
 from conftest import edge_dict
 from test_validation import mutated_meshes
 
@@ -50,9 +51,9 @@ def element_lists(draw):
             verts = tuple(draw(st.lists(vertex, min_size=0, max_size=6)))
         elements.append(Element(draw(st.integers(0, 3)), verts,
                                 draw(st.sampled_from([FE, VE])), 0))
-    nodes = [Node(k, float(k), float(k % 2)) for k in range(N_NODES)]
+    coords = [(float(k), float(k % 2)) for k in range(N_NODES)]
     queries = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
-    return Mesh(nodes, elements), queries
+    return Mesh(coords, elements), queries
 
 
 def assert_edge_arrays_match(mesh, queries=()):
@@ -108,16 +109,15 @@ class TestEdgeArrays:
 
 
 class TestRepeatedElementIds:
-    """Kinds are read by element position, so a repeated id hides nothing."""
+    """Kinds are read by element position, so a repeated id is reported and hides nothing."""
 
     @staticmethod
     def hanging_node_mesh(repeat_id):
         base = generate_split_square(4.0, 1.0, 4, 1)     # elements 0, 1 FE; 2, 3 VE
-        x, y = 0.5 * (base.coords[2] + base.coords[7])
-        nodes = base.nodes + [Node(10, float(x), float(y))]
+        coords = np.vstack((base.coords, 0.5 * (base.coords[2] + base.coords[7])))
         elements = list(base.elements)
         elements[2] = Element(1 if repeat_id else 2, (2, 3, 8, 7, 10), VE, 0)
-        return Mesh(nodes, elements, base.boundary_edges)
+        return Mesh(coords, elements, base.boundary_edges)
 
     def test_hanging_node_reported(self):
         mesh = self.hanging_node_mesh(repeat_id=False)
@@ -128,13 +128,16 @@ class TestRepeatedElementIds:
     def test_hanging_node_reported_despite_repeated_id(self):
         mesh = self.hanging_node_mesh(repeat_id=True)
         assert [v.message for v in validate_mesh(mesh)] == [
-            "duplicate element id 1",
+            "element ids not dense: position 2 holds id 1",
             "node 10 hangs on edge (2,7) across the FE/VE interface"]
         assert mesh.interface_nodes == set()
 
 
 # sha256 of mesh_text, recorded before the generators moved onto the edge
-# arrays; the numbering, element order and labels must not change.
+# arrays (sandwich, fcbga, igbt) and before they emitted coordinate arrays
+# (the rest); the numbering, coordinates, element order and labels must not
+# change.  Level 0 of the latter is a small mesh, level 1 the size of their
+# configs/*.cfg or, without one, an odd-sized grid.
 MESH_TEXT_SHA256 = {
     ("sandwich", 0): "afabe79d3db08a4f06c36fd86fc0e64c29f70958b92c0b827499bba882fe2855",
     ("sandwich_fe", 0): "4e4a5154aab42de5603ae03910d258f469f61a76aafa368ed1351c944f6a40d5",
@@ -148,12 +151,32 @@ MESH_TEXT_SHA256 = {
     ("sandwich_fe", 2): "f3eaae1ad0d8000aabbdf2cab5f2084e8580ac969bcda4d148b9a96ce808d58e",
     ("fcbga", 2): "27bc084c1ce21afca71299ee9dcd3a2bcc66e8267b5b30fdc92389d51ae1b532",
     ("igbt", 2): "1f5e79f47ccf9c71fbe47319e91e9d68fa78c1c153433bf23b0c1ebd0e4cfe90",
+    ("structured_quads", 0): "c23bbd68fb92793aa6a8edbfa50e93fc7caa3f26c3cecee231aa81d3bdbe5af6",
+    ("structured_quads", 1): "2cc01098cb6e59babde45ba48dd4ae848aadae7d1d5b7cf6074fb70b1373152c",
+    ("split_square", 0): "182a159a5cd373dc25a03ab7e99d2ec1f27a56c0c6a8d915c39d5aaaa6a33441",
+    ("split_square", 1): "44e829f8c10741154f83c21201c8c60700409c982788c74b0dc7713a601880e8",
+    ("quarter_annulus", 0): "e1921cfd2b614eaa9599c89649fae061dd18fcb200b08afe50d91ab771aabc36",
+    ("quarter_annulus", 1): "0fb2d6a124ae75cbc8149ab6b1d45a6a8a0b6e1288cd5688e9b316cbd25a0d14",
+    ("plate_with_hole", 0): "ee455115924c16c2a6ca70f7204a4ac5593e0f12189b03b96acd9aa1f64675b5",
+    ("plate_with_hole_split", 0): "f881bb624e16fa882552c9efcf302260f3fc7ac9de4e34d930022c6819009be5",
+    ("plate_with_hole", 1): "d1bfbb2933f300fd84bbb08368dd25ac7b61d9a959b8d60d44cf29b1ae08b5af",
+    ("plate_with_hole_split", 1): "c23f2eb9f59ef06d716e35463493c4d2c8f1587378c409f7f251760dccc9e645",
 }
+PLATE_SIZES = [(1.0, 4.0, 4, 2, 3, 2.0), (5.0, 20.0, 16, 8, 16, 10.0)]
 GENERATORS = {
     "sandwich": generate_sandwich,
     "sandwich_fe": lambda level: generate_sandwich(level, FE),
     "fcbga": generate_fcbga,
     "igbt": generate_igbt,
+    "structured_quads": lambda level: generate_structured_quads(
+        *[(2.0, 1.0, 3, 2), (3.7, 1.3, 37, 13, VE, 2)][level]),
+    "split_square": lambda level: generate_split_square(
+        *[(4.0, 2.0, 4, 2), (3.7, 1.3, 37, 13, 1.1)][level]),
+    "quarter_annulus": lambda level: generate_quarter_annulus(
+        *[(1.0, 2.0, 2, 3, 1.5), (20.0, 60.0, 30, 60, 40.0)][level]),
+    "plate_with_hole": lambda level: generate_plate_with_hole(*PLATE_SIZES[level]),
+    "plate_with_hole_split": lambda level: generate_plate_with_hole(*PLATE_SIZES[level],
+                                                                    split_ring=True),
 }
 
 

@@ -5,6 +5,8 @@ random VE polygons: convex, non-convex, self-crossing and clockwise ones.
 When ``validate_mesh`` accepts a mesh, both assemblies, stress recovery and
 point evaluation at interior points succeed with finite values; when it
 rejects one, each of them raises MeshError with the report's first message.
+Element ids that are not list positions, and a mesh without elements, are
+refused the same way.
 """
 
 import math
@@ -18,7 +20,8 @@ from fevec import post
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
 from fevec.errors import MeshError
 from fevec.materials import MaterialProps
-from fevec.mesh import Element, ElementKind, Mesh, Node, generate_structured_quads, validate_mesh
+from fevec.mesh import (Element, ElementKind, Mesh, Violation, generate_split_square,
+                        generate_structured_quads, validate_mesh)
 from fevec.solver import SolutionFields, run_pipeline
 from conftest import random_polygon
 
@@ -60,9 +63,8 @@ def family_mesh(seed):
     for k in range(int(rng.integers(1, 4))):
         kind, coords, point = element_shape(rng)
         shift = np.array([6.0 * k, 0.0])
-        ids = tuple(range(len(nodes), len(nodes) + len(coords)))
-        nodes += [Node(i, x, y) for i, (x, y) in zip(ids, (coords + shift).tolist())]
-        elements.append(Element(k, ids, kind, 0))
+        elements.append(Element(k, tuple(range(len(nodes), len(nodes) + len(coords))), kind, 0))
+        nodes += (coords + shift).tolist()
         points.append(point + shift)
     return Mesh(nodes, elements), np.array(points)
 
@@ -124,7 +126,7 @@ class TestOneValidityRule:
 def test_collinear_polygon_refused():
     # every vertex on y = 0.95: the shoelace sum rounds to a positive 8.9e-16,
     # and the polygon's elastic projection is singular
-    mesh = Mesh([Node(i, float(i), 0.95) for i in range(6)], [Element(0, tuple(range(6)), VE, 0)])
+    mesh = Mesh([(float(i), 0.95) for i in range(6)], [Element(0, tuple(range(6)), VE, 0)])
     for run in entry_points(mesh, linear_fields(mesh)):
         with pytest.raises(MeshError, match="^element 0: area 8.88178e-16 is zero to rounding$"):
             run()
@@ -133,8 +135,9 @@ def test_collinear_polygon_refused():
 @pytest.mark.parametrize("kind", [FE, VE])
 def test_non_finite_coordinate_refused(kind):
     base = generate_structured_quads(2, 1, 2, 1, kind=kind)
-    nodes = [Node(n.id, math.nan if n.id == 4 else n.x, n.y) for n in base.nodes]
-    mesh = Mesh(nodes, base.elements, base.boundary_edges)
+    coords = base.coords.copy()
+    coords[4, 0] = math.nan
+    mesh = Mesh(coords, base.elements, base.boundary_edges)
     bcs = BoundaryConditionSet(dirichlet_T={0: 0.0, 3: 0.0, 2: 10.0, 5: 10.0},
                                dirichlet_u={0: (0.0, 0.0), 3: (0.0, 0.0)})
     fields = SolutionFields(temperature=np.zeros(6), displacement=np.zeros((6, 2)))
@@ -144,3 +147,39 @@ def test_non_finite_coordinate_refused(kind):
         with pytest.raises(MeshError) as info:
             run()
         assert str(info.value) == "non-finite coordinates at nodes [4]"
+
+
+# Eight elements of a split square, listed or numbered so that some id is
+# not its position, and the first position that breaks the rule.
+ID_LISTS = {
+    "shuffled": (lambda elements: [elements[i] for i in (2, 4, 3, 6, 5, 0, 1, 7)], 0, 2),
+    "offset": (lambda elements: [Element(e.id + 100, e.vertices, e.kind, e.region)
+                                 for e in elements], 0, 100),
+    "repeated": (lambda elements: [Element(e.id // 2, e.vertices, e.kind, e.region)
+                                   for e in elements], 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ID_LISTS))
+def test_ids_not_positions_refused(name):
+    # elements are named by position: any other id list is reported once and
+    # refused by every kernel caller, however valid the elements are
+    relist, position, element_id = ID_LISTS[name]
+    base = generate_split_square(2.0, 1.0, 4, 2)
+    mesh = Mesh(base.coords, relist(base.elements), base.boundary_edges)
+    message = f"element ids not dense: position {position} holds id {element_id}"
+    assert validate_mesh(mesh) == [Violation("element-ids", message)]
+    for run in entry_points(mesh, linear_fields(mesh)):
+        with pytest.raises(MeshError) as info:
+            run()
+        assert str(info.value) == message
+
+
+def test_mesh_without_elements_refused():
+    mesh = Mesh([(0.0, 0.0), (1.0, 0.0)], [], {(0, 1): "x"})
+    assert validate_mesh(mesh) == [
+        Violation("no-elements", "mesh has no elements"),
+        Violation("bedge-orphan", "labeled edge (0,1) is not an edge of any element")]
+    for run in entry_points(mesh, linear_fields(mesh)):
+        with pytest.raises(MeshError, match="^mesh has no elements$"):
+            run()

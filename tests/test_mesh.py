@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fevec.errors import MeshError, ParseError
-from fevec.mesh import (Element, ElementKind, Mesh, Node, Violation, find_interface_nodes,
+from fevec.mesh import (Element, ElementKind, Mesh, Violation, find_interface_nodes,
                         generate_plate_with_hole, generate_quarter_annulus,
                         generate_split_square, generate_structured_quads,
                         load_mesh, require_valid, save_mesh, validate_mesh)
@@ -63,14 +63,13 @@ class TestPolygonGeometry:
         # the geometry checks nothing; the gate in front of the kernels does
         for pts, message in (([(0, 0), (0, 1), (1, 1), (1, 0)], "non-positive area"),
                              ([(0, 0), (0, 0), (1, 1), (0, 1)], "zero-length edge")):
-            nodes = [Node(i, x, y) for i, (x, y) in enumerate(pts)]
             with pytest.raises(MeshError, match=f"^element 0: {message}"):
-                require_valid(Mesh(nodes, [Element(0, (0, 1, 2, 3), VE, 0)]), {})
+                require_valid(Mesh(pts, [Element(0, (0, 1, 2, 3), VE, 0)]), {})
 
     def test_element_wrapper_names_element(self):
-        nodes = [Node(0, 0, 0), Node(1, 0, 1), Node(2, 1, 1), Node(3, 1, 0)]
-        elem = Element(7, (0, 1, 2, 3), VE, 0)  # clockwise
-        with pytest.raises(MeshError, match="^element 7: "):
+        nodes = [(0, 0), (0, 1), (1, 1), (1, 0)]
+        elem = Element(0, (0, 1, 2, 3), VE, 0)  # clockwise
+        with pytest.raises(MeshError, match="^element 0: "):
             require_valid(Mesh(nodes, [elem]), {})
 
 
@@ -81,24 +80,22 @@ class TestValidation:
     def test_clockwise_quad_flagged(self):
         mesh = generate_structured_quads(1, 1, 1, 1)
         bad = Element(0, tuple(reversed(mesh.elements[0].vertices)), FE, 0)
-        report = validate_mesh(Mesh(mesh.nodes, [bad], mesh.boundary_edges))
+        report = validate_mesh(Mesh(mesh.coords, [bad], mesh.boundary_edges))
         assert any(v.code == "orientation" for v in report)
 
     def test_five_vertex_fe_flagged(self):
-        nodes = [Node(i, *xy) for i, xy in enumerate(
-            [(0, 0), (1, 0), (1.5, 0.5), (1, 1), (0, 1)])]
+        nodes = [(0, 0), (1, 0), (1.5, 0.5), (1, 1), (0, 1)]
         report = validate_mesh(Mesh(nodes, [Element(0, (0, 1, 2, 3, 4), FE, 0)]))
         assert any(v.code == "fe-quad-arity" for v in report)
 
     def test_self_intersection_flagged(self):
-        nodes = [Node(i, *xy) for i, xy in enumerate([(0, 0), (1, 1), (1, 0), (0, 1)])]
+        nodes = [(0, 0), (1, 1), (1, 0), (0, 1)]
         report = validate_mesh(Mesh(nodes, [Element(0, (0, 1, 2, 3), VE, 0)]))
         assert any(v.code in ("self-intersection", "orientation") for v in report)
 
     def test_positive_area_self_crossing_flagged(self):
         # edge 2 runs from (2, 2) down to (1, -1), through edge 0; area +1
-        nodes = [Node(i, *xy) for i, xy in enumerate(
-            [(0, 0), (2, 0), (2, 2), (1, -1), (0, 2)])]
+        nodes = [(0, 0), (2, 0), (2, 2), (1, -1), (0, 2)]
         mesh = Mesh(nodes, [Element(0, (0, 1, 2, 3, 4), VE, 0)])
         assert shoelace_area(mesh.coords) == pytest.approx(1.0)
         assert validate_mesh(mesh) == [
@@ -108,8 +105,7 @@ class TestValidation:
     def test_out_of_range_vertex_at_interface_reported(self, bad_id):
         # element 1 shares edge (1,2) with the FE quad; its id 9 (or -1,
         # which would wrap to node 5) is left out of the interface scan
-        nodes = [Node(i, *xy) for i, xy in enumerate(
-            [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1)])]
+        nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1)]
         elems = [Element(0, (0, 1, 2, 3), FE, 0), Element(1, (1, 4, bad_id, 2), VE, 0)]
         assert validate_mesh(Mesh(nodes, elems)) == [
             Violation("element-vertices", "element 1: vertex id out of range")]
@@ -125,8 +121,7 @@ class TestValidation:
     def test_collapsed_edge_at_interface_reported(self):
         # nodes 0, 1 and 4 coincide: VE edge (1,4) has zero length next to
         # FE node 0
-        nodes = [Node(i, *xy) for i, xy in enumerate(
-            [(1, 0), (1, 0), (1, 1), (0, 1), (1, 0), (2, 1)])]
+        nodes = [(1, 0), (1, 0), (1, 1), (0, 1), (1, 0), (2, 1)]
         elems = [Element(0, (0, 1, 2, 3), FE, 0), Element(1, (1, 4, 5, 2), VE, 0)]
         assert validate_mesh(Mesh(nodes, elems)) == [
             Violation("degenerate", "element 0: zero-length edge"),
@@ -135,33 +130,30 @@ class TestValidation:
     def test_hanging_node_across_interface(self):
         # Left FE quad (0,1), (1,1) column shared with a VE block whose edge
         # is split at the midpoint (node 6): coincidence violation.
-        nodes = [Node(0, 0, 0), Node(1, 1, 0), Node(2, 1, 1), Node(3, 0, 1),
-                 Node(4, 2, 0), Node(5, 2, 1), Node(6, 1, 0.5)]
+        nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (1, 0.5)]
         elems = [Element(0, (0, 1, 2, 3), FE, 0),
                  Element(1, (1, 4, 5, 2, 6), VE, 0)]
         report = validate_mesh(Mesh(nodes, elems))
         assert any(v.code == "interface-coincidence" for v in report)
 
     def test_hanging_node_ve_to_ve_allowed(self):
-        nodes = [Node(0, 0, 0), Node(1, 1, 0), Node(2, 1, 1), Node(3, 0, 1),
-                 Node(4, 2, 0), Node(5, 2, 1), Node(6, 1, 0.5)]
+        nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (1, 0.5)]
         elems = [Element(0, (0, 1, 6, 2, 3), VE, 0),
                  Element(1, (1, 4, 5, 2, 6), VE, 0)]
         assert validate_mesh(Mesh(nodes, elems)) == []
 
     def test_orphan_bedge_flagged(self):
         mesh = generate_structured_quads(1, 1, 1, 1)
-        report = validate_mesh(Mesh(mesh.nodes, mesh.elements, {(0, 3): "diag"}))
+        report = validate_mesh(Mesh(mesh.coords, mesh.elements, {(0, 3): "diag"}))
         assert any(v.code == "bedge-orphan" for v in report)
 
     def test_bedge_missing_node_flagged(self):
         mesh = generate_structured_quads(1, 1, 1, 1)
-        report = validate_mesh(Mesh(mesh.nodes, mesh.elements, {(0, 99): "x"}))
+        report = validate_mesh(Mesh(mesh.coords, mesh.elements, {(0, 99): "x"}))
         assert any(v.code == "bedge-nodes" for v in report)
 
     def test_edge_shared_three_times_flagged(self):
-        nodes = [Node(0, 0, 0), Node(1, 1, 0), Node(2, 1, 1), Node(3, 0, 1),
-                 Node(4, 2, 0.5), Node(5, -1, 0.5)]
+        nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0.5), (-1, 0.5)]
         elems = [Element(0, (0, 1, 2, 3), VE, 0),
                  Element(1, (1, 4, 2), VE, 0),
                  Element(2, (1, 2, 5), VE, 0)]   # edge (1,2) used thrice
@@ -180,7 +172,7 @@ class TestInterfaceNodes:
 
     def test_symmetric_under_kind_swap(self):
         mesh = generate_split_square(2.0, 1.0, 4, 2)
-        swapped = Mesh(mesh.nodes,
+        swapped = Mesh(mesh.coords,
                        [Element(e.id, e.vertices, FE if e.kind == VE else VE, e.region)
                         for e in mesh.elements],
                        mesh.boundary_edges)
@@ -205,7 +197,7 @@ def split_square_two_step(width, height, nx, ny, split_x=None):
         mid_x = element_coords(base, e)[:, 0].mean()
         kind = ElementKind.FE_QUAD if mid_x < split_x else ElementKind.VE_POLY
         elements.append(Element(e.id, e.vertices, kind, e.region))
-    return Mesh(base.nodes, elements, base.boundary_edges)
+    return Mesh(base.coords, elements, base.boundary_edges)
 
 
 class TestGenerators:
@@ -214,7 +206,7 @@ class TestGenerators:
                                       (2.0, 1.0, 6, 3, 1.0), (4.0, 1.0, 3, 1, 0.0)])
     def test_split_square_matches_two_step_construction(self, args):
         new, old = generate_split_square(*args), split_square_two_step(*args)
-        assert new.nodes == old.nodes
+        assert np.array_equal(new.coords, old.coords)
         assert new.elements == old.elements          # ids, vertices, kinds, regions
         assert new.boundary_edges == old.boundary_edges
         assert new.interface_nodes == old.interface_nodes
@@ -258,6 +250,16 @@ class TestGenerators:
         with pytest.raises(MeshError):
             generate_quarter_annulus(20, 60, 3, 3, 10)
 
+    @pytest.mark.parametrize("n_t, n_r_ring, n_r_outer", [(0, 2, 2), (4, 0, 2), (4, 2, -1)])
+    def test_plate_bad_counts(self, n_t, n_r_ring, n_r_outer):
+        with pytest.raises(MeshError, match="^need n_t >= 1, n_r_ring >= 1 and n_r_outer >= 0"):
+            generate_plate_with_hole(1.0, 4.0, n_t, n_r_ring, n_r_outer, 2.0)
+
+    def test_plate_without_outer_rows(self):
+        mesh = generate_plate_with_hole(1.0, 4.0, 4, 2, 0, 2.0)
+        assert validate_mesh(mesh) == []
+        assert np.hypot(*mesh.coords.T).max() == pytest.approx(2.0, rel=1e-15)
+
     def test_plate_with_hole_valid_and_tagged(self):
         mesh = generate_plate_with_hole(5, 20, 8, 4, 8, 10)
         assert validate_mesh(mesh) == []
@@ -295,8 +297,7 @@ class TestMeshIO:
             path = tmp_path / "m.txt"
             save_mesh(mesh, str(path))
             back = load_mesh(str(path))
-            assert [(n.id, n.x, n.y) for n in back.nodes] == \
-                   [(n.id, n.x, n.y) for n in mesh.nodes]
+            assert np.array_equal(back.coords, mesh.coords)
             assert back.elements == mesh.elements
             assert back.boundary_edges == mesh.boundary_edges
 

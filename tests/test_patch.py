@@ -40,7 +40,7 @@ def partitions(draw):
     ve = draw(st.lists(st.booleans(), min_size=base.n_elements, max_size=base.n_elements))
     elements = [Element(e.id, e.vertices, ElementKind.VE_POLY if v else ElementKind.FE_QUAD,
                         e.region) for e, v in zip(base.elements, ve)]
-    return Mesh(base.nodes, elements, base.boundary_edges)
+    return Mesh(base.coords, elements, base.boundary_edges)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -18,7 +18,7 @@ from fevec import post
 from fevec.bench import interface_continuity
 from fevec.errors import FevecError, MeshError
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import (Element, ElementKind, Mesh, Node, generate_plate_with_hole,
+from fevec.mesh import (Element, ElementKind, Mesh, generate_plate_with_hole,
                         generate_quarter_annulus, generate_split_square, mesh_text, save_mesh,
                         validate_mesh)
 from fevec.solver import SolutionFields, run_pipeline
@@ -89,7 +89,7 @@ def assert_matches_oracle(mesh, materials, fields, stresses, points):
 
 def notch_mesh():
     pts = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
-    return Mesh([Node(i, x, y) for i, (x, y) in enumerate(pts)],
+    return Mesh(pts,
                 [Element(0, tuple(range(6)), VE, 0)])
 
 
@@ -97,7 +97,7 @@ def repeated_id_mesh():
     """A coupled split square with every id used twice and the element list reversed."""
     base = generate_split_square(2.0, 1.0, 6, 3)
     elements = [Element(e.id // 2, e.vertices, e.kind, e.id % 3) for e in base.elements]
-    return Mesh(base.nodes, elements[::-1], base.boundary_edges)
+    return Mesh(base.coords, elements[::-1], base.boundary_edges)
 
 
 def plate_mesh():
@@ -107,12 +107,11 @@ def plate_mesh():
 
 def star_polygons_mesh():
     """Separate non-convex VE polygons with irregular coordinates, 3 to 10 vertices."""
-    nodes, elements = [], []
-    for k, poly in enumerate(polygon_family(seed=9, count=40)):
-        ids = tuple(range(len(nodes), len(nodes) + len(poly)))
-        nodes.extend(Node(i, x, y) for i, (x, y) in zip(ids, poly.tolist()))
-        elements.append(Element(k, ids, VE, k % 3))
-    return Mesh(nodes, elements)
+    polygons = polygon_family(seed=9, count=40)
+    start = np.cumsum([0] + [len(poly) for poly in polygons])
+    elements = [Element(k, tuple(range(start[k], start[k + 1])), VE, k % 3)
+                for k in range(len(polygons))]
+    return Mesh(np.concatenate(polygons), elements)
 
 
 GENERATED = {
@@ -200,22 +199,22 @@ def assert_config_probes_match(text, path):
 
 class TestEvaluationErrors:
     def test_inverted_quad_names_the_element(self):
-        nodes = [Node(i, x, y) for i, (x, y) in enumerate([(0.0, 0.0), (0.0, 1.0),
-                                                           (1.0, 1.0), (1.0, 0.0)])]
-        mesh = Mesh(nodes, [Element(7, (0, 1, 2, 3), FE, 0)])      # clockwise
-        with pytest.raises(MeshError, match=r"^element 7: non-positive area -1 \(clockwise"):
+        coords = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]
+        mesh = Mesh(coords, [Element(0, (0, 1, 2, 3), FE, 0)])      # clockwise
+        with pytest.raises(MeshError, match=r"^element 0: non-positive area -1 \(clockwise"):
             post.FieldEvaluator(mesh, MATERIALS, SolutionFields(
                 temperature=np.zeros(4), displacement=None))
 
     def test_repeated_ids_refused(self):
-        # a point belongs to the lowest-id element containing it, so element ids
-        # must be unique; the probes refuse a mesh that repeats them
+        # elements are named by position, so element ids must equal positions;
+        # the probes refuse a mesh that repeats them
         mesh = repeated_id_mesh()
         fields = SolutionFields(temperature=np.zeros(mesh.n_nodes), displacement=None)
         with pytest.raises(MeshError) as info:
             post.line_probe(mesh, MATERIALS, fields, None, (0.0, 0.5), (2.0, 0.5),
                             "temperature", 10)
-        assert str(info.value) == validate_mesh(mesh)[0].message == "duplicate element id 8"
+        assert str(info.value) == validate_mesh(mesh)[0].message == (
+            "element ids not dense: position 0 holds id 8")
 
     def test_checks_run_only_when_a_point_is_located(self):
         mesh = plate_mesh()
@@ -250,20 +249,20 @@ def special_stresses(mesh, seed):
     vm = np.abs(rng.normal(scale=50.0, size=mesh.n_elements))
     sigma.ravel()[:SPECIAL.size] = SPECIAL[:sigma.size]
     vm[-SPECIAL.size:] = SPECIAL[:vm.size]
-    return [post.ElementStress(e.id, sigma[k], float(vm[k]), post.PROVENANCE_FE)
-            for k, e in enumerate(mesh.elements)]
+    return [post.ElementStress(k, sigma[k], float(vm[k]), post.PROVENANCE_FE)
+            for k in range(mesh.n_elements)]
 
 
 def float64_node_mesh():
-    """Node coordinates held as numpy scalars, as the coordinate rows give them."""
+    """Node coordinates given as a list of numpy rows."""
     base = generate_split_square(1.0, 1.0, 3, 2)
-    return Mesh([Node(i, x, y) for i, (x, y) in enumerate(base.coords)], base.elements)
+    return Mesh(list(base.coords), base.elements)
 
 
 def interleaved_plate_mesh():
     """Triangles and quads alternating in the element list."""
     base = plate_mesh()
-    return Mesh(base.nodes, base.elements[1::2] + base.elements[::2], base.boundary_edges)
+    return Mesh(base.coords, base.elements[1::2] + base.elements[::2], base.boundary_edges)
 
 
 WRITER_MESHES = {**GENERATED, "repeated_ids": repeated_id_mesh, "float64_nodes": float64_node_mesh,

@@ -5,7 +5,7 @@ from fevec.assembly import (BoundaryConditionSet, SparseSystem, assemble_mechani
                             assemble_thermal)
 from fevec.errors import SolverError
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import Element, Mesh, Node, generate_split_square, generate_structured_quads
+from fevec.mesh import Element, Mesh, generate_split_square, generate_structured_quads
 from fevec.solver import (METHOD_CG, METHOD_DIRECT, SolveOptions, run_pipeline, solve_system)
 
 
@@ -125,10 +125,10 @@ def heated(mesh):
 def two_squares():
     """Two disjoint 2 x 2 grids; nodes 0-8 and 9-17."""
     a = generate_structured_quads(1.0, 1.0, 2, 2)
-    nodes = a.nodes + [Node(n.id + 9, n.x + 3.0, n.y) for n in a.nodes]
+    coords = np.vstack((a.coords, a.coords + [3.0, 0.0]))
     elements = a.elements + [Element(e.id + 4, tuple(v + 9 for v in e.vertices), e.kind, 0)
                              for e in a.elements]
-    return Mesh(nodes, elements)
+    return Mesh(coords, elements)
 
 
 @pytest.mark.parametrize("method", [METHOD_DIRECT, METHOD_CG])

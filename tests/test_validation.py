@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fevec import mesh as meshmod
-from fevec.mesh import (Element, ElementKind, Mesh, Node, Violation, generate_quarter_annulus,
+from fevec.mesh import (Element, ElementKind, Mesh, Violation, generate_quarter_annulus,
                         generate_split_square, validate_mesh)
 from conftest import edge_dict
 from kernel_oracles import element_coords, shoelace_area
@@ -41,52 +41,50 @@ def oracle_validate(mesh: Mesh) -> list[Violation]:
     report: list[Violation] = []
     n_nodes = mesh.n_nodes
 
-    for i, node in enumerate(mesh.nodes):
-        if node.id != i:
-            report.append(Violation("node-ids", f"node ids not dense: position {i} holds id {node.id}"))
+    for p, e in enumerate(mesh.elements):
+        if e.id != p:
+            report.append(Violation("element-ids",
+                                    f"element ids not dense: position {p} holds id {e.id}"))
             break
+    if not mesh.elements:
+        report.append(Violation("no-elements", "mesh has no elements"))
     if not np.all(np.isfinite(mesh.coords)):
         bad = np.where(~np.isfinite(mesh.coords).all(axis=1))[0]
         report.append(Violation("node-coords", f"non-finite coordinates at nodes {bad.tolist()}"))
         return report
 
-    seen_elem_ids = set()
-    for e in mesh.elements:
-        if e.id in seen_elem_ids:
-            report.append(Violation("element-ids", f"duplicate element id {e.id}"))
-        seen_elem_ids.add(e.id)
-
+    for p, e in enumerate(mesh.elements):
         if any(v < 0 or v >= n_nodes for v in e.vertices):
-            report.append(Violation("element-vertices", f"element {e.id}: vertex id out of range"))
+            report.append(Violation("element-vertices", f"element {p}: vertex id out of range"))
             continue
         if len(set(e.vertices)) != len(e.vertices):
-            report.append(Violation("element-vertices", f"element {e.id}: repeated vertex"))
+            report.append(Violation("element-vertices", f"element {p}: repeated vertex"))
             continue
         if len(e.vertices) < 3:
-            report.append(Violation("element-vertices", f"element {e.id}: fewer than 3 vertices"))
+            report.append(Violation("element-vertices", f"element {p}: fewer than 3 vertices"))
             continue
         if e.kind == ElementKind.FE_QUAD and len(e.vertices) != 4:
             report.append(Violation("fe-quad-arity",
-                                    f"element {e.id}: FE_QUAD must have 4 vertices, has {len(e.vertices)}"))
+                                    f"element {p}: FE_QUAD must have 4 vertices, has {len(e.vertices)}"))
             continue
 
         coords = element_coords(mesh, e)
         area = shoelace_area(coords)
         if area <= 0.0:
             report.append(Violation("orientation",
-                                    f"element {e.id}: non-positive area {area:g} (clockwise vertex order?)"))
+                                    f"element {p}: non-positive area {area:g} (clockwise vertex order?)"))
             continue
         deltas = np.roll(coords, -1, axis=0) - coords
         lengths = np.hypot(deltas[:, 0], deltas[:, 1])
         if np.any(lengths <= 1e-14 * max(lengths.max(), 1.0)):
-            report.append(Violation("degenerate", f"element {e.id}: zero-length edge"))
+            report.append(Violation("degenerate", f"element {p}: zero-length edge"))
             continue
         ax, ay = np.abs(coords[:, 0]), np.abs(coords[:, 1])
         rounding = len(coords) * np.finfo(float).eps * 0.5 * (
             float(np.dot(ax, np.roll(ay, -1))) + float(np.dot(ay, np.roll(ax, -1))))
         if area <= rounding:
             report.append(Violation("degenerate",
-                                    f"element {e.id}: area {area:g} is zero to rounding"))
+                                    f"element {p}: area {area:g} is zero to rounding"))
             continue
         nv = len(e.vertices)
         simple = True
@@ -96,7 +94,7 @@ def oracle_validate(mesh: Mesh) -> list[Violation]:
                     continue  # adjacent edges share a vertex
                 if segments_cross(coords[i], coords[(i + 1) % nv], coords[j], coords[(j + 1) % nv]):
                     report.append(Violation("self-intersection",
-                                            f"element {e.id}: edges {i} and {j} cross"))
+                                            f"element {p}: edges {i} and {j} cross"))
                     simple = False
                     break
             if not simple:
@@ -105,16 +103,15 @@ def oracle_validate(mesh: Mesh) -> list[Violation]:
             for k in range(4):
                 if orient(coords[k - 1], coords[k], coords[(k + 1) % 4]) <= 0.0:
                     report.append(Violation("fe-quad-convexity",
-                                            f"element {e.id}: FE_QUAD not strictly convex "
+                                            f"element {p}: FE_QUAD not strictly convex "
                                             f"at node {e.vertices[k]}"))
                     break
 
     edges = edge_dict(mesh)
     for (a, b), owners in edges.items():
         if len(owners) > 2:
-            ids = sorted(mesh.elements[p].id for p in owners)
             report.append(Violation("edge-sharing",
-                                    f"edge ({a},{b}) shared by {len(owners)} elements {ids}"))
+                                    f"edge ({a},{b}) shared by {len(owners)} elements {sorted(owners)}"))
 
     for (a, b) in mesh.boundary_edges:
         if a >= n_nodes or b >= n_nodes:
@@ -192,7 +189,7 @@ def oracle_interface_coincidence(mesh: Mesh) -> list[Violation]:
 # A positive-area pentagon whose edges 0 and 2 cross.
 CROSSED_PENTAGON = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (1.0, -1.0), (0.0, 2.0))
 
-MUTATIONS = ("reverse", "out_of_range", "negative_id", "repeat", "duplicate_id",
+MUTATIONS = ("reverse", "out_of_range", "negative_id", "repeat", "duplicate_id", "swap_elements",
              "drop_vertex", "split_edge", "collapse", "move", "crossed_pentagon",
              "copy_element", "nan", "orphan_bedge", "missing_bedge", "flatten")
 
@@ -212,7 +209,7 @@ def mutated_meshes(draw):
     else:
         base = generate_quarter_annulus(1.0, 3.0, draw(st.integers(2, 3)),
                                         draw(st.integers(2, 4)), 2.0)
-    coords = [[n.x, n.y] for n in base.nodes]
+    coords = base.coords.tolist()
     elements = [[e.id, list(e.vertices), e.kind] for e in base.elements]
     bedges = dict(base.boundary_edges)
 
@@ -232,6 +229,10 @@ def mutated_meshes(draw):
             verts[i] = verts[(i + 1) % len(verts)]
         elif op == "duplicate_id":
             elem[0] = draw(st.sampled_from([e[0] for e in elements]))
+        elif op == "swap_elements":
+            j = draw(st.integers(0, len(elements) - 1))
+            k = draw(st.integers(0, len(elements) - 1))
+            elements[j], elements[k] = elements[k], elements[j]
         elif op == "drop_vertex" and len(verts) > 1:
             del verts[i]
         elif op == "split_edge" and len(verts) > 1:
@@ -268,8 +269,7 @@ def mutated_meshes(draw):
         elif op == "missing_bedge":
             bedges[(draw(st.integers(0, n_nodes - 1)), n_nodes + draw(st.integers(0, 2)))] = "y"
 
-    nodes = [Node(k, x, y) for k, (x, y) in enumerate(coords)]
-    return Mesh(nodes, [Element(eid, tuple(v), kind, 0) for eid, v, kind in elements], bedges)
+    return Mesh(coords, [Element(eid, tuple(v), kind, 0) for eid, v, kind in elements], bedges)
 
 
 class TestValidationOracle:
@@ -280,7 +280,7 @@ class TestValidationOracle:
         assert validate_mesh(mesh) == expected
         with mock.patch.object(meshmod, "_CHECK_CHUNK", 8):   # chunks of 1-2 rows
             # a new mesh: the report is computed once per mesh
-            fresh = Mesh(mesh.nodes, mesh.elements, mesh.boundary_edges)
+            fresh = Mesh(mesh.coords, mesh.elements, mesh.boundary_edges)
             assert validate_mesh(fresh) == expected
 
     def test_cylinder_config_mesh_valid(self):

@@ -203,12 +203,12 @@ class TestVemThermalLoad:
 
     def test_single_element_free_expansion(self):
         # one square VE element, pin + roller, uniform dT: stresses vanish
-        from fevec.mesh import Element, ElementKind, Mesh, Node
+        from fevec.mesh import Element, ElementKind, Mesh
         from fevec.assembly import BoundaryConditionSet
         from fevec.solver import run_pipeline
         from fevec.post import recover_stress
         mats = {0: props(E=100.0, nu=0.3, alpha=1e-5, T0=25.0)}
-        nodes = [Node(0, 0, 0), Node(1, 2, 0), Node(2, 2, 2), Node(3, 0, 2)]
+        nodes = [(0, 0), (2, 0), (2, 2), (0, 2)]
         mesh = Mesh(nodes, [Element(0, (0, 1, 2, 3), ElementKind.VE_POLY, 0)],
                     {(0, 1): "bottom"})
         bcs = BoundaryConditionSet()

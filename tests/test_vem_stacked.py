@@ -112,7 +112,7 @@ class TestSingularRows:
         elements = [Element(e.id, e.vertices, VE, 9 if e.id == tiny_id else 0)
                     for e in base.elements]
         elements[clockwise_id] = Element(clockwise_id, elements[clockwise_id].vertices[::-1], VE, 0)
-        return Mesh(base.nodes, elements, base.boundary_edges)
+        return Mesh(base.coords, elements, base.boundary_edges)
 
     @pytest.mark.parametrize("field", ["thermal", "elastic"])
     def test_first_singular_row_named(self, field):
