@@ -10,7 +10,7 @@ and vertex count (``Mesh.element_blocks``), through the batched Q4 kernels
 of ``fem`` and the stacked polygon kernels of ``vem``, after the mesh and
 the materials pass ``require_valid``.  Assembly is deterministic: the
 element triplets are concatenated in element order (an element's id is its
-position in ``Mesh.elements``) and stably sorted before compression, so
+position in the mesh's element table) and stably sorted before compression, so
 repeated runs give bit-identical matrices, equal to an element-by-element
 loop.
 """
@@ -121,15 +121,9 @@ def build_dof_map(mesh: Mesh, field_kind: str) -> DofMap:
     per = 1 if field_kind == "thermal" else 2
 
     touches_fe = np.zeros(mesh.n_nodes, dtype=bool)
-    touches_any = np.zeros(mesh.n_nodes, dtype=bool)
     for is_fe, _, verts in mesh.element_blocks():
-        touches_any[verts] = True
         if is_fe:
             touches_fe[verts] = True
-    orphans = np.where(~touches_any)[0]
-    if orphans.size:
-        raise AssemblyError(f"nodes without any element: {orphans.tolist()[:10]}")
-
     node_class = np.full(mesh.n_nodes, DOF_VE_INTERIOR, dtype="U1")
     node_class[touches_fe] = DOF_FE_INTERIOR
     node_class[sorted(mesh.interface_nodes)] = DOF_INTERFACE

@@ -1,8 +1,8 @@
 """Mesh data model, geometry helpers, validation, generators and file I/O.
 
-A mesh is a coordinate array, whose row i is node i, plus a list of mixed
-quadrilateral/polygon elements, each named by its position in the list.
-Each element carries a discretization tag: ``FE_QUAD`` elements are handled
+A mesh is a coordinate array, whose row i is node i, plus a table of mixed
+quadrilateral/polygon elements (vertices, kind, region), each named by its
+position.  The kind is a discretization tag: ``FE_QUAD`` elements are handled
 by the four-node quadrilateral kernel, ``VE_POLY`` elements by the polygonal
 kernel.  Elements of the two kinds may only meet along edges whose end nodes
 are shared (coincident interface nodes); the set of such nodes is computed
@@ -42,7 +42,7 @@ class ElementKind(Enum):
 
 @dataclass(frozen=True)
 class Element:
-    id: int
+    id: int   # the element's position in ``Mesh.elements``
     vertices: tuple[int, ...]
     kind: ElementKind
     region: int
@@ -144,37 +144,40 @@ def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class Mesh:
     """Immutable-after-construction mesh with precomputed adjacency.
 
-    ``coords`` is the node table: node i is row i of the (n, 2) array.  An
-    element is named by its position in ``elements``; ``validate_mesh``
-    requires every element's id to equal that position.
+    ``coords`` is the node table: node i is row i of the (n, 2) array.  The
+    element table is three inputs indexed by element position: ``vertices``
+    (vertex sequences, or an (m, n_v) int array), ``kinds`` and ``regions``.
     ``boundary_edges`` maps a node pair (sorted tuple) to a label string.
     Labels name edge sets for boundary conditions; labels on interior edges
     are allowed (used for embedded Dirichlet surfaces) but flux/traction may
     only be applied to true boundary edges.
     """
 
-    def __init__(self, coords, elements: Sequence[Element],
-                 boundary_edges: dict[tuple[int, int], str] | None = None):
+    def __init__(self, coords, vertices: Sequence[Sequence[int]], kinds: Sequence[ElementKind],
+                 regions: Sequence[int], boundary_edges: dict[tuple[int, int], str] | None = None):
         self.coords: np.ndarray = np.array(coords, dtype=float).reshape(-1, 2)
-        self.elements: list[Element] = list(elements)
         self.boundary_edges: dict[tuple[int, int], str] = {
             _edge_key(*k): v for k, v in (boundary_edges or {}).items()
         }
+        if not len(vertices) == len(kinds) == len(regions):
+            raise MeshError("element table inputs differ in length: vertices, kinds, regions")
 
-        # Array views of the element list; index = position in ``elements``.
-        self.element_fe = np.array([e.kind == ElementKind.FE_QUAD for e in self.elements],
-                                   dtype=bool)
-        self.element_regions = np.array([e.region for e in self.elements], dtype=np.int64)
+        # Per-element arrays; index = position in the element table.
+        kinds = np.fromiter(kinds, dtype=object, count=len(kinds))
+        self.element_fe: np.ndarray = kinds == ElementKind.FE_QUAD
+        if not (self.element_fe | (kinds == ElementKind.VE_POLY)).all():
+            raise MeshError("element kinds must be ElementKind members")
+        self.element_regions = np.array(regions, dtype=np.int64)
         # n_v -> (positions in increasing order, (m, n_v) vertex ids)
         self.vertex_groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        n_v = np.array([len(e.vertices) for e in self.elements], dtype=np.int64)
+        n_v = np.fromiter(map(len, vertices), dtype=np.int64, count=len(vertices))
         # Every element side (vertex i to i+1, cyclic) as a sorted node pair, in
-        # element-list order: side i of the element at position p is row start[p] + i.
+        # element order: side i of the element at position p is row start[p] + i.
         start = np.cumsum(n_v) - n_v
         pairs = np.empty((int(n_v.sum()), 2), dtype=np.int64)
         for count in np.unique(n_v).tolist():
             pos = np.flatnonzero(n_v == count)
-            verts = np.array([self.elements[p].vertices for p in pos.tolist()],
+            verts = np.array([vertices[p] for p in pos.tolist()],
                              dtype=np.int64).reshape(pos.size, count)
             self.vertex_groups[count] = (pos, verts)
             sides = np.stack((verts, np.roll(verts, -1, axis=1)), axis=2).reshape(-1, 2)
@@ -200,7 +203,18 @@ class Mesh:
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return self.element_fe.size
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        """The element table as records, built on first read; no pipeline stage reads it."""
+        vertices: list[tuple[int, ...]] = [()] * self.n_elements
+        for pos, verts in self.vertex_groups.values():
+            for p, v in zip(pos.tolist(), verts.tolist()):
+                vertices[p] = tuple(v)
+        kinds = np.where(self.element_fe, ElementKind.FE_QUAD, ElementKind.VE_POLY).tolist()
+        return tuple(map(Element, range(self.n_elements), vertices, kinds,
+                         self.element_regions.tolist()))
 
     def edge_index(self, pairs) -> np.ndarray:
         """Index in ``edges`` of each node pair (either order), -1 where no element has it."""
@@ -238,7 +252,7 @@ class Mesh:
     def element_blocks(self) -> list[tuple[bool, np.ndarray, np.ndarray]]:
         """(is_fe, positions, (m, n_v) vertices) per group of one kind and vertex count.
 
-        Positions index ``elements`` and increase within a block.
+        Positions index the element table and increase within a block.
         VE groups are cut into blocks of at most ``_VE_BLOCK_ROWS`` elements, which
         bounds the stacked projection arrays a VE block holds at once.
         """
@@ -272,7 +286,7 @@ class Mesh:
 
     @cached_property
     def element_areas(self) -> np.ndarray:
-        """Signed shoelace area of every element, by position in ``elements``."""
+        """Signed shoelace area of every element, by position."""
         areas = np.empty(self.n_elements)
         for pos, verts in self.vertex_groups.values():
             areas[pos] = shoelace_areas(self.coords[verts])
@@ -450,7 +464,7 @@ def _first_crossings(coords: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 
 def _element_violations(mesh: Mesh) -> dict[int, Violation]:
-    """The first failed check of every flawed element, keyed by position in ``elements``.
+    """The first failed check of every flawed element, keyed by its position.
 
     Each vertex-count block is checked in one array pass (the geometry in
     row chunks); coordinates are read only for rows that pass the vertex-id
@@ -504,10 +518,9 @@ def _element_violations(mesh: Mesh) -> dict[int, Violation]:
 def validate_mesh(mesh: Mesh) -> list[Violation]:
     """Check every mesh invariant; returns an empty list iff the mesh is valid.
 
-    Element ids must equal list positions, as a node's id is its row of
-    ``coords``; the first element that breaks this is reported once, first.
-    Elements are then reported in list order, each under its first failed
-    check.  The report is computed once per mesh (``Mesh.violations``).
+    Elements are reported in position order, each under its first failed
+    check; nodes that no element lists are reported once, with at most ten
+    ids.  The report is computed once per mesh (``Mesh.violations``).
     """
     return list(mesh.violations)
 
@@ -527,12 +540,7 @@ def _violations(mesh: Mesh) -> list[Violation]:
     report: list[Violation] = []
     n_nodes = mesh.n_nodes
 
-    for p, element in enumerate(mesh.elements):
-        if element.id != p:
-            report.append(Violation("element-ids",
-                                    f"element ids not dense: position {p} holds id {element.id}"))
-            break
-    if not mesh.elements:
+    if not mesh.n_elements:
         report.append(Violation("no-elements", "mesh has no elements"))
     if not np.all(np.isfinite(mesh.coords)):
         bad = np.where(~np.isfinite(mesh.coords).all(axis=1))[0]
@@ -541,6 +549,13 @@ def _violations(mesh: Mesh) -> list[Violation]:
 
     flawed = _element_violations(mesh)
     report.extend(flawed[p] for p in sorted(flawed))
+
+    used = np.zeros(n_nodes, dtype=bool)   # without elements, no-elements says it all
+    for _, verts in mesh.vertex_groups.values():
+        used[verts[(verts >= 0) & (verts < n_nodes)]] = True
+    if mesh.n_elements and not used.all():
+        report.append(Violation("orphan-nodes",
+                                f"nodes without any element: {np.flatnonzero(~used)[:10].tolist()}"))
 
     shared = np.flatnonzero(mesh.edge_counts > 2)
     if shared.size:
@@ -636,20 +651,15 @@ def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
 # Generators
 
 
-def _structured_grid(width: float, height: float, nx: int, ny: int,
-                     kind: ElementKind = ElementKind.FE_QUAD, region: int = 0
-                     ) -> tuple[np.ndarray, list[Element], dict[tuple[int, int], str]]:
-    """Coordinates, elements and boundary labels of ``generate_structured_quads``."""
+def _structured_grid(width: float, height: float, nx: int, ny: int
+                     ) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], str]]:
+    """Coordinates, (nx * ny, 4) cell vertices and boundary labels of a structured grid."""
     if nx < 1 or ny < 1:
         raise MeshError(f"subdivision counts must be >= 1, got nx={nx} ny={ny}")
     coords = np.column_stack((np.tile(width * np.arange(nx + 1) / nx, ny + 1),
                               np.repeat(height * np.arange(ny + 1) / ny, nx + 1)))
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            n00 = j * (nx + 1) + i
-            elements.append(Element(j * nx + i, (n00, n00 + 1, n00 + nx + 2, n00 + nx + 1),
-                                    kind, region))
+    n00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    vertices = n00[:, None] + [0, 1, nx + 2, nx + 1]
     bedges: dict[tuple[int, int], str] = {}
     for i in range(nx):
         bedges[_edge_key(i, i + 1)] = "bottom"
@@ -659,7 +669,7 @@ def _structured_grid(width: float, height: float, nx: int, ny: int,
         bedges[_edge_key(j * (nx + 1), (j + 1) * (nx + 1))] = "left"
         r0 = j * (nx + 1) + nx
         bedges[_edge_key(r0, r0 + nx + 1)] = "right"
-    return coords, elements, bedges
+    return coords, vertices, bedges
 
 
 def _quarter_turn(n_t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -679,7 +689,8 @@ def generate_structured_quads(width: float, height: float, nx: int, ny: int,
 
     Boundary edge labels: left, right, bottom, top.
     """
-    return Mesh(*_structured_grid(width, height, nx, ny, kind, region))
+    coords, vertices, bedges = _structured_grid(width, height, nx, ny)
+    return Mesh(coords, vertices, [kind] * len(vertices), [region] * len(vertices), bedges)
 
 
 def generate_split_square(width: float, height: float, nx: int, ny: int,
@@ -691,12 +702,10 @@ def generate_split_square(width: float, height: float, nx: int, ny: int,
     """
     if split_x is None:
         split_x = 0.5 * width
-    coords, elements, bedges = _structured_grid(width, height, nx, ny)
-    mid_x = coords[np.array([e.vertices for e in elements], dtype=np.int64), 0].mean(axis=1)
-    elements = [Element(e.id, e.vertices,
-                        ElementKind.FE_QUAD if m < split_x else ElementKind.VE_POLY, e.region)
-                for e, m in zip(elements, mid_x.tolist())]
-    return Mesh(coords, elements, bedges)
+    coords, vertices, bedges = _structured_grid(width, height, nx, ny)
+    kinds = np.where(coords[vertices, 0].mean(axis=1) < split_x,
+                     ElementKind.FE_QUAD, ElementKind.VE_POLY)
+    return Mesh(coords, vertices, kinds, [0] * len(vertices), bedges)
 
 
 def generate_quarter_annulus(r_a: float, r_b: float, n_r: int, n_t: int,
@@ -718,14 +727,11 @@ def generate_quarter_annulus(r_a: float, r_b: float, n_r: int, n_t: int,
     r = r_a + (r_b - r_a) * np.arange(n_r + 1) / n_r
     cos, sin = _quarter_turn(n_t)
     coords = np.stack((np.outer(r, cos), np.outer(r, sin)), axis=-1).reshape(-1, 2)
-    elements = []
-    for i in range(n_r):
-        r_mid = r_a + (r_b - r_a) * (i + 0.5) / n_r
-        kind = ElementKind.VE_POLY if r_mid < split_radius else ElementKind.FE_QUAD
-        for j in range(n_t):
-            n00 = i * (n_t + 1) + j
-            n10 = (i + 1) * (n_t + 1) + j
-            elements.append(Element(i * n_t + j, (n00, n10, n10 + 1, n00 + 1), kind, 0))
+    n00 = (np.arange(n_r)[:, None] * (n_t + 1) + np.arange(n_t)).ravel()
+    vertices = n00[:, None] + [0, n_t + 1, n_t + 2, 1]
+    r_mid = r_a + (r_b - r_a) * (np.arange(n_r) + 0.5) / n_r
+    kinds = np.repeat(np.where(r_mid < split_radius, ElementKind.VE_POLY, ElementKind.FE_QUAD),
+                      n_t)
     bedges: dict[tuple[int, int], str] = {}
     for j in range(n_t):
         bedges[_edge_key(j, j + 1)] = "inner"
@@ -735,7 +741,7 @@ def generate_quarter_annulus(r_a: float, r_b: float, n_r: int, n_t: int,
         bedges[_edge_key(i * (n_t + 1), (i + 1) * (n_t + 1))] = "theta0"
         t0 = i * (n_t + 1) + n_t
         bedges[_edge_key(t0, t0 + n_t + 1)] = "theta90"
-    return Mesh(coords, elements, bedges)
+    return Mesh(coords, vertices, kinds, [0] * len(vertices), bedges)
 
 
 def generate_plate_with_hole(hole_radius: float, size: float, n_t: int,
@@ -771,18 +777,16 @@ def generate_plate_with_hole(hole_radius: float, size: float, n_t: int,
     y = np.vstack((np.outer(r, sin), (1 - s) * split_radius * sin + s * (scale * sin)))
     coords = np.stack((x, y), axis=-1).reshape(-1, 2)
 
-    elements = []
+    vertices, kinds = [], []
     for i in range(n_rows - 1):
         kind = ring_kind if i < n_r_ring else outer_kind
         for j in range(n_t):
             n00 = i * cols + j
             n10 = (i + 1) * cols + j
             quad = (n00, n10, n10 + 1, n00 + 1)
-            if split_ring and i < n_r_ring:
-                elements.append(Element(len(elements), quad[:3], kind, 0))
-                elements.append(Element(len(elements), (quad[0], quad[2], quad[3]), kind, 0))
-            else:
-                elements.append(Element(len(elements), quad, kind, 0))
+            cell = [quad[:3], (quad[0], quad[2], quad[3])] if split_ring and i < n_r_ring else [quad]
+            vertices += cell
+            kinds += [kind] * len(cell)
 
     bedges: dict[tuple[int, int], str] = {}
     for j in range(n_t):
@@ -794,7 +798,7 @@ def generate_plate_with_hole(hole_radius: float, size: float, n_t: int,
         bedges[_edge_key(i * cols, (i + 1) * cols)] = "bottom"
         t0 = i * cols + n_t
         bedges[_edge_key(t0, t0 + cols)] = "left"
-    return Mesh(coords, elements, bedges)
+    return Mesh(coords, vertices, kinds, [0] * len(vertices), bedges)
 
 
 def generate_tagged_grid(xs: Sequence[float], ys: Sequence[float],
@@ -829,9 +833,7 @@ def generate_tagged_grid(xs: Sequence[float], ys: Sequence[float],
     keys, node_of_key, verts = _first_use(corners)
     j_of, i_of = np.divmod(keys[np.argsort(node_of_key)], nx + 1)
     coords = np.column_stack((np.asarray(xs, dtype=float)[i_of], np.asarray(ys, dtype=float)[j_of]))
-    elements = [Element(eid, tuple(v), kind, region)
-                for eid, (v, (_, region, kind)) in enumerate(zip(verts.tolist(), cells))]
-    mesh = Mesh(coords, elements)
+    mesh = Mesh(coords, verts, [c[2] for c in cells], [c[1] for c in cells])
 
     # Labels come from the mesh's own edge table, so they are set after
     # construction; the callbacks see only boundary and region-change edges.
@@ -1079,7 +1081,9 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
         raw_lines = f.readlines()
 
     nodes: dict[int, tuple[float, float]] = {}
-    elements: dict[int, Element] = {}
+    vertices: dict[int, tuple[int, ...]] = {}   # the element table, keyed by element id
+    kinds: dict[int, ElementKind] = {}
+    regions: dict[int, int] = {}
     bedges: dict[tuple[int, int], str] = {}
     header_seen = False
 
@@ -1103,18 +1107,18 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
                 nodes[nid] = (float(tok[2]), float(tok[3]))
             elif tok[0] == "elem":
                 eid = _int64(tok[1])
-                if eid in elements:
+                if eid in vertices:
                     raise ValueError(f"duplicate element id {eid}")
                 try:
-                    kind = ElementKind(tok[2])
+                    kinds[eid] = ElementKind(tok[2])
                 except ValueError:
                     raise ValueError(f"unknown element kind '{tok[2]}' (expected FE or VE)")
-                region = _int64(tok[3])
+                regions[eid] = _int64(tok[3])
                 nv = int(tok[4])
                 verts = tuple(_int64(t) for t in tok[5:])
                 if len(verts) != nv:
                     raise ValueError(f"element {eid}: declared {nv} vertices, found {len(verts)}")
-                elements[eid] = Element(eid, verts, kind, region)
+                vertices[eid] = verts
             elif tok[0] == "bedge":
                 if len(tok) != 4:
                     raise ValueError("bedge record needs: bedge <label> <n0> <n1>")
@@ -1128,11 +1132,12 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
         raise ParseError("empty file (missing header)", path)
     if sorted(nodes) != list(range(len(nodes))):
         raise ParseError(f"node ids not dense 0..{len(nodes) - 1}", path)
-    if sorted(elements) != list(range(len(elements))):
-        raise ParseError(f"element ids not dense 0..{len(elements) - 1}", path)
+    if sorted(vertices) != list(range(len(vertices))):
+        raise ParseError(f"element ids not dense 0..{len(vertices) - 1}", path)
 
-    mesh = Mesh([nodes[i] for i in range(len(nodes))],
-                [elements[i] for i in range(len(elements))], bedges)
+    ids = range(len(vertices))
+    mesh = Mesh([nodes[i] for i in range(len(nodes))], [vertices[i] for i in ids],
+                [kinds[i] for i in ids], [regions[i] for i in ids], bedges)
     if validate:
         report = validate_mesh(mesh)
         if report:

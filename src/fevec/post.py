@@ -5,8 +5,8 @@ constant stress of the projected displacement polynomial, from elastic
 projections recomputed in one stacked call per block of polygons.  Nodal stress
 plots average adjacent element values weighted by element area, optionally
 restricted to one region (per-material-side values at bimaterial
-interfaces).  Elements are named by their position in ``Mesh.elements``,
-which ``require_valid`` makes equal to their id.
+interfaces).  Elements are named by their position in the mesh's element
+table.
 """
 
 from __future__ import annotations
@@ -165,12 +165,12 @@ _STRESS_QUANTITIES = ("von_mises", "sxx", "syy", "sxy")
 class FieldEvaluator:
     """Point evaluation of solved fields over a mesh, for arrays of points.
 
-    A point belongs to the first element of ``mesh.elements`` that contains
-    it, boundary included, so points on shared edges go to the lower
-    position.  Candidates are the elements whose padded bounding box holds
+    A point belongs to the first element of the mesh's element table that
+    contains it, boundary included, so points on shared edges go to the
+    lower position.  Candidates are the elements whose padded bounding box holds
     the point, read from a uniform bucket grid over the boxes that is built
-    once here.  Elements are named by their position in ``mesh.elements``
-    and ``stresses``; ``locate``, ``evaluate`` and ``evaluate_in_element``
+    once here.  Elements are named by their position in the element table
+    and in ``stresses``; ``locate``, ``evaluate`` and ``evaluate_in_element``
     are one-point calls of ``locate_many`` and ``evaluate_at``.
     """
 

@@ -34,6 +34,12 @@ def random_polygon(rng, n_v, scale=1.0, center=(0.0, 0.0), convex=False):
     return scale * pts + np.asarray(center)
 
 
+def element_table(mesh):
+    """The element table of ``mesh`` as (vertices, kinds, regions) lists, to edit and rebuild from."""
+    elements = mesh.elements
+    return [e.vertices for e in elements], [e.kind for e in elements], [e.region for e in elements]
+
+
 def edge_dict(mesh):
     """Sorted node pair -> positions of the elements with a side on it, one per side.
 

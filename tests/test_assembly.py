@@ -4,12 +4,11 @@ import scipy.sparse as sp
 
 from fevec.assembly import (BoundaryConditionSet, SparseSystem, apply_dirichlet,
                             assemble_mechanical, assemble_thermal, build_dof_map)
-from fevec.errors import AssemblyError
+from fevec.errors import AssemblyError, MeshError
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import (Element, ElementKind, Mesh, generate_split_square,
-                        generate_structured_quads)
+from fevec.mesh import ElementKind, Mesh, generate_split_square, generate_structured_quads
 from fevec.solver import solve_system
-from conftest import thermal_matrix
+from conftest import element_table, thermal_matrix
 from kernel_oracles import element_coords, thermal_stiffness_q4
 
 FE = ElementKind.FE_QUAD
@@ -36,10 +35,14 @@ class TestDofMap:
                (dm.classes == "V").sum() == dm.ndof
 
     def test_orphan_node_rejected(self):
+        # refused by the validation gate, before any dof is numbered
         nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (5, 5)]
-        mesh = Mesh(nodes, [Element(0, (0, 1, 2, 3), FE, 0)])
-        with pytest.raises(AssemblyError, match="without any element"):
-            build_dof_map(mesh, "thermal")
+        mesh = Mesh(nodes, [(0, 1, 2, 3)], [FE], [0])
+        mats, bcs = {0: simple_props()}, BoundaryConditionSet()
+        for assemble in (lambda: assemble_thermal(mesh, mats, bcs),
+                         lambda: assemble_mechanical(mesh, mats, bcs, None)):
+            with pytest.raises(MeshError, match=r"^nodes without any element: \[4\]$"):
+                assemble()
 
 
 class TestAssembleThermal:
@@ -158,8 +161,9 @@ class TestAssembleMechanical:
 
     def test_plane_mismatch_warns(self):
         mesh = generate_split_square(2.0, 1.0, 2, 1)
-        elements = [Element(e.id, e.vertices, e.kind, e.id % 2) for e in mesh.elements]
-        mixed = Mesh(mesh.coords, elements, mesh.boundary_edges)
+        vertices, kinds, _ = element_table(mesh)
+        mixed = Mesh(mesh.coords, vertices, kinds, [p % 2 for p in range(len(vertices))],
+                     mesh.boundary_edges)
         mats = {0: simple_props(plane=Plane.STRESS), 1: simple_props(plane=Plane.STRAIN)}
         with pytest.warns(UserWarning, match="plane"):
             assemble_mechanical(mixed, mats, BoundaryConditionSet(), None)

@@ -22,10 +22,10 @@ from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_t
 from fevec.errors import AssemblyError, MeshError, SolverError
 from fevec.materials import (MaterialProps, Plane, elasticity_matrix, gather_materials,
                              thermal_strain_voigt)
-from fevec.mesh import (Element, ElementKind, Mesh, generate_plate_with_hole,
+from fevec.mesh import (ElementKind, Mesh, generate_plate_with_hole,
                         generate_structured_quads, shoelace_areas, validate_mesh)
 from fevec.solver import SolutionFields
-from conftest import polygon_family, polygon_row, random_polygon
+from conftest import element_table, polygon_family, polygon_row, random_polygon
 import kernel_oracles as oracle
 from kernel_oracles import element_coords, shoelace_area
 
@@ -127,12 +127,12 @@ def random_partition(seed):
         interior = ((coords[:, 0] > 0) & (coords[:, 0] < 2.0) &
                     (coords[:, 1] > 0) & (coords[:, 1] < 1.0))
         coords[interior] += rng.uniform(-0.08, 0.08, (int(interior.sum()), 2))
-        base = Mesh(coords, grid.elements, grid.boundary_edges)
-    elements = []
-    for e in base.elements:
-        kind = VE if len(e.vertices) != 4 or rng.random() < 0.5 else FE
-        elements.append(Element(e.id, e.vertices, kind, int(rng.integers(0, 3))))
-    return Mesh(base.coords, elements, base.boundary_edges)
+        base = Mesh(coords, *element_table(grid), grid.boundary_edges)
+    vertices, kinds, regions = element_table(base)
+    for p, verts in enumerate(vertices):
+        kinds[p] = VE if len(verts) != 4 or rng.random() < 0.5 else FE
+        regions[p] = int(rng.integers(0, 3))
+    return Mesh(base.coords, vertices, kinds, regions, base.boundary_edges)
 
 
 def disjoint_polygons(seed):
@@ -140,9 +140,9 @@ def disjoint_polygons(seed):
     rng = np.random.default_rng(seed)
     polygons = polygon_family(seed=seed, count=80)
     start = np.cumsum([0] + [len(poly) for poly in polygons])
-    elements = [Element(k, tuple(range(start[k], start[k + 1])), VE, int(rng.integers(0, 3)))
-                for k in range(len(polygons))]
-    return Mesh(np.concatenate(polygons), elements)
+    vertices = [tuple(range(start[k], start[k + 1])) for k in range(len(polygons))]
+    regions = [int(rng.integers(0, 3)) for _ in polygons]
+    return Mesh(np.concatenate(polygons), vertices, [VE] * len(polygons), regions)
 
 
 class TestPolygonKernels:
@@ -283,10 +283,6 @@ class TestNodalAveraging:
         assert np.isnan(post.nodal_von_mises(mesh, stresses, element_ids=set())).all()
 
 
-def inverted(element):
-    return Element(element.id, element.vertices[::-1], element.kind, element.region)
-
-
 def first_violation(mesh):
     """The message every kernel caller raises for a mesh that ``validate_mesh`` rejects."""
     report = validate_mesh(mesh)
@@ -297,8 +293,10 @@ def first_violation(mesh):
 class TestBlockErrors:
     def test_bad_jacobian_names_first_element(self):
         base = generate_structured_quads(4.0, 2.0, 4, 2)
-        elements = [inverted(e) if e.id in (6, 3) else e for e in base.elements]
-        mesh = Mesh(base.coords, elements, base.boundary_edges)
+        vertices, kinds, regions = element_table(base)
+        for p in (6, 3):
+            vertices[p] = vertices[p][::-1]
+        mesh = Mesh(base.coords, vertices, kinds, regions, base.boundary_edges)
         expected = first_violation(mesh)
         assert expected.startswith("element 3: non-positive area")
         with pytest.raises(MeshError) as info:
@@ -307,9 +305,11 @@ class TestBlockErrors:
 
     def test_mixed_kinds_lowest_id_wins(self):
         base = generate_structured_quads(4.0, 2.0, 4, 2)
-        elements = [Element(e.id, e.vertices, VE if e.id % 2 else FE, 0) for e in base.elements]
-        elements = [inverted(e) if e.id in (5, 2) else e for e in elements]
-        mesh = Mesh(base.coords, elements, base.boundary_edges)
+        vertices, _, regions = element_table(base)
+        for p in (5, 2):
+            vertices[p] = vertices[p][::-1]
+        kinds = [VE if p % 2 else FE for p in range(len(vertices))]
+        mesh = Mesh(base.coords, vertices, kinds, regions, base.boundary_edges)
         expected = first_violation(mesh)
         assert expected.startswith("element 2:")
         with pytest.raises(MeshError, match="^element 2: non-positive area"):
@@ -327,12 +327,13 @@ class TestBlockErrors:
         # before the materials.
         base = generate_structured_quads(4.0, 2.0, 4, 2)
         inverted_id, unknown_id = (2, 5) if first == "geometry" else (5, 2)
-        elements = []
-        for e in base.elements:
-            kind = {"FE": FE, "VE": VE}.get(kinds, VE if e.id % 2 else FE)
-            elem = Element(e.id, e.vertices, kind, 9 if e.id == unknown_id else 0)
-            elements.append(inverted(elem) if e.id == inverted_id else elem)
-        mesh = Mesh(base.coords, elements, base.boundary_edges)
+        vertices, _, regions = element_table(base)
+        element_kinds = [{"FE": FE, "VE": VE}.get(kinds, VE if p % 2 else FE)
+                         for p in range(len(vertices))]
+        regions[unknown_id] = 9
+        good = vertices[inverted_id]
+        vertices[inverted_id] = good[::-1]
+        mesh = Mesh(base.coords, vertices, element_kinds, regions, base.boundary_edges)
         expected = first_violation(mesh)
         assert expected.startswith(f"element {inverted_id}: non-positive area")
         fields = SolutionFields(temperature=None, displacement=np.zeros((mesh.n_nodes, 2)))
@@ -342,8 +343,8 @@ class TestBlockErrors:
             with pytest.raises(MeshError) as info:
                 run()
             assert str(info.value) == expected
-        restored = Mesh(base.coords, [inverted(e) if e.id == inverted_id else e for e in elements],
-                        base.boundary_edges)
+        vertices[inverted_id] = good
+        restored = Mesh(base.coords, vertices, element_kinds, regions, base.boundary_edges)
         with pytest.raises(AssemblyError, match=r"^mesh regions without material blocks: \[9\]$"):
             assemble_thermal(restored, MATERIALS, BoundaryConditionSet())
 
@@ -355,12 +356,13 @@ class TestBlockErrors:
         base = generate_structured_quads(3.0, 2.0, 3, 2, kind=VE)
         materials = dict(MATERIALS)
         materials[1] = MaterialProps(E=1.0, nu=0.0, conductivity=5e-324, alpha=0.0, T0=0.0)
-        elements = [Element(e.id, e.vertices, VE, 1 if e.id == 1 else 0) for e in base.elements]
+        vertices, kinds, regions = element_table(base)
+        regions[1] = 1
         with pytest.raises(SolverError, match="^singular thermal projection system$"):
-            assemble_thermal(Mesh(base.coords, elements, base.boundary_edges), materials,
-                             BoundaryConditionSet())
-        elements = [inverted(e) if e.id == 4 else e for e in elements]
-        mesh = Mesh(base.coords, elements, base.boundary_edges)
+            assemble_thermal(Mesh(base.coords, vertices, kinds, regions, base.boundary_edges),
+                             materials, BoundaryConditionSet())
+        vertices[4] = vertices[4][::-1]
+        mesh = Mesh(base.coords, vertices, kinds, regions, base.boundary_edges)
         with pytest.raises(MeshError) as info:
             assemble_thermal(mesh, materials, BoundaryConditionSet())
         assert str(info.value) == "element 4: non-positive area -1 (clockwise vertex order?)"
@@ -385,10 +387,10 @@ class TestBlockErrors:
 
             base = generate_structured_quads(4.0, 2.0, 4, 2, kind=VE)
             for inverted_id, unknown_id in ((1, 6), (6, 1)):
-                elements = [Element(e.id, e.vertices, VE, 9 if e.id == unknown_id else 0)
-                            for e in base.elements]
-                elements[inverted_id] = inverted(elements[inverted_id])
-                mesh = Mesh(base.coords, elements, base.boundary_edges)
+                vertices, kinds, regions = element_table(base)
+                regions[unknown_id] = 9
+                vertices[inverted_id] = vertices[inverted_id][::-1]
+                mesh = Mesh(base.coords, vertices, kinds, regions, base.boundary_edges)
                 with pytest.raises(MeshError) as info:
                     assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())
                 assert str(info.value) == first_violation(mesh)
@@ -396,7 +398,7 @@ class TestBlockErrors:
 
     def test_fe_quad_with_three_vertices_is_typed(self):
         nodes = [(0, 0), (1, 0), (1, 1)]
-        mesh = Mesh(nodes, [Element(0, (0, 1, 2), FE, 0)])
+        mesh = Mesh(nodes, [(0, 1, 2)], [FE], [0])
         with pytest.raises(MeshError, match="element 0: FE_QUAD must have 4 vertices"):
             assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())
 

@@ -10,9 +10,9 @@ from fevec import config as configmod
 from fevec.assembly import BoundaryConditionSet
 from fevec.errors import AssemblyError, FevecError
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import (Element, ElementKind, Mesh, generate_split_square,
-                        generate_structured_quads)
+from fevec.mesh import ElementKind, Mesh, generate_split_square, generate_structured_quads
 from fevec.solver import run_pipeline
+from conftest import element_table
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -163,9 +163,9 @@ class TestPropertyHelpers:
         # VE elements 3 and 6 sit in region 7, which has no material: refused
         # as by assembly, naming the region
         base = generate_split_square(2.0, 1.0, 4, 2)
-        elements = [Element(e.id, e.vertices, e.kind, 7 if e.id in (6, 3) else 0)
-                    for e in base.elements]
-        mesh = Mesh(base.coords, elements, base.boundary_edges)
+        vertices, kinds, regions = element_table(base)
+        regions[3] = regions[6] = 7
+        mesh = Mesh(base.coords, vertices, kinds, regions, base.boundary_edges)
         assert [mesh.elements[i].kind for i in (3, 6)] == [ElementKind.VE_POLY] * 2
         materials = {0: MaterialProps(E=1.0, nu=0.3, conductivity=1.0, alpha=0.0, T0=0.0)}
         with pytest.raises(AssemblyError) as info:

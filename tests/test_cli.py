@@ -215,9 +215,27 @@ class TestValidate:
                         "node 4 2 0\nnode 5 2 1\nelem 0 FE 0 4 0 1 2 3\n"
                         "elem 1 VE 0 4 1 4 9 2\n")
         assert main(["validate", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "1 violations" in out
-        assert "[element-vertices] element 1: vertex id out of range" in out
+        assert capsys.readouterr().out == (
+            "2 violations\n  [element-vertices] element 1: vertex id out of range\n"
+            "  [orphan-nodes] nodes without any element: [5]\n")
+
+    def test_unused_node_exit_1(self, tmp_path, capsys):
+        # a node that no element lists is a mesh defect for both commands
+        path = tmp_path / "m.txt"
+        path.write_text("mesh 2d v1\nnode 0 0 0\nnode 1 1 0\nnode 2 1 1\nnode 3 0 1\n"
+                        "node 4 5 5\nelem 0 FE 0 4 0 1 2 3\nbedge left 0 3\nbedge right 1 2\n")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "1 violations\n  [orphan-nodes] nodes without any element: [4]\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[mesh]\npath {path.name}\n\n[material 0]\nE_MPa 100\nnu 0.3\n"
+                       "k_W_per_mK 1000\nalpha_per_C 1e-5\n\n[solver]\nfields thermal\n\n"
+                       "[bc left]\ndirichlet_T 25\n\n[bc right]\ndirichlet_T 75\n\n"
+                       f"[output]\ndir {tmp_path / 'o'}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error:1: {path}: 1 validation violation(s): nodes without any element: [4]\n")
+        assert not (tmp_path / "o").exists()
 
     def test_parse_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "m.txt"

@@ -3,7 +3,7 @@ import pytest
 from fevec import config as configmod
 from fevec.errors import AssemblyError, ParseError
 from fevec.materials import Plane
-from conftest import edge_dict
+from conftest import edge_dict, element_table
 
 MINIMAL = """
 [mesh]
@@ -209,8 +209,8 @@ flux 1.0
     def test_flux_on_edge_of_no_element_rejected(self):
         from fevec.mesh import Mesh, generate_structured_quads
         base = generate_structured_quads(1, 1, 1, 1)
-        for mesh in (Mesh(base.coords, base.elements, {(0, 3): "diag"}),
-                     Mesh(base.coords, [], {(0, 3): "diag"})):
+        for mesh in (Mesh(base.coords, *element_table(base), {(0, 3): "diag"}),
+                     Mesh(base.coords, [], [], [], {(0, 3): "diag"})):
             cfg = configmod.parse_config("[mesh]\npath m.txt\n[bc diag]\nflux 1.0\n")
             with pytest.raises(AssemblyError, match=r"^flux label 'diag' sits on interior edge \(0,3\)$"):
                 configmod.build_bcs(cfg, mesh)

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fevec.mesh import (Element, ElementKind, Mesh, find_interface_nodes,
+from fevec.mesh import (ElementKind, Mesh, find_interface_nodes,
                         generate_fcbga, generate_igbt, generate_plate_with_hole,
                         generate_quarter_annulus, generate_sandwich, generate_split_square,
                         generate_structured_quads, mesh_text, validate_mesh)
-from conftest import edge_dict
+from conftest import edge_dict, element_table
 from test_validation import mutated_meshes
 
 FE = ElementKind.FE_QUAD
@@ -42,18 +42,17 @@ def element_lists(draw):
                                                     INT64.max - 1, 2 ** 32, -2 ** 32])),
                          min_size=1, max_size=7, unique=True))
     vertex = st.sampled_from(pool)
-    elements = []
-    for eid in range(draw(st.integers(0, 8))):
+    vertices = []
+    for _ in range(draw(st.integers(0, 8))):
         if draw(st.booleans()) and len(pool) >= 3:
             a, b, c = draw(st.permutations(pool))[:3]
-            verts = (a, b, a, c)
+            vertices.append((a, b, a, c))
         else:
-            verts = tuple(draw(st.lists(vertex, min_size=0, max_size=6)))
-        elements.append(Element(draw(st.integers(0, 3)), verts,
-                                draw(st.sampled_from([FE, VE])), 0))
+            vertices.append(tuple(draw(st.lists(vertex, min_size=0, max_size=6))))
+    kinds = [draw(st.sampled_from([FE, VE])) for _ in vertices]
     coords = [(float(k), float(k % 2)) for k in range(N_NODES)]
     queries = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
-    return Mesh(coords, elements), queries
+    return Mesh(coords, vertices, kinds, [0] * len(vertices)), queries
 
 
 def assert_edge_arrays_match(mesh, queries=()):
@@ -102,33 +101,22 @@ class TestEdgeArrays:
         assert_edge_arrays_match(build(), [(0, 1), (0, 10 ** 6), (-1, 0)])
 
     def test_empty_mesh(self):
-        mesh = Mesh([], [], {(0, 1): "x"})
+        mesh = Mesh([], [], [], [], {(0, 1): "x"})
         assert mesh.edges.shape == (0, 2) and mesh.edge_counts.size == 0
         assert mesh.edge_index([(0, 1)]).tolist() == [-1]
         assert mesh.edge_index([]).tolist() == []
 
 
-class TestRepeatedElementIds:
-    """Kinds are read by element position, so a repeated id is reported and hides nothing."""
-
-    @staticmethod
-    def hanging_node_mesh(repeat_id):
-        base = generate_split_square(4.0, 1.0, 4, 1)     # elements 0, 1 FE; 2, 3 VE
-        coords = np.vstack((base.coords, 0.5 * (base.coords[2] + base.coords[7])))
-        elements = list(base.elements)
-        elements[2] = Element(1 if repeat_id else 2, (2, 3, 8, 7, 10), VE, 0)
-        return Mesh(coords, elements, base.boundary_edges)
+class TestKindsByPosition:
+    """Kinds are read by element position, so a hanging node across the interface is found."""
 
     def test_hanging_node_reported(self):
-        mesh = self.hanging_node_mesh(repeat_id=False)
+        base = generate_split_square(4.0, 1.0, 4, 1)     # elements 0, 1 FE; 2, 3 VE
+        coords = np.vstack((base.coords, 0.5 * (base.coords[2] + base.coords[7])))
+        vertices, kinds, regions = element_table(base)
+        vertices[2] = (2, 3, 8, 7, 10)
+        mesh = Mesh(coords, vertices, kinds, regions, base.boundary_edges)
         assert [v.message for v in validate_mesh(mesh)] == [
-            "node 10 hangs on edge (2,7) across the FE/VE interface"]
-        assert mesh.interface_nodes == set()
-
-    def test_hanging_node_reported_despite_repeated_id(self):
-        mesh = self.hanging_node_mesh(repeat_id=True)
-        assert [v.message for v in validate_mesh(mesh)] == [
-            "element ids not dense: position 2 holds id 1",
             "node 10 hangs on edge (2,7) across the FE/VE interface"]
         assert mesh.interface_nodes == set()
 
@@ -184,3 +172,12 @@ GENERATORS = {
 def test_generated_mesh_text_frozen(name, level):
     text = mesh_text(GENERATORS[name](level))
     assert hashlib.sha256(text.encode()).hexdigest() == MESH_TEXT_SHA256[(name, level)]
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in MESH_TEXT_SHA256}))
+def test_mesh_rebuilt_from_its_records(name):
+    # the Element records are a faithful view of the element table, whether
+    # the generator passed vertex arrays or lists
+    mesh = GENERATORS[name](0)
+    again = Mesh(mesh.coords, *element_table(mesh), mesh.boundary_edges)
+    assert mesh_text(again) == mesh_text(mesh)

@@ -7,7 +7,7 @@ from fevec import fem
 from fevec.assembly import BoundaryConditionSet, assemble_thermal
 from fevec.errors import MeshError
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import Element, ElementKind, Mesh, validate_mesh
+from fevec.mesh import ElementKind, Mesh, validate_mesh
 from fevec.vem import vertex_normal_lengths
 from conftest import UNIT_SQUARE, edge_dict, polygon_row
 from kernel_oracles import (mechanical_stiffness_q4, q4_shape_eval, thermal_load_q4,
@@ -67,7 +67,7 @@ class TestShapeEval:
     def test_distorted_element_rejected(self, unit_props):
         # the Q4 kernels check no Jacobian: a bowtie quad is refused in front of
         # them, with the message of validate_mesh
-        mesh = Mesh([(0, 0), (1, 1), (1, 0), (0, 1)], [Element(0, (0, 1, 2, 3), ElementKind.FE_QUAD, 0)])
+        mesh = Mesh([(0, 0), (1, 1), (1, 0), (0, 1)], [(0, 1, 2, 3)], [ElementKind.FE_QUAD], [0])
         (violation,) = validate_mesh(mesh)
         with pytest.raises(MeshError) as info:
             assemble_thermal(mesh, {0: unit_props}, BoundaryConditionSet())

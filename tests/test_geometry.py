@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical
 from fevec.errors import MeshError, SolverError
 from fevec.materials import MaterialProps
-from fevec.mesh import (Element, ElementKind, Mesh, generate_structured_quads,
+from fevec.mesh import (ElementKind, Mesh, generate_structured_quads,
                         polygon_stack, require_valid, validate_mesh)
-from conftest import (UNIT_SQUARE, elastic_row, polygon_family, polygon_row, random_polygon,
-                      thermal_row)
+from conftest import (UNIT_SQUARE, elastic_row, element_table, polygon_family, polygon_row,
+                      random_polygon, thermal_row)
 from kernel_oracles import shoelace_area
 
 VE = ElementKind.VE_POLY
@@ -81,8 +81,7 @@ def assert_rows_match_oracle(stack):
 def disjoint_mesh(stack):
     """VE mesh of the unconnected polygons of a stack, element r from row r."""
     m, n_v = np.shape(stack)[:2]
-    return Mesh(np.reshape(stack, (-1, 2)), [Element(r, tuple(range(r * n_v, (r + 1) * n_v)), VE, 0)
-                                             for r in range(m)])
+    return Mesh(np.reshape(stack, (-1, 2)), np.arange(m * n_v).reshape(m, n_v), [VE] * m, [0] * m)
 
 
 def oracle_error(stack):
@@ -202,8 +201,8 @@ class TestProjectionErrorIds:
         base = generate_structured_quads(3.0, 2.0, 3, 2, kind=VE)
         materials = {0: MaterialProps(E=1.0, conductivity=1.0, **self.TINY),
                      1: MaterialProps(E=5e-324, conductivity=1.0, **self.TINY)}
-        elements = [Element(e.id, e.vertices, VE, 1 if e.id in (2, 4) else 0)
-                    for e in base.elements]
-        mesh = Mesh(base.coords, elements, base.boundary_edges)
+        vertices, kinds, regions = element_table(base)
+        regions[2] = regions[4] = 1
+        mesh = Mesh(base.coords, vertices, kinds, regions, base.boundary_edges)
         with pytest.raises(SolverError, match="^singular elastic projection system$"):
             assemble_mechanical(mesh, materials, BoundaryConditionSet(), None)

@@ -1,14 +1,19 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from fevec import post
+from fevec.assembly import BoundaryConditionSet
 from fevec.errors import MeshError, ParseError
-from fevec.mesh import (Element, ElementKind, Mesh, Violation, find_interface_nodes,
+from fevec.materials import MaterialProps
+from fevec.mesh import (ElementKind, Mesh, Violation, find_interface_nodes,
                         generate_plate_with_hole, generate_quarter_annulus,
                         generate_split_square, generate_structured_quads,
                         load_mesh, require_valid, save_mesh, validate_mesh)
-from conftest import polygon_family, polygon_row
+from fevec.solver import run_pipeline
+from conftest import element_table, polygon_family, polygon_row
 from kernel_oracles import element_coords, shoelace_area
 
 FE = ElementKind.FE_QUAD
@@ -64,13 +69,12 @@ class TestPolygonGeometry:
         for pts, message in (([(0, 0), (0, 1), (1, 1), (1, 0)], "non-positive area"),
                              ([(0, 0), (0, 0), (1, 1), (0, 1)], "zero-length edge")):
             with pytest.raises(MeshError, match=f"^element 0: {message}"):
-                require_valid(Mesh(pts, [Element(0, (0, 1, 2, 3), VE, 0)]), {})
+                require_valid(Mesh(pts, [(0, 1, 2, 3)], [VE], [0]), {})
 
     def test_element_wrapper_names_element(self):
         nodes = [(0, 0), (0, 1), (1, 1), (1, 0)]
-        elem = Element(0, (0, 1, 2, 3), VE, 0)  # clockwise
         with pytest.raises(MeshError, match="^element 0: "):
-            require_valid(Mesh(nodes, [elem]), {})
+            require_valid(Mesh(nodes, [(0, 1, 2, 3)], [VE], [0]), {})   # clockwise
 
 
 class TestValidation:
@@ -79,24 +83,24 @@ class TestValidation:
 
     def test_clockwise_quad_flagged(self):
         mesh = generate_structured_quads(1, 1, 1, 1)
-        bad = Element(0, tuple(reversed(mesh.elements[0].vertices)), FE, 0)
-        report = validate_mesh(Mesh(mesh.coords, [bad], mesh.boundary_edges))
+        bad = mesh.elements[0].vertices[::-1]
+        report = validate_mesh(Mesh(mesh.coords, [bad], [FE], [0], mesh.boundary_edges))
         assert any(v.code == "orientation" for v in report)
 
     def test_five_vertex_fe_flagged(self):
         nodes = [(0, 0), (1, 0), (1.5, 0.5), (1, 1), (0, 1)]
-        report = validate_mesh(Mesh(nodes, [Element(0, (0, 1, 2, 3, 4), FE, 0)]))
+        report = validate_mesh(Mesh(nodes, [(0, 1, 2, 3, 4)], [FE], [0]))
         assert any(v.code == "fe-quad-arity" for v in report)
 
     def test_self_intersection_flagged(self):
         nodes = [(0, 0), (1, 1), (1, 0), (0, 1)]
-        report = validate_mesh(Mesh(nodes, [Element(0, (0, 1, 2, 3), VE, 0)]))
+        report = validate_mesh(Mesh(nodes, [(0, 1, 2, 3)], [VE], [0]))
         assert any(v.code in ("self-intersection", "orientation") for v in report)
 
     def test_positive_area_self_crossing_flagged(self):
         # edge 2 runs from (2, 2) down to (1, -1), through edge 0; area +1
         nodes = [(0, 0), (2, 0), (2, 2), (1, -1), (0, 2)]
-        mesh = Mesh(nodes, [Element(0, (0, 1, 2, 3, 4), VE, 0)])
+        mesh = Mesh(nodes, [(0, 1, 2, 3, 4)], [VE], [0])
         assert shoelace_area(mesh.coords) == pytest.approx(1.0)
         assert validate_mesh(mesh) == [
             Violation("self-intersection", "element 0: edges 0 and 2 cross")]
@@ -104,11 +108,13 @@ class TestValidation:
     @pytest.mark.parametrize("bad_id", [9, -1])
     def test_out_of_range_vertex_at_interface_reported(self, bad_id):
         # element 1 shares edge (1,2) with the FE quad; its id 9 (or -1,
-        # which would wrap to node 5) is left out of the interface scan
+        # which would wrap to node 5) is left out of the interface scan, and
+        # node 5 is used by no element
         nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1)]
-        elems = [Element(0, (0, 1, 2, 3), FE, 0), Element(1, (1, 4, bad_id, 2), VE, 0)]
-        assert validate_mesh(Mesh(nodes, elems)) == [
-            Violation("element-vertices", "element 1: vertex id out of range")]
+        mesh = Mesh(nodes, [(0, 1, 2, 3), (1, 4, bad_id, 2)], [FE, VE], [0, 0])
+        assert validate_mesh(mesh) == [
+            Violation("element-vertices", "element 1: vertex id out of range"),
+            Violation("orphan-nodes", "nodes without any element: [5]")]
 
     def test_out_of_range_vertex_at_interface_load_mesh(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -122,8 +128,8 @@ class TestValidation:
         # nodes 0, 1 and 4 coincide: VE edge (1,4) has zero length next to
         # FE node 0
         nodes = [(1, 0), (1, 0), (1, 1), (0, 1), (1, 0), (2, 1)]
-        elems = [Element(0, (0, 1, 2, 3), FE, 0), Element(1, (1, 4, 5, 2), VE, 0)]
-        assert validate_mesh(Mesh(nodes, elems)) == [
+        mesh = Mesh(nodes, [(0, 1, 2, 3), (1, 4, 5, 2)], [FE, VE], [0, 0])
+        assert validate_mesh(mesh) == [
             Violation("degenerate", "element 0: zero-length edge"),
             Violation("degenerate", "element 1: zero-length edge")]
 
@@ -131,34 +137,78 @@ class TestValidation:
         # Left FE quad (0,1), (1,1) column shared with a VE block whose edge
         # is split at the midpoint (node 6): coincidence violation.
         nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (1, 0.5)]
-        elems = [Element(0, (0, 1, 2, 3), FE, 0),
-                 Element(1, (1, 4, 5, 2, 6), VE, 0)]
-        report = validate_mesh(Mesh(nodes, elems))
+        report = validate_mesh(Mesh(nodes, [(0, 1, 2, 3), (1, 4, 5, 2, 6)], [FE, VE], [0, 0]))
         assert any(v.code == "interface-coincidence" for v in report)
 
     def test_hanging_node_ve_to_ve_allowed(self):
         nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (1, 0.5)]
-        elems = [Element(0, (0, 1, 6, 2, 3), VE, 0),
-                 Element(1, (1, 4, 5, 2, 6), VE, 0)]
-        assert validate_mesh(Mesh(nodes, elems)) == []
+        mesh = Mesh(nodes, [(0, 1, 6, 2, 3), (1, 4, 5, 2, 6)], [VE, VE], [0, 0])
+        assert validate_mesh(mesh) == []
 
     def test_orphan_bedge_flagged(self):
         mesh = generate_structured_quads(1, 1, 1, 1)
-        report = validate_mesh(Mesh(mesh.coords, mesh.elements, {(0, 3): "diag"}))
+        report = validate_mesh(Mesh(mesh.coords, *element_table(mesh), {(0, 3): "diag"}))
         assert any(v.code == "bedge-orphan" for v in report)
 
     def test_bedge_missing_node_flagged(self):
         mesh = generate_structured_quads(1, 1, 1, 1)
-        report = validate_mesh(Mesh(mesh.coords, mesh.elements, {(0, 99): "x"}))
+        report = validate_mesh(Mesh(mesh.coords, *element_table(mesh), {(0, 99): "x"}))
         assert any(v.code == "bedge-nodes" for v in report)
 
     def test_edge_shared_three_times_flagged(self):
         nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0.5), (-1, 0.5)]
-        elems = [Element(0, (0, 1, 2, 3), VE, 0),
-                 Element(1, (1, 4, 2), VE, 0),
-                 Element(2, (1, 2, 5), VE, 0)]   # edge (1,2) used thrice
-        report = validate_mesh(Mesh(nodes, elems))
+        mesh = Mesh(nodes, [(0, 1, 2, 3), (1, 4, 2), (1, 2, 5)],   # edge (1,2) used thrice
+                    [VE] * 3, [0] * 3)
+        report = validate_mesh(mesh)
         assert any(v.code == "edge-sharing" for v in report)
+
+
+class TestElementTable:
+    NODES = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+    @pytest.mark.parametrize("vertices, kinds, regions", [
+        ([(0, 1, 2, 3)], [FE, FE], [0]),
+        ([(0, 1, 2, 3)], [FE], []),
+        ([], [VE], [0]),
+        (np.array([[0, 1, 2, 3]] * 2), [FE], [0, 0])])
+    def test_inputs_of_different_lengths_refused(self, vertices, kinds, regions):
+        with pytest.raises(MeshError, match="^element table inputs differ in length"):
+            Mesh(self.NODES, vertices, kinds, regions)
+
+    @pytest.mark.parametrize("kind", ["FE", "VE", None, 0, True])
+    def test_kind_not_an_element_kind_refused(self, kind):
+        # a bad kind must not silently become VE
+        with pytest.raises(MeshError, match="^element kinds must be ElementKind members$"):
+            Mesh(self.NODES, [(0, 1, 2, 3)] * 2, [VE, kind], [0, 0])
+
+    def test_no_elements_reported(self):
+        mesh = Mesh(self.NODES, [], [], [])
+        assert mesh.n_elements == 0 and mesh.elements == ()
+        assert validate_mesh(mesh) == [Violation("no-elements", "mesh has no elements")]
+
+    @pytest.mark.parametrize("unused", [2, 12])
+    def test_unused_nodes_reported_once(self, unused):
+        # with at most ten ids
+        mesh = Mesh(self.NODES + [(5, 5)] * unused, [(0, 1, 2, 3)], [FE], [0])
+        ids = list(range(4, 4 + min(unused, 10)))
+        assert validate_mesh(mesh) == [Violation("orphan-nodes", f"nodes without any element: {ids}")]
+
+    def test_view_is_built_only_when_read(self):
+        # the pipeline reads the element arrays, never the Element records
+        mesh = generate_split_square(2.0, 1.0, 4, 2)
+        materials = {0: MaterialProps(E=200.0, nu=0.3, conductivity=2.0, alpha=1e-5, T0=20.0)}
+        left, right = mesh.nodes_with_label("left"), mesh.nodes_with_label("right")
+        bcs = BoundaryConditionSet(
+            dirichlet_T={**dict.fromkeys(left, 20.0), **dict.fromkeys(right, 80.0)},
+            dirichlet_u=dict.fromkeys(left, (0.0, 0.0)))
+        fields = run_pipeline(mesh, materials, bcs)
+        stresses = post.recover_stress(mesh, materials, fields)
+        for quantity in ("temperature", "ux", "von_mises"):
+            post.line_probe(mesh, materials, fields, stresses, (0.0, 0.5), (2.0, 0.5), quantity, 9)
+        post.nodal_von_mises(mesh, stresses)
+        post.export_fields(mesh, fields, stresses, os.devnull)
+        assert "elements" not in mesh.__dict__
+        assert mesh.elements[5].id == 5 and "elements" in mesh.__dict__
 
 
 class TestInterfaceNodes:
@@ -172,9 +222,8 @@ class TestInterfaceNodes:
 
     def test_symmetric_under_kind_swap(self):
         mesh = generate_split_square(2.0, 1.0, 4, 2)
-        swapped = Mesh(mesh.coords,
-                       [Element(e.id, e.vertices, FE if e.kind == VE else VE, e.region)
-                        for e in mesh.elements],
+        vertices, kinds, regions = element_table(mesh)
+        swapped = Mesh(mesh.coords, vertices, [FE if k == VE else VE for k in kinds], regions,
                        mesh.boundary_edges)
         assert mesh.interface_nodes == swapped.interface_nodes
 
@@ -192,12 +241,10 @@ def split_square_two_step(width, height, nx, ny, split_x=None):
     if split_x is None:
         split_x = 0.5 * width
     base = generate_structured_quads(width, height, nx, ny)
-    elements = []
-    for e in base.elements:
-        mid_x = element_coords(base, e)[:, 0].mean()
-        kind = ElementKind.FE_QUAD if mid_x < split_x else ElementKind.VE_POLY
-        elements.append(Element(e.id, e.vertices, kind, e.region))
-    return Mesh(base.coords, elements, base.boundary_edges)
+    vertices, _, regions = element_table(base)
+    kinds = [ElementKind.FE_QUAD if element_coords(base, e)[:, 0].mean() < split_x
+             else ElementKind.VE_POLY for e in base.elements]
+    return Mesh(base.coords, vertices, kinds, regions, base.boundary_edges)
 
 
 class TestGenerators:
@@ -299,6 +346,12 @@ class TestMeshIO:
             back = load_mesh(str(path))
             assert np.array_equal(back.coords, mesh.coords)
             assert back.elements == mesh.elements
+            assert back.vertex_groups.keys() == mesh.vertex_groups.keys()
+            for n_v, (pos, verts) in mesh.vertex_groups.items():
+                assert np.array_equal(back.vertex_groups[n_v][0], pos)
+                assert np.array_equal(back.vertex_groups[n_v][1], verts)
+            assert np.array_equal(back.element_fe, mesh.element_fe)
+            assert np.array_equal(back.element_regions, mesh.element_regions)
             assert back.boundary_edges == mesh.boundary_edges
 
     def test_duplicate_node_id_parse_error(self, tmp_path):
@@ -345,6 +398,7 @@ class TestMeshIO:
         report = validate_mesh(load_mesh(str(path), validate=False))
         assert [v.message for v in report] == [
             "element 0: vertex id out of range",
+            "nodes without any element: [3]",
             f"labeled edge ({-2 ** 63},1) is not an edge of any element"]
 
     def test_missing_header(self, tmp_path):

@@ -17,9 +17,10 @@ from fevec import config as configmod
 from fevec.assembly import (BoundaryConditionSet, SparseSystem, apply_dirichlet,
                             assemble_mechanical, assemble_thermal)
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import (_DISSECTION_LEAF, Element, ElementKind, Mesh, generate_fcbga,
+from fevec.mesh import (_DISSECTION_LEAF, ElementKind, Mesh, generate_fcbga,
                         generate_sandwich, generate_split_square, generate_structured_quads)
 from fevec.solver import METHOD_CG, SolveOptions, run_pipeline, solve_system
+from conftest import element_table
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 TOL = 1e-10
@@ -163,9 +164,9 @@ def split_square_partitions(draw):
     """A split square with more nodes than one dissection leaf and every element's kind drawn."""
     base = generate_split_square(2.0, 1.0, draw(st.integers(6, 12)), draw(st.integers(3, 6)))
     ve = draw(st.lists(st.booleans(), min_size=base.n_elements, max_size=base.n_elements))
-    elements = [Element(e.id, e.vertices, ElementKind.VE_POLY if v else ElementKind.FE_QUAD,
-                        e.region) for e, v in zip(base.elements, ve)]
-    return Mesh(base.coords, elements, base.boundary_edges)
+    vertices, _, regions = element_table(base)
+    kinds = [ElementKind.VE_POLY if v else ElementKind.FE_QUAD for v in ve]
+    return Mesh(base.coords, vertices, kinds, regions, base.boundary_edges)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

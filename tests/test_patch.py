@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from fevec.assembly import BoundaryConditionSet
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import (Element, ElementKind, Mesh, generate_quarter_annulus,
+from fevec.mesh import (ElementKind, Mesh, generate_quarter_annulus,
                         generate_split_square)
 from fevec.solver import run_pipeline
+from conftest import element_table
 
 TOL = 1e-10
 GRAD_U = np.array([[1.3e-3, 4.0e-4], [2.0e-4, -5.0e-4]])
@@ -38,9 +39,9 @@ def partitions(draw):
         base = generate_quarter_annulus(1.0, 2.5, draw(st.integers(1, 4)),
                                         draw(st.integers(2, 6)), 1.0)
     ve = draw(st.lists(st.booleans(), min_size=base.n_elements, max_size=base.n_elements))
-    elements = [Element(e.id, e.vertices, ElementKind.VE_POLY if v else ElementKind.FE_QUAD,
-                        e.region) for e, v in zip(base.elements, ve)]
-    return Mesh(base.coords, elements, base.boundary_edges)
+    vertices, _, regions = element_table(base)
+    kinds = [ElementKind.VE_POLY if v else ElementKind.FE_QUAD for v in ve]
+    return Mesh(base.coords, vertices, kinds, regions, base.boundary_edges)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -190,9 +190,9 @@ class TestLineProbe:
 
     def test_locates_points_in_nonconvex_elements(self):
         # L-shaped VE element: the concave notch must not locate
-        from fevec.mesh import Element, ElementKind, Mesh
+        from fevec.mesh import ElementKind, Mesh
         pts = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
-        mesh = Mesh(pts, [Element(0, tuple(range(6)), ElementKind.VE_POLY, 0)])
+        mesh = Mesh(pts, [tuple(range(6))], [ElementKind.VE_POLY], [0])
         mats = {0: props()}
         fields = SolutionFields(temperature=np.zeros(6), displacement=None)
         ev = post.FieldEvaluator(mesh, mats, fields)

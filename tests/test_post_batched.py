@@ -18,12 +18,11 @@ from fevec import post
 from fevec.bench import interface_continuity
 from fevec.errors import FevecError, MeshError
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import (Element, ElementKind, Mesh, generate_plate_with_hole,
-                        generate_quarter_annulus, generate_split_square, mesh_text, save_mesh,
-                        validate_mesh)
+from fevec.mesh import (ElementKind, Mesh, generate_plate_with_hole,
+                        generate_quarter_annulus, generate_split_square, mesh_text, save_mesh)
 from fevec.solver import SolutionFields, run_pipeline
 import post_oracles as oracle
-from conftest import polygon_family
+from conftest import element_table, polygon_family
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 FE, VE = ElementKind.FE_QUAD, ElementKind.VE_POLY
@@ -89,15 +88,15 @@ def assert_matches_oracle(mesh, materials, fields, stresses, points):
 
 def notch_mesh():
     pts = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
-    return Mesh(pts,
-                [Element(0, tuple(range(6)), VE, 0)])
+    return Mesh(pts, [tuple(range(6))], [VE], [0])
 
 
 def repeated_id_mesh():
-    """A coupled split square with every id used twice and the element list reversed."""
+    """A coupled split square listed in reverse, each region id on every third element."""
     base = generate_split_square(2.0, 1.0, 6, 3)
-    elements = [Element(e.id // 2, e.vertices, e.kind, e.id % 3) for e in base.elements]
-    return Mesh(base.coords, elements[::-1], base.boundary_edges)
+    vertices, kinds, _ = element_table(base)
+    regions = [p % 3 for p in range(base.n_elements)]
+    return Mesh(base.coords, vertices[::-1], kinds[::-1], regions[::-1], base.boundary_edges)
 
 
 def plate_mesh():
@@ -109,9 +108,9 @@ def star_polygons_mesh():
     """Separate non-convex VE polygons with irregular coordinates, 3 to 10 vertices."""
     polygons = polygon_family(seed=9, count=40)
     start = np.cumsum([0] + [len(poly) for poly in polygons])
-    elements = [Element(k, tuple(range(start[k], start[k + 1])), VE, k % 3)
-                for k in range(len(polygons))]
-    return Mesh(np.concatenate(polygons), elements)
+    vertices = [tuple(range(start[k], start[k + 1])) for k in range(len(polygons))]
+    return Mesh(np.concatenate(polygons), vertices, [VE] * len(polygons),
+                [k % 3 for k in range(len(polygons))])
 
 
 GENERATED = {
@@ -200,21 +199,10 @@ def assert_config_probes_match(text, path):
 class TestEvaluationErrors:
     def test_inverted_quad_names_the_element(self):
         coords = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]
-        mesh = Mesh(coords, [Element(0, (0, 1, 2, 3), FE, 0)])      # clockwise
+        mesh = Mesh(coords, [(0, 1, 2, 3)], [FE], [0])      # clockwise
         with pytest.raises(MeshError, match=r"^element 0: non-positive area -1 \(clockwise"):
             post.FieldEvaluator(mesh, MATERIALS, SolutionFields(
                 temperature=np.zeros(4), displacement=None))
-
-    def test_repeated_ids_refused(self):
-        # elements are named by position, so element ids must equal positions;
-        # the probes refuse a mesh that repeats them
-        mesh = repeated_id_mesh()
-        fields = SolutionFields(temperature=np.zeros(mesh.n_nodes), displacement=None)
-        with pytest.raises(MeshError) as info:
-            post.line_probe(mesh, MATERIALS, fields, None, (0.0, 0.5), (2.0, 0.5),
-                            "temperature", 10)
-        assert str(info.value) == validate_mesh(mesh)[0].message == (
-            "element ids not dense: position 0 holds id 8")
 
     def test_checks_run_only_when_a_point_is_located(self):
         mesh = plate_mesh()
@@ -256,13 +244,15 @@ def special_stresses(mesh, seed):
 def float64_node_mesh():
     """Node coordinates given as a list of numpy rows."""
     base = generate_split_square(1.0, 1.0, 3, 2)
-    return Mesh(list(base.coords), base.elements)
+    return Mesh(list(base.coords), *element_table(base))
 
 
 def interleaved_plate_mesh():
     """Triangles and quads alternating in the element list."""
     base = plate_mesh()
-    return Mesh(base.coords, base.elements[1::2] + base.elements[::2], base.boundary_edges)
+    vertices, kinds, regions = element_table(base)
+    return Mesh(base.coords, vertices[1::2] + vertices[::2], kinds[1::2] + kinds[::2],
+                regions[1::2] + regions[::2], base.boundary_edges)
 
 
 WRITER_MESHES = {**GENERATED, "repeated_ids": repeated_id_mesh, "float64_nodes": float64_node_mesh,

@@ -5,8 +5,9 @@ from fevec.assembly import (BoundaryConditionSet, SparseSystem, assemble_mechani
                             assemble_thermal)
 from fevec.errors import SolverError
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import Element, Mesh, generate_split_square, generate_structured_quads
+from fevec.mesh import Mesh, generate_split_square, generate_structured_quads
 from fevec.solver import (METHOD_CG, METHOD_DIRECT, SolveOptions, run_pipeline, solve_system)
+from conftest import element_table
 
 
 def props():
@@ -126,9 +127,9 @@ def two_squares():
     """Two disjoint 2 x 2 grids; nodes 0-8 and 9-17."""
     a = generate_structured_quads(1.0, 1.0, 2, 2)
     coords = np.vstack((a.coords, a.coords + [3.0, 0.0]))
-    elements = a.elements + [Element(e.id + 4, tuple(v + 9 for v in e.vertices), e.kind, 0)
-                             for e in a.elements]
-    return Mesh(coords, elements)
+    vertices, kinds, regions = element_table(a)
+    return Mesh(coords, vertices + [tuple(v + 9 for v in verts) for verts in vertices],
+                kinds * 2, regions * 2)
 
 
 @pytest.mark.parametrize("method", [METHOD_DIRECT, METHOD_CG])

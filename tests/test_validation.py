@@ -2,9 +2,10 @@
 
 ``oracle_validate`` is the per-element validation loop with its pairwise
 ``segments_cross`` test, a rounding bound on each area, a corner-by-corner
-convexity test of FE quads, and an interface scan over every node of the
-other kind.  ``validate_mesh`` must return the same report, codes, messages
-and order, on meshes mutated by seeded hypothesis draws.
+convexity test of FE quads, a set of the nodes that elements list, and an
+interface scan over every node of the other kind.  ``validate_mesh`` must
+return the same report, codes, messages and order, on meshes mutated by
+seeded hypothesis draws.
 """
 
 import math
@@ -15,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fevec import mesh as meshmod
-from fevec.mesh import (Element, ElementKind, Mesh, Violation, generate_quarter_annulus,
+from fevec.mesh import (ElementKind, Mesh, Violation, generate_quarter_annulus,
                         generate_split_square, validate_mesh)
-from conftest import edge_dict
+from conftest import edge_dict, element_table
 from kernel_oracles import element_coords, shoelace_area
 
 FE = ElementKind.FE_QUAD
@@ -41,11 +42,6 @@ def oracle_validate(mesh: Mesh) -> list[Violation]:
     report: list[Violation] = []
     n_nodes = mesh.n_nodes
 
-    for p, e in enumerate(mesh.elements):
-        if e.id != p:
-            report.append(Violation("element-ids",
-                                    f"element ids not dense: position {p} holds id {e.id}"))
-            break
     if not mesh.elements:
         report.append(Violation("no-elements", "mesh has no elements"))
     if not np.all(np.isfinite(mesh.coords)):
@@ -106,6 +102,11 @@ def oracle_validate(mesh: Mesh) -> list[Violation]:
                                             f"element {p}: FE_QUAD not strictly convex "
                                             f"at node {e.vertices[k]}"))
                     break
+
+    used = {v for e in mesh.elements for v in e.vertices if 0 <= v < n_nodes}
+    orphans = [n for n in range(n_nodes) if n not in used]
+    if mesh.elements and orphans:
+        report.append(Violation("orphan-nodes", f"nodes without any element: {orphans[:10]}"))
 
     edges = edge_dict(mesh)
     for (a, b), owners in edges.items():
@@ -189,7 +190,7 @@ def oracle_interface_coincidence(mesh: Mesh) -> list[Violation]:
 # A positive-area pentagon whose edges 0 and 2 cross.
 CROSSED_PENTAGON = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (1.0, -1.0), (0.0, 2.0))
 
-MUTATIONS = ("reverse", "out_of_range", "negative_id", "repeat", "duplicate_id", "swap_elements",
+MUTATIONS = ("reverse", "out_of_range", "negative_id", "repeat", "swap_elements",
              "drop_vertex", "split_edge", "collapse", "move", "crossed_pentagon",
              "copy_element", "nan", "orphan_bedge", "missing_bedge", "flatten")
 
@@ -210,13 +211,13 @@ def mutated_meshes(draw):
         base = generate_quarter_annulus(1.0, 3.0, draw(st.integers(2, 3)),
                                         draw(st.integers(2, 4)), 2.0)
     coords = base.coords.tolist()
-    elements = [[e.id, list(e.vertices), e.kind] for e in base.elements]
+    elements = [[list(e.vertices), e.kind] for e in base.elements]
     bedges = dict(base.boundary_edges)
 
     for _ in range(draw(st.integers(1, 4))):
         op = draw(st.sampled_from(MUTATIONS))
         elem = elements[draw(st.integers(0, len(elements) - 1))]
-        verts = elem[1]
+        verts = elem[0]
         i = draw(st.integers(0, max(len(verts) - 1, 0)))
         n_nodes = len(coords)
         if op == "reverse":
@@ -227,8 +228,6 @@ def mutated_meshes(draw):
             verts[i] = -draw(st.integers(1, n_nodes))
         elif op == "repeat" and len(verts) > 1:
             verts[i] = verts[(i + 1) % len(verts)]
-        elif op == "duplicate_id":
-            elem[0] = draw(st.sampled_from([e[0] for e in elements]))
         elif op == "swap_elements":
             j = draw(st.integers(0, len(elements) - 1))
             k = draw(st.integers(0, len(elements) - 1))
@@ -253,10 +252,10 @@ def mutated_meshes(draw):
         elif op == "crossed_pentagon":
             ox = draw(st.floats(-5.0, 5.0, allow_nan=False))
             coords.extend([[ox + x, y] for x, y in CROSSED_PENTAGON])
-            elements.append([len(elements), list(range(n_nodes, n_nodes + 5)), VE])
+            elements.append([list(range(n_nodes, n_nodes + 5)), VE])
         elif op == "copy_element":
             kind = draw(st.sampled_from([FE, VE]))
-            elements.append([len(elements), list(verts), kind])
+            elements.append([list(verts), kind])
         elif op == "flatten" and all(0 <= v < n_nodes for v in verts):
             x0, y0 = coords[verts[0]] if verts else (0.0, 0.0)
             for k, v in enumerate(verts):       # every vertex on one horizontal line
@@ -269,7 +268,8 @@ def mutated_meshes(draw):
         elif op == "missing_bedge":
             bedges[(draw(st.integers(0, n_nodes - 1)), n_nodes + draw(st.integers(0, 2)))] = "y"
 
-    return Mesh(coords, [Element(eid, tuple(v), kind, 0) for eid, v, kind in elements], bedges)
+    return Mesh(coords, [v for v, _ in elements], [kind for _, kind in elements],
+                [0] * len(elements), bedges)
 
 
 class TestValidationOracle:
@@ -280,7 +280,7 @@ class TestValidationOracle:
         assert validate_mesh(mesh) == expected
         with mock.patch.object(meshmod, "_CHECK_CHUNK", 8):   # chunks of 1-2 rows
             # a new mesh: the report is computed once per mesh
-            fresh = Mesh(mesh.coords, mesh.elements, mesh.boundary_edges)
+            fresh = Mesh(mesh.coords, *element_table(mesh), mesh.boundary_edges)
             assert validate_mesh(fresh) == expected
 
     def test_cylinder_config_mesh_valid(self):

@@ -17,9 +17,9 @@ from fevec import bench, post, vem
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
 from fevec.errors import MeshError, SolverError
 from fevec.materials import MaterialProps, Plane, gather_materials
-from fevec.mesh import Element, ElementKind, Mesh, generate_structured_quads
+from fevec.mesh import ElementKind, Mesh, generate_structured_quads
 from fevec.solver import SolutionFields
-from conftest import UNIT_SQUARE, polygon_family, random_polygon
+from conftest import UNIT_SQUARE, element_table, polygon_family, random_polygon
 
 VE = ElementKind.VE_POLY
 MATERIALS = {
@@ -109,10 +109,11 @@ class TestSingularRows:
     def tiny_and_clockwise_mesh(tiny_id, clockwise_id):
         """VE grid: element ``tiny_id`` has underflowing moduli, ``clockwise_id`` is clockwise."""
         base = generate_structured_quads(3.0, 2.0, 3, 2, kind=VE)
-        elements = [Element(e.id, e.vertices, VE, 9 if e.id == tiny_id else 0)
-                    for e in base.elements]
-        elements[clockwise_id] = Element(clockwise_id, elements[clockwise_id].vertices[::-1], VE, 0)
-        return Mesh(base.coords, elements, base.boundary_edges)
+        vertices, kinds, regions = element_table(base)
+        regions[tiny_id] = 9
+        vertices[clockwise_id] = vertices[clockwise_id][::-1]
+        regions[clockwise_id] = 0
+        return Mesh(base.coords, vertices, kinds, regions, base.boundary_edges)
 
     @pytest.mark.parametrize("field", ["thermal", "elastic"])
     def test_first_singular_row_named(self, field):
