@@ -8,11 +8,14 @@ stored entry with VE-interior dofs because no single element contains both.
 Both kinds run batched: one kernel call per block of elements of one kind
 and vertex count (``Mesh.element_blocks``), through the batched Q4 kernels
 of ``fem`` and the stacked polygon kernels of ``vem``, after the mesh and
-the materials pass ``require_valid``.  Assembly is deterministic: the
-element triplets are concatenated in element order (an element's id is its
-position in the mesh's element table) and stably sorted before compression, so
+the materials pass ``require_valid``.  Both fields share one sparsity
+pattern, ``Mesh.node_pattern`` (the node pairs that share an element): the
+thermal matrix uses it as it is, the mechanical one with 2 x 2 blocks.  Each
+element entry is mapped to its slot in that structure, and one
+``np.bincount`` over the entries in element order (an element's id is its
+position in the mesh's element table) sums every slot in that order, so
 repeated runs give bit-identical matrices, equal to an element-by-element
-loop.
+loop.  No triplet is sorted and no COO matrix is built.
 """
 
 from __future__ import annotations
@@ -163,7 +166,13 @@ class ReducedSystem:
 
 
 def _in_element_order(mesh: Mesh, parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Concatenate per-element rows of ``(positions, (m, k) values)`` parts in element order."""
+    """Concatenate per-element rows of ``(positions, (m, k) values)`` parts in element order.
+
+    The parts are all blocks of the mesh, so a single part is already in
+    element order and comes back as a view.
+    """
+    if len(parts) == 1:
+        return parts[0][1].reshape(-1)
     lengths = np.zeros(mesh.n_elements, dtype=np.int64)
     for pos, values in parts:
         lengths[pos] = values.shape[1]
@@ -174,21 +183,59 @@ def _in_element_order(mesh: Mesh, parts: list[tuple[np.ndarray, np.ndarray]]) ->
     return out
 
 
-def _compress(mesh: Mesh, ndof: int,
-              blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> sp.csr_matrix:
-    """CSR matrix of ``(positions, (m, n) dofs, (m, n, n) matrices)`` element blocks."""
-    if not blocks:
-        return sp.csr_matrix((ndof, ndof))
-    r = _in_element_order(mesh, [(p, np.repeat(d, d.shape[1], axis=1)) for p, d, _ in blocks])
-    c = _in_element_order(mesh, [(p, np.tile(d, (1, d.shape[1]))) for p, d, _ in blocks])
-    v = _in_element_order(mesh, [(p, ke.reshape(len(p), -1)) for p, _, ke in blocks])
-    order = np.lexsort((c, r))   # stable: fixed summation order run-to-run
-    # one permuted copy at a time: a lower heap high-water mark, so a lower peak RSS
-    r = r[order]
-    c = c[order]
-    v = v[order]
-    del order
-    return sp.coo_matrix((v, (r, c)), shape=(ndof, ndof)).tocsr()
+def _scatter(mesh: Mesh, dof_map: DofMap,
+             blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> sp.csr_matrix:
+    """CSR matrix of ``(positions, (m, n_v) vertices, (m, n, n) matrices)`` element blocks.
+
+    The structure is ``Mesh.node_pattern``, with 2 x 2 blocks when a node has
+    two dofs.  Each element entry finds its slot through its vertex pair, and
+    one ``np.bincount`` over all entries in element order sums every slot in
+    element order, as an element-by-element loop would.
+    """
+    ndof, per = dof_map.ndof, dof_map.dofs_per_node
+    indptr, indices = mesh.node_pattern
+    n = mesh.n_nodes
+    length = np.diff(indptr).astype(np.int64)
+    row = np.repeat(np.arange(n, dtype=np.int64), length)
+    keys = row * n + indices      # increasing: the pattern in row-major order
+
+    def node_slots(verts):
+        return np.searchsorted(keys, verts[:, :, None] * n + verts[:, None, :])
+
+    if per == 1:
+        slots = node_slots
+        field_indptr, field_indices = indptr.copy(), indices.copy()
+    else:
+        # Node entry k (row i, column j) spreads to dof entries 2 (indptr[i] + k + a L_i) + b,
+        # a, b in {0, 1}, of rows 2i + a and columns 2j + b; L_i is the length of node row i.
+        def slots(verts):
+            m, n_v = verts.shape
+            k = (indptr[verts][:, :, None] + node_slots(verts))[:, :, None, :, None]
+            a = np.arange(2).reshape(2, 1, 1) * length[verts].reshape(m, n_v, 1, 1, 1)
+            return (2 * (k + a) + np.arange(2)).reshape(m, 2 * n_v, 2 * n_v)
+
+        dtype = np.int32 if 4 * indices.size <= np.iinfo(np.int32).max else np.int64
+        field_indptr = np.empty(2 * n + 1, dtype=dtype)
+        field_indptr[0::2] = 4 * indptr.astype(np.int64)
+        field_indptr[1::2] = 2 * (indptr[:-1].astype(np.int64) + indptr[1:])
+        field_indices = np.empty(4 * indices.size, dtype=dtype)
+        k = 2 * (indptr[row] + np.arange(indices.size))
+        for a in (0, 1):
+            for b in (0, 1):
+                field_indices[k + 2 * a * length[row] + b] = 2 * indices + b
+
+    where = _in_element_order(mesh, [(pos, slots(verts).reshape(len(pos), -1))
+                                     for pos, verts, _ in blocks])
+    values = _in_element_order(mesh, [(pos, ke.reshape(len(pos), -1)) for pos, _, ke in blocks])
+    data = np.bincount(where, values, minlength=field_indices.size)
+    zero = values == 0
+    if zero.any() and np.signbit(values[zero]).any():
+        # bincount starts each sum at +0.0, a loop at its first term: a slot whose
+        # every term is -0.0 sums to -0.0
+        only_negative_zero = np.bincount(where, ~(zero & np.signbit(values)),
+                                         minlength=data.size) == 0
+        data[only_negative_zero] = -0.0
+    return sp.csr_matrix((data, field_indices, field_indptr), shape=(ndof, ndof))
 
 
 def _check_node(node: int, n_nodes: int, what: str) -> None:
@@ -212,7 +259,7 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
         return fem.thermal_stiffness_q4_batch(fem.q4_batch_eval(mesh.coords[verts]),
                                               mats.conductivity)
 
-    blocks = [(pos, dof_map.element_dofs(verts), element_matrices(is_fe, pos, verts))
+    blocks = [(pos, verts, element_matrices(is_fe, pos, verts))
               for is_fe, pos, verts in mesh.element_blocks()]
 
     for (a, b, q_bar) in bcs.flux_edges:
@@ -227,7 +274,7 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
         _check_node(node, mesh.n_nodes, "Dirichlet temperature")
         dirichlet[node] = value
 
-    matrix = _compress(mesh, dof_map.ndof, blocks)
+    matrix = _scatter(mesh, dof_map, blocks)
     return SparseSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, dirichlet=dirichlet)
 
 
@@ -260,12 +307,13 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
         ke = fem.mechanical_stiffness_q4_batch(q, mats.D)
         return ke, None if te is None else fem.thermal_load_q4_batch(q, mats, te)
 
-    blocks = [(pos, dof_map.element_dofs(verts), *element_contributions(is_fe, pos, verts))
+    blocks = [(pos, verts, *element_contributions(is_fe, pos, verts))
               for is_fe, pos, verts in mesh.element_blocks()]
     if temperature is not None and blocks:
-        np.add.at(rhs, _in_element_order(mesh, [(pos, dofs) for pos, dofs, _, _ in blocks]),
+        np.add.at(rhs, _in_element_order(mesh, [(pos, dof_map.element_dofs(verts))
+                                                for pos, verts, _, _ in blocks]),
                   _in_element_order(mesh, [(pos, fe) for pos, _, _, fe in blocks]))
-    matrix = _compress(mesh, dof_map.ndof, [(pos, dofs, ke) for pos, dofs, ke, _ in blocks])
+    matrix = _scatter(mesh, dof_map, [(pos, verts, ke) for pos, verts, ke, _ in blocks])
 
     for (a, b, t_bar) in bcs.traction_edges:
         _check_node(a, mesh.n_nodes, "traction edge")

@@ -22,6 +22,7 @@ All lengths are millimetres.  Vertex order is counter-clockwise everywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -141,6 +142,19 @@ def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return distinct, number, number[inverse].reshape(keys.shape)
 
 
+def _flat_vertices(vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex count of every element and all vertex ids in one flat int64 array, element by element.
+
+    An (m, n_v) array is flattened as it is; any other table is read item by item.
+    """
+    if isinstance(vertices, np.ndarray) and vertices.ndim == 2:
+        return (np.full(len(vertices), vertices.shape[1], dtype=np.int64),
+                np.asarray(vertices, dtype=np.int64).ravel())
+    n_v = np.fromiter(map(len, vertices), dtype=np.int64, count=len(vertices))
+    return n_v, np.fromiter(itertools.chain.from_iterable(vertices), dtype=np.int64,
+                            count=int(n_v.sum()))
+
+
 class Mesh:
     """Immutable-after-construction mesh with precomputed adjacency.
 
@@ -155,7 +169,10 @@ class Mesh:
 
     def __init__(self, coords, vertices: Sequence[Sequence[int]], kinds: Sequence[ElementKind],
                  regions: Sequence[int], boundary_edges: dict[tuple[int, int], str] | None = None):
-        self.coords: np.ndarray = np.array(coords, dtype=float).reshape(-1, 2)
+        try:
+            self.coords: np.ndarray = np.array(coords, dtype=float).reshape(-1, 2)
+        except (TypeError, ValueError) as exc:
+            raise MeshError(f"node coordinates must form an (n, 2) table of numbers: {exc}") from exc
         self.boundary_edges: dict[tuple[int, int], str] = {
             _edge_key(*k): v for k, v in (boundary_edges or {}).items()
         }
@@ -167,21 +184,25 @@ class Mesh:
         self.element_fe: np.ndarray = kinds == ElementKind.FE_QUAD
         if not (self.element_fe | (kinds == ElementKind.VE_POLY)).all():
             raise MeshError("element kinds must be ElementKind members")
-        self.element_regions = np.array(regions, dtype=np.int64)
-        # n_v -> (positions in increasing order, (m, n_v) vertex ids)
+        try:
+            self.element_regions = np.array(regions, dtype=np.int64)
+            n_v, flat = _flat_vertices(vertices)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MeshError(f"element regions and vertex ids must be int64 integers: {exc}") from exc
+        # n_v -> (positions in increasing order, (m, n_v) vertex ids), read from the
+        # flat table at each element's offset.
         self.vertex_groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        n_v = np.fromiter(map(len, vertices), dtype=np.int64, count=len(vertices))
         # Every element side (vertex i to i+1, cyclic) as a sorted node pair, in
         # element order: side i of the element at position p is row start[p] + i.
         start = np.cumsum(n_v) - n_v
-        pairs = np.empty((int(n_v.sum()), 2), dtype=np.int64)
+        pairs = np.empty((flat.size, 2), dtype=np.int64)
         for count in np.unique(n_v).tolist():
             pos = np.flatnonzero(n_v == count)
-            verts = np.array([vertices[p] for p in pos.tolist()],
-                             dtype=np.int64).reshape(pos.size, count)
+            rows = start[pos, None] + np.arange(count)
+            verts = flat[rows]
             self.vertex_groups[count] = (pos, verts)
-            sides = np.stack((verts, np.roll(verts, -1, axis=1)), axis=2).reshape(-1, 2)
-            pairs[(start[pos, None] + np.arange(count)).ravel()] = np.sort(sides, axis=1)
+            pairs[rows.ravel()] = np.sort(np.stack((verts, np.roll(verts, -1, axis=1)),
+                                                   axis=2).reshape(-1, 2), axis=1)
 
         # Edge table: ``side_element`` and ``side_edge`` give each side's element
         # position and edge; ``edges`` are the distinct sorted node pairs,
@@ -304,6 +325,25 @@ class Mesh:
     def violations(self) -> tuple[Violation, ...]:
         """The report of ``validate_mesh``; computed once, as the mesh does not change."""
         return tuple(_violations(self))
+
+    @cached_property
+    def node_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR structure ``(indptr, indices)`` of the node pairs that share an element.
+
+        Row i lists, in increasing order, every node that shares an element
+        with node i, i itself included: the sparsity pattern of a scalar
+        field's matrix, and with 2 x 2 blocks of a vector field's.  Computed
+        once per mesh; int32 unless the pattern is too large for it.
+        """
+        n = self.n_nodes
+        keys = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            (verts[:, :, None] * n + verts[:, None, :]).ravel()
+            for _, verts in self.vertex_groups.values()]))
+        distinct = np.ones(keys.size, dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        rows, cols = np.divmod(keys[distinct], n)
+        dtype = np.int32 if max(n, cols.size) <= np.iinfo(np.int32).max else np.int64
+        return np.searchsorted(rows, np.arange(n + 1)).astype(dtype), cols.astype(dtype)
 
     @cached_property
     def dissection_order(self) -> np.ndarray:

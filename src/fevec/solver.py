@@ -71,7 +71,7 @@ class SolveDiagnostics:
     iterations: int = 0
     residual: float = 0.0
     ordering: str = ORDERING_NONE
-    lu_fill: int = 0            # L.nnz + U.nnz of the direct factorization
+    lu_fill: int = 0            # SuperLU.nnz: entries SuperLU stores for L and U
 
 
 @dataclass
@@ -189,7 +189,8 @@ def _require_rigid_modes_fixed(mesh: Mesh, fixed: np.ndarray) -> None:
 def _solve_direct(matrix, rhs) -> tuple[np.ndarray, int]:
     """Symmetric-mode SuperLU of ``matrix`` with its unknowns eliminated in the given order.
 
-    Returns the solution and the fill (``L.nnz + U.nnz``).
+    Returns the solution and the fill, ``SuperLU.nnz``: read from the factor
+    as stored, without the ``L`` and ``U`` CSC copies.
     """
     try:
         lu = spla.splu(matrix.tocsc(), permc_spec="NATURAL",
@@ -198,7 +199,7 @@ def _solve_direct(matrix, rhs) -> tuple[np.ndarray, int]:
         raise SolverError(
             f"sparse factorization failed ({exc}); the system is likely "
             "singular -- check for missing constraints (rigid-body modes)") from exc
-    return lu.solve(rhs), int(lu.L.nnz + lu.U.nnz)
+    return lu.solve(rhs), int(lu.nnz)
 
 
 def _solve_cg(matrix, rhs, options: SolveOptions):

@@ -6,7 +6,8 @@ matrices and loads) replaced.  Tests compare the library kernels against
 them row by row, bit for bit.  A polygon's geometry ``geom`` is one row of
 ``polygon_stack`` (``conftest.polygon_row``).  ``q4_shape_eval``,
 ``shoelace_area`` and ``element_coords`` are the one-element helpers the
-library no longer needs.
+library no longer needs.  ``compress`` is the sort-based sparse assembly
+that ``fevec.assembly._scatter`` replaced.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from fevec.errors import SolverError
 from fevec.fem import GAUSS_2X2
@@ -283,3 +285,36 @@ def projected_stress(projection: ElasticProjection, props: MaterialProps,
     if nodal_temperature is not None:
         strain = strain - thermal_strain_voigt(props, float(np.mean(nodal_temperature)))
     return dhat @ strain
+
+
+# ---------------------------------------------------------------------------
+# Sparse assembly
+
+
+def in_element_order(n_elements: int, parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Concatenate per-element rows of ``(positions, (m, k) values)`` parts in element order."""
+    lengths = np.zeros(n_elements, dtype=np.int64)
+    for pos, values in parts:
+        lengths[pos] = values.shape[1]
+    start = np.cumsum(lengths) - lengths
+    out = np.empty(int(lengths.sum()), dtype=parts[0][1].dtype if parts else float)
+    for pos, values in parts:
+        out[start[pos][:, None] + np.arange(values.shape[1])] = values
+    return out
+
+
+def compress(mesh, dof_map, blocks) -> sp.csr_matrix:
+    """CSR matrix of ``(positions, (m, n_v) vertices, (m, n, n) matrices)`` element blocks.
+
+    The element triplets in element order, stably sorted by (row, column),
+    then COO to CSR, which sums duplicates in that order.
+    """
+    ndof = dof_map.ndof
+    if not blocks:
+        return sp.csr_matrix((ndof, ndof))
+    dofs = [(p, dof_map.element_dofs(v)) for p, v, _ in blocks]
+    r = in_element_order(mesh.n_elements, [(p, np.repeat(d, d.shape[1], axis=1)) for p, d in dofs])
+    c = in_element_order(mesh.n_elements, [(p, np.tile(d, (1, d.shape[1]))) for p, d in dofs])
+    v = in_element_order(mesh.n_elements, [(p, ke.reshape(len(p), -1)) for p, _, ke in blocks])
+    order = np.lexsort((c, r))
+    return sp.coo_matrix((v[order], (r[order], c[order])), shape=(ndof, ndof)).tocsr()

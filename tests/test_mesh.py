@@ -181,6 +181,16 @@ class TestElementTable:
         with pytest.raises(MeshError, match="^element kinds must be ElementKind members$"):
             Mesh(self.NODES, [(0, 1, 2, 3)] * 2, [VE, kind], [0, 0])
 
+    @pytest.mark.parametrize("nodes, vertices, regions", [
+        (NODES, [(0, 1, 2, 3)], ["a"]),
+        (NODES, [(0, 1, 2, "x")], [0]),
+        (NODES, [(0, 1, 2, 3)], [2 ** 70]),
+        ([(0, 0), (1, 0, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)], [0])],
+        ids=["region-a", "vertex-x", "region-2**70", "ragged-coords"])
+    def test_bad_python_input_is_a_mesh_error(self, nodes, vertices, regions):
+        with pytest.raises(MeshError):
+            Mesh(nodes, vertices, [FE], regions)
+
     def test_no_elements_reported(self):
         mesh = Mesh(self.NODES, [], [], [])
         assert mesh.n_elements == 0 and mesh.elements == ()

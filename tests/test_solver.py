@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fevec import solver
 from fevec.assembly import (BoundaryConditionSet, SparseSystem, assemble_mechanical,
                             assemble_thermal)
 from fevec.errors import SolverError
@@ -226,3 +227,41 @@ class TestDiagnostics:
         for diag in (fields.thermal_diag, fields.mechanical_diag):
             assert (diag.ordering, diag.lu_fill) == ("none", 0)
             assert diag.iterations > 0
+
+
+class FactorWithoutExport:
+    """A SuperLU object whose ``L`` and ``U``, CSC copies of the whole factor, may not be read."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    @property
+    def L(self):
+        raise AssertionError("the L factor was exported")
+
+    @property
+    def U(self):
+        raise AssertionError("the U factor was exported")
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
+def test_fill_is_read_without_exporting_the_factor(monkeypatch):
+    factors = []
+    splu = solver.spla.splu
+
+    def guarded_splu(*args, **kwargs):
+        factors.append(FactorWithoutExport(splu(*args, **kwargs)))
+        return factors[-1]
+
+    monkeypatch.setattr(solver.spla, "splu", guarded_splu)
+    mesh = generate_split_square(2.0, 1.0, 8, 4)
+    bcs = heated(mesh)
+    for n in mesh.nodes_with_label("left"):
+        bcs.set_displacement(n, 0.0, 0.0)
+    fields = run_pipeline(mesh, {0: props()}, bcs)
+    diags = (fields.thermal_diag, fields.mechanical_diag)
+    assert len(factors) == 2
+    for diag, factor in zip(diags, factors):
+        assert diag.lu_fill == factor.lu.nnz >= diag.n_dof
