@@ -183,51 +183,24 @@ def _in_element_order(mesh: Mesh, parts: list[tuple[np.ndarray, np.ndarray]]) ->
     return out
 
 
-def _scatter(mesh: Mesh, dof_map: DofMap,
-             blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> sp.csr_matrix:
-    """CSR matrix of ``(positions, (m, n_v) vertices, (m, n, n) matrices)`` element blocks.
+def _slot_sums(mesh: Mesh, per: int,
+               blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Sum of the element entries in each slot of ``Mesh.node_pattern`` with p x p blocks.
 
-    The structure is ``Mesh.node_pattern``, with 2 x 2 blocks when a node has
-    two dofs.  Each element entry finds its slot through its vertex pair, and
-    one ``np.bincount`` over all entries in element order sums every slot in
-    element order, as an element-by-element loop would.
+    Each element entry's slot follows from its vertex pair's
+    ``Mesh.node_slots`` entry, and one ``np.bincount`` over all entries in
+    element order sums every slot in element order, as an element-by-element
+    loop would.  Block k's entries (a, b) are slots p^2 k + p a + b.
     """
-    ndof, per = dof_map.ndof, dof_map.dofs_per_node
-    indptr, indices = mesh.node_pattern
-    n = mesh.n_nodes
-    length = np.diff(indptr).astype(np.int64)
-    row = np.repeat(np.arange(n, dtype=np.int64), length)
-    keys = row * n + indices      # increasing: the pattern in row-major order
-
-    def node_slots(verts):
-        return np.searchsorted(keys, verts[:, :, None] * n + verts[:, None, :])
-
-    if per == 1:
-        slots = node_slots
-        field_indptr, field_indices = indptr.copy(), indices.copy()
-    else:
-        # Node entry k (row i, column j) spreads to dof entries 2 (indptr[i] + k + a L_i) + b,
-        # a, b in {0, 1}, of rows 2i + a and columns 2j + b; L_i is the length of node row i.
-        def slots(verts):
-            m, n_v = verts.shape
-            k = (indptr[verts][:, :, None] + node_slots(verts))[:, :, None, :, None]
-            a = np.arange(2).reshape(2, 1, 1) * length[verts].reshape(m, n_v, 1, 1, 1)
-            return (2 * (k + a) + np.arange(2)).reshape(m, 2 * n_v, 2 * n_v)
-
-        dtype = np.int32 if 4 * indices.size <= np.iinfo(np.int32).max else np.int64
-        field_indptr = np.empty(2 * n + 1, dtype=dtype)
-        field_indptr[0::2] = 4 * indptr.astype(np.int64)
-        field_indptr[1::2] = 2 * (indptr[:-1].astype(np.int64) + indptr[1:])
-        field_indices = np.empty(4 * indices.size, dtype=dtype)
-        k = 2 * (indptr[row] + np.arange(indices.size))
-        for a in (0, 1):
-            for b in (0, 1):
-                field_indices[k + 2 * a * length[row] + b] = 2 * indices + b
-
-    where = _in_element_order(mesh, [(pos, slots(verts).reshape(len(pos), -1))
-                                     for pos, verts, _ in blocks])
+    # Entry (p v + a, p w + b) of an element matrix is entry (a, b) of the block of
+    # node pair (v, w).
+    in_block = per * np.arange(per)[:, None, None] + np.arange(per)
+    node_slots = mesh.node_slots(verts for _, verts, _ in blocks)
+    where = _in_element_order(mesh, [
+        (pos, (per * per * k[:, :, None, :, None] + in_block).reshape(len(pos), -1))
+        for (pos, _, _), k in zip(blocks, node_slots)])
     values = _in_element_order(mesh, [(pos, ke.reshape(len(pos), -1)) for pos, _, ke in blocks])
-    data = np.bincount(where, values, minlength=field_indices.size)
+    data = np.bincount(where, values, minlength=per * per * mesh.node_pattern[1].size)
     zero = values == 0
     if zero.any() and np.signbit(values[zero]).any():
         # bincount starts each sum at +0.0, a loop at its first term: a slot whose
@@ -235,7 +208,20 @@ def _scatter(mesh: Mesh, dof_map: DofMap,
         only_negative_zero = np.bincount(where, ~(zero & np.signbit(values)),
                                          minlength=data.size) == 0
         data[only_negative_zero] = -0.0
-    return sp.csr_matrix((data, field_indices, field_indptr), shape=(ndof, ndof))
+    return data
+
+
+def _scatter(mesh: Mesh, dof_map: DofMap,
+             blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> sp.csr_matrix:
+    """CSR matrix of ``(positions, (m, n_v) vertices, (m, n, n) matrices)`` element blocks.
+
+    The structure is ``Mesh.node_pattern`` with a p x p block per node pair,
+    p the dofs per node, and the values are ``_slot_sums``.
+    """
+    per = dof_map.dofs_per_node
+    indptr, indices = mesh.node_pattern
+    data = _slot_sums(mesh, per, blocks).reshape(-1, per, per)
+    return sp.bsr_matrix((data, indices, indptr), shape=(dof_map.ndof, dof_map.ndof)).tocsr()
 
 
 def _check_node(node: int, n_nodes: int, what: str) -> None:

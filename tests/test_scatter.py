@@ -134,6 +134,17 @@ def test_hub_polygons_match_oracle(seed, monkeypatch):
     assert_matches_oracle(mesh, {0: props()}, BoundaryConditionSet(), monkeypatch)
 
 
+def test_node_slots_point_at_their_pairs():
+    mesh = hub_polygons(3)
+    indptr, indices = mesh.node_pattern
+    vertex_blocks = [verts for _, _, verts in mesh.element_blocks()]
+    for verts, slots in zip(vertex_blocks, mesh.node_slots(vertex_blocks), strict=True):
+        assert slots.shape == verts.shape + verts.shape[1:]
+        assert np.array_equal(np.searchsorted(indptr, slots, side="right") - 1,
+                              np.broadcast_to(verts[:, :, None], slots.shape))
+        assert np.array_equal(indices[slots], np.broadcast_to(verts[:, None, :], slots.shape))
+
+
 def signed_zero_blocks(mesh, per, rng):
     """Random element matrices, per vertex-count block, with signed zeros placed at
     node pairs of the square (0, 1, 2, 3) and the triangle (1, 4, 2)."""
