@@ -20,7 +20,6 @@ loop.  No triplet is sorted and no COO matrix is built.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,16 +75,24 @@ DOF_FE_INTERIOR = "F"
 DOF_INTERFACE = "I"
 DOF_VE_INTERIOR = "V"
 
+DOFS_PER_NODE = {"thermal": 1, "mechanical": 2}
+
 
 @dataclass
 class DofMap:
-    """Node-to-global-dof numbering with F/I/V classification per dof."""
+    """Node-to-global-dof numbering of a mesh with F/I/V classification per dof."""
 
     field_kind: str              # "thermal" | "mechanical"
-    n_nodes: int
-    dofs_per_node: int
     classes: np.ndarray          # (ndof,) of 'F'/'I'/'V'
-    mesh: Mesh | None = field(default=None, repr=False, compare=False)   # None: no geometry
+    mesh: Mesh = field(repr=False, compare=False)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.mesh.n_nodes
+
+    @property
+    def dofs_per_node(self) -> int:
+        return DOFS_PER_NODE[self.field_kind]
 
     @property
     def ndof(self) -> int:
@@ -107,11 +114,8 @@ class DofMap:
     def elimination_order(self, free: np.ndarray) -> np.ndarray:
         """Positions in ``free`` in the order the direct solve eliminates them.
 
-        With a mesh, the nodes' ``Mesh.dissection_order`` expanded to
-        interleaved dofs; without one, natural order.
+        The nodes' ``Mesh.dissection_order`` expanded to interleaved dofs.
         """
-        if self.mesh is None:
-            return np.arange(len(free))
         position = np.full(self.ndof, -1, dtype=np.int64)
         position[free] = np.arange(len(free))
         order = position[self.element_dofs(self.mesh.dissection_order[:, None]).ravel()]
@@ -119,9 +123,8 @@ class DofMap:
 
 
 def build_dof_map(mesh: Mesh, field_kind: str) -> DofMap:
-    if field_kind not in ("thermal", "mechanical"):
+    if field_kind not in DOFS_PER_NODE:
         raise AssemblyError(f"unknown field kind '{field_kind}'")
-    per = 1 if field_kind == "thermal" else 2
 
     touches_fe = np.zeros(mesh.n_nodes, dtype=bool)
     for is_fe, _, verts in mesh.element_blocks():
@@ -130,9 +133,8 @@ def build_dof_map(mesh: Mesh, field_kind: str) -> DofMap:
     node_class = np.full(mesh.n_nodes, DOF_VE_INTERIOR, dtype="U1")
     node_class[touches_fe] = DOF_FE_INTERIOR
     node_class[sorted(mesh.interface_nodes)] = DOF_INTERFACE
-    classes = np.repeat(node_class, per)
-    return DofMap(field_kind=field_kind, n_nodes=mesh.n_nodes,
-                  dofs_per_node=per, classes=classes, mesh=mesh)
+    classes = np.repeat(node_class, DOFS_PER_NODE[field_kind])
+    return DofMap(field_kind=field_kind, classes=classes, mesh=mesh)
 
 
 @dataclass
@@ -143,13 +145,6 @@ class SparseSystem:
     rhs: np.ndarray
     dof_map: DofMap
     dirichlet: dict[int, float]   # dof -> prescribed value
-
-    @classmethod
-    def from_dense(cls, k: np.ndarray, f: np.ndarray,
-                   dirichlet: dict[int, float] | None = None) -> "SparseSystem":
-        n = k.shape[0]
-        dm = DofMap("thermal", n, 1, np.full(n, DOF_FE_INTERIOR, dtype="U1"))
-        return cls(sp.csr_matrix(k), np.asarray(f, dtype=float), dm, dirichlet or {})
 
 
 @dataclass
@@ -240,7 +235,7 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
     def element_matrices(is_fe, pos, verts):
         mats = gather_materials(materials, mesh.element_regions[pos])
         if not is_fe:
-            projection = vem.thermal_projection(mesh.coords[verts], mats)
+            projection = vem.thermal_projection(mesh.coords[verts], mats.conductivity)
             return vem.thermal_element_matrices(projection, tau)
         return fem.thermal_stiffness_q4_batch(fem.q4_batch_eval(mesh.coords[verts]),
                                               mats.conductivity)
@@ -274,11 +269,6 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     (zero thermal load).
     """
     require_valid(mesh, materials)
-    planes = {materials[r].plane for r in mesh.regions()}
-    if len(planes) > 1:
-        warnings.warn("regions mix plane stress and plane strain in one solve",
-                      stacklevel=2)
-
     dof_map = build_dof_map(mesh, "mechanical")
     rhs = np.zeros(dof_map.ndof)
 

@@ -37,7 +37,7 @@ from .config import BcSpec, resolve_bcs
 from .errors import FevecError, SolverError
 from .materials import MaterialProps, Plane, gather_materials, table_material
 from .mesh import ElementKind, Mesh, polygon_stack, require_valid
-from .solver import SolutionFields, SolveOptions, run_pipeline
+from .solver import SolutionFields, run_pipeline
 
 METHODS = ("coupled", "fe", "ve")
 
@@ -103,7 +103,6 @@ class BenchmarkCase:
     """One benchmark: geometry family, physics and its error metric."""
 
     name: str
-    description: str
     levels: list[int]
     materials: dict[int, MaterialProps]
     metric: str                      # 'rms_temperature' | 'mre_interface_vm' | 'property'
@@ -146,7 +145,6 @@ class CylinderCase(BenchmarkCase):
 def _cylinder_case() -> CylinderCase:
     return CylinderCase(
         name="cylinder",
-        description="thick-walled cylinder, prescribed surface temperatures",
         levels=[0, 1, 2, 3],
         materials={0: table_material(460000.0, 0.3, 20.0, 7.4e-6, 0.0, Plane.STRESS)},
         metric="rms_temperature",
@@ -212,7 +210,6 @@ class PlateCase(BenchmarkCase):
 def _plate_case() -> PlateCase:
     return PlateCase(
         name="plate",
-        description="quarter plate with hole under edge tension",
         levels=[0, 1, 2],
         materials={0: table_material(10.0, 0.3, 1000.0, 0.0, 25.0, Plane.STRESS)},
         metric="mre_interface_vm",
@@ -259,7 +256,6 @@ class SandwichCase(BenchmarkCase):
 def _sandwich_case() -> SandwichCase:
     return SandwichCase(
         name="sandwich",
-        description="chip / sintered interconnect / substrate stack",
         levels=[0, 1, 2],
         materials=_sandwich_materials(),
         metric="property")
@@ -312,13 +308,11 @@ def _igbt_materials() -> dict[int, MaterialProps]:
 
 def _fcbga_case() -> FcbgaCase:
     return FcbgaCase(name="fcbga",
-                     description="simplified flip-chip BGA cross-section",
                      levels=[2], materials=_fcbga_materials(), metric="property")
 
 
 def _igbt_case() -> IgbtCase:
     return IgbtCase(name="igbt",
-                    description="simplified IGBT module cross-section",
                     levels=[1], materials=_igbt_materials(), metric="property")
 
 
@@ -331,30 +325,28 @@ def builtin_cases() -> dict[str, BenchmarkCase]:
 # Convergence harness
 
 
-def solve_case(case: BenchmarkCase, level: int, method: str,
-               options: SolveOptions | None = None
+def solve_case(case: BenchmarkCase, level: int, method: str
                ) -> tuple[Mesh, SolutionFields, list[post.ElementStress] | None, int]:
     """Run one refinement; returns mesh, fields, stresses and dof count."""
     mesh = case.build_mesh(level, method)
-    fields = run_pipeline(mesh, case.materials, case.make_bcs(mesh), options,
+    fields = run_pipeline(mesh, case.materials, case.make_bcs(mesh),
                           mechanical=not case.thermal_only)
     if fields.displacement is None:
         return mesh, fields, None, mesh.n_nodes
     return mesh, fields, post.recover_stress(mesh, case.materials, fields), 2 * mesh.n_nodes
 
 
-def run_convergence(case: BenchmarkCase, method: str,
-                    options: SolveOptions | None = None) -> ConvergenceReport:
+def run_convergence(case: BenchmarkCase, method: str) -> ConvergenceReport:
     """Run the case's refinement ladder and fit the error slope."""
     if method not in METHODS:
         raise FevecError(f"unknown method '{method}' (expected one of {METHODS})")
     report = ConvergenceReport(case=case.name, method=method, records=[])
     reference = None
     if case.metric == "mre_interface_vm":
-        reference = _plate_reference(case, options)
+        reference = _plate_reference(case)
     for level in case.levels:
         try:
-            mesh, fields, stresses, ndof = solve_case(case, level, method, options)
+            mesh, fields, stresses, ndof = solve_case(case, level, method)
         except SolverError as exc:
             report.aborted = f"level {level}: {exc}"
             break
@@ -370,14 +362,14 @@ def run_convergence(case: BenchmarkCase, method: str,
     return report.finalize()
 
 
-def _plate_reference(case: "PlateCase", options):
+def _plate_reference(case: "PlateCase"):
     """Fine pure-FE solve; nodal von Mises on the coupling circle by angle index.
 
     The reference averages both sides of the circle (its best available
     value); the measured methods report the ring-side value, matching the
     per-side convention for interface stress.
     """
-    mesh, fields, stresses, _ = solve_case(case, -1, "fe", options)
+    mesh, fields, stresses, _ = solve_case(case, -1, "fe")
     nodal = post.nodal_von_mises(mesh, stresses)
     ids = PlateCase.interface_circle_nodes(mesh, PLATE_NT_REF)
     return nodal[ids]     # (PLATE_NT_REF + 1,) ordered by angle
@@ -398,6 +390,8 @@ def _plate_interface_mre(case, mesh, stresses, level, method, reference):
 
 
 GATE_REL_CHANGE = 0.02
+# The pure-FE ladder; the coupled one is the case's levels.
+SANDWICH_FE_LEVELS = (0, 1, 2, 3)
 
 
 @dataclass
@@ -462,25 +456,23 @@ def interface_average(points, values) -> float:
     return float(np.dot(0.5 * (values[1:] + values[:-1]), lengths)) / total
 
 
-def run_sandwich_study(case: "SandwichCase | None" = None,
-                       coupled_levels=(0, 1, 2), fe_levels=(0, 1, 2, 3),
-                       options: SolveOptions | None = None) -> SandwichStudy:
+def run_sandwich_study(case: "SandwichCase | None" = None) -> SandwichStudy:
     """Per-side interface peaks for the coupled ladder, and the pure-FE ladder
     up to the gate level (finer FE levels are not solved)."""
     case = case or _sandwich_case()
 
     def interface(level, method):
-        mesh, _, stresses, _ = solve_case(case, level, method, options)
+        mesh, _, stresses, _ = solve_case(case, level, method)
         ids = SandwichCase.interface_nodes(mesh)
         sides = interface_side_values(mesh, stresses, ids)
         peaks = [float(np.nanmax(v)) for v in sides]
         means = [interface_average(mesh.coords[ids], v) for v in sides]
         return peaks, means
 
-    coupled = [interface(level, "coupled")[0] for level in coupled_levels]
+    coupled = [interface(level, "coupled")[0] for level in case.levels]
     fe_peaks, fe_means = [], []
     gate = None
-    for level in fe_levels:
+    for level in SANDWICH_FE_LEVELS:
         peaks, means = interface(level, "fe")
         converged = bool(fe_means) and all(abs(m - prev) / prev < GATE_REL_CHANGE
                                            for m, prev in zip(means, fe_means[-1]))
@@ -489,10 +481,10 @@ def run_sandwich_study(case: "SandwichCase | None" = None,
         if converged:
             gate = level
             break
-    return SandwichStudy(coupled_levels=list(coupled_levels),
+    return SandwichStudy(coupled_levels=list(case.levels),
                          copper_peaks=[p[0] for p in coupled],
                          silver_peaks=[p[1] for p in coupled],
-                         fe_levels=list(fe_levels)[:len(fe_peaks)],
+                         fe_levels=list(SANDWICH_FE_LEVELS[:len(fe_peaks)]),
                          fe_copper_peaks=[p[0] for p in fe_peaks],
                          fe_silver_peaks=[p[1] for p in fe_peaks],
                          fe_copper_means=[m[0] for m in fe_means],
@@ -560,7 +552,11 @@ def interface_continuity(mesh: Mesh, materials, fields: SolutionFields) -> float
     return worst
 
 
-def check_kernel_invariants(mesh: Mesh, materials, tol: float = 1e-9) -> bool:
+# Largest entry of Pi D - D that still counts as reproducing the polynomials.
+KERNEL_INVARIANT_TOL = 1e-9
+
+
+def check_kernel_invariants(mesh: Mesh, materials) -> bool:
     """Projection reproduction on every VE element of a generated mesh.
 
     One stacked projection per block of polygons, after ``require_valid``.
@@ -573,18 +569,17 @@ def check_kernel_invariants(mesh: Mesh, materials, tol: float = 1e-9) -> bool:
         coords = mesh.coords[verts]
         mats = gather_materials(materials, mesh.element_regions[pos])
         geom = polygon_stack(coords)
-        tp = vem.thermal_projection(coords, mats, geom)
+        tp = vem.thermal_projection(coords, mats.conductivity, geom)
         ep = vem.elastic_projection(coords, mats, geom)
-        return not (np.abs(tp.Pi @ tp.D - tp.D).max() > tol
-                    or np.abs(ep.Pi @ ep.D_bar - ep.D_bar).max() > tol)
+        return not (np.abs(tp.Pi @ tp.D - tp.D).max() > KERNEL_INVARIANT_TOL
+                    or np.abs(ep.Pi @ ep.D_bar - ep.D_bar).max() > KERNEL_INVARIANT_TOL)
 
     return all(reproduces(*block) for block in mesh.element_blocks())
 
 
-def run_property_case(case: BenchmarkCase, level: int | None = None,
-                      options: SolveOptions | None = None) -> PropertyRunResult:
-    level = case.levels[0] if level is None else level
-    mesh, fields, stresses, ndof = solve_case(case, level, "coupled", options)
+def run_property_case(case: BenchmarkCase) -> PropertyRunResult:
+    """The coupled solve of the case's first level and its property checks."""
+    mesh, fields, stresses, ndof = solve_case(case, case.levels[0], "coupled")
     peak_elem = max(stresses, key=lambda es: es.von_mises).element_id
     at_interface = peak_elem in material_interface_elements(mesh)
     continuity = interface_continuity(mesh, case.materials, fields)

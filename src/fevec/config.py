@@ -53,6 +53,7 @@ from .mesh import (Mesh, generate_fcbga, generate_igbt, generate_plate_with_hole
                    generate_quarter_annulus, generate_sandwich,
                    generate_split_square, generate_structured_quads, load_mesh, require_valid,
                    ElementKind)
+from .post import NODAL_QUANTITIES, STRESS_QUANTITIES
 from .solver import SolveOptions
 
 # name -> (callable, ordered (param, converter) pairs); optional params carry defaults
@@ -200,6 +201,11 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
             raise ParseError(f"unknown section '[{header}]'", path)
     if not seen_mesh:
         raise ParseError("config has no [mesh] section", path)
+    if cfg.solver.fields == "thermal":
+        for probe in cfg.probes:
+            if probe.quantity != "temperature":
+                raise ParseError(f"probe '{probe.name}': quantity '{probe.quantity}' needs "
+                                 "the mechanical solve, but [solver] fields is thermal", path)
     return cfg
 
 
@@ -244,7 +250,7 @@ def _parse_solver(kv, path) -> SolverSpec:
 
 def _parse_probe(name, kv, path) -> ProbeSpec:
     try:
-        return ProbeSpec(
+        spec = ProbeSpec(
             name=name,
             quantity=kv["quantity"][0],
             p0=(float(kv["x0"][0]), float(kv["y0"][0])),
@@ -254,6 +260,14 @@ def _parse_probe(name, kv, path) -> ProbeSpec:
         raise ParseError(f"probe '{name}' missing key {exc}", path) from exc
     except ValueError as exc:
         raise ParseError(f"bad probe value: {exc}", path) from exc
+    known = NODAL_QUANTITIES + STRESS_QUANTITIES
+    if spec.quantity not in known:
+        raise ParseError(f"probe '{name}': unknown quantity '{spec.quantity}' "
+                         f"(known: {', '.join(known)})", path)
+    if spec.n_samples < 2:
+        raise ParseError(f"probe '{name}': n_samples must be at least 2, "
+                         f"got {spec.n_samples}", path)
+    return spec
 
 
 def build_mesh(cfg: RunConfig, base_dir: str = ".") -> Mesh:

@@ -133,33 +133,32 @@ def rms_l2_error(numeric: np.ndarray, exact: np.ndarray) -> float:
     return float(np.sqrt(np.mean((numeric - exact) ** 2))) / norm
 
 
-def mean_relative_error(numeric: np.ndarray, reference: np.ndarray,
-                        floor_rel: float = 1e-8,
-                        with_count: bool = False):
+# Reference samples below this fraction of the largest one are left out of
+# ``mean_relative_error``.
+MRE_FLOOR_REL = 1e-8
+
+
+def mean_relative_error(numeric: np.ndarray, reference: np.ndarray) -> float:
     """Mean of |num - ref| / |ref| over usable samples.
 
-    Samples with |ref| below ``floor_rel * max|ref|`` are excluded (and
-    counted) to avoid division blowup; raises if nothing survives.
+    Samples with |ref| below ``MRE_FLOOR_REL * max|ref|`` are excluded to
+    avoid division blowup; raises if nothing survives.
     """
     numeric = np.asarray(numeric, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if numeric.shape != reference.shape or numeric.size == 0:
         raise FevecError("sample sets must be non-empty and equal length")
-    floor = floor_rel * float(np.abs(reference).max())
-    usable = np.abs(reference) > floor
-    excluded = int(numeric.size - usable.sum())
+    usable = np.abs(reference) > MRE_FLOOR_REL * float(np.abs(reference).max())
     if not usable.any():
         raise FevecError("all reference samples below the exclusion floor")
-    value = float(np.mean(np.abs((numeric[usable] - reference[usable]) / reference[usable])))
-    if with_count:
-        return value, excluded
-    return value
+    return float(np.mean(np.abs((numeric[usable] - reference[usable]) / reference[usable])))
 
 
 # ---------------------------------------------------------------------------
 # Point location and field evaluation
 
-_STRESS_QUANTITIES = ("von_mises", "sxx", "syy", "sxy")
+NODAL_QUANTITIES = ("temperature", "ux", "uy")
+STRESS_QUANTITIES = ("von_mises", "sxx", "syy", "sxy")
 
 
 class FieldEvaluator:
@@ -179,7 +178,6 @@ class FieldEvaluator:
                  stresses: list[ElementStress] | None = None):
         require_valid(mesh, materials)
         self.mesh = mesh
-        self.materials = materials
         self.solution = solution
         self.stresses = stresses
         lo = np.empty((mesh.n_elements, 2))
@@ -277,7 +275,7 @@ class FieldEvaluator:
         if not rows.size:
             return values
         pos = positions[rows]
-        if quantity in _STRESS_QUANTITIES:
+        if quantity in STRESS_QUANTITIES:
             if self.stresses is None:
                 raise FevecError("stress quantities need recovered stresses")
             if quantity == "von_mises":
@@ -316,9 +314,9 @@ class FieldEvaluator:
         return rowdot(n, nodal)
 
     def _interpolate_ve(self, pos, coords, nodal, points) -> np.ndarray:
-        distinct, first, inverse = np.unique(pos, return_index=True, return_inverse=True)
-        mats = gather_materials(self.materials, self.mesh.element_regions[distinct])
-        projection = vem.thermal_projection(coords[first], mats)
+        # The projection's coefficients do not depend on the conductivity.
+        _, first, inverse = np.unique(pos, return_index=True, return_inverse=True)
+        projection = vem.thermal_projection(coords[first], np.ones(first.size))
         c = (projection.Pi_star[inverse] @ nodal[..., None])[..., 0]
         centroid = projection.geom.centroid[inverse]
         h = projection.geom.h[inverse]
@@ -352,8 +350,10 @@ def _polygons_contain(coords: np.ndarray, points: np.ndarray, tol: float) -> np.
     return on_edge.any(axis=1) | (crossings.sum(axis=1) % 2 == 1)
 
 
-def _inverse_q4_map(coords: np.ndarray, points: np.ndarray,
-                    max_iter: int = 20) -> tuple[np.ndarray, np.ndarray]:
+_NEWTON_MAX_ITER = 20
+
+
+def _inverse_q4_map(coords: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Local (xi, eta) of each point in its quad of a (m, 4, 2) stack.
 
     Newton from (0, 0); a row stops once its residual is below 1e-13 x
@@ -364,7 +364,7 @@ def _inverse_q4_map(coords: np.ndarray, points: np.ndarray,
     eta = np.zeros(len(points))
     tol = 1e-13 * np.fmax(1.0, np.abs(points).max(axis=1))
     active = np.arange(len(points))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         n, jac = fem.q4_shape_batch(coords[active], xi[active], eta[active])
         res = (n[:, None, :] @ coords[active])[:, 0] - points[active]
         going = ~(np.abs(res).max(axis=1) < tol[active])

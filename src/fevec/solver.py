@@ -11,21 +11,19 @@ raises ``SolverError`` naming the part's lowest node id and what it lacks.
 
 The direct solve is one path: SuperLU in symmetric mode (Li, ACM TOMS 2005)
 with diagonal pivots and the unknowns in the order of
-``DofMap.elimination_order``.  For a mesh-assembled system that is the
-mesh's geometric nested-dissection order (``Mesh.dissection_order``,
-computed once per mesh and shared by the thermal and mechanical solves);
-a system without a mesh keeps natural order.  Both reduced systems are
-symmetric positive definite, so no pivoting is needed.  CG never computes
-the order.
+``DofMap.elimination_order``, the mesh's geometric nested-dissection order
+(``Mesh.dissection_order``, computed once per mesh and shared by the
+thermal and mechanical solves).  Both reduced systems are symmetric
+positive definite, so no pivoting is needed.  CG never computes the order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .assembly import (BoundaryConditionSet, SparseSystem, apply_dirichlet,
                        assemble_mechanical, assemble_thermal)
@@ -38,7 +36,6 @@ METHOD_DIRECT = "direct"
 METHOD_CG = "cg"
 
 ORDERING_NESTED_DISSECTION = "nested_dissection"
-ORDERING_NATURAL = "natural"
 ORDERING_NONE = "none"        # CG, or nothing left to solve
 
 # Eigenvalues of a part's rigid-mode Gram matrix below this fraction of its
@@ -57,9 +54,10 @@ class SolveOptions:
         if self.method not in (METHOD_DIRECT, METHOD_CG):
             raise SolverError(f"method must be '{METHOD_DIRECT}' or '{METHOD_CG}', "
                               f"got '{self.method}'")
-        for name in ("cg_rel_tol", "cg_max_iter"):
-            if not getattr(self, name) > 0:
-                raise SolverError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("cg_rel_tol", "cg_max_iter", "tau"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise SolverError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -95,8 +93,7 @@ def solve_system(system: SparseSystem, options: SolveOptions | None = None
         return reduced.recover(np.zeros(0)), diag
 
     if direct:
-        diag.ordering = (ORDERING_NATURAL if system.dof_map.mesh is None
-                         else ORDERING_NESTED_DISSECTION)
+        diag.ordering = ORDERING_NESTED_DISSECTION
         x, diag.lu_fill = _solve_direct(reduced.matrix, reduced.rhs)
     else:
         x, diag.iterations = _solve_cg(reduced.matrix, reduced.rhs, options)
@@ -119,39 +116,21 @@ def _check_well_posed(system: SparseSystem) -> None:
     Parts are the connected components of the mesh's node graph.  Heat
     conduction needs a Dirichlet temperature in each part; elasticity needs
     the modes (1, 0), (0, 1) and (-y, x), centred on the part and restricted
-    to its constrained dofs, to have rank 3.  A system without a mesh takes
-    the components of its matrix graph and the thermal rule, for the parts
-    on which the matrix annihilates the constant vector.
+    to its constrained dofs, to have rank 3.
     """
-    dof_map = system.dof_map
+    mesh = system.dof_map.mesh
     fixed = np.fromiter(system.dirichlet, dtype=np.int64, count=len(system.dirichlet))
-    if dof_map.mesh is None:
-        n_parts, part = connected_components(system.matrix, directed=False)
-        ones = np.ones(system.matrix.shape[0])
-        residual = np.zeros(n_parts)
-        scale = np.zeros(n_parts)
-        np.maximum.at(residual, part, np.abs(system.matrix @ ones))
-        np.maximum.at(scale, part, abs(system.matrix) @ ones)
-        _require_fixed_value(part, residual <= 1e-12 * scale, fixed,
-                             "ill-posed system: the connected part containing dof {} has no "
-                             "Dirichlet value and its matrix is singular (missing constraints)")
-    elif dof_map.dofs_per_node == 1:
-        n_parts, part = dof_map.mesh.node_components
-        _require_fixed_value(part, np.ones(n_parts, dtype=bool), fixed,
-                             "ill-posed thermal problem: the connected mesh part containing "
-                             "node {} has no Dirichlet temperature (missing constraints; the "
-                             "temperature is fixed only up to a constant)")
-    else:
-        _require_rigid_modes_fixed(dof_map.mesh, fixed)
-
-
-def _require_fixed_value(part: np.ndarray, needs: np.ndarray, fixed: np.ndarray,
-                         message: str) -> None:
-    """Raise ``message`` with the lowest index of a part in ``needs`` that holds no ``fixed`` index."""
-    floating = needs.copy()
+    if system.dof_map.dofs_per_node == 2:
+        _require_rigid_modes_fixed(mesh, fixed)
+        return
+    n_parts, part = mesh.node_components
+    floating = np.ones(n_parts, dtype=bool)
     floating[part[fixed]] = False
     if floating.any():
-        raise SolverError(message.format(int(np.flatnonzero(floating[part])[0])))
+        raise SolverError(
+            "ill-posed thermal problem: the connected mesh part containing node "
+            f"{int(np.flatnonzero(floating[part])[0])} has no Dirichlet temperature "
+            "(missing constraints; the temperature is fixed only up to a constant)")
 
 
 def _require_rigid_modes_fixed(mesh: Mesh, fixed: np.ndarray) -> None:

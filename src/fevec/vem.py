@@ -25,7 +25,8 @@ systems are closed with vertex-average conditions (and a boundary-integral
 mean rotation for m3), the standard first-order closure.
 
 Every kernel works on a stack of m polygons with the same vertex count,
-(m, n_v, 2) coordinates with one ``MaterialArrays`` row each, and makes one
+(m, n_v, 2) coordinates with one ``MaterialArrays`` row (the thermal
+projection: one conductivity) each, and makes one
 numpy call per step for the whole stack: the projection systems go through
 one stacked ``np.linalg.solve`` (Sutton, "The virtual element method in 50
 lines of MATLAB", Numer. Algorithms 2017).  Each product is a stacked
@@ -102,17 +103,19 @@ class ElasticProjection:
     strain_basis: np.ndarray  # (m, 3, 6) constant Voigt strains of m1..m6
 
 
-def thermal_projection(coords: np.ndarray, mats: MaterialArrays,
+def thermal_projection(coords: np.ndarray, conductivity: np.ndarray,
                        geom: PolygonStack | None = None) -> ThermalProjection:
     """Energy projection of the scalar virtual space of each polygon in a (m, n_v, 2) stack.
 
+    ``conductivity`` holds one value per polygon; it scales both sides of the
+    projection system, so ``Pi_star`` depends on it only through rounding.
     Without ``geom`` the geometry is computed here.
     """
     coords = np.asarray(coords, dtype=float)
     if geom is None:
         geom = polygon_stack(coords)
     m, n_v = coords.shape[:2]
-    lam = mats.conductivity
+    lam = conductivity
     h = geom.h
 
     dmat = np.concatenate((np.ones((m, n_v, 1)), scaled_coords(coords, geom)), axis=2)

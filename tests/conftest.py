@@ -2,10 +2,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fevec import vem
+from fevec.assembly import SparseSystem, build_dof_map
 from fevec.materials import MaterialProps, Plane, gather_materials
-from fevec.mesh import polygon_stack
+from fevec.mesh import ElementKind, Mesh, polygon_stack
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -38,6 +40,13 @@ def element_table(mesh):
     """The element table of ``mesh`` as (vertices, kinds, regions) lists, to edit and rebuild from."""
     elements = mesh.elements
     return [e.vertices for e in elements], [e.kind for e in elements], [e.region for e in elements]
+
+
+def triangle_system(k, f, dirichlet=None):
+    """``SparseSystem`` of a hand-built 3 x 3 matrix on the thermal dof map of one VE triangle."""
+    mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [(0, 1, 2)], [ElementKind.VE_POLY], [0])
+    return SparseSystem(sp.csr_matrix(np.asarray(k, dtype=float)), np.asarray(f, dtype=float),
+                        build_dof_map(mesh, "thermal"), dirichlet or {})
 
 
 def edge_dict(mesh):
@@ -90,9 +99,14 @@ def _one_row(projection, coords, props):
     return projection(np.asarray(coords, dtype=float)[None], one_material(props))
 
 
+def _thermal_one_row(coords, props):
+    return vem.thermal_projection(np.asarray(coords, dtype=float)[None],
+                                  one_material(props).conductivity)
+
+
 def thermal_row(coords, props):
     """Row 0 of ``vem.thermal_projection`` of one polygon."""
-    return first_row(_one_row(vem.thermal_projection, coords, props))
+    return first_row(_thermal_one_row(coords, props))
 
 
 def elastic_row(coords, props):
@@ -102,7 +116,7 @@ def elastic_row(coords, props):
 
 def thermal_matrix(coords, props):
     """VE thermal stiffness of one polygon."""
-    return vem.thermal_element_matrices(_one_row(vem.thermal_projection, coords, props))[0]
+    return vem.thermal_element_matrices(_thermal_one_row(coords, props))[0]
 
 
 def elastic_matrix(coords, props):

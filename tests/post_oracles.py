@@ -15,17 +15,18 @@ import numpy as np
 
 from fevec import vem
 from fevec.errors import FevecError
-from fevec.materials import gather_materials
 from fevec.mesh import FORMAT_HEADER, ElementKind
 from kernel_oracles import element_coords, q4_shape_eval
 
 
 class PointEvaluator:
-    """One point at a time: bounding-box scan over all elements, then per-element tests."""
+    """One point at a time: bounding-box scan over all elements, then per-element tests.
+
+    Takes ``materials`` as ``FieldEvaluator`` does; no evaluation reads them.
+    """
 
     def __init__(self, mesh, materials, solution, stresses=None):
         self.mesh = mesh
-        self.materials = materials
         self.solution = solution
         self.stresses = stresses
         lo = np.array([element_coords(mesh, e).min(axis=0) for e in mesh.elements])
@@ -79,8 +80,7 @@ class PointEvaluator:
             xi, eta = inverse_q4_map(coords, x, y)
             ev = q4_shape_eval(coords, xi, eta)
             return float(ev.N @ values)
-        mats = gather_materials(self.materials, np.array([elem.region]))
-        projection = vem.thermal_projection(coords[None], mats)
+        projection = vem.thermal_projection(coords[None], np.ones(1))
         c = projection.Pi_star[0] @ values
         gx, gy = projection.geom.centroid[0]
         h = projection.geom.h[0]

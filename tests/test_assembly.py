@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fevec.assembly import (BoundaryConditionSet, SparseSystem, apply_dirichlet,
-                            assemble_mechanical, assemble_thermal, build_dof_map)
+from fevec.assembly import (BoundaryConditionSet, apply_dirichlet, assemble_mechanical,
+                            assemble_thermal, build_dof_map)
 from fevec.errors import AssemblyError, MeshError
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_split_square, generate_structured_quads
 from fevec.solver import solve_system
-from conftest import element_table, thermal_matrix
+from conftest import thermal_matrix, triangle_system
 from kernel_oracles import element_coords, thermal_stiffness_q4
 
 FE = ElementKind.FE_QUAD
@@ -159,15 +159,6 @@ class TestAssembleMechanical:
         for mode in (tx, ty, rot):
             assert np.abs(k @ mode).max() < 1e-9 * abs(k).max()
 
-    def test_plane_mismatch_warns(self):
-        mesh = generate_split_square(2.0, 1.0, 2, 1)
-        vertices, kinds, _ = element_table(mesh)
-        mixed = Mesh(mesh.coords, vertices, kinds, [p % 2 for p in range(len(vertices))],
-                     mesh.boundary_edges)
-        mats = {0: simple_props(plane=Plane.STRESS), 1: simple_props(plane=Plane.STRAIN)}
-        with pytest.warns(UserWarning, match="plane"):
-            assemble_mechanical(mixed, mats, BoundaryConditionSet(), None)
-
     def test_traction_rhs(self):
         mesh = generate_structured_quads(2.0, 1.0, 2, 1)
         bcs = BoundaryConditionSet()
@@ -184,7 +175,7 @@ class TestApplyDirichlet:
         # two unit springs in series, end dofs prescribed: the reduced system
         # is the textbook 1x1 [2] with rhs u0 + u2
         k = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-        system = SparseSystem.from_dense(k, np.zeros(3), {0: 0.5, 2: 2.0})
+        system = triangle_system(k, np.zeros(3), {0: 0.5, 2: 2.0})
         red = apply_dirichlet(system)
         assert np.allclose(red.matrix.toarray(), [[2.0]])
         assert red.rhs == pytest.approx([2.5])
@@ -192,16 +183,15 @@ class TestApplyDirichlet:
         assert np.allclose(full, [0.5, 1.25, 2.0])
 
     def test_constrain_everything(self):
-        k = np.eye(2)
-        system = SparseSystem.from_dense(k, np.zeros(2), {0: 3.0, 1: 4.0})
+        system = triangle_system(np.eye(3), np.zeros(3), {0: 3.0, 1: 4.0, 2: 5.0})
         red = apply_dirichlet(system)
         assert red.matrix.shape == (0, 0)
-        assert np.allclose(red.recover(np.zeros(0)), [3.0, 4.0])
+        assert np.allclose(red.recover(np.zeros(0)), [3.0, 4.0, 5.0])
 
     def test_homogeneous_leaves_rhs(self):
         k = np.diag([2.0, 3.0, 4.0])     # no coupling to the constrained dof
         f = np.array([1.0, 2.0, 3.0])
-        system = SparseSystem.from_dense(k, f, {2: 0.0})
+        system = triangle_system(k, f, {2: 0.0})
         red = apply_dirichlet(system)
         assert np.allclose(red.rhs, [1.0, 2.0])
 

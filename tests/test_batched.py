@@ -154,7 +154,6 @@ class TestPolygonKernels:
             areas = shoelace_areas(coords)
             assert [float(a) for a in areas] == [shoelace_area(c) for c in coords]
 
-    @pytest.mark.filterwarnings("ignore:regions mix plane stress and plane strain")
     @pytest.mark.parametrize("seed", [5, 6])
     def test_polygon_blocks_match_per_element(self, seed):
         mesh = disjoint_polygons(seed)
@@ -230,7 +229,6 @@ class TestPartitionedAssembly:
         system = assemble_thermal(mesh, MATERIALS, BoundaryConditionSet())
         assert rel_diff(system.matrix.toarray(), reference_thermal(mesh)) <= RTOL
 
-    @pytest.mark.filterwarnings("ignore:regions mix plane stress and plane strain")
     @PROPERTY_SETTINGS
     @given(st.integers(min_value=0, max_value=10_000))
     def test_mechanical_and_stress_match_per_element(self, seed):
@@ -367,7 +365,6 @@ class TestBlockErrors:
             assemble_thermal(mesh, materials, BoundaryConditionSet())
         assert str(info.value) == "element 4: non-positive area -1 (clockwise vertex order?)"
 
-    @pytest.mark.filterwarnings("ignore:regions mix plane stress and plane strain")
     def test_cut_ve_blocks(self):
         # VE groups are cut into blocks of _VE_BLOCK_ROWS elements: results and
         # the refusal of a flawed mesh must not depend on where the cuts fall

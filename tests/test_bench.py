@@ -273,7 +273,7 @@ class TestReports:
                     bcs.flux_edges.append((a, b, -1.0))
                 return bcs
 
-        flaky = Flaky(name="flaky", description="", levels=[0, 1],
+        flaky = Flaky(name="flaky", levels=[0, 1],
                       materials=case.materials, metric="rms_temperature",
                       thermal_only=True)
         rep = bench.run_convergence(flaky, "fe")

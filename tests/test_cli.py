@@ -114,6 +114,15 @@ class TestRun:
         ("[probe mid]", "[solver]\ncg_rel_tol -1\n\n[probe mid]", "cg_rel_tol"),
         ("T0_C 25", "T0_c 25", "T0_c"),
         ("ny 2", "ny 2\nkind XX", "kind"),
+        ("[probe mid]", "[solver]\ntau -0.3\n\n[probe mid]", "tau"),
+        ("[probe mid]", "[solver]\ntau nan\n\n[probe mid]", "tau"),
+        ("n_samples 11", "n_samples -7", "n_samples"),
+        ("n_samples 11", "n_samples 1", "n_samples"),
+        ("quantity temperature", "quantity foo", "quantity 'foo'"),
+        ("[probe mid]\nquantity temperature", "[solver]\nfields thermal\n\n[probe mid]\nquantity ux",
+         "quantity 'ux'"),
+        ("[probe mid]\nquantity temperature", "[solver]\nfields thermal\n\n[probe mid]\nquantity sxx",
+         "quantity 'sxx'"),
     ])
     def test_bad_config_value_exit_3(self, tmp_path, capsys, old, new, key):
         text = RUN_CFG.format(out=tmp_path / "o").replace(old, new)
@@ -122,6 +131,7 @@ class TestRun:
         assert main(["run", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:3:") and key in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "mesh-gen"])
     @pytest.mark.parametrize("old,new", [
@@ -151,6 +161,22 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error:2: singular {field} projection system\n"
         assert not (tmp_path / "o").exists()
+
+    def test_displacement_probe_on_ve_mesh_ignores_conductivity(self, tmp_path):
+        # the probe's VE interpolation reads no material: with no thermal
+        # data, a conductivity that underflows changes no output byte
+        outputs = []
+        for k in ("4e-321", "20"):
+            out = tmp_path / k
+            text = RUN_CFG.format(out=out).replace("k_W_per_mK 1000", f"k_W_per_mK {k}").replace(
+                "generator split_square", "generator structured_quads").replace(
+                "ny 2", "ny 2\nkind VE").replace("[bc left]\ndirichlet_T 25\n\n", "").replace(
+                "dirichlet_T 75", "traction 1 0").replace("quantity temperature", "quantity ux")
+            cfg = tmp_path / f"k{k}.cfg"
+            cfg.write_text(text)
+            assert main(["run", str(cfg)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("fields.vtk", "probe_mid.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_probe_outside_mesh_exit_1(self, tmp_path, capsys):
         text = RUN_CFG.format(out=tmp_path / "o").replace("x0 0", "x0 50").replace(

@@ -100,6 +100,10 @@ class TestParse:
         ("cg_rel_tol 1e-9", "cg_max_iter 0", "cg_max_iter"),
         ("tau 0.4", "fields all", "fields"),
         ("cg_rel_tol 1e-9", "cg_max_iter many", "invalid literal"),
+        ("cg_rel_tol 1e-9", "cg_rel_tol inf", "cg_rel_tol"),
+        ("tau 0.4", "tau -0.3", "tau"),
+        ("tau 0.4", "tau nan", "tau"),
+        ("tau 0.4", "tau inf", "tau"),
     ])
     def test_bad_solver_value(self, old, new, text):
         with pytest.raises(ParseError, match=f"bad solver value: {text}"):

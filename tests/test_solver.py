@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from fevec import solver
-from fevec.assembly import (BoundaryConditionSet, SparseSystem, assemble_mechanical,
-                            assemble_thermal)
+from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
 from fevec.errors import SolverError
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import Mesh, generate_split_square, generate_structured_quads
 from fevec.solver import (METHOD_CG, METHOD_DIRECT, SolveOptions, run_pipeline, solve_system)
-from conftest import element_table
+from conftest import element_table, triangle_system
 
 
 def props():
@@ -18,16 +17,17 @@ def props():
 
 class TestSolveSystem:
     def test_identity(self):
-        system = SparseSystem.from_dense(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        system = triangle_system(np.eye(3), [1.0, 2.0, 3.0], {0: 1.0})
         x, diag = solve_system(system)
         assert np.allclose(x, [1, 2, 3])
-        assert diag.n_dof == 3
+        assert diag.n_dof == 2
 
     def test_two_by_two_hand_solve(self):
-        system = SparseSystem.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]),
-                                         np.array([1.0, 1.0]))
+        # dof 2 is held at 0 and uncoupled: the reduced system is [[2, -1], [-1, 2]]
+        system = triangle_system(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]),
+                                 [1.0, 1.0, 0.0], {2: 0.0})
         x, _ = solve_system(system)
-        assert np.allclose(x, [1.0, 1.0])
+        assert np.allclose(x, [1.0, 1.0, 0.0])
 
     def test_unconstrained_mechanical_rigid_error(self):
         mesh = generate_split_square(2.0, 1.0, 2, 1)
@@ -54,8 +54,8 @@ class TestSolveSystem:
         assert diag.iterations > 0
 
     def test_cg_non_convergence_reports_history(self):
-        system = SparseSystem.from_dense(np.array([[4.0, 1.0], [1.0, 3.0]]),
-                                         np.array([1.0, 2.0]))
+        system = triangle_system(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]]),
+                                 [1.0, 2.0, 0.0], {2: 0.0})
         with pytest.raises(SolverError, match="residuals"):
             solve_system(system, SolveOptions(method=METHOD_CG, cg_max_iter=1,
                                               cg_rel_tol=1e-15))
@@ -196,13 +196,6 @@ class TestWellPosedness:
         fields = self.run(mesh, bcs, method)
         assert np.allclose(fields.temperature, [10.0] * 9 + [20.0] * 9)
 
-    def test_matrix_without_mesh(self, method):
-        floating = SparseSystem.from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2))
-        with pytest.raises(SolverError, match="dof 0 has no Dirichlet value"):
-            solve_system(floating, SolveOptions(method=method))
-        fixed = SparseSystem.from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros(2), {1: 2.0})
-        assert np.allclose(solve_system(fixed, SolveOptions(method=method))[0], [2.0, 2.0])
-
 
 class TestDiagnostics:
     def problem(self):
@@ -218,8 +211,6 @@ class TestDiagnostics:
         for diag in (fields.thermal_diag, fields.mechanical_diag):
             assert diag.ordering == "nested_dissection"
             assert diag.lu_fill >= diag.n_dof       # L and U hold at least the diagonal
-        _, diag = solve_system(SparseSystem.from_dense(np.eye(3), np.ones(3)))
-        assert (diag.ordering, diag.lu_fill) == ("natural", 6)
 
     def test_cg_reports_no_order(self):
         mesh, bcs = self.problem()

@@ -39,7 +39,7 @@ def assert_stack_matches_oracle(stack, regions, rng):
     temps = rng.uniform(-50.0, 150.0, (m, n_v))
     disp = rng.normal(size=(m, 2 * n_v))
 
-    tp = vem.thermal_projection(stack, mats)
+    tp = vem.thermal_projection(stack, mats.conductivity)
     kt = vem.thermal_element_matrices(tp, tau=0.3)
     ep = vem.elastic_projection(stack, mats)
     ke = vem.elastic_element_matrices(ep)
@@ -122,7 +122,7 @@ class TestSingularRows:
         stack, mats = self.stack_with_tiny({3, 1})
         projection = getattr(vem, f"{field}_projection")
         with pytest.raises(SolverError, match=f"^singular {field} projection system$"):
-            projection(stack, mats)
+            projection(stack, mats.conductivity if field == "thermal" else mats)
 
     def test_degenerate_row_checked_before_projection(self):
         # the gate runs before any projection: clockwise element 4 is reported
