@@ -1,9 +1,9 @@
 """Global DOF numbering, coupled FE/VE assembly and Dirichlet handling.
 
 Interface nodes (shared by FE and VE elements) receive additive stiffness
-contributions from both sides during standard triplet assembly, which
-realizes the coupled block system directly: FE-interior dofs never share a
-stored entry with VE-interior dofs because no single element contains both.
+contributions from both sides in one pattern assembly, which realizes the
+coupled block system directly: FE-interior dofs never share a stored entry
+with VE-interior dofs because no single element contains both.
 
 Both kinds run batched: one kernel call per block of elements of one kind
 and vertex count (``Mesh.element_blocks``), through the batched Q4 kernels
@@ -20,6 +20,8 @@ loop.  No triplet is sorted and no COO matrix is built.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,13 +33,25 @@ from .materials import MaterialProps, gather_materials
 from .mesh import Mesh, require_valid
 
 
+def _bc_value(value, what: str, free: bool = False) -> float | None:
+    """The one rule for a boundary value: a finite real, or None (free) where ``free``."""
+    if value is None and free:
+        return None
+    try:
+        if isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:       # an int beyond the float range
+        pass
+    raise AssemblyError(f"{what} must be a finite number, got {value!r}")
+
+
 @dataclass
 class BoundaryConditionSet:
     """Node-resolved boundary data for one problem.
 
     ``dirichlet_u`` maps node -> (ux, uy) where either component may be None
     (free).  Edge loads keep their end nodes so the integration can use the
-    exact edge geometry.
+    exact edge geometry.  The methods admit each value through ``_bc_value``.
     """
 
     dirichlet_T: dict[int, float] = field(default_factory=dict)
@@ -46,25 +60,30 @@ class BoundaryConditionSet:
     traction_edges: list[tuple[int, int, tuple[float, float]]] = field(default_factory=list)
 
     def set_temperature(self, node: int, value: float) -> None:
-        if node in self.dirichlet_T and self.dirichlet_T[node] != value:
+        value = _bc_value(value, f"temperature at node {node}")
+        if self.dirichlet_T.get(node, value) != value:
             raise AssemblyError(
                 f"conflicting temperature prescriptions at node {node}: "
                 f"{self.dirichlet_T[node]} vs {value}")
         self.dirichlet_T[node] = value
 
     def set_displacement(self, node: int, ux: float | None, uy: float | None) -> None:
-        old = self.dirichlet_u.get(node)
-        if old is not None:
-            merged = []
-            for k, (a, b) in enumerate(zip(old, (ux, uy))):
-                if a is not None and b is not None and a != b:
-                    raise AssemblyError(
-                        f"conflicting displacement prescriptions at node {node} "
-                        f"component {k}: {a} vs {b}")
-                merged.append(a if a is not None else b)
-            self.dirichlet_u[node] = (merged[0], merged[1])
-        else:
-            self.dirichlet_u[node] = (ux, uy)
+        new = [_bc_value(v, f"displacement {c} at node {node}", free=True)
+               for c, v in (("ux", ux), ("uy", uy))]
+        old = self.dirichlet_u.get(node, (None, None))
+        for k, (a, b) in enumerate(zip(old, new)):
+            if a is not None and b is not None and a != b:
+                raise AssemblyError(
+                    f"conflicting displacement prescriptions at node {node} "
+                    f"component {k}: {a} vs {b}")
+        self.dirichlet_u[node] = tuple(b if a is None else a for a, b in zip(old, new))
+
+    def add_flux(self, a: int, b: int, q: float) -> None:
+        self.flux_edges.append((a, b, _bc_value(q, f"flux on edge ({a},{b})")))
+
+    def add_traction(self, a: int, b: int, t: tuple[float, float]) -> None:
+        tx, ty = (_bc_value(v, f"traction on edge ({a},{b})") for v in t)
+        self.traction_edges.append((a, b, (tx, ty)))
 
     @property
     def has_thermal(self) -> bool:
@@ -107,9 +126,6 @@ class DofMap:
         if self.dofs_per_node == 1:
             return verts
         return (2 * verts[..., None] + np.arange(2)).reshape(verts.shape[:-1] + (-1,))
-
-    def dofs_in_class(self, cls: str) -> np.ndarray:
-        return np.where(self.classes == cls)[0]
 
     def elimination_order(self, free: np.ndarray) -> np.ndarray:
         """Positions in ``free`` in the order the direct solve eliminates them.
@@ -219,9 +235,18 @@ def _scatter(mesh: Mesh, dof_map: DofMap,
     return sp.bsr_matrix((data, indices, indptr), shape=(dof_map.ndof, dof_map.ndof)).tocsr()
 
 
-def _check_node(node: int, n_nodes: int, what: str) -> None:
-    if node < 0 or node >= n_nodes:
-        raise AssemblyError(f"{what} references node {node} outside 0..{n_nodes - 1}")
+def _dirichlet_dofs(bcs: BoundaryConditionSet, dof_map: DofMap) -> dict[int, float]:
+    """The field's prescribed values as dof -> value, once all four kinds name only mesh nodes."""
+    n = dof_map.n_nodes
+    edge_nodes = (v for a, b, _ in bcs.flux_edges + bcs.traction_edges for v in (a, b))
+    for node in (*bcs.dirichlet_T, *bcs.dirichlet_u, *edge_nodes):
+        if not (isinstance(node, numbers.Integral) and 0 <= node < n):
+            raise AssemblyError(f"boundary condition references node {node!r}, "
+                                f"not an integer in 0..{n - 1}")
+    if dof_map.dofs_per_node == 1:
+        return dict(bcs.dirichlet_T)
+    return {2 * node + k: value for node, pair in bcs.dirichlet_u.items()
+            for k, value in enumerate(pair) if value is not None}
 
 
 def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
@@ -230,6 +255,7 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
     """Coupled thermal system: FE quads and VE polygons into one matrix."""
     require_valid(mesh, materials)
     dof_map = build_dof_map(mesh, "thermal")
+    dirichlet = _dirichlet_dofs(bcs, dof_map)
     rhs = np.zeros(dof_map.ndof)
 
     def element_matrices(is_fe, pos, verts):
@@ -244,16 +270,9 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
               for is_fe, pos, verts in mesh.element_blocks()]
 
     for (a, b, q_bar) in bcs.flux_edges:
-        _check_node(a, mesh.n_nodes, "flux edge")
-        _check_node(b, mesh.n_nodes, "flux edge")
         fe = fem.flux_load_edge(mesh.coords[a], mesh.coords[b], q_bar)
         rhs[a] += fe[0]
         rhs[b] += fe[1]
-
-    dirichlet: dict[int, float] = {}
-    for node, value in bcs.dirichlet_T.items():
-        _check_node(node, mesh.n_nodes, "Dirichlet temperature")
-        dirichlet[node] = value
 
     matrix = _scatter(mesh, dof_map, blocks)
     return SparseSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, dirichlet=dirichlet)
@@ -270,6 +289,7 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     """
     require_valid(mesh, materials)
     dof_map = build_dof_map(mesh, "mechanical")
+    dirichlet = _dirichlet_dofs(bcs, dof_map)
     rhs = np.zeros(dof_map.ndof)
 
     def element_contributions(is_fe, pos, verts):
@@ -292,18 +312,8 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     matrix = _scatter(mesh, dof_map, [(pos, verts, ke) for pos, verts, ke, _ in blocks])
 
     for (a, b, t_bar) in bcs.traction_edges:
-        _check_node(a, mesh.n_nodes, "traction edge")
-        _check_node(b, mesh.n_nodes, "traction edge")
         fe = fem.traction_load_edge(mesh.coords[a], mesh.coords[b], t_bar)
         np.add.at(rhs, dof_map.element_dofs((a, b)), fe)
-
-    dirichlet: dict[int, float] = {}
-    for node, (ux, uy) in bcs.dirichlet_u.items():
-        _check_node(node, mesh.n_nodes, "Dirichlet displacement")
-        if ux is not None:
-            dirichlet[2 * node] = ux
-        if uy is not None:
-            dirichlet[2 * node + 1] = uy
 
     return SparseSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, dirichlet=dirichlet)
 
@@ -318,10 +328,6 @@ def apply_dirichlet(system: SparseSystem, elimination_order: bool = False) -> Re
     """
     constraints = system.dirichlet
     ndof = system.dof_map.ndof
-    for dof in constraints:
-        if dof < 0 or dof >= ndof:
-            raise AssemblyError(f"constraint on dof {dof} outside 0..{ndof - 1}")
-
     prescribed = np.zeros(ndof)
     mask = np.zeros(ndof, dtype=bool)
     for dof, value in constraints.items():

@@ -456,10 +456,10 @@ def interface_average(points, values) -> float:
     return float(np.dot(0.5 * (values[1:] + values[:-1]), lengths)) / total
 
 
-def run_sandwich_study(case: "SandwichCase | None" = None) -> SandwichStudy:
+def run_sandwich_study() -> SandwichStudy:
     """Per-side interface peaks for the coupled ladder, and the pure-FE ladder
     up to the gate level (finer FE levels are not solved)."""
-    case = case or _sandwich_case()
+    case = _sandwich_case()
 
     def interface(level, method):
         mesh, _, stresses, _ = solve_case(case, level, method)

@@ -68,18 +68,19 @@ def cmd_run(config_path: str) -> int:
         return _fail(EXIT_SOLVER, str(exc))
 
     try:
+        probes = [post.line_probe(mesh, cfg.materials, fields, stresses, p.p0, p.p1, p.quantity,
+                                  p.n_samples, name=p.name) for p in cfg.probes]
+    except FevecError as exc:
+        return _fail(EXIT_VALIDATION, f"probe failed: {exc}")
+
+    try:
         os.makedirs(cfg.output_dir, exist_ok=True)
         post.export_fields(mesh, fields, stresses, os.path.join(cfg.output_dir, "fields.vtk"))
-        for spec in cfg.probes:
-            probe = post.line_probe(mesh, cfg.materials, fields, stresses,
-                                    spec.p0, spec.p1, spec.quantity,
-                                    spec.n_samples, name=spec.name)
-            post.write_probe_csv(probe, os.path.join(cfg.output_dir, f"probe_{spec.name}.csv"))
+        for probe in probes:
+            post.write_probe_csv(probe, os.path.join(cfg.output_dir, f"probe_{probe.name}.csv"))
         _write_provenance(cfg, mesh, os.path.join(cfg.output_dir, "provenance.txt"))
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))
-    except FevecError as exc:
-        return _fail(EXIT_VALIDATION, f"probe failed: {exc}")
     print(f"run complete: outputs in {cfg.output_dir}")
     return EXIT_OK
 
@@ -112,7 +113,7 @@ def cmd_bench(which: str, out_dir: str) -> int:
                 reports.extend(case_reports)
                 extra.extend(benchmod.evaluate_expected(case, case_reports))
             elif case.name == "sandwich":
-                study = benchmod.run_sandwich_study(case)
+                study = benchmod.run_sandwich_study()
                 extra.append(
                     f"sandwich: substrate-side peaks {['%.1f' % p for p in study.copper_peaks]} MPa, "
                     f"interconnect-side {['%.1f' % p for p in study.silver_peaks]} MPa; "

@@ -46,14 +46,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BoundaryConditionSet
-from .errors import AssemblyError, ParseError, SolverError
+from .assembly import BoundaryConditionSet, _bc_value
+from .errors import AssemblyError, FevecError, ParseError, SolverError
 from .materials import MaterialProps, Plane, table_material
 from .mesh import (Mesh, generate_fcbga, generate_igbt, generate_plate_with_hole,
                    generate_quarter_annulus, generate_sandwich,
                    generate_split_square, generate_structured_quads, load_mesh, require_valid,
                    ElementKind)
-from .post import NODAL_QUANTITIES, STRESS_QUANTITIES
+from .post import check_probe
 from .solver import SolveOptions
 
 # name -> (callable, ordered (param, converter) pairs); optional params carry defaults
@@ -82,7 +82,16 @@ GENERATORS = {
 @dataclass(frozen=True)
 class BcSpec:
     kind: str                   # dirichlet_T | flux | dirichlet_u | traction
-    values: tuple
+    values: tuple               # 1 value, or 2 (x, y); only dirichlet_u takes None (free)
+
+    def __post_init__(self):
+        n = {"dirichlet_T": 1, "flux": 1, "dirichlet_u": 2, "traction": 2}.get(self.kind)
+        if n is None:
+            raise AssemblyError(f"unknown bc kind '{self.kind}'")
+        if len(self.values) != n:
+            raise AssemblyError(f"{self.kind} takes {n} value(s), got {len(self.values)}")
+        for v in self.values:
+            _bc_value(v, self.kind, free=self.kind == "dirichlet_u")
 
 
 @dataclass
@@ -224,21 +233,12 @@ def _parse_material(kv, path) -> MaterialProps:
 def _parse_bc(records, path) -> BcSpec:
     if len(records) != 1:
         raise ParseError("each [bc] section defines exactly one condition", path)
-    lineno, tok = records[0]
-    kind = tok[0]
+    lineno, (kind, *tok) = records[0]
     try:
-        if kind in ("dirichlet_T", "flux"):
-            return BcSpec(kind, (float(tok[1]),))
-        if kind == "dirichlet_u":
-            vals = tuple(None if t == "free" else float(t) for t in tok[1:3])
-            if len(vals) != 2:
-                raise ValueError("dirichlet_u needs two components")
-            return BcSpec(kind, vals)
-        if kind == "traction":
-            return BcSpec(kind, (float(tok[1]), float(tok[2])))
-    except (ValueError, IndexError) as exc:
+        return BcSpec(kind, tuple(None if t == "free" and kind == "dirichlet_u" else float(t)
+                                  for t in tok))
+    except (ValueError, AssemblyError) as exc:
         raise ParseError(f"bad bc record: {exc}", path, lineno) from exc
-    raise ParseError(f"unknown bc kind '{kind}'", path, lineno)
 
 
 def _parse_solver(kv, path) -> SolverSpec:
@@ -256,17 +256,11 @@ def _parse_probe(name, kv, path) -> ProbeSpec:
             p0=(float(kv["x0"][0]), float(kv["y0"][0])),
             p1=(float(kv["x1"][0]), float(kv["y1"][0])),
             n_samples=int(kv.get("n_samples", ["50"])[0]))
+        check_probe(spec.p0, spec.p1, spec.quantity, spec.n_samples)
     except KeyError as exc:
         raise ParseError(f"probe '{name}' missing key {exc}", path) from exc
-    except ValueError as exc:
-        raise ParseError(f"bad probe value: {exc}", path) from exc
-    known = NODAL_QUANTITIES + STRESS_QUANTITIES
-    if spec.quantity not in known:
-        raise ParseError(f"probe '{name}': unknown quantity '{spec.quantity}' "
-                         f"(known: {', '.join(known)})", path)
-    if spec.n_samples < 2:
-        raise ParseError(f"probe '{name}': n_samples must be at least 2, "
-                         f"got {spec.n_samples}", path)
+    except (ValueError, FevecError) as exc:
+        raise ParseError(f"bad value in probe '{name}': {exc}", path) from exc
     return spec
 
 
@@ -301,12 +295,10 @@ def resolve_bcs(mesh: Mesh, specs: Iterable[tuple[str, BcSpec]]) -> BoundaryCond
         if label not in labels:
             raise AssemblyError(f"bc label '{label}' not present in the mesh "
                                 f"(known labels: {sorted(labels)})")
-        if spec.kind == "dirichlet_T":
+        if spec.kind in ("dirichlet_T", "dirichlet_u"):
+            prescribe = bcs.set_temperature if spec.kind == "dirichlet_T" else bcs.set_displacement
             for n in mesh.nodes_with_label(label):
-                bcs.set_temperature(n, spec.values[0])
-        elif spec.kind == "dirichlet_u":
-            for n in mesh.nodes_with_label(label):
-                bcs.set_displacement(n, spec.values[0], spec.values[1])
+                prescribe(n, *spec.values)
         else:   # flux or traction: true boundary edges only
             edges = mesh.edges_with_label(label)
             # An edge of no element (index -1) reads the appended count 0.
@@ -314,11 +306,10 @@ def resolve_bcs(mesh: Mesh, specs: Iterable[tuple[str, BcSpec]]) -> BoundaryCond
             if (counts != 1).any():
                 a, b = edges[int(np.argmax(counts != 1))]
                 raise AssemblyError(f"{spec.kind} label '{label}' sits on interior edge ({a},{b})")
-            if spec.kind == "flux":
-                bcs.flux_edges.extend((a, b, spec.values[0]) for a, b in edges)
-            else:
-                traction = (spec.values[0], spec.values[1])
-                bcs.traction_edges.extend((a, b, traction) for a, b in edges)
+            add, value = ((bcs.add_flux, spec.values[0]) if spec.kind == "flux"
+                          else (bcs.add_traction, spec.values))
+            for a, b in edges:
+                add(a, b, value)
     return bcs
 
 

@@ -12,6 +12,7 @@ table.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -394,6 +395,22 @@ class LineProbe:
     inside: np.ndarray    # (m,) bool
 
 
+def check_probe(p0, p1, quantity: str, n_samples: int) -> None:
+    """The one rule for a probe request; FevecError unless ``line_probe`` can sample it."""
+    known = NODAL_QUANTITIES + STRESS_QUANTITIES
+    if quantity not in known:
+        raise FevecError(f"unknown quantity '{quantity}' (known: {', '.join(known)})")
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 2):
+        raise FevecError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
+    try:
+        ends = np.array([p0, p1], dtype=float)
+        finite = ends.shape == (2, 2) and bool(np.isfinite(ends).all())
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise FevecError(f"end points must be two finite (x, y) points, got {p0!r} and {p1!r}")
+
+
 def line_probe(mesh: Mesh, materials: dict[int, MaterialProps],
                solution: SolutionFields, stresses: list[ElementStress] | None,
                p0: tuple[float, float], p1: tuple[float, float],
@@ -404,10 +421,11 @@ def line_probe(mesh: Mesh, materials: dict[int, MaterialProps],
     each sampled just before and just after the crossing so interface
     discontinuities in stress stay visible.
     """
+    check_probe(p0, p1, quantity, n_samples)
     evaluator = FieldEvaluator(mesh, materials, solution, stresses)
     a = np.asarray(p0, dtype=float)
     b = np.asarray(p1, dtype=float)
-    params = set(np.linspace(0.0, 1.0, max(n_samples, 2)).tolist())
+    params = set(np.linspace(0.0, 1.0, n_samples).tolist())
     eps = 1e-9
     for s in _edge_crossings(mesh, a, b):
         for cand in (s - eps, s, s + eps):

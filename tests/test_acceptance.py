@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from fevec import bench, post
-from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
+from fevec.assembly import (DOF_INTERFACE, BoundaryConditionSet, assemble_mechanical,
+                            assemble_thermal)
 from fevec.cli import main as cli_main
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_split_square
@@ -203,7 +204,7 @@ def test_criterion_6_coupled_block_structure():
                     dofs = np.array([2 * v + k for v in e.vertices for k in (0, 1)])
                 target = k_fe if e.kind == ElementKind.FE_QUAD else k_ve
                 target[np.ix_(dofs, dofs)] += ke
-            iface = system.dof_map.dofs_in_class("I")
+            iface = np.flatnonzero(system.dof_map.classes == DOF_INTERFACE)
             sub = np.ix_(iface, iface)
             full = system.matrix.toarray()
             err = np.abs(full[sub] - (k_fe + k_ve)[sub]).max()

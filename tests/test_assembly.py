@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -88,11 +90,26 @@ class TestAssembleThermal:
         with pytest.raises(AssemblyError, match="99"):
             assemble_thermal(mesh, {0: simple_props()}, bcs)
 
+    @pytest.mark.parametrize("node", [1.5, "3", -1, 4])
+    @pytest.mark.parametrize("kind", ["temperature", "displacement", "flux", "traction"])
+    def test_bad_boundary_node_rejected_by_both_assemblies(self, kind, node):
+        mesh = generate_structured_quads(1, 1, 1, 1)      # nodes 0..3
+        bcs = BoundaryConditionSet()
+        {"temperature": lambda: bcs.set_temperature(node, 1.0),
+         "displacement": lambda: bcs.set_displacement(node, 0.0, None),
+         "flux": lambda: bcs.add_flux(0, node, 1.0),
+         "traction": lambda: bcs.add_traction(node, 1, (1.0, 0.0))}[kind]()
+        mats = {0: simple_props()}
+        for assemble in (lambda: assemble_thermal(mesh, mats, bcs),
+                         lambda: assemble_mechanical(mesh, mats, bcs, None)):
+            with pytest.raises(AssemblyError, match=f"references node {node!r}, not an integer"):
+                assemble()
+
     def test_flux_load_sign(self):
         mesh = generate_structured_quads(1, 1, 1, 1)
         bcs = BoundaryConditionSet()
         for (a, b) in mesh.edges_with_label("top"):
-            bcs.flux_edges.append((a, b, -2.0))   # inward heating
+            bcs.add_flux(a, b, -2.0)   # inward heating
         for n in mesh.nodes_with_label("bottom"):
             bcs.set_temperature(n, 0.0)
         system = assemble_thermal(mesh, {0: simple_props()}, bcs)
@@ -163,7 +180,7 @@ class TestAssembleMechanical:
         mesh = generate_structured_quads(2.0, 1.0, 2, 1)
         bcs = BoundaryConditionSet()
         for (a, b) in mesh.edges_with_label("top"):
-            bcs.traction_edges.append((a, b, (0.0, 5.0)))
+            bcs.add_traction(a, b, (0.0, 5.0))
         system = assemble_mechanical(mesh, {0: simple_props()}, bcs, None)
         # total applied force = traction * loaded length
         assert system.rhs[1::2].sum() == pytest.approx(5.0 * 2.0)
@@ -205,6 +222,38 @@ class TestApplyDirichlet:
         assert bcs.dirichlet_u[3] == (0.0, 1.0)
         with pytest.raises(AssemblyError, match="conflicting"):
             bcs.set_displacement(3, 0.5, None)
+
+    def test_nan_temperature_named_not_conflicting(self):
+        bcs = BoundaryConditionSet()
+        for _ in range(2):
+            with pytest.raises(AssemblyError,
+                               match=r"^temperature at node 0 must be a finite number, got nan$"):
+                bcs.set_temperature(0, math.nan)
+        assert not bcs.dirichlet_T
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda bcs: bcs.set_temperature(0, 1e309), "temperature at node 0"),
+        (lambda bcs: bcs.set_temperature(0, 10 ** 400), "temperature at node 0"),
+        (lambda bcs: bcs.set_temperature(0, None), "temperature at node 0"),
+        (lambda bcs: bcs.set_displacement(2, None, -math.inf), "displacement uy at node 2"),
+        (lambda bcs: bcs.set_displacement(2, "0", None), "displacement ux at node 2"),
+        (lambda bcs: bcs.add_flux(0, 1, math.nan), r"flux on edge \(0,1\)"),
+        (lambda bcs: bcs.add_traction(0, 1, (0.0, math.inf)), r"traction on edge \(0,1\)"),
+    ])
+    def test_non_finite_values_rejected(self, call, what):
+        bcs = BoundaryConditionSet()
+        with pytest.raises(AssemblyError, match=f"^{what} must be a finite number, got "):
+            call(bcs)
+        assert bcs == BoundaryConditionSet()
+
+    def test_values_stored_as_floats(self):
+        bcs = BoundaryConditionSet()
+        bcs.set_temperature(0, np.int64(3))
+        bcs.set_displacement(1, 0, None)
+        bcs.add_traction(0, 1, (np.float32(0.5), 2))
+        assert bcs.dirichlet_T == {0: 3.0} and type(bcs.dirichlet_T[0]) is float
+        assert bcs.dirichlet_u == {1: (0.0, None)}
+        assert bcs.traction_edges == [(0, 1, (0.5, 2.0))]
 
     def test_symmetry_preserved(self):
         mesh = generate_split_square(2.0, 1.0, 4, 2)

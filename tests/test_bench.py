@@ -270,7 +270,7 @@ class TestReports:
                     # loaded pure-Neumann problem: singular and inconsistent
                     bcs.dirichlet_T.clear()
                     a, b = mesh.edges_with_label("inner")[0]
-                    bcs.flux_edges.append((a, b, -1.0))
+                    bcs.add_flux(a, b, -1.0)
                 return bcs
 
         flaky = Flaky(name="flaky", levels=[0, 1],

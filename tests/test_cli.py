@@ -123,6 +123,11 @@ class TestRun:
          "quantity 'ux'"),
         ("[probe mid]\nquantity temperature", "[solver]\nfields thermal\n\n[probe mid]\nquantity sxx",
          "quantity 'sxx'"),
+        ("dirichlet_T 75", "dirichlet_T nan", "got nan"),
+        ("dirichlet_T 75", "dirichlet_T 1e309", "got inf"),
+        ("dirichlet_u 0 0", "dirichlet_u 0 inf", "got inf"),
+        ("dirichlet_T 75", "flux nan", "flux must be a finite number"),
+        ("x1 2", "x1 nan", "end points"),
     ])
     def test_bad_config_value_exit_3(self, tmp_path, capsys, old, new, key):
         text = RUN_CFG.format(out=tmp_path / "o").replace(old, new)
@@ -184,7 +189,8 @@ class TestRun:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         assert main(["run", str(cfg)]) == 1
-        assert "probe" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error:1: probe failed:")
+        assert not (tmp_path / "o").exists()    # no fields.vtk written before the probe
 
     def test_mesh_without_elements_exit_1(self, tmp_path, capsys):
         mesh = tmp_path / "m.txt"

@@ -121,6 +121,25 @@ class TestParse:
         with pytest.raises(ParseError, match=f"unknown key '{key}'"):
             configmod.parse_config(MINIMAL.replace(old, new))
 
+    @pytest.mark.parametrize("record, text", [
+        ("dirichlet_T 0 5", "dirichlet_T takes 1 value"),
+        ("dirichlet_T free", "could not convert string to float: 'free'"),
+        ("dirichlet_u 0", r"dirichlet_u takes 2 value\(s\), got 1"),
+        ("traction 1 -inf", "traction must be a finite number, got -inf"),
+        ("heat 5", "unknown bc kind 'heat'"),
+    ])
+    def test_bad_bc_record_names_its_line(self, record, text):
+        cfg = "[mesh]\ngenerator structured_quads\n[bc top]\n" + record + "\n"
+        with pytest.raises(ParseError, match=f"^<config>:4: bad bc record: {text}"):
+            configmod.parse_config(cfg)
+
+    @pytest.mark.parametrize("kind, values", [
+        ("bogus", (1.0,)), ("dirichlet_T", (1.0, 2.0)), ("flux", (float("nan"),)),
+        ("traction", (1.0, None)), ("dirichlet_u", (None, float("inf")))])
+    def test_malformed_bc_spec_rejected(self, kind, values):
+        with pytest.raises(AssemblyError):
+            configmod.BcSpec(kind, values)
+
     def test_solver_spec_is_the_solve_options(self):
         from fevec.solver import SolveOptions
         spec = configmod.parse_config(MINIMAL).solver

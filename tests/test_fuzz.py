@@ -2,11 +2,14 @@
 
 Each input is a shipped config or a small mesh file with a few tokens
 dropped, duplicated, swapped or replaced by a hostile value.  Whatever the
-mutation, ``load_mesh``, ``parse_config`` and ``build_mesh`` must either
-succeed or raise a typed ``ParseError``/``MeshError``.  The draws are seeded
+mutation, ``load_mesh`` must either succeed or raise a typed
+``ParseError``/``MeshError``; ``parse_config``, ``build_mesh`` and
+``build_bcs`` may also raise ``AssemblyError``, and a boundary value that is
+not finite must already be a ``ParseError``.  The draws are seeded
 (``derandomize``), so a failure reproduces.
 """
 
+import math
 import pathlib
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fevec import config as configmod
-from fevec.errors import MeshError, ParseError
+from fevec.errors import AssemblyError, MeshError, ParseError
 from fevec.mesh import generate_split_square, load_mesh, mesh_text
 
 CONFIGS = sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
@@ -75,8 +78,13 @@ def test_mutated_config(scratch, path):
     @given(text=mutated(path.read_text()))
     def run(text):
         try:
-            configmod.build_mesh(capped(configmod.parse_config(text, str(path))), str(scratch))
-        except (ParseError, MeshError):
+            cfg = capped(configmod.parse_config(text, str(path)))
+        except ParseError:
+            return
+        assert all(v is None or math.isfinite(v) for _, spec in cfg.bcs for v in spec.values)
+        try:
+            configmod.build_bcs(cfg, configmod.build_mesh(cfg, str(scratch)))
+        except (ParseError, MeshError, AssemblyError):
             pass
 
     run()

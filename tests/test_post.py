@@ -186,6 +186,21 @@ class TestLineProbe:
             post.line_probe(mesh, mats, fields, stresses,
                             (10.0, 10.0), (11.0, 11.0), "temperature", 5)
 
+    @pytest.mark.parametrize("p0, p1, quantity, n_samples, match", [
+        ((0.1, 0.5), (1.9, 0.5), "temperature", -7, "n_samples must be an integer of at least 2"),
+        ((0.1, 0.5), (1.9, 0.5), "temperature", 1, "n_samples"),
+        ((0.1, 0.5), (1.9, 0.5), "temperature", 5.0, "n_samples"),
+        ((0.1, 0.5), (1.9, 0.5), "bogus", 5, "unknown quantity 'bogus'"),
+        ((0.1, math.nan), (1.9, 0.5), "temperature", 5, "end points"),
+        ((0.1, 0.5), (math.inf, 0.5), "temperature", 5, "end points"),
+        ((0.1, 0.5, 0.0), (1.9, 0.5), "temperature", 5, "end points"),
+        (("a", 0.5), (1.9, 0.5), "temperature", 5, "end points"),
+    ])
+    def test_bad_request_rejected(self, p0, p1, quantity, n_samples, match):
+        mesh, mats, fields, stresses = self.setup_fields()
+        with pytest.raises(FevecError, match=match):
+            post.line_probe(mesh, mats, fields, stresses, p0, p1, quantity, n_samples)
+
     def test_locates_points_in_nonconvex_elements(self):
         # L-shaped VE element: the concave notch must not locate
         from fevec.mesh import ElementKind, Mesh

@@ -77,7 +77,7 @@ class TestPipeline:
         for n in mesh.nodes_with_label("right"):
             bcs.set_temperature(n, 125.0)
         for (a, b) in mesh.edges_with_label("right"):
-            bcs.traction_edges.append((a, b, (2.0, 0.0)))
+            bcs.add_traction(a, b, (2.0, 0.0))
         return mesh, {0: props()}, bcs
 
     def test_uniform_reference_temperature_no_motion(self):
