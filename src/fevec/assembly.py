@@ -51,13 +51,27 @@ class BoundaryConditionSet:
 
     ``dirichlet_u`` maps node -> (ux, uy) where either component may be None
     (free).  Edge loads keep their end nodes so the integration can use the
-    exact edge geometry.  The methods admit each value through ``_bc_value``.
+    exact edge geometry.  The methods admit each value through ``_bc_value``;
+    data given to the constructor passes through them too.
     """
 
     dirichlet_T: dict[int, float] = field(default_factory=dict)
     flux_edges: list[tuple[int, int, float]] = field(default_factory=list)
     dirichlet_u: dict[int, tuple[float | None, float | None]] = field(default_factory=dict)
     traction_edges: list[tuple[int, int, tuple[float, float]]] = field(default_factory=list)
+
+    def __post_init__(self):
+        given = self.dirichlet_T, self.flux_edges, self.dirichlet_u, self.traction_edges
+        self.dirichlet_T, self.flux_edges, self.dirichlet_u, self.traction_edges = {}, [], {}, []
+        temperatures, fluxes, displacements, tractions = given
+        for node, value in temperatures.items():
+            self.set_temperature(node, value)
+        for a, b, q in fluxes:
+            self.add_flux(a, b, q)
+        for node, pair in displacements.items():
+            self.set_displacement(node, *pair)
+        for a, b, t in tractions:
+            self.add_traction(a, b, t)
 
     def set_temperature(self, node: int, value: float) -> None:
         value = _bc_value(value, f"temperature at node {node}")
@@ -82,27 +96,26 @@ class BoundaryConditionSet:
         self.flux_edges.append((a, b, _bc_value(q, f"flux on edge ({a},{b})")))
 
     def add_traction(self, a: int, b: int, t: tuple[float, float]) -> None:
-        tx, ty = (_bc_value(v, f"traction on edge ({a},{b})") for v in t)
-        self.traction_edges.append((a, b, (tx, ty)))
+        what = f"traction on edge ({a},{b})"
+        try:
+            tx, ty = t
+        except (TypeError, ValueError):
+            raise AssemblyError(f"{what} must be a pair (tx, ty), got {t!r}") from None
+        self.traction_edges.append((a, b, (_bc_value(tx, what), _bc_value(ty, what))))
 
     @property
     def has_thermal(self) -> bool:
         return bool(self.dirichlet_T) or bool(self.flux_edges)
 
 
-DOF_FE_INTERIOR = "F"
-DOF_INTERFACE = "I"
-DOF_VE_INTERIOR = "V"
-
 DOFS_PER_NODE = {"thermal": 1, "mechanical": 2}
 
 
 @dataclass
 class DofMap:
-    """Node-to-global-dof numbering of a mesh with F/I/V classification per dof."""
+    """Node-to-global-dof numbering of a mesh."""
 
     field_kind: str              # "thermal" | "mechanical"
-    classes: np.ndarray          # (ndof,) of 'F'/'I'/'V'
     mesh: Mesh = field(repr=False, compare=False)
 
     @property
@@ -141,16 +154,7 @@ class DofMap:
 def build_dof_map(mesh: Mesh, field_kind: str) -> DofMap:
     if field_kind not in DOFS_PER_NODE:
         raise AssemblyError(f"unknown field kind '{field_kind}'")
-
-    touches_fe = np.zeros(mesh.n_nodes, dtype=bool)
-    for is_fe, _, verts in mesh.element_blocks():
-        if is_fe:
-            touches_fe[verts] = True
-    node_class = np.full(mesh.n_nodes, DOF_VE_INTERIOR, dtype="U1")
-    node_class[touches_fe] = DOF_FE_INTERIOR
-    node_class[sorted(mesh.interface_nodes)] = DOF_INTERFACE
-    classes = np.repeat(node_class, DOFS_PER_NODE[field_kind])
-    return DofMap(field_kind=field_kind, classes=classes, mesh=mesh)
+    return DofMap(field_kind=field_kind, mesh=mesh)
 
 
 @dataclass

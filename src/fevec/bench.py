@@ -1,6 +1,8 @@
 """Analytic oracles, benchmark case definitions and the convergence harness.
 
-Five built-in cases at desk scale:
+Each built-in case is one class that declares its name, levels, materials,
+BC specs and solved fields; its ``study()`` runs the case and returns its
+convergence reports and summary lines.  Five built-in cases at desk scale:
 
 * ``plate``    -- quarter plate with a circular hole under edge tension;
                   convergence of the interface-circle von Mises MRE against
@@ -24,9 +26,11 @@ docstrings); their acceptance is qualitative by design.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .config import BcSpec, resolve_bcs
 from .errors import FevecError, SolverError
 from .materials import MaterialProps, Plane, gather_materials, table_material
 from .mesh import ElementKind, Mesh, polygon_stack, require_valid
-from .solver import SolutionFields, run_pipeline
+from .solver import SolutionFields, SolveOptions, run_pipeline
 
 METHODS = ("coupled", "fe", "ve")
 
@@ -62,14 +66,6 @@ def fit_slope(ndofs, errors) -> float:
         raise FevecError("need at least two refinements to fit a slope")
     coeffs = np.polyfit(np.log(ndofs), np.log(errors), 1)
     return -float(coeffs[0])
-
-
-@dataclass(frozen=True)
-class ExpectedMetric:
-    name: str
-    low: float | None
-    high: float | None
-    provenance: str
 
 
 @dataclass
@@ -98,18 +94,15 @@ class ConvergenceReport:
         return self
 
 
-@dataclass
 class BenchmarkCase:
-    """One benchmark: geometry family, physics and its error metric."""
+    """One built-in case; an instance or a subclass may override any read-only table."""
 
     name: str
-    levels: list[int]
-    materials: dict[int, MaterialProps]
-    metric: str                      # 'rms_temperature' | 'mre_interface_vm' | 'property'
-    thermal_only: bool = False
-    expected: list[ExpectedMetric] = field(default_factory=list)
+    levels: tuple[int, ...]
+    materials: Mapping[int, MaterialProps]
     # (label, BcSpec) pairs in the run-config vocabulary, resolved in order
-    bc_specs: ClassVar[tuple[tuple[str, BcSpec], ...]]
+    bc_specs: tuple[tuple[str, BcSpec], ...]
+    fields = "both"             # SolveOptions.fields
 
     def build_mesh(self, level: int, method: str) -> Mesh:
         raise NotImplementedError
@@ -117,6 +110,37 @@ class BenchmarkCase:
     def make_bcs(self, mesh: Mesh) -> BoundaryConditionSet:
         """The case's BCs on ``mesh``; an absent label raises AssemblyError."""
         return resolve_bcs(mesh, self.bc_specs)
+
+    def study(self) -> tuple[list[ConvergenceReport], list[str]]:
+        """Run the case: its convergence reports and its summary lines."""
+        raise NotImplementedError
+
+
+class ConvergenceCase(BenchmarkCase):
+    """A case judged by how its error falls over ``levels``, for every method."""
+
+    # method -> (low, high or None, provenance) bounds on the fitted slope
+    expected: Mapping[str, tuple[float, float | None, str]]
+
+    def error(self, mesh, fields, stresses, level: int, method: str) -> float:
+        """The error of one solved level; ``run_convergence`` fits its slope."""
+        raise NotImplementedError
+
+    def study(self) -> tuple[list[ConvergenceReport], list[str]]:
+        reports = [run_convergence(self, method) for method in METHODS]
+        return reports, evaluate_expected(self, reports)
+
+
+class PropertyCase(BenchmarkCase):
+    """A packaging cross-section accepted by properties of one coupled solve."""
+
+    def study(self) -> tuple[list[ConvergenceReport], list[str]]:
+        res = run_property_case(self)
+        return [], [f"{res.case}: ndof {res.ndof}, max T {res.max_temperature:.1f} C, "
+                    f"max von Mises {res.max_von_mises:.1f} MPa, "
+                    f"peak at material interface: {res.peak_element_at_interface}, "
+                    f"interface continuity {res.interface_continuity:.2e}, "
+                    f"kernel invariants ok: {res.kernel_invariants_ok}"]
 
 
 # ---------------------------------------------------------------------------
@@ -129,31 +153,30 @@ CYL_SPLIT = 40.0
 CYL_LEVELS = [(15, 30), (30, 60), (60, 120), (120, 240)]
 
 
-class CylinderCase(BenchmarkCase):
+class CylinderCase(ConvergenceCase):
+    name = "cylinder"
+    levels = (0, 1, 2, 3)
+    materials = MappingProxyType({0: table_material(460000.0, 0.3, 20.0, 7.4e-6, 0.0, Plane.STRESS)})
     # symmetry rollers on the cuts so the full pipeline is well posed
     bc_specs = (("inner", BcSpec("dirichlet_T", (CYL_TA,))),
                 ("outer", BcSpec("dirichlet_T", (CYL_TB,))),
                 ("theta0", BcSpec("dirichlet_u", (None, 0.0))),
                 ("theta90", BcSpec("dirichlet_u", (0.0, None))))
+    fields = "thermal"
+    expected = MappingProxyType({"coupled": (0.90, None, "reference rate 1.01"),
+                                 "fe": (0.85, None, "reference rate 0.92"),
+                                 "ve": (0.90, None, "reference rate 1.02")})
 
     def build_mesh(self, level: int, method: str) -> Mesh:
         n_r, n_t = CYL_LEVELS[level]
         split = {"coupled": CYL_SPLIT, "fe": CYL_RA, "ve": CYL_RB}[method]
         return meshmod.generate_quarter_annulus(CYL_RA, CYL_RB, n_r, n_t, split)
 
-
-def _cylinder_case() -> CylinderCase:
-    return CylinderCase(
-        name="cylinder",
-        levels=[0, 1, 2, 3],
-        materials={0: table_material(460000.0, 0.3, 20.0, 7.4e-6, 0.0, Plane.STRESS)},
-        metric="rms_temperature",
-        thermal_only=True,
-        expected=[
-            ExpectedMetric("slope_coupled", 0.90, None, "reference rate 1.01"),
-            ExpectedMetric("slope_fe", 0.85, None, "reference rate 0.92"),
-            ExpectedMetric("slope_ve", 0.90, None, "reference rate 1.02"),
-        ])
+    def error(self, mesh, fields, stresses, level, method) -> float:
+        """Nodal temperature RMS against the log-radius exact field."""
+        radii = np.hypot(mesh.coords[:, 0], mesh.coords[:, 1])
+        exact = cylinder_exact_temperature(radii, CYL_RA, CYL_RB, CYL_TA, CYL_TB)
+        return post.rms_l2_error(fields.temperature, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +194,18 @@ def _plate_params(n_t: int) -> tuple[int, int]:
     return n_t // 2, n_t       # ring cells, outer cells
 
 
-class PlateCase(BenchmarkCase):
+class PlateCase(ConvergenceCase):
     """Ring cells around the hole are split into simplicial VE polygons so
     the VE region has the irregular character of an unstructured mesh; the
     pure-FE variant (and the reference) keep plain quads."""
 
+    name = "plate"
+    levels = (0, 1, 2)
+    materials = MappingProxyType({0: table_material(10.0, 0.3, 1000.0, 0.0, 25.0, Plane.STRESS)})
     bc_specs = (("bottom", BcSpec("dirichlet_u", (None, 0.0))),
                 ("left", BcSpec("dirichlet_u", (0.0, None))),
                 ("top", BcSpec("traction", (0.0, PLATE_LOAD))))
+    expected = MappingProxyType({"coupled": (0.25, 0.6, "reference rate 0.442")})
 
     def build_mesh(self, level: int, method: str) -> Mesh:
         n_t = PLATE_NT_REF if level < 0 else PLATE_NT[level]
@@ -206,34 +233,42 @@ class PlateCase(BenchmarkCase):
         count = n_ring * n_t * (2 if split_ring else 1)
         return set(range(count))
 
+    @functools.cached_property
+    def reference(self) -> np.ndarray:
+        """Fine pure-FE nodal von Mises on the coupling circle by angle index, solved once.
 
-def _plate_case() -> PlateCase:
-    return PlateCase(
-        name="plate",
-        levels=[0, 1, 2],
-        materials={0: table_material(10.0, 0.3, 1000.0, 0.0, 25.0, Plane.STRESS)},
-        metric="mre_interface_vm",
-        expected=[
-            ExpectedMetric("slope_coupled", 0.25, 0.6, "reference rate 0.442"),
-        ])
+        It averages both sides of the circle (its best available value); the
+        methods report the ring-side value, the per-side convention for interface stress.
+        """
+        mesh, _, stresses, _ = solve_case(self, -1, "fe")
+        nodal = post.nodal_von_mises(mesh, stresses)
+        return nodal[self.interface_circle_nodes(mesh, PLATE_NT_REF)]
+
+    def error(self, mesh, fields, stresses, level, method) -> float:
+        """Ring-side interface-circle von Mises MRE against ``reference``."""
+        n_t = PLATE_NT[level]
+        ids = self.interface_circle_nodes(mesh, n_t)
+        ring = self.ring_element_ids(n_t, split_ring=(method != "fe"))
+        nodal = post.nodal_von_mises(mesh, stresses, element_ids=ring)[ids]
+        return post.mean_relative_error(nodal, self.reference[::PLATE_NT_REF // n_t])
 
 
 # ---------------------------------------------------------------------------
 # Sandwich
 
 
-def _sandwich_materials() -> dict[int, MaterialProps]:
+class SandwichCase(BenchmarkCase):
+    name = "sandwich"
+    levels = (0, 1, 2)
+    fe_levels = (0, 1, 2, 3)     # the pure-FE ladder of the study; the coupled one is levels
     # Plane stress: the benchmark's target interface peaks correspond to
     # plane-stress von Mises of the constrained interface state, not the
     # plane-strain one.
-    return {
+    materials = MappingProxyType({
         meshmod.SANDWICH_CHIP: table_material(410000.0, 0.14, 370.0, 4.5e-6, 25.0, Plane.STRESS),
         meshmod.SANDWICH_SILVER: table_material(12900.0, 0.38, 278.0, 19.0e-6, 25.0, Plane.STRESS),
         meshmod.SANDWICH_COPPER: table_material(110000.0, 0.38, 400.0, 16.5e-6, 25.0, Plane.STRESS),
-    }
-
-
-class SandwichCase(BenchmarkCase):
+    })
     bc_specs = (("top", BcSpec("dirichlet_T", (150.0,))),
                 ("bottom", BcSpec("dirichlet_T", (25.0,))),
                 ("right", BcSpec("dirichlet_u", (0.0, 0.0))))
@@ -252,31 +287,32 @@ class SandwichCase(BenchmarkCase):
         ids = np.flatnonzero((np.abs(y - yi) < 1e-9) & (x0 - 1e-9 <= x) & (x <= x1 + 1e-9))
         return ids[np.argsort(x[ids], kind="stable")].tolist()
 
-
-def _sandwich_case() -> SandwichCase:
-    return SandwichCase(
-        name="sandwich",
-        levels=[0, 1, 2],
-        materials=_sandwich_materials(),
-        metric="property")
+    def study(self) -> tuple[list[ConvergenceReport], list[str]]:
+        study = run_sandwich_study()
+        return [], [
+            f"sandwich: substrate-side peaks {['%.1f' % p for p in study.copper_peaks]} MPa, "
+            f"interconnect-side {['%.1f' % p for p in study.silver_peaks]} MPa; "
+            f"pure-FE interface averages substrate-side "
+            f"{['%.2f' % m for m in study.fe_copper_means]} MPa, "
+            f"interconnect-side {['%.2f' % m for m in study.fe_silver_means]} MPa, "
+            f"FE gate level {study.gate_level}"]
 
 
 # ---------------------------------------------------------------------------
 # FC-BGA and IGBT (property cases)
 
 
-def _fcbga_materials() -> dict[int, MaterialProps]:
-    return {
+class FcbgaCase(PropertyCase):
+    name = "fcbga"
+    levels = (2,)
+    materials = MappingProxyType({
         meshmod.FCBGA_MOLD: table_material(24000.0, 0.25, 2.1, 10e-6, 25.0, Plane.STRAIN),
         meshmod.FCBGA_DIE: table_material(165500.0, 0.25, 119.0, 2.8e-6, 25.0, Plane.STRAIN),
         meshmod.FCBGA_BALL: table_material(11000.0, 0.11, 73.0, 35e-6, 25.0, Plane.STRAIN),
         meshmod.FCBGA_EPOXY: table_material(2600.0, 0.3, 0.188, 90e-6, 25.0, Plane.STRAIN),
         meshmod.FCBGA_BT: table_material(26000.0, 0.19, 14.5, 14e-6, 25.0, Plane.STRAIN),
         meshmod.FCBGA_PCB: table_material(22000.0, 0.28, 6.5, 18e-6, 25.0, Plane.STRAIN),
-    }
-
-
-class FcbgaCase(BenchmarkCase):
+    })
     bc_specs = (("mold_top", BcSpec("dirichlet_T", (50.0,))),
                 ("pcb_bottom", BcSpec("dirichlet_T", (50.0,))),
                 ("die", BcSpec("dirichlet_T", (500.0,))),
@@ -286,7 +322,16 @@ class FcbgaCase(BenchmarkCase):
         return meshmod.generate_fcbga(level)
 
 
-class IgbtCase(BenchmarkCase):
+class IgbtCase(PropertyCase):
+    name = "igbt"
+    levels = (1,)
+    materials = MappingProxyType({
+        meshmod.IGBT_CHIP: table_material(112000.0, 0.22, 148.0, 2.5e-6, 25.0, Plane.STRAIN),
+        meshmod.IGBT_CU: table_material(100000.0, 0.34, 400.0, 16.4e-6, 25.0, Plane.STRAIN),
+        meshmod.IGBT_CERAMIC: table_material(300000.0, 0.22, 20.0, 6.4e-6, 25.0, Plane.STRAIN),
+        meshmod.IGBT_AL: table_material(70600.0, 0.33, 237.0, 21.0e-6, 25.0, Plane.STRAIN),
+        meshmod.IGBT_SOLDER: table_material(10600.0, 0.35, 57.0, 22.4e-6, 25.0, Plane.STRAIN),
+    })
     # 1000 mW/mm^2 of heating = 1 W/mm^2 inward (negative outward flux)
     bc_specs = (("base_bottom", BcSpec("dirichlet_T", (25.0,))),
                 ("base_bottom", BcSpec("dirichlet_u", (0.0, 0.0))),
@@ -296,29 +341,10 @@ class IgbtCase(BenchmarkCase):
         return meshmod.generate_igbt(level)
 
 
-def _igbt_materials() -> dict[int, MaterialProps]:
-    return {
-        meshmod.IGBT_CHIP: table_material(112000.0, 0.22, 148.0, 2.5e-6, 25.0, Plane.STRAIN),
-        meshmod.IGBT_CU: table_material(100000.0, 0.34, 400.0, 16.4e-6, 25.0, Plane.STRAIN),
-        meshmod.IGBT_CERAMIC: table_material(300000.0, 0.22, 20.0, 6.4e-6, 25.0, Plane.STRAIN),
-        meshmod.IGBT_AL: table_material(70600.0, 0.33, 237.0, 21.0e-6, 25.0, Plane.STRAIN),
-        meshmod.IGBT_SOLDER: table_material(10600.0, 0.35, 57.0, 22.4e-6, 25.0, Plane.STRAIN),
-    }
-
-
-def _fcbga_case() -> FcbgaCase:
-    return FcbgaCase(name="fcbga",
-                     levels=[2], materials=_fcbga_materials(), metric="property")
-
-
-def _igbt_case() -> IgbtCase:
-    return IgbtCase(name="igbt",
-                    levels=[1], materials=_igbt_materials(), metric="property")
-
-
 def builtin_cases() -> dict[str, BenchmarkCase]:
-    return {c.name: c for c in (_plate_case(), _cylinder_case(), _sandwich_case(),
-                                _fcbga_case(), _igbt_case())}
+    """A fresh instance of each built-in case, by name, in ``fevec bench all`` order."""
+    return {cls.name: cls() for cls in (PlateCase, CylinderCase, SandwichCase,
+                                        FcbgaCase, IgbtCase)}
 
 
 # ---------------------------------------------------------------------------
@@ -330,59 +356,26 @@ def solve_case(case: BenchmarkCase, level: int, method: str
     """Run one refinement; returns mesh, fields, stresses and dof count."""
     mesh = case.build_mesh(level, method)
     fields = run_pipeline(mesh, case.materials, case.make_bcs(mesh),
-                          mechanical=not case.thermal_only)
+                          SolveOptions(fields=case.fields))
     if fields.displacement is None:
         return mesh, fields, None, mesh.n_nodes
     return mesh, fields, post.recover_stress(mesh, case.materials, fields), 2 * mesh.n_nodes
 
 
-def run_convergence(case: BenchmarkCase, method: str) -> ConvergenceReport:
-    """Run the case's refinement ladder and fit the error slope."""
+def run_convergence(case: ConvergenceCase, method: str) -> ConvergenceReport:
+    """Run the case's refinement ladder and fit the slope of ``case.error``."""
     if method not in METHODS:
         raise FevecError(f"unknown method '{method}' (expected one of {METHODS})")
     report = ConvergenceReport(case=case.name, method=method, records=[])
-    reference = None
-    if case.metric == "mre_interface_vm":
-        reference = _plate_reference(case)
     for level in case.levels:
         try:
             mesh, fields, stresses, ndof = solve_case(case, level, method)
         except SolverError as exc:
             report.aborted = f"level {level}: {exc}"
             break
-        if case.metric == "rms_temperature":
-            radii = np.hypot(mesh.coords[:, 0], mesh.coords[:, 1])
-            exact = cylinder_exact_temperature(radii, CYL_RA, CYL_RB, CYL_TA, CYL_TB)
-            err = post.rms_l2_error(fields.temperature, exact)
-        elif case.metric == "mre_interface_vm":
-            err = _plate_interface_mre(case, mesh, stresses, level, method, reference)
-        else:
-            raise FevecError(f"case '{case.name}' has no convergence metric")
+        err = case.error(mesh, fields, stresses, level, method)
         report.records.append(ConvergenceRecord(level=level, ndof=ndof, error=err))
     return report.finalize()
-
-
-def _plate_reference(case: "PlateCase"):
-    """Fine pure-FE solve; nodal von Mises on the coupling circle by angle index.
-
-    The reference averages both sides of the circle (its best available
-    value); the measured methods report the ring-side value, matching the
-    per-side convention for interface stress.
-    """
-    mesh, fields, stresses, _ = solve_case(case, -1, "fe")
-    nodal = post.nodal_von_mises(mesh, stresses)
-    ids = PlateCase.interface_circle_nodes(mesh, PLATE_NT_REF)
-    return nodal[ids]     # (PLATE_NT_REF + 1,) ordered by angle
-
-
-def _plate_interface_mre(case, mesh, stresses, level, method, reference):
-    n_t = PLATE_NT[level]
-    ids = PlateCase.interface_circle_nodes(mesh, n_t)
-    ring = PlateCase.ring_element_ids(n_t, split_ring=(method != "fe"))
-    nodal = post.nodal_von_mises(mesh, stresses, element_ids=ring)[ids]
-    stride = PLATE_NT_REF // n_t
-    ref = reference[::stride]
-    return post.mean_relative_error(nodal, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +383,6 @@ def _plate_interface_mre(case, mesh, stresses, level, method, reference):
 
 
 GATE_REL_CHANGE = 0.02
-# The pure-FE ladder; the coupled one is the case's levels.
-SANDWICH_FE_LEVELS = (0, 1, 2, 3)
 
 
 @dataclass
@@ -459,7 +450,7 @@ def interface_average(points, values) -> float:
 def run_sandwich_study() -> SandwichStudy:
     """Per-side interface peaks for the coupled ladder, and the pure-FE ladder
     up to the gate level (finer FE levels are not solved)."""
-    case = _sandwich_case()
+    case = SandwichCase()
 
     def interface(level, method):
         mesh, _, stresses, _ = solve_case(case, level, method)
@@ -472,7 +463,7 @@ def run_sandwich_study() -> SandwichStudy:
     coupled = [interface(level, "coupled")[0] for level in case.levels]
     fe_peaks, fe_means = [], []
     gate = None
-    for level in SANDWICH_FE_LEVELS:
+    for level in case.fe_levels:
         peaks, means = interface(level, "fe")
         converged = bool(fe_means) and all(abs(m - prev) / prev < GATE_REL_CHANGE
                                            for m, prev in zip(means, fe_means[-1]))
@@ -484,7 +475,7 @@ def run_sandwich_study() -> SandwichStudy:
     return SandwichStudy(coupled_levels=list(case.levels),
                          copper_peaks=[p[0] for p in coupled],
                          silver_peaks=[p[1] for p in coupled],
-                         fe_levels=list(SANDWICH_FE_LEVELS[:len(fe_peaks)]),
+                         fe_levels=list(case.fe_levels[:len(fe_peaks)]),
                          fe_copper_peaks=[p[0] for p in fe_peaks],
                          fe_silver_peaks=[p[1] for p in fe_peaks],
                          fe_copper_means=[m[0] for m in fe_means],
@@ -597,24 +588,19 @@ def run_property_case(case: BenchmarkCase) -> PropertyRunResult:
 # Reports
 
 
-def evaluate_expected(case: BenchmarkCase,
+def evaluate_expected(case: ConvergenceCase,
                       reports: list[ConvergenceReport]) -> list[str]:
     """Check the case's slope expectations against finished reports."""
     slopes = {rep.method: rep.slope for rep in reports if rep.case == case.name}
     lines = []
-    for metric in case.expected:
-        if not metric.name.startswith("slope_"):
-            continue
-        method = metric.name.removeprefix("slope_")
+    for method, (low, high, provenance) in case.expected.items():
         slope = slopes.get(method)
         if slope is None:
             continue
-        ok = (metric.low is None or slope >= metric.low) and \
-             (metric.high is None or slope <= metric.high)
-        bound = f">= {metric.low}" if metric.high is None else \
-                f"in [{metric.low}, {metric.high}]"
+        ok = slope >= low and (high is None or slope <= high)
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         lines.append(f"{case.name} [{method}]: slope {slope:.3f} expected {bound} "
-                     f"({metric.provenance}): {'ok' if ok else 'MISS'}")
+                     f"({provenance}): {'ok' if ok else 'MISS'}")
     return lines
 
 

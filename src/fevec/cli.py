@@ -59,8 +59,7 @@ def cmd_run(config_path: str) -> int:
         return _fail(EXIT_VALIDATION, str(exc))
 
     try:
-        fields = run_pipeline(mesh, cfg.materials, bcs, cfg.solver,
-                              mechanical=(cfg.solver.fields == "both"))
+        fields = run_pipeline(mesh, cfg.materials, bcs, cfg.solver)
         stresses = None
         if fields.displacement is not None:
             stresses = post.recover_stress(mesh, cfg.materials, fields)
@@ -103,32 +102,12 @@ def cmd_bench(which: str, out_dir: str) -> int:
         return _fail(EXIT_IO, f"unknown case '{which}' (known: {', '.join(sorted(cases))}, all)")
     selected = list(cases.values()) if which == "all" else [cases[which]]
 
-    reports = []
-    extra: list[str] = []
+    reports, lines = [], []
     try:
         for case in selected:
-            if case.metric in ("rms_temperature", "mre_interface_vm"):
-                case_reports = [benchmod.run_convergence(case, method)
-                                for method in benchmod.METHODS]
-                reports.extend(case_reports)
-                extra.extend(benchmod.evaluate_expected(case, case_reports))
-            elif case.name == "sandwich":
-                study = benchmod.run_sandwich_study()
-                extra.append(
-                    f"sandwich: substrate-side peaks {['%.1f' % p for p in study.copper_peaks]} MPa, "
-                    f"interconnect-side {['%.1f' % p for p in study.silver_peaks]} MPa; "
-                    f"pure-FE interface averages substrate-side "
-                    f"{['%.2f' % m for m in study.fe_copper_means]} MPa, "
-                    f"interconnect-side {['%.2f' % m for m in study.fe_silver_means]} MPa, "
-                    f"FE gate level {study.gate_level}")
-            else:
-                res = benchmod.run_property_case(case)
-                extra.append(
-                    f"{res.case}: ndof {res.ndof}, max T {res.max_temperature:.1f} C, "
-                    f"max von Mises {res.max_von_mises:.1f} MPa, "
-                    f"peak at material interface: {res.peak_element_at_interface}, "
-                    f"interface continuity {res.interface_continuity:.2e}, "
-                    f"kernel invariants ok: {res.kernel_invariants_ok}")
+            case_reports, case_lines = case.study()
+            reports += case_reports
+            lines += case_lines
     except SolverError as exc:
         return _fail(EXIT_SOLVER, str(exc))
     except (MeshError, AssemblyError) as exc:
@@ -137,7 +116,7 @@ def cmd_bench(which: str, out_dir: str) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         benchmod.write_report_csv(reports, os.path.join(out_dir, "report.csv"))
-        summary = benchmod.summarize(reports, extra)
+        summary = benchmod.summarize(reports, lines)
         with open(os.path.join(out_dir, "summary.txt"), "w") as f:
             f.write(summary)
     except OSError as exc:

@@ -103,18 +103,6 @@ class ProbeSpec:
     n_samples: int = 50
 
 
-@dataclass
-class SolverSpec(SolveOptions):
-    """Solve options plus the fields to solve."""
-
-    fields: str = "both"        # both | thermal
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.fields not in ("both", "thermal"):
-            raise SolverError(f"fields must be 'both' or 'thermal', got '{self.fields}'")
-
-
 # Keys each section accepts ([mesh] and [bc] are checked where they are read).
 MATERIAL_KEYS = ("E_MPa", "nu", "k_W_per_mK", "alpha_per_C", "T0_C", "plane")
 SOLVER_KEYS = dict(method=str, cg_rel_tol=float, cg_max_iter=int, tau=float, fields=str)
@@ -128,7 +116,7 @@ class RunConfig:
     generator_params: dict[str, str] = field(default_factory=dict)
     materials: dict[int, MaterialProps] = field(default_factory=dict)
     bcs: list[tuple[str, BcSpec]] = field(default_factory=list)
-    solver: SolverSpec = field(default_factory=SolverSpec)
+    solver: SolveOptions = field(default_factory=SolveOptions)
     probes: list[ProbeSpec] = field(default_factory=list)
     output_dir: str = "out"
     source_text: str = ""
@@ -241,9 +229,9 @@ def _parse_bc(records, path) -> BcSpec:
         raise ParseError(f"bad bc record: {exc}", path, lineno) from exc
 
 
-def _parse_solver(kv, path) -> SolverSpec:
+def _parse_solver(kv, path) -> SolveOptions:
     try:
-        return SolverSpec(**{key: SOLVER_KEYS[key](tok[0]) for key, tok in kv.items()})
+        return SolveOptions(**{key: SOLVER_KEYS[key](tok[0]) for key, tok in kv.items()})
     except (ValueError, SolverError) as exc:
         raise ParseError(f"bad solver value: {exc}", path) from None
 

@@ -49,6 +49,7 @@ class SolveOptions:
     cg_rel_tol: float = 1e-10
     cg_max_iter: int = 20000
     tau: float = DEFAULT_STABILIZATION   # VEM stabilization override
+    fields: str = "both"        # both | thermal: the fields run_pipeline solves
 
     def __post_init__(self):
         if self.method not in (METHOD_DIRECT, METHOD_CG):
@@ -58,6 +59,8 @@ class SolveOptions:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise SolverError(f"{name} must be positive and finite, got {value!r}")
+        if self.fields not in ("both", "thermal"):
+            raise SolverError(f"fields must be 'both' or 'thermal', got '{self.fields}'")
 
 
 @dataclass
@@ -207,13 +210,13 @@ def _solve_cg(matrix, rhs, options: SolveOptions):
 
 def run_pipeline(mesh: Mesh, materials: dict[int, MaterialProps],
                  bcs: BoundaryConditionSet,
-                 options: SolveOptions | None = None,
-                 mechanical: bool = True) -> SolutionFields:
+                 options: SolveOptions | None = None) -> SolutionFields:
     """Thermal solve, thermal-load construction, mechanical solve.
 
-    When the problem defines no thermal boundary data the thermal stage is
-    skipped and the mechanical solve sees reference temperature everywhere
-    (zero thermal load).
+    ``options.fields == "thermal"`` stops after the thermal solve.  When the
+    problem defines no thermal boundary data the thermal stage is skipped and
+    the mechanical solve sees reference temperature everywhere (zero thermal
+    load).
     """
     options = options or SolveOptions()
     temperature = None
@@ -224,7 +227,7 @@ def run_pipeline(mesh: Mesh, materials: dict[int, MaterialProps],
 
     displacement = None
     mech_diag = None
-    if mechanical:
+    if options.fields == "both":
         system = assemble_mechanical(mesh, materials, bcs, temperature, tau=options.tau)
         u_flat, mech_diag = solve_system(system, options)
         displacement = u_flat.reshape(-1, 2)

@@ -129,3 +129,18 @@ def thermal_load_row(coords, props, nodal_temperature):
     projection = _one_row(vem.elastic_projection, coords, props)
     return vem.vem_thermal_load(projection, one_material(props),
                                 np.asarray(nodal_temperature, dtype=float)[None])[0]
+
+
+def dof_classes(dof_map):
+    """'F', 'I' or 'V' per dof of ``dof_map``: the paper's coupled block structure.
+
+    An interface node is shared by FE and VE elements; any other node is
+    FE-interior when an FE element has it as a vertex, VE-interior otherwise.
+    """
+    mesh = dof_map.mesh
+    touches_fe = np.zeros(mesh.n_nodes, dtype=bool)
+    for pos, verts in mesh.vertex_groups.values():
+        touches_fe[verts[mesh.element_fe[pos]]] = True
+    node_class = np.where(touches_fe, "F", "V")
+    node_class[sorted(mesh.interface_nodes)] = "I"
+    return np.repeat(node_class, dof_map.dofs_per_node)

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from fevec import bench, post
-from fevec.assembly import (DOF_INTERFACE, BoundaryConditionSet, assemble_mechanical,
-                            assemble_thermal)
+from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
 from fevec.cli import main as cli_main
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_split_square
-from fevec.solver import run_pipeline, solve_system
-from conftest import (edge_dict, elastic_matrix, elastic_row, polygon_family, thermal_matrix,
+from fevec.solver import SolveOptions, run_pipeline, solve_system
+from conftest import (dof_classes, edge_dict, elastic_matrix, elastic_row, polygon_family, thermal_matrix,
                       thermal_row)
 from kernel_oracles import element_coords, mechanical_stiffness_q4, thermal_stiffness_q4
 
@@ -59,7 +58,7 @@ def test_criterion_1_patch_exactness():
         bcs = BoundaryConditionSet()
         for n in outer:
             bcs.set_temperature(n, t_of(*mesh.coords[n]))
-        fields = run_pipeline(mesh, mats, bcs, mechanical=False)
+        fields = run_pipeline(mesh, mats, bcs, SolveOptions(fields="thermal"))
         exact_t = np.array([t_of(x, y) for x, y in mesh.coords])
         t_err = np.abs(fields.temperature - exact_t).max() / np.abs(exact_t).max()
         assert t_err < 1e-9
@@ -182,7 +181,7 @@ def test_criterion_6_coupled_block_structure():
                 system = assemble_thermal(mesh, mats, BoundaryConditionSet())
             else:
                 system = assemble_mechanical(mesh, mats, BoundaryConditionSet(), None)
-            classes = system.dof_map.classes
+            classes = dof_classes(system.dof_map)
             coo = system.matrix.tocoo()
             for i, j in zip(coo.row, coo.col):
                 assert {classes[i], classes[j]} != {"F", "V"}
@@ -204,7 +203,7 @@ def test_criterion_6_coupled_block_structure():
                     dofs = np.array([2 * v + k for v in e.vertices for k in (0, 1)])
                 target = k_fe if e.kind == ElementKind.FE_QUAD else k_ve
                 target[np.ix_(dofs, dofs)] += ke
-            iface = np.flatnonzero(system.dof_map.classes == DOF_INTERFACE)
+            iface = np.flatnonzero(classes == "I")
             sub = np.ix_(iface, iface)
             full = system.matrix.toarray()
             err = np.abs(full[sub] - (k_fe + k_ve)[sub]).max()

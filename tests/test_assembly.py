@@ -10,7 +10,7 @@ from fevec.errors import AssemblyError, MeshError
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_split_square, generate_structured_quads
 from fevec.solver import solve_system
-from conftest import thermal_matrix, triangle_system
+from conftest import dof_classes, thermal_matrix, triangle_system
 from kernel_oracles import element_coords, thermal_stiffness_q4
 
 FE = ElementKind.FE_QUAD
@@ -29,12 +29,12 @@ class TestDofMap:
         mesh = generate_split_square(2.0, 1.0, 4, 2)
         dm = build_dof_map(mesh, "mechanical")
         assert dm.ndof == 2 * mesh.n_nodes
-        classes = set(dm.classes.tolist())
-        assert classes <= {"F", "I", "V"}
+        classes = dof_classes(dm)
+        assert set(classes.tolist()) <= {"F", "I", "V"}
         for n in mesh.interface_nodes:
-            assert dm.classes[2 * n] == "I" and dm.classes[2 * n + 1] == "I"
-        assert (dm.classes == "F").sum() + (dm.classes == "I").sum() + \
-               (dm.classes == "V").sum() == dm.ndof
+            assert classes[2 * n] == "I" and classes[2 * n + 1] == "I"
+        assert (classes == "F").sum() + (classes == "I").sum() + \
+               (classes == "V").sum() == dm.ndof
 
     def test_orphan_node_rejected(self):
         # refused by the validation gate, before any dof is numbered
@@ -122,7 +122,7 @@ class TestBlockStructure:
     def test_no_fe_ve_coupling_entries(self):
         mesh = generate_split_square(2.0, 1.0, 6, 3)
         system = assemble_thermal(mesh, {0: simple_props()}, BoundaryConditionSet())
-        classes = system.dof_map.classes
+        classes = dof_classes(system.dof_map)
         coo = system.matrix.tocoo()
         for i, j in zip(coo.row, coo.col):
             pair = {classes[i], classes[j]}
@@ -245,6 +245,40 @@ class TestApplyDirichlet:
         with pytest.raises(AssemblyError, match=f"^{what} must be a finite number, got "):
             call(bcs)
         assert bcs == BoundaryConditionSet()
+
+    @pytest.mark.parametrize("t", [(1.0,), 5.0, (1.0, 2.0, 3.0)])
+    def test_traction_not_a_pair_named(self, t):
+        bcs = BoundaryConditionSet()
+        with pytest.raises(AssemblyError,
+                           match=r"^traction on edge \(0,1\) must be a pair \(tx, ty\), got "):
+            bcs.add_traction(0, 1, t)
+        assert bcs == BoundaryConditionSet()
+
+    @pytest.mark.parametrize("data, what", [
+        (dict(dirichlet_T={0: 1.0, 3: math.nan}), "temperature at node 3"),
+        (dict(flux_edges=[(0, 1, math.inf)]), r"flux on edge \(0,1\)"),
+        (dict(dirichlet_u={2: (None, -math.inf)}), "displacement uy at node 2"),
+        (dict(traction_edges=[(0, 1, (0.0, math.nan))]), r"traction on edge \(0,1\)"),
+        (dict(traction_edges=[(0, 1, (1.0,))]), r"traction on edge \(0,1\)"),
+    ])
+    def test_constructor_data_passes_value_rule(self, data, what):
+        with pytest.raises(AssemblyError, match=f"^{what} must be a "):
+            BoundaryConditionSet(**data)
+
+    def test_constructor_nan_temperature_refused_before_solve(self):
+        # once, these values reached the solver and failed as a singular system
+        mesh = generate_split_square(2.0, 1.0, 4, 2)
+        with pytest.raises(AssemblyError, match="must be a finite number, got nan"):
+            BoundaryConditionSet(dirichlet_T={n: math.nan for n in mesh.nodes_with_label("left")})
+
+    def test_constructor_data_stored_as_by_the_methods(self):
+        bcs = BoundaryConditionSet(dirichlet_T={0: np.int64(3)}, flux_edges=[(0, 1, 2)],
+                                   dirichlet_u={1: [0, None]},
+                                   traction_edges=[(0, 1, (np.float32(0.5), 2))])
+        assert bcs.dirichlet_T == {0: 3.0} and type(bcs.dirichlet_T[0]) is float
+        assert bcs.flux_edges == [(0, 1, 2.0)]
+        assert bcs.dirichlet_u == {1: (0.0, None)}
+        assert bcs.traction_edges == [(0, 1, (0.5, 2.0))]
 
     def test_values_stored_as_floats(self):
         bcs = BoundaryConditionSet()

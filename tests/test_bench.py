@@ -11,7 +11,7 @@ from fevec.assembly import BoundaryConditionSet
 from fevec.errors import AssemblyError, FevecError
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_split_square, generate_structured_quads
-from fevec.solver import run_pipeline
+from fevec.solver import SolveOptions, run_pipeline
 from conftest import element_table
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -54,9 +54,13 @@ class TestBuiltinCases:
         assert set(cases) == {"plate", "cylinder", "sandwich", "fcbga", "igbt"}
 
     def test_every_expected_metric_tagged(self):
-        for case in bench.builtin_cases().values():
-            for metric in case.expected:
-                assert metric.provenance
+        convergence = [case for case in bench.builtin_cases().values()
+                       if isinstance(case, bench.ConvergenceCase)]
+        assert [case.name for case in convergence] == ["plate", "cylinder"]
+        for case in convergence:
+            assert case.expected
+            for method, (low, high, provenance) in case.expected.items():
+                assert method in bench.METHODS and provenance
 
     def test_sandwich_materials_table(self):
         mats = bench.builtin_cases()["sandwich"].materials
@@ -114,7 +118,7 @@ class TestManufacturedExactness:
             for v in sorted(boundary):
                 x, y = mesh.coords[v]
                 bcs.set_temperature(v, 1.0 + 2.0 * x - 0.5 * y)
-            fields = run_pipeline(mesh, mats, bcs, mechanical=False)
+            fields = run_pipeline(mesh, mats, bcs, SolveOptions(fields="thermal"))
             exact = 1.0 + 2.0 * mesh.coords[:, 0] - 0.5 * mesh.coords[:, 1]
             errs.append(post.rms_l2_error(fields.temperature, exact))
         assert all(e < 1e-9 for e in errs)
@@ -131,7 +135,7 @@ class TestManufacturedExactness:
             for v in sorted(boundary):
                 x, y = mesh.coords[v]
                 bcs.set_temperature(v, math.sin(x) * math.exp(y))
-            fields = run_pipeline(mesh, mats, bcs, mechanical=False)
+            fields = run_pipeline(mesh, mats, bcs, SolveOptions(fields="thermal"))
             exact = np.sin(mesh.coords[:, 0]) * np.exp(mesh.coords[:, 1])
             # manufactured field is not harmonic-free of source, so compare
             # both discretizations against each other instead of truth:
@@ -253,17 +257,19 @@ class TestReports:
                                         records=[], slope=0.9)]
         lines = bench.evaluate_expected(case, reps)
         assert any("coupled" in l and ": ok" in l for l in lines)
-        # only slope_coupled carries an expectation for the plate
+        # only the coupled method carries an expectation for the plate
         assert all("fe]" not in l for l in lines)
-        case.expected.append(bench.ExpectedMetric("slope_fe", 0.25, 0.6, "x"))
+        case.expected = {**case.expected, "fe": (0.25, 0.6, "x")}
         lines = bench.evaluate_expected(case, reps)
         assert any("fe" in l and "MISS" in l for l in lines)
+        assert "fe" not in bench.PlateCase.expected
 
     def test_solver_failure_yields_partial_report(self):
         # a case whose finer refinements lose all displacement constraints
-        case = bench.builtin_cases()["cylinder"]
+        class Flaky(bench.CylinderCase):
+            name = "flaky"
+            levels = (0, 1)
 
-        class Flaky(type(case)):
             def make_bcs(self, mesh):
                 bcs = super().make_bcs(mesh)
                 if mesh.n_nodes > 600:
@@ -273,9 +279,6 @@ class TestReports:
                     bcs.add_flux(a, b, -1.0)
                 return bcs
 
-        flaky = Flaky(name="flaky", levels=[0, 1],
-                      materials=case.materials, metric="rms_temperature",
-                      thermal_only=True)
-        rep = bench.run_convergence(flaky, "fe")
+        rep = bench.run_convergence(Flaky(), "fe")
         assert rep.aborted and len(rep.records) == 1
         assert "ABORTED" in bench.summarize([rep])

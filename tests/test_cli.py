@@ -343,6 +343,33 @@ class TestBench:
         summary = (out / "summary.txt").read_text()
         assert summary.count("fitted slope") == 3
 
+    def test_bench_all_runs_each_case_study_in_order(self, tmp_path, monkeypatch, capsys):
+        # every ladder shrunk on a case class, so the fresh instances of
+        # builtin_cases run the whole command in a few seconds
+        from fevec import bench
+        for cls, levels in ((bench.PlateCase, (0, 1)), (bench.CylinderCase, (0, 1)),
+                            (bench.SandwichCase, (0,)), (bench.FcbgaCase, (0,)),
+                            (bench.IgbtCase, (0,))):
+            monkeypatch.setattr(cls, "levels", levels)
+        monkeypatch.setattr(bench.SandwichCase, "fe_levels", (0, 1))
+        out = tmp_path / "bench"
+        assert main(["bench", "all", "-o", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == (out / "summary.txt").read_text()
+
+        rows = [line.split(",")[:2] for line in (out / "report.csv").read_text().splitlines()[1:]]
+        assert rows == [[case, method] for case in ("plate", "cylinder")
+                        for method in bench.METHODS for _ in range(2)]
+        lines = stdout.splitlines()
+        fitted = [f"{case} [{method}]: fitted slope " for case in ("plate", "cylinder")
+                  for method in bench.METHODS]
+        expected = ["plate [coupled]: slope "] + [f"cylinder [{method}]: slope "
+                                                  for method in bench.METHODS]
+        heads = fitted + expected + ["sandwich: ", "fcbga: ", "igbt: "]
+        assert len(lines) == len(heads)
+        assert all(line.startswith(head) for line, head in zip(lines, heads)), lines
+        assert all(" expected " in line for line in lines[6:10])
+
     def test_shipped_cylinder_config_runs(self, tmp_path, monkeypatch):
         # the shipped config is the determinism fixture of the acceptance
         # suite; make sure it stays valid

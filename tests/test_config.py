@@ -1,5 +1,6 @@
 import pytest
 
+from fevec import bench
 from fevec import config as configmod
 from fevec.errors import AssemblyError, ParseError
 from fevec.materials import Plane
@@ -214,8 +215,7 @@ flux 1.0
 """
         cfg = configmod.parse_config(text)
         mesh = configmod.build_mesh(cfg)
-        cfg.materials = {r: m for r, m in
-                         __import__("fevec.bench", fromlist=["x"])._fcbga_materials().items()}
+        cfg.materials = dict(bench.FcbgaCase.materials)
         with pytest.raises(AssemblyError, match="interior edge"):
             configmod.build_bcs(cfg, mesh)
 

@@ -183,8 +183,7 @@ class TestProbesMatchPointOracle:
 def assert_config_probes_match(text, path):
     cfg = configmod.parse_config(text, path)
     mesh = configmod.build_mesh(cfg, str(CONFIGS))
-    fields = run_pipeline(mesh, cfg.materials, configmod.build_bcs(cfg, mesh), cfg.solver,
-                          mechanical=(cfg.solver.fields == "both"))
+    fields = run_pipeline(mesh, cfg.materials, configmod.build_bcs(cfg, mesh), cfg.solver)
     stresses = None if fields.displacement is None else \
         post.recover_stress(mesh, cfg.materials, fields)
     assert cfg.probes

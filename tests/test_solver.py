@@ -109,7 +109,7 @@ class TestPipeline:
 
     def test_thermal_only(self):
         mesh, mats, bcs = self.make_problem()
-        fields = run_pipeline(mesh, mats, bcs, mechanical=False)
+        fields = run_pipeline(mesh, mats, bcs, SolveOptions(fields="thermal"))
         assert fields.temperature is not None
         assert fields.displacement is None
 
