@@ -5,17 +5,18 @@ contributions from both sides in one pattern assembly, which realizes the
 coupled block system directly: FE-interior dofs never share a stored entry
 with VE-interior dofs because no single element contains both.
 
-Both kinds run batched: one kernel call per block of elements of one kind
-and vertex count (``Mesh.element_blocks``), through the batched Q4 kernels
-of ``fem`` and the stacked polygon kernels of ``vem``, after the mesh and
-the materials pass ``require_valid``.  Both fields share one sparsity
-pattern, ``Mesh.node_pattern`` (the node pairs that share an element): the
-thermal matrix uses it as it is, the mechanical one with 2 x 2 blocks.  Each
-element entry is mapped to its slot in that structure, and one
-``np.bincount`` over the entries in element order (an element's id is its
-position in the mesh's element table) sums every slot in that order, so
+Both kinds run batched, after the mesh and the materials pass
+``require_valid``: one kernel call per block of one kind and vertex count in
+a window of consecutive element positions (``Mesh.element_windows``),
+through the batched Q4 kernels of ``fem`` and the stacked polygon kernels of
+``vem``.  Both fields share one sparsity pattern, ``Mesh.node_pattern`` (the
+node pairs that share an element), the mechanical one with 2 x 2 blocks.
+Assembly streams the windows, so its scratch arrays never exceed one
+window's: a window's element entries go to their slots in that pattern, and
+its thermal loads to the right-hand side, through ``np.add.at`` in element
+order (an element's id is its position).  Every slot starts at -0.0, so
 repeated runs give bit-identical matrices, equal to an element-by-element
-loop.  No triplet is sorted and no COO matrix is built.
+loop, signed zeros included.  No triplet is sorted and no COO matrix is built.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ def _bc_value(value, what: str, free: bool = False) -> float | None:
     raise AssemblyError(f"{what} must be a finite number, got {value!r}")
 
 
+def _entry(entry, size: int, what: str) -> tuple:
+    """A constructor entry as a tuple of ``size`` items; any other shape is refused by name."""
+    try:
+        if len(entry) == size:
+            return tuple(entry)
+    except TypeError:           # no length
+        pass
+    raise AssemblyError(f"{what} must be {size} items, got {entry!r}")
+
+
 @dataclass
 class BoundaryConditionSet:
     """Node-resolved boundary data for one problem.
@@ -66,12 +77,12 @@ class BoundaryConditionSet:
         temperatures, fluxes, displacements, tractions = given
         for node, value in temperatures.items():
             self.set_temperature(node, value)
-        for a, b, q in fluxes:
-            self.add_flux(a, b, q)
+        for entry in fluxes:
+            self.add_flux(*_entry(entry, 3, "flux entry (a, b, q)"))
         for node, pair in displacements.items():
-            self.set_displacement(node, *pair)
-        for a, b, t in tractions:
-            self.add_traction(a, b, t)
+            self.set_displacement(node, *_entry(pair, 2, f"displacement (ux, uy) at node {node}"))
+        for entry in tractions:
+            self.add_traction(*_entry(entry, 3, "traction entry (a, b, (tx, ty))"))
 
     def set_temperature(self, node: int, value: float) -> None:
         value = _bc_value(value, f"temperature at node {node}")
@@ -180,63 +191,60 @@ class ReducedSystem:
         return full
 
 
-def _in_element_order(mesh: Mesh, parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+def _in_element_order(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Concatenate per-element rows of ``(positions, (m, k) values)`` parts in element order.
 
-    The parts are all blocks of the mesh, so a single part is already in
-    element order and comes back as a view.
+    The parts are the blocks of one window of ``Mesh.element_windows``, so a
+    single part is already in element order and comes back as a view.
     """
     if len(parts) == 1:
         return parts[0][1].reshape(-1)
-    lengths = np.zeros(mesh.n_elements, dtype=np.int64)
+    first = min(int(pos[0]) for pos, _ in parts)
+    lengths = np.zeros(max(int(pos[-1]) for pos, _ in parts) + 1 - first, dtype=np.int64)
     for pos, values in parts:
-        lengths[pos] = values.shape[1]
+        lengths[pos - first] = values.shape[1]
     start = np.cumsum(lengths) - lengths
-    out = np.empty(int(lengths.sum()), dtype=parts[0][1].dtype if parts else float)
+    out = np.empty(int(lengths.sum()), dtype=parts[0][1].dtype)
     for pos, values in parts:
-        out[start[pos][:, None] + np.arange(values.shape[1])] = values
+        out[start[pos - first][:, None] + np.arange(values.shape[1])] = values
     return out
 
 
-def _slot_sums(mesh: Mesh, per: int,
-               blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Sum of the element entries in each slot of ``Mesh.node_pattern`` with p x p blocks.
+def _scatter(mesh: Mesh, dof_map: DofMap, kernels, rhs: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of the element matrices of ``kernels``, assembled one window at a time.
 
-    Each element entry's slot follows from its vertex pair's
-    ``Mesh.node_slots`` entry, and one ``np.bincount`` over all entries in
-    element order sums every slot in element order, as an element-by-element
-    loop would.  Block k's entries (a, b) are slots p^2 k + p a + b.
-    """
-    # Entry (p v + a, p w + b) of an element matrix is entry (a, b) of the block of
-    # node pair (v, w).
-    in_block = per * np.arange(per)[:, None, None] + np.arange(per)
-    node_slots = mesh.node_slots(verts for _, verts, _ in blocks)
-    where = _in_element_order(mesh, [
-        (pos, (per * per * k[:, :, None, :, None] + in_block).reshape(len(pos), -1))
-        for (pos, _, _), k in zip(blocks, node_slots)])
-    values = _in_element_order(mesh, [(pos, ke.reshape(len(pos), -1)) for pos, _, ke in blocks])
-    data = np.bincount(where, values, minlength=per * per * mesh.node_pattern[1].size)
-    zero = values == 0
-    if zero.any() and np.signbit(values[zero]).any():
-        # bincount starts each sum at +0.0, a loop at its first term: a slot whose
-        # every term is -0.0 sums to -0.0
-        only_negative_zero = np.bincount(where, ~(zero & np.signbit(values)),
-                                         minlength=data.size) == 0
-        data[only_negative_zero] = -0.0
-    return data
-
-
-def _scatter(mesh: Mesh, dof_map: DofMap,
-             blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> sp.csr_matrix:
-    """CSR matrix of ``(positions, (m, n_v) vertices, (m, n, n) matrices)`` element blocks.
-
-    The structure is ``Mesh.node_pattern`` with a p x p block per node pair,
-    p the dofs per node, and the values are ``_slot_sums``.
+    ``kernels(is_fe, positions, vertices)`` gives the (m, n, n) element
+    matrices of a block of ``Mesh.element_windows`` and its (m, n) element
+    loads, or None; the loads are added into ``rhs``.  The structure is
+    ``Mesh.node_pattern`` with a p x p block per node pair, p the dofs per
+    node.  Each window's entries go to their slots (``Mesh.node_slots``)
+    through ``np.add.at`` in element order, so every slot sums its terms in
+    element order.  The sums start at -0.0, the identity of addition, so each
+    equals an element-by-element loop's, signed zeros included.
     """
     per = dof_map.dofs_per_node
     indptr, indices = mesh.node_pattern
-    data = _slot_sums(mesh, per, blocks).reshape(-1, per, per)
-    return sp.bsr_matrix((data, indices, indptr), shape=(dof_map.ndof, dof_map.ndof)).tocsr()
+    data = np.full(per * per * indices.size, -0.0)
+    # Entry (p v + a, p w + b) of an element matrix is entry (a, b) of the block of
+    # node pair (v, w): slot p^2 k + p a + b for the pair's node slot k.
+    in_block = per * np.arange(per)[:, None, None] + np.arange(per)
+    windows = mesh.element_windows()
+    slots = mesh.node_slots(verts for window in windows for _, _, verts in window)
+    for window in windows:
+        # zip draws one slot array per block of the window
+        parts = [(pos, verts, k, *kernels(is_fe, pos, verts))
+                 for (is_fe, pos, verts), k in zip(window, slots)]
+        where = [(pos, (per * per * k[:, :, None, :, None] + in_block).reshape(len(pos), -1))
+                 for pos, _, k, _, _ in parts]
+        values = [(pos, ke.reshape(len(pos), -1)) for pos, _, _, ke, _ in parts]
+        np.add.at(data, _in_element_order(where), _in_element_order(values))
+        if parts[0][4] is not None:
+            np.add.at(rhs, _in_element_order([(pos, dof_map.element_dofs(verts))
+                                              for pos, verts, *_ in parts]),
+                      _in_element_order([(pos, fe) for pos, *_, fe in parts]))
+    slots.close()               # frees the pattern keys before the CSR copy is made
+    return sp.bsr_matrix((data.reshape(-1, per, per), indices, indptr),
+                         shape=(dof_map.ndof, dof_map.ndof)).tocsr()
 
 
 def _dirichlet_dofs(bcs: BoundaryConditionSet, dof_map: DofMap) -> dict[int, float]:
@@ -266,19 +274,16 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
         mats = gather_materials(materials, mesh.element_regions[pos])
         if not is_fe:
             projection = vem.thermal_projection(mesh.coords[verts], mats.conductivity)
-            return vem.thermal_element_matrices(projection, tau)
+            return vem.thermal_element_matrices(projection, tau), None
         return fem.thermal_stiffness_q4_batch(fem.q4_batch_eval(mesh.coords[verts]),
-                                              mats.conductivity)
-
-    blocks = [(pos, verts, element_matrices(is_fe, pos, verts))
-              for is_fe, pos, verts in mesh.element_blocks()]
+                                              mats.conductivity), None
 
     for (a, b, q_bar) in bcs.flux_edges:
         fe = fem.flux_load_edge(mesh.coords[a], mesh.coords[b], q_bar)
         rhs[a] += fe[0]
         rhs[b] += fe[1]
 
-    matrix = _scatter(mesh, dof_map, blocks)
+    matrix = _scatter(mesh, dof_map, element_matrices, rhs)
     return SparseSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, dirichlet=dirichlet)
 
 
@@ -307,13 +312,7 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
         ke = fem.mechanical_stiffness_q4_batch(q, mats.D)
         return ke, None if te is None else fem.thermal_load_q4_batch(q, mats, te)
 
-    blocks = [(pos, verts, *element_contributions(is_fe, pos, verts))
-              for is_fe, pos, verts in mesh.element_blocks()]
-    if temperature is not None and blocks:
-        np.add.at(rhs, _in_element_order(mesh, [(pos, dof_map.element_dofs(verts))
-                                                for pos, verts, _, _ in blocks]),
-                  _in_element_order(mesh, [(pos, fe) for pos, _, _, fe in blocks]))
-    matrix = _scatter(mesh, dof_map, [(pos, verts, ke) for pos, verts, ke, _ in blocks])
+    matrix = _scatter(mesh, dof_map, element_contributions, rhs)
 
     for (a, b, t_bar) in bcs.traction_edges:
         fe = fem.traction_load_edge(mesh.coords[a], mesh.coords[b], t_bar)

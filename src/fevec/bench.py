@@ -288,7 +288,7 @@ class SandwichCase(BenchmarkCase):
         return ids[np.argsort(x[ids], kind="stable")].tolist()
 
     def study(self) -> tuple[list[ConvergenceReport], list[str]]:
-        study = run_sandwich_study()
+        study = run_sandwich_study(self)
         return [], [
             f"sandwich: substrate-side peaks {['%.1f' % p for p in study.copper_peaks]} MPa, "
             f"interconnect-side {['%.1f' % p for p in study.silver_peaks]} MPa; "
@@ -447,14 +447,13 @@ def interface_average(points, values) -> float:
     return float(np.dot(0.5 * (values[1:] + values[:-1]), lengths)) / total
 
 
-def run_sandwich_study() -> SandwichStudy:
-    """Per-side interface peaks for the coupled ladder, and the pure-FE ladder
-    up to the gate level (finer FE levels are not solved)."""
-    case = SandwichCase()
+def run_sandwich_study(case: SandwichCase) -> SandwichStudy:
+    """Per-side interface peaks for the case's coupled ladder, and its pure-FE
+    ladder up to the gate level (finer FE levels are not solved)."""
 
     def interface(level, method):
         mesh, _, stresses, _ = solve_case(case, level, method)
-        ids = SandwichCase.interface_nodes(mesh)
+        ids = case.interface_nodes(mesh)
         sides = interface_side_values(mesh, stresses, ids)
         peaks = [float(np.nanmax(v)) for v in sides]
         means = [interface_average(mesh.coords[ids], v) for v in sides]

@@ -123,7 +123,7 @@ def polygon_stack(coords: np.ndarray) -> PolygonStack:
                         edge_normals=normals, edge_lengths=lengths)
 
 
-_VE_BLOCK_ROWS = 1 << 10   # see Mesh.element_blocks
+_BLOCK_ROWS = 1 << 10   # see Mesh.element_windows
 
 
 def _edge_key(a: int, b: int) -> tuple[int, int]:
@@ -279,23 +279,28 @@ class Mesh:
     def regions(self) -> set[int]:
         return set(np.unique(self.element_regions).tolist())
 
-    def element_blocks(self) -> list[tuple[bool, np.ndarray, np.ndarray]]:
-        """(is_fe, positions, (m, n_v) vertices) per group of one kind and vertex count.
+    def element_windows(self) -> list[list[tuple[bool, np.ndarray, np.ndarray]]]:
+        """The element blocks of each window of ``_BLOCK_ROWS`` consecutive element positions.
 
-        Positions index the element table and increase within a block.
-        VE groups are cut into blocks of at most ``_VE_BLOCK_ROWS`` elements, which
-        bounds the stacked projection arrays a VE block holds at once.
+        A block is ``(is_fe, positions, (m, n_v) vertices)``: the elements of
+        one kind and vertex count in one window, by increasing position.
+        Windows come in increasing position order.  The window bounds the
+        kernel arrays that a block, or assembly of a window, holds at once.
         """
-        blocks = []
+        windows: dict[int, list] = {}
         for count in sorted(self.vertex_groups):
             pos, verts = self.vertex_groups[count]
             fe = self.element_fe[pos]
             for flag in (True, False):
                 rows = np.flatnonzero(fe == flag)
-                step = max(rows.size, 1) if flag else _VE_BLOCK_ROWS
-                for s in range(0, rows.size, step):
-                    blocks.append((flag, pos[rows[s:s + step]], verts[rows[s:s + step]]))
-        return blocks
+                window, start = np.unique(pos[rows] // _BLOCK_ROWS, return_index=True)
+                for w, part in zip(window.tolist(), np.split(rows, start[1:])):
+                    windows.setdefault(w, []).append((flag, pos[part], verts[part]))
+        return [windows[w] for w in sorted(windows)]
+
+    def element_blocks(self) -> list[tuple[bool, np.ndarray, np.ndarray]]:
+        """Every block of ``element_windows``, window by window."""
+        return [block for window in self.element_windows() for block in window]
 
     def format_elements(self, line_format: Callable[[int, np.ndarray], Any],
                         columns: Callable[[np.ndarray, np.ndarray], list[np.ndarray]]) -> str:
@@ -362,7 +367,8 @@ class Mesh:
         indptr, indices = self.node_pattern
         n = self.n_nodes
         # The pattern's keys, increasing as it lists the pairs row by row.
-        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
+        keys += indices
         for verts in vertex_blocks:
             yield np.searchsorted(keys, _pair_keys(verts, n))
 

@@ -504,8 +504,6 @@ def export_fields(mesh: Mesh, solution: SolutionFields,
     as one block and written on its own.
     """
     n = mesh.n_nodes
-    temps = solution.temperature if solution.temperature is not None else np.zeros(n)
-    disp = solution.displacement if solution.displacement is not None else np.zeros((n, 2))
     size = sum(verts.size + len(pos) for pos, verts in mesh.vertex_groups.values())
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\nfevec fields\nASCII\nDATASET UNSTRUCTURED_GRID\n"
@@ -516,9 +514,12 @@ def export_fields(mesh: Mesh, solution: SolutionFields,
                                      lambda pos, verts: [verts]))
         f.write(f"CELL_TYPES {mesh.n_elements}\n" + "7\n" * mesh.n_elements)
         f.write(f"POINT_DATA {n}\nSCALARS temperature double 1\nLOOKUP_TABLE default\n")
-        f.write(_format_rows("%.17g\n", temps))
+        # a field not solved is written as zeros: "%.17g" % 0.0 is "0"
+        f.write("0\n" * n if solution.temperature is None
+                else _format_rows("%.17g\n", solution.temperature))
         f.write("VECTORS displacement double\n")
-        f.write(_format_rows("%.17g %.17g 0\n", disp))
+        f.write("0 0 0\n" * n if solution.displacement is None
+                else _format_rows("%.17g %.17g 0\n", solution.displacement))
         if stresses is not None:
             f.write(f"CELL_DATA {mesh.n_elements}\nSCALARS von_mises double 1\n"
                     "LOOKUP_TABLE default\n")

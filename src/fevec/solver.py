@@ -90,6 +90,7 @@ def solve_system(system: SparseSystem, options: SolveOptions | None = None
     _check_well_posed(system)
     direct = options.method == METHOD_DIRECT
     reduced = apply_dirichlet(system, elimination_order=direct)
+    del system   # the caller holds none: the full matrix goes before the factor comes
     n = reduced.matrix.shape[0]
     diag = SolveDiagnostics(method=options.method, n_dof=n)
     if n == 0:
@@ -171,11 +172,12 @@ def _require_rigid_modes_fixed(mesh: Mesh, fixed: np.ndarray) -> None:
 def _solve_direct(matrix, rhs) -> tuple[np.ndarray, int]:
     """Symmetric-mode SuperLU of ``matrix`` with its unknowns eliminated in the given order.
 
+    ``matrix`` is symmetric CSR, so its transpose is itself as a CSC view, not a copy.
     Returns the solution and the fill, ``SuperLU.nnz``: read from the factor
     as stored, without the ``L`` and ``U`` CSC copies.
     """
     try:
-        lu = spla.splu(matrix.tocsc(), permc_spec="NATURAL",
+        lu = spla.splu(matrix.T, permc_spec="NATURAL",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(
@@ -221,15 +223,16 @@ def run_pipeline(mesh: Mesh, materials: dict[int, MaterialProps],
     options = options or SolveOptions()
     temperature = None
     thermal_diag = None
+    # Each system goes straight to solve_system, which frees it once reduced.
     if bcs.has_thermal:
-        system = assemble_thermal(mesh, materials, bcs, tau=options.tau)
-        temperature, thermal_diag = solve_system(system, options)
+        temperature, thermal_diag = solve_system(
+            assemble_thermal(mesh, materials, bcs, tau=options.tau), options)
 
     displacement = None
     mech_diag = None
     if options.fields == "both":
-        system = assemble_mechanical(mesh, materials, bcs, temperature, tau=options.tau)
-        u_flat, mech_diag = solve_system(system, options)
+        u_flat, mech_diag = solve_system(
+            assemble_mechanical(mesh, materials, bcs, temperature, tau=options.tau), options)
         displacement = u_flat.reshape(-1, 2)
 
     return SolutionFields(temperature=temperature, displacement=displacement,

@@ -6,8 +6,9 @@ matrices and loads) replaced.  Tests compare the library kernels against
 them row by row, bit for bit.  A polygon's geometry ``geom`` is one row of
 ``polygon_stack`` (``conftest.polygon_row``).  ``q4_shape_eval``,
 ``shoelace_area`` and ``element_coords`` are the one-element helpers the
-library no longer needs.  ``compress`` is the sort-based sparse assembly
-that ``fevec.assembly._scatter`` replaced.
+library no longer needs.  ``compress`` is the sort-based sparse assembly,
+and ``scatter`` the unwindowed assembly around it, that
+``fevec.assembly._scatter`` replaced.
 """
 
 from __future__ import annotations
@@ -318,3 +319,23 @@ def compress(mesh, dof_map, blocks) -> sp.csr_matrix:
     v = in_element_order(mesh.n_elements, [(p, ke.reshape(len(p), -1)) for p, _, ke in blocks])
     order = np.lexsort((c, r))
     return sp.coo_matrix((v[order], (r[order], c[order])), shape=(ndof, ndof)).tocsr()
+
+
+def scatter(mesh, dof_map, kernels, rhs) -> sp.csr_matrix:
+    """The one-shot assembly that ``fevec.assembly._scatter`` replaced, same arguments.
+
+    ``kernels`` runs once per whole group of one kind and vertex count, with
+    no window cut; the loads go into ``rhs`` with one ``np.add.at`` over all
+    entries in element order, and the matrix is ``compress``.
+    """
+    blocks = []
+    for pos, verts in mesh.vertex_groups.values():
+        for is_fe in (True, False):
+            rows = mesh.element_fe[pos] == is_fe
+            if rows.any():
+                blocks.append((pos[rows], verts[rows], *kernels(is_fe, pos[rows], verts[rows])))
+    if blocks and blocks[0][3] is not None:
+        np.add.at(rhs, in_element_order(mesh.n_elements, [(p, dof_map.element_dofs(v))
+                                                          for p, v, _, _ in blocks]),
+                  in_element_order(mesh.n_elements, [(p, fe) for p, _, _, fe in blocks]))
+    return compress(mesh, dof_map, [(p, v, ke) for p, v, ke, _ in blocks])

@@ -225,7 +225,7 @@ def test_criterion_7_sandwich_benchmark_trend():
     grid, so the coupled peaks are checked against them at equal mesh size.
     """
     with Timer() as t:
-        study = bench.run_sandwich_study()
+        study = bench.run_sandwich_study(bench.SandwichCase())
         ratio_mid = study.copper_peaks[1] / study.silver_peaks[1]
         assert ratio_mid >= 3.0, (
             f"coupled level-1 peak ratio {ratio_mid:.2f} below 3 "

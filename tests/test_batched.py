@@ -8,6 +8,7 @@ or a region without material is refused before any block runs, with the
 first message of ``validate_mesh`` or the missing regions.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -215,6 +216,25 @@ class TestMeshViews:
             seen.extend(pos.tolist())
         assert sorted(seen) == list(range(mesh.n_elements))
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 1 << 10])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_windows_cut_blocks_by_position(self, seed, rows):
+        # window w holds positions w * rows .. (w + 1) * rows - 1, one block per
+        # kind and vertex count; element_blocks lists the windows' blocks in order
+        with mock.patch.object(meshmod, "_BLOCK_ROWS", rows):
+            mesh = random_partition(seed)
+            windows = mesh.element_windows()
+            blocks = mesh.element_blocks()
+        assert len(windows) == -(-mesh.n_elements // rows)
+        assert [pos.tolist() for _, pos, _ in blocks] == [
+            pos.tolist() for window in windows for _, pos, _ in window]
+        for w, window in enumerate(windows):
+            groups = [(is_fe, verts.shape[1]) for is_fe, _, verts in window]
+            assert len(set(groups)) == len(groups)
+            positions = np.concatenate([pos for _, pos, _ in window])
+            assert sorted(positions.tolist()) == list(
+                range(w * rows, min((w + 1) * rows, mesh.n_elements)))
+
     def test_element_areas_equal_shoelace(self):
         mesh = random_partition(1)
         for k, e in enumerate(mesh.elements):
@@ -365,10 +385,10 @@ class TestBlockErrors:
             assemble_thermal(mesh, materials, BoundaryConditionSet())
         assert str(info.value) == "element 4: non-positive area -1 (clockwise vertex order?)"
 
-    def test_cut_ve_blocks(self):
-        # VE groups are cut into blocks of _VE_BLOCK_ROWS elements: results and
-        # the refusal of a flawed mesh must not depend on where the cuts fall
-        with mock.patch.object(meshmod, "_VE_BLOCK_ROWS", 2):
+    def test_cut_blocks(self):
+        # groups are cut into windows of _BLOCK_ROWS elements: results and the
+        # refusal of a flawed mesh must not depend on where the cuts fall
+        with mock.patch.object(meshmod, "_BLOCK_ROWS", 2):
             mesh = disjoint_polygons(5)
             blocks = mesh.element_blocks()
             assert max(len(pos) for _, pos, _ in blocks) == 2
@@ -382,8 +402,8 @@ class TestBlockErrors:
             assert rel_diff(system.matrix.toarray(), k_ref) <= RTOL
             assert rel_diff(system.rhs, f_ref) <= RTOL
 
-            base = generate_structured_quads(4.0, 2.0, 4, 2, kind=VE)
-            for inverted_id, unknown_id in ((1, 6), (6, 1)):
+            for kind, (inverted_id, unknown_id) in itertools.product((FE, VE), ((1, 6), (6, 1))):
+                base = generate_structured_quads(4.0, 2.0, 4, 2, kind=kind)
                 vertices, kinds, regions = element_table(base)
                 regions[unknown_id] = 9
                 vertices[inverted_id] = vertices[inverted_id][::-1]

@@ -226,6 +226,19 @@ class TestSandwichStudyHelpers:
         with pytest.raises(FevecError, match="did not converge"):
             self.study(None).peaks_at_gate()
 
+    def test_study_runs_on_the_instance(self, monkeypatch):
+        # ladders overridden on the instance, as on the other cases, reach its study
+        solved = []
+        solve_case = bench.solve_case
+        monkeypatch.setattr(bench, "solve_case", lambda case, level, method: (
+            solved.append((case, level, method)) or solve_case(case, level, method)))
+        case = bench.SandwichCase()
+        case.levels, case.fe_levels = (0,), (1,)
+        reports, lines = case.study()
+        assert reports == [] and len(lines) == 1
+        assert solved == [(case, 0, "coupled"), (case, 1, "fe")]
+        assert bench.SandwichCase.levels == (0, 1, 2)
+
 
 class TestReports:
     def test_csv_and_summary(self, tmp_path):

@@ -1,10 +1,12 @@
 """Pattern-scatter assembly against the sort-based oracle, bit for bit.
 
-``assembly._scatter`` sums element matrices into ``Mesh.node_pattern`` with
-one ``np.bincount``; ``kernel_oracles.compress`` stably sorts the element
-triplets and converts COO to CSR.  Every matrix and right-hand side must be
-equal array for array, sign bits of zeros included, and in canonical CSR
-form.
+``assembly._scatter`` sums element matrices into ``Mesh.node_pattern`` one
+window of ``Mesh.element_windows`` at a time, with ``np.add.at``;
+``kernel_oracles.scatter`` runs the kernels on whole groups, and
+``kernel_oracles.compress`` stably sorts the element triplets and converts
+COO to CSR.  Every matrix and right-hand side must be equal array for array,
+sign bits of zeros included, and in canonical CSR form, wherever the window
+cuts fall.
 """
 
 import pathlib
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 import kernel_oracles
 import test_patch
 from fevec import assembly, bench
+from fevec import mesh as meshmod
 from fevec import config as configmod
 from fevec.assembly import BoundaryConditionSet, build_dof_map
 from fevec.materials import MaterialProps, Plane
@@ -60,11 +63,13 @@ def assert_matches_oracle(mesh, materials, bcs, monkeypatch):
 
     actual = both()
     with monkeypatch.context() as m:
-        m.setattr(assembly, "_scatter", kernel_oracles.compress)
+        m.setattr(assembly, "_scatter", kernel_oracles.scatter)
         expected = both()
     for a, e in zip(actual, expected):
         assert_same_matrix(a.matrix, e.matrix)
         assert_same_vector(a.rhs, e.rhs)
+        # symmetric bit for bit, so the direct solve may factor the transpose
+        assert (a.matrix != a.matrix.T).nnz == 0
 
 
 def config_problem(name):
@@ -134,6 +139,23 @@ def test_hub_polygons_match_oracle(seed, monkeypatch):
     assert_matches_oracle(mesh, {0: props()}, BoundaryConditionSet(), monkeypatch)
 
 
+WINDOW_PROBLEMS = {
+    "hub_polygons": lambda: (hub_polygons(3), {0: props()}, BoundaryConditionSet()),
+    "fcbga_l0": lambda: case_problem("fcbga", generate_fcbga(0)),   # FE and VE
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+@pytest.mark.parametrize("name", sorted(WINDOW_PROBLEMS))
+def test_windows_match_oracle(name, rows, monkeypatch):
+    # the oracle runs whole groups in one piece: where the windows cut them
+    # must change no bit of either matrix or right-hand side
+    mesh, materials, bcs = WINDOW_PROBLEMS[name]()
+    monkeypatch.setattr(meshmod, "_BLOCK_ROWS", rows)
+    assert len(mesh.element_windows()) == -(-mesh.n_elements // rows)
+    assert_matches_oracle(mesh, materials, bcs, monkeypatch)
+
+
 def test_node_slots_point_at_their_pairs():
     mesh = hub_polygons(3)
     indptr, indices = mesh.node_pattern
@@ -149,7 +171,7 @@ def signed_zero_blocks(mesh, per, rng):
     """Random element matrices, per vertex-count block, with signed zeros placed at
     node pairs of the square (0, 1, 2, 3) and the triangle (1, 4, 2)."""
     blocks = []
-    for _, pos, verts in mesh.element_blocks():
+    for _, pos, verts in sorted(mesh.element_blocks(), key=lambda block: block[2].shape[1]):
         n = per * verts.shape[1]
         blocks.append((pos, verts, rng.uniform(-1.0, 1.0, (len(pos), n, n))))
     (_, tri, ke_tri), (_, quad, ke_quad) = blocks
@@ -170,15 +192,23 @@ def signed_zero_blocks(mesh, per, rng):
     return blocks
 
 
+@pytest.mark.parametrize("rows", [None, 1])
 @pytest.mark.parametrize("field_kind", ["thermal", "mechanical"])
-def test_signed_zeros_match_oracle(field_kind):
+def test_signed_zeros_match_oracle(field_kind, rows, monkeypatch):
+    if rows is not None:
+        monkeypatch.setattr(meshmod, "_BLOCK_ROWS", rows)
     mesh = Mesh([(0, 0), (1, 0), (1, 1), (0, 1), (2, 0.5)], [(0, 1, 2, 3), (1, 4, 2)],
                 [FE, VE], [0, 0])
     dof_map = build_dof_map(mesh, field_kind)
     per = dof_map.dofs_per_node
     blocks = signed_zero_blocks(mesh, per, np.random.default_rng(0))
-    actual = assembly._scatter(mesh, dof_map, blocks)
-    assert_same_matrix(actual, kernel_oracles.compress(mesh, dof_map, blocks))
+    # each block's matrices, and minus their first columns as its loads
+    by_first = {int(pos[0]): (ke, -ke[:, 0]) for pos, _, ke in blocks}
+    rhs, expected_rhs = np.zeros(dof_map.ndof), np.zeros(dof_map.ndof)
+    actual = assembly._scatter(mesh, dof_map, lambda _, pos, __: by_first[int(pos[0])], rhs)
+    assert_same_matrix(actual, kernel_oracles.scatter(
+        mesh, dof_map, lambda _, pos, __: by_first[int(pos[0])], expected_rhs))
+    assert_same_vector(rhs, expected_rhs)
     for (a, b), negative in {(0, 2): True, (1, 2): True, (2, 1): False, (1, 1): False}.items():
         for i in range(per):
             row, col = per * a + i, per * b + i
