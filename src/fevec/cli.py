@@ -19,7 +19,7 @@ from . import config as configmod
 from . import post
 from .errors import AssemblyError, FevecError, MeshError, ParseError, SolverError
 from .mesh import Mesh, load_mesh, mesh_text, save_mesh, validate_mesh
-from .solver import run_pipeline
+from .solver import SolutionFields, run_pipeline
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -67,8 +67,7 @@ def cmd_run(config_path: str) -> int:
         return _fail(EXIT_SOLVER, str(exc))
 
     try:
-        probes = [post.line_probe(mesh, cfg.materials, fields, stresses, p.p0, p.p1, p.quantity,
-                                  p.n_samples, name=p.name) for p in cfg.probes]
+        probes = _sample_probes(cfg, mesh, fields, stresses)
     except FevecError as exc:
         return _fail(EXIT_VALIDATION, f"probe failed: {exc}")
 
@@ -82,6 +81,16 @@ def cmd_run(config_path: str) -> int:
         return _fail(EXIT_IO, str(exc))
     print(f"run complete: outputs in {cfg.output_dir}")
     return EXIT_OK
+
+
+def _sample_probes(cfg: configmod.RunConfig, mesh: Mesh, fields: SolutionFields,
+                   stresses: list[post.ElementStress] | None) -> list[post.LineProbe]:
+    """The config's probes, sampled from one evaluator; it is freed before the export."""
+    if not cfg.probes:
+        return []
+    evaluator = post.FieldEvaluator(mesh, cfg.materials, fields, stresses)
+    return [post.line_probe(evaluator, p.p0, p.p1, p.quantity, p.n_samples, name=p.name)
+            for p in cfg.probes]
 
 
 def _write_provenance(cfg: configmod.RunConfig, mesh, path: str) -> None:

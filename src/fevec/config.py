@@ -1,8 +1,9 @@
 """Run configuration: line-oriented sections, same lexical rules as meshes.
 
 Sections: ``[mesh]``, ``[material <region>]``, ``[bc <label>]``, ``[solver]``,
-``[probe <name>]``, ``[output]``.  One ``key value...`` pair per line,
-whitespace separated, ``#`` comments.  Example::
+``[probe <name>]``, ``[output]``; only ``[bc <label>]`` may repeat, and
+``[mesh]`` takes either ``path`` or ``generator``.  One ``key value...``
+pair per line, whitespace separated, ``#`` comments.  Example::
 
     [mesh]
     generator quarter_annulus
@@ -157,14 +158,23 @@ def _kv(records, path, known=None) -> dict[str, list[str]]:
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
+    """Parse a run config; a section other than ``[bc <label>]`` may not repeat its name."""
     cfg = RunConfig(source_text=text)
-    seen_mesh = False
+    seen: set[tuple] = set()
+
+    def once(*key) -> None:
+        if key in seen:
+            raise ParseError(f"section '[{header}]' appears more than once", path)
+        seen.add(key)
+
     for header, records in _sections(text, path):
-        parts = header.split()
+        parts = header.split() or [""]
         name = parts[0]
         if name == "mesh":
-            seen_mesh = True
+            once(name)
             kv = _kv(records, path)
+            if "path" in kv and "generator" in kv:
+                raise ParseError("[mesh] takes either 'path' or 'generator', not both", path)
             if "path" in kv:
                 cfg.mesh_path = kv.pop("path")[0]
             if "generator" in kv:
@@ -181,22 +191,26 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
                 region = int(parts[1])
             except ValueError:
                 raise ParseError(f"region id must be an integer, got '{parts[1]}'", path)
+            once(name, region)
             cfg.materials[region] = _parse_material(_kv(records, path, MATERIAL_KEYS), path)
         elif name == "bc":
             if len(parts) != 2:
                 raise ParseError("bc section needs a label: [bc <label>]", path)
             cfg.bcs.append((parts[1], _parse_bc(records, path)))
         elif name == "solver":
+            once(name)
             cfg.solver = _parse_solver(_kv(records, path, SOLVER_KEYS), path)
         elif name == "probe":
             if len(parts) != 2:
                 raise ParseError("probe section needs a name: [probe <name>]", path)
+            once(name, parts[1])
             cfg.probes.append(_parse_probe(parts[1], _kv(records, path, PROBE_KEYS), path))
         elif name == "output":
+            once(name)
             cfg.output_dir = _kv(records, path, ("dir",)).get("dir", [cfg.output_dir])[0]
         else:
             raise ParseError(f"unknown section '[{header}]'", path)
-    if not seen_mesh:
+    if ("mesh",) not in seen:
         raise ParseError("config has no [mesh] section", path)
     if cfg.solver.fields == "thermal":
         for probe in cfg.probes:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -126,8 +127,23 @@ def polygon_stack(coords: np.ndarray) -> PolygonStack:
 _BLOCK_ROWS = 1 << 10   # see Mesh.element_windows
 
 
-def _edge_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+def _edge_labels(entries: Iterable[tuple[Any, Any]]) -> dict[tuple[int, int], str]:
+    """Labeled edges keyed by sorted node pair, from ``(node pair, label)`` entries.
+
+    MeshError names the first entry whose key is not two integers or whose
+    label is not a str.
+    """
+    out: dict[tuple[int, int], str] = {}
+    for key, label in entries:
+        try:
+            a, b = map(operator.index, key)
+            if not isinstance(label, str):
+                raise TypeError
+        except (TypeError, ValueError):
+            raise MeshError(f"labeled edge {key!r}: {label!r} must map two integer node ids "
+                            "to a str label") from None
+        out[(a, b) if a < b else (b, a)] = label
+    return out
 
 
 def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,7 +186,8 @@ class Mesh:
     ``coords`` is the node table: node i is row i of the (n, 2) array.  The
     element table is three inputs indexed by element position: ``vertices``
     (vertex sequences, or an (m, n_v) int array), ``kinds`` and ``regions``.
-    ``boundary_edges`` maps a node pair (sorted tuple) to a label string.
+    ``boundary_edges`` maps a pair of integer node ids, in either order, to
+    a label string; it is stored keyed by the sorted pair.
     Labels name edge sets for boundary conditions; labels on interior edges
     are allowed (used for embedded Dirichlet surfaces) but flux/traction may
     only be applied to true boundary edges.
@@ -182,9 +199,7 @@ class Mesh:
             self.coords: np.ndarray = np.array(coords, dtype=float).reshape(-1, 2)
         except (TypeError, ValueError) as exc:
             raise MeshError(f"node coordinates must form an (n, 2) table of numbers: {exc}") from exc
-        self.boundary_edges: dict[tuple[int, int], str] = {
-            _edge_key(*k): v for k, v in (boundary_edges or {}).items()
-        }
+        self.boundary_edges = _edge_labels((boundary_edges or {}).items())
         if not len(vertices) == len(kinds) == len(regions):
             raise MeshError("element table inputs differ in length: vertices, kinds, regions")
 
@@ -729,13 +744,13 @@ def _structured_grid(width: float, height: float, nx: int, ny: int
     vertices = n00[:, None] + [0, 1, nx + 2, nx + 1]
     bedges: dict[tuple[int, int], str] = {}
     for i in range(nx):
-        bedges[_edge_key(i, i + 1)] = "bottom"
+        bedges[i, i + 1] = "bottom"
         top0 = ny * (nx + 1) + i
-        bedges[_edge_key(top0, top0 + 1)] = "top"
+        bedges[top0, top0 + 1] = "top"
     for j in range(ny):
-        bedges[_edge_key(j * (nx + 1), (j + 1) * (nx + 1))] = "left"
+        bedges[j * (nx + 1), (j + 1) * (nx + 1)] = "left"
         r0 = j * (nx + 1) + nx
-        bedges[_edge_key(r0, r0 + nx + 1)] = "right"
+        bedges[r0, r0 + nx + 1] = "right"
     return coords, vertices, bedges
 
 
@@ -801,13 +816,13 @@ def generate_quarter_annulus(r_a: float, r_b: float, n_r: int, n_t: int,
                       n_t)
     bedges: dict[tuple[int, int], str] = {}
     for j in range(n_t):
-        bedges[_edge_key(j, j + 1)] = "inner"
+        bedges[j, j + 1] = "inner"
         o0 = n_r * (n_t + 1) + j
-        bedges[_edge_key(o0, o0 + 1)] = "outer"
+        bedges[o0, o0 + 1] = "outer"
     for i in range(n_r):
-        bedges[_edge_key(i * (n_t + 1), (i + 1) * (n_t + 1))] = "theta0"
+        bedges[i * (n_t + 1), (i + 1) * (n_t + 1)] = "theta0"
         t0 = i * (n_t + 1) + n_t
-        bedges[_edge_key(t0, t0 + n_t + 1)] = "theta90"
+        bedges[t0, t0 + n_t + 1] = "theta90"
     return Mesh(coords, vertices, kinds, [0] * len(vertices), bedges)
 
 
@@ -857,69 +872,66 @@ def generate_plate_with_hole(hole_radius: float, size: float, n_t: int,
 
     bedges: dict[tuple[int, int], str] = {}
     for j in range(n_t):
-        bedges[_edge_key(j, j + 1)] = "hole"
+        bedges[j, j + 1] = "hole"
         o0 = (n_rows - 1) * cols + j
         mx, my = 0.5 * (coords[o0] + coords[o0 + 1])
-        bedges[_edge_key(o0, o0 + 1)] = "right" if mx > my else "top"
+        bedges[o0, o0 + 1] = "right" if mx > my else "top"
     for i in range(n_rows - 1):
-        bedges[_edge_key(i * cols, (i + 1) * cols)] = "bottom"
+        bedges[i * cols, (i + 1) * cols] = "bottom"
         t0 = i * cols + n_t
-        bedges[_edge_key(t0, t0 + cols)] = "left"
+        bedges[t0, t0 + cols] = "left"
     return Mesh(coords, vertices, kinds, [0] * len(vertices), bedges)
 
 
+# Region of a removed cell, and of the missing side of a boundary edge, in
+# the rules of ``generate_tagged_grid``.
+VOID = -1
+
+
+def first_match(rules: Sequence[tuple[np.ndarray, Any]], default: Any) -> np.ndarray:
+    """``np.select`` of ``(where, value)`` rules: each entry takes its first match, else ``default``."""
+    where, values = zip(*rules)
+    return np.select(where, values, default)
+
+
 def generate_tagged_grid(xs: Sequence[float], ys: Sequence[float],
-                         cell_of: Callable[[float, float], tuple[int, ElementKind] | None],
-                         label_of: Callable[[float, float], str | None] | None = None,
-                         interior_label_of: Callable[[int, int, float, float], str | None] | None = None,
-                         ) -> Mesh:
-    """Tensor grid with per-cell region/kind tagging and cell removal.
+                         cells: Callable[..., tuple[np.ndarray, np.ndarray]],
+                         labels: Callable[..., np.ndarray]) -> Mesh:
+    """Tensor grid whose cells and edges are tagged by two array rules, each called once.
 
-    ``cell_of(cx, cy)`` is called with each cell midpoint and returns a
-    (region, kind) pair, or ``None`` to remove the cell (void).  Unused nodes
-    are dropped and ids renumbered densely.  ``label_of(mx, my)`` labels true
-    boundary edges by midpoint; ``interior_label_of(region_a, region_b, mx,
-    my)`` may label interior edges between two different regions (for
-    embedded Dirichlet surfaces).
+    ``cells(cx, cy)`` gets the midpoints of all cells, row by row, and returns
+    the region of each cell (``VOID`` removes it) and whether it is FE.
+    Unused nodes are dropped and the rest numbered in order of first use.
+    ``labels(mx, my, r0, r1)`` gets the midpoints of all boundary edges
+    (``r1`` = ``VOID``) and all edges between two regions ``r0`` and ``r1``, and
+    returns their labels; ``''`` leaves an edge unlabeled.
     """
-    xs = list(xs)
-    ys = list(ys)
-    nx, ny = len(xs) - 1, len(ys) - 1
-
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            cx, cy = 0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])
-            tag = cell_of(cx, cy)
-            if tag is not None:
-                cells.append((j * (nx + 1) + i, tag[0], tag[1]))
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    nx = xs.size - 1
+    cx, cy = np.meshgrid(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]))
+    region, fe = cells(cx.ravel(), cy.ravel())
+    kept = np.flatnonzero(region != VOID)
 
     # Grid corner (i, j) has key j * (nx + 1) + i, a cell that of its lower-left
     # corner; nodes are numbered in order of first use by the kept cells' corners.
-    corners = np.array([c[0] for c in cells], dtype=np.int64)[:, None] + [0, 1, nx + 2, nx + 1]
+    corners = (kept + kept // nx)[:, None] + [0, 1, nx + 2, nx + 1]
     keys, node_of_key, verts = _first_use(corners)
     j_of, i_of = np.divmod(keys[np.argsort(node_of_key)], nx + 1)
-    coords = np.column_stack((np.asarray(xs, dtype=float)[i_of], np.asarray(ys, dtype=float)[j_of]))
-    mesh = Mesh(coords, verts, [c[2] for c in cells], [c[1] for c in cells])
+    mesh = Mesh(np.column_stack((xs[i_of], ys[j_of])), verts,
+                np.where(fe[kept], ElementKind.FE_QUAD, ElementKind.VE_POLY), region[kept])
 
-    # Labels come from the mesh's own edge table, so they are set after
-    # construction; the callbacks see only boundary and region-change edges.
+    # Labels come from the mesh's own edge table, so they are set after construction.
     count = mesh.edge_counts
     owners, start = mesh.edge_owners()
     r0 = mesh.element_regions[owners[start]]
-    r1 = mesh.element_regions[owners[start + count - 1]]
-    boundary = (count == 1) & (label_of is not None)
-    interface = (count == 2) & (r0 != r1) & (interior_label_of is not None)
-    bedges: dict[tuple[int, int], str] = {}
-    labeled = np.flatnonzero(boundary | interface)
-    ends = mesh.edges[labeled]
-    mids = 0.5 * (mesh.coords[ends[:, 0]] + mesh.coords[ends[:, 1]])
-    for k, (a, b), (mx, my) in zip(labeled.tolist(), ends.tolist(), mids.tolist()):
-        lab = (label_of(mx, my) if boundary[k]
-               else interior_label_of(int(r0[k]), int(r1[k]), mx, my))
-        if lab is not None:
-            bedges[(a, b)] = lab
-    mesh.boundary_edges = bedges
+    r1 = np.where(count == 1, VOID, mesh.element_regions[owners[start + count - 1]])
+    tagged = np.flatnonzero(r0 != r1)
+    ends = mesh.edges[tagged]
+    mx, my = (0.5 * (mesh.coords[ends[:, 0]] + mesh.coords[ends[:, 1]])).T
+    text = np.asarray(labels(mx, my, r0[tagged], r1[tagged]))
+    named = text != ""
+    mesh.boundary_edges = _edge_labels(zip(map(tuple, ends[named].tolist()), text[named].tolist()))
     return mesh
 
 
@@ -960,28 +972,22 @@ def generate_sandwich(level: int = 0, all_kind: ElementKind | None = None) -> Me
     ys = subdivided([0.0, 0.8, 1.1, 1.6], [8 * s, 3 * s, 5 * s])
     x0, x1 = SANDWICH_STACK_X
 
-    def cell_of(cx, cy):
-        if cy < 0.8:
-            region = SANDWICH_COPPER
-        elif x0 < cx < x1:
-            region = SANDWICH_SILVER if cy < 1.1 else SANDWICH_CHIP
-        else:
-            return None
+    def cells(cx, cy):
+        stack = (x0 < cx) & (cx < x1)
+        region = first_match([(cy < 0.8, SANDWICH_COPPER),
+                              (stack & (cy < 1.1), SANDWICH_SILVER),
+                              (stack, SANDWICH_CHIP)], VOID)
         if all_kind is not None:
-            return region, all_kind
-        kind = ElementKind.FE_QUAD if region == SANDWICH_COPPER else ElementKind.VE_POLY
-        return region, kind
+            return region, np.full(region.shape, all_kind == ElementKind.FE_QUAD)
+        return region, region == SANDWICH_COPPER
 
-    def label_of(mx, my):
-        if abs(my) < 1e-9:
-            return "bottom"
-        if abs(my - 1.6) < 1e-9:
-            return "top"
-        if abs(mx - 3.0) < 1e-9:
-            return "right"
-        return None
+    def labels(mx, my, r0, r1):
+        edge = r1 == VOID
+        return first_match([(edge & (abs(my) < 1e-9), "bottom"),
+                            (edge & (abs(my - 1.6) < 1e-9), "top"),
+                            (edge & (abs(mx - 3.0) < 1e-9), "right")], "")
 
-    return generate_tagged_grid(xs, ys, cell_of, label_of)
+    return generate_tagged_grid(xs, ys, cells, labels)
 
 
 # Region ids of the FC-BGA benchmark.
@@ -1002,38 +1008,26 @@ def generate_fcbga(level: int = 0) -> Mesh:
     ys = subdivided([0.0, 0.8, 1.36, 1.76, 1.86, 2.16, 2.96],
                     [2 * s, 2 * s, 2 * s, s, s, 3 * s])
 
-    def cell_of(cx, cy):
-        if cy < 0.8:
-            return FCBGA_PCB, ElementKind.FE_QUAD
-        if cy < 1.36:
-            for center in (-4.0, -2.0, 0.0, 2.0, 4.0):
-                if abs(cx - center) < 0.5:
-                    return FCBGA_BALL, ElementKind.VE_POLY
-            return None
-        if cy < 1.76:
-            if abs(cx) < 5.5:
-                return FCBGA_BT, ElementKind.FE_QUAD
-            return None
-        if abs(cx) > 4.5:
-            return None
-        if cy < 2.16 and abs(cx) < 2.5:
-            region = FCBGA_EPOXY if cy < 1.86 else FCBGA_DIE
-            return region, ElementKind.VE_POLY
-        return FCBGA_MOLD, ElementKind.VE_POLY
+    def cells(cx, cy):
+        ball = (abs(cx[:, None] - [-4.0, -2.0, 0.0, 2.0, 4.0]) < 0.5).any(axis=1)
+        under_die = (cy < 2.16) & (abs(cx) < 2.5)
+        region = first_match([(cy < 0.8, FCBGA_PCB),
+                              ((cy < 1.36) & ball, FCBGA_BALL),
+                              (cy < 1.36, VOID),
+                              ((cy < 1.76) & (abs(cx) < 5.5), FCBGA_BT),
+                              (cy < 1.76, VOID),
+                              (abs(cx) > 4.5, VOID),
+                              (under_die & (cy < 1.86), FCBGA_EPOXY),
+                              (under_die, FCBGA_DIE)], FCBGA_MOLD)
+        return region, (region == FCBGA_PCB) | (region == FCBGA_BT)
 
-    def label_of(mx, my):
-        if abs(my) < 1e-9:
-            return "pcb_bottom"
-        if abs(my - 2.96) < 1e-9:
-            return "mold_top"
-        return None
+    def labels(mx, my, r0, r1):
+        edge = r1 == VOID
+        return first_match([(edge & (abs(my) < 1e-9), "pcb_bottom"),
+                            (edge & (abs(my - 2.96) < 1e-9), "mold_top"),
+                            (~edge & ((r0 == FCBGA_DIE) | (r1 == FCBGA_DIE)), "die")], "")
 
-    def interior_label_of(r0, r1, mx, my):
-        if FCBGA_DIE in (r0, r1):
-            return "die"
-        return None
-
-    return generate_tagged_grid(xs, ys, cell_of, label_of, interior_label_of)
+    return generate_tagged_grid(xs, ys, cells, labels)
 
 
 # Region ids of the IGBT benchmark.
@@ -1054,48 +1048,31 @@ def generate_igbt(level: int = 0) -> Mesh:
     ys = subdivided([0.0, 3.0, 3.15, 3.45, 3.83, 4.13, 4.28, 4.48, 5.48, 5.98],
                     [4 * s, s, s, s, s, s, s, 2 * s, s])
 
-    def wire(cx, cy):
-        if 4.48 < cy < 5.48 and 3.5 < cx < 4.0:
-            return True          # leg on the chip
-        if 4.13 < cy < 5.48 and 7.0 < cx < 7.5:
-            return True          # leg on the second pad
-        if 5.48 < cy < 5.98 and 3.5 < cx < 7.5:
-            return True          # span
-        return False
+    def cells(cx, cy):
+        wire = (((4.48 < cy) & (cy < 5.48) & (3.5 < cx) & (cx < 4.0))      # leg on the chip
+                | ((4.13 < cy) & (cy < 5.48) & (7.0 < cx) & (cx < 7.5))    # leg on the second pad
+                | ((5.48 < cy) & (cy < 5.98) & (3.5 < cx) & (cx < 7.5)))   # span
+        pads = ((-8.0 < cx) & (cx < 6.0)) | ((6.5 < cx) & (cx < 8.5))
+        chip = (-7.5 < cx) & (cx < 5.5)
+        region = first_match([(wire, IGBT_AL),
+                              (cy < 3.0, IGBT_CU),              # baseplate
+                              (cy < 3.15, IGBT_SOLDER),
+                              (cy < 3.45, IGBT_CU),             # lower pad
+                              (cy < 3.83, IGBT_CERAMIC),
+                              ((cy < 4.13) & pads, IGBT_CU),    # upper pads
+                              (cy < 4.13, VOID),
+                              ((cy < 4.28) & chip, IGBT_SOLDER),
+                              (cy < 4.28, VOID),
+                              ((cy < 4.48) & chip, IGBT_CHIP)], VOID)
+        return region, ~(wire | (cy < 3.0))     # the wire and the baseplate are VE
 
-    def cell_of(cx, cy):
-        if wire(cx, cy):
-            return IGBT_AL, ElementKind.VE_POLY
-        if cy < 3.0:
-            return IGBT_CU, ElementKind.VE_POLY     # baseplate
-        if cy < 3.15:
-            return IGBT_SOLDER, ElementKind.FE_QUAD
-        if cy < 3.45:
-            return IGBT_CU, ElementKind.FE_QUAD     # lower pad
-        if cy < 3.83:
-            return IGBT_CERAMIC, ElementKind.FE_QUAD
-        if cy < 4.13:
-            if -8.0 < cx < 6.0 or 6.5 < cx < 8.5:
-                return IGBT_CU, ElementKind.FE_QUAD  # upper pads
-            return None
-        if cy < 4.28:
-            if -7.5 < cx < 5.5:
-                return IGBT_SOLDER, ElementKind.FE_QUAD
-            return None
-        if cy < 4.48:
-            if -7.5 < cx < 5.5:
-                return IGBT_CHIP, ElementKind.FE_QUAD
-            return None
-        return None
+    def labels(mx, my, r0, r1):
+        edge = r1 == VOID
+        return first_match([(edge & (abs(my) < 1e-9), "base_bottom"),
+                            (edge & (abs(my - 4.48) < 1e-9) & (-7.5 < mx) & (mx < 5.5),
+                             "chip_top")], "")
 
-    def label_of(mx, my):
-        if abs(my) < 1e-9:
-            return "base_bottom"
-        if abs(my - 4.48) < 1e-9 and -7.5 < mx < 5.5:
-            return "chip_top"
-        return None
-
-    return generate_tagged_grid(xs, ys, cell_of, label_of)
+    return generate_tagged_grid(xs, ys, cells, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -1189,7 +1166,7 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
             elif tok[0] == "bedge":
                 if len(tok) != 4:
                     raise ValueError("bedge record needs: bedge <label> <n0> <n1>")
-                bedges[_edge_key(_int64(tok[2]), _int64(tok[3]))] = tok[1]
+                bedges[_int64(tok[2]), _int64(tok[3])] = tok[1]
             else:
                 raise ValueError(f"unknown record '{tok[0]}'")
         except (ValueError, IndexError) as exc:

@@ -411,23 +411,20 @@ def check_probe(p0, p1, quantity: str, n_samples: int) -> None:
         raise FevecError(f"end points must be two finite (x, y) points, got {p0!r} and {p1!r}")
 
 
-def line_probe(mesh: Mesh, materials: dict[int, MaterialProps],
-               solution: SolutionFields, stresses: list[ElementStress] | None,
-               p0: tuple[float, float], p1: tuple[float, float],
+def line_probe(evaluator: FieldEvaluator, p0: tuple[float, float], p1: tuple[float, float],
                quantity: str, n_samples: int, name: str = "probe") -> LineProbe:
-    """Sample a quantity along a segment.
+    """Sample a quantity of ``evaluator``'s fields along a segment.
 
     Uniform parameter samples are augmented with element-boundary crossings,
     each sampled just before and just after the crossing so interface
     discontinuities in stress stay visible.
     """
     check_probe(p0, p1, quantity, n_samples)
-    evaluator = FieldEvaluator(mesh, materials, solution, stresses)
     a = np.asarray(p0, dtype=float)
     b = np.asarray(p1, dtype=float)
     params = set(np.linspace(0.0, 1.0, n_samples).tolist())
     eps = 1e-9
-    for s in _edge_crossings(mesh, a, b):
+    for s in _edge_crossings(evaluator.mesh, a, b):
         for cand in (s - eps, s, s + eps):
             if 0.0 <= cand <= 1.0:
                 params.add(cand)

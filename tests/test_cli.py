@@ -128,6 +128,12 @@ class TestRun:
         ("dirichlet_u 0 0", "dirichlet_u 0 inf", "got inf"),
         ("dirichlet_T 75", "flux nan", "flux must be a finite number"),
         ("x1 2", "x1 nan", "end points"),
+        ("[output]", "[probe mid]\nquantity ux\nx0 0\ny0 0.5\nx1 2\ny1 0.5\n\n[output]",
+         "section '[probe mid]' appears more than once"),
+        ("[bc right]",
+         "[material 0]\nE_MPa 200\nnu 0.3\nk_W_per_mK 1\nalpha_per_C 1e-5\n\n[bc right]",
+         "section '[material 0]' appears more than once"),
+        ("generator split_square", "path m.txt\ngenerator split_square", "not both"),
     ])
     def test_bad_config_value_exit_3(self, tmp_path, capsys, old, new, key):
         text = RUN_CFG.format(out=tmp_path / "o").replace(old, new)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fevec import bench
@@ -140,6 +142,28 @@ class TestParse:
     def test_malformed_bc_spec_rejected(self, kind, values):
         with pytest.raises(AssemblyError):
             configmod.BcSpec(kind, values)
+
+    @pytest.mark.parametrize("section, body", [
+        ("[probe mid]", "quantity ux\nx0 0\ny0 0.5\nx1 2\ny1 0.5"),
+        ("[material 0]", "E_MPa 200\nnu 0.3\nk_W_per_mK 400\nalpha_per_C 1e-5"),
+        ("[material 00]", "E_MPa 200\nnu 0.3\nk_W_per_mK 400\nalpha_per_C 1e-5"),
+        ("[mesh]", "path m.txt"),
+        ("[solver]", "method direct"),
+        ("[output]", "dir out/other"),
+    ])
+    def test_repeated_section_rejected(self, section, body):
+        text = f"{MINIMAL}\n{section}\n{body}\n"
+        with pytest.raises(ParseError, match=re.escape(f"'{section}' appears more than once")):
+            configmod.parse_config(text)
+
+    def test_mesh_path_and_generator_rejected(self):
+        text = MINIMAL.replace("[mesh]\n", "[mesh]\npath m.txt\n")
+        with pytest.raises(ParseError, match="either 'path' or 'generator', not both"):
+            configmod.parse_config(text)
+
+    def test_empty_section_header_rejected(self):
+        with pytest.raises(ParseError, match=re.escape("unknown section '[]'")):
+            configmod.parse_config("[mesh]\npath m.txt\n[]\n")
 
     def test_solver_spec_is_the_solve_options(self):
         from fevec.solver import SolveOptions

@@ -1,7 +1,8 @@
 """Token-level fuzzing of mesh files and run configs.
 
 Each input is a shipped config or a small mesh file with a few tokens
-dropped, duplicated, swapped or replaced by a hostile value.  Whatever the
+dropped, duplicated, swapped or replaced by a hostile value; a config may
+also have a whole section repeated after itself.  Whatever the
 mutation, ``load_mesh`` must either succeed or raise a typed
 ``ParseError``/``MeshError``; ``parse_config``, ``build_mesh`` and
 ``build_bcs`` may also raise ``AssemblyError``, and a boundary value that is
@@ -29,14 +30,22 @@ HOSTILE = ("nan", "inf", "-1", "1e400", "garbage")
 CAPS = {"level": 1, "nx": 8, "ny": 8, "n_r": 8, "n_t": 16, "n_r_ring": 4, "n_r_outer": 8}
 
 
+TOKEN_OPS = ("drop", "duplicate", "swap", "replace")
+
+
 @st.composite
-def mutated(draw, text: str) -> str:
+def mutated(draw, text: str, ops=TOKEN_OPS) -> str:
     lines = [line.split() for line in text.splitlines()]
     for _ in range(draw(st.integers(1, 3))):
         slots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
         i, j = draw(st.sampled_from(slots))
-        op = draw(st.sampled_from(("drop", "duplicate", "swap", "replace")))
-        if op == "drop":
+        op = draw(st.sampled_from(ops))
+        if op == "section":     # the section holding line i, repeated after itself
+            heads = [k for k, toks in enumerate(lines) if toks and toks[0].startswith("[")]
+            start = max([k for k in heads if k <= i], default=0)
+            end = min([k for k in heads if k > i], default=len(lines))
+            lines[end:end] = [list(toks) for toks in lines[start:end]]
+        elif op == "drop":
             del lines[i][j]
         elif op == "duplicate":
             lines[i].insert(j, lines[i][j])
@@ -75,7 +84,7 @@ def test_mutated_mesh_file(scratch, text):
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_mutated_config(scratch, path):
     @settings(max_examples=250, deadline=None, derandomize=True)
-    @given(text=mutated(path.read_text()))
+    @given(text=mutated(path.read_text(), TOKEN_OPS + ("section",)))
     def run(text):
         try:
             cfg = capped(configmod.parse_config(text, str(path)))

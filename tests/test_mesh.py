@@ -1,9 +1,12 @@
+import hashlib
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from fevec import mesh as meshmod
 from fevec import post
 from fevec.assembly import BoundaryConditionSet
 from fevec.errors import MeshError, ParseError
@@ -11,7 +14,7 @@ from fevec.materials import MaterialProps
 from fevec.mesh import (ElementKind, Mesh, Violation, find_interface_nodes,
                         generate_plate_with_hole, generate_quarter_annulus,
                         generate_split_square, generate_structured_quads,
-                        load_mesh, require_valid, save_mesh, validate_mesh)
+                        load_mesh, mesh_text, require_valid, save_mesh, validate_mesh)
 from fevec.solver import run_pipeline
 from conftest import element_table, polygon_family, polygon_row
 from kernel_oracles import element_coords, shoelace_area
@@ -191,6 +194,12 @@ class TestElementTable:
         with pytest.raises(MeshError):
             Mesh(nodes, vertices, [FE], regions)
 
+    @pytest.mark.parametrize("key, label", [
+        ((0, 1, 2), "x"), ((0,), "x"), (("a", "b"), "x"), ((0.5, 1), "x"), ((0, 1), None)])
+    def test_bad_boundary_edge_is_a_mesh_error(self, key, label):
+        with pytest.raises(MeshError, match=re.escape(f"labeled edge {key!r}: {label!r} ")):
+            Mesh(self.NODES, [(0, 1, 2, 3)], [FE], [0], {key: label})
+
     def test_no_elements_reported(self):
         mesh = Mesh(self.NODES, [], [], [])
         assert mesh.n_elements == 0 and mesh.elements == ()
@@ -213,8 +222,9 @@ class TestElementTable:
             dirichlet_u=dict.fromkeys(left, (0.0, 0.0)))
         fields = run_pipeline(mesh, materials, bcs)
         stresses = post.recover_stress(mesh, materials, fields)
+        evaluator = post.FieldEvaluator(mesh, materials, fields, stresses)
         for quantity in ("temperature", "ux", "von_mises"):
-            post.line_probe(mesh, materials, fields, stresses, (0.0, 0.5), (2.0, 0.5), quantity, 9)
+            post.line_probe(evaluator, (0.0, 0.5), (2.0, 0.5), quantity, 9)
         post.nodal_von_mises(mesh, stresses)
         post.export_fields(mesh, fields, stresses, os.devnull)
         assert "elements" not in mesh.__dict__
@@ -338,9 +348,72 @@ class TestGenerators:
 class TestGeneratorLevels:
     @pytest.mark.parametrize("name", ["generate_sandwich", "generate_fcbga", "generate_igbt"])
     def test_negative_level_is_parse_error(self, name):
-        import fevec.mesh as meshmod
         with pytest.raises(ParseError, match="^level must be >= 0, got -1$"):
             getattr(meshmod, name)(-1)
+
+
+# sha256 of ``mesh_text`` of each packaging mesh, recorded when its cells and
+# labels were still tagged by one Python call per cell and per edge.
+PACKAGING_MESH_SHA256 = [
+    ("sandwich", 0, None, "afabe79d3db08a4f06c36fd86fc0e64c29f70958b92c0b827499bba882fe2855"),
+    ("sandwich", 1, None, "4d509feb594dc29a995773cffc299e0436917392d018f5f6d635c9a5a7550865"),
+    ("sandwich", 2, None, "22314ae9beb98d22a5e9f67bba061dcffaba930f3ebb3386e8a01746a1bfe510"),
+    ("sandwich", 0, FE, "4e4a5154aab42de5603ae03910d258f469f61a76aafa368ed1351c944f6a40d5"),
+    ("sandwich", 1, FE, "36a62abb72a2aa3f6a0079702ee91d177c681ae8675a45af502332ecb1c10495"),
+    ("sandwich", 2, FE, "f3eaae1ad0d8000aabbdf2cab5f2084e8580ac969bcda4d148b9a96ce808d58e"),
+    ("sandwich", 0, VE, "5ff916f9d7f149c50e5dfd8345456bd03dba7ee864582e1c8efea224a9a40b86"),
+    ("sandwich", 1, VE, "f0a6fb88f5f394f4ddd071e3ffae92fe18d804c970c5e4221a5cbc29fefe9542"),
+    ("sandwich", 2, VE, "e38e01446588644c9b4a51ecb0620544301d9dcc28202f6fcea7b9b3a6b025dc"),
+    ("sandwich", 3, FE, "52c2a9a2a1d2c6b5fc733e8c8d8beac923cbc3f16c9dd658f8131231f7af9307"),
+    ("fcbga", 0, None, "d9aa5c846ff62a17f8a46baa5df60f5c5b0d98e5e157ab97aa10a7bf16f92437"),
+    ("fcbga", 1, None, "e9dc046d2f0d4e52127255b061fce5ff87ce1edf5c956a51d0a313964538c4ce"),
+    ("fcbga", 2, None, "27bc084c1ce21afca71299ee9dcd3a2bcc66e8267b5b30fdc92389d51ae1b532"),
+    ("igbt", 0, None, "b3afd30a56f7494c380c9d8c9680cc46b27df71faef08a212faf0df5860ed09e"),
+    ("igbt", 1, None, "7a9e06c060bebebb6f66680f7500092597d5db0062968cb294ed0fbec531a133"),
+    ("igbt", 2, None, "1f5e79f47ccf9c71fbe47319e91e9d68fa78c1c153433bf23b0c1ebd0e4cfe90"),
+]
+
+
+class TestTaggedGrid:
+    @pytest.mark.parametrize("name, level, all_kind, digest", PACKAGING_MESH_SHA256,
+                             ids=[f"{name}-{level}-{kind and kind.value}"
+                                  for name, level, kind, _ in PACKAGING_MESH_SHA256])
+    def test_packaging_mesh_unchanged(self, name, level, all_kind, digest):
+        args = (level, all_kind) if name == "sandwich" else (level,)
+        mesh = getattr(meshmod, f"generate_{name}")(*args)
+        assert hashlib.sha256(mesh_text(mesh).encode()).hexdigest() == digest
+
+    def test_rules_see_every_cell_and_only_tagged_edges(self):
+        # 3 x 2 unit cells: region 0 on the left, region 1 in the right column,
+        # and the upper-left cell void.
+        seen = {}
+
+        def cells(cx, cy):
+            seen["cells"] = (cx.tolist(), cy.tolist())
+            region = meshmod.first_match([((cx < 1) & (cy > 1), meshmod.VOID), (cx > 2, 1)], 0)
+            return region, region == 0
+
+        def labels(mx, my, r0, r1):
+            seen["edges"] = list(zip(mx.tolist(), my.tolist(), r0.tolist(), r1.tolist()))
+            return meshmod.first_match([(my == 0, "bottom"), (r1 == 1, "seam")], "")
+
+        mesh = meshmod.generate_tagged_grid([0, 1, 2, 3], [0, 1, 2], cells, labels)
+        assert seen["cells"] == ([0.5, 1.5, 2.5] * 2, [0.5] * 3 + [1.5] * 3)
+        # Nodes are numbered as the kept cells first use their corners; corner
+        # (0, 2) is used only by the void cell and is dropped.
+        assert mesh.coords.tolist() == [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1],
+                                        [3, 0], [3, 1], [2, 2], [1, 2], [3, 2]]
+        vertices, kinds, regions = element_table(mesh)
+        assert vertices == [(0, 1, 2, 3), (1, 4, 5, 2), (4, 6, 7, 5), (2, 5, 8, 9), (5, 7, 10, 8)]
+        assert kinds == [FE, FE, VE, FE, VE] and regions == [0, 0, 1, 0, 1]
+        # Ten boundary edges, two of them on the void, with r1 = VOID; the two
+        # region-change edges once each; no edge inside one region.
+        assert sorted(seen["edges"]) == sorted([
+            (0.5, 0.0, 0, -1), (1.5, 0.0, 0, -1), (2.5, 0.0, 1, -1), (3.0, 0.5, 1, -1),
+            (3.0, 1.5, 1, -1), (1.5, 2.0, 0, -1), (2.5, 2.0, 1, -1), (0.0, 0.5, 0, -1),
+            (0.5, 1.0, 0, -1), (1.0, 1.5, 0, -1), (2.0, 0.5, 0, 1), (2.0, 1.5, 0, 1)])
+        assert mesh.boundary_edges == {(0, 1): "bottom", (1, 4): "bottom", (4, 6): "bottom",
+                                       (4, 5): "seam", (5, 8): "seam"}
 
 
 class TestMeshIO:

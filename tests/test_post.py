@@ -150,7 +150,7 @@ class TestLineProbe:
 
     def test_linear_temperature_probe(self):
         mesh, mats, fields, stresses = self.setup_fields()
-        probe = post.line_probe(mesh, mats, fields, stresses,
+        probe = post.line_probe(post.FieldEvaluator(mesh, mats, fields, stresses),
                                 (0.1, 0.5), (1.9, 0.5), "temperature", 20)
         exact = 50.0 * probe.points[:, 0]
         ok = probe.inside
@@ -161,21 +161,21 @@ class TestLineProbe:
         mats = {0: props()}
         fields = SolutionFields(temperature=np.full(mesh.n_nodes, 42.0),
                                 displacement=np.zeros((mesh.n_nodes, 2)))
-        probe = post.line_probe(mesh, mats, fields, None,
+        probe = post.line_probe(post.FieldEvaluator(mesh, mats, fields),
                                 (0.0, 0.3), (2.0, 0.8), "temperature", 15)
         assert np.abs(probe.values[probe.inside] - 42.0).max() < 1e-10
 
     def test_interface_continuity(self):
         mesh, mats, fields, stresses = self.setup_fields()
         # probe along the FE/VE interface column x = 1
-        probe = post.line_probe(mesh, mats, fields, stresses,
+        probe = post.line_probe(post.FieldEvaluator(mesh, mats, fields, stresses),
                                 (1.0, 0.0), (1.0, 1.0), "temperature", 11)
         exact = 50.0
         assert np.abs(probe.values[probe.inside] - exact).max() < 1e-9 * 100.0
 
     def test_outside_samples_marked(self):
         mesh, mats, fields, stresses = self.setup_fields()
-        probe = post.line_probe(mesh, mats, fields, stresses,
+        probe = post.line_probe(post.FieldEvaluator(mesh, mats, fields, stresses),
                                 (-1.0, 0.5), (2.0, 0.5), "temperature", 30)
         assert (~probe.inside).any() and probe.inside.any()
         assert np.isnan(probe.values[~probe.inside]).all()
@@ -183,7 +183,7 @@ class TestLineProbe:
     def test_fully_outside_rejected(self):
         mesh, mats, fields, stresses = self.setup_fields()
         with pytest.raises(FevecError, match="outside"):
-            post.line_probe(mesh, mats, fields, stresses,
+            post.line_probe(post.FieldEvaluator(mesh, mats, fields, stresses),
                             (10.0, 10.0), (11.0, 11.0), "temperature", 5)
 
     @pytest.mark.parametrize("p0, p1, quantity, n_samples, match", [
@@ -197,9 +197,9 @@ class TestLineProbe:
         (("a", 0.5), (1.9, 0.5), "temperature", 5, "end points"),
     ])
     def test_bad_request_rejected(self, p0, p1, quantity, n_samples, match):
-        mesh, mats, fields, stresses = self.setup_fields()
+        evaluator = post.FieldEvaluator(*self.setup_fields())
         with pytest.raises(FevecError, match=match):
-            post.line_probe(mesh, mats, fields, stresses, p0, p1, quantity, n_samples)
+            post.line_probe(evaluator, p0, p1, quantity, n_samples)
 
     def test_locates_points_in_nonconvex_elements(self):
         # L-shaped VE element: the concave notch must not locate
@@ -216,7 +216,7 @@ class TestLineProbe:
 
     def test_probe_csv_format(self, tmp_path):
         mesh, mats, fields, stresses = self.setup_fields()
-        probe = post.line_probe(mesh, mats, fields, stresses,
+        probe = post.line_probe(post.FieldEvaluator(mesh, mats, fields, stresses),
                                 (0.0, 0.5), (2.0, 0.5), "von_mises", 5)
         path = tmp_path / "p.csv"
         post.write_probe_csv(probe, str(path))

@@ -53,11 +53,12 @@ def segment_points(mesh, seed, count=6):
     lo, hi = mesh.coords.min(axis=0), mesh.coords.max(axis=0)
     pad = 0.4 * (hi - lo)
     zero = SolutionFields(temperature=np.zeros(mesh.n_nodes), displacement=None)
+    evaluator = post.FieldEvaluator(mesh, MATERIALS, zero)
     points = []
     for _ in range(count):
         a = mesh.coords[rng.integers(mesh.n_nodes)]
         b = rng.uniform(lo - pad, hi + pad)
-        probe = post.line_probe(mesh, MATERIALS, zero, None, tuple(a), tuple(b), "temperature", 25)
+        probe = post.line_probe(evaluator, tuple(a), tuple(b), "temperature", 25)
         points.append(probe.points)
     return np.concatenate(points)
 
@@ -187,10 +188,10 @@ def assert_config_probes_match(text, path):
     stresses = None if fields.displacement is None else \
         post.recover_stress(mesh, cfg.materials, fields)
     assert cfg.probes
+    evaluator = post.FieldEvaluator(mesh, cfg.materials, fields, stresses)
     points = []
     for spec in cfg.probes:
-        probe = post.line_probe(mesh, cfg.materials, fields, stresses, spec.p0, spec.p1,
-                                spec.quantity, spec.n_samples)
+        probe = post.line_probe(evaluator, spec.p0, spec.p1, spec.quantity, spec.n_samples)
         points.append(probe.points)
     assert_matches_oracle(mesh, cfg.materials, fields, stresses, np.concatenate(points))
 
