@@ -11,10 +11,16 @@ a window of consecutive element positions (``Mesh.element_windows``),
 through the batched Q4 kernels of ``fem`` and the stacked polygon kernels of
 ``vem``.  Both fields share one sparsity pattern, ``Mesh.node_pattern`` (the
 node pairs that share an element), the mechanical one with 2 x 2 blocks.
-Assembly streams the windows, so its scratch arrays never exceed one
-window's: a window's element entries go to their slots in that pattern, and
-its thermal loads to the right-hand side, through ``np.add.at`` in element
-order (an element's id is its position).  Every slot starts at -0.0, so
+
+The prescribed dofs never get an equation (Hughes, *The Finite Element
+Method*, the ID array): each assembly numbers the unknowns in the solve's
+order and fills only the blocks the solve reads, the free x free matrix and
+the free x prescribed coupling that ``apply_dirichlet`` lifts into the
+right-hand side.  The whole matrix is never built.  Assembly streams the
+windows, so its scratch arrays never exceed one window's: a window's
+element entries go straight to their places in those blocks, and its
+thermal loads to the right-hand side, through ``np.add.at`` in element
+order (an element's id is its position).  Every entry starts at -0.0, so
 repeated runs give bit-identical matrices, equal to an element-by-element
 loop, signed zeros included.  No triplet is sorted and no COO matrix is built.
 """
@@ -23,7 +29,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,55 +64,83 @@ def _entry(entry, size: int, what: str) -> tuple:
     raise AssemblyError(f"{what} must be {size} items, got {entry!r}")
 
 
-@dataclass
 class BoundaryConditionSet:
-    """Node-resolved boundary data for one problem.
+    """Node-resolved boundary data for one problem, written only by its four methods.
 
     ``dirichlet_u`` maps node -> (ux, uy) where either component may be None
     (free).  Edge loads keep their end nodes so the integration can use the
     exact edge geometry.  The methods admit each value through ``_bc_value``;
-    data given to the constructor passes through them too.
+    data given to the constructor passes through them too.  The data reads
+    back as read-only mappings and tuples, so no write skips that rule.
     """
 
-    dirichlet_T: dict[int, float] = field(default_factory=dict)
-    flux_edges: list[tuple[int, int, float]] = field(default_factory=list)
-    dirichlet_u: dict[int, tuple[float | None, float | None]] = field(default_factory=dict)
-    traction_edges: list[tuple[int, int, tuple[float, float]]] = field(default_factory=list)
-
-    def __post_init__(self):
-        given = self.dirichlet_T, self.flux_edges, self.dirichlet_u, self.traction_edges
-        self.dirichlet_T, self.flux_edges, self.dirichlet_u, self.traction_edges = {}, [], {}, []
-        temperatures, fluxes, displacements, tractions = given
-        for node, value in temperatures.items():
+    def __init__(self, dirichlet_T: Mapping[int, float] | None = None,
+                 flux_edges: Iterable[tuple[int, int, float]] = (),
+                 dirichlet_u: Mapping[int, tuple[float | None, float | None]] | None = None,
+                 traction_edges: Iterable[tuple[int, int, tuple[float, float]]] = ()):
+        self._temperatures: dict[int, float] = {}
+        self._fluxes: list[tuple[int, int, float]] = []
+        self._displacements: dict[int, tuple[float | None, float | None]] = {}
+        self._tractions: list[tuple[int, int, tuple[float, float]]] = []
+        for node, value in (dirichlet_T or {}).items():
             self.set_temperature(node, value)
-        for entry in fluxes:
+        for entry in flux_edges:
             self.add_flux(*_entry(entry, 3, "flux entry (a, b, q)"))
-        for node, pair in displacements.items():
+        for node, pair in (dirichlet_u or {}).items():
             self.set_displacement(node, *_entry(pair, 2, f"displacement (ux, uy) at node {node}"))
-        for entry in tractions:
+        for entry in traction_edges:
             self.add_traction(*_entry(entry, 3, "traction entry (a, b, (tx, ty))"))
+
+    @property
+    def dirichlet_T(self) -> Mapping[int, float]:
+        return MappingProxyType(self._temperatures)
+
+    @property
+    def flux_edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(self._fluxes)
+
+    @property
+    def dirichlet_u(self) -> Mapping[int, tuple[float | None, float | None]]:
+        return MappingProxyType(self._displacements)
+
+    @property
+    def traction_edges(self) -> tuple[tuple[int, int, tuple[float, float]], ...]:
+        return tuple(self._tractions)
+
+    def _data(self) -> tuple:
+        return self._temperatures, self._fluxes, self._displacements, self._tractions
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BoundaryConditionSet):
+            return NotImplemented
+        return self._data() == other._data()
+
+    def __repr__(self) -> str:
+        return (f"BoundaryConditionSet(dirichlet_T={self._temperatures!r}, "
+                f"flux_edges={self._fluxes!r}, dirichlet_u={self._displacements!r}, "
+                f"traction_edges={self._tractions!r})")
 
     def set_temperature(self, node: int, value: float) -> None:
         value = _bc_value(value, f"temperature at node {node}")
-        if self.dirichlet_T.get(node, value) != value:
+        if self._temperatures.get(node, value) != value:
             raise AssemblyError(
                 f"conflicting temperature prescriptions at node {node}: "
-                f"{self.dirichlet_T[node]} vs {value}")
-        self.dirichlet_T[node] = value
+                f"{self._temperatures[node]} vs {value}")
+        self._temperatures[node] = value
 
     def set_displacement(self, node: int, ux: float | None, uy: float | None) -> None:
         new = [_bc_value(v, f"displacement {c} at node {node}", free=True)
                for c, v in (("ux", ux), ("uy", uy))]
-        old = self.dirichlet_u.get(node, (None, None))
+        old = self._displacements.get(node, (None, None))
         for k, (a, b) in enumerate(zip(old, new)):
             if a is not None and b is not None and a != b:
                 raise AssemblyError(
                     f"conflicting displacement prescriptions at node {node} "
                     f"component {k}: {a} vs {b}")
-        self.dirichlet_u[node] = tuple(b if a is None else a for a, b in zip(old, new))
+        self._displacements[node] = tuple(b if a is None else a for a, b in zip(old, new))
 
     def add_flux(self, a: int, b: int, q: float) -> None:
-        self.flux_edges.append((a, b, _bc_value(q, f"flux on edge ({a},{b})")))
+        self._fluxes.append((a, b, _bc_value(q, f"flux on edge ({a},{b})")))
 
     def add_traction(self, a: int, b: int, t: tuple[float, float]) -> None:
         what = f"traction on edge ({a},{b})"
@@ -112,14 +148,17 @@ class BoundaryConditionSet:
             tx, ty = t
         except (TypeError, ValueError):
             raise AssemblyError(f"{what} must be a pair (tx, ty), got {t!r}") from None
-        self.traction_edges.append((a, b, (_bc_value(tx, what), _bc_value(ty, what))))
+        self._tractions.append((a, b, (_bc_value(tx, what), _bc_value(ty, what))))
 
     @property
     def has_thermal(self) -> bool:
-        return bool(self.dirichlet_T) or bool(self.flux_edges)
+        return bool(self._temperatures) or bool(self._fluxes)
 
 
 DOFS_PER_NODE = {"thermal": 1, "mechanical": 2}
+
+# Rows whose column numbers _block_columns writes at once; bounds that pass's scratch.
+_ROW_BLOCK = 1 << 13
 
 
 @dataclass
@@ -170,12 +209,25 @@ def build_dof_map(mesh: Mesh, field_kind: str) -> DofMap:
 
 @dataclass
 class SparseSystem:
-    """Assembled symmetric system before constraint elimination."""
+    """An assembled symmetric system, split by its prescribed dofs.
+
+    Unknown i is dof ``free[i]``; the unknowns run in natural order, or in
+    ``DofMap.elimination_order`` for a system assembled for the direct
+    solve (``elimination_order``).  ``matrix`` is the free x free block and
+    ``rhs`` the free part of the right-hand side, both in unknown order.
+    ``coupling`` is the free x prescribed block, its columns the prescribed
+    dofs in increasing order, which ``apply_dirichlet`` lifts into the
+    right-hand side.  Without prescribed dofs, in natural order, ``matrix``
+    and ``rhs`` are the whole system.
+    """
 
     matrix: sp.csr_matrix
+    coupling: sp.csr_matrix
     rhs: np.ndarray
+    free: np.ndarray
     dof_map: DofMap
     dirichlet: dict[int, float]   # dof -> prescribed value
+    elimination_order: bool = False
 
 
 @dataclass
@@ -210,41 +262,131 @@ def _in_element_order(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return out
 
 
-def _scatter(mesh: Mesh, dof_map: DofMap, kernels, rhs: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix of the element matrices of ``kernels``, assembled one window at a time.
+def _unknowns(dof_map: DofMap, dirichlet: dict[int, float],
+              elimination_order: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The unknowns' dofs in solve order, and the prescribed dofs in increasing order."""
+    prescribed = np.zeros(dof_map.ndof, dtype=bool)
+    prescribed[np.fromiter(dirichlet, dtype=np.int64, count=len(dirichlet))] = True
+    free = np.flatnonzero(~prescribed)
+    if elimination_order:
+        free = free[dof_map.elimination_order(free)]
+    return free, np.flatnonzero(prescribed)
+
+
+def _scatter(mesh: Mesh, dof_map: DofMap, kernels, rhs: np.ndarray,
+             free: np.ndarray, fixed: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Free x free and free x prescribed blocks of the element matrices of ``kernels``.
 
     ``kernels(is_fe, positions, vertices)`` gives the (m, n, n) element
     matrices of a block of ``Mesh.element_windows`` and its (m, n) element
-    loads, or None; the loads are added into ``rhs``.  The structure is
-    ``Mesh.node_pattern`` with a p x p block per node pair, p the dofs per
-    node.  Each window's entries go to their slots (``Mesh.node_slots``)
-    through ``np.add.at`` in element order, so every slot sums its terms in
-    element order.  The sums start at -0.0, the identity of addition, so each
-    equals an element-by-element loop's, signed zeros included.
+    loads, or None; the loads are added into ``rhs``.  ``free`` lists the
+    unknowns' dofs in solve order and ``fixed`` the prescribed dofs in
+    increasing order.  Row i of both blocks is dof ``free[i]``'s row of the
+    natural-order matrix, whose structure is ``Mesh.node_pattern`` with a
+    p x p block per node pair (p dofs per node): its free columns, as
+    unknown numbers, go to the free block and its prescribed ones, as
+    positions in ``fixed``, to the coupling block, each in natural column
+    order.  Prescribed rows are never stored.
+
+    Each window's entries go straight to their places through ``np.add.at``
+    in element order, so every entry sums its terms in element order.  The
+    sums start at -0.0, the identity of addition, so each equals an
+    element-by-element loop's, signed zeros included.
     """
     per = dof_map.dofs_per_node
     indptr, indices = mesh.node_pattern
-    data = np.full(per * per * indices.size, -0.0)
-    # Entry (p v + a, p w + b) of an element matrix is entry (a, b) of the block of
-    # node pair (v, w): slot p^2 k + p a + b for the pair's node slot k.
-    in_block = per * np.arange(per)[:, None, None] + np.arange(per)
-    windows = mesh.element_windows()
-    slots = mesh.node_slots(verts for window in windows for _, _, verts in window)
-    for window in windows:
-        # zip draws one slot array per block of the window
-        parts = [(pos, verts, k, *kernels(is_fe, pos, verts))
-                 for (is_fe, pos, verts), k in zip(window, slots)]
-        where = [(pos, (per * per * k[:, :, None, :, None] + in_block).reshape(len(pos), -1))
-                 for pos, _, k, _, _ in parts]
-        values = [(pos, ke.reshape(len(pos), -1)) for pos, _, _, ke, _ in parts]
-        np.add.at(data, _in_element_order(where), _in_element_order(values))
-        if parts[0][4] is not None:
+    # Places and slots in int32 while the whole natural-order matrix would fit it.
+    idx = np.int32 if per * per * indices.size < np.iinfo(np.int32).max else np.int64
+    slot_of = mesh.node_slots()
+    unknown = np.zeros(dof_map.ndof, dtype=bool)
+    unknown[free] = True
+    # A free dof's row and column in the free block; a prescribed dof's column in the coupling.
+    number = np.empty(dof_map.ndof, dtype=idx)
+    number[free] = np.arange(free.size)
+    number[fixed] = np.arange(fixed.size)
+    # cum[k]: free dof columns in the node-pattern slots before slot k
+    cum = np.zeros(indices.size + 1, dtype=idx)
+    free_at = per - np.bincount(fixed // per, minlength=mesh.n_nodes).astype(idx)
+    np.cumsum(np.take(free_at, indices), out=cum[1:])
+    # dofs of the same kind, free or prescribed, before each dof of its node
+    before = np.zeros(dof_map.ndof, dtype=idx)
+    for j in range(per):
+        for i in range(j):
+            before[j::per] += unknown[i::per] == unknown[j::per]
+    first, last = (indptr[free // per + s].astype(idx) for s in (0, 1))
+    in_free = cum[last] - cum[first]
+    free_ptr = np.concatenate(([0], np.cumsum(in_free, dtype=idx)))
+    fixed_ptr = np.concatenate(([0], np.cumsum(per * (last - first) - in_free, dtype=idx)))
+    nnz, trash = int(free_ptr[-1]), int(free_ptr[-1] + fixed_ptr[-1])
+    # Entry (row r, slot k, column c) of a free row goes to to_free[r] + cum[k] + before[c]
+    # when c is free, else to to_fixed[r] + p k - cum[k] + before[c]; prescribed rows to trash.
+    to_free, to_fixed = np.zeros(dof_map.ndof, dtype=idx), np.zeros(dof_map.ndof, dtype=idx)
+    to_free[free] = free_ptr[:-1] - cum[first]
+    to_fixed[free] = nnz + fixed_ptr[:-1] - (per * first - cum[first])
+    del first, last, in_free
+    data = np.full(trash + 1, -0.0)
+    component = np.arange(per, dtype=idx)[:, None]
+    held = free_at < per                        # nodes with a prescribed dof
+
+    def places(verts: np.ndarray) -> np.ndarray:
+        """Where each entry of the (m, n, n) element matrices of a vertex block goes, (m, n n)."""
+        m, n_v = verts.shape
+        # Axes (vertex a, component i, vertex b, component j, element): the element
+        # axis last, so that every broadcast runs over long rows.
+        ends = verts.T.astype(idx)
+        slot = slot_of[np.repeat(ends, n_v, axis=0).ravel(),
+                       np.tile(ends, (n_v, 1)).ravel()].reshape(n_v, 1, n_v, 1, m)
+        dofs = per * ends[:, None, :] + component
+        rows, cols = dofs[:, :, None, None, :], dofs[None, None]
+        ck = cum[slot]
+        where = to_free[rows] + (ck + component)      # every dof free: before[c] is c's component
+        bound = np.flatnonzero(np.logical_or.reduce(held[ends], axis=0))
+        if bound.size:      # elements with a prescribed dof
+            r, c, k, ck = rows[..., bound], cols[..., bound], slot[..., bound], ck[..., bound]
+            at = np.where(unknown[c], to_free[r] + ck, to_fixed[r] + (per * k - ck)) + before[c]
+            where[..., bound] = np.where(unknown[r], at, trash)
+        return np.moveaxis(where, -1, 0).reshape(m, -1)
+
+    for window in mesh.element_windows():
+        parts = [(pos, verts, *kernels(is_fe, pos, verts)) for is_fe, pos, verts in window]
+        np.add.at(data, _in_element_order([(pos, places(verts)) for pos, verts, _, _ in parts]),
+                  _in_element_order([(pos, ke.reshape(len(pos), -1)) for pos, _, ke, _ in parts]))
+        if parts[0][3] is not None:
             np.add.at(rhs, _in_element_order([(pos, dof_map.element_dofs(verts))
-                                              for pos, verts, *_ in parts]),
-                      _in_element_order([(pos, fe) for pos, *_, fe in parts]))
-    slots.close()               # frees the pattern keys before the CSR copy is made
-    return sp.bsr_matrix((data.reshape(-1, per, per), indices, indptr),
-                         shape=(dof_map.ndof, dof_map.ndof)).tocsr()
+                                              for pos, verts, _, _ in parts]),
+                      _in_element_order([(pos, fe) for pos, _, _, fe in parts]))
+    del slot_of, cum, to_free, to_fixed
+    column = _block_columns(mesh, per, free, number, unknown, free_ptr, fixed_ptr)
+    return (sp.csr_matrix((data[:nnz], column[:nnz], free_ptr.astype(idx)),
+                          shape=(free.size, free.size)),
+            sp.csr_matrix((data[nnz:trash], column[nnz:], fixed_ptr.astype(idx)),
+                          shape=(free.size, fixed.size)))
+
+
+def _block_columns(mesh: Mesh, per: int, free: np.ndarray, number: np.ndarray,
+                   unknown: np.ndarray, free_ptr: np.ndarray, fixed_ptr: np.ndarray) -> np.ndarray:
+    """The column numbers of ``_scatter``'s two blocks, one array: free block, then coupling.
+
+    Each free row lists its node's pattern columns in natural order, the free
+    ones (``unknown``) as ``number`` into the free block and the prescribed
+    ones into the coupling; ``_ROW_BLOCK`` rows at a time.
+    """
+    indptr, indices = mesh.node_pattern
+    nnz = free_ptr[-1]
+    column = np.empty(nnz + fixed_ptr[-1], dtype=number.dtype)
+    # one opaque item per node: a node's p numbers or flags move together
+    number, unknown = (a.view(np.dtype((np.void, per * a.itemsize))) for a in (number, unknown))
+    for start in range(0, free.size, _ROW_BLOCK):
+        nodes = free[start:start + _ROW_BLOCK] // per
+        count = indptr[nodes + 1] - indptr[nodes]
+        slots = np.repeat(indptr[nodes] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        neighbours = np.take(indices, slots)
+        cols = np.take(number, neighbours).view(column.dtype)
+        free_cols = np.take(unknown, neighbours).view(bool)
+        stop = start + nodes.size
+        column[free_ptr[start]:free_ptr[stop]] = cols[free_cols]
+        column[nnz + fixed_ptr[start]:nnz + fixed_ptr[stop]] = cols[~free_cols]
+    return column
 
 
 def _dirichlet_dofs(bcs: BoundaryConditionSet, dof_map: DofMap) -> dict[int, float]:
@@ -263,8 +405,13 @@ def _dirichlet_dofs(bcs: BoundaryConditionSet, dof_map: DofMap) -> dict[int, flo
 
 def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
                      bcs: BoundaryConditionSet,
-                     tau: float = vem.DEFAULT_STABILIZATION) -> SparseSystem:
-    """Coupled thermal system: FE quads and VE polygons into one matrix."""
+                     tau: float = vem.DEFAULT_STABILIZATION,
+                     elimination_order: bool = False) -> SparseSystem:
+    """Coupled thermal system: FE quads and VE polygons into one matrix.
+
+    The unknowns run in ``DofMap.elimination_order`` when
+    ``elimination_order`` is set (the direct solve's order), else naturally.
+    """
     require_valid(mesh, materials)
     dof_map = build_dof_map(mesh, "thermal")
     dirichlet = _dirichlet_dofs(bcs, dof_map)
@@ -283,18 +430,22 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
         rhs[a] += fe[0]
         rhs[b] += fe[1]
 
-    matrix = _scatter(mesh, dof_map, element_matrices, rhs)
-    return SparseSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, dirichlet=dirichlet)
+    free, fixed = _unknowns(dof_map, dirichlet, elimination_order)
+    matrix, coupling = _scatter(mesh, dof_map, element_matrices, rhs, free, fixed)
+    return SparseSystem(matrix=matrix, coupling=coupling, rhs=rhs[free], free=free,
+                        dof_map=dof_map, dirichlet=dirichlet,
+                        elimination_order=elimination_order)
 
 
 def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
                         bcs: BoundaryConditionSet,
                         temperature: np.ndarray | None,
-                        tau: float = vem.DEFAULT_STABILIZATION) -> SparseSystem:
+                        tau: float = vem.DEFAULT_STABILIZATION,
+                        elimination_order: bool = False) -> SparseSystem:
     """Coupled mechanical system with thermal loads from a solved temperature.
 
     ``temperature=None`` means an isothermal problem at reference temperature
-    (zero thermal load).
+    (zero thermal load).  ``elimination_order`` as for ``assemble_thermal``.
     """
     require_valid(mesh, materials)
     dof_map = build_dof_map(mesh, "mechanical")
@@ -312,38 +463,29 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
         ke = fem.mechanical_stiffness_q4_batch(q, mats.D)
         return ke, None if te is None else fem.thermal_load_q4_batch(q, mats, te)
 
-    matrix = _scatter(mesh, dof_map, element_contributions, rhs)
+    free, fixed = _unknowns(dof_map, dirichlet, elimination_order)
+    matrix, coupling = _scatter(mesh, dof_map, element_contributions, rhs, free, fixed)
 
     for (a, b, t_bar) in bcs.traction_edges:
         fe = fem.traction_load_edge(mesh.coords[a], mesh.coords[b], t_bar)
         np.add.at(rhs, dof_map.element_dofs((a, b)), fe)
 
-    return SparseSystem(matrix=matrix, rhs=rhs, dof_map=dof_map, dirichlet=dirichlet)
+    return SparseSystem(matrix=matrix, coupling=coupling, rhs=rhs[free], free=free,
+                        dof_map=dof_map, dirichlet=dirichlet,
+                        elimination_order=elimination_order)
 
 
-def apply_dirichlet(system: SparseSystem, elimination_order: bool = False) -> ReducedSystem:
-    """Symmetric row/column elimination of the system's prescribed dofs.
+def apply_dirichlet(system: SparseSystem) -> ReducedSystem:
+    """The system's unknowns with the prescribed values lifted: ``rhs - coupling @ prescribed``.
 
-    Constrained columns move to the right-hand side; the reduced matrix stays
-    symmetric and (for well-posed problems) positive definite.  The free
-    dofs run in natural order, or in ``DofMap.elimination_order`` when
-    ``elimination_order`` is set; the matrix rows are sliced once either way.
+    The assembly already split the matrix, so the reduced matrix is
+    ``system.matrix`` itself, symmetric and (for well-posed problems)
+    positive definite.
     """
-    constraints = system.dirichlet
-    ndof = system.dof_map.ndof
-    prescribed = np.zeros(ndof)
-    mask = np.zeros(ndof, dtype=bool)
-    for dof, value in constraints.items():
+    prescribed = np.zeros(system.dof_map.ndof)
+    for dof, value in system.dirichlet.items():
         prescribed[dof] = value
-        mask[dof] = True
-    free = np.where(~mask)[0]
-    fixed = np.where(mask)[0]
-    if elimination_order:
-        free = free[system.dof_map.elimination_order(free)]
-
-    rows = system.matrix.tocsr()[free]
-    rhs = system.rhs[free]
-    if fixed.size:
-        rhs = rhs - rows[:, fixed] @ prescribed[fixed]
-    return ReducedSystem(matrix=rows[:, free].tocsr(), rhs=np.asarray(rhs).ravel(),
-                         free=free, prescribed=prescribed)
+    rhs = system.rhs
+    if system.dirichlet:
+        rhs = rhs - system.coupling @ prescribed[np.sort(list(system.dirichlet))]
+    return ReducedSystem(matrix=system.matrix, rhs=rhs, free=system.free, prescribed=prescribed)

@@ -18,7 +18,7 @@ from . import bench as benchmod
 from . import config as configmod
 from . import post
 from .errors import AssemblyError, FevecError, MeshError, ParseError, SolverError
-from .mesh import Mesh, load_mesh, mesh_text, save_mesh, validate_mesh
+from .mesh import Mesh, load_mesh, mesh_text_chunks, save_mesh, validate_mesh
 from .solver import SolutionFields, run_pipeline
 
 EXIT_OK = 0
@@ -97,7 +97,10 @@ def _write_provenance(cfg: configmod.RunConfig, mesh, path: str) -> None:
     buf = io.StringIO()
     s = cfg.solver
     buf.write(f"config_sha256 {_sha256(cfg.source_text.encode())}\n")
-    buf.write(f"mesh_sha256 {_sha256(mesh_text(mesh).encode())}\n")
+    mesh_hash = hashlib.sha256()
+    for chunk in mesh_text_chunks(mesh):
+        mesh_hash.update(chunk.encode())
+    buf.write(f"mesh_sha256 {mesh_hash.hexdigest()}\n")
     buf.write(f"solver method={s.method} cg_rel_tol={s.cg_rel_tol!r} "
               f"cg_max_iter={s.cg_max_iter} tau={s.tau!r} fields={s.fields}\n")
     buf.write(f"mesh nodes={mesh.n_nodes} elements={mesh.n_elements}\n")

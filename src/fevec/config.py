@@ -123,8 +123,9 @@ class RunConfig:
     source_text: str = ""
 
 
-def _sections(text: str, path: str) -> list[tuple[str, list[tuple[int, list[str]]]]]:
-    out: list[tuple[str, list[tuple[int, list[str]]]]] = []
+def _sections(text: str, path: str) -> list[tuple[str, int, list[tuple[int, list[str]]]]]:
+    """Each section's header, header line number and (line number, tokens) records."""
+    out: list[tuple[str, int, list[tuple[int, list[str]]]]] = []
     current: list[tuple[int, list[str]]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -133,8 +134,8 @@ def _sections(text: str, path: str) -> list[tuple[str, list[tuple[int, list[str]
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ParseError("unterminated section header", path, lineno)
-            out.append((line[1:-1].strip(), []))
-            current = out[-1][1]
+            out.append((line[1:-1].strip(), lineno, []))
+            current = out[-1][2]
         else:
             if current is None:
                 raise ParseError(f"data before any section: '{line}'", path, lineno)
@@ -164,12 +165,14 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
 
     def once(*key) -> None:
         if key in seen:
-            raise ParseError(f"section '[{header}]' appears more than once", path)
+            raise ParseError(f"section '[{header}]' appears more than once", path, lineno)
         seen.add(key)
 
-    for header, records in _sections(text, path):
+    for header, lineno, records in _sections(text, path):
         parts = header.split() or [""]
         name = parts[0]
+        if name in ("mesh", "solver", "output") and len(parts) != 1:
+            raise ParseError(f"section [{name}] takes no argument, got '[{header}]'", path, lineno)
         if name == "mesh":
             once(name)
             kv = _kv(records, path)
@@ -186,30 +189,31 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
                 raise ParseError("[mesh] needs either 'path' or 'generator'", path)
         elif name == "material":
             if len(parts) != 2:
-                raise ParseError("material section needs a region id: [material <region>]", path)
+                raise ParseError("material section needs a region id: [material <region>]",
+                                 path, lineno)
             try:
                 region = int(parts[1])
             except ValueError:
-                raise ParseError(f"region id must be an integer, got '{parts[1]}'", path)
+                raise ParseError(f"region id must be an integer, got '{parts[1]}'", path, lineno)
             once(name, region)
             cfg.materials[region] = _parse_material(_kv(records, path, MATERIAL_KEYS), path)
         elif name == "bc":
             if len(parts) != 2:
-                raise ParseError("bc section needs a label: [bc <label>]", path)
+                raise ParseError("bc section needs a label: [bc <label>]", path, lineno)
             cfg.bcs.append((parts[1], _parse_bc(records, path)))
         elif name == "solver":
             once(name)
             cfg.solver = _parse_solver(_kv(records, path, SOLVER_KEYS), path)
         elif name == "probe":
             if len(parts) != 2:
-                raise ParseError("probe section needs a name: [probe <name>]", path)
+                raise ParseError("probe section needs a name: [probe <name>]", path, lineno)
             once(name, parts[1])
             cfg.probes.append(_parse_probe(parts[1], _kv(records, path, PROBE_KEYS), path))
         elif name == "output":
             once(name)
             cfg.output_dir = _kv(records, path, ("dir",)).get("dir", [cfg.output_dir])[0]
         else:
-            raise ParseError(f"unknown section '[{header}]'", path)
+            raise ParseError(f"unknown section '[{header}]'", path, lineno)
     if ("mesh",) not in seen:
         raise ParseError("config has no [mesh] section", path)
     if cfg.solver.fields == "thermal":

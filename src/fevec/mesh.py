@@ -130,8 +130,10 @@ _BLOCK_ROWS = 1 << 10   # see Mesh.element_windows
 def _edge_labels(entries: Iterable[tuple[Any, Any]]) -> dict[tuple[int, int], str]:
     """Labeled edges keyed by sorted node pair, from ``(node pair, label)`` entries.
 
-    MeshError names the first entry whose key is not two integers or whose
-    label is not a str.
+    A label is one token of the mesh file: a non-empty str with no
+    whitespace and no ``#``, which starts a comment there.  MeshError names
+    the first entry whose key is not two integers or whose label is not
+    such a token.
     """
     out: dict[tuple[int, int], str] = {}
     for key, label in entries:
@@ -142,6 +144,9 @@ def _edge_labels(entries: Iterable[tuple[Any, Any]]) -> dict[tuple[int, int], st
         except (TypeError, ValueError):
             raise MeshError(f"labeled edge {key!r}: {label!r} must map two integer node ids "
                             "to a str label") from None
+        if label.split() != [label] or "#" in label:
+            raise MeshError(f"labeled edge {key!r}: label {label!r} must be non-empty, "
+                            "without whitespace or '#'")
         out[(a, b) if a < b else (b, a)] = label
     return out
 
@@ -156,11 +161,6 @@ def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     number = np.empty_like(first)
     number[np.argsort(first)] = np.arange(first.size)
     return distinct, number, number[inverse].reshape(keys.shape)
-
-
-def _pair_keys(verts: np.ndarray, n: int) -> np.ndarray:
-    """Key i * n + j of every vertex pair (i, j) of an (m, n_v) block of an n-node mesh, (m, n_v, n_v)."""
-    return verts[:, :, None] * n + verts[:, None, :]
 
 
 def _flat_vertices(vertices) -> tuple[np.ndarray, np.ndarray]:
@@ -361,31 +361,35 @@ class Mesh:
 
         Row i lists, in increasing order, every node that shares an element
         with node i, i itself included: the sparsity pattern of a scalar
-        field's matrix, and with 2 x 2 blocks of a vector field's.  Computed
-        once per mesh; int32 unless the pattern is too large for it.
+        field's matrix, and with 2 x 2 blocks of a vector field's.  It is
+        the structure of the boolean product of the node-element incidence
+        with its transpose, whose rows scipy builds and sorts one at a time;
+        no array of all vertex pairs is made.  Computed once per mesh; int32
+        unless the pattern is too large for it.
         """
         n = self.n_nodes
-        keys = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [
-            _pair_keys(verts, n).ravel() for _, verts in self.vertex_groups.values()]))
-        distinct = np.ones(keys.size, dtype=bool)
-        distinct[1:] = keys[1:] != keys[:-1]
-        rows, cols = np.divmod(keys[distinct], n)
-        dtype = np.int32 if max(n, cols.size) <= np.iinfo(np.int32).max else np.int64
-        return np.searchsorted(rows, np.arange(n + 1)).astype(dtype), cols.astype(dtype)
+        blocks = [verts for _, verts in self.vertex_groups.values()]
+        counts = np.concatenate([np.full(len(verts), verts.shape[1]) for verts in blocks]
+                                + [np.zeros(0, dtype=np.int64)])
+        incidence = sp.csr_matrix(
+            (np.ones(int(counts.sum()), dtype=bool),
+             np.concatenate([verts.ravel() for verts in blocks] + [np.zeros(0, dtype=np.int64)]),
+             np.concatenate(([0], np.cumsum(counts)))), shape=(counts.size, n))
+        pattern = incidence.T.tocsr() @ incidence
+        pattern.sort_indices()
+        dtype = np.int32 if max(n, pattern.nnz) <= np.iinfo(np.int32).max else np.int64
+        return pattern.indptr.astype(dtype), pattern.indices.astype(dtype)
 
-    def node_slots(self, vertex_blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        """Slots in ``node_pattern`` of the vertex pairs of each (m, n_v) vertex block, block by block.
+    def node_slots(self) -> sp.csr_array:
+        """``node_pattern`` as a CSR array whose entries number their own slots.
 
-        Entry [e, a, b] of a block's (m, n_v, n_v) result is the position in
-        ``indices`` of the pair (row ``verts[e, a]``, column ``verts[e, b]``).
+        Indexed with arrays of rows and columns, it gives the position in
+        ``indices`` of each (row, column) node pair: scipy searches within
+        each row.  Built on each call, on the cached pattern's arrays.
         """
         indptr, indices = self.node_pattern
-        n = self.n_nodes
-        # The pattern's keys, increasing as it lists the pairs row by row.
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
-        keys += indices
-        for verts in vertex_blocks:
-            yield np.searchsorted(keys, _pair_keys(verts, n))
+        return sp.csr_array((np.arange(indices.size, dtype=indices.dtype), indices, indptr),
+                            shape=(self.n_nodes, self.n_nodes))
 
     @cached_property
     def dissection_order(self) -> np.ndarray:
@@ -1081,28 +1085,43 @@ def generate_igbt(level: int = 0) -> Mesh:
 FORMAT_HEADER = "mesh 2d v1"
 
 
-def mesh_text(mesh: Mesh) -> str:
-    """Canonical text form of a mesh (see load_mesh for the grammar)."""
+# Node lines formatted by one ``%`` each; bounds the text held at once.
+_NODE_LINES = 1 << 12
+
+
+def mesh_text_chunks(mesh: Mesh) -> Iterator[str]:
+    """The canonical text form of a mesh in pieces (see load_mesh for the grammar).
+
+    The header, the node lines ``_NODE_LINES`` at a time, the element lines
+    and the labeled edges: ``save_mesh`` writes them and ``fevec run``'s
+    provenance hashes them without holding the whole text.
+    """
     def elem_format(n_v: int, pos: np.ndarray) -> np.ndarray:
         rest = f" %d {n_v}" + " %d" * n_v + "\n"
         return np.where(mesh.element_fe[pos], f"elem %d {ElementKind.FE_QUAD.value}{rest}",
                         f"elem %d {ElementKind.VE_POLY.value}{rest}")
 
+    yield f"{FORMAT_HEADER}\n"
+    for start in range(0, mesh.n_nodes, _NODE_LINES):
+        block = mesh.coords[start:start + _NODE_LINES].tolist()
+        yield ("node %s %r %r\n" * len(block)) % tuple(
+            v for i, (x, y) in enumerate(block, start) for v in (i, x, y))
+    yield mesh.format_elements(elem_format, lambda pos, verts: [
+        pos, mesh.element_regions[pos], verts])
     edges = sorted(mesh.boundary_edges)
-    return "".join((
-        f"{FORMAT_HEADER}\n",
-        ("node %s %r %r\n" * mesh.n_nodes) % tuple(
-            v for i, (x, y) in enumerate(mesh.coords.tolist()) for v in (i, x, y)),
-        mesh.format_elements(elem_format, lambda pos, verts: [
-            pos, mesh.element_regions[pos], verts]),
-        ("bedge %s %s %s\n" * len(edges)) % tuple(
-            v for a, b in edges for v in (mesh.boundary_edges[(a, b)], a, b))))
+    yield ("bedge %s %s %s\n" * len(edges)) % tuple(
+        v for a, b in edges for v in (mesh.boundary_edges[(a, b)], a, b))
+
+
+def mesh_text(mesh: Mesh) -> str:
+    """Canonical text form of a mesh (see load_mesh for the grammar)."""
+    return "".join(mesh_text_chunks(mesh))
 
 
 def save_mesh(mesh: Mesh, path: str) -> None:
     """Write the line-oriented mesh format (see load_mesh)."""
-    with open(path, "w") as f:
-        f.write(mesh_text(mesh))
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(mesh_text_chunks(mesh))
 
 
 def _int64(token: str) -> int:
@@ -1121,7 +1140,7 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
     Ids must be dense from 0.  Raises ParseError with the offending line
     number, or MeshError listing invariant violations.
     """
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         raw_lines = f.readlines()
 
     nodes: dict[int, tuple[float, float]] = {}

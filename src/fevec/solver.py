@@ -13,8 +13,11 @@ The direct solve is one path: SuperLU in symmetric mode (Li, ACM TOMS 2005)
 with diagonal pivots and the unknowns in the order of
 ``DofMap.elimination_order``, the mesh's geometric nested-dissection order
 (``Mesh.dissection_order``, computed once per mesh and shared by the
-thermal and mechanical solves).  Both reduced systems are symmetric
-positive definite, so no pivoting is needed.  CG never computes the order.
+thermal and mechanical solves).  ``run_pipeline`` has each system assembled
+in that order for a direct solve and in natural order for CG, so the solve
+factors the matrix as assembled and no permuted or sliced copy is made.
+Both reduced systems are symmetric positive definite, so no pivoting is
+needed.  CG never computes the order.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ METHOD_DIRECT = "direct"
 METHOD_CG = "cg"
 
 ORDERING_NESTED_DISSECTION = "nested_dissection"
-ORDERING_NONE = "none"        # CG, or nothing left to solve
+ORDERING_NONE = "none"        # CG, a natural-order system, or nothing left to solve
 
 # Eigenvalues of a part's rigid-mode Gram matrix below this fraction of its
 # largest one count as zero: a rigid mode left free.
@@ -85,19 +88,24 @@ class SolutionFields:
 
 def solve_system(system: SparseSystem, options: SolveOptions | None = None
                  ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Reduce, solve and recover the full-length solution vector."""
+    """Lift, solve and recover the full-length solution vector.
+
+    The direct solve factors the unknowns in the order they were assembled
+    in: ``run_pipeline`` assembles them in elimination order for it.
+    """
     options = options or SolveOptions()
     _check_well_posed(system)
-    direct = options.method == METHOD_DIRECT
-    reduced = apply_dirichlet(system, elimination_order=direct)
-    del system   # the caller holds none: the full matrix goes before the factor comes
+    ordered = system.elimination_order
+    reduced = apply_dirichlet(system)
+    del system   # the caller holds none: the coupling block goes before the factor comes
     n = reduced.matrix.shape[0]
     diag = SolveDiagnostics(method=options.method, n_dof=n)
     if n == 0:
         return reduced.recover(np.zeros(0)), diag
 
-    if direct:
-        diag.ordering = ORDERING_NESTED_DISSECTION
+    if options.method == METHOD_DIRECT:
+        if ordered:
+            diag.ordering = ORDERING_NESTED_DISSECTION
         x, diag.lu_fill = _solve_direct(reduced.matrix, reduced.rhs)
     else:
         x, diag.iterations = _solve_cg(reduced.matrix, reduced.rhs, options)
@@ -221,18 +229,21 @@ def run_pipeline(mesh: Mesh, materials: dict[int, MaterialProps],
     load).
     """
     options = options or SolveOptions()
+    ordered = options.method == METHOD_DIRECT
     temperature = None
     thermal_diag = None
-    # Each system goes straight to solve_system, which frees it once reduced.
+    # Each system goes straight to solve_system, which frees its coupling block once lifted.
     if bcs.has_thermal:
         temperature, thermal_diag = solve_system(
-            assemble_thermal(mesh, materials, bcs, tau=options.tau), options)
+            assemble_thermal(mesh, materials, bcs, tau=options.tau, elimination_order=ordered),
+            options)
 
     displacement = None
     mech_diag = None
     if options.fields == "both":
         u_flat, mech_diag = solve_system(
-            assemble_mechanical(mesh, materials, bcs, temperature, tau=options.tau), options)
+            assemble_mechanical(mesh, materials, bcs, temperature, tau=options.tau,
+                                elimination_order=ordered), options)
         displacement = u_flat.reshape(-1, 2)
 
     return SolutionFields(temperature=temperature, displacement=displacement,

@@ -7,8 +7,10 @@ them row by row, bit for bit.  A polygon's geometry ``geom`` is one row of
 ``polygon_stack`` (``conftest.polygon_row``).  ``q4_shape_eval``,
 ``shoelace_area`` and ``element_coords`` are the one-element helpers the
 library no longer needs.  ``compress`` is the sort-based sparse assembly,
-and ``scatter`` the unwindowed assembly around it, that
-``fevec.assembly._scatter`` replaced.
+and ``scatter`` the unwindowed, full-then-slice assembly around it, that
+``fevec.assembly._scatter`` replaced; ``slice_system`` is that Dirichlet
+slicing, and ``node_pattern`` the one-piece sort that built the node
+pattern.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
+from fevec.assembly import SparseSystem, _unknowns
 from fevec.errors import SolverError
 from fevec.fem import GAUSS_2X2
 from fevec.materials import MaterialProps, elasticity_matrix, thermal_strain_voigt
@@ -321,12 +324,27 @@ def compress(mesh, dof_map, blocks) -> sp.csr_matrix:
     return sp.coo_matrix((v[order], (r[order], c[order])), shape=(ndof, ndof)).tocsr()
 
 
-def scatter(mesh, dof_map, kernels, rhs) -> sp.csr_matrix:
-    """The one-shot assembly that ``fevec.assembly._scatter`` replaced, same arguments.
+def node_pattern(mesh):
+    """``Mesh.node_pattern`` from one sort of the keys i * n + j of every element's vertex pairs."""
+    n = mesh.n_nodes
+    keys = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        (verts[:, :, None] * n + verts[:, None, :]).ravel()
+        for _, verts in mesh.vertex_groups.values()]))
+    distinct = np.ones(keys.size, dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    rows, cols = np.divmod(keys[distinct], n)
+    dtype = np.int32 if max(n, cols.size) <= np.iinfo(np.int32).max else np.int64
+    return np.searchsorted(rows, np.arange(n + 1)).astype(dtype), cols.astype(dtype)
+
+
+def scatter(mesh, dof_map, kernels, rhs, free, fixed):
+    """The full-then-slice assembly that ``fevec.assembly._scatter`` replaced, same arguments.
 
     ``kernels`` runs once per whole group of one kind and vertex count, with
     no window cut; the loads go into ``rhs`` with one ``np.add.at`` over all
-    entries in element order, and the matrix is ``compress``.
+    entries in element order.  The whole natural-order matrix is
+    ``compress``, and ``slice_system`` cuts the free x free and free x
+    prescribed blocks out of it.
     """
     blocks = []
     for pos, verts in mesh.vertex_groups.values():
@@ -338,4 +356,24 @@ def scatter(mesh, dof_map, kernels, rhs) -> sp.csr_matrix:
         np.add.at(rhs, in_element_order(mesh.n_elements, [(p, dof_map.element_dofs(v))
                                                           for p, v, _, _ in blocks]),
                   in_element_order(mesh.n_elements, [(p, fe) for p, _, _, fe in blocks]))
-    return compress(mesh, dof_map, [(p, v, ke) for p, v, ke, _ in blocks])
+    return slice_system(compress(mesh, dof_map, [(p, v, ke) for p, v, ke, _ in blocks]),
+                        free, fixed)
+
+
+def slice_system(matrix, free, fixed):
+    """Free x free and free x prescribed blocks of a natural-order matrix, rows in ``free`` order.
+
+    The Dirichlet reduction that assembling straight into the blocks
+    replaced: the rows of ``free`` in one slice, then the columns of
+    ``free`` (scipy keeps each row's natural column order) and of ``fixed``.
+    """
+    rows = matrix.tocsr()[free]
+    return rows[:, free].tocsr(), rows[:, fixed]
+
+
+def reduce(matrix, rhs, dof_map, dirichlet, elimination_order=False):
+    """``fevec.assembly.SparseSystem`` of a whole natural-order system, by ``slice_system``."""
+    free, fixed = _unknowns(dof_map, dirichlet, elimination_order)
+    block, coupling = slice_system(matrix, free, fixed)
+    return SparseSystem(block, coupling, np.asarray(rhs, dtype=float)[free], free, dof_map,
+                        dict(dirichlet), elimination_order)

@@ -134,6 +134,10 @@ class TestRun:
          "[material 0]\nE_MPa 200\nnu 0.3\nk_W_per_mK 1\nalpha_per_C 1e-5\n\n[bc right]",
          "section '[material 0]' appears more than once"),
         ("generator split_square", "path m.txt\ngenerator split_square", "not both"),
+        ("[mesh]", "[mesh extra tokens]", "section [mesh] takes no argument"),
+        ("[probe mid]", "[solver anything]\nmethod direct\n\n[probe mid]",
+         "section [solver] takes no argument"),
+        ("[output]", "[output dir]", "section [output] takes no argument"),
     ])
     def test_bad_config_value_exit_3(self, tmp_path, capsys, old, new, key):
         text = RUN_CFG.format(out=tmp_path / "o").replace(old, new)

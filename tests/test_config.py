@@ -161,6 +161,28 @@ class TestParse:
         with pytest.raises(ParseError, match="either 'path' or 'generator', not both"):
             configmod.parse_config(text)
 
+    @pytest.mark.parametrize("header", ["[mesh extra tokens]", "[solver anything]",
+                                        "[output dir]"])
+    def test_extra_header_tokens_name_the_line(self, header):
+        # these once parsed as [mesh], [solver] and [output]
+        name = header[1:].split()[0]
+        lines = MINIMAL.splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line == f"[{name}]")
+        lines[lineno - 1] = header
+        with pytest.raises(ParseError, match=re.escape(
+                f"<config>:{lineno}: section [{name}] takes no argument, got '{header}'")) as err:
+            configmod.parse_config("\n".join(lines) + "\n")
+        assert err.value.line == lineno
+
+    @pytest.mark.parametrize("header, message", [
+        ("[bc a b]", "bc section needs a label"), ("[material 0 1]", "needs a region id"),
+        ("[probe a b]", "probe section needs a name"), ("[wat]", "unknown section")])
+    def test_bad_header_names_its_line(self, header, message):
+        text = f"{MINIMAL}\n{header}\nx 1\n"
+        with pytest.raises(ParseError, match=message) as err:
+            configmod.parse_config(text)
+        assert err.value.line == text.splitlines().index(header) + 1
+
     def test_empty_section_header_rejected(self):
         with pytest.raises(ParseError, match=re.escape("unknown section '[]'")):
             configmod.parse_config("[mesh]\npath m.txt\n[]\n")
@@ -269,8 +291,9 @@ flux 1.0
                                      "alpha_per_C 0\nT0_C 0\nplane stress\n")
         mesh = configmod.build_mesh(cfg)
         bcs = configmod.build_bcs(cfg, mesh)
-        assert bcs.flux_edges == [(a, b, 2.5) for a, b in mesh.edges_with_label("top")]
-        assert bcs.traction_edges == [(a, b, (1.0, -1.0)) for a, b in mesh.edges_with_label("right")]
+        assert bcs.flux_edges == tuple((a, b, 2.5) for a, b in mesh.edges_with_label("top"))
+        assert bcs.traction_edges == tuple((a, b, (1.0, -1.0))
+                                           for a, b in mesh.edges_with_label("right"))
 
     def test_mesh_path_loading(self, tmp_path):
         from fevec.mesh import generate_structured_quads, save_mesh

@@ -2,9 +2,12 @@ import hashlib
 import math
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fevec import mesh as meshmod
 from fevec import post
@@ -417,6 +420,49 @@ class TestTaggedGrid:
 
 
 class TestMeshIO:
+    SQUARE_MESH = dict(coords=[(0, 0), (1, 0), (1, 1), (0, 1)], vertices=[(0, 1, 2, 3)],
+                       kinds=[VE], regions=[0])
+
+    @pytest.mark.parametrize("label", ["die top", "", " top", "top\n", "a\tb", "x#y"])
+    def test_label_that_cannot_be_saved_refused(self, label):
+        # "die top" and "" once saved files that load_mesh refused
+        with pytest.raises(MeshError, match="must be non-empty, without whitespace or '#'"):
+            Mesh(**self.SQUARE_MESH, boundary_edges={(0, 1): "bottom", (1, 2): label})
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+    def test_accepted_label_survives_save_and_load(self, label):
+        try:
+            mesh = Mesh(**self.SQUARE_MESH, boundary_edges={(1, 0): label})
+        except MeshError:
+            assert label.split() != [label] or "#" in label
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.txt")
+            save_mesh(mesh, path)
+            back = load_mesh(path)
+        assert back.boundary_edges == {(0, 1): label}
+        assert mesh_text(back) == mesh_text(mesh)
+
+    def test_text_the_same_in_any_node_block(self, monkeypatch, tmp_path):
+        mesh = generate_quarter_annulus(20, 60, 9, 11, 40)
+        text = mesh_text(mesh)
+        for rows in (1, 7, mesh.n_nodes, 2 * mesh.n_nodes):
+            monkeypatch.setattr(meshmod, "_NODE_LINES", rows)
+            assert mesh_text(mesh) == text
+            save_mesh(mesh, str(tmp_path / "m.txt"))
+            assert (tmp_path / "m.txt").read_bytes() == text.encode()
+
+    def test_provenance_hashes_the_saved_mesh(self, tmp_path):
+        from fevec.cli import main
+        from test_cli import RUN_CFG
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CFG.format(out=tmp_path / "out"))
+        assert main(["run", str(cfg)]) == 0
+        assert main(["mesh-gen", str(cfg)]) == 0      # writes mesh.txt next to the outputs
+        digest = hashlib.sha256((tmp_path / "out" / "mesh.txt").read_bytes()).hexdigest()
+        assert f"mesh_sha256 {digest}\n" in (tmp_path / "out" / "provenance.txt").read_text()
+
     def test_round_trip_identity(self, tmp_path):
         from fevec.mesh import generate_fcbga, generate_igbt, generate_sandwich
         for mesh in (generate_structured_quads(2, 2, 2, 2),

@@ -27,15 +27,16 @@ TOL = 1e-10
 
 
 def colamd_solve(system: SparseSystem) -> tuple[np.ndarray, int]:
-    """Full solution and LU fill of the COLAMD-ordered, partially pivoted SuperLU solve."""
+    """Full solution and LU fill of the COLAMD-ordered, partially pivoted SuperLU solve
+    of a natural-order system."""
     reduced = apply_dirichlet(system)
     lu = spla.splu(reduced.matrix.tocsc())
     return reduced.recover(lu.solve(reduced.rhs)), int(lu.L.nnz + lu.U.nnz)
 
 
 def permuted_solve(system: SparseSystem) -> np.ndarray:
-    """The direct solve as a natural-order reduction whose matrix is then permuted
-    into elimination order; the in-order reduction must give the same bits."""
+    """The direct solve as a natural-order system whose matrix is then permuted into
+    elimination order; assembling in that order must give the same bits."""
     reduced = apply_dirichlet(system)
     order = system.dof_map.elimination_order(reduced.free)
     lu = spla.splu(reduced.matrix[order][:, order].tocsc(), permc_spec="NATURAL",
@@ -45,12 +46,14 @@ def permuted_solve(system: SparseSystem) -> np.ndarray:
     return reduced.recover(x)
 
 
-def assert_matches_oracle(system: SparseSystem) -> np.ndarray:
-    x, diag = solve_system(system)
-    ref, _ = colamd_solve(system)
+def assert_matches_oracle(assemble) -> np.ndarray:
+    """``assemble(elimination_order)`` solved directly, against the natural-order oracles."""
+    x, diag = solve_system(assemble(True))
+    natural = assemble(False)
+    ref, _ = colamd_solve(natural)
     assert diag.ordering == "nested_dissection"
     assert np.abs(x - ref).max() <= TOL * np.abs(ref).max()
-    assert np.array_equal(x, permuted_solve(system))
+    assert np.array_equal(x, permuted_solve(natural))
     return x
 
 
@@ -117,9 +120,11 @@ class TestDissectionOrder:
 
     def test_reduction_in_elimination_order(self):
         mesh = generate_split_square(2.0, 1.0, 16, 8)
-        system = assemble_mechanical(mesh, {0: props()}, clamped_heated(mesh), None)
+        bcs = clamped_heated(mesh)
+        system = assemble_mechanical(mesh, {0: props()}, bcs, None)
         natural = apply_dirichlet(system)
-        ordered = apply_dirichlet(system, elimination_order=True)
+        ordered = apply_dirichlet(assemble_mechanical(mesh, {0: props()}, bcs, None,
+                                                      elimination_order=True))
         order = system.dof_map.elimination_order(natural.free)
         assert np.array_equal(ordered.free, natural.free[order])
         assert np.array_equal(ordered.rhs, natural.rhs[order])
@@ -138,15 +143,16 @@ class TestFill:
     def test_sandwich_l1_mechanical_fill_below_colamd(self):
         mesh = generate_sandwich(1)
         case = bench.builtin_cases()["sandwich"]
-        system = assemble_mechanical(mesh, case.materials, case.make_bcs(mesh), None)
-        _, diag = solve_system(system)
-        assert diag.lu_fill < colamd_solve(system)[1]
+        bcs = case.make_bcs(mesh)
+        _, diag = solve_system(assemble_mechanical(mesh, case.materials, bcs, None,
+                                                   elimination_order=True))
+        assert diag.lu_fill < colamd_solve(assemble_mechanical(mesh, case.materials, bcs, None))[1]
 
     def test_fcbga_l1_mechanical_fill_below_colamd(self):
         cfg, mesh, bcs = config_problem("fcbga", ("level 2", "level 1"))
-        system = assemble_mechanical(mesh, cfg.materials, bcs, None)
-        _, diag = solve_system(system)
-        assert diag.lu_fill < colamd_solve(system)[1]
+        _, diag = solve_system(assemble_mechanical(mesh, cfg.materials, bcs, None,
+                                                   elimination_order=True))
+        assert diag.lu_fill < colamd_solve(assemble_mechanical(mesh, cfg.materials, bcs, None))[1]
 
 
 @pytest.mark.parametrize("name", ["plate", "sandwich", "fcbga", "igbt", "cylinder"])
@@ -154,9 +160,11 @@ def test_config_solves_match_oracle(name):
     cfg, mesh, bcs = config_problem(name)
     temperature = None
     if bcs.has_thermal:
-        temperature = assert_matches_oracle(assemble_thermal(mesh, cfg.materials, bcs))
+        temperature = assert_matches_oracle(
+            lambda order: assemble_thermal(mesh, cfg.materials, bcs, elimination_order=order))
     if cfg.solver.fields == "both":
-        assert_matches_oracle(assemble_mechanical(mesh, cfg.materials, bcs, temperature))
+        assert_matches_oracle(lambda order: assemble_mechanical(
+            mesh, cfg.materials, bcs, temperature, elimination_order=order))
 
 
 @st.composite
@@ -174,5 +182,7 @@ def split_square_partitions(draw):
 def test_partition_solves_match_oracle(mesh):
     assert mesh.n_nodes > _DISSECTION_LEAF
     bcs = clamped_heated(mesh)
-    temperature = assert_matches_oracle(assemble_thermal(mesh, {0: props()}, bcs))
-    assert_matches_oracle(assemble_mechanical(mesh, {0: props()}, bcs, temperature))
+    temperature = assert_matches_oracle(
+        lambda order: assemble_thermal(mesh, {0: props()}, bcs, elimination_order=order))
+    assert_matches_oracle(lambda order: assemble_mechanical(
+        mesh, {0: props()}, bcs, temperature, elimination_order=order))

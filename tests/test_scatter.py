@@ -1,12 +1,15 @@
-"""Pattern-scatter assembly against the sort-based oracle, bit for bit.
+"""Assembly straight into the solve's blocks against the full-then-slice oracle, bit for bit.
 
-``assembly._scatter`` sums element matrices into ``Mesh.node_pattern`` one
-window of ``Mesh.element_windows`` at a time, with ``np.add.at``;
-``kernel_oracles.scatter`` runs the kernels on whole groups, and
+``assembly._scatter`` sums element matrices one window of
+``Mesh.element_windows`` at a time, with ``np.add.at``, straight into the
+free x free and free x prescribed blocks laid out on ``Mesh.node_pattern``;
+``kernel_oracles.scatter`` runs the kernels on whole groups,
 ``kernel_oracles.compress`` stably sorts the element triplets and converts
-COO to CSR.  Every matrix and right-hand side must be equal array for array,
-sign bits of zeros included, and in canonical CSR form, wherever the window
-cuts fall.
+COO to the whole natural-order CSR matrix, and ``kernel_oracles.slice_system``
+cuts the blocks out of it by rows, then by columns.  Every block, right-hand
+side, lift and solution must be equal array for array, sign bits of zeros
+included, in natural and in elimination order, wherever the window cuts
+fall.
 """
 
 import pathlib
@@ -23,6 +26,7 @@ from fevec import config as configmod
 from fevec.assembly import BoundaryConditionSet, build_dof_map
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_fcbga, generate_sandwich
+from fevec.solver import SolveOptions, run_pipeline
 from conftest import polygon_family
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -36,11 +40,12 @@ def props():
 
 
 def assert_same_matrix(actual, expected):
+    assert actual.shape == expected.shape
     for name in ("data", "indices", "indptr"):
         assert getattr(actual, name).dtype == getattr(expected, name).dtype, name
         assert np.array_equal(getattr(actual, name), getattr(expected, name)), name
     assert np.array_equal(np.signbit(actual.data), np.signbit(expected.data))
-    assert actual.has_canonical_format
+    assert actual.has_canonical_format == expected.has_canonical_format
 
 
 def assert_same_vector(actual, expected):
@@ -54,22 +59,48 @@ def temperature_field(mesh):
 
 
 def assert_matches_oracle(mesh, materials, bcs, monkeypatch):
-    """K_T, K_u and both right-hand sides equal to the oracle assembly's."""
+    """K_T, K_u, their coupling blocks, right-hand sides and lifts equal to the oracle's.
+
+    In natural order (CG's) and in elimination order (the direct solve's).
+    """
     temperature = temperature_field(mesh)
 
-    def both():
-        return (assembly.assemble_thermal(mesh, materials, bcs),
-                assembly.assemble_mechanical(mesh, materials, bcs, temperature))
+    def both(order):
+        return (assembly.assemble_thermal(mesh, materials, bcs, elimination_order=order),
+                assembly.assemble_mechanical(mesh, materials, bcs, temperature,
+                                             elimination_order=order))
 
-    actual = both()
+    for order in (False, True):
+        actual = both(order)
+        with monkeypatch.context() as m:
+            m.setattr(assembly, "_scatter", kernel_oracles.scatter)
+            expected = both(order)
+        for a, e in zip(actual, expected):
+            # in elimination order both keep each row's natural column order
+            assert_same_matrix(a.matrix, e.matrix)
+            assert_same_matrix(a.coupling, e.coupling)
+            assert order or a.matrix.has_canonical_format
+            assert_same_vector(a.rhs, e.rhs)
+            assert np.array_equal(a.free, e.free)
+            assert_same_vector(assembly.apply_dirichlet(a).rhs, assembly.apply_dirichlet(e).rhs)
+            # symmetric bit for bit, so the direct solve may factor the transpose
+            assert (a.matrix != a.matrix.T).nnz == 0
+            if not a.dirichlet and not order:
+                assert a.matrix.shape == (a.dof_map.ndof,) * 2
+
+
+def assert_solutions_match_oracle(mesh, materials, bcs, monkeypatch, method="direct"):
+    """Both fields of ``run_pipeline`` equal, bit for bit, to the ones of the oracle's blocks."""
+    options = SolveOptions(method=method)
+    actual = run_pipeline(mesh, materials, bcs, options)
     with monkeypatch.context() as m:
         m.setattr(assembly, "_scatter", kernel_oracles.scatter)
-        expected = both()
-    for a, e in zip(actual, expected):
-        assert_same_matrix(a.matrix, e.matrix)
-        assert_same_vector(a.rhs, e.rhs)
-        # symmetric bit for bit, so the direct solve may factor the transpose
-        assert (a.matrix != a.matrix.T).nnz == 0
+        expected = run_pipeline(mesh, materials, bcs, options)
+    for name in ("temperature", "displacement"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert (a is None) == (e is None), name
+        if a is not None:
+            assert_same_vector(a, e)
 
 
 def config_problem(name):
@@ -89,12 +120,25 @@ PROBLEMS = {
        for name in ("plate", "sandwich", "fcbga", "igbt", "cylinder")},
     "sandwich_fe_l1": lambda: case_problem("sandwich", generate_sandwich(1, FE)),
     "fcbga_l1": lambda: case_problem("fcbga", generate_fcbga(1)),
+    "sandwich_fe_l3": lambda: case_problem("sandwich", generate_sandwich(3, FE)),
+    "fcbga_l2": lambda: case_problem("fcbga", generate_fcbga(2)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_problems_match_oracle(name, monkeypatch):
     assert_matches_oracle(*PROBLEMS[name](), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["plate", "sandwich", "fcbga", "igbt", "cylinder",
+                                  "sandwich_fe_l3", "fcbga_l2"])
+def test_direct_solutions_match_oracle(name, monkeypatch):
+    assert_solutions_match_oracle(*PROBLEMS[name](), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["plate", "fcbga", "cylinder"])
+def test_cg_solutions_match_oracle(name, monkeypatch):
+    assert_solutions_match_oracle(*PROBLEMS[name](), monkeypatch, method="cg")
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -127,6 +171,31 @@ def hub_polygons(seed, count=60, group=4):
     return Mesh(np.concatenate(coords), vertices, [VE] * len(vertices), [0] * len(vertices))
 
 
+def hub_bcs(mesh):
+    """Every polygon held: temperature and displacement at each hub, the displacement
+    of each polygon's next vertex, and only ux at the one after in the hub's first
+    polygon, so that nodes mix free and prescribed dofs.  A polygon meets its
+    group only at the hub, so each one needs its own support."""
+    bcs = BoundaryConditionSet()
+    for k, element in enumerate(mesh.elements):
+        hub, second, third = element.vertices[:3]
+        bcs.set_displacement(second, 0.01 * k, -0.02)
+        if k % 4 == 0:
+            bcs.set_temperature(hub, 2.5 * k - 5.0)
+            bcs.set_displacement(hub, 0.0, 0.0)
+            bcs.set_displacement(third, 0.03, None)
+    return bcs
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_hub_polygons_with_prescribed_dofs_match_oracle(seed, monkeypatch):
+    mesh = hub_polygons(seed)
+    materials, bcs = {0: props()}, hub_bcs(mesh)
+    assert_matches_oracle(mesh, materials, bcs, monkeypatch)
+    for method in ("direct", "cg"):
+        assert_solutions_match_oracle(mesh, materials, bcs, monkeypatch, method)
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_hub_polygons_match_oracle(seed, monkeypatch):
     mesh = hub_polygons(seed)
@@ -140,7 +209,7 @@ def test_hub_polygons_match_oracle(seed, monkeypatch):
 
 
 WINDOW_PROBLEMS = {
-    "hub_polygons": lambda: (hub_polygons(3), {0: props()}, BoundaryConditionSet()),
+    "hub_polygons": lambda: (hub_polygons(3), {0: props()}, hub_bcs(hub_polygons(3))),
     "fcbga_l0": lambda: case_problem("fcbga", generate_fcbga(0)),   # FE and VE
 }
 
@@ -149,7 +218,7 @@ WINDOW_PROBLEMS = {
 @pytest.mark.parametrize("name", sorted(WINDOW_PROBLEMS))
 def test_windows_match_oracle(name, rows, monkeypatch):
     # the oracle runs whole groups in one piece: where the windows cut them
-    # must change no bit of either matrix or right-hand side
+    # must change no bit of any block or right-hand side
     mesh, materials, bcs = WINDOW_PROBLEMS[name]()
     monkeypatch.setattr(meshmod, "_BLOCK_ROWS", rows)
     assert len(mesh.element_windows()) == -(-mesh.n_elements // rows)
@@ -159,12 +228,22 @@ def test_windows_match_oracle(name, rows, monkeypatch):
 def test_node_slots_point_at_their_pairs():
     mesh = hub_polygons(3)
     indptr, indices = mesh.node_pattern
-    vertex_blocks = [verts for _, _, verts in mesh.element_blocks()]
-    for verts, slots in zip(vertex_blocks, mesh.node_slots(vertex_blocks), strict=True):
-        assert slots.shape == verts.shape + verts.shape[1:]
-        assert np.array_equal(np.searchsorted(indptr, slots, side="right") - 1,
-                              np.broadcast_to(verts[:, :, None], slots.shape))
-        assert np.array_equal(indices[slots], np.broadcast_to(verts[:, None, :], slots.shape))
+    slot_of = mesh.node_slots()
+    for _, _, verts in mesh.element_blocks():
+        rows = np.repeat(verts, verts.shape[1], axis=1).ravel()
+        cols = np.tile(verts, (1, verts.shape[1])).ravel()
+        slots = slot_of[rows, cols]
+        assert np.array_equal(np.searchsorted(indptr, slots, side="right") - 1, rows)
+        assert np.array_equal(indices[slots], cols)
+
+
+@pytest.mark.parametrize("build", [lambda: hub_polygons(4), lambda: generate_fcbga(1),
+                                   lambda: generate_sandwich(1, FE)])
+def test_node_pattern_matches_sorted_pairs(build):
+    mesh = build()
+    expected = kernel_oracles.node_pattern(mesh)
+    for actual, oracle in zip(mesh.node_pattern, expected, strict=True):
+        assert actual.dtype == oracle.dtype and np.array_equal(actual, oracle)
 
 
 def signed_zero_blocks(mesh, per, rng):
@@ -205,9 +284,13 @@ def test_signed_zeros_match_oracle(field_kind, rows, monkeypatch):
     # each block's matrices, and minus their first columns as its loads
     by_first = {int(pos[0]): (ke, -ke[:, 0]) for pos, _, ke in blocks}
     rhs, expected_rhs = np.zeros(dof_map.ndof), np.zeros(dof_map.ndof)
-    actual = assembly._scatter(mesh, dof_map, lambda _, pos, __: by_first[int(pos[0])], rhs)
-    assert_same_matrix(actual, kernel_oracles.scatter(
-        mesh, dof_map, lambda _, pos, __: by_first[int(pos[0])], expected_rhs))
+    free, fixed = assembly._unknowns(dof_map, {}, False)
+    actual, coupling = assembly._scatter(
+        mesh, dof_map, lambda _, pos, __: by_first[int(pos[0])], rhs, free, fixed)
+    expected, expected_coupling = kernel_oracles.scatter(
+        mesh, dof_map, lambda _, pos, __: by_first[int(pos[0])], expected_rhs, free, fixed)
+    assert_same_matrix(actual, expected)
+    assert_same_matrix(coupling, expected_coupling)
     assert_same_vector(rhs, expected_rhs)
     for (a, b), negative in {(0, 2): True, (1, 2): True, (2, 1): False, (1, 1): False}.items():
         for i in range(per):

@@ -94,8 +94,9 @@ class TestPipeline:
     def test_thermal_independent_of_mechanical_bcs(self):
         mesh, mats, bcs = self.make_problem()
         fields_a = run_pipeline(mesh, mats, bcs)
-        bcs.traction_edges[0] = (bcs.traction_edges[0][0], bcs.traction_edges[0][1],
-                                 (99.0, -5.0))
+        (a, b, _), *rest = bcs.traction_edges
+        bcs = BoundaryConditionSet(bcs.dirichlet_T, bcs.flux_edges, bcs.dirichlet_u,
+                                   [(a, b, (99.0, -5.0)), *rest])
         fields_b = run_pipeline(mesh, mats, bcs)
         assert np.array_equal(fields_a.temperature, fields_b.temperature)
         assert not np.allclose(fields_a.displacement, fields_b.displacement)
