@@ -1,8 +1,7 @@
 """Coupled finite-element / virtual-element thermomechanical solver (2D)."""
 
 from .assembly import (BoundaryConditionSet, DofMap, SparseSystem,
-                       apply_dirichlet, assemble_mechanical, assemble_thermal,
-                       build_dof_map)
+                       assemble_mechanical, assemble_thermal)
 from .errors import (AssemblyError, FevecError, MeshError, ParseError,
                      SolverError)
 from .materials import MaterialProps, Plane, elasticity_matrix, thermal_strain_voigt

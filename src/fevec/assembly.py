@@ -14,9 +14,10 @@ node pairs that share an element), the mechanical one with 2 x 2 blocks.
 
 The prescribed dofs never get an equation (Hughes, *The Finite Element
 Method*, the ID array): each assembly numbers the unknowns in the solve's
-order and fills only the blocks the solve reads, the free x free matrix and
-the free x prescribed coupling that ``apply_dirichlet`` lifts into the
-right-hand side.  The whole matrix is never built.  Assembly streams the
+order and fills only two blocks, the free x free matrix and the free x
+prescribed coupling, which it lifts into the right-hand side with the
+prescribed values and then drops: it returns the system the solve factors.
+The whole matrix is never built.  Assembly streams the
 windows, so its scratch arrays never exceed one window's: a window's
 element entries go straight to their places in those blocks, and its
 thermal loads to the right-hand side, through ``np.add.at`` in element
@@ -168,6 +169,10 @@ class DofMap:
     field_kind: str              # "thermal" | "mechanical"
     mesh: Mesh = field(repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.field_kind not in DOFS_PER_NODE:
+            raise AssemblyError(f"unknown field kind '{self.field_kind}'")
+
     @property
     def n_nodes(self) -> int:
         return self.mesh.n_nodes
@@ -201,44 +206,32 @@ class DofMap:
         return order[order >= 0]
 
 
-def build_dof_map(mesh: Mesh, field_kind: str) -> DofMap:
-    if field_kind not in DOFS_PER_NODE:
-        raise AssemblyError(f"unknown field kind '{field_kind}'")
-    return DofMap(field_kind=field_kind, mesh=mesh)
-
-
 @dataclass
 class SparseSystem:
-    """An assembled symmetric system, split by its prescribed dofs.
+    """An assembled symmetric system, its prescribed values lifted into the right-hand side.
 
     Unknown i is dof ``free[i]``; the unknowns run in natural order, or in
     ``DofMap.elimination_order`` for a system assembled for the direct
     solve (``elimination_order``).  ``matrix`` is the free x free block and
-    ``rhs`` the free part of the right-hand side, both in unknown order.
-    ``coupling`` is the free x prescribed block, its columns the prescribed
-    dofs in increasing order, which ``apply_dirichlet`` lifts into the
-    right-hand side.  Without prescribed dofs, in natural order, ``matrix``
-    and ``rhs`` are the whole system.
+    ``rhs`` the free part of the load minus the free x prescribed block
+    times ``values``, both in unknown order.  ``fixed`` lists the prescribed
+    dofs in increasing order and ``values`` their values.  Without
+    prescribed dofs, in natural order, ``matrix`` and ``rhs`` are the whole
+    system.
     """
 
     matrix: sp.csr_matrix
-    coupling: sp.csr_matrix
     rhs: np.ndarray
     free: np.ndarray
+    fixed: np.ndarray
+    values: np.ndarray
     dof_map: DofMap
-    dirichlet: dict[int, float]   # dof -> prescribed value
     elimination_order: bool = False
 
-
-@dataclass
-class ReducedSystem:
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    free: np.ndarray              # full-vector index of each unknown, in unknown order
-    prescribed: np.ndarray        # full-length vector holding prescribed values
-
     def recover(self, x_free: np.ndarray) -> np.ndarray:
-        full = self.prescribed.copy()
+        """The full-length dof vector: ``x_free`` at the unknowns, ``values`` at ``fixed``."""
+        full = np.zeros(self.dof_map.ndof)
+        full[self.fixed] = self.values
         full[self.free] = x_free
         return full
 
@@ -260,17 +253,6 @@ def _in_element_order(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     for pos, values in parts:
         out[start[pos - first][:, None] + np.arange(values.shape[1])] = values
     return out
-
-
-def _unknowns(dof_map: DofMap, dirichlet: dict[int, float],
-              elimination_order: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The unknowns' dofs in solve order, and the prescribed dofs in increasing order."""
-    prescribed = np.zeros(dof_map.ndof, dtype=bool)
-    prescribed[np.fromiter(dirichlet, dtype=np.int64, count=len(dirichlet))] = True
-    free = np.flatnonzero(~prescribed)
-    if elimination_order:
-        free = free[dof_map.elimination_order(free)]
-    return free, np.flatnonzero(prescribed)
 
 
 def _scatter(mesh: Mesh, dof_map: DofMap, kernels, rhs: np.ndarray,
@@ -389,8 +371,9 @@ def _block_columns(mesh: Mesh, per: int, free: np.ndarray, number: np.ndarray,
     return column
 
 
-def _dirichlet_dofs(bcs: BoundaryConditionSet, dof_map: DofMap) -> dict[int, float]:
-    """The field's prescribed values as dof -> value, once all four kinds name only mesh nodes."""
+def _dirichlet_dofs(bcs: BoundaryConditionSet, dof_map: DofMap) -> tuple[np.ndarray, np.ndarray]:
+    """The field's prescribed dofs in increasing order and their values, once all four
+    kinds of boundary condition name only mesh nodes."""
     n = dof_map.n_nodes
     edge_nodes = (v for a, b, _ in bcs.flux_edges + bcs.traction_edges for v in (a, b))
     for node in (*bcs.dirichlet_T, *bcs.dirichlet_u, *edge_nodes):
@@ -398,9 +381,33 @@ def _dirichlet_dofs(bcs: BoundaryConditionSet, dof_map: DofMap) -> dict[int, flo
             raise AssemblyError(f"boundary condition references node {node!r}, "
                                 f"not an integer in 0..{n - 1}")
     if dof_map.dofs_per_node == 1:
-        return dict(bcs.dirichlet_T)
-    return {2 * node + k: value for node, pair in bcs.dirichlet_u.items()
-            for k, value in enumerate(pair) if value is not None}
+        prescribed = sorted(bcs.dirichlet_T.items())
+    else:
+        prescribed = sorted((2 * node + k, value) for node, pair in bcs.dirichlet_u.items()
+                            for k, value in enumerate(pair) if value is not None)
+    return (np.array([dof for dof, _ in prescribed], dtype=np.int64),
+            np.array([value for _, value in prescribed], dtype=float))
+
+
+def _assemble(mesh: Mesh, materials: dict[int, MaterialProps], bcs: BoundaryConditionSet,
+              field_kind: str, kernels, edges, edge_load, elimination_order: bool) -> SparseSystem:
+    """The one assembly body: ``kernels`` as for ``_scatter``, then ``edge_load(xa, xb, load)``
+    of each ``(a, b, load)`` in ``edges``, then the lift of the prescribed values.
+
+    The coupling block lives only here: it is freed once lifted.
+    """
+    require_valid(mesh, materials)
+    dof_map = DofMap(field_kind, mesh)
+    fixed, values = _dirichlet_dofs(bcs, dof_map)
+    free = np.delete(np.arange(dof_map.ndof), fixed)
+    if elimination_order:
+        free = free[dof_map.elimination_order(free)]
+    rhs = np.zeros(dof_map.ndof)
+    matrix, coupling = _scatter(mesh, dof_map, kernels, rhs, free, fixed)
+    for a, b, load in edges:
+        np.add.at(rhs, dof_map.element_dofs((a, b)), edge_load(mesh.coords[a], mesh.coords[b], load))
+    return SparseSystem(matrix=matrix, rhs=rhs[free] - coupling @ values, free=free, fixed=fixed,
+                        values=values, dof_map=dof_map, elimination_order=elimination_order)
 
 
 def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
@@ -412,11 +419,6 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
     The unknowns run in ``DofMap.elimination_order`` when
     ``elimination_order`` is set (the direct solve's order), else naturally.
     """
-    require_valid(mesh, materials)
-    dof_map = build_dof_map(mesh, "thermal")
-    dirichlet = _dirichlet_dofs(bcs, dof_map)
-    rhs = np.zeros(dof_map.ndof)
-
     def element_matrices(is_fe, pos, verts):
         mats = gather_materials(materials, mesh.element_regions[pos])
         if not is_fe:
@@ -425,16 +427,8 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
         return fem.thermal_stiffness_q4_batch(fem.q4_batch_eval(mesh.coords[verts]),
                                               mats.conductivity), None
 
-    for (a, b, q_bar) in bcs.flux_edges:
-        fe = fem.flux_load_edge(mesh.coords[a], mesh.coords[b], q_bar)
-        rhs[a] += fe[0]
-        rhs[b] += fe[1]
-
-    free, fixed = _unknowns(dof_map, dirichlet, elimination_order)
-    matrix, coupling = _scatter(mesh, dof_map, element_matrices, rhs, free, fixed)
-    return SparseSystem(matrix=matrix, coupling=coupling, rhs=rhs[free], free=free,
-                        dof_map=dof_map, dirichlet=dirichlet,
-                        elimination_order=elimination_order)
+    return _assemble(mesh, materials, bcs, "thermal", element_matrices,
+                     bcs.flux_edges, fem.flux_load_edge, elimination_order)
 
 
 def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
@@ -447,11 +441,6 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     ``temperature=None`` means an isothermal problem at reference temperature
     (zero thermal load).  ``elimination_order`` as for ``assemble_thermal``.
     """
-    require_valid(mesh, materials)
-    dof_map = build_dof_map(mesh, "mechanical")
-    dirichlet = _dirichlet_dofs(bcs, dof_map)
-    rhs = np.zeros(dof_map.ndof)
-
     def element_contributions(is_fe, pos, verts):
         mats = gather_materials(materials, mesh.element_regions[pos])
         te = None if temperature is None else temperature[verts]
@@ -463,29 +452,5 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
         ke = fem.mechanical_stiffness_q4_batch(q, mats.D)
         return ke, None if te is None else fem.thermal_load_q4_batch(q, mats, te)
 
-    free, fixed = _unknowns(dof_map, dirichlet, elimination_order)
-    matrix, coupling = _scatter(mesh, dof_map, element_contributions, rhs, free, fixed)
-
-    for (a, b, t_bar) in bcs.traction_edges:
-        fe = fem.traction_load_edge(mesh.coords[a], mesh.coords[b], t_bar)
-        np.add.at(rhs, dof_map.element_dofs((a, b)), fe)
-
-    return SparseSystem(matrix=matrix, coupling=coupling, rhs=rhs[free], free=free,
-                        dof_map=dof_map, dirichlet=dirichlet,
-                        elimination_order=elimination_order)
-
-
-def apply_dirichlet(system: SparseSystem) -> ReducedSystem:
-    """The system's unknowns with the prescribed values lifted: ``rhs - coupling @ prescribed``.
-
-    The assembly already split the matrix, so the reduced matrix is
-    ``system.matrix`` itself, symmetric and (for well-posed problems)
-    positive definite.
-    """
-    prescribed = np.zeros(system.dof_map.ndof)
-    for dof, value in system.dirichlet.items():
-        prescribed[dof] = value
-    rhs = system.rhs
-    if system.dirichlet:
-        rhs = rhs - system.coupling @ prescribed[np.sort(list(system.dirichlet))]
-    return ReducedSystem(matrix=system.matrix, rhs=rhs, free=system.free, prescribed=prescribed)
+    return _assemble(mesh, materials, bcs, "mechanical", element_contributions,
+                     bcs.traction_edges, fem.traction_load_edge, elimination_order)

@@ -18,7 +18,7 @@ from . import bench as benchmod
 from . import config as configmod
 from . import post
 from .errors import AssemblyError, FevecError, MeshError, ParseError, SolverError
-from .mesh import Mesh, load_mesh, mesh_text_chunks, save_mesh, validate_mesh
+from .mesh import Mesh, _read_text, load_mesh, mesh_text_chunks, save_mesh, validate_mesh
 from .solver import SolutionFields, run_pipeline
 
 EXIT_OK = 0
@@ -38,8 +38,7 @@ def _sha256(data: bytes) -> str:
 
 def _read_config(path: str) -> tuple[configmod.RunConfig, Mesh]:
     """Parse a run or mesh-gen spec and build its mesh (OSError, ParseError, MeshError)."""
-    with open(path) as f:
-        cfg = configmod.parse_config(f.read(), path)
+    cfg = configmod.parse_config(_read_text(path), path)
     return cfg, configmod.build_mesh(cfg, os.path.dirname(path) or ".")
 
 

@@ -1131,6 +1131,17 @@ def _int64(token: str) -> int:
     return value
 
 
+def _read_text(path: str) -> str:
+    """A mesh or config file's text; a byte that is not UTF-8 is a ParseError naming its line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        data = exc.object                       # read() decodes the whole file at once
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text", path,
+                         len(data[:exc.start + 1].splitlines())) from None
+
+
 def load_mesh(path: str, validate: bool = True) -> Mesh:
     """Parse a mesh file.
 
@@ -1140,9 +1151,6 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
     Ids must be dense from 0.  Raises ParseError with the offending line
     number, or MeshError listing invariant violations.
     """
-    with open(path, encoding="utf-8") as f:
-        raw_lines = f.readlines()
-
     nodes: dict[int, tuple[float, float]] = {}
     vertices: dict[int, tuple[int, ...]] = {}   # the element table, keyed by element id
     kinds: dict[int, ElementKind] = {}
@@ -1150,7 +1158,7 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
     bedges: dict[tuple[int, int], str] = {}
     header_seen = False
 
-    for lineno, raw in enumerate(raw_lines, start=1):
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -14,10 +14,12 @@ with diagonal pivots and the unknowns in the order of
 ``DofMap.elimination_order``, the mesh's geometric nested-dissection order
 (``Mesh.dissection_order``, computed once per mesh and shared by the
 thermal and mechanical solves).  ``run_pipeline`` has each system assembled
-in that order for a direct solve and in natural order for CG, so the solve
-factors the matrix as assembled and no permuted or sliced copy is made.
-Both reduced systems are symmetric positive definite, so no pivoting is
-needed.  CG never computes the order.
+in that order for a direct solve and in natural order for CG.  The assembly
+has already lifted the prescribed values into the right-hand side, so
+``solve_system`` factors ``SparseSystem.matrix`` as assembled, with no
+permuted, sliced or lifted copy, and ``SparseSystem.recover`` puts the
+prescribed values back.  Both systems are symmetric positive definite, so
+no pivoting is needed.  CG never computes the order.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import (BoundaryConditionSet, SparseSystem, apply_dirichlet,
-                       assemble_mechanical, assemble_thermal)
+from .assembly import (BoundaryConditionSet, SparseSystem, assemble_mechanical,
+                       assemble_thermal)
 from .errors import SolverError
 from .materials import MaterialProps
 from .mesh import Mesh
@@ -88,30 +90,27 @@ class SolutionFields:
 
 def solve_system(system: SparseSystem, options: SolveOptions | None = None
                  ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Lift, solve and recover the full-length solution vector.
+    """Solve the assembled system and recover the full-length solution vector.
 
     The direct solve factors the unknowns in the order they were assembled
     in: ``run_pipeline`` assembles them in elimination order for it.
     """
     options = options or SolveOptions()
     _check_well_posed(system)
-    ordered = system.elimination_order
-    reduced = apply_dirichlet(system)
-    del system   # the caller holds none: the coupling block goes before the factor comes
-    n = reduced.matrix.shape[0]
-    diag = SolveDiagnostics(method=options.method, n_dof=n)
-    if n == 0:
-        return reduced.recover(np.zeros(0)), diag
+    matrix, rhs = system.matrix, system.rhs
+    diag = SolveDiagnostics(method=options.method, n_dof=matrix.shape[0])
+    if diag.n_dof == 0:
+        return system.recover(np.zeros(0)), diag
 
     if options.method == METHOD_DIRECT:
-        if ordered:
+        if system.elimination_order:
             diag.ordering = ORDERING_NESTED_DISSECTION
-        x, diag.lu_fill = _solve_direct(reduced.matrix, reduced.rhs)
+        x, diag.lu_fill = _solve_direct(matrix, rhs)
     else:
-        x, diag.iterations = _solve_cg(reduced.matrix, reduced.rhs, options)
+        x, diag.iterations = _solve_cg(matrix, rhs, options)
 
-    resid = reduced.matrix @ x - reduced.rhs
-    scale = float(np.abs(reduced.rhs).max()) or 1.0
+    resid = matrix @ x - rhs
+    scale = float(np.abs(rhs).max()) or 1.0
     diag.residual = float(np.abs(resid).max()) / scale
     if not np.all(np.isfinite(x)) or diag.residual > 1e-6:
         raise SolverError(
@@ -119,7 +118,7 @@ def solve_system(system: SparseSystem, options: SolveOptions | None = None
             f"(relative residual {diag.residual:.3e}); the system is likely "
             "singular -- check for missing constraints (unconstrained "
             "rigid-body modes or no Dirichlet temperature)")
-    return reduced.recover(x), diag
+    return system.recover(x), diag
 
 
 def _check_well_posed(system: SparseSystem) -> None:
@@ -131,13 +130,12 @@ def _check_well_posed(system: SparseSystem) -> None:
     to its constrained dofs, to have rank 3.
     """
     mesh = system.dof_map.mesh
-    fixed = np.fromiter(system.dirichlet, dtype=np.int64, count=len(system.dirichlet))
     if system.dof_map.dofs_per_node == 2:
-        _require_rigid_modes_fixed(mesh, fixed)
+        _require_rigid_modes_fixed(mesh, system.fixed)
         return
     n_parts, part = mesh.node_components
     floating = np.ones(n_parts, dtype=bool)
-    floating[part[fixed]] = False
+    floating[part[system.fixed]] = False
     if floating.any():
         raise SolverError(
             "ill-posed thermal problem: the connected mesh part containing node "
@@ -232,7 +230,6 @@ def run_pipeline(mesh: Mesh, materials: dict[int, MaterialProps],
     ordered = options.method == METHOD_DIRECT
     temperature = None
     thermal_diag = None
-    # Each system goes straight to solve_system, which frees its coupling block once lifted.
     if bcs.has_thermal:
         temperature, thermal_diag = solve_system(
             assemble_thermal(mesh, materials, bcs, tau=options.tau, elimination_order=ordered),

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from fevec import vem
-from fevec.assembly import build_dof_map
+from fevec.assembly import DofMap
 from fevec.materials import MaterialProps, Plane, gather_materials
 from fevec.mesh import ElementKind, Mesh, polygon_stack
 
@@ -43,11 +43,12 @@ def element_table(mesh):
 
 
 def triangle_system(k, f, dirichlet=None):
-    """``SparseSystem`` of a hand-built 3 x 3 matrix on the thermal dof map of one VE triangle."""
+    """``SparseSystem`` of a hand-built 3 x 3 matrix on the thermal dof map of one VE triangle,
+    the values of ``dirichlet`` (dof -> value) lifted."""
     from kernel_oracles import reduce
 
     mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [(0, 1, 2)], [ElementKind.VE_POLY], [0])
-    return reduce(sp.csr_matrix(np.asarray(k, dtype=float)), f, build_dof_map(mesh, "thermal"),
+    return reduce(sp.csr_matrix(np.asarray(k, dtype=float)), f, DofMap("thermal", mesh),
                   dirichlet or {})
 
 

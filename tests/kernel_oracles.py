@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from fevec.assembly import SparseSystem, _unknowns
+from fevec.assembly import SparseSystem
 from fevec.errors import SolverError
 from fevec.fem import GAUSS_2X2
 from fevec.materials import MaterialProps, elasticity_matrix, thermal_strain_voigt
@@ -371,9 +371,12 @@ def slice_system(matrix, free, fixed):
     return rows[:, free].tocsr(), rows[:, fixed]
 
 
-def reduce(matrix, rhs, dof_map, dirichlet, elimination_order=False):
-    """``fevec.assembly.SparseSystem`` of a whole natural-order system, by ``slice_system``."""
-    free, fixed = _unknowns(dof_map, dirichlet, elimination_order)
+def reduce(matrix, rhs, dof_map, dirichlet):
+    """``fevec.assembly.SparseSystem`` of a whole natural-order system, by ``slice_system``,
+    with the values of ``dirichlet`` (dof -> value) lifted into the right-hand side."""
+    fixed = np.array(sorted(dirichlet), dtype=np.int64)
+    values = np.array([dirichlet[dof] for dof in fixed], dtype=float)
+    free = np.delete(np.arange(dof_map.ndof), fixed)
     block, coupling = slice_system(matrix, free, fixed)
-    return SparseSystem(block, coupling, np.asarray(rhs, dtype=float)[free], free, dof_map,
-                        dict(dirichlet), elimination_order)
+    return SparseSystem(block, np.asarray(rhs, dtype=float)[free] - coupling @ values, free,
+                        fixed, values, dof_map)

@@ -6,8 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from fevec import bench
-from fevec.assembly import (BoundaryConditionSet, apply_dirichlet, assemble_mechanical,
-                            assemble_thermal, build_dof_map)
+from fevec.assembly import BoundaryConditionSet, DofMap, assemble_mechanical, assemble_thermal
 from fevec.errors import AssemblyError, MeshError
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import (ElementKind, Mesh, generate_sandwich, generate_split_square,
@@ -30,7 +29,7 @@ def simple_props(**kw):
 class TestDofMap:
     def test_classification_partitions(self):
         mesh = generate_split_square(2.0, 1.0, 4, 2)
-        dm = build_dof_map(mesh, "mechanical")
+        dm = DofMap("mechanical", mesh)
         assert dm.ndof == 2 * mesh.n_nodes
         classes = dof_classes(dm)
         assert set(classes.tolist()) <= {"F", "I", "V"}
@@ -38,6 +37,10 @@ class TestDofMap:
             assert classes[2 * n] == "I" and classes[2 * n + 1] == "I"
         assert (classes == "F").sum() + (classes == "I").sum() + \
                (classes == "V").sum() == dm.ndof
+
+    def test_unknown_field_kind_rejected(self):
+        with pytest.raises(AssemblyError, match=r"^unknown field kind 'pressure'$"):
+            DofMap("pressure", generate_split_square(2.0, 1.0, 2, 1))
 
     def test_orphan_node_rejected(self):
         # refused by the validation gate, before any dof is numbered
@@ -196,24 +199,21 @@ class TestApplyDirichlet:
         # is the textbook 1x1 [2] with rhs u0 + u2
         k = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
         system = triangle_system(k, np.zeros(3), {0: 0.5, 2: 2.0})
-        red = apply_dirichlet(system)
-        assert np.allclose(red.matrix.toarray(), [[2.0]])
-        assert red.rhs == pytest.approx([2.5])
-        full = red.recover(np.array([1.25]))
+        assert np.allclose(system.matrix.toarray(), [[2.0]])
+        assert system.rhs == pytest.approx([2.5])
+        full = system.recover(np.array([1.25]))
         assert np.allclose(full, [0.5, 1.25, 2.0])
 
     def test_constrain_everything(self):
         system = triangle_system(np.eye(3), np.zeros(3), {0: 3.0, 1: 4.0, 2: 5.0})
-        red = apply_dirichlet(system)
-        assert red.matrix.shape == (0, 0)
-        assert np.allclose(red.recover(np.zeros(0)), [3.0, 4.0, 5.0])
+        assert system.matrix.shape == (0, 0)
+        assert np.allclose(system.recover(np.zeros(0)), [3.0, 4.0, 5.0])
 
     def test_homogeneous_leaves_rhs(self):
         k = np.diag([2.0, 3.0, 4.0])     # no coupling to the constrained dof
         f = np.array([1.0, 2.0, 3.0])
         system = triangle_system(k, f, {2: 0.0})
-        red = apply_dirichlet(system)
-        assert np.allclose(red.rhs, [1.0, 2.0])
+        assert np.allclose(system.rhs, [1.0, 2.0])
 
     def test_conflicting_values_rejected(self):
         bcs = BoundaryConditionSet()
@@ -331,9 +331,8 @@ class TestApplyDirichlet:
         for n in mesh.nodes_with_label("left"):
             bcs.set_temperature(n, 2.0)
         system = assemble_thermal(mesh, {0: simple_props()}, bcs)
-        red = apply_dirichlet(system)
-        diff = abs(red.matrix - red.matrix.T).max()
-        assert diff < 1e-14 * abs(red.matrix).max()
+        diff = abs(system.matrix - system.matrix.T).max()
+        assert diff < 1e-14 * abs(system.matrix).max()
 
 
 class TestDeterministicAssembly:

@@ -7,11 +7,11 @@ import pytest
 
 from fevec import bench, post
 from fevec import config as configmod
-from fevec.assembly import BoundaryConditionSet
+from fevec.assembly import BoundaryConditionSet, assemble_mechanical
 from fevec.errors import AssemblyError, FevecError
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_split_square, generate_structured_quads
-from fevec.solver import SolveOptions, run_pipeline
+from fevec.solver import SolveOptions, run_pipeline, solve_system
 from conftest import element_table
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -149,6 +149,33 @@ class TestManufacturedExactness:
             e_fe = post.rms_l2_error(t_fe, exact)
             e_mix = post.rms_l2_error(t_mix, exact)
             assert 0.5 <= e_mix / e_fe <= 2.0
+
+
+def strain_energy(case, level):
+    """Half u^T K u of the case's mechanical system at ``level``, thermal load included.
+
+    The displacement supports are homogeneous, so the free-block energy
+    half u_f^T K_ff u_f is the whole system's.
+    """
+    mesh = case.build_mesh(level)
+    bcs = case.make_bcs(mesh)
+    fields = run_pipeline(mesh, case.materials, bcs, SolveOptions(fields="thermal"))
+    system = assemble_mechanical(mesh, case.materials, bcs, fields.temperature,
+                                 elimination_order=True)
+    assert system.fixed.size and np.all(system.values == 0.0)
+    u_free = solve_system(system)[0][system.free]
+    return 0.5 * u_free @ (system.matrix @ u_free)
+
+
+@pytest.mark.parametrize("name", ["fcbga", "igbt"])
+def test_packaging_strain_energy_converges(name):
+    # Levels 0-2 measured: fcbga 7.03289, 7.19781, 7.24189 (difference ratio 3.74);
+    # igbt 0.494951, 0.501089, 0.502974 (3.26).  Rising energy and a ratio near
+    # 2^p for an order p between 1.3 and 2.6 in h.
+    energies = [strain_energy(bench.builtin_cases()[name], level) for level in range(3)]
+    steps = np.diff(energies)
+    assert np.all(steps > 0), energies
+    assert 2.5 <= steps[0] / steps[1] <= 6.0, energies
 
 
 class TestPropertyHelpers:

@@ -305,6 +305,41 @@ class TestValidate:
         assert err.startswith("error:3:") and f"{mesh}:6:" in err and "int64" in err
 
 
+class TestNotUtf8:
+    """A byte that is not UTF-8 in any file read is a ParseError naming its file and line."""
+
+    MESH = b"mesh 2d v1\nnode 0 0 0\nnode 1 1 0\nnode 2 1 1\nnode 3 0 1\nelem 0 FE 0 4 0 1 2 3\n"
+
+    @staticmethod
+    def assert_names(capsys, where):
+        err = capsys.readouterr().err
+        assert err.startswith("error:3:") and f"{where}: byte 0xff is not UTF-8 text" in err, err
+
+    def test_node_line(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_bytes(self.MESH.replace(b"node 2 1 1", b"node 2 1\xff 1"))
+        assert main(["validate", str(path)]) == 3
+        self.assert_names(capsys, f"{path}:4")
+
+    @pytest.mark.parametrize("command", ["run", "mesh-gen"])
+    def test_config_comment(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# heat \xff sink\n"
+                        + RUN_CFG.format(out=tmp_path / "o").encode())
+        assert main([command, str(cfg)]) == 3
+        self.assert_names(capsys, f"{cfg}:1")
+        assert not (tmp_path / "o").exists()
+
+    def test_mesh_through_config_path(self, tmp_path, capsys):
+        mesh = tmp_path / "m.txt"
+        mesh.write_bytes(self.MESH.replace(b"elem 0 FE", b"elem 0 \xffFE"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[mesh]\npath {mesh.name}\n[output]\ndir {tmp_path / 'o'}\n")
+        assert main(["run", str(cfg)]) == 3
+        self.assert_names(capsys, f"{mesh}:6")
+        assert not (tmp_path / "o").exists()
+
+
 class TestMeshGen:
     def test_generates_file(self, tmp_path, capsys):
         spec = tmp_path / "gen.cfg"

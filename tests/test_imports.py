@@ -1,0 +1,46 @@
+"""No module of the package keeps a module-level import that it never reads.
+
+No linter is installed, so this walks each module's syntax tree: every name
+that a top-level ``import`` binds must appear as a name somewhere else in the
+module.  ``__init__.py`` is exempt, as its imports are the package's public
+names.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import fevec
+
+PACKAGE = pathlib.Path(fevec.__file__).resolve().parent
+
+# Imported for other code to find: perfbench checks that bench's alias of
+# assemble_thermal is wrapped along with the original.
+ALLOWED = {("bench.py", "assemble_thermal")}
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in bound if name not in used)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_no_unused_module_imports(module):
+    unused = unused_imports((PACKAGE / module).read_text(encoding="utf-8"))
+    assert [name for name in unused if (module, name) not in ALLOWED] == []
+
+
+def test_finds_an_unused_import():
+    source = "import os\nimport numpy as np\nfrom math import pi, tau\nprint(np.pi, tau)\n"
+    assert unused_imports(source) == ["os", "pi"]

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from fevec import bench
 from fevec import config as configmod
-from fevec.assembly import (BoundaryConditionSet, SparseSystem, apply_dirichlet,
-                            assemble_mechanical, assemble_thermal)
+from fevec.assembly import (BoundaryConditionSet, SparseSystem, assemble_mechanical,
+                            assemble_thermal)
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import (_DISSECTION_LEAF, ElementKind, Mesh, generate_fcbga,
                         generate_sandwich, generate_split_square, generate_structured_quads)
@@ -29,21 +29,19 @@ TOL = 1e-10
 def colamd_solve(system: SparseSystem) -> tuple[np.ndarray, int]:
     """Full solution and LU fill of the COLAMD-ordered, partially pivoted SuperLU solve
     of a natural-order system."""
-    reduced = apply_dirichlet(system)
-    lu = spla.splu(reduced.matrix.tocsc())
-    return reduced.recover(lu.solve(reduced.rhs)), int(lu.L.nnz + lu.U.nnz)
+    lu = spla.splu(system.matrix.tocsc())
+    return system.recover(lu.solve(system.rhs)), int(lu.L.nnz + lu.U.nnz)
 
 
 def permuted_solve(system: SparseSystem) -> np.ndarray:
     """The direct solve as a natural-order system whose matrix is then permuted into
     elimination order; assembling in that order must give the same bits."""
-    reduced = apply_dirichlet(system)
-    order = system.dof_map.elimination_order(reduced.free)
-    lu = spla.splu(reduced.matrix[order][:, order].tocsc(), permc_spec="NATURAL",
+    order = system.dof_map.elimination_order(system.free)
+    lu = spla.splu(system.matrix[order][:, order].tocsc(), permc_spec="NATURAL",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    x = np.empty_like(reduced.rhs)
-    x[order] = lu.solve(reduced.rhs[order])
-    return reduced.recover(x)
+    x = np.empty_like(system.rhs)
+    x[order] = lu.solve(system.rhs[order])
+    return system.recover(x)
 
 
 def assert_matches_oracle(assemble) -> np.ndarray:
@@ -108,7 +106,7 @@ class TestDissectionOrder:
             bcs.set_displacement(n, 0.0, None)
         bcs.set_displacement(0, None, 0.0)
         system = assemble_mechanical(mesh, {0: props()}, bcs, None)
-        free = apply_dirichlet(system).free
+        free = system.free
         order = system.dof_map.elimination_order(free)
         assert np.array_equal(np.sort(order), np.arange(free.size))
         # interleaved: each node's free dofs are adjacent, x before y, nodes in dissection order
@@ -121,11 +119,9 @@ class TestDissectionOrder:
     def test_reduction_in_elimination_order(self):
         mesh = generate_split_square(2.0, 1.0, 16, 8)
         bcs = clamped_heated(mesh)
-        system = assemble_mechanical(mesh, {0: props()}, bcs, None)
-        natural = apply_dirichlet(system)
-        ordered = apply_dirichlet(assemble_mechanical(mesh, {0: props()}, bcs, None,
-                                                      elimination_order=True))
-        order = system.dof_map.elimination_order(natural.free)
+        natural = assemble_mechanical(mesh, {0: props()}, bcs, None)
+        ordered = assemble_mechanical(mesh, {0: props()}, bcs, None, elimination_order=True)
+        order = natural.dof_map.elimination_order(natural.free)
         assert np.array_equal(ordered.free, natural.free[order])
         assert np.array_equal(ordered.rhs, natural.rhs[order])
         assert (ordered.matrix != natural.matrix[order][:, order]).nnz == 0

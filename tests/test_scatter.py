@@ -9,7 +9,8 @@ COO to the whole natural-order CSR matrix, and ``kernel_oracles.slice_system``
 cuts the blocks out of it by rows, then by columns.  Every block, right-hand
 side, lift and solution must be equal array for array, sign bits of zeros
 included, in natural and in elimination order, wherever the window cuts
-fall.
+fall.  The assembly drops the coupling block once lifted, so the tests
+record what ``_scatter`` returns.
 """
 
 import pathlib
@@ -23,7 +24,7 @@ import test_patch
 from fevec import assembly, bench
 from fevec import mesh as meshmod
 from fevec import config as configmod
-from fevec.assembly import BoundaryConditionSet, build_dof_map
+from fevec.assembly import BoundaryConditionSet, DofMap
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_fcbga, generate_sandwich
 from fevec.solver import SolveOptions, run_pipeline
@@ -58,6 +59,15 @@ def temperature_field(mesh):
     return 20.0 + 40.0 * np.sin(0.7 * x + 0.1) * np.cos(0.3 * y)
 
 
+def recording(scatter, calls):
+    """``scatter`` that appends its ``rhs`` argument and its two blocks to ``calls``."""
+    def record(mesh, dof_map, kernels, rhs, free, fixed):
+        matrix, coupling = scatter(mesh, dof_map, kernels, rhs, free, fixed)
+        calls.append((rhs, matrix, coupling))
+        return matrix, coupling
+    return record
+
+
 def assert_matches_oracle(mesh, materials, bcs, monkeypatch):
     """K_T, K_u, their coupling blocks, right-hand sides and lifts equal to the oracle's.
 
@@ -65,27 +75,32 @@ def assert_matches_oracle(mesh, materials, bcs, monkeypatch):
     """
     temperature = temperature_field(mesh)
 
-    def both(order):
-        return (assembly.assemble_thermal(mesh, materials, bcs, elimination_order=order),
-                assembly.assemble_mechanical(mesh, materials, bcs, temperature,
-                                             elimination_order=order))
+    def both(order, scatter):
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(assembly, "_scatter", recording(scatter, calls))
+            systems = (assembly.assemble_thermal(mesh, materials, bcs, elimination_order=order),
+                       assembly.assemble_mechanical(mesh, materials, bcs, temperature,
+                                                    elimination_order=order))
+        return zip(systems, calls, strict=True)
 
     for order in (False, True):
-        actual = both(order)
-        with monkeypatch.context() as m:
-            m.setattr(assembly, "_scatter", kernel_oracles.scatter)
-            expected = both(order)
-        for a, e in zip(actual, expected):
+        actual, expected = both(order, assembly._scatter), both(order, kernel_oracles.scatter)
+        for (a, (a_load, a_matrix, a_coupling)), (e, (e_load, _, e_coupling)) in zip(
+                actual, expected, strict=True):
+            assert a.matrix is a_matrix
             # in elimination order both keep each row's natural column order
             assert_same_matrix(a.matrix, e.matrix)
-            assert_same_matrix(a.coupling, e.coupling)
+            assert_same_matrix(a_coupling, e_coupling)
+            assert a_coupling.shape == (a.free.size, a.fixed.size)
             assert order or a.matrix.has_canonical_format
-            assert_same_vector(a.rhs, e.rhs)
+            # the load as assembled, edge loads included, then the lifted right-hand side
+            assert_same_vector(a_load[a.free], e_load[e.free])
             assert np.array_equal(a.free, e.free)
-            assert_same_vector(assembly.apply_dirichlet(a).rhs, assembly.apply_dirichlet(e).rhs)
+            assert_same_vector(a.rhs, e.rhs)
             # symmetric bit for bit, so the direct solve may factor the transpose
             assert (a.matrix != a.matrix.T).nnz == 0
-            if not a.dirichlet and not order:
+            if not a.fixed.size and not order:
                 assert a.matrix.shape == (a.dof_map.ndof,) * 2
 
 
@@ -278,13 +293,13 @@ def test_signed_zeros_match_oracle(field_kind, rows, monkeypatch):
         monkeypatch.setattr(meshmod, "_BLOCK_ROWS", rows)
     mesh = Mesh([(0, 0), (1, 0), (1, 1), (0, 1), (2, 0.5)], [(0, 1, 2, 3), (1, 4, 2)],
                 [FE, VE], [0, 0])
-    dof_map = build_dof_map(mesh, field_kind)
+    dof_map = DofMap(field_kind, mesh)
     per = dof_map.dofs_per_node
     blocks = signed_zero_blocks(mesh, per, np.random.default_rng(0))
     # each block's matrices, and minus their first columns as its loads
     by_first = {int(pos[0]): (ke, -ke[:, 0]) for pos, _, ke in blocks}
     rhs, expected_rhs = np.zeros(dof_map.ndof), np.zeros(dof_map.ndof)
-    free, fixed = assembly._unknowns(dof_map, {}, False)
+    free, fixed = np.arange(dof_map.ndof), np.arange(0)
     actual, coupling = assembly._scatter(
         mesh, dof_map, lambda _, pos, __: by_first[int(pos[0])], rhs, free, fixed)
     expected, expected_coupling = kernel_oracles.scatter(
