@@ -40,7 +40,7 @@ from .assembly import BoundaryConditionSet, assemble_thermal  # noqa: F401 (publ
 from .config import BcSpec, resolve_bcs
 from .errors import FevecError, SolverError
 from .materials import MaterialProps, Plane, gather_materials, table_material
-from .mesh import ElementKind, Mesh, polygon_stack, require_valid
+from .mesh import ElementKind, Mesh, require_valid
 from .solver import SolutionFields, SolveOptions, run_pipeline
 
 METHODS = ("coupled", "fe", "ve")
@@ -558,9 +558,8 @@ def check_kernel_invariants(mesh: Mesh, materials) -> bool:
             return True
         coords = mesh.coords[verts]
         mats = gather_materials(materials, mesh.element_regions[pos])
-        geom = polygon_stack(coords)
-        tp = vem.thermal_projection(coords, mats.conductivity, geom)
-        ep = vem.elastic_projection(coords, mats, geom)
+        tp = vem.thermal_projection(coords, mats.conductivity)
+        ep = vem.elastic_projection(coords, mats)
         return not (np.abs(tp.Pi @ tp.D - tp.D).max() > KERNEL_INVARIANT_TOL
                     or np.abs(ep.Pi @ ep.D_bar - ep.D_bar).max() > KERNEL_INVARIANT_TOL)
 

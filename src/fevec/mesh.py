@@ -594,10 +594,10 @@ def _element_violations(mesh: Mesh) -> dict[int, Violation]:
         for r in np.flatnonzero(failed >= 0).tolist():
             code, text = _ELEMENT_CHECKS[failed[r]]
             i, j = pairs[crossing[r]].tolist() if crossing[r] >= 0 else (None, None)
+            node = int(verts[r, reflex[r]]) if failed[r] == 8 else None
             p = int(pos[r])
-            out[p] = Violation(code, text.format(id=p, n_v=n_v,
-                                                 area=float(areas[r]), i=i, j=j,
-                                                 node=int(verts[r, reflex[r]])))
+            out[p] = Violation(code, text.format(id=p, n_v=n_v, area=float(areas[r]),
+                                                 i=i, j=j, node=node))
     return out
 
 
@@ -662,6 +662,11 @@ def _violations(mesh: Mesh) -> list[Violation]:
     return report
 
 
+def _run_offsets(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n-1 for each run length n, concatenated."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
 def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
     """Reject hanging nodes across the FE/VE interface.
 
@@ -672,7 +677,6 @@ def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
     shared by both kinds.  Elements with out-of-range vertex ids (reported
     by the element checks) are left out.
     """
-    report: list[Violation] = []
     n_nodes = mesh.n_nodes
     in_range = np.ones(mesh.n_elements, dtype=bool)
     touches = {fe: np.zeros(n_nodes, dtype=bool) for fe in (True, False)}
@@ -683,7 +687,7 @@ def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
             touches[fe][verts[ok & (mesh.element_fe[pos] == fe)]] = True
     mixed = touches[True] & touches[False]
     if not mixed.any():
-        return report
+        return []
 
     # Edges of the in-range elements, in order of their first in-range side,
     # that have sides of one kind only and touch a mixed node.
@@ -696,45 +700,66 @@ def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
     one_kind = (n_fe[scan] == 0) | (n_fe[scan] == n_sides[scan])
     scan = scan[one_kind & mixed[mesh.edges[scan]].any(axis=1)]
 
-    # Nodes of each kind, sorted by x, so each edge scans only the nodes
-    # inside its x range.
-    candidates = {}
+    # Each scanned edge against the nodes of the other kind inside its box:
+    # those nodes are sorted by x once per kind, so an edge's x range is one
+    # window of them.  Collapsed edges (reported as degenerate) are skipped.
+    ends = mesh.edges[scan]
+    pa, pb = mesh.coords[ends[:, 0]], mesh.coords[ends[:, 1]]
+    ab = pb - pa
+    len2 = rowdot(ab, ab)
+    length = np.sqrt(len2)
+    lo = np.minimum(pa, pb) - 1e-9 * length[:, None]
+    hi = np.maximum(pa, pb) + 1e-9 * length[:, None]
+    edge_fe = n_fe[scan] > 0
+    edge, node = [], []
     for fe in (True, False):
-        ids = np.flatnonzero(touches[fe])
+        ids = np.flatnonzero(touches[not fe])
         ids = ids[np.argsort(mesh.coords[ids, 0], kind="stable")]
-        candidates[fe] = (ids, mesh.coords[ids, 0], mesh.coords[ids])
-
-    for k in scan.tolist():
-        a, b = mesh.edges[k].tolist()
-        edge_fe = bool(n_fe[k])
-        ids, xs, pts = candidates[not edge_fe]
-        pa, pb = mesh.coords[a], mesh.coords[b]
-        ab = pb - pa
-        len2 = float(ab @ ab)
-        if len2 == 0.0:
-            continue  # collapsed edge (reported as degenerate); nothing lies inside it
-        length = math.sqrt(len2)
-        lo = np.minimum(pa, pb) - 1e-9 * length
-        hi = np.maximum(pa, pb) + 1e-9 * length
-        window = slice(xs.searchsorted(lo[0], "left"), xs.searchsorted(hi[0], "right"))
-        near = np.sort(ids[window][((pts[window] >= lo) & (pts[window] <= hi)).all(axis=1)])
-        for n in near:
-            if n == a or n == b:
-                continue
-            p = mesh.coords[n]
-            t = float((p - pa) @ ab) / len2
-            if t <= 1e-12 or t >= 1.0 - 1e-12:
-                continue
-            closest = pa + t * ab
-            if float(np.hypot(*(p - closest))) <= 1e-9 * length:
-                report.append(Violation(
-                    "interface-coincidence",
-                    f"node {n} hangs on edge ({a},{b}) across the FE/VE interface"))
-    return report
+        xs = mesh.coords[ids, 0]
+        rows = np.flatnonzero((edge_fe == fe) & (len2 > 0.0))
+        first = xs.searchsorted(lo[rows, 0], "left")
+        count = np.maximum(xs.searchsorted(hi[rows, 0], "right") - first, 0)
+        edge.append(np.repeat(rows, count))
+        node.append(ids[np.repeat(first, count) + _run_offsets(count)])
+    edge, node = np.concatenate(edge), np.concatenate(node)
+    p = mesh.coords[node]
+    near = (((p >= lo[edge]) & (p <= hi[edge])).all(axis=1)
+            & (node != ends[edge, 0]) & (node != ends[edge, 1]))
+    edge, node, p = edge[near], node[near], p[near]
+    t = rowdot(p - pa[edge], ab[edge]) / len2[edge]
+    inside = (t > 1e-12) & (t < 1.0 - 1e-12)
+    edge, node, p, t = edge[inside], node[inside], p[inside], t[inside]
+    gap = p - (pa[edge] + t[:, None] * ab[edge])
+    hangs = np.hypot(gap[:, 0], gap[:, 1]) <= 1e-9 * length[edge]
+    edge, node = edge[hangs], node[hangs]
+    order = np.lexsort((node, edge))
+    return [Violation("interface-coincidence",
+                      f"node {n} hangs on edge ({a},{b}) across the FE/VE interface")
+            for n, (a, b) in zip(node[order].tolist(), ends[edge[order]].tolist())]
 
 
 # ---------------------------------------------------------------------------
 # Generators
+
+
+def _grid(n_rows: int, n_cols: int, sides: Sequence = ()
+          ) -> tuple[np.ndarray, dict[tuple[int, int], str]]:
+    """Cells and side labels of a row-major grid of (n_rows + 1) x (n_cols + 1) nodes.
+
+    Node (i, j) is i * (n_cols + 1) + j; cell (i, j) lists nodes (i, j),
+    (i, j + 1), (i + 1, j + 1), (i + 1, j), cells row by row.  ``sides``
+    label the first row, last row, first column and last column: one label
+    each, or an array with one label per edge in grid order.
+    """
+    cols = n_cols + 1
+    n00 = (np.arange(n_rows)[:, None] * cols + np.arange(n_cols)).ravel()
+    along, across = np.arange(n_cols), np.arange(n_rows) * cols
+    sides_at = ((along, 1), (n_rows * cols + along, 1), (across, cols), (across + n_cols, cols))
+    bedges: dict[tuple[int, int], str] = {}
+    for (start, step), label in zip(sides_at, sides):
+        bedges.update(zip(zip(start.tolist(), (start + step).tolist()),
+                          np.broadcast_to(label, start.shape).tolist()))
+    return n00[:, None] + [0, 1, cols + 1, cols], bedges
 
 
 def _structured_grid(width: float, height: float, nx: int, ny: int
@@ -744,18 +769,7 @@ def _structured_grid(width: float, height: float, nx: int, ny: int
         raise MeshError(f"subdivision counts must be >= 1, got nx={nx} ny={ny}")
     coords = np.column_stack((np.tile(width * np.arange(nx + 1) / nx, ny + 1),
                               np.repeat(height * np.arange(ny + 1) / ny, nx + 1)))
-    n00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
-    vertices = n00[:, None] + [0, 1, nx + 2, nx + 1]
-    bedges: dict[tuple[int, int], str] = {}
-    for i in range(nx):
-        bedges[i, i + 1] = "bottom"
-        top0 = ny * (nx + 1) + i
-        bedges[top0, top0 + 1] = "top"
-    for j in range(ny):
-        bedges[j * (nx + 1), (j + 1) * (nx + 1)] = "left"
-        r0 = j * (nx + 1) + nx
-        bedges[r0, r0 + nx + 1] = "right"
-    return coords, vertices, bedges
+    return (coords, *_grid(ny, nx, ("bottom", "top", "left", "right")))
 
 
 def _quarter_turn(n_t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -768,15 +782,19 @@ def _quarter_turn(n_t: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([math.cos(t) for t in th]), np.array([math.sin(t) for t in th])
 
 
+# Counter-clockwise corners of a polar cell (rows outward, columns by angle)
+# among those of ``_grid``'s cell.
+_POLAR_CELL = [0, 3, 2, 1]
+
+
 def generate_structured_quads(width: float, height: float, nx: int, ny: int,
-                              kind: ElementKind = ElementKind.FE_QUAD,
-                              region: int = 0) -> Mesh:
+                              kind: ElementKind = ElementKind.FE_QUAD) -> Mesh:
     """Regular nx-by-ny grid on [0,width]x[0,height].
 
     Boundary edge labels: left, right, bottom, top.
     """
     coords, vertices, bedges = _structured_grid(width, height, nx, ny)
-    return Mesh(coords, vertices, [kind] * len(vertices), [region] * len(vertices), bedges)
+    return Mesh(coords, vertices, [kind] * len(vertices), [0] * len(vertices), bedges)
 
 
 def generate_split_square(width: float, height: float, nx: int, ny: int,
@@ -813,21 +831,11 @@ def generate_quarter_annulus(r_a: float, r_b: float, n_r: int, n_t: int,
     r = r_a + (r_b - r_a) * np.arange(n_r + 1) / n_r
     cos, sin = _quarter_turn(n_t)
     coords = np.stack((np.outer(r, cos), np.outer(r, sin)), axis=-1).reshape(-1, 2)
-    n00 = (np.arange(n_r)[:, None] * (n_t + 1) + np.arange(n_t)).ravel()
-    vertices = n00[:, None] + [0, n_t + 1, n_t + 2, 1]
+    cells, bedges = _grid(n_r, n_t, ("inner", "outer", "theta0", "theta90"))
     r_mid = r_a + (r_b - r_a) * (np.arange(n_r) + 0.5) / n_r
     kinds = np.repeat(np.where(r_mid < split_radius, ElementKind.VE_POLY, ElementKind.FE_QUAD),
                       n_t)
-    bedges: dict[tuple[int, int], str] = {}
-    for j in range(n_t):
-        bedges[j, j + 1] = "inner"
-        o0 = n_r * (n_t + 1) + j
-        bedges[o0, o0 + 1] = "outer"
-    for i in range(n_r):
-        bedges[i * (n_t + 1), (i + 1) * (n_t + 1)] = "theta0"
-        t0 = i * (n_t + 1) + n_t
-        bedges[t0, t0 + n_t + 1] = "theta90"
-    return Mesh(coords, vertices, kinds, [0] * len(vertices), bedges)
+    return Mesh(coords, cells[:, _POLAR_CELL], kinds, [0] * len(cells), bedges)
 
 
 def generate_plate_with_hole(hole_radius: float, size: float, n_t: int,
@@ -852,7 +860,6 @@ def generate_plate_with_hole(hole_radius: float, size: float, n_t: int,
         raise MeshError(f"need n_t >= 1, n_r_ring >= 1 and n_r_outer >= 0, got n_t={n_t} "
                         f"n_r_ring={n_r_ring} n_r_outer={n_r_outer}")
     n_rows = n_r_ring + n_r_outer + 1
-    cols = n_t + 1
 
     # Ring rows on circles; outer rows blend the split circle into the square.
     cos, sin = _quarter_turn(n_t)
@@ -863,27 +870,16 @@ def generate_plate_with_hole(hole_radius: float, size: float, n_t: int,
     y = np.vstack((np.outer(r, sin), (1 - s) * split_radius * sin + s * (scale * sin)))
     coords = np.stack((x, y), axis=-1).reshape(-1, 2)
 
-    vertices, kinds = [], []
-    for i in range(n_rows - 1):
-        kind = ring_kind if i < n_r_ring else outer_kind
-        for j in range(n_t):
-            n00 = i * cols + j
-            n10 = (i + 1) * cols + j
-            quad = (n00, n10, n10 + 1, n00 + 1)
-            cell = [quad[:3], (quad[0], quad[2], quad[3])] if split_ring and i < n_r_ring else [quad]
-            vertices += cell
-            kinds += [kind] * len(cell)
-
-    bedges: dict[tuple[int, int], str] = {}
-    for j in range(n_t):
-        bedges[j, j + 1] = "hole"
-        o0 = (n_rows - 1) * cols + j
-        mx, my = 0.5 * (coords[o0] + coords[o0 + 1])
-        bedges[o0, o0 + 1] = "right" if mx > my else "top"
-    for i in range(n_rows - 1):
-        bedges[i * cols, (i + 1) * cols] = "bottom"
-        t0 = i * cols + n_t
-        bedges[t0, t0 + cols] = "left"
+    mx, my = (0.5 * (coords[-n_t - 1:-1] + coords[-n_t:])).T     # outer row's edge midpoints
+    cells, bedges = _grid(n_rows - 1, n_t, ("hole", np.where(mx > my, "right", "top"),
+                                            "bottom", "left"))
+    vertices = cells[:, _POLAR_CELL]
+    ring = n_r_ring * n_t
+    if split_ring:      # each ring cell as two triangles, then the outer quads
+        vertices = (vertices[:ring, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3).tolist()
+                    + vertices[ring:].tolist())
+        ring *= 2
+    kinds = [ring_kind] * ring + [outer_kind] * (len(vertices) - ring)
     return Mesh(coords, vertices, kinds, [0] * len(vertices), bedges)
 
 
@@ -917,10 +913,9 @@ def generate_tagged_grid(xs: Sequence[float], ys: Sequence[float],
     region, fe = cells(cx.ravel(), cy.ravel())
     kept = np.flatnonzero(region != VOID)
 
-    # Grid corner (i, j) has key j * (nx + 1) + i, a cell that of its lower-left
-    # corner; nodes are numbered in order of first use by the kept cells' corners.
-    corners = (kept + kept // nx)[:, None] + [0, 1, nx + 2, nx + 1]
-    keys, node_of_key, verts = _first_use(corners)
+    # Grid corner (i, j) has key j * (nx + 1) + i; nodes are numbered in order
+    # of first use by the kept cells' corners.
+    keys, node_of_key, verts = _first_use(_grid(ys.size - 1, nx)[0][kept])
     j_of, i_of = np.divmod(keys[np.argsort(node_of_key)], nx + 1)
     mesh = Mesh(np.column_stack((xs[i_of], ys[j_of])), verts,
                 np.where(fe[kept], ElementKind.FE_QUAD, ElementKind.VE_POLY), region[kept])
@@ -941,12 +936,9 @@ def generate_tagged_grid(xs: Sequence[float], ys: Sequence[float],
 
 def subdivided(breaks: Sequence[float], cells_per_span: Sequence[int]) -> list[float]:
     """Expand layer breakpoints into grid lines with per-layer cell counts."""
-    out = [float(breaks[0])]
-    for k, n in enumerate(cells_per_span):
-        a, b = breaks[k], breaks[k + 1]
-        for i in range(1, n + 1):
-            out.append(a + (b - a) * i / n)
-    return out
+    return np.concatenate([[float(breaks[0])]] + [
+        a + (b - a) * np.arange(1, n + 1) / n
+        for a, b, n in zip(breaks, breaks[1:], cells_per_span)]).tolist()
 
 
 def _level_scale(level: int) -> int:

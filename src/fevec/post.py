@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from . import fem, vem
 from .errors import FevecError
 from .materials import MaterialProps, Plane, gather_materials
-from .mesh import Mesh, require_valid, rowdot
+from .mesh import Mesh, _run_offsets, require_valid, rowdot
 from .solver import SolutionFields
 
 PROVENANCE_FE = "FE_GAUSS_AVG"
@@ -323,11 +323,6 @@ class FieldEvaluator:
         h = projection.geom.h[inverse]
         return (c[:, 0] + c[:, 1] * (points[:, 0] - centroid[:, 0]) / h
                 + c[:, 2] * (points[:, 1] - centroid[:, 1]) / h)
-
-
-def _run_offsets(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, ..., n-1 for each run length n, concatenated."""
-    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def _polygons_contain(coords: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:

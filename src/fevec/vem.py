@@ -103,17 +103,14 @@ class ElasticProjection:
     strain_basis: np.ndarray  # (m, 3, 6) constant Voigt strains of m1..m6
 
 
-def thermal_projection(coords: np.ndarray, conductivity: np.ndarray,
-                       geom: PolygonStack | None = None) -> ThermalProjection:
+def thermal_projection(coords: np.ndarray, conductivity: np.ndarray) -> ThermalProjection:
     """Energy projection of the scalar virtual space of each polygon in a (m, n_v, 2) stack.
 
     ``conductivity`` holds one value per polygon; it scales both sides of the
     projection system, so ``Pi_star`` depends on it only through rounding.
-    Without ``geom`` the geometry is computed here.
     """
     coords = np.asarray(coords, dtype=float)
-    if geom is None:
-        geom = polygon_stack(coords)
+    geom = polygon_stack(coords)
     m, n_v = coords.shape[:2]
     lam = conductivity
     h = geom.h
@@ -180,15 +177,10 @@ def vector_dof_matrix(coords: np.ndarray, geom: PolygonStack) -> np.ndarray:
     return dbar
 
 
-def elastic_projection(coords: np.ndarray, mats: MaterialArrays,
-                       geom: PolygonStack | None = None) -> ElasticProjection:
-    """Ritz projection of the vector virtual space of each polygon in a (m, n_v, 2) stack.
-
-    Without ``geom`` the geometry is computed here.
-    """
+def elastic_projection(coords: np.ndarray, mats: MaterialArrays) -> ElasticProjection:
+    """Ritz projection of the vector virtual space of each polygon in a (m, n_v, 2) stack."""
     coords = np.asarray(coords, dtype=float)
-    if geom is None:
-        geom = polygon_stack(coords)
+    geom = polygon_stack(coords)
     m, n_v = coords.shape[:2]
     area = geom.area
     eps = vector_strain_basis(geom)

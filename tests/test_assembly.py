@@ -85,7 +85,7 @@ class TestAssembleThermal:
         assert np.abs(resid).max() < 1e-9 * abs(system.matrix).max()
 
     def test_missing_material(self):
-        mesh = generate_structured_quads(1, 1, 1, 1, region=3)
+        mesh = Mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)], [ElementKind.FE_QUAD], [3])
         with pytest.raises(AssemblyError, match=r"^mesh regions without material blocks: \[3\]$"):
             assemble_thermal(mesh, {0: simple_props()}, BoundaryConditionSet())
 

@@ -279,6 +279,24 @@ class TestValidate:
             f"error:1: {path}: 1 validation violation(s): nodes without any element: [4]\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind", ["FE", "VE"])
+    def test_element_without_vertices_exit_1(self, tmp_path, capsys, kind):
+        # once a bare IndexError from the convexity message of every flagged element
+        path = tmp_path / "m.txt"
+        path.write_text("mesh 2d v1\nnode 0 0 0\nnode 1 1 0\nnode 2 1 1\n"
+                        f"elem 0 VE 0 3 0 1 2\nelem 1 {kind} 0 0\n")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "1 violations\n  [element-vertices] element 1: fewer than 3 vertices\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[mesh]\npath {path.name}\n\n[material 0]\nE_MPa 100\nnu 0.3\n"
+                       "k_W_per_mK 1000\nalpha_per_C 1e-5\n\n[solver]\nfields thermal\n\n"
+                       f"[output]\ndir {tmp_path / 'o'}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error:1: {path}: 1 validation violation(s): element 1: fewer than 3 vertices\n")
+        assert not (tmp_path / "o").exists()
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         path.write_text("mesh 2d v1\nnode 0 0 0\nnode 0 1 0\n")

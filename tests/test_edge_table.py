@@ -156,8 +156,9 @@ GENERATORS = {
     "sandwich_fe": lambda level: generate_sandwich(level, FE),
     "fcbga": generate_fcbga,
     "igbt": generate_igbt,
-    "structured_quads": lambda level: generate_structured_quads(
-        *[(2.0, 1.0, 3, 2), (3.7, 1.3, 37, 13, VE, 2)][level]),
+    "structured_quads": lambda level: (
+        generate_structured_quads(2.0, 1.0, 3, 2) if level == 0
+        else in_region(generate_structured_quads(3.7, 1.3, 37, 13, VE), 2)),
     "split_square": lambda level: generate_split_square(
         *[(4.0, 2.0, 4, 2), (3.7, 1.3, 37, 13, 1.1)][level]),
     "quarter_annulus": lambda level: generate_quarter_annulus(
@@ -166,6 +167,12 @@ GENERATORS = {
     "plate_with_hole_split": lambda level: generate_plate_with_hole(*PLATE_SIZES[level],
                                                                     split_ring=True),
 }
+
+
+def in_region(mesh, region):
+    """``mesh`` with every element in ``region``."""
+    vertices, kinds, _ = element_table(mesh)
+    return Mesh(mesh.coords, vertices, kinds, [region] * len(vertices), mesh.boundary_edges)
 
 
 @pytest.mark.parametrize("name, level", sorted(MESH_TEXT_SHA256))

@@ -1,9 +1,11 @@
-"""No module of the package keeps a module-level import that it never reads.
+"""No module of the package keeps a module-level import that it never reads,
+and no top-level function or class that nothing names.
 
 No linter is installed, so this walks each module's syntax tree: every name
 that a top-level ``import`` binds must appear as a name somewhere else in the
 module.  ``__init__.py`` is exempt, as its imports are the package's public
-names.
+names.  Every top-level function and class of the package must be read as a
+name or an attribute somewhere in the package, ``tests/`` or ``perfbench/``.
 """
 
 import ast
@@ -14,6 +16,7 @@ import pytest
 import fevec
 
 PACKAGE = pathlib.Path(fevec.__file__).resolve().parent
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 # Imported for other code to find: perfbench checks that bench's alias of
 # assemble_thermal is wrapped along with the original.
@@ -44,3 +47,26 @@ def test_no_unused_module_imports(module):
 def test_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\nprint(np.pi, tau)\n"
     assert unused_imports(source) == ["os", "pi"]
+
+
+def unreferenced(modules: dict[str, str], others: list[str]) -> list[tuple[str, str]]:
+    """(module, name) of each top-level function and class of ``modules`` (file name ->
+    source) that no name or attribute in ``modules`` or ``others`` (sources) reads."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in [*trees.values(), *map(ast.parse, others)] for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted((module, node.name) for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read)
+
+
+def test_every_definition_is_referenced():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    others = [p.read_text(encoding="utf-8") for folder in ("tests", "perfbench")
+              for p in sorted((REPO / folder).rglob("*.py"))]
+    assert unreferenced(modules, others) == []
+
+
+def test_finds_an_unreferenced_definition():
+    module = "def used():\n    pass\n\ndef orphan():\n    used()\n\nclass Kept:\n    pass\n"
+    assert unreferenced({"m.py": module}, ["import m\nm.Kept()\n"]) == [("m.py", "orphan")]

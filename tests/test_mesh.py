@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import pathlib
 import re
 import tempfile
 
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fevec import bench
 from fevec import mesh as meshmod
 from fevec import post
 from fevec.assembly import BoundaryConditionSet
+from fevec.config import build_mesh, parse_config
 from fevec.errors import MeshError, ParseError
 from fevec.materials import MaterialProps
 from fevec.mesh import (ElementKind, Mesh, Violation, find_interface_nodes,
@@ -24,6 +27,7 @@ from kernel_oracles import element_coords, shoelace_area
 
 FE = ElementKind.FE_QUAD
 VE = ElementKind.VE_POLY
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestPolygonGeometry:
@@ -419,6 +423,110 @@ class TestTaggedGrid:
                                        (4, 5): "seam", (5, 8): "seam"}
 
 
+# sha256 of ``mesh_text`` of each analytic mesh, recorded when each generator
+# still numbered its own grid and labeled its sides edge by edge; with the
+# sizes in ``test_edge_table.MESH_TEXT_SHA256``.  The bench cases' levels (-1
+# is the plate's reference) and the shipped configs through ``build_mesh``;
+# cylinder level 3 coupled is also perfbench's cylinder workload mesh.
+ANALYTIC_MESH_SHA256 = {
+    "quads-1x1": "359bf3510a8f95af8c7f1f267f73b194ebea4a197575f9164b70987293acb33a",
+    "quads-4x6": "266410bf730aba51f54e8d74fd72f293c85c6643519c683d208da98357fe7d74",
+    "quads-7x5-ve": "b91b3463d734e03d93ad4601444ec13de4a6cd76143817bd71c1481a1e38a6b9",
+    "split-2x1": "571c4a140aaf464bc12269aafea15b8871ad56e1d249a75ef8ba1bf9515c3e36",
+    "split-5x3": "4f31741a0664e0fcdbce4a16b840f46919cae213b61a3442d6057fe0a95ed62b",
+    "split-6x4-at-0.7": "82c9ee8a9834091b50b4b43ee1a9aa45999b3f4ce00f26923f226db1e27b38eb",
+    "cylinder.cfg": "0fb2d6a124ae75cbc8149ab6b1d45a6a8a0b6e1288cd5688e9b316cbd25a0d14",
+    "plate.cfg": "c23f2eb9f59ef06d716e35463493c4d2c8f1587378c409f7f251760dccc9e645",
+    "cylinder-0-coupled": "e7b130b3af083a4ff71a7b8d6327da9c698e806c3d673b158258d3a94623f1ff",
+    "cylinder-0-fe": "af79b9153dc3d9fb9d92d71a8266ec588cf66eaf95fd60979b2efa52bf277e78",
+    "cylinder-0-ve": "49a583be76f204ff77a806b46bb2729e32482db57c89a9fbbded908b7138be17",
+    "cylinder-1-coupled": "0fb2d6a124ae75cbc8149ab6b1d45a6a8a0b6e1288cd5688e9b316cbd25a0d14",
+    "cylinder-1-fe": "2720fdf911ffa79e75153bb1c60e483d6926328be7e2132a7e2dbec0ac64f478",
+    "cylinder-1-ve": "bf5d31c1f8e573b098ce331e4bc3630e27effb647838fd6c0c38df2c5b5010ff",
+    "cylinder-2-coupled": "90f8043bcc7dc145ae5ea8919eee12d6543e0159338d4a991edb932015651d69",
+    "cylinder-2-fe": "c22c340007b0b14ae6b37486967771e1c293723ed9a596a39e56bf615d8a54ec",
+    "cylinder-2-ve": "27ef5986a5d0d8a1e156efd170e0119ce1cbda9c4773129fe4000e5661604eeb",
+    "cylinder-3-coupled": "c52da7e3a79be5fc6d68047342375588b2f297b922f62cf07cb9621b050d99ca",
+    "cylinder-3-fe": "b4ce42574d4ce52becf72f8918fe10c4e50e629446c29e2c6f1d5b828ed6cbdd",
+    "cylinder-3-ve": "0ad2b797b9c9237f717e6637ff27e2f0a99ec4f57a2269d78eae25385cc03281",
+    "plate--1-coupled": "d7e7420816188d37cd25dbef8dc106882b618f71bf6933af24a9a760841d64ca",
+    "plate--1-fe": "ca056d025fd20019aa9767f7729719fa4d33ae9b59da06dbf56cbf5c8ff048f4",
+    "plate--1-ve": "7e83ef40d22dc7d771d57dd982843c647b9383f1704baf8f70cd4a2249d8954f",
+    "plate-0-coupled": "8243c0e79c52171a04b9e08990120e6e29251b7a72dc18e580fab85a8bc15a31",
+    "plate-0-fe": "986820fc14e88ccb0aaeaab19c315a7ab781f2e3582d7451ac5746a6ce26f221",
+    "plate-0-ve": "64fb228ac5b851b7a92af34c85cbc71ec0b41ef6de630c7163d642810ecdb29f",
+    "plate-1-coupled": "c23f2eb9f59ef06d716e35463493c4d2c8f1587378c409f7f251760dccc9e645",
+    "plate-1-fe": "a3e645a3d3133059814191bf6d41bbbe988f574252392f5d4da971280609120c",
+    "plate-1-ve": "9d68ddd0ffd22995f1de6e11b15c20361b52c33f3a33bb465f77c5586b3afe5f",
+    "plate-2-coupled": "d892ca0a349b9469332e244d6411a72c9068734b88c28004f854fec1a933f5a1",
+    "plate-2-fe": "43305eda65607ceb515a830990f3dbf1a81e134cfc6e13f08ae1e6c501b5e8df",
+    "plate-2-ve": "4b3cb730adc19fff81024b39af703049c29d6eb2c242556d309dfb090f3f759e",
+}
+
+ANALYTIC_MESHES = {
+    "quads-1x1": lambda: generate_structured_quads(1, 1, 1, 1),
+    "quads-4x6": lambda: generate_structured_quads(1.5, 2.5, 4, 6),
+    "quads-7x5-ve": lambda: generate_structured_quads(3.5, 1.25, 7, 5, VE),
+    "split-2x1": lambda: generate_split_square(2.0, 1.0, 2, 1),
+    "split-5x3": lambda: generate_split_square(3.0, 2.0, 5, 3),
+    "split-6x4-at-0.7": lambda: generate_split_square(2.0, 1.0, 6, 4, 0.7),
+    **{f"{name}.cfg": lambda name=name: config_mesh(name) for name in ("cylinder", "plate")},
+    **{f"{case.name}-{level}-{method}": lambda case=case, level=level, method=method:
+       case.build_mesh(level, method)
+       for case, levels in ((bench.CylinderCase(), range(4)), (bench.PlateCase(), (-1, 0, 1, 2)))
+       for level in levels for method in ("coupled", "fe", "ve")},
+}
+
+
+def config_mesh(name):
+    path = CONFIGS / f"{name}.cfg"
+    return build_mesh(parse_config(path.read_text(), str(path)))
+
+
+class TestAnalyticGrids:
+    @pytest.mark.parametrize("name", ANALYTIC_MESHES)
+    def test_analytic_mesh_unchanged(self, name):
+        text = mesh_text(ANALYTIC_MESHES[name]())
+        assert hashlib.sha256(text.encode()).hexdigest() == ANALYTIC_MESH_SHA256[name]
+
+    @pytest.mark.parametrize("level", range(4))
+    def test_grid_lines_are_the_per_line_sums(self, level):
+        breaks = [0.0, 0.8, 1.36, 1.76, 1.86, 2.16, 2.96]
+        counts = [c * 2 ** level for c in (2, 2, 2, 1, 1, 3)]
+        lines = [breaks[0]] + [a + (b - a) * i / n for a, b, n in zip(breaks, breaks[1:], counts)
+                               for i in range(1, n + 1)]
+        assert meshmod.subdivided(breaks, counts) == lines
+
+
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+# Any float, with the signed zeros, subnormals and non-finite values spelled out.
+COORDS = st.floats() | st.sampled_from([-0.0, 5e-324, -2.2250738585072009e-308, math.nan,
+                                        math.inf, -math.inf])
+LABELS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(
+    lambda label: label.split() == [label] and "#" not in label)
+
+
+@st.composite
+def any_meshes(draw):
+    """A mesh the constructor accepts, valid or not: vertex ids in and out of range,
+    empty and short vertex lists, regions across int64, labels on any node pair."""
+    n = draw(st.integers(0, 6))
+    node = st.integers(-2, n + 1) | INT64
+    vertices = draw(st.lists(st.lists(node, max_size=5), max_size=5))
+    m = len(vertices)
+    return Mesh(draw(st.lists(st.tuples(COORDS, COORDS), min_size=n, max_size=n)), vertices,
+                draw(st.lists(st.sampled_from(list(ElementKind)), min_size=m, max_size=m)),
+                draw(st.lists(INT64, min_size=m, max_size=m)),
+                draw(st.dictionaries(st.tuples(node, node), LABELS, max_size=4)))
+
+
+def assert_round_trip(mesh):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.txt")
+        save_mesh(mesh, path)
+        assert mesh_text(load_mesh(path, validate=False)) == mesh_text(mesh)
+
+
 class TestMeshIO:
     SQUARE_MESH = dict(coords=[(0, 0), (1, 0), (1, 1), (0, 1)], vertices=[(0, 1, 2, 3)],
                        kinds=[VE], regions=[0])
@@ -462,6 +570,25 @@ class TestMeshIO:
         assert main(["mesh-gen", str(cfg)]) == 0      # writes mesh.txt next to the outputs
         digest = hashlib.sha256((tmp_path / "out" / "mesh.txt").read_bytes()).hexdigest()
         assert f"mesh_sha256 {digest}\n" in (tmp_path / "out" / "provenance.txt").read_text()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_any_accepted_mesh_survives_save_and_load(self, data):
+        assert_round_trip(data.draw(any_meshes()))
+
+    @pytest.mark.parametrize("build", [
+        lambda: generate_structured_quads(1, 1, 1, 1, VE),
+        lambda: generate_split_square(1, 1, 1, 1),
+        lambda: generate_quarter_annulus(1, 2, 1, 1, 1.5),
+        lambda: generate_plate_with_hole(1, 3, 1, 1, 0, 2),
+        lambda: generate_plate_with_hole(1, 3, 1, 1, 1, 2, split_ring=True),
+        lambda: meshmod.generate_sandwich(0, FE),
+        lambda: meshmod.generate_fcbga(0),
+        lambda: meshmod.generate_igbt(0),
+    ], ids=["quads", "split-square", "annulus", "plate", "plate-split-ring", "sandwich",
+            "fcbga", "igbt"])
+    def test_smallest_generated_meshes_survive_save_and_load(self, build):
+        assert_round_trip(build())
 
     def test_round_trip_identity(self, tmp_path):
         from fevec.mesh import generate_fcbga, generate_igbt, generate_sandwich

@@ -12,6 +12,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -282,6 +283,13 @@ class TestValidationOracle:
             # a new mesh: the report is computed once per mesh
             fresh = Mesh(mesh.coords, *element_table(mesh), mesh.boundary_edges)
             assert validate_mesh(fresh) == expected
+
+    @pytest.mark.parametrize("kind", [FE, VE])
+    def test_element_without_vertices(self, kind):
+        # once a bare IndexError: the convexity message read a vertex of every flagged row
+        mesh = Mesh([[0, 0], [1, 0], [1, 1]], [[0, 1, 2], []], [VE, kind], [0, 0])
+        assert validate_mesh(mesh) == oracle_validate(mesh) == [
+            Violation("element-vertices", "element 1: fewer than 3 vertices")]
 
     def test_cylinder_config_mesh_valid(self):
         mesh = generate_quarter_annulus(20.0, 60.0, 30, 60, 40.0)   # configs/cylinder.cfg
