@@ -700,38 +700,49 @@ def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
     one_kind = (n_fe[scan] == 0) | (n_fe[scan] == n_sides[scan])
     scan = scan[one_kind & mixed[mesh.edges[scan]].any(axis=1)]
 
-    # Each scanned edge against the nodes of the other kind inside its box:
-    # those nodes are sorted by x once per kind, so an edge's x range is one
-    # window of them.  Collapsed edges (reported as degenerate) are skipped.
+    # Each scanned edge against the other kind's nodes inside its box: those
+    # nodes are sorted by x and by y once per kind, and an edge scans the
+    # narrower of its two windows (a horizontal edge its row, not a vertical
+    # interface's column), in runs of about _CHECK_CHUNK candidates.
+    # Collapsed edges (reported as degenerate) are skipped.
     ends = mesh.edges[scan]
     pa, pb = mesh.coords[ends[:, 0]], mesh.coords[ends[:, 1]]
     ab = pb - pa
-    len2 = rowdot(ab, ab)
+    len2 = np.matmul(ab[:, None], ab[:, :, None])[:, 0, 0]
     length = np.sqrt(len2)
     lo = np.minimum(pa, pb) - 1e-9 * length[:, None]
     hi = np.maximum(pa, pb) + 1e-9 * length[:, None]
-    edge_fe = n_fe[scan] > 0
-    edge, node = [], []
+    pool, rows, first, count = [], [], [], []
     for fe in (True, False):
         ids = np.flatnonzero(touches[not fe])
-        ids = ids[np.argsort(mesh.coords[ids, 0], kind="stable")]
-        xs = mesh.coords[ids, 0]
-        rows = np.flatnonzero((edge_fe == fe) & (len2 > 0.0))
-        first = xs.searchsorted(lo[rows, 0], "left")
-        count = np.maximum(xs.searchsorted(hi[rows, 0], "right") - first, 0)
-        edge.append(np.repeat(rows, count))
-        node.append(ids[np.repeat(first, count) + _run_offsets(count)])
-    edge, node = np.concatenate(edge), np.concatenate(node)
-    p = mesh.coords[node]
-    near = (((p >= lo[edge]) & (p <= hi[edge])).all(axis=1)
-            & (node != ends[edge, 0]) & (node != ends[edge, 1]))
-    edge, node, p = edge[near], node[near], p[near]
-    t = rowdot(p - pa[edge], ab[edge]) / len2[edge]
-    inside = (t > 1e-12) & (t < 1.0 - 1e-12)
-    edge, node, p, t = edge[inside], node[inside], p[inside], t[inside]
-    gap = p - (pa[edge] + t[:, None] * ab[edge])
-    hangs = np.hypot(gap[:, 0], gap[:, 1]) <= 1e-9 * length[edge]
-    edge, node = edge[hangs], node[hangs]
+        live = np.flatnonzero(((n_fe[scan] > 0) == fe) & (len2 > 0.0))
+        windows = []
+        for axis in (0, 1):
+            by = ids[np.argsort(mesh.coords[ids, axis], kind="stable")]
+            key = mesh.coords[by, axis]
+            start = key.searchsorted(lo[live, axis], "left")
+            end = np.maximum(key.searchsorted(hi[live, axis], "right"), start)
+            windows.append((start + sum(map(len, pool)), end - start))
+            pool.append(by)
+        (x_start, x_count), (y_start, y_count) = windows
+        rows.append(live)
+        first.append(np.where(y_count < x_count, y_start, x_start))
+        count.append(np.minimum(x_count, y_count))
+    pool, rows, first, count = map(np.concatenate, (pool, rows, first, count))
+    cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // _CHECK_CHUNK)) + 1
+    hits = []
+    for edge, start, n in zip(*(np.split(a, cuts) for a in (rows, first, count))):
+        node = pool[np.repeat(start, n) + _run_offsets(n)]
+        edge = np.repeat(edge, n)
+        p = mesh.coords[node]
+        t = np.matmul((p - pa[edge])[:, None], ab[edge][:, :, None])[:, 0, 0] / len2[edge]
+        gap = p - (pa[edge] + t[:, None] * ab[edge])
+        hangs = (((p >= lo[edge]) & (p <= hi[edge])).all(axis=1)
+                 & (node != ends[edge, 0]) & (node != ends[edge, 1])
+                 & (t > 1e-12) & (t < 1.0 - 1e-12)
+                 & (np.hypot(gap[:, 0], gap[:, 1]) <= 1e-9 * length[edge]))
+        hits.append(np.stack((edge[hangs], node[hangs])))
+    edge, node = np.concatenate(hits, axis=1)
     order = np.lexsort((node, edge))
     return [Violation("interface-coincidence",
                       f"node {n} hangs on edge ({a},{b}) across the FE/VE interface")

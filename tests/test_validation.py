@@ -9,6 +9,7 @@ seeded hypothesis draws.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -290,6 +291,19 @@ class TestValidationOracle:
         mesh = Mesh([[0, 0], [1, 0], [1, 1]], [[0, 1, 2], []], [VE, kind], [0, 0])
         assert validate_mesh(mesh) == oracle_validate(mesh) == [
             Violation("element-vertices", "element 1: fewer than 3 vertices")]
+
+    def test_tall_split_square_check_stays_small(self):
+        # Each horizontal edge at the vertical FE/VE interface has the whole
+        # interface column in its x window: 2 x 5 001^2 candidate pairs if
+        # they were taken at once.
+        mesh = generate_split_square(1.0, 5000.0, 2, 5000)
+        tracemalloc.start()
+        try:
+            assert validate_mesh(mesh) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_cylinder_config_mesh_valid(self):
         mesh = generate_quarter_annulus(20.0, 60.0, 30, 60, 40.0)   # configs/cylinder.cfg
