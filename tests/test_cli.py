@@ -45,6 +45,31 @@ n_samples 11
 dir {out}
 """
 
+THERMAL_ONLY_CFG = """
+[mesh]
+generator structured_quads
+width 1
+height 1
+nx 4
+ny 4
+
+[material 0]
+E_MPa 100
+nu 0.3
+k_W_per_mK 1
+alpha_per_C 1e-5
+plane stress
+
+[bc left]
+dirichlet_u 0 0
+
+[solver]
+fields thermal
+
+[output]
+dir {out}
+"""
+
 
 class TestRun:
     def test_run_writes_outputs(self, tmp_path, capsys):
@@ -92,6 +117,17 @@ class TestRun:
         assert err.startswith("error:2: ill-posed mechanical problem")
         assert f"against {missing} (" in err
         assert not (tmp_path / "o").exists()
+
+    def test_thermal_only_without_thermal_bc_exit_2(self, tmp_path, capsys):
+        # once exit 0 and a temperature field of zeros: nothing was solved
+        out = tmp_path / "o"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(THERMAL_ONLY_CFG.format(out=out))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:2: ill-posed thermal problem")
+        assert "has no Dirichlet temperature" in err
+        assert not out.exists()
 
     def test_solve_diagnostics_stay_out_of_outputs(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -19,7 +19,7 @@ from fevec.assembly import (BoundaryConditionSet, SparseSystem, assemble_mechani
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import (_DISSECTION_LEAF, ElementKind, Mesh, generate_fcbga,
                         generate_sandwich, generate_split_square, generate_structured_quads)
-from fevec.solver import METHOD_CG, SolveOptions, run_pipeline, solve_system
+from fevec.solver import METHOD_CG, SUPERLU_FACTOR, SolveOptions, run_pipeline, solve_system
 from conftest import element_table
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -35,10 +35,10 @@ def colamd_solve(system: SparseSystem) -> tuple[np.ndarray, int]:
 
 def permuted_solve(system: SparseSystem) -> np.ndarray:
     """The direct solve as a natural-order system whose matrix is then permuted into
-    elimination order; assembling in that order must give the same bits."""
+    elimination order and factored with the solver's own SuperLU options;
+    assembling in that order must give the same bits."""
     order = system.dof_map.elimination_order(system.free)
-    lu = spla.splu(system.matrix[order][:, order].tocsc(), permc_spec="NATURAL",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    lu = spla.splu(system.matrix[order][:, order].tocsc(), **SUPERLU_FACTOR)
     x = np.empty_like(system.rhs)
     x[order] = lu.solve(system.rhs[order])
     return system.recover(x)

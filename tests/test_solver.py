@@ -65,6 +65,25 @@ class TestSolveSystem:
             SolveOptions(method="magic")
         with pytest.raises(SolverError):
             SolveOptions(cg_rel_tol=-1.0)
+        with pytest.raises(SolverError, match="^tau must be positive and finite"):
+            SolveOptions(tau=10**400)       # an int beyond the float range
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("cg_max_iter", 2.5, "cg_max_iter must be an integer, got 2.5"),
+        ("cg_max_iter", True, "cg_max_iter must be an integer, got True"),
+        ("cg_rel_tol", "1e-3", "cg_rel_tol must be a real number, got '1e-3'"),
+        ("tau", False, "tau must be a real number, got False"),
+        ("tau", None, "tau must be a real number, got None"),
+        ("method", 1, "method must be a string, got 1"),
+        ("fields", ["thermal"], "fields must be a string, got \\['thermal'\\]")])
+    def test_option_types(self, field, value, message):
+        with pytest.raises(SolverError, match=f"^{message}$"):
+            SolveOptions(**{field: value})
+
+    def test_numpy_scalars_are_accepted(self):
+        options = SolveOptions(cg_rel_tol=np.float32(1e-6), cg_max_iter=np.int64(50),
+                               tau=np.float64(0.5))
+        assert options.cg_max_iter == 50
 
 
 class TestPipeline:
@@ -113,6 +132,17 @@ class TestPipeline:
         fields = run_pipeline(mesh, mats, bcs, SolveOptions(fields="thermal"))
         assert fields.temperature is not None
         assert fields.displacement is None
+
+    @pytest.mark.parametrize("method", [METHOD_DIRECT, METHOD_CG])
+    def test_thermal_only_without_thermal_data_fails(self, method):
+        # nothing would be solved: the thermal stage runs and finds no Dirichlet temperature
+        mesh = generate_structured_quads(1.0, 1.0, 4, 4)
+        bcs = BoundaryConditionSet()
+        for n in mesh.nodes_with_label("left"):
+            bcs.set_displacement(n, 0.0, 0.0)
+        with pytest.raises(SolverError, match="ill-posed thermal problem: .* node 0 has no "
+                                              "Dirichlet temperature"):
+            run_pipeline(mesh, {0: props()}, bcs, SolveOptions(method=method, fields="thermal"))
 
 
 def heated(mesh):
@@ -257,3 +287,23 @@ def test_fill_is_read_without_exporting_the_factor(monkeypatch):
     assert len(factors) == 2
     for diag, factor in zip(diags, factors):
         assert diag.lu_fill == factor.lu.nnz >= diag.n_dof
+
+
+@pytest.mark.parametrize("method", [METHOD_DIRECT, METHOD_CG])
+def test_direct_solves_pass_the_shared_factor_options(monkeypatch, method):
+    calls = []
+    splu = solver.spla.splu
+
+    def spy(matrix, **kwargs):
+        calls.append(kwargs)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", spy)
+    mesh = generate_split_square(2.0, 1.0, 8, 4)
+    bcs = heated(mesh)
+    for n in mesh.nodes_with_label("left"):
+        bcs.set_displacement(n, 0.0, 0.0)
+    run_pipeline(mesh, {0: props()}, bcs, SolveOptions(method=method))
+    # thermal, then mechanical; CG factors nothing
+    assert calls == ([solver.SUPERLU_FACTOR] * 2 if method == METHOD_DIRECT else [])
+    assert solver.SUPERLU_FACTOR["panel_size"] == 2     # the measured width
