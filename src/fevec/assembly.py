@@ -44,11 +44,12 @@ from .mesh import Mesh, require_valid
 
 
 def _bc_value(value, what: str, free: bool = False) -> float | None:
-    """The one rule for a boundary value: a finite real, or None (free) where ``free``."""
+    """The one rule for a boundary value: a finite real other than ``bool``, or None (free)
+    where ``free``."""
     if value is None and free:
         return None
     try:
-        if isinstance(value, numbers.Real) and math.isfinite(value):
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
             return float(value)
     except OverflowError:       # an int beyond the float range
         pass

@@ -253,10 +253,9 @@ class Mesh:
     @cached_property
     def elements(self) -> tuple[Element, ...]:
         """The element table as records, built on first read; no pipeline stage reads it."""
-        vertices: list[tuple[int, ...]] = [()] * self.n_elements
-        for pos, verts in self.vertex_groups.values():
-            for p, v in zip(pos.tolist(), verts.tolist()):
-                vertices[p] = tuple(v)
+        incidence = self.incidence()
+        ids, bounds = incidence.indices.tolist(), incidence.indptr.tolist()
+        vertices = [tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
         kinds = np.where(self.element_fe, ElementKind.FE_QUAD, ElementKind.VE_POLY).tolist()
         return tuple(map(Element, range(self.n_elements), vertices, kinds,
                          self.element_regions.tolist()))
@@ -344,11 +343,10 @@ class Mesh:
 
     @cached_property
     def node_components(self) -> tuple[int, np.ndarray]:
-        """Connected components of the node graph whose edges are ``edges``: count, label per node."""
-        n = self.n_nodes
-        graph = sp.coo_matrix((np.ones(len(self.edges)), (self.edges[:, 0], self.edges[:, 1])),
-                              shape=(n, n))
-        return connected_components(graph, directed=False)
+        """Connected parts of ``node_pattern``, the graph of nodes that share an element:
+        count, label per node.  An element's sides join its vertices in a cycle,
+        so these are the parts of the graph of ``edges`` too."""
+        return connected_components(self._node_graph(), directed=False)
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -362,23 +360,33 @@ class Mesh:
         Row i lists, in increasing order, every node that shares an element
         with node i, i itself included: the sparsity pattern of a scalar
         field's matrix, and with 2 x 2 blocks of a vector field's.  It is
-        the structure of the boolean product of the node-element incidence
-        with its transpose, whose rows scipy builds and sorts one at a time;
-        no array of all vertex pairs is made.  Computed once per mesh; int32
-        unless the pattern is too large for it.
+        the structure of the boolean product of ``incidence()`` with its
+        transpose, whose rows scipy builds and sorts one at a time; no array
+        of all vertex pairs is made.  Computed once per mesh; int32 unless
+        the pattern is too large for it.
         """
-        n = self.n_nodes
-        blocks = [verts for _, verts in self.vertex_groups.values()]
-        counts = np.concatenate([np.full(len(verts), verts.shape[1]) for verts in blocks]
-                                + [np.zeros(0, dtype=np.int64)])
-        incidence = sp.csr_matrix(
-            (np.ones(int(counts.sum()), dtype=bool),
-             np.concatenate([verts.ravel() for verts in blocks] + [np.zeros(0, dtype=np.int64)]),
-             np.concatenate(([0], np.cumsum(counts)))), shape=(counts.size, n))
+        incidence = self.incidence()
         pattern = incidence.T.tocsr() @ incidence
         pattern.sort_indices()
-        dtype = np.int32 if max(n, pattern.nnz) <= np.iinfo(np.int32).max else np.int64
+        dtype = np.int32 if max(self.n_nodes, pattern.nnz) <= np.iinfo(np.int32).max else np.int64
         return pattern.indptr.astype(dtype), pattern.indices.astype(dtype)
+
+    def incidence(self) -> sp.csr_array:
+        """Boolean element x node incidence: row p holds the vertex ids of the
+        element at position p, in vertex order.  Built on each call."""
+        n_v = np.bincount(self.side_element, minlength=self.n_elements)
+        indptr = np.concatenate(([0], np.cumsum(n_v)))
+        flat = np.empty(indptr[-1], dtype=np.int64)
+        for pos, verts in self.vertex_groups.values():
+            flat[indptr[pos, None] + np.arange(verts.shape[1])] = verts
+        return sp.csr_array((np.ones(flat.size, dtype=bool), flat, indptr),
+                            shape=(self.n_elements, self.n_nodes))
+
+    def _node_graph(self) -> sp.csr_array:
+        """``node_pattern`` as a boolean CSR array on its cached arrays."""
+        indptr, indices = self.node_pattern
+        return sp.csr_array((np.ones(indices.size, dtype=bool), indices, indptr),
+                            shape=(self.n_nodes, self.n_nodes))
 
     def node_slots(self) -> sp.csr_array:
         """``node_pattern`` as a CSR array whose entries number their own slots.
@@ -394,7 +402,7 @@ class Mesh:
     @cached_property
     def dissection_order(self) -> np.ndarray:
         """Nested-dissection elimination order of the nodes (see ``_dissection_order``)."""
-        return _dissection_order(self.coords, [verts for _, verts in self.vertex_groups.values()])
+        return _dissection_order(self.coords, self._node_graph())
 
 
 # Node sets of at most this many nodes are not split.  Measured on the
@@ -403,18 +411,19 @@ class Mesh:
 _DISSECTION_LEAF = 16
 
 
-def _dissection_order(coords: np.ndarray, vertex_blocks: list[np.ndarray]) -> np.ndarray:
+def _dissection_order(coords: np.ndarray, graph: sp.csr_array) -> np.ndarray:
     """Geometric nested-dissection order of the nodes (George, SIAM J. Numer. Anal. 1973).
 
-    A node set is split at the median coordinate of its longer bounding-box
-    axis: nodes below the median go left (at or below it when none is
-    below).  Every element with live vertices on both sides puts its left
-    ones into the separator, which is ordered after both halves; a half sees
-    each element through its own vertices only, so every separator cuts the
-    matrix graph, Q4 diagonals and polygon chords included.  Sets of at most
+    ``graph`` is the boolean node graph of ``Mesh.node_pattern``: two nodes
+    are neighbours when they share an element.  A node set is split at the
+    median coordinate of its longer bounding-box axis: nodes below the
+    median go left (at or below it when none is below).  Every left node
+    with a right neighbour goes into the separator, which is ordered after
+    both halves; the graph is the matrix graph, Q4 diagonals and polygon
+    chords included, so every separator cuts it.  Sets of at most
     ``_DISSECTION_LEAF`` nodes, or that cannot be split, are leaves.  Leaves
     and separators keep node-id order.  All sets of one recursion depth are
-    split together, one array pass per element block.
+    split together, with one sparse product of the graph.
     """
     n = len(coords)
     node_set = np.zeros(n, dtype=np.int64)   # live set of each node; -1 once placed
@@ -444,13 +453,7 @@ def _dissection_order(coords: np.ndarray, vertex_blocks: list[np.ndarray]) -> np
         side = np.zeros(n, dtype=np.int8)   # 1 left, 2 right, 0 placed
         cut = split[group]
         side[live[cut]] = np.where(left[cut], 1, 2)
-        separator = [np.zeros(0, dtype=np.int64)]
-        for verts in vertex_blocks:
-            sides = side[verts]
-            on_left = sides == 1
-            crossing = on_left.any(axis=1) & (sides == 2).any(axis=1)
-            separator.append(verts[crossing][on_left[crossing]])
-        separator = np.unique(np.concatenate(separator))
+        separator = np.flatnonzero((side == 1) & (graph @ (side == 2)))
         placed_in[separator] = node_set[separator]
         node_set[separator] = -1
         side[separator] = 0

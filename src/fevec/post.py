@@ -16,7 +16,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem, vem
 from .errors import FevecError
@@ -98,26 +97,20 @@ def nodal_von_mises(mesh: Mesh, stresses: list[ElementStress],
     explicit subset of element positions (per-side values at a coupling
     interface).  Nodes with no contributing element hold NaN.
 
-    The sums are one sparse node x element product whose columns run in
-    element order, so each node adds its elements' terms in that order.
+    The sums are products with the transposed ``Mesh.incidence()``, which
+    run over the elements in order, so each node adds its elements' terms
+    in that order; an element left out adds zero.
     """
     keep = np.ones(mesh.n_elements, dtype=bool)
     if region is not None:
         keep &= mesh.element_regions == region
     if element_ids is not None:
         keep &= np.isin(np.arange(mesh.n_elements), list(element_ids))
-    rows, cols = [], []
-    for pos, verts in mesh.vertex_groups.values():
-        sel = keep[pos]
-        rows.append(verts[sel].ravel())
-        cols.append(np.repeat(pos[sel], verts.shape[1]))
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    incidence = sp.csr_matrix((mesh.element_areas[cols], (rows, cols)),
-                              shape=(mesh.n_nodes, mesh.n_elements))
+    weight = np.where(keep, mesh.element_areas, 0.0)
     vm = np.array([es.von_mises for es in stresses], dtype=float)
-    acc = incidence @ vm
-    wsum = incidence @ np.ones(mesh.n_elements)
+    to_nodes = mesh.incidence().T
+    acc = to_nodes @ np.where(keep, weight * vm, 0.0)
+    wsum = to_nodes @ weight
     with np.errstate(invalid="ignore"):
         return np.where(wsum > 0, acc / np.maximum(wsum, 1e-300), np.nan)
 

@@ -10,7 +10,8 @@ library no longer needs.  ``compress`` is the sort-based sparse assembly,
 and ``scatter`` the unwindowed, full-then-slice assembly around it, that
 ``fevec.assembly._scatter`` replaced; ``slice_system`` is that Dirichlet
 slicing, and ``node_pattern`` the one-piece sort that built the node
-pattern.
+pattern.  ``edge_components`` is the rule ``Mesh.node_components`` had
+before it read ``node_pattern``: the parts of the graph of ``Mesh.edges``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from fevec.assembly import SparseSystem
 from fevec.errors import SolverError
@@ -335,6 +337,13 @@ def node_pattern(mesh):
     rows, cols = np.divmod(keys[distinct], n)
     dtype = np.int32 if max(n, cols.size) <= np.iinfo(np.int32).max else np.int64
     return np.searchsorted(rows, np.arange(n + 1)).astype(dtype), cols.astype(dtype)
+
+
+def edge_components(mesh):
+    """Connected components of the graph of ``mesh.edges``: count, label per node."""
+    n = mesh.n_nodes
+    graph = sp.coo_matrix((np.ones(len(mesh.edges)), mesh.edges.T), shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
 def scatter(mesh, dof_map, kernels, rhs, free, fixed):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from fevec import bench
 from fevec.assembly import BoundaryConditionSet, DofMap, assemble_mechanical, assemble_thermal
+from fevec.config import BcSpec
 from fevec.errors import AssemblyError, MeshError
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import (ElementKind, Mesh, generate_sandwich, generate_split_square,
@@ -242,6 +243,12 @@ class TestApplyDirichlet:
         (lambda bcs: bcs.set_displacement(2, "0", None), "displacement ux at node 2"),
         (lambda bcs: bcs.add_flux(0, 1, math.nan), r"flux on edge \(0,1\)"),
         (lambda bcs: bcs.add_traction(0, 1, (0.0, math.inf)), r"traction on edge \(0,1\)"),
+        # a bool is no boundary value: True once stored 1.0
+        (lambda bcs: bcs.set_temperature(0, True), "temperature at node 0"),
+        (lambda bcs: bcs.set_displacement(1, False, None), "displacement ux at node 1"),
+        (lambda bcs: bcs.add_flux(0, 1, True), r"flux on edge \(0,1\)"),
+        (lambda bcs: bcs.add_traction(0, 1, (True, 0.0)), r"traction on edge \(0,1\)"),
+        (lambda bcs: BcSpec("dirichlet_T", (True,)), "dirichlet_T"),
     ])
     def test_non_finite_values_rejected(self, call, what):
         bcs = BoundaryConditionSet()

@@ -7,7 +7,7 @@ import pytest
 
 from fevec import bench, post
 from fevec import config as configmod
-from fevec.assembly import BoundaryConditionSet, assemble_mechanical
+from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
 from fevec.errors import AssemblyError, FevecError
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_split_square, generate_structured_quads
@@ -176,6 +176,29 @@ def test_packaging_strain_energy_converges(name):
     steps = np.diff(energies)
     assert np.all(steps > 0), energies
     assert 2.5 <= steps[0] / steps[1] <= 6.0, energies
+
+
+def thermal_energy(case, level):
+    """Half T^T K T of the case's solved temperature at ``level``, with K the whole thermal
+    matrix: assembled without boundary data, no dof is prescribed."""
+    mesh = case.build_mesh(level)
+    temperature = run_pipeline(mesh, case.materials, case.make_bcs(mesh),
+                               SolveOptions(fields="thermal")).temperature
+    system = assemble_thermal(mesh, case.materials, BoundaryConditionSet())
+    assert system.free.size == mesh.n_nodes
+    return 0.5 * temperature @ (system.matrix @ temperature)
+
+
+@pytest.mark.parametrize("name, direction", [("fcbga", -1), ("igbt", 1)])
+def test_packaging_thermal_energy_converges(name, direction):
+    # Levels 0-3 measured: fcbga 2767.756, 2695.204, 2664.622, 2651.226 (falling,
+    # difference ratios 2.37, 2.28); igbt 185.881, 186.693, 187.034, 187.187 (rising,
+    # 2.38, 2.23).  One direction and a ratio near 2^p for an order p between 0.85
+    # and 1.7 in h.
+    energies = [thermal_energy(bench.builtin_cases()[name], level) for level in range(3)]
+    steps = np.diff(energies)
+    assert np.all(direction * steps > 0), energies
+    assert 1.8 <= steps[0] / steps[1] <= 3.2, energies
 
 
 class TestPropertyHelpers:

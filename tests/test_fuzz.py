@@ -6,17 +6,22 @@ also have a whole section repeated after itself.  Whatever the
 mutation, ``load_mesh`` must either succeed or raise a typed
 ``ParseError``/``MeshError``; ``parse_config``, ``build_mesh`` and
 ``build_bcs`` may also raise ``AssemblyError``, and a boundary value that is
-not finite must already be a ``ParseError``.  The draws are seeded
+not finite must already be a ``ParseError``.  Run end to end by
+``cli.cmd_run``, a mutated config must end in a documented exit code, and a
+run that succeeds must write only finite numbers.  The draws are seeded
 (``derandomize``), so a failure reproduces.
 """
 
+import itertools
 import math
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fevec import cli
 from fevec import config as configmod
 from fevec.errors import AssemblyError, MeshError, ParseError
 from fevec.mesh import generate_split_square, load_mesh, mesh_text
@@ -57,12 +62,26 @@ def mutated(draw, text: str, ops=TOKEN_OPS) -> str:
     return "\n".join(" ".join(toks) for toks in lines) + "\n"
 
 
-def capped(cfg: configmod.RunConfig) -> configmod.RunConfig:
-    for name, cap in CAPS.items():
-        raw = cfg.generator_params.get(name)
-        if raw is not None and raw.lstrip("-").isdigit() and int(raw) > cap:
-            cfg.generator_params[name] = str(cap)
-    return cfg
+def capped(text: str) -> str:
+    """``text`` with every ``<key> <integer>`` line of a ``CAPS`` key held to its cap."""
+    lines = []
+    for line in text.splitlines():
+        toks = line.split()
+        if len(toks) > 1 and toks[0] in CAPS and toks[1].lstrip("-").isdigit():
+            toks[1] = str(min(int(toks[1]), CAPS[toks[0]]))
+        lines.append(" ".join(toks))
+    return "\n".join(lines) + "\n"
+
+
+def without_output(text: str) -> str:
+    """``text`` without its ``[output]`` section."""
+    lines, skip = [], False
+    for line in text.splitlines():
+        if line.startswith("["):
+            skip = line.strip() == "[output]"
+        if not skip:
+            lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +106,7 @@ def test_mutated_config(scratch, path):
     @given(text=mutated(path.read_text(), TOKEN_OPS + ("section",)))
     def run(text):
         try:
-            cfg = capped(configmod.parse_config(text, str(path)))
+            cfg = configmod.parse_config(capped(text), str(path))
         except ParseError:
             return
         assert all(v is None or math.isfinite(v) for _, spec in cfg.bcs for v in spec.values)
@@ -95,5 +114,25 @@ def test_mutated_config(scratch, path):
             configmod.build_bcs(cfg, configmod.build_mesh(cfg, str(scratch)))
         except (ParseError, MeshError, AssemblyError):
             pass
+
+    run()
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_mutated_config_runs_end_to_end(tmp_path, path):
+    runs = itertools.count()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(text=mutated(without_output(path.read_text()), TOKEN_OPS + ("section",)))
+    def run(text):
+        out = tmp_path / f"out{next(runs)}"
+        config = tmp_path / path.name
+        config.write_text(capped(text) + f"[output]\ndir {out}\n")
+        code = cli.cmd_run(str(config))
+        assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_SOLVER, cli.EXIT_IO)
+        if code == cli.EXIT_OK:
+            for written in out.iterdir():
+                words = re.findall(r"[^\s,=]+", written.read_text().lower())
+                assert not {"nan", "inf"} & {w.lstrip("+-") for w in words}, written.name
 
     run()

@@ -4,8 +4,9 @@ and no top-level function or class that nothing names.
 No linter is installed, so this walks each module's syntax tree: every name
 that a top-level ``import`` binds must appear as a name somewhere else in the
 module.  ``__init__.py`` is exempt, as its imports are the package's public
-names.  Every top-level function and class of the package must be read as a
-name or an attribute somewhere in the package, ``tests/`` or ``perfbench/``.
+names.  Every top-level function and class of the package, and every public
+method and property of its classes, must be read as a name or an attribute
+somewhere in the package, ``tests/`` or ``perfbench/``.
 """
 
 import ast
@@ -49,15 +50,26 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == ["os", "pi"]
 
 
+def definitions(tree: ast.Module):
+    """(qualified name, name) of each top-level function and class of ``tree``, and of
+    each public method and property of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
 def unreferenced(modules: dict[str, str], others: list[str]) -> list[tuple[str, str]]:
-    """(module, name) of each top-level function and class of ``modules`` (file name ->
-    source) that no name or attribute in ``modules`` or ``others`` (sources) reads."""
+    """(module, qualified name) of each definition of ``modules`` (file name -> source)
+    that no name or attribute in ``modules`` or ``others`` (sources) reads."""
     trees = {module: ast.parse(source) for module, source in modules.items()}
     read = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in [*trees.values(), *map(ast.parse, others)] for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
-    return sorted((module, node.name) for module, tree in trees.items() for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read)
+    return sorted((module, qualified) for module, tree in trees.items()
+                  for qualified, name in definitions(tree) if name not in read)
 
 
 def test_every_definition_is_referenced():
@@ -68,5 +80,10 @@ def test_every_definition_is_referenced():
 
 
 def test_finds_an_unreferenced_definition():
-    module = "def used():\n    pass\n\ndef orphan():\n    used()\n\nclass Kept:\n    pass\n"
-    assert unreferenced({"m.py": module}, ["import m\nm.Kept()\n"]) == [("m.py", "orphan")]
+    module = ("def used():\n    pass\n\ndef orphan():\n    used()\n\n"
+              "class Kept:\n    def run(self):\n        pass\n\n"
+              "    def idle(self):\n        pass\n\n"
+              "    @property\n    def size(self):\n        pass\n\n"
+              "    def _helper(self):\n        pass\n")
+    assert unreferenced({"m.py": module}, ["import m\nm.Kept().run()\n"]) == [
+        ("m.py", "Kept.idle"), ("m.py", "Kept.size"), ("m.py", "orphan")]

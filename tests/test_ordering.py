@@ -1,9 +1,12 @@
-"""Nested-dissection order and the symmetric direct solve.
+"""Nested-dissection order, the node graph it reads, and the symmetric direct solve.
 
 The oracle is the direct solve that the ordered one replaced: SuperLU with
 its default COLAMD column order and partial pivoting on the reduced system.
+The orders and node components are pinned by hash, as recorded before they
+were read off ``Mesh.node_pattern``.
 """
 
+import hashlib
 import pathlib
 
 import numpy as np
@@ -17,10 +20,13 @@ from fevec import config as configmod
 from fevec.assembly import (BoundaryConditionSet, SparseSystem, assemble_mechanical,
                             assemble_thermal)
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import (_DISSECTION_LEAF, ElementKind, Mesh, generate_fcbga,
-                        generate_sandwich, generate_split_square, generate_structured_quads)
+from fevec.mesh import (_DISSECTION_LEAF, ElementKind, Mesh, generate_fcbga, generate_igbt,
+                        generate_quarter_annulus, generate_sandwich, generate_split_square,
+                        generate_structured_quads)
 from fevec.solver import METHOD_CG, SUPERLU_FACTOR, SolveOptions, run_pipeline, solve_system
 from conftest import element_table
+from kernel_oracles import edge_components
+from merged_polygons import merge_ve_blocks
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 TOL = 1e-10
@@ -78,6 +84,83 @@ def clamped_heated(mesh):
     for n in mesh.nodes_with_label("right"):
         bcs.set_temperature(n, 125.0)
     return bcs
+
+
+def sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=np.int64).tobytes()).hexdigest()
+
+
+# name -> (mesh, sha256 of dissection_order, node part count, sha256 of the part labels)
+PINNED_GRAPHS = {
+    "sandwich-l3-fe": (lambda: generate_sandwich(3, all_kind=ElementKind.FE_QUAD),
+                       "a6b3a0c38472709879450b95bbabe09bffcc9edae3396348ce418e336b21eb43", 1,
+                       "e4a3eb2e96afa012e37ad4db18d1ab5cad0f4d2f3681bd0da299cc818884d9c0"),
+    "sandwich-l3": (lambda: generate_sandwich(3),
+                    "a6b3a0c38472709879450b95bbabe09bffcc9edae3396348ce418e336b21eb43", 1,
+                    "e4a3eb2e96afa012e37ad4db18d1ab5cad0f4d2f3681bd0da299cc818884d9c0"),
+    "fcbga-l2": (lambda: generate_fcbga(2),
+                 "1d0f82eef6dd2fcb364a2b3693a5f47cc1fb9fe4e2307e807961b92f67fe8491", 1,
+                 "98ddeba7c64807332f518ea59762815c7b0e61307ef453b6964d3174d522e2a7"),
+    "cylinder-l3": (lambda: bench.CylinderCase().build_mesh(3, "coupled"),
+                    "1ec2429f942db593b747d32256b28155840bc90346e0f6531ca4b8d0c2861b26", 1,
+                    "e6aa857dc72cee82d3de6d763aa770fce119c77cab3e927be95d84e57569d91a"),
+    "igbt-l2": (lambda: generate_igbt(2),
+                "d30aed89685bef8b01860437fc1d0a4b0148237df110a6ce353b1eeea85047dc", 1,
+                "5669cd0fb898e5ab2adfb09a069076726ea12dfe1458b2b19ca3e844d3bdf1af"),
+    "igbt-l3": (lambda: generate_igbt(3),
+                "bf348721c4122c25e0971a62157d141276522f42c6285768c48e6ae8333bf2ed", 1,
+                "4732cc1fac8cd1eee45f7b6bb970cbd39cbf5e6c29891018907e0ff7296b8346"),
+    "split-ring-plate": (lambda: bench.PlateCase().build_mesh(2, "coupled"),
+                         "d2ce66350f6d7f9ca39abb8009f0d8bc4d4e1976417c1d932b3089295163c59a", 1,
+                         "d2d0f24a4adf58a863685fbc902ab101c40b94350a9ab1333775d2c129e115b5"),
+    "merged-split-square": (lambda: merge_ve_blocks(generate_split_square(2.0, 1.0, 24, 12), 12, 24),
+                            "34d0256bf0276f867e9743047d8ce26be367b195630bd3ec299e1f3ee2ce2e61", 1,
+                            "8bffbf88a5b1e8bb4ac2bc48957d26c4c5e294774dad81758f2c0cbfaf6f8d52"),
+    "merged-annulus": (lambda: merge_ve_blocks(
+                           generate_quarter_annulus(1.0, 2.5, 12, 16, 1.75), 12, 16),
+                       "76f500aee0e4d53a811393687a2b7da176a0a03be5573cc72e838a18da789cfa", 1,
+                       "7314b978571ffc723887d81a40c88dbd2de4b221b4a0149d14f284b074eec9f9"),
+}
+
+
+class TestNodeGraph:
+    @pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
+    def test_order_and_parts_pinned(self, name):
+        build, order_sha, n_parts, labels_sha = PINNED_GRAPHS[name]
+        mesh = build()
+        n, labels = mesh.node_components
+        assert (sha256(mesh.dissection_order), n, sha256(labels)) == (order_sha, n_parts,
+                                                                      labels_sha)
+
+    def test_parts_match_edge_graph_oracle(self):
+        # two squares apart, their nodes interleaved, and node 8 in no element
+        coords = [[0, 0], [3, 0], [1, 0], [4, 0], [1, 1], [4, 1], [0, 1], [3, 1], [9, 9]]
+        mesh = Mesh(coords, [(1, 3, 5, 7), (0, 2, 4, 6)], [ElementKind.FE_QUAD,
+                                                           ElementKind.VE_POLY], [0, 0])
+        n, labels = mesh.node_components
+        oracle_n, oracle_labels = edge_components(mesh)
+        assert n == oracle_n == 3
+        assert np.array_equal(labels, oracle_labels)
+        assert labels.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 2]
+
+    @pytest.mark.parametrize("build", [
+        # vertex counts out of group order, an element without vertices, a repeated id
+        # and one out of range: the table is read back as given
+        lambda: Mesh(np.zeros((10, 2)),
+                     [(0, 1, 4, 3), (1, 2, 5), (), (3, 4, 7, 6), (4, 5, 8, 9, 7), (2, 2, 11)],
+                     [ElementKind.FE_QUAD, ElementKind.VE_POLY, ElementKind.VE_POLY,
+                      ElementKind.FE_QUAD, ElementKind.VE_POLY, ElementKind.VE_POLY], [0] * 6),
+        PINNED_GRAPHS["merged-split-square"][0],
+        PINNED_GRAPHS["split-ring-plate"][0]])
+    def test_incidence_rows_are_the_element_table(self, build):
+        mesh = build()
+        incidence = mesh.incidence()
+        assert incidence.dtype == bool and incidence.shape == (mesh.n_elements, mesh.n_nodes)
+        rows = [tuple(row.tolist()) for row in np.split(incidence.indices, incidence.indptr[1:-1])]
+        assert rows == element_table(mesh)[0]
+        for pos, verts in mesh.vertex_groups.values():
+            assert [rows[p] for p in pos.tolist()] == [tuple(v) for v in verts.tolist()]
+        assert "incidence" not in vars(mesh) and mesh.incidence() is not incidence
 
 
 class TestDissectionOrder:
