@@ -1,8 +1,10 @@
 """Analytic oracles, benchmark case definitions and the convergence harness.
 
-Each built-in case is one class that declares its name, levels, materials,
-BC specs and solved fields; its ``study()`` runs the case and returns its
-convergence reports and summary lines.  Five built-in cases at desk scale:
+Each built-in case is one class that declares its name, levels, mesh
+family and solved fields; its materials and BC specs are those of its
+shipped ``configs/<name>.cfg``, read on first use.  Its ``study()`` runs the
+case and returns its convergence reports and summary lines.  Five built-in
+cases at desk scale:
 
 * ``plate``    -- quarter plate with a circular hole under edge tension;
                   convergence of the interface-circle von Mises MRE against
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -37,13 +40,16 @@ import numpy as np
 from . import mesh as meshmod
 from . import post, vem
 from .assembly import BoundaryConditionSet, assemble_thermal  # noqa: F401 (public alias)
-from .config import BcSpec, resolve_bcs
+from .config import RunConfig, parse_config, resolve_bcs
 from .errors import FevecError, SolverError
-from .materials import MaterialProps, Plane, gather_materials, table_material
+from .materials import MaterialProps, gather_materials
 from .mesh import ElementKind, Mesh, require_valid
 from .solver import SolutionFields, SolveOptions, run_pipeline
 
 METHODS = ("coupled", "fe", "ve")
+
+# The shipped run configs, as package data beside this module.
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "configs")
 
 
 def cylinder_exact_temperature(r, r_a: float, r_b: float,
@@ -95,14 +101,27 @@ class ConvergenceReport:
 
 
 class BenchmarkCase:
-    """One built-in case; an instance or a subclass may override any read-only table."""
+    """One built-in case; its materials and BCs are those of its shipped ``configs/<name>.cfg``."""
 
     name: str
     levels: tuple[int, ...]
-    materials: Mapping[int, MaterialProps]
-    # (label, BcSpec) pairs in the run-config vocabulary, resolved in order
-    bc_specs: tuple[tuple[str, BcSpec], ...]
     fields = "both"             # SolveOptions.fields
+
+    @functools.cached_property
+    def config(self) -> RunConfig:
+        """The parsed shipped config (OSError, ParseError), read once per instance."""
+        path = os.path.join(CONFIG_DIR, f"{self.name}.cfg")
+        return parse_config(meshmod._read_text(path), path)
+
+    @property
+    def materials(self) -> Mapping[int, MaterialProps]:
+        """The config's materials by region, read-only."""
+        return MappingProxyType(self.config.materials)
+
+    @property
+    def bc_specs(self) -> tuple:
+        """The config's ``(label, BcSpec)`` pairs, in file order."""
+        return tuple(self.config.bcs)
 
     def build_mesh(self, level: int, method: str) -> Mesh:
         raise NotImplementedError
@@ -156,13 +175,7 @@ CYL_LEVELS = [(15, 30), (30, 60), (60, 120), (120, 240)]
 class CylinderCase(ConvergenceCase):
     name = "cylinder"
     levels = (0, 1, 2, 3)
-    materials = MappingProxyType({0: table_material(460000.0, 0.3, 20.0, 7.4e-6, 0.0, Plane.STRESS)})
-    # symmetry rollers on the cuts so the full pipeline is well posed
-    bc_specs = (("inner", BcSpec("dirichlet_T", (CYL_TA,))),
-                ("outer", BcSpec("dirichlet_T", (CYL_TB,))),
-                ("theta0", BcSpec("dirichlet_u", (None, 0.0))),
-                ("theta90", BcSpec("dirichlet_u", (0.0, None))))
-    fields = "thermal"
+    fields = "thermal"      # the study reads only T; the config's radial_vm probe needs stresses
     expected = MappingProxyType({"coupled": (0.90, None, "reference rate 1.01"),
                                  "fe": (0.85, None, "reference rate 0.92"),
                                  "ve": (0.90, None, "reference rate 1.02")})
@@ -185,7 +198,6 @@ class CylinderCase(ConvergenceCase):
 
 PLATE_HOLE, PLATE_SIZE = 5.0, 20.0
 PLATE_SPLIT = 10.0
-PLATE_LOAD = 5.0
 PLATE_NT = [8, 16, 32]
 PLATE_NT_REF = 64
 
@@ -201,10 +213,6 @@ class PlateCase(ConvergenceCase):
 
     name = "plate"
     levels = (0, 1, 2)
-    materials = MappingProxyType({0: table_material(10.0, 0.3, 1000.0, 0.0, 25.0, Plane.STRESS)})
-    bc_specs = (("bottom", BcSpec("dirichlet_u", (None, 0.0))),
-                ("left", BcSpec("dirichlet_u", (0.0, None))),
-                ("top", BcSpec("traction", (0.0, PLATE_LOAD))))
     expected = MappingProxyType({"coupled": (0.25, 0.6, "reference rate 0.442")})
 
     def build_mesh(self, level: int, method: str) -> Mesh:
@@ -261,17 +269,6 @@ class SandwichCase(BenchmarkCase):
     name = "sandwich"
     levels = (0, 1, 2)
     fe_levels = (0, 1, 2, 3)     # the pure-FE ladder of the study; the coupled one is levels
-    # Plane stress: the benchmark's target interface peaks correspond to
-    # plane-stress von Mises of the constrained interface state, not the
-    # plane-strain one.
-    materials = MappingProxyType({
-        meshmod.SANDWICH_CHIP: table_material(410000.0, 0.14, 370.0, 4.5e-6, 25.0, Plane.STRESS),
-        meshmod.SANDWICH_SILVER: table_material(12900.0, 0.38, 278.0, 19.0e-6, 25.0, Plane.STRESS),
-        meshmod.SANDWICH_COPPER: table_material(110000.0, 0.38, 400.0, 16.5e-6, 25.0, Plane.STRESS),
-    })
-    bc_specs = (("top", BcSpec("dirichlet_T", (150.0,))),
-                ("bottom", BcSpec("dirichlet_T", (25.0,))),
-                ("right", BcSpec("dirichlet_u", (0.0, 0.0))))
 
     def build_mesh(self, level: int, method: str) -> Mesh:
         all_kind = {"coupled": None, "fe": ElementKind.FE_QUAD,
@@ -305,18 +302,6 @@ class SandwichCase(BenchmarkCase):
 class FcbgaCase(PropertyCase):
     name = "fcbga"
     levels = (2,)
-    materials = MappingProxyType({
-        meshmod.FCBGA_MOLD: table_material(24000.0, 0.25, 2.1, 10e-6, 25.0, Plane.STRAIN),
-        meshmod.FCBGA_DIE: table_material(165500.0, 0.25, 119.0, 2.8e-6, 25.0, Plane.STRAIN),
-        meshmod.FCBGA_BALL: table_material(11000.0, 0.11, 73.0, 35e-6, 25.0, Plane.STRAIN),
-        meshmod.FCBGA_EPOXY: table_material(2600.0, 0.3, 0.188, 90e-6, 25.0, Plane.STRAIN),
-        meshmod.FCBGA_BT: table_material(26000.0, 0.19, 14.5, 14e-6, 25.0, Plane.STRAIN),
-        meshmod.FCBGA_PCB: table_material(22000.0, 0.28, 6.5, 18e-6, 25.0, Plane.STRAIN),
-    })
-    bc_specs = (("mold_top", BcSpec("dirichlet_T", (50.0,))),
-                ("pcb_bottom", BcSpec("dirichlet_T", (50.0,))),
-                ("die", BcSpec("dirichlet_T", (500.0,))),
-                ("pcb_bottom", BcSpec("dirichlet_u", (0.0, 0.0))))
 
     def build_mesh(self, level: int, method: str = "coupled") -> Mesh:
         return meshmod.generate_fcbga(level)
@@ -325,17 +310,6 @@ class FcbgaCase(PropertyCase):
 class IgbtCase(PropertyCase):
     name = "igbt"
     levels = (1,)
-    materials = MappingProxyType({
-        meshmod.IGBT_CHIP: table_material(112000.0, 0.22, 148.0, 2.5e-6, 25.0, Plane.STRAIN),
-        meshmod.IGBT_CU: table_material(100000.0, 0.34, 400.0, 16.4e-6, 25.0, Plane.STRAIN),
-        meshmod.IGBT_CERAMIC: table_material(300000.0, 0.22, 20.0, 6.4e-6, 25.0, Plane.STRAIN),
-        meshmod.IGBT_AL: table_material(70600.0, 0.33, 237.0, 21.0e-6, 25.0, Plane.STRAIN),
-        meshmod.IGBT_SOLDER: table_material(10600.0, 0.35, 57.0, 22.4e-6, 25.0, Plane.STRAIN),
-    })
-    # 1000 mW/mm^2 of heating = 1 W/mm^2 inward (negative outward flux)
-    bc_specs = (("base_bottom", BcSpec("dirichlet_T", (25.0,))),
-                ("base_bottom", BcSpec("dirichlet_u", (0.0, 0.0))),
-                ("chip_top", BcSpec("flux", (-1.0,))))
 
     def build_mesh(self, level: int, method: str = "coupled") -> Mesh:
         return meshmod.generate_igbt(level)

@@ -123,6 +123,8 @@ def cmd_bench(which: str, out_dir: str) -> int:
         return _fail(EXIT_SOLVER, str(exc))
     except (MeshError, AssemblyError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
+    except (OSError, ParseError) as exc:      # the case's shipped config
+        return _fail(EXIT_IO, str(exc))
 
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .assembly import BoundaryConditionSet, _bc_value
 from .errors import AssemblyError, FevecError, ParseError, SolverError
-from .materials import MaterialProps, Plane, table_material
+from .materials import MaterialProps, Plane
 from .mesh import (Mesh, generate_fcbga, generate_igbt, generate_plate_with_hole,
                    generate_quarter_annulus, generate_sandwich,
                    generate_split_square, generate_structured_quads, load_mesh, require_valid,
@@ -225,11 +225,13 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
 
 
 def _parse_material(kv, path) -> MaterialProps:
+    """A ``[material]`` block; only the conductivity changes unit, W/(m*K) to W/(mm*K)."""
     try:
         plane = Plane(kv.get("plane", ["stress"])[0])
-        return table_material(float(kv["E_MPa"][0]), float(kv["nu"][0]),
-                              float(kv["k_W_per_mK"][0]), float(kv["alpha_per_C"][0]),
-                              float(kv.get("T0_C", ["25"])[0]), plane)
+        return MaterialProps(E=float(kv["E_MPa"][0]), nu=float(kv["nu"][0]),
+                             conductivity=float(kv["k_W_per_mK"][0]) / 1000.0,
+                             alpha=float(kv["alpha_per_C"][0]),
+                             T0=float(kv.get("T0_C", ["25"])[0]), plane=plane)
     except KeyError as exc:
         raise ParseError(f"material block missing key {exc}", path) from exc
     except (ValueError, AssemblyError) as exc:

@@ -2,9 +2,9 @@
 
 Internal units: E in MPa, conductivity in W/(mm*K), lengths in mm,
 temperatures in Celsius (only differences enter the physics).  Material
-tables quoted in W/(m*K) must be divided by 1000 before construction;
-``table_material`` does this for the config's ``[material]`` blocks and the
-built-in benchmark cases.
+tables quoted in W/(m*K) must be divided by 1000 before construction; the
+config's ``[material]`` blocks, the one source of the built-in benchmark
+cases' materials too, do this when they are parsed.
 """
 
 from __future__ import annotations
@@ -47,16 +47,6 @@ class MaterialProps:
             raise AssemblyError(f"conductivity must be positive, got {self.conductivity}")
         if self.alpha < 0:
             raise AssemblyError(f"thermal expansion must be non-negative, got {self.alpha}")
-
-
-def table_material(E_MPa: float, nu: float, k_W_per_mK: float, alpha_per_C: float,
-                   T0_C: float, plane: Plane) -> MaterialProps:
-    """A material from the table units of a ``[material]`` block.
-
-    Only the conductivity changes unit: W/(m*K) in, W/(mm*K) internally.
-    """
-    return MaterialProps(E=E_MPa, nu=nu, conductivity=k_W_per_mK / 1000.0,
-                         alpha=alpha_per_C, T0=T0_C, plane=plane)
 
 
 def elasticity_matrix(props: MaterialProps) -> np.ndarray:

@@ -656,7 +656,7 @@ def _violations(mesh: Mesh) -> list[Violation]:
 
     orphan = mesh.edge_index(list(mesh.boundary_edges)) < 0
     for (a, b), lost in zip(mesh.boundary_edges, orphan.tolist()):
-        if a >= n_nodes or b >= n_nodes:
+        if a < 0 or b >= n_nodes:      # keys are sorted, a <= b
             report.append(Violation("bedge-nodes", f"labeled edge ({a},{b}) references missing node"))
         elif lost:
             report.append(Violation("bedge-orphan", f"labeled edge ({a},{b}) is not an edge of any element"))

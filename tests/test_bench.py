@@ -1,6 +1,9 @@
 import collections
 import math
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +99,24 @@ class TestBuiltinCases:
         cfg = configmod.parse_config((CONFIGS / f"{name}.cfg").read_text())
         assert cfg.materials == case.materials
         assert collections.Counter(cfg.bcs) == collections.Counter(case.bc_specs)
+
+    def test_configs_ship_as_package_data(self, tmp_path, monkeypatch):
+        # build the package from a copy of the tree (build_py writes an
+        # egg-info beside the sources); an installed fevec bench reads these
+        root = CONFIGS.parent
+        shutil.copy(root / "pyproject.toml", tmp_path)
+        for tree in ("src", "configs"):
+            shutil.copytree(root / tree, tmp_path / tree, symlinks=True,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        subprocess.run([sys.executable, "-c", "import setuptools; setuptools.setup()",
+                        "build_py", "-d", "built"], cwd=tmp_path, check=True,
+                       stdout=subprocess.DEVNULL)
+        built = tmp_path / "built" / "fevec" / "configs"
+        monkeypatch.setattr(bench, "CONFIG_DIR", str(built))
+        for name, case in bench.builtin_cases().items():
+            shipped = CONFIGS / f"{name}.cfg"
+            assert (built / f"{name}.cfg").read_bytes() == shipped.read_bytes()
+            assert case.materials == configmod.parse_config(shipped.read_text()).materials
 
     def test_absent_bc_label_rejected(self):
         cases = bench.builtin_cases()
@@ -330,7 +351,6 @@ class TestReports:
     def test_solver_failure_yields_partial_report(self):
         # a case whose finer refinements lose all displacement constraints
         class Flaky(bench.CylinderCase):
-            name = "flaky"
             levels = (0, 1)
 
             def make_bcs(self, mesh):

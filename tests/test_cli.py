@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 
@@ -468,6 +469,24 @@ class TestBench:
         assert len(lines) == len(heads)
         assert all(line.startswith(head) for line, head in zip(lines, heads)), lines
         assert all(" expected " in line for line in lines[6:10])
+        # recorded before the cases read their shipped configs: a change of
+        # material, BC or BC order that moves any number fails here
+        assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == (
+            "70abd6f15fef67dd5e7b9dcea6002adb273e9dfa4f9bb1f7187786a081bbca87")
+        assert hashlib.sha256((out / "summary.txt").read_bytes()).hexdigest() == (
+            "8f282672c68aa7d8ded450d791d309688c6f411c33185b93d13784cc1f30782d")
+
+    @pytest.mark.parametrize("config", [None, "E_MPa abc"])
+    def test_bench_bad_case_config_exit_3(self, tmp_path, monkeypatch, capsys, config):
+        # a missing config file, then one whose material does not parse
+        from fevec import bench
+        if config is not None:
+            text = (CONFIGS / "cylinder.cfg").read_text()
+            (tmp_path / "cylinder.cfg").write_text(text.replace("E_MPa 460000", config))
+        monkeypatch.setattr(bench, "CONFIG_DIR", str(tmp_path))
+        assert main(["bench", "cylinder", "-o", str(tmp_path / "bench")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:3: ") and "cylinder.cfg" in err
 
     def test_shipped_cylinder_config_runs(self, tmp_path, monkeypatch):
         # the shipped config is the determinism fixture of the acceptance

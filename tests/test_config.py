@@ -261,7 +261,7 @@ flux 1.0
 """
         cfg = configmod.parse_config(text)
         mesh = configmod.build_mesh(cfg)
-        cfg.materials = dict(bench.FcbgaCase.materials)
+        cfg.materials = dict(bench.builtin_cases()["fcbga"].materials)
         with pytest.raises(AssemblyError, match="interior edge"):
             configmod.build_bcs(cfg, mesh)
 

@@ -117,7 +117,7 @@ def oracle_validate(mesh: Mesh) -> list[Violation]:
                                     f"edge ({a},{b}) shared by {len(owners)} elements {sorted(owners)}"))
 
     for (a, b) in mesh.boundary_edges:
-        if a >= n_nodes or b >= n_nodes:
+        if a < 0 or b >= n_nodes:      # keys are sorted, a <= b
             report.append(Violation("bedge-nodes", f"labeled edge ({a},{b}) references missing node"))
         elif (a, b) not in edges:
             report.append(Violation("bedge-orphan", f"labeled edge ({a},{b}) is not an edge of any element"))
@@ -267,8 +267,9 @@ def mutated_meshes(draw):
         elif op == "orphan_bedge":
             a, b = draw(st.integers(0, n_nodes - 1)), draw(st.integers(0, n_nodes - 1))
             bedges[(a, b)] = "x"
-        elif op == "missing_bedge":
-            bedges[(draw(st.integers(0, n_nodes - 1)), n_nodes + draw(st.integers(0, 2)))] = "y"
+        elif op == "missing_bedge":     # one end past the last node or negative
+            missing = draw(st.sampled_from([n_nodes, -3])) + draw(st.integers(0, 2))
+            bedges[(draw(st.integers(0, n_nodes - 1)), missing)] = "y"
 
     return Mesh(coords, [v for v, _ in elements], [kind for _, kind in elements],
                 [0] * len(elements), bedges)
