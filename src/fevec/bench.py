@@ -1,10 +1,10 @@
 """Analytic oracles, benchmark case definitions and the convergence harness.
 
-Each built-in case is one class that declares its name, levels, mesh
-family and solved fields; its materials and BC specs are those of its
-shipped ``configs/<name>.cfg``, read on first use.  Its ``study()`` runs the
-case and returns its convergence reports and summary lines.  Five built-in
-cases at desk scale:
+Each built-in case is its shipped ``configs/<name>.cfg``, read on first use,
+plus its refinement ladder: its levels, the ``[mesh]`` parameters a level and
+a method set, and for a convergence case its error and expected slopes.  Its
+``study()`` runs the case and returns its convergence reports and summary
+lines.  Five built-in cases at desk scale:
 
 * ``plate``    -- quarter plate with a circular hole under edge tension;
                   convergence of the interface-circle von Mises MRE against
@@ -28,6 +28,7 @@ docstrings); their acceptance is qualitative by design.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import os
@@ -37,14 +38,15 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import config as configmod
 from . import mesh as meshmod
 from . import post, vem
 from .assembly import BoundaryConditionSet, assemble_thermal  # noqa: F401 (public alias)
 from .config import RunConfig, parse_config, resolve_bcs
-from .errors import FevecError, SolverError
+from .errors import FevecError, ParseError, SolverError
 from .materials import MaterialProps, gather_materials
 from .mesh import ElementKind, Mesh, require_valid
-from .solver import SolutionFields, SolveOptions, run_pipeline
+from .solver import SolutionFields, run_pipeline
 
 METHODS = ("coupled", "fe", "ve")
 
@@ -100,35 +102,50 @@ class ConvergenceReport:
         return self
 
 
+def refined_counts(params: Mapping[str, str], level: int, *keys: str) -> dict[str, str]:
+    """The ``[mesh]`` counts ``keys`` at ``level``, 2 ** (level - 1) times the config's;
+    a missing one is left for ``config.build_mesh`` to report."""
+    try:
+        return {key: str(int(params[key]) * 2 ** level // 2) for key in keys if key in params}
+    except ValueError as exc:
+        raise ParseError(f"[mesh] count: {exc}") from None
+
+
 class BenchmarkCase:
-    """One built-in case; its materials and BCs are those of its shipped ``configs/<name>.cfg``."""
+    """One built-in case: its shipped ``configs/<name>.cfg`` and its refinement levels."""
 
     name: str
+    generator: str              # the config's [mesh] generator, which every level calls
     levels: tuple[int, ...]
-    fields = "both"             # SolveOptions.fields
+    fields: str | None = None   # replaces the config's [solver] fields when set
 
     @functools.cached_property
     def config(self) -> RunConfig:
         """The parsed shipped config (OSError, ParseError), read once per instance."""
         path = os.path.join(CONFIG_DIR, f"{self.name}.cfg")
-        return parse_config(meshmod._read_text(path), path)
+        cfg = parse_config(meshmod._read_text(path), path)
+        if cfg.generator != self.generator:
+            raise ParseError(f"[mesh] must name generator '{self.generator}'", path)
+        return cfg
 
     @property
     def materials(self) -> Mapping[int, MaterialProps]:
         """The config's materials by region, read-only."""
         return MappingProxyType(self.config.materials)
 
-    @property
-    def bc_specs(self) -> tuple:
-        """The config's ``(label, BcSpec)`` pairs, in file order."""
-        return tuple(self.config.bcs)
+    def mesh_overrides(self, level: int, method: str) -> dict[str, str]:
+        """The ``[mesh]`` parameters that ``level`` and ``method`` set."""
+        return {"level": str(level)}
 
-    def build_mesh(self, level: int, method: str) -> Mesh:
-        raise NotImplementedError
+    def build_mesh(self, level: int, method: str = "coupled") -> Mesh:
+        """The config's ``[mesh]`` with the level's and the method's overrides."""
+        cfg = self.config
+        params = {**cfg.generator_params, **self.mesh_overrides(level, method)}
+        return configmod.build_mesh(dataclasses.replace(cfg, generator_params=params))
 
     def make_bcs(self, mesh: Mesh) -> BoundaryConditionSet:
-        """The case's BCs on ``mesh``; an absent label raises AssemblyError."""
-        return resolve_bcs(mesh, self.bc_specs)
+        """The config's BCs on ``mesh``; an absent label raises AssemblyError."""
+        return resolve_bcs(mesh, self.config.bcs)
 
     def study(self) -> tuple[list[ConvergenceReport], list[str]]:
         """Run the case: its convergence reports and its summary lines."""
@@ -166,29 +183,32 @@ class PropertyCase(BenchmarkCase):
 # Cylinder
 
 
-CYL_RA, CYL_RB = 20.0, 60.0
-CYL_TA, CYL_TB = 0.0, 500.0
-CYL_SPLIT = 40.0
-CYL_LEVELS = [(15, 30), (30, 60), (60, 120), (120, 240)]
-
-
 class CylinderCase(ConvergenceCase):
     name = "cylinder"
+    generator = "quarter_annulus"
     levels = (0, 1, 2, 3)
     fields = "thermal"      # the study reads only T; the config's radial_vm probe needs stresses
     expected = MappingProxyType({"coupled": (0.90, None, "reference rate 1.01"),
                                  "fe": (0.85, None, "reference rate 0.92"),
                                  "ve": (0.90, None, "reference rate 1.02")})
 
-    def build_mesh(self, level: int, method: str) -> Mesh:
-        n_r, n_t = CYL_LEVELS[level]
-        split = {"coupled": CYL_SPLIT, "fe": CYL_RA, "ve": CYL_RB}[method]
-        return meshmod.generate_quarter_annulus(CYL_RA, CYL_RB, n_r, n_t, split)
+    def mesh_overrides(self, level, method):
+        """Counts of ``level``; pure FE moves the split radius to ``r_a``, pure VE to ``r_b``."""
+        params = self.config.generator_params
+        split = params.get({"coupled": "split_radius", "fe": "r_a", "ve": "r_b"}[method])
+        return {**refined_counts(params, level, "n_r", "n_t"),
+                **({"split_radius": split} if split else {})}
 
     def error(self, mesh, fields, stresses, level, method) -> float:
-        """Nodal temperature RMS against the log-radius exact field."""
+        """Nodal temperature RMS against the log-radius exact field of the config's
+        radii and its ``inner`` and ``outer`` surface temperatures."""
+        cfg = self.config
+        surface = {label: spec.values[0] for label, spec in cfg.bcs if spec.kind == "dirichlet_T"}
+        if not {"inner", "outer"} <= surface.keys():
+            raise ParseError("the cylinder case needs a dirichlet_T on 'inner' and 'outer'")
         radii = np.hypot(mesh.coords[:, 0], mesh.coords[:, 1])
-        exact = cylinder_exact_temperature(radii, CYL_RA, CYL_RB, CYL_TA, CYL_TB)
+        r_a, r_b = (float(cfg.generator_params[key]) for key in ("r_a", "r_b"))
+        exact = cylinder_exact_temperature(radii, r_a, r_b, surface["inner"], surface["outer"])
         return post.rms_l2_error(fields.temperature, exact)
 
 
@@ -196,69 +216,54 @@ class CylinderCase(ConvergenceCase):
 # Plate with hole
 
 
-PLATE_HOLE, PLATE_SIZE = 5.0, 20.0
-PLATE_SPLIT = 10.0
-PLATE_NT = [8, 16, 32]
-PLATE_NT_REF = 64
-
-
-def _plate_params(n_t: int) -> tuple[int, int]:
-    return n_t // 2, n_t       # ring cells, outer cells
-
-
 class PlateCase(ConvergenceCase):
     """Ring cells around the hole are split into simplicial VE polygons so
     the VE region has the irregular character of an unstructured mesh; the
-    pure-FE variant (and the reference) keep plain quads."""
+    pure-FE variant (and the reference) keep plain quads.  Level -1 builds
+    the reference's mesh, that of ``reference_level``."""
 
     name = "plate"
+    generator = "plate_with_hole"
     levels = (0, 1, 2)
+    reference_level = 3
     expected = MappingProxyType({"coupled": (0.25, 0.6, "reference rate 0.442")})
 
-    def build_mesh(self, level: int, method: str) -> Mesh:
-        n_t = PLATE_NT_REF if level < 0 else PLATE_NT[level]
-        n_ring, n_outer = _plate_params(n_t)
-        kinds = {
-            "coupled": (ElementKind.VE_POLY, ElementKind.FE_QUAD),
-            "fe": (ElementKind.FE_QUAD, ElementKind.FE_QUAD),
-            "ve": (ElementKind.VE_POLY, ElementKind.VE_POLY),
-        }[method]
-        return meshmod.generate_plate_with_hole(PLATE_HOLE, PLATE_SIZE, n_t,
-                                                n_ring, n_outer, PLATE_SPLIT,
-                                                ring_kind=kinds[0], outer_kind=kinds[1],
-                                                split_ring=(method != "fe"))
+    def mesh_overrides(self, level, method):
+        level = self.reference_level if level < 0 else level
+        kinds = {"coupled": {},
+                 "fe": {"ring_kind": "FE", "outer_kind": "FE", "split_ring": "0"},
+                 "ve": {"ring_kind": "VE", "outer_kind": "VE", "split_ring": "1"}}[method]
+        return {**refined_counts(self.config.generator_params, level,
+                                 "n_t", "n_r_ring", "n_r_outer"), **kinds}
 
-    @staticmethod
-    def interface_circle_nodes(mesh: Mesh, n_t: int) -> list[int]:
-        """Nodes on the coupling circle, ordered by angle (generator layout)."""
-        n_ring, _ = _plate_params(n_t)
-        cols = n_t + 1
-        return [n_ring * cols + j for j in range(cols)]
-
-    @staticmethod
-    def ring_element_ids(n_t: int, split_ring: bool) -> set[int]:
-        n_ring, _ = _plate_params(n_t)
-        count = n_ring * n_t * (2 if split_ring else 1)
-        return set(range(count))
+    def coupling_circle(self, mesh: Mesh) -> tuple[np.ndarray, set[int]]:
+        """The nodes on the circle ``split_radius``, by angle, and the ring elements inside it."""
+        split = float(self.config.generator_params["split_radius"])
+        x, y = mesh.coords.T
+        radii = np.hypot(x, y)
+        ids = np.flatnonzero(np.abs(radii - split) <= 1e-9 * split)
+        outside = (radii > split * (1 + 1e-9)).astype(np.int64)
+        ring = np.flatnonzero(mesh.incidence() @ outside == 0)
+        return ids[np.argsort(np.arctan2(y[ids], x[ids]), kind="stable")], set(ring.tolist())
 
     @functools.cached_property
     def reference(self) -> np.ndarray:
-        """Fine pure-FE nodal von Mises on the coupling circle by angle index, solved once.
+        """Fine pure-FE nodal von Mises on the coupling circle by angle, solved once.
 
         It averages both sides of the circle (its best available value); the
         methods report the ring-side value, the per-side convention for interface stress.
         """
         mesh, _, stresses, _ = solve_case(self, -1, "fe")
-        nodal = post.nodal_von_mises(mesh, stresses)
-        return nodal[self.interface_circle_nodes(mesh, PLATE_NT_REF)]
+        return post.nodal_von_mises(mesh, stresses)[self.coupling_circle(mesh)[0]]
 
     def error(self, mesh, fields, stresses, level, method) -> float:
         """Ring-side interface-circle von Mises MRE against ``reference``."""
-        n_t = PLATE_NT[level]
-        ids = self.interface_circle_nodes(mesh, n_t)
-        ring = self.ring_element_ids(n_t, split_ring=(method != "fe"))
-        nodal = post.nodal_von_mises(mesh, stresses, element_ids=ring)[ids]
-        return post.mean_relative_error(nodal, self.reference[::PLATE_NT_REF // n_t])
+        ids, ring = self.coupling_circle(mesh)
+        step, rest = divmod(self.reference.size - 1, ids.size - 1)
+        if rest:
+            raise FevecError(f"level {level}'s coupling circle does not nest in the reference's")
+        nodal = post.nodal_von_mises(mesh, stresses, element_ids=ring)
+        return post.mean_relative_error(nodal[ids], self.reference[::step])
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +271,12 @@ class PlateCase(ConvergenceCase):
 
 
 class SandwichCase(BenchmarkCase):
-    name = "sandwich"
+    name = generator = "sandwich"
     levels = (0, 1, 2)
     fe_levels = (0, 1, 2, 3)     # the pure-FE ladder of the study; the coupled one is levels
 
-    def build_mesh(self, level: int, method: str) -> Mesh:
+    def build_mesh(self, level: int, method: str = "coupled") -> Mesh:
+        """``all_kind`` is no config key, so the sandwich calls its generator itself."""
         all_kind = {"coupled": None, "fe": ElementKind.FE_QUAD,
                     "ve": ElementKind.VE_POLY}[method]
         return meshmod.generate_sandwich(level, all_kind=all_kind)
@@ -300,19 +306,13 @@ class SandwichCase(BenchmarkCase):
 
 
 class FcbgaCase(PropertyCase):
-    name = "fcbga"
+    name = generator = "fcbga"
     levels = (2,)
-
-    def build_mesh(self, level: int, method: str = "coupled") -> Mesh:
-        return meshmod.generate_fcbga(level)
 
 
 class IgbtCase(PropertyCase):
-    name = "igbt"
+    name = generator = "igbt"
     levels = (1,)
-
-    def build_mesh(self, level: int, method: str = "coupled") -> Mesh:
-        return meshmod.generate_igbt(level)
 
 
 def builtin_cases() -> dict[str, BenchmarkCase]:
@@ -329,8 +329,10 @@ def solve_case(case: BenchmarkCase, level: int, method: str
                ) -> tuple[Mesh, SolutionFields, list[post.ElementStress] | None, int]:
     """Run one refinement; returns mesh, fields, stresses and dof count."""
     mesh = case.build_mesh(level, method)
-    fields = run_pipeline(mesh, case.materials, case.make_bcs(mesh),
-                          SolveOptions(fields=case.fields))
+    options = case.config.solver
+    if case.fields is not None:
+        options = dataclasses.replace(options, fields=case.fields)
+    fields = run_pipeline(mesh, case.materials, case.make_bcs(mesh), options)
     if fields.displacement is None:
         return mesh, fields, None, mesh.n_nodes
     return mesh, fields, post.recover_stress(mesh, case.materials, fields), 2 * mesh.n_nodes
@@ -543,17 +545,13 @@ def check_kernel_invariants(mesh: Mesh, materials) -> bool:
 def run_property_case(case: BenchmarkCase) -> PropertyRunResult:
     """The coupled solve of the case's first level and its property checks."""
     mesh, fields, stresses, ndof = solve_case(case, case.levels[0], "coupled")
-    peak_elem = max(stresses, key=lambda es: es.von_mises).element_id
-    at_interface = peak_elem in material_interface_elements(mesh)
-    continuity = interface_continuity(mesh, case.materials, fields)
-    invariants = check_kernel_invariants(mesh, case.materials)
+    peak = max(stresses, key=lambda es: es.von_mises)
     return PropertyRunResult(
-        case=case.name, ndof=ndof,
-        max_temperature=float(fields.temperature.max()),
-        max_von_mises=max(es.von_mises for es in stresses),
-        peak_element_at_interface=at_interface,
-        interface_continuity=continuity,
-        kernel_invariants_ok=invariants)
+        case=case.name, ndof=ndof, max_temperature=float(fields.temperature.max()),
+        max_von_mises=peak.von_mises,
+        peak_element_at_interface=peak.element_id in material_interface_elements(mesh),
+        interface_continuity=interface_continuity(mesh, case.materials, fields),
+        kernel_invariants_ok=check_kernel_invariants(mesh, case.materials))
 
 
 # ---------------------------------------------------------------------------

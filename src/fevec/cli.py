@@ -121,10 +121,10 @@ def cmd_bench(which: str, out_dir: str) -> int:
             lines += case_lines
     except SolverError as exc:
         return _fail(EXIT_SOLVER, str(exc))
-    except (MeshError, AssemblyError) as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
     except (OSError, ParseError) as exc:      # the case's shipped config
         return _fail(EXIT_IO, str(exc))
+    except FevecError as exc:   # a mesh, a BC or a study's own check (e.g. a zero exact field)
+        return _fail(EXIT_VALIDATION, str(exc))
 
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -65,15 +65,23 @@ class Q4Batch:
     B_T: np.ndarray      # (m, 4, 2, 4) global gradients, [element, Gauss point]
 
 
+def _shape(xi: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shape values (k, 4) and parent gradients (k, 2, 4) at (k, 1) parent points."""
+    n = 0.25 * (1.0 + _XI_I * xi) * (1.0 + _ETA_I * eta)
+    dn = np.stack((0.25 * _XI_I * (1.0 + _ETA_I * eta),
+                   0.25 * _ETA_I * (1.0 + _XI_I * xi)), axis=1)
+    return n, dn
+
+
+# Shape values (4, 4) and parent gradients (4, 2, 4) at the Gauss points, read-only.
+_GAUSS_N, _GAUSS_DN = _shape(*np.hsplit(np.array(GAUSS_2X2)[:, :2], 2))
+_GAUSS_N.flags.writeable = _GAUSS_DN.flags.writeable = False
+
+
 def q4_batch_eval(coords: np.ndarray) -> Q4Batch:
     """Jacobians and gradients of (m, 4, 2) corner coordinates, once per Gauss point."""
     coords = np.asarray(coords, dtype=float)
-    n = np.array([0.25 * (1.0 + _XI_I * xi) * (1.0 + _ETA_I * eta)
-                  for xi, eta, _ in GAUSS_2X2])
-    dn = np.array([np.vstack((0.25 * _XI_I * (1.0 + _ETA_I * eta),
-                              0.25 * _ETA_I * (1.0 + _XI_I * xi)))
-                   for xi, eta, _ in GAUSS_2X2])                  # (4, 2, 4)
-    jac = dn @ coords[:, None]                                    # (m, 4, 2, 2)
+    jac = _GAUSS_DN @ coords[:, None]                             # (m, 4, 2, 2)
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     inv = np.empty_like(jac)
     inv[..., 0, 0] = jac[..., 1, 1]
@@ -81,16 +89,13 @@ def q4_batch_eval(coords: np.ndarray) -> Q4Batch:
     inv[..., 1, 0] = -jac[..., 1, 0]
     inv[..., 1, 1] = jac[..., 0, 0]
     inv /= det[..., None, None]
-    return Q4Batch(N=n, detJ=det, B_T=inv @ dn)
+    return Q4Batch(N=_GAUSS_N, detJ=det, B_T=inv @ _GAUSS_DN)
 
 
 def q4_shape_batch(coords: np.ndarray, xi: np.ndarray,
                    eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shape values (m, 4) and Jacobians (m, 2, 2) of (m, 4, 2) quads, each at its own (xi, eta)."""
-    xi, eta = xi[:, None], eta[:, None]
-    n = 0.25 * (1.0 + _XI_I * xi) * (1.0 + _ETA_I * eta)
-    dn = np.stack((0.25 * _XI_I * (1.0 + _ETA_I * eta),
-                   0.25 * _ETA_I * (1.0 + _XI_I * xi)), axis=1)
+    n, dn = _shape(xi[:, None], eta[:, None])
     return n, dn @ coords
 
 

@@ -281,11 +281,7 @@ class Mesh:
         return sorted(k for k, lab in self.boundary_edges.items() if lab == label)
 
     def nodes_with_label(self, label: str) -> list[int]:
-        ids: set[int] = set()
-        for a, b in self.edges_with_label(label):
-            ids.add(a)
-            ids.add(b)
-        return sorted(ids)
+        return sorted({node for edge in self.edges_with_label(label) for node in edge})
 
     def labels(self) -> set[str]:
         return set(self.boundary_edges.values())

@@ -1,4 +1,3 @@
-import collections
 import math
 import pathlib
 import shutil
@@ -13,7 +12,8 @@ from fevec import config as configmod
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
 from fevec.errors import AssemblyError, FevecError
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import ElementKind, Mesh, generate_split_square, generate_structured_quads
+from fevec.mesh import (ElementKind, Mesh, generate_split_square, generate_structured_quads,
+                        mesh_text)
 from fevec.solver import SolveOptions, run_pipeline, solve_system
 from conftest import element_table
 
@@ -91,14 +91,42 @@ class TestBuiltinCases:
         assert bcs.flux_edges
         assert all(q == pytest.approx(-1.0) for (_, _, q) in bcs.flux_edges)
 
-    @pytest.mark.parametrize("name", ["plate", "cylinder", "sandwich", "fcbga", "igbt"])
-    def test_shipped_config_matches_case(self, name):
-        # configs/<name>.cfg and the built-in case state the same problem;
-        # the order of the BC sections may differ
-        case = bench.builtin_cases()[name]
-        cfg = configmod.parse_config((CONFIGS / f"{name}.cfg").read_text())
-        assert cfg.materials == case.materials
-        assert collections.Counter(cfg.bcs) == collections.Counter(case.bc_specs)
+    def test_cylinder_exact_field_follows_config(self, tmp_path, monkeypatch):
+        # an outer temperature of 400 reaches the exact field as well as the
+        # solve: the coupled error falls about 4x a level, as with the shipped 500
+        text = (CONFIGS / "cylinder.cfg").read_text()
+        (tmp_path / "cylinder.cfg").write_text(text.replace("dirichlet_T 500", "dirichlet_T 400"))
+        monkeypatch.setattr(bench, "CONFIG_DIR", str(tmp_path))
+        case = bench.CylinderCase()
+        case.levels = (0, 1)
+        errors = [rec.error for rec in bench.run_convergence(case, "coupled").records]
+        assert errors[0] >= 3.0 * errors[1], errors
+
+    @pytest.mark.parametrize("old, new", [("hole_radius 5", "hole_radius 4"),
+                                          ("split_radius 10", "split_radius 12")])
+    def test_plate_mesh_and_circle_follow_config(self, tmp_path, monkeypatch, old, new):
+        text = (CONFIGS / "plate.cfg").read_text()
+        assert old in text
+        (tmp_path / "plate.cfg").write_text(text.replace(old, new))
+        monkeypatch.setattr(bench, "CONFIG_DIR", str(tmp_path))
+        cfg = configmod.parse_config((tmp_path / "plate.cfg").read_text())
+        case = bench.PlateCase()
+        # level 1 is the config's own mesh
+        mesh = case.build_mesh(1, "coupled")
+        assert mesh_text(mesh) == mesh_text(configmod.build_mesh(cfg))
+        # the coupling circle is the config's split radius, its 17 nodes by angle
+        split = float(cfg.generator_params["split_radius"])
+        ids, ring = case.coupling_circle(mesh)
+        x, y = mesh.coords[ids].T
+        assert ids.size == 17 and np.allclose(np.hypot(x, y), split, rtol=1e-12)
+        assert np.all(np.diff(np.arctan2(y, x)) > 0)
+        # the ring is the VE elements, all inside the circle
+        assert ring == set(np.flatnonzero(~mesh.element_fe).tolist())
+        case.levels = (0, 1)
+        report = bench.run_convergence(case, "coupled")
+        assert [rec.ndof for rec in report.records] == [
+            2 * case.build_mesh(level, "coupled").n_nodes for level in (0, 1)]
+        assert all(0.0 < rec.error < 0.05 for rec in report.records), report.records
 
     def test_configs_ship_as_package_data(self, tmp_path, monkeypatch):
         # build the package from a copy of the tree (build_py writes an

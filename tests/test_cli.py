@@ -488,6 +488,36 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:3: ") and "cylinder.cfg" in err
 
+    @pytest.mark.parametrize("mesh", ["[mesh]\ngenerator sandwich\nlevel 1\n",
+                                      "[mesh]\npath cylinder.txt\n"],
+                             ids=["other-generator", "mesh-path"])
+    def test_bench_case_config_names_its_generator(self, tmp_path, monkeypatch, capsys, mesh):
+        # a case config that names another generator, or a mesh file, is refused:
+        # the ladder could not refine it
+        from fevec import bench
+        text = (CONFIGS / "cylinder.cfg").read_text()
+        start, end = text.index("[mesh]"), text.index("[material 0]")
+        (tmp_path / "cylinder.cfg").write_text(text[:start] + mesh + text[end:])
+        monkeypatch.setattr(bench, "CONFIG_DIR", str(tmp_path))
+        assert main(["bench", "cylinder", "-o", str(tmp_path / "bench")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:3: ") and "must name generator 'quarter_annulus'" in err
+
+    @pytest.mark.parametrize("name, old, new, message", [
+        ("plate", "traction 0 5", "traction 0 0", "all reference samples below the exclusion floor"),
+        ("cylinder", "dirichlet_T 500", "dirichlet_T 0", "exact field is identically zero")],
+        ids=["plate-no-load", "cylinder-equal-temperatures"])
+    def test_bench_study_error_exit_1(self, tmp_path, monkeypatch, capsys, name, old, new,
+                                      message):
+        # a study's own FevecError (no load, or a zero exact field) is an error:1: line
+        from fevec import bench
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        assert old in text
+        (tmp_path / f"{name}.cfg").write_text(text.replace(old, new))
+        monkeypatch.setattr(bench, "CONFIG_DIR", str(tmp_path))
+        assert main(["bench", name, "-o", str(tmp_path / "bench")]) == 1
+        assert capsys.readouterr().err.startswith(f"error:1: {message}")
+
     def test_shipped_cylinder_config_runs(self, tmp_path, monkeypatch):
         # the shipped config is the determinism fixture of the acceptance
         # suite; make sure it stays valid
