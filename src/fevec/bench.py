@@ -19,8 +19,8 @@ lines.  Five built-in cases at desk scale:
                   themselves sit on a singular clamped corner and do not
                   converge, so they cannot gate the study.
 * ``fcbga``, ``igbt`` -- simplified packaging cross-sections accepted by
-                  properties (pipeline health, stress maxima at material
-                  interfaces, interface continuity).
+                  properties of one solve at the config's ``level`` (pipeline
+                  health, stress maxima at material interfaces, interface continuity).
 
 Geometries of the packaging cases are simplified (see the generator
 docstrings); their acceptance is qualitative by design.
@@ -170,6 +170,16 @@ class ConvergenceCase(BenchmarkCase):
 class PropertyCase(BenchmarkCase):
     """A packaging cross-section accepted by properties of one coupled solve."""
 
+    @property
+    def levels(self) -> tuple[int, ...]:
+        """The config's ``[mesh] level``, the one level solved (ParseError unless an integer)."""
+        level = self.config.generator_params.get("level")
+        try:
+            return (int(level),)
+        except (TypeError, ValueError):
+            raise ParseError(f"{self.name}: [mesh] level must be an integer, "
+                             f"got {level!r}") from None
+
     def study(self) -> tuple[list[ConvergenceReport], list[str]]:
         res = run_property_case(self)
         return [], [f"{res.case}: ndof {res.ndof}, max T {res.max_temperature:.1f} C, "
@@ -307,12 +317,10 @@ class SandwichCase(BenchmarkCase):
 
 class FcbgaCase(PropertyCase):
     name = generator = "fcbga"
-    levels = (2,)
 
 
 class IgbtCase(PropertyCase):
     name = generator = "igbt"
-    levels = (1,)
 
 
 def builtin_cases() -> dict[str, BenchmarkCase]:
@@ -326,7 +334,7 @@ def builtin_cases() -> dict[str, BenchmarkCase]:
 
 
 def solve_case(case: BenchmarkCase, level: int, method: str
-               ) -> tuple[Mesh, SolutionFields, list[post.ElementStress] | None, int]:
+               ) -> tuple[Mesh, SolutionFields, np.recarray | None, int]:
     """Run one refinement; returns mesh, fields, stresses and dof count."""
     mesh = case.build_mesh(level, method)
     options = case.config.solver
@@ -494,11 +502,10 @@ def interface_continuity(mesh: Mesh, materials, fields: SolutionFields) -> float
     interface = np.zeros(mesh.n_nodes, dtype=bool)
     interface[list(mesh.interface_nodes)] = True
     side = np.full((2, mesh.n_nodes), -1, dtype=np.int64)     # rows: VE, FE
-    for pos, verts in mesh.vertex_groups.values():
-        at = interface[verts]
-        nodes = verts[at]
-        owner = np.broadcast_to(pos[:, None], verts.shape)[at]
-        np.maximum.at(side, (mesh.element_fe[owner].astype(np.int64), nodes), owner)
+    incidence = mesh.incidence()
+    at = interface[incidence.indices]
+    owner = np.repeat(np.arange(mesh.n_elements), np.diff(incidence.indptr))[at]
+    np.maximum.at(side, (mesh.element_fe[owner].astype(np.int64), incidence.indices[at]), owner)
     both = np.flatnonzero((side >= 0).all(axis=0))
     points = mesh.coords[both]
     evaluator = post.FieldEvaluator(mesh, materials, fields)
@@ -545,11 +552,11 @@ def check_kernel_invariants(mesh: Mesh, materials) -> bool:
 def run_property_case(case: BenchmarkCase) -> PropertyRunResult:
     """The coupled solve of the case's first level and its property checks."""
     mesh, fields, stresses, ndof = solve_case(case, case.levels[0], "coupled")
-    peak = max(stresses, key=lambda es: es.von_mises)
+    peak = int(np.argmax(stresses.von_mises))
     return PropertyRunResult(
         case=case.name, ndof=ndof, max_temperature=float(fields.temperature.max()),
-        max_von_mises=peak.von_mises,
-        peak_element_at_interface=peak.element_id in material_interface_elements(mesh),
+        max_von_mises=float(stresses.von_mises[peak]),
+        peak_element_at_interface=peak in material_interface_elements(mesh),
         interface_continuity=interface_continuity(mesh, case.materials, fields),
         kernel_invariants_ok=check_kernel_invariants(mesh, case.materials))
 

@@ -83,7 +83,7 @@ def cmd_run(config_path: str) -> int:
 
 
 def _sample_probes(cfg: configmod.RunConfig, mesh: Mesh, fields: SolutionFields,
-                   stresses: list[post.ElementStress] | None) -> list[post.LineProbe]:
+                   stresses) -> list[post.LineProbe]:
     """The config's probes, sampled from one evaluator; it is freed before the export."""
     if not cfg.probes:
         return []

@@ -2,7 +2,9 @@
 
 FE stress is the average of the four Gauss-point stresses; VE stress is the
 constant stress of the projected displacement polynomial, from elastic
-projections recomputed in one stacked call per block of polygons.  Nodal stress
+projections recomputed in one stacked call per block of polygons, into one
+record array by element position (``sigma`` (m, 3), ``von_mises`` (m,)) that
+every stress reader takes through ``as_stresses``.  Nodal stress
 plots average adjacent element values weighted by element area, optionally
 restricted to one region (per-material-side values at bimaterial
 interfaces).  Elements are named by their position in the mesh's element
@@ -23,8 +25,8 @@ from .materials import MaterialProps, Plane, gather_materials
 from .mesh import Mesh, _run_offsets, require_valid, rowdot
 from .solver import SolutionFields
 
-PROVENANCE_FE = "FE_GAUSS_AVG"
-PROVENANCE_VE = "VE_PROJECTED"
+# One record per element: Voigt (xx, yy, xy) stress in MPa and its von Mises value.
+STRESS_DTYPE = np.dtype([("sigma", float, (3,)), ("von_mises", float)])
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,32 @@ class ElementStress:
     sigma: np.ndarray      # (3,) Voigt (xx, yy, xy), MPa
     von_mises: float
     provenance: str
+
+
+def as_stresses(mesh: Mesh, stresses) -> np.recarray:
+    """``stresses`` as ``recover_stress`` returns them: a record array of ``STRESS_DTYPE``
+    as it is, any other sequence of items with ``sigma`` and ``von_mises`` converted
+    once.  FevecError unless there is one item per element of ``mesh``."""
+    if len(stresses) != mesh.n_elements:
+        raise FevecError(f"stresses: {len(stresses)} items for {mesh.n_elements} elements")
+    if isinstance(stresses, np.recarray) and stresses.dtype == STRESS_DTYPE:
+        return stresses
+    try:
+        return np.rec.fromarrays([[s.sigma for s in stresses], [s.von_mises for s in stresses]],
+                                 dtype=STRESS_DTYPE)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FevecError(f"stresses: each item needs sigma (3,) and von_mises: {exc}") from None
+
+
+def _positions(mesh: Mesh, name: str, positions, low: int = 0) -> np.ndarray:
+    """``positions`` as int64; FevecError naming ``name`` unless all are integers in
+    [low, n_elements)."""
+    positions = np.asarray(positions).reshape(-1)
+    if positions.size and not (positions.dtype.kind in "iu" and low <= positions.min()
+                               and positions.max() < mesh.n_elements):
+        raise FevecError(f"{name} must be integers in [{low}, {mesh.n_elements}), "
+                         f"got {positions[:8].tolist()}")
+    return positions.astype(np.int64)
 
 
 def von_mises(sigma: np.ndarray, plane: Plane = Plane.STRESS, nu: float = 0.0) -> float:
@@ -60,14 +88,15 @@ def von_mises_batch(sigma: np.ndarray, plane_strain: np.ndarray, nu: np.ndarray)
 
 
 def recover_stress(mesh: Mesh, materials: dict[int, MaterialProps],
-                   solution: SolutionFields) -> list[ElementStress]:
+                   solution: SolutionFields) -> np.recarray:
     require_valid(mesh, materials)
     if solution.displacement is None:
         raise FevecError("stress recovery needs a solved displacement field")
     u = solution.displacement
     temps = solution.temperature
 
-    def element_stresses(is_fe, pos, verts):
+    stresses = np.recarray(mesh.n_elements, dtype=STRESS_DTYPE)
+    for is_fe, pos, verts in mesh.element_blocks():
         mats = gather_materials(materials, mesh.element_regions[pos])
         coords = mesh.coords[verts]
         ue = u[verts].reshape(len(pos), -1)
@@ -75,20 +104,13 @@ def recover_stress(mesh: Mesh, materials: dict[int, MaterialProps],
         if is_fe:
             sigma = fem.stress_q4_batch(fem.q4_batch_eval(coords), mats, ue, te)
         else:
-            projection = vem.elastic_projection(coords, mats)
-            sigma = vem.projected_stress(projection, mats, ue, te)
-        return sigma, von_mises_batch(sigma, mats.plane_strain, mats.nu)
-
-    sigma = np.empty((mesh.n_elements, 3))
-    vm = np.empty(mesh.n_elements)
-    for is_fe, pos, verts in mesh.element_blocks():
-        sigma[pos], vm[pos] = element_stresses(is_fe, pos, verts)
-    return [ElementStress(k, sigma[k], float(vm[k]), PROVENANCE_FE if fe else PROVENANCE_VE)
-            for k, fe in enumerate(mesh.element_fe.tolist())]
+            sigma = vem.projected_stress(vem.elastic_projection(coords, mats), mats, ue, te)
+        stresses.sigma[pos] = sigma
+        stresses.von_mises[pos] = von_mises_batch(sigma, mats.plane_strain, mats.nu)
+    return stresses
 
 
-def nodal_von_mises(mesh: Mesh, stresses: list[ElementStress],
-                    region: int | None = None,
+def nodal_von_mises(mesh: Mesh, stresses, region: int | None = None,
                     element_ids: set[int] | None = None) -> np.ndarray:
     """Area-weighted nodal average of element von Mises values.
 
@@ -101,13 +123,14 @@ def nodal_von_mises(mesh: Mesh, stresses: list[ElementStress],
     run over the elements in order, so each node adds its elements' terms
     in that order; an element left out adds zero.
     """
+    vm = as_stresses(mesh, stresses).von_mises
     keep = np.ones(mesh.n_elements, dtype=bool)
     if region is not None:
         keep &= mesh.element_regions == region
     if element_ids is not None:
-        keep &= np.isin(np.arange(mesh.n_elements), list(element_ids))
+        keep &= np.isin(np.arange(mesh.n_elements),
+                        _positions(mesh, "element_ids", list(element_ids)))
     weight = np.where(keep, mesh.element_areas, 0.0)
-    vm = np.array([es.von_mises for es in stresses], dtype=float)
     to_nodes = mesh.incidence().T
     acc = to_nodes @ np.where(keep, weight * vm, 0.0)
     wsum = to_nodes @ weight
@@ -168,23 +191,17 @@ class FieldEvaluator:
     """
 
     def __init__(self, mesh: Mesh, materials: dict[int, MaterialProps],
-                 solution: SolutionFields,
-                 stresses: list[ElementStress] | None = None):
+                 solution: SolutionFields, stresses=None):
         require_valid(mesh, materials)
         self.mesh = mesh
         self.solution = solution
-        self.stresses = stresses
-        lo = np.empty((mesh.n_elements, 2))
-        hi = np.empty((mesh.n_elements, 2))
-        # Vertex count and row in its ``vertex_groups`` block, by position.
-        self._n_v = np.empty(mesh.n_elements, dtype=np.int64)
-        self._row = np.empty(mesh.n_elements, dtype=np.int64)
-        for count, (pos, verts) in mesh.vertex_groups.items():
-            c = mesh.coords[verts]
-            lo[pos] = c.min(axis=1)
-            hi[pos] = c.max(axis=1)
-            self._n_v[pos] = count
-            self._row[pos] = np.arange(pos.size)
+        self.stresses = None if stresses is None else as_stresses(mesh, stresses)
+        incidence = mesh.incidence()
+        self._n_v = np.diff(incidence.indptr)
+        corners = mesh.coords[incidence.indices]
+        lo = np.minimum.reduceat(corners, incidence.indptr[:-1], axis=0)
+        hi = np.maximum.reduceat(corners, incidence.indptr[:-1], axis=0)
+        del incidence, corners      # before the bucket grid, the largest scratch here
         pad = 1e-9 * max(float((hi - lo).max()), 1.0)
         self._lo = lo - pad
         self._hi = hi + pad
@@ -217,6 +234,11 @@ class FieldEvaluator:
             index = np.floor((points - self._origin) / self._cell_size)
         return np.fmin(np.fmax(index, 0.0), self._cells - 1).astype(np.int64)
 
+    def _vertices(self, pos: np.ndarray, n_v: int) -> np.ndarray:
+        """(len(pos), n_v) vertex ids of the ``n_v``-vertex elements at ``pos``."""
+        group, verts = self.mesh.vertex_groups[n_v]
+        return verts[np.searchsorted(group, pos)]
+
     def locate_many(self, points) -> np.ndarray:
         """Position of the first element containing each (x, y) row of ``points``, -1 for none."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -232,9 +254,9 @@ class FieldEvaluator:
         pos = pos[in_box]
         n_v = self._n_v[pos]
         hit = np.zeros(pos.size, dtype=bool)
-        for n, (_, verts) in self.mesh.vertex_groups.items():
+        for n in self.mesh.vertex_groups:
             sel = np.flatnonzero(n_v == n)
-            hit[sel] = _polygons_contain(self.mesh.coords[verts[self._row[pos[sel]]]],
+            hit[sel] = _polygons_contain(self.mesh.coords[self._vertices(pos[sel], n)],
                                          points[point[sel]], self._tol)
         # Candidates run in element order per point: keep each point's first hit.
         found = np.full(len(points), -1, dtype=np.int64)
@@ -257,13 +279,15 @@ class FieldEvaluator:
     def evaluate_at(self, quantity: str, positions, points) -> np.ndarray:
         """``quantity`` at each (x, y) row of ``points`` in the element at that position.
 
-        Position -1 gives NaN.  Stress quantities are the element's constant
-        values; FE fields are interpolated bilinearly at the inverse-mapped
-        point, VE fields by the element's projected linear polynomial, from
-        one stacked projection of the distinct elements per vertex count.
+        Position -1 gives NaN; one position per point.  Stress quantities are
+        the element's constant values; FE fields are interpolated bilinearly at
+        the inverse-mapped point, VE fields by the element's projected linear
+        polynomial, from one stacked projection of the distinct elements per vertex count.
         """
-        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+        positions = _positions(self.mesh, "positions", positions, low=-1)
         points = np.asarray(points, dtype=float).reshape(-1, 2)
+        if len(points) != positions.size:
+            raise FevecError(f"positions: {positions.size} for {len(points)} points")
         values = np.full(positions.size, np.nan)
         rows = np.flatnonzero(positions >= 0)
         if not rows.size:
@@ -273,10 +297,9 @@ class FieldEvaluator:
             if self.stresses is None:
                 raise FevecError("stress quantities need recovered stresses")
             if quantity == "von_mises":
-                values[rows] = [self.stresses[p].von_mises for p in pos.tolist()]
+                values[rows] = self.stresses.von_mises[pos]
             else:
-                k = ("sxx", "syy", "sxy").index(quantity)
-                values[rows] = [self.stresses[p].sigma[k] for p in pos.tolist()]
+                values[rows] = self.stresses.sigma[pos, ("sxx", "syy", "sxy").index(quantity)]
             return values
         if quantity == "temperature":
             nodal = self.solution.temperature
@@ -291,12 +314,12 @@ class FieldEvaluator:
 
         fe = self.mesh.element_fe[pos]
         n_v = self._n_v[pos]
-        for n, (_, verts) in self.mesh.vertex_groups.items():
+        for n in self.mesh.vertex_groups:
             for is_fe in (True, False):
                 sel = np.flatnonzero((n_v == n) & (fe == is_fe))
                 if not sel.size:
                     continue
-                block = verts[self._row[pos[sel]]]
+                block = self._vertices(pos[sel], n)
                 interpolate = self._interpolate_fe if is_fe else self._interpolate_ve
                 values[rows[sel]] = interpolate(pos[sel], self.mesh.coords[block],
                                                 nodal[block], points[rows[sel]])
@@ -480,14 +503,15 @@ def _format_rows(line_format: str, values) -> str:
     return (line_format * len(values)) % tuple(values.ravel().tolist())
 
 
-def export_fields(mesh: Mesh, solution: SolutionFields,
-                  stresses: list[ElementStress] | None, path: str) -> None:
+def export_fields(mesh: Mesh, solution: SolutionFields, stresses, path: str) -> None:
     """Write a legacy ASCII unstructured-grid file (version 3.0 header).
 
     Points carry temperature (scalar) and displacement (vector); cells carry
-    von Mises (scalar) and the full stress tensor.  Each section is formatted
-    as one block and written on its own.
+    von Mises (scalar) and the full stress tensor when ``stresses`` is given
+    (checked before the file opens).  Each section is formatted as one block
+    and written on its own.
     """
+    stresses = None if stresses is None else as_stresses(mesh, stresses)
     n = mesh.n_nodes
     size = sum(verts.size + len(pos) for pos, verts in mesh.vertex_groups.values())
     with open(path, "w") as f:
@@ -508,7 +532,7 @@ def export_fields(mesh: Mesh, solution: SolutionFields,
         if stresses is not None:
             f.write(f"CELL_DATA {mesh.n_elements}\nSCALARS von_mises double 1\n"
                     "LOOKUP_TABLE default\n")
-            f.write(_format_rows("%.17g\n", [es.von_mises for es in stresses]))
+            f.write(_format_rows("%.17g\n", stresses.von_mises))
             f.write("TENSORS stress double\n")
-            sigma = np.array([es.sigma for es in stresses], dtype=float).reshape(-1, 3)
-            f.write(_format_rows("%.17g %.17g 0\n%.17g %.17g 0\n0 0 0\n", sigma[:, [0, 2, 2, 1]]))
+            f.write(_format_rows("%.17g %.17g 0\n%.17g %.17g 0\n0 0 0\n",
+                                 stresses.sigma[:, [0, 2, 2, 1]]))

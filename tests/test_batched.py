@@ -265,9 +265,9 @@ class TestPartitionedAssembly:
         stresses = post.recover_stress(mesh, MATERIALS, fields)
         sigma = np.array([s.sigma for s in stresses])
         assert rel_diff(sigma, reference_stress(mesh, fields)) <= RTOL
-        for s, e in zip(stresses, mesh.elements):
-            assert s.element_id == e.id
-            assert s.provenance == (post.PROVENANCE_FE if e.kind == FE else post.PROVENANCE_VE)
+        # one record per element, by position; an element's kind is element_fe
+        assert isinstance(stresses, np.recarray) and len(stresses) == mesh.n_elements
+        assert mesh.element_fe.tolist() == [e.kind == FE for e in mesh.elements]
 
 
 class TestNodalAveraging:

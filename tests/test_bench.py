@@ -75,6 +75,18 @@ class TestBuiltinCases:
         chip = mats[meshmod.SANDWICH_CHIP]
         assert chip.E == pytest.approx(410000.0)
 
+    def test_property_case_solves_its_config_level(self, tmp_path, monkeypatch):
+        assert [bench.FcbgaCase().levels, bench.IgbtCase().levels] == [(2,), (1,)]
+        # the shipped fcbga.cfg says level 2 (ndof 14 082); a copy saying level 1 solves level 1
+        text = (CONFIGS / "fcbga.cfg").read_text()
+        assert "level 2" in text
+        (tmp_path / "fcbga.cfg").write_text(text.replace("level 2", "level 1"))
+        monkeypatch.setattr(bench, "CONFIG_DIR", str(tmp_path))
+        case = bench.FcbgaCase()
+        assert case.levels == (1,)
+        ndof = bench.run_property_case(case).ndof
+        assert ndof == 2 * case.build_mesh(1).n_nodes and ndof != 14082
+
     def test_plate_case_shape(self):
         case = bench.builtin_cases()["plate"]
         mesh = case.build_mesh(0, "coupled")

@@ -503,6 +503,17 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:3: ") and "must name generator 'quarter_annulus'" in err
 
+    @pytest.mark.parametrize("level", ["1.5", "two"])
+    def test_bench_property_case_level_not_integer_exit_3(self, tmp_path, monkeypatch, capsys,
+                                                          level):
+        from fevec import bench
+        text = (CONFIGS / "fcbga.cfg").read_text()
+        (tmp_path / "fcbga.cfg").write_text(text.replace("level 2", f"level {level}"))
+        monkeypatch.setattr(bench, "CONFIG_DIR", str(tmp_path))
+        assert main(["bench", "fcbga", "-o", str(tmp_path / "bench")]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error:3: fcbga: [mesh] level must be an integer, got '{level}'")
+
     @pytest.mark.parametrize("name, old, new, message", [
         ("plate", "traction 0 5", "traction 0 0", "all reference samples below the exclusion floor"),
         ("cylinder", "dirichlet_T 500", "dirichlet_T 0", "exact field is identically zero")],

@@ -100,8 +100,7 @@ class TestStressRecovery:
                                 displacement=np.zeros((mesh.n_nodes, 2)))
         stresses = post.recover_stress(mesh, mats, fields)
         assert max(abs(es.sigma).max() for es in stresses) < 1e-12
-        assert {es.provenance for es in stresses} == {post.PROVENANCE_FE,
-                                                      post.PROVENANCE_VE}
+        assert set(mesh.element_fe.tolist()) == {True, False}
 
     def test_constant_stress_patch_fe_and_ve(self):
         # prescribed linear displacement at T0: every element, FE or VE,
@@ -257,3 +256,90 @@ class TestExportFields:
         out = tmp_path / "f.vtk"
         post.export_fields(mesh, fields, stresses, str(out))
         assert out.read_bytes() == golden.read_bytes()
+
+
+def solved_quads():
+    """A 4 x 4 quad mesh (16 elements) with a solved field and its recovered stresses."""
+    mesh = generate_structured_quads(2.0, 1.0, 4, 4)
+    mats = {0: props()}
+    fields = SolutionFields(temperature=np.linspace(25.0, 80.0, mesh.n_nodes),
+                            displacement=np.random.default_rng(3).normal(
+                                scale=1e-3, size=(mesh.n_nodes, 2)))
+    return mesh, mats, fields, post.recover_stress(mesh, mats, fields)
+
+
+class TestStressRecords:
+    def test_record_array_iterates_as_its_fields(self):
+        mesh, _, _, stresses = solved_quads()
+        assert isinstance(stresses, np.recarray) and stresses.dtype == post.STRESS_DTYPE
+        assert stresses.sigma.shape == (16, 3) and stresses.von_mises.shape == (16,)
+        for k, s in enumerate(stresses):
+            assert s.von_mises == stresses.von_mises[k]
+            assert np.array_equal(s.sigma, stresses.sigma[k])
+        assert post.as_stresses(mesh, stresses) is stresses
+
+    def test_list_of_records_converted(self):
+        mesh, _, _, stresses = solved_quads()
+        listed = [post.ElementStress(k, s.sigma.copy(), float(s.von_mises), "x")
+                  for k, s in enumerate(stresses)]
+        table = post.as_stresses(mesh, listed)
+        assert isinstance(table, np.recarray)
+        assert np.array_equal(table.sigma, stresses.sigma)
+        assert np.array_equal(table.von_mises, stresses.von_mises)
+
+    @pytest.mark.parametrize("item", [object(), post.ElementStress(0, np.zeros(2), 1.0, "x")],
+                             ids=["no-fields", "short-sigma"])
+    def test_items_without_stress_fields_refused(self, item):
+        mesh, _, _, _ = solved_quads()
+        with pytest.raises(FevecError, match="each item needs sigma"):
+            post.as_stresses(mesh, [item] * mesh.n_elements)
+
+    @pytest.mark.parametrize("form", ["list", "records"])
+    def test_wrong_length_refused(self, tmp_path, form):
+        mesh, mats, fields, stresses = solved_quads()
+        short = (stresses[:3] if form == "records" else
+                 [post.ElementStress(k, s.sigma, float(s.von_mises), "x")
+                  for k, s in enumerate(stresses[:3])])
+        match = "stresses: 3 items for 16 elements"
+        path = tmp_path / "f.vtk"
+        with pytest.raises(FevecError, match=match):
+            post.export_fields(mesh, fields, short, str(path))
+        assert not path.exists()
+        with pytest.raises(FevecError, match=match):
+            post.nodal_von_mises(mesh, short)
+        with pytest.raises(FevecError, match=match):
+            post.FieldEvaluator(mesh, mats, fields, short)
+
+
+class TestPositionInputs:
+    def evaluator(self):
+        mesh, mats, fields, stresses = solved_quads()
+        return post.FieldEvaluator(mesh, mats, fields, stresses)
+
+    @pytest.mark.parametrize("quantity", ["temperature", "von_mises"])
+    def test_minus_one_is_outside(self, quantity):
+        values = self.evaluator().evaluate_at(quantity, [-1, 0], [[9.0, 9.0], [0.1, 0.1]])
+        assert np.isnan(values[0]) and np.isfinite(values[1])
+
+    @pytest.mark.parametrize("positions, match", [
+        ([16], r"positions must be integers in \[-1, 16\), got \[16\]"),
+        ([0, -2], r"got \[0, -2\]"),
+        ([0.0], "positions must be integers"),
+        ([True], "positions must be integers")],
+        ids=["past-the-end", "below-minus-one", "float", "bool"])
+    def test_bad_position_refused(self, positions, match):
+        points = [[0.1, 0.1]] * len(positions)
+        for quantity in ("temperature", "sxx"):
+            with pytest.raises(FevecError, match=match):
+                self.evaluator().evaluate_at(quantity, positions, points)
+
+    def test_one_position_per_point(self):
+        with pytest.raises(FevecError, match="positions: 1 for 2 points"):
+            self.evaluator().evaluate_at("temperature", [0], [[0.1, 0.1], [0.2, 0.1]])
+
+    @pytest.mark.parametrize("ids", [{10 ** 9}, {0, -1}, {1.5}],
+                             ids=["past-the-end", "negative", "float"])
+    def test_bad_element_ids_refused(self, ids):
+        mesh, _, _, stresses = solved_quads()
+        with pytest.raises(FevecError, match=r"element_ids must be integers in \[0, 16\)"):
+            post.nodal_von_mises(mesh, stresses, element_ids=ids)
