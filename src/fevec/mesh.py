@@ -180,6 +180,31 @@ def _flat_vertices(vertices) -> tuple[np.ndarray, np.ndarray]:
                             count=int(n_v.sum()))
 
 
+def _group_sides(n_v: np.ndarray, flat: np.ndarray, ends: np.ndarray
+                 ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The vertex groups of an element table in ``_flat_vertices`` form, and a key per side.
+
+    Groups map n_v -> (positions in increasing order, (m, n_v) vertex ids),
+    read from the flat table at each element's offset.  A side (vertex i to
+    i+1, cyclic) is keyed by the ranks in ``ends``, the sorted vertex ids, of
+    its sorted end nodes: ``rank(low) * ends.size + rank(high)``.  Keys are in
+    element order: side i of the element at position p is entry ``start[p] + i``,
+    start the offset of p.
+    """
+    groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    start = np.cumsum(n_v) - n_v
+    key = np.empty(flat.size, dtype=np.int64)
+    for count in np.unique(n_v).tolist():
+        pos = np.flatnonzero(n_v == count)
+        rows = start[pos, None] + np.arange(count)
+        verts = flat[rows]
+        groups[count] = (pos, verts)
+        following = np.roll(verts, -1, axis=1)
+        key[rows] = np.searchsorted(ends, np.minimum(verts, following)) * ends.size
+        key[rows] += np.searchsorted(ends, np.maximum(verts, following))
+    return groups, key
+
+
 class Mesh:
     """Immutable-after-construction mesh with precomputed adjacency.
 
@@ -213,31 +238,19 @@ class Mesh:
             n_v, flat = _flat_vertices(vertices)
         except (TypeError, ValueError, OverflowError) as exc:
             raise MeshError(f"element regions and vertex ids must be int64 integers: {exc}") from exc
-        # n_v -> (positions in increasing order, (m, n_v) vertex ids), read from the
-        # flat table at each element's offset.
-        self.vertex_groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # Every element side (vertex i to i+1, cyclic) as a sorted node pair, in
-        # element order: side i of the element at position p is row start[p] + i.
-        start = np.cumsum(n_v) - n_v
-        pairs = np.empty((flat.size, 2), dtype=np.int64)
-        for count in np.unique(n_v).tolist():
-            pos = np.flatnonzero(n_v == count)
-            rows = start[pos, None] + np.arange(count)
-            verts = flat[rows]
-            self.vertex_groups[count] = (pos, verts)
-            pairs[rows.ravel()] = np.sort(np.stack((verts, np.roll(verts, -1, axis=1)),
-                                                   axis=2).reshape(-1, 2), axis=1)
+        # Every vertex id ends a side, so each side has an exact int64 key from
+        # the ranks of its sorted end nodes among them.
+        ends = np.unique(flat)
+        self.vertex_groups, side_key = _group_sides(n_v, flat, ends)
 
         # Edge table: ``side_element`` and ``side_edge`` give each side's element
         # position and edge; ``edges`` are the distinct sorted node pairs,
         # numbered in order of first appearance.
         self.side_element: np.ndarray = np.repeat(np.arange(n_v.size), n_v)
-        # An exact int64 key per pair from the ranks of its end nodes.
-        ends, rank = np.unique(pairs, return_inverse=True)
-        rank = rank.reshape(pairs.shape)
-        keys, edge_of_key, self.side_edge = _first_use(rank[:, 0] * ends.size + rank[:, 1])
+        keys, edge_of_key, self.side_edge = _first_use(side_key)
+        del side_key
         self.edges = np.empty((keys.size, 2), dtype=np.int64)
-        self.edges[self.side_edge] = pairs
+        self.edges[edge_of_key] = ends[np.column_stack(np.divmod(keys, ends.size))]
         self.edge_counts: np.ndarray = np.bincount(self.side_edge, minlength=keys.size)
         self._edge_lookup = (ends, keys, edge_of_key)
         self.interface_nodes: set[int] = find_interface_nodes(self)
@@ -312,23 +325,6 @@ class Mesh:
         """Every block of ``element_windows``, window by window."""
         return [block for window in self.element_windows() for block in window]
 
-    def format_elements(self, line_format: Callable[[int, np.ndarray], Any],
-                        columns: Callable[[np.ndarray, np.ndarray], list[np.ndarray]]) -> str:
-        """One formatted text line per element, in element-list order.
-
-        Each ``vertex_groups`` block of ``n_v``-vertex elements is formatted at
-        once: ``line_format(n_v, positions)`` (one format, or one per element)
-        ``%`` the integers ``columns(positions, vertices)`` (one (m,) or (m, k)
-        array per field, row by row).
-        """
-        lines = np.empty(self.n_elements, dtype=object)
-        for n_v, (pos, verts) in self.vertex_groups.items():
-            fmt = line_format(n_v, pos)
-            fmt = fmt * len(pos) if isinstance(fmt, str) else "".join(fmt.tolist())
-            text = fmt % tuple(np.column_stack(columns(pos, verts)).ravel().tolist())
-            lines[pos] = np.array(text.splitlines(keepends=True), dtype=object)
-        return "".join(lines.tolist())
-
     @cached_property
     def element_areas(self) -> np.ndarray:
         """Signed shoelace area of every element, by position."""
@@ -339,10 +335,17 @@ class Mesh:
 
     @cached_property
     def node_components(self) -> tuple[int, np.ndarray]:
-        """Connected parts of ``node_pattern``, the graph of nodes that share an element:
-        count, label per node.  An element's sides join its vertices in a cycle,
-        so these are the parts of the graph of ``edges`` too."""
-        return connected_components(self._node_graph(), directed=False)
+        """Connected parts of the graph of ``edges``: count, label per node.
+
+        An element's sides join its vertices in a cycle, so these are the
+        parts of ``node_pattern``, labelled alike (scipy numbers the parts in
+        order of their first node), from about a quarter of its entries.
+        """
+        n, first = self.n_nodes, self.edges[:, 0]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(first, minlength=n))))
+        graph = sp.csr_array((np.ones(first.size), self.edges[np.argsort(first, kind="stable"), 1],
+                              indptr), shape=(n, n))
+        return connected_components(graph, directed=False)
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -1087,29 +1090,58 @@ def generate_igbt(level: int = 0) -> Mesh:
 FORMAT_HEADER = "mesh 2d v1"
 
 
-# Node lines formatted by one ``%`` each; bounds the text held at once.
-_NODE_LINES = 1 << 12
+# Lines formatted by one ``%`` each in every text output (the mesh file and
+# its hash, the point and cell sections of ``post.export_fields``); bounds the
+# text held at once.
+_TEXT_LINES = 1 << 12
+
+
+def text_windows(rows: int) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` of each run of ``_TEXT_LINES`` consecutive rows out of ``rows``, in order."""
+    step = _TEXT_LINES
+    for start in range(0, rows, step):
+        yield start, min(start + step, rows)
+
+
+def element_lines(mesh: Mesh, records: bool = True) -> Iterator[str]:
+    """One text line per element in element-list order, a text window of elements per piece.
+
+    A line is the mesh file's ``elem`` record (see load_mesh) or, with
+    ``records`` False, the bare vertex list ``<n_v> <v0> ... <v{n_v-1}>`` of a
+    legacy VTK ``CELLS`` section.  The elements of each ``vertex_groups``
+    block in a window are formatted by one ``%`` and merged by position.
+    """
+    for start, stop in text_windows(mesh.n_elements):
+        lines = np.empty(stop - start, dtype=object)
+        for n_v, (group, group_verts) in mesh.vertex_groups.items():
+            first, last = np.searchsorted(group, (start, stop))
+            pos, verts = group[first:last], group_verts[first:last]
+            line = f"{n_v}" + " %d" * n_v + "\n"
+            if records:
+                fmt = "".join(np.where(mesh.element_fe[pos],
+                                       f"elem %d {ElementKind.FE_QUAD.value} %d {line}",
+                                       f"elem %d {ElementKind.VE_POLY.value} %d {line}").tolist())
+                verts = np.column_stack((pos, mesh.element_regions[pos], verts))
+            else:
+                fmt = line * pos.size
+            text = fmt % tuple(verts.ravel().tolist())
+            lines[pos - start] = np.array(text.splitlines(keepends=True), dtype=object)
+        yield "".join(lines.tolist())
 
 
 def mesh_text_chunks(mesh: Mesh) -> Iterator[str]:
     """The canonical text form of a mesh in pieces (see load_mesh for the grammar).
 
-    The header, the node lines ``_NODE_LINES`` at a time, the element lines
-    and the labeled edges: ``save_mesh`` writes them and ``fevec run``'s
+    The header, the node lines and the element lines a text window at a
+    time, and the labeled edges: ``save_mesh`` writes them and ``fevec run``'s
     provenance hashes them without holding the whole text.
     """
-    def elem_format(n_v: int, pos: np.ndarray) -> np.ndarray:
-        rest = f" %d {n_v}" + " %d" * n_v + "\n"
-        return np.where(mesh.element_fe[pos], f"elem %d {ElementKind.FE_QUAD.value}{rest}",
-                        f"elem %d {ElementKind.VE_POLY.value}{rest}")
-
     yield f"{FORMAT_HEADER}\n"
-    for start in range(0, mesh.n_nodes, _NODE_LINES):
-        block = mesh.coords[start:start + _NODE_LINES].tolist()
-        yield ("node %s %r %r\n" * len(block)) % tuple(
-            v for i, (x, y) in enumerate(block, start) for v in (i, x, y))
-    yield mesh.format_elements(elem_format, lambda pos, verts: [
-        pos, mesh.element_regions[pos], verts])
+    for start, stop in text_windows(mesh.n_nodes):
+        block = mesh.coords[start:stop]
+        yield "".join(map("node {} {} {}\n".format, range(start, stop),
+                          map(repr, block[:, 0].tolist()), map(repr, block[:, 1].tolist())))
+    yield from element_lines(mesh)
     edges = sorted(mesh.boundary_edges)
     yield ("bedge %s %s %s\n" * len(edges)) % tuple(
         v for a, b in edges for v in (mesh.boundary_edges[(a, b)], a, b))

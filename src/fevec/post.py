@@ -22,7 +22,8 @@ import numpy as np
 from . import fem, vem
 from .errors import FevecError
 from .materials import MaterialProps, Plane, gather_materials
-from .mesh import Mesh, _run_offsets, require_valid, rowdot
+from .mesh import (_BLOCK_ROWS, Mesh, _run_offsets, element_lines, require_valid, rowdot,
+                   text_windows)
 from .solver import SolutionFields
 
 # One record per element: Voigt (xx, yy, xy) stress in MPa and its von Mises value.
@@ -61,6 +62,17 @@ def _positions(mesh: Mesh, name: str, positions, low: int = 0) -> np.ndarray:
         raise FevecError(f"{name} must be integers in [{low}, {mesh.n_elements}), "
                          f"got {positions[:8].tolist()}")
     return positions.astype(np.int64)
+
+
+def _points(points) -> np.ndarray:
+    """``points`` as an (n, 2) float array; FevecError naming ``points`` for any other shape."""
+    try:
+        points = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FevecError(f"points must be (x, y) rows of numbers: {exc}") from None
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise FevecError(f"points must be (x, y) rows of numbers, got shape {points.shape}")
+    return points
 
 
 def von_mises(sigma: np.ndarray, plane: Plane = Plane.STRESS, nu: float = 0.0) -> float:
@@ -115,7 +127,8 @@ def nodal_von_mises(mesh: Mesh, stresses, region: int | None = None,
     """Area-weighted nodal average of element von Mises values.
 
     With ``region`` set, only elements of that region contribute (the
-    per-material-side value at interfaces); ``element_ids`` restricts to an
+    per-material-side value at interfaces; a region that no element has is a
+    FevecError); ``element_ids`` restricts to an
     explicit subset of element positions (per-side values at a coupling
     interface).  Nodes with no contributing element hold NaN.
 
@@ -127,6 +140,9 @@ def nodal_von_mises(mesh: Mesh, stresses, region: int | None = None,
     keep = np.ones(mesh.n_elements, dtype=bool)
     if region is not None:
         keep &= mesh.element_regions == region
+        if not keep.any():
+            raise FevecError(f"region {region!r}: no element of the mesh has it "
+                             f"(regions {sorted(mesh.regions())})")
     if element_ids is not None:
         keep &= np.isin(np.arange(mesh.n_elements),
                         _positions(mesh, "element_ids", list(element_ids)))
@@ -196,43 +212,47 @@ class FieldEvaluator:
         self.mesh = mesh
         self.solution = solution
         self.stresses = None if stresses is None else as_stresses(mesh, stresses)
-        incidence = mesh.incidence()
-        self._n_v = np.diff(incidence.indptr)
-        corners = mesh.coords[incidence.indices]
-        lo = np.minimum.reduceat(corners, incidence.indptr[:-1], axis=0)
-        hi = np.maximum.reduceat(corners, incidence.indptr[:-1], axis=0)
-        del incidence, corners      # before the bucket grid, the largest scratch here
+        # Element boxes, a window of one vertex group's rows at a time.
+        self._n_v = np.empty(mesh.n_elements, dtype=np.int64)
+        lo, hi = np.empty((mesh.n_elements, 2)), np.empty((mesh.n_elements, 2))
+        for n_v, (group, verts) in mesh.vertex_groups.items():
+            self._n_v[group] = n_v
+            for start in range(0, group.size, _BLOCK_ROWS):
+                pos = group[start:start + _BLOCK_ROWS]
+                corners = mesh.coords[verts[start:start + _BLOCK_ROWS]]
+                lo[pos], hi[pos] = corners.min(axis=1), corners.max(axis=1)
         pad = 1e-9 * max(float((hi - lo).max()), 1.0)
-        self._lo = lo - pad
-        self._hi = hi + pad
-        self._tol = pad
+        lo -= pad
+        hi += pad
+        self._lo, self._hi, self._tol = lo, hi, pad
 
         # Cells of about the mean box size, at most four per element; each
         # bucket lists the boxes that overlap its cell in element order.
-        self._origin = self._lo.min(axis=0)
-        extent = self._hi.max(axis=0) - self._origin
-        cells = np.maximum(np.ceil(extent / (self._hi - self._lo).mean(axis=0)), 1.0)
+        self._origin = lo.min(axis=0)
+        extent = hi.max(axis=0) - self._origin
+        cells = np.maximum(np.ceil(extent / (hi - lo).mean(axis=0)), 1.0)
         excess = cells.prod() / (4.0 * mesh.n_elements)
         if excess > 1.0:
             cells = np.maximum(np.ceil(cells / math.sqrt(excess)), 1.0)
         self._cells = cells
         self._cell_size = extent / cells
-        first, last = self._cell_of(self._lo), self._cell_of(self._hi)
+        # int32 throughout: positions, offsets and cells stay below about 4 x n_elements.
+        first, last = self._cell_of(lo), self._cell_of(hi)
         span = last - first + 1
         count = span[:, 0] * span[:, 1]
-        pos = np.repeat(np.arange(mesh.n_elements), count)
-        offset = _run_offsets(count)
-        cell = ((first[pos, 1] + offset // span[pos, 0]) * int(cells[0])
-                + first[pos, 0] + offset % span[pos, 0])
+        pos = np.repeat(np.arange(mesh.n_elements, dtype=np.int32), count)
+        row, col = np.divmod(_run_offsets(count).astype(np.int32), span[pos, 0])
+        cell = (first[pos, 1] + row) * int(cells[0]) + first[pos, 0] + col
+        del row, col
         self._bucket = pos[np.argsort(cell, kind="stable")]
         self._bucket_start = np.concatenate(
-            ([0], np.cumsum(np.bincount(cell, minlength=int(cells.prod())))))
+            ([0], np.cumsum(np.bincount(cell, minlength=int(cells.prod()))))).astype(np.int32)
 
     def _cell_of(self, points: np.ndarray) -> np.ndarray:
         """(column, row) of the grid cell of each point, clamped to the grid (NaN to 0)."""
         with np.errstate(invalid="ignore"):
             index = np.floor((points - self._origin) / self._cell_size)
-        return np.fmin(np.fmax(index, 0.0), self._cells - 1).astype(np.int64)
+        return np.fmin(np.fmax(index, 0.0), self._cells - 1).astype(np.int32)
 
     def _vertices(self, pos: np.ndarray, n_v: int) -> np.ndarray:
         """(len(pos), n_v) vertex ids of the ``n_v``-vertex elements at ``pos``."""
@@ -241,7 +261,7 @@ class FieldEvaluator:
 
     def locate_many(self, points) -> np.ndarray:
         """Position of the first element containing each (x, y) row of ``points``, -1 for none."""
-        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        points = _points(points)
         cell = self._cell_of(points) @ np.array([1, int(self._cells[0])])
         start = self._bucket_start[cell]
         count = self._bucket_start[cell + 1] - start
@@ -266,15 +286,15 @@ class FieldEvaluator:
 
     def locate(self, x: float, y: float) -> int | None:
         """Position of the first element containing (x, y), or None."""
-        pos = int(self.locate_many([x, y])[0])
+        pos = int(self.locate_many([[x, y]])[0])
         return None if pos < 0 else pos
 
     def evaluate(self, quantity: str, x: float, y: float) -> float:
-        point = np.array([x, y], dtype=float)
+        point = np.array([[x, y]], dtype=float)
         return float(self.evaluate_at(quantity, self.locate_many(point), point)[0])
 
     def evaluate_in_element(self, quantity: str, pos: int, x: float, y: float) -> float:
-        return float(self.evaluate_at(quantity, [pos], [x, y])[0])
+        return float(self.evaluate_at(quantity, [pos], [[x, y]])[0])
 
     def evaluate_at(self, quantity: str, positions, points) -> np.ndarray:
         """``quantity`` at each (x, y) row of ``points`` in the element at that position.
@@ -285,7 +305,7 @@ class FieldEvaluator:
         polynomial, from one stacked projection of the distinct elements per vertex count.
         """
         positions = _positions(self.mesh, "positions", positions, low=-1)
-        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        points = _points(points)
         if len(points) != positions.size:
             raise FevecError(f"positions: {positions.size} for {len(points)} points")
         values = np.full(positions.size, np.nan)
@@ -452,23 +472,27 @@ def line_probe(evaluator: FieldEvaluator, p0: tuple[float, float], p1: tuple[flo
 def _edge_crossings(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> list[float]:
     """Sorted parameters s in [0, 1] at which the segment a-b crosses a mesh edge.
 
-    One array pass over all edges keeps those whose s and t lie within a
-    loose margin of [0, 1]; only these go through the exact scalar test.
+    Array passes over windows of ``_BLOCK_ROWS`` edges keep those whose s and
+    t lie within a loose margin of [0, 1]; only these go through the exact
+    scalar test.
     """
     d = b - a
     len2 = float(d @ d)
     if len2 == 0.0:
         return []
-    start = mesh.coords[mesh.edges[:, 0]]
-    ev = mesh.coords[mesh.edges[:, 1]] - start
-    wv = start - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = d[0] * ev[:, 1] - d[1] * ev[:, 0]
-        sv = (wv[:, 0] * ev[:, 1] - wv[:, 1] * ev[:, 0]) / denom
-        tv = (wv[:, 0] * d[1] - wv[:, 1] * d[0]) / denom
-    near = (np.abs(sv - 0.5) <= 0.5 + 1e-6) & (np.abs(tv - 0.5) <= 0.5 + 1e-6)
+    near = []
+    for first in range(0, len(mesh.edges), _BLOCK_ROWS):
+        edges = mesh.edges[first:first + _BLOCK_ROWS]
+        start = mesh.coords[edges[:, 0]]
+        ev = mesh.coords[edges[:, 1]] - start
+        wv = start - a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = d[0] * ev[:, 1] - d[1] * ev[:, 0]
+            sv = (wv[:, 0] * ev[:, 1] - wv[:, 1] * ev[:, 0]) / denom
+            tv = (wv[:, 0] * d[1] - wv[:, 1] * d[0]) / denom
+        near += edges[(np.abs(sv - 0.5) <= 0.5 + 1e-6) & (np.abs(tv - 0.5) <= 0.5 + 1e-6)].tolist()
     out: set[float] = set()
-    for (i, j) in mesh.edges[near].tolist():
+    for (i, j) in near:
         p = mesh.coords[i]
         q = mesh.coords[j]
         e = q - p
@@ -497,10 +521,13 @@ def write_probe_csv(probe: LineProbe, path: str) -> None:
 # Field export (legacy ASCII unstructured grid)
 
 
-def _format_rows(line_format: str, values) -> str:
-    """``line_format`` once per row of ``values``, ``%`` the row-major values."""
+def _write_rows(f, line_format: str, values, columns=None) -> None:
+    """Write ``line_format`` once per row of ``values`` (of its ``columns``, when given),
+    ``%`` the row-major values, a text window of rows at a time."""
     values = np.asarray(values)
-    return (line_format * len(values)) % tuple(values.ravel().tolist())
+    for start, stop in text_windows(len(values)):
+        block = values[start:stop] if columns is None else values[start:stop, columns]
+        f.write((line_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def export_fields(mesh: Mesh, solution: SolutionFields, stresses, path: str) -> None:
@@ -508,31 +535,33 @@ def export_fields(mesh: Mesh, solution: SolutionFields, stresses, path: str) -> 
 
     Points carry temperature (scalar) and displacement (vector); cells carry
     von Mises (scalar) and the full stress tensor when ``stresses`` is given
-    (checked before the file opens).  Each section is formatted as one block
-    and written on its own.
+    (checked before the file opens).  Every point and cell section is
+    formatted and written a text window of rows at a time.
     """
     stresses = None if stresses is None else as_stresses(mesh, stresses)
-    n = mesh.n_nodes
+    n, m = mesh.n_nodes, mesh.n_elements
     size = sum(verts.size + len(pos) for pos, verts in mesh.vertex_groups.values())
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\nfevec fields\nASCII\nDATASET UNSTRUCTURED_GRID\n"
                 f"POINTS {n} double\n")
-        f.write(_format_rows("%.17g %.17g 0\n", mesh.coords))
-        f.write(f"CELLS {mesh.n_elements} {size}\n")
-        f.write(mesh.format_elements(lambda n_v, pos: f"{n_v}" + " %d" * n_v + "\n",
-                                     lambda pos, verts: [verts]))
-        f.write(f"CELL_TYPES {mesh.n_elements}\n" + "7\n" * mesh.n_elements)
+        _write_rows(f, "%.17g %.17g 0\n", mesh.coords)
+        f.write(f"CELLS {m} {size}\n")
+        f.writelines(element_lines(mesh, records=False))
+        f.write(f"CELL_TYPES {m}\n")
+        f.writelines("7\n" * (stop - start) for start, stop in text_windows(m))
         f.write(f"POINT_DATA {n}\nSCALARS temperature double 1\nLOOKUP_TABLE default\n")
         # a field not solved is written as zeros: "%.17g" % 0.0 is "0"
-        f.write("0\n" * n if solution.temperature is None
-                else _format_rows("%.17g\n", solution.temperature))
+        if solution.temperature is None:
+            f.writelines("0\n" * (stop - start) for start, stop in text_windows(n))
+        else:
+            _write_rows(f, "%.17g\n", solution.temperature)
         f.write("VECTORS displacement double\n")
-        f.write("0 0 0\n" * n if solution.displacement is None
-                else _format_rows("%.17g %.17g 0\n", solution.displacement))
+        if solution.displacement is None:
+            f.writelines("0 0 0\n" * (stop - start) for start, stop in text_windows(n))
+        else:
+            _write_rows(f, "%.17g %.17g 0\n", solution.displacement)
         if stresses is not None:
-            f.write(f"CELL_DATA {mesh.n_elements}\nSCALARS von_mises double 1\n"
-                    "LOOKUP_TABLE default\n")
-            f.write(_format_rows("%.17g\n", stresses.von_mises))
+            f.write(f"CELL_DATA {m}\nSCALARS von_mises double 1\nLOOKUP_TABLE default\n")
+            _write_rows(f, "%.17g\n", stresses.von_mises)
             f.write("TENSORS stress double\n")
-            f.write(_format_rows("%.17g %.17g 0\n%.17g %.17g 0\n0 0 0\n",
-                                 stresses.sigma[:, [0, 2, 2, 1]]))
+            _write_rows(f, "%.17g %.17g 0\n%.17g %.17g 0\n0 0 0\n", stresses.sigma, [0, 2, 2, 1])

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -147,3 +148,22 @@ def dof_classes(dof_map):
     node_class = np.where(touches_fe, "F", "V")
     node_class[sorted(mesh.interface_nodes)] = "I"
     return np.repeat(node_class, dof_map.dofs_per_node)
+
+
+def scratch_bytes(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` and its tracemalloc peak above the bytes traced before it.
+
+    The peak counts everything the call held at its high-water mark, what it
+    returns included; numpy reports its buffers to tracemalloc.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

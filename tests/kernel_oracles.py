@@ -10,8 +10,10 @@ library no longer needs.  ``compress`` is the sort-based sparse assembly,
 and ``scatter`` the unwindowed, full-then-slice assembly around it, that
 ``fevec.assembly._scatter`` replaced; ``slice_system`` is that Dirichlet
 slicing, and ``node_pattern`` the one-piece sort that built the node
-pattern.  ``edge_components`` is the rule ``Mesh.node_components`` had
-before it read ``node_pattern``: the parts of the graph of ``Mesh.edges``.
+pattern.  ``pattern_components`` is the rule ``Mesh.node_components`` had
+before it read the graph of ``Mesh.edges``: the parts of ``node_pattern``.
+``edge_components`` gives the parts of the edge graph from scipy's COO
+input, without the library's CSR build.
 """
 
 from __future__ import annotations
@@ -343,6 +345,14 @@ def edge_components(mesh):
     """Connected components of the graph of ``mesh.edges``: count, label per node."""
     n = mesh.n_nodes
     graph = sp.coo_matrix((np.ones(len(mesh.edges)), mesh.edges.T), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
+def pattern_components(mesh):
+    """Connected components of the graph of ``mesh.node_pattern``: count, label per node."""
+    n = mesh.n_nodes
+    indptr, indices = mesh.node_pattern
+    graph = sp.csr_array((np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n))
     return connected_components(graph, directed=False)
 
 

@@ -1,0 +1,94 @@
+"""Scratch memory of the stages of a thermal run, measured with tracemalloc.
+
+Each test measures one call with ``conftest.scratch_bytes`` (its traced
+peak above the bytes live before it) on the cylinder config's quarter
+annulus at n_r 60, n_t 120: 7 381 nodes, 7 200 elements.  ``BEFORE`` holds
+what each call took when it made its temporaries over the whole mesh at
+once, ``NOW`` what it takes with bounded windows, in bytes, both measured
+with numpy 2.4 and scipy 1.17.  The bound, 1.5 x ``NOW``, sits below
+``BEFORE``, so a temporary that grows back with the mesh fails it.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from fevec import cli, post
+from fevec.config import build_mesh, parse_config
+from fevec.mesh import Mesh, mesh_text_chunks, validate_mesh
+from fevec.solver import SolutionFields
+from conftest import element_table, scratch_bytes
+from test_mesh import CONFIGS
+
+BEFORE = {"mesh": 4_008_814, "components": 1_725_637, "evaluator": 2_091_944,
+          "probe": 1_308_002, "export": 1_524_265, "provenance": 2_651_039}
+NOW = {"mesh": 2_543_086, "components": 617_368, "evaluator": 1_312_013,
+       "probe": 369_140, "export": 860_752, "provenance": 1_517_194}
+
+
+@pytest.fixture(scope="module")
+def run():
+    text = (CONFIGS / "cylinder.cfg").read_text()
+    cfg = parse_config(text.replace("n_r 30", "n_r 60").replace("n_t 60", "n_t 120"))
+    mesh = build_mesh(cfg)
+    assert (mesh.n_nodes, mesh.n_elements) == (7381, 7200)
+    assert not validate_mesh(mesh)
+    fields = SolutionFields(temperature=np.log(np.hypot(*mesh.coords.T)), displacement=None)
+    return cfg, mesh, fields
+
+
+def check(stage, used):
+    bound = 1.5 * NOW[stage]
+    assert bound < BEFORE[stage]
+    assert used <= bound, f"{stage}: {used} bytes of scratch, bound {bound:.0f}"
+
+
+def test_mesh_build(run):
+    _, mesh, _ = run
+    vertices, kinds, regions = element_table(mesh)
+    verts = np.array(vertices, dtype=np.int64)
+    again, used = scratch_bytes(Mesh, mesh.coords, verts, kinds, regions, mesh.boundary_edges)
+    assert np.array_equal(again.edges, mesh.edges)
+    check("mesh", used)
+
+
+def test_node_components(run):
+    _, mesh, _ = run
+    again = Mesh(mesh.coords, *element_table(mesh))
+    again.node_pattern      # the thermal assembly builds it before the well-posedness check
+    (n_parts, _), used = scratch_bytes(lambda: again.node_components)
+    assert n_parts == 1
+    check("components", used)
+
+
+def test_field_evaluator(run):
+    cfg, mesh, fields = run
+    _, used = scratch_bytes(post.FieldEvaluator, mesh, cfg.materials, fields)
+    check("evaluator", used)
+
+
+def test_line_probe(run):
+    cfg, mesh, fields = run
+    evaluator = post.FieldEvaluator(mesh, cfg.materials, fields)
+    probe, used = scratch_bytes(post.line_probe, evaluator, (16.8, 12.6), (47.2, 35.4),
+                                "temperature", 81)
+    assert probe.inside.all() and probe.s.size > 81
+    check("probe", used)
+
+
+def test_export_fields(run, tmp_path):
+    _, mesh, fields = run
+    _, used = scratch_bytes(post.export_fields, mesh, fields, None, str(tmp_path / "f.vtk"))
+    check("export", used)
+
+
+def test_provenance_hash(run, tmp_path):
+    cfg, mesh, _ = run
+    path = tmp_path / "provenance.txt"
+    _, used = scratch_bytes(cli._write_provenance, cfg, mesh, str(path))
+    digest = hashlib.sha256()
+    for chunk in mesh_text_chunks(mesh):
+        digest.update(chunk.encode())
+    assert f"mesh_sha256 {digest.hexdigest()}\n" in path.read_text()
+    check("provenance", used)

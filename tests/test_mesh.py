@@ -21,9 +21,12 @@ from fevec.mesh import (ElementKind, Mesh, Violation, find_interface_nodes,
                         generate_plate_with_hole, generate_quarter_annulus,
                         generate_split_square, generate_structured_quads,
                         load_mesh, mesh_text, require_valid, save_mesh, validate_mesh)
-from fevec.solver import run_pipeline
+from fevec.solver import SolutionFields, run_pipeline
+import post_oracles
 from conftest import element_table, polygon_family, polygon_row
 from kernel_oracles import element_coords, shoelace_area
+from merged_polygons import merge_ve_blocks
+from test_post_batched import special_fields, special_stresses
 
 FE = ElementKind.FE_QUAD
 VE = ElementKind.VE_POLY
@@ -556,13 +559,27 @@ class TestMeshIO:
         assert mesh_text(back) == mesh_text(mesh)
 
     def test_text_the_same_in_any_node_block(self, monkeypatch, tmp_path):
-        mesh = generate_quarter_annulus(20, 60, 9, 11, 40)
-        text = mesh_text(mesh)
-        for rows in (1, 7, mesh.n_nodes, 2 * mesh.n_nodes):
-            monkeypatch.setattr(meshmod, "_NODE_LINES", rows)
+        # 4-, 6- and 8-vertex VE polygons interleave with each other and with the
+        # FE quads, so one text window merges lines of several vertex groups
+        mesh = merge_ve_blocks(generate_quarter_annulus(20, 60, 12, 16, 40), 12, 16)
+        assert [len(mesh.vertex_groups[n][0]) for n in (4, 6, 8)] == [108, 24, 12]
+        fields = special_fields(mesh, 1)
+        stresses = post.as_stresses(mesh, special_stresses(mesh, 2))
+        vtk = post_oracles.fields_vtk_text(mesh, fields, stresses)
+        unsolved = SolutionFields(temperature=None, displacement=None)
+        vtk_unsolved = post_oracles.fields_vtk_text(mesh, unsolved, None)
+        text = post_oracles.mesh_text(mesh)
+        elements = "".join(text.splitlines(keepends=True)[1 + mesh.n_nodes:][:mesh.n_elements])
+        for rows in (1, 7, mesh.n_elements, mesh.n_nodes, 2 * mesh.n_nodes):
+            monkeypatch.setattr(meshmod, "_TEXT_LINES", rows)
+            assert "".join(meshmod.element_lines(mesh)) == elements
             assert mesh_text(mesh) == text
             save_mesh(mesh, str(tmp_path / "m.txt"))
             assert (tmp_path / "m.txt").read_bytes() == text.encode()
+            post.export_fields(mesh, fields, stresses, str(tmp_path / "f.vtk"))
+            assert (tmp_path / "f.vtk").read_bytes() == vtk.encode()
+            post.export_fields(mesh, unsolved, None, str(tmp_path / "f.vtk"))
+            assert (tmp_path / "f.vtk").read_bytes() == vtk_unsolved.encode()
 
     def test_provenance_hashes_the_saved_mesh(self, tmp_path):
         from fevec.cli import main

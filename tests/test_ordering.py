@@ -25,7 +25,7 @@ from fevec.mesh import (_DISSECTION_LEAF, ElementKind, Mesh, generate_fcbga, gen
                         generate_structured_quads)
 from fevec.solver import METHOD_CG, SUPERLU_FACTOR, SolveOptions, run_pipeline, solve_system
 from conftest import element_table
-from kernel_oracles import edge_components
+from kernel_oracles import edge_components, pattern_components
 from merged_polygons import merge_ve_blocks
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -138,10 +138,27 @@ class TestNodeGraph:
         mesh = Mesh(coords, [(1, 3, 5, 7), (0, 2, 4, 6)], [ElementKind.FE_QUAD,
                                                            ElementKind.VE_POLY], [0, 0])
         n, labels = mesh.node_components
-        oracle_n, oracle_labels = edge_components(mesh)
-        assert n == oracle_n == 3
-        assert np.array_equal(labels, oracle_labels)
+        for oracle in (edge_components, pattern_components):
+            oracle_n, oracle_labels = oracle(mesh)
+            assert n == oracle_n == 3
+            assert np.array_equal(labels, oracle_labels)
         assert labels.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 2]
+
+    @pytest.mark.parametrize("name", ["merged-split-square", "merged-annulus", "split-ring-plate"])
+    def test_parts_match_node_pattern_oracle(self, name):
+        # the mesh and a shifted copy, their node ids interleaved, and two nodes in no
+        # element; merged polygons have chords in node_pattern that are not edges
+        base = PINNED_GRAPHS[name][0]()
+        vertices, kinds, regions = element_table(base)
+        n = base.n_nodes
+        coords = np.empty((2 * n + 2, 2))
+        coords[0:2 * n:2], coords[1:2 * n:2], coords[2 * n:] = base.coords, base.coords + 99, -1
+        mesh = Mesh(coords, [tuple(2 * v for v in vs) for vs in vertices]
+                    + [tuple(2 * v + 1 for v in vs) for vs in vertices], kinds * 2, regions * 2)
+        n_parts, labels = mesh.node_components
+        oracle_n, oracle_labels = pattern_components(mesh)
+        assert n_parts == oracle_n == 4
+        assert np.array_equal(labels, oracle_labels)
 
     @pytest.mark.parametrize("build", [
         # vertex counts out of group order, an element without vertices, a repeated id

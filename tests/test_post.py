@@ -337,6 +337,29 @@ class TestPositionInputs:
         with pytest.raises(FevecError, match="positions: 1 for 2 points"):
             self.evaluator().evaluate_at("temperature", [0], [[0.1, 0.1], [0.2, 0.1]])
 
+    @pytest.mark.parametrize("points", [
+        [0.1, 0.2, 0.3], [0.1, 0.2], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]], [], [["a", "b"]]],
+        ids=["odd-count", "flat-pair", "three-columns", "three-axes", "empty-list", "text"])
+    def test_points_not_n_by_2_refused(self, points):
+        # an odd count once raised a bare ValueError from reshape(-1, 2)
+        evaluator = self.evaluator()
+        with pytest.raises(FevecError, match=r"points must be \(x, y\) rows of numbers"):
+            evaluator.locate_many(points)
+        with pytest.raises(FevecError, match=r"points must be \(x, y\) rows of numbers"):
+            evaluator.evaluate_at("temperature", [0], points)
+
+    def test_no_points_is_n_by_2(self):
+        evaluator = self.evaluator()
+        assert evaluator.locate_many(np.empty((0, 2))).shape == (0,)
+        assert evaluator.evaluate_at("temperature", [], np.empty((0, 2))).shape == (0,)
+
+    def test_missing_region_refused(self):
+        # once an all-NaN average without a word
+        mesh, _, _, stresses = solved_quads()
+        with pytest.raises(FevecError, match=r"region 7: no element .* \(regions \[0\]\)"):
+            post.nodal_von_mises(mesh, stresses, region=7)
+        assert np.isfinite(post.nodal_von_mises(mesh, stresses, region=0)).all()
+
     @pytest.mark.parametrize("ids", [{10 ** 9}, {0, -1}, {1.5}],
                              ids=["past-the-end", "negative", "float"])
     def test_bad_element_ids_refused(self, ids):
