@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from . import fem, vem
 from .errors import AssemblyError
 from .materials import MaterialProps, gather_materials
-from .mesh import Mesh, require_valid
+from .mesh import Mesh, index_dtype, require_valid
 
 
 def _bc_value(value, what: str, free: bool = False) -> float | None:
@@ -278,9 +278,8 @@ def _scatter(mesh: Mesh, dof_map: DofMap, kernels, rhs: np.ndarray,
     """
     per = dof_map.dofs_per_node
     indptr, indices = mesh.node_pattern
-    # Places and slots in int32 while the whole natural-order matrix would fit it.
-    idx = np.int32 if per * per * indices.size < np.iinfo(np.int32).max else np.int64
-    slot_of = mesh.node_slots()
+    # Places and slots wide enough for every entry of the natural-order matrix.
+    idx = index_dtype(per * per * indices.size)
     unknown = np.zeros(dof_map.ndof, dtype=bool)
     unknown[free] = True
     # A free dof's row and column in the free block; a prescribed dof's column in the coupling.
@@ -317,8 +316,9 @@ def _scatter(mesh: Mesh, dof_map: DofMap, kernels, rhs: np.ndarray,
         # Axes (vertex a, component i, vertex b, component j, element): the element
         # axis last, so that every broadcast runs over long rows.
         ends = verts.T.astype(idx)
-        slot = slot_of[np.repeat(ends, n_v, axis=0).ravel(),
-                       np.tile(ends, (n_v, 1)).ravel()].reshape(n_v, 1, n_v, 1, m)
+        slot = mesh.node_slots(np.repeat(ends, n_v, axis=0).ravel(),
+                               np.tile(ends, (n_v, 1)).ravel())
+        slot = slot.astype(idx, copy=False).reshape(n_v, 1, n_v, 1, m)
         dofs = per * ends[:, None, :] + component
         rows, cols = dofs[:, :, None, None, :], dofs[None, None]
         ck = cum[slot]
@@ -338,7 +338,7 @@ def _scatter(mesh: Mesh, dof_map: DofMap, kernels, rhs: np.ndarray,
             np.add.at(rhs, _in_element_order([(pos, dof_map.element_dofs(verts))
                                               for pos, verts, _, _ in parts]),
                       _in_element_order([(pos, fe) for pos, _, _, fe in parts]))
-    del slot_of, cum, to_free, to_fixed
+    del cum, to_free, to_fixed
     column = _block_columns(mesh, per, free, number, unknown, free_ptr, fixed_ptr)
     return (sp.csr_matrix((data[:nnz], column[:nnz], free_ptr.astype(idx)),
                           shape=(free.size, free.size)),
@@ -361,8 +361,10 @@ def _block_columns(mesh: Mesh, per: int, free: np.ndarray, number: np.ndarray,
     number, unknown = (a.view(np.dtype((np.void, per * a.itemsize))) for a in (number, unknown))
     for start in range(0, free.size, _ROW_BLOCK):
         nodes = free[start:start + _ROW_BLOCK] // per
-        count = indptr[nodes + 1] - indptr[nodes]
-        slots = np.repeat(indptr[nodes] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        first = indptr[nodes]
+        count = indptr[nodes + 1] - first
+        slots = np.repeat(first - (np.cumsum(count, dtype=first.dtype) - count), count)
+        slots += np.arange(slots.size, dtype=slots.dtype)
         neighbours = np.take(indices, slots)
         cols = np.take(number, neighbours).view(column.dtype)
         free_cols = np.take(unknown, neighbours).view(bool)
@@ -400,7 +402,7 @@ def _assemble(mesh: Mesh, materials: dict[int, MaterialProps], bcs: BoundaryCond
     require_valid(mesh, materials)
     dof_map = DofMap(field_kind, mesh)
     fixed, values = _dirichlet_dofs(bcs, dof_map)
-    free = np.delete(np.arange(dof_map.ndof), fixed)
+    free = np.delete(np.arange(dof_map.ndof, dtype=index_dtype(dof_map.ndof)), fixed)
     if elimination_order:
         free = free[dof_map.elimination_order(free)]
     rhs = np.zeros(dof_map.ndof)

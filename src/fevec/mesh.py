@@ -10,7 +10,10 @@ once and stored on the mesh.
 
 Edge topology is built once per mesh as arrays (``Mesh.edges`` and, per
 element side, ``side_element`` / ``side_edge``); every edge reader uses them
-and reads element data by position.
+and reads element data by position.  These and every other index table of a
+mesh (vertex groups, edge lookup, ``node_pattern``) are int32 whenever the
+largest value they store fits it, else int64 (``index_dtype``); region ids
+are int64.
 
 ``validate_mesh`` is the one definition of a valid mesh: every element a
 simple counter-clockwise polygon, every FE quad strictly convex.  The
@@ -151,33 +154,79 @@ def _edge_labels(entries: Iterable[tuple[Any, Any]]) -> dict[tuple[int, int], st
     return out
 
 
+_INT32 = np.iinfo(np.int32)
+
+
+def index_dtype(*values: int) -> np.dtype:
+    """The width of an index table: int32 when every one of ``values``, the
+    extremes it stores, fits int32, else int64.
+
+    The one rule for every index table of a mesh and of the stages that
+    index through them (assembly places, evaluator buckets).
+    """
+    fits = all(_INT32.min <= int(v) <= _INT32.max for v in values)
+    return np.dtype(np.int32 if fits else np.int64)
+
+
 def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number the distinct values of ``keys`` in order of first use.
 
     Returns the sorted distinct values, the number of each, and the number
-    of every entry of ``keys`` (shaped like ``keys``).
+    of every entry of ``keys`` (shaped like ``keys``); the numbers are
+    ``index_dtype`` of their count.
     """
     distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    number = np.empty_like(first)
+    number = np.empty(first.size, dtype=index_dtype(first.size))
     number[np.argsort(first)] = np.arange(first.size)
     return distinct, number, number[inverse].reshape(keys.shape)
 
 
-def _flat_vertices(vertices) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex count of every element and all vertex ids in one flat int64 array, element by element.
+def _integers(items, what: str, count: int = -1) -> np.ndarray:
+    """``items`` as a flat integer array; MeshError naming ``what`` unless every item is
+    an integer other than ``bool`` in the int64 range.
 
-    An (m, n_v) array is flattened as it is; any other table is read item by
-    item.  Read item by item, an array yields one numpy scalar per id, which
-    made building the level-3 sandwich and cylinder meshes from their
-    generators' arrays take 50-95 ms instead of 22-32 ms (best of 15, 2-core
-    x86-64 host), slower than grouping them row by row.
+    An int array is taken as it is.  Any other ``items``, a sequence or a
+    function giving a new iterator over ``count`` items, is streamed twice:
+    once for the items' types and once into an int64 array, so no list of
+    them is made.
+    """
+    if isinstance(items, np.ndarray) and items.dtype.kind in "iu":
+        if items.dtype.kind == "u" and items.size and items.max() > np.iinfo(np.int64).max:
+            raise MeshError(f"{what} must be int64 integers, got {items.max()}")
+        return items.ravel()
+    stream = items if callable(items) else items.__iter__
+    wrong = [t for t in set(map(type, stream()))
+             if not issubclass(t, (int, np.integer)) or issubclass(t, bool)]
+    if wrong:
+        bad = next(v for v in stream() if type(v) in wrong)
+        raise MeshError(f"{what} must be integers, got {bad!r}")
+    try:
+        return np.fromiter(stream(), dtype=np.int64, count=count)
+    except OverflowError:
+        raise MeshError(f"{what} must be int64 integers, got {max(stream(), key=abs)}") from None
+
+
+def _flat_vertices(vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex count of every element and all vertex ids in one flat array, element by element.
+
+    The ids are ``index_dtype`` of their extremes.  An (m, n_v) array is
+    flattened as it is; any other table is read item by item.  Read item by
+    item, an array yields one numpy scalar per id, which made building the
+    level-3 sandwich and cylinder meshes from their generators' arrays take
+    50-95 ms instead of 22-32 ms (best of 15, 2-core x86-64 host), slower
+    than grouping them row by row.
     """
     if isinstance(vertices, np.ndarray) and vertices.ndim == 2:
-        return (np.full(len(vertices), vertices.shape[1], dtype=np.int64),
-                np.asarray(vertices, dtype=np.int64).ravel())
-    n_v = np.fromiter(map(len, vertices), dtype=np.int64, count=len(vertices))
-    return n_v, np.fromiter(itertools.chain.from_iterable(vertices), dtype=np.int64,
-                            count=int(n_v.sum()))
+        n_v = np.full(len(vertices), vertices.shape[1], dtype=np.int64)
+        flat = _integers(vertices.ravel(), "vertex ids")
+    else:
+        try:
+            n_v = np.fromiter(map(len, vertices), dtype=np.int64, count=len(vertices))
+        except TypeError:
+            raise MeshError("vertices must list a sequence of vertex ids per element") from None
+        flat = _integers(lambda: itertools.chain.from_iterable(vertices), "vertex ids",
+                         int(n_v.sum()))
+    return n_v, flat.astype(index_dtype(flat.min(initial=0), flat.max(initial=0)), copy=False)
 
 
 def _group_sides(n_v: np.ndarray, flat: np.ndarray, ends: np.ndarray
@@ -189,13 +238,15 @@ def _group_sides(n_v: np.ndarray, flat: np.ndarray, ends: np.ndarray
     i+1, cyclic) is keyed by the ranks in ``ends``, the sorted vertex ids, of
     its sorted end nodes: ``rank(low) * ends.size + rank(high)``.  Keys are in
     element order: side i of the element at position p is entry ``start[p] + i``,
-    start the offset of p.
+    start the offset of p.  Positions and keys are ``index_dtype`` of their
+    largest value.
     """
     groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     start = np.cumsum(n_v) - n_v
-    key = np.empty(flat.size, dtype=np.int64)
+    key = np.empty(flat.size, dtype=index_dtype(ends.size ** 2))
+    position = index_dtype(n_v.size)
     for count in np.unique(n_v).tolist():
-        pos = np.flatnonzero(n_v == count)
+        pos = np.flatnonzero(n_v == count).astype(position)
         rows = start[pos, None] + np.arange(count)
         verts = flat[rows]
         groups[count] = (pos, verts)
@@ -221,9 +272,14 @@ class Mesh:
     def __init__(self, coords, vertices: Sequence[Sequence[int]], kinds: Sequence[ElementKind],
                  regions: Sequence[int], boundary_edges: dict[tuple[int, int], str] | None = None):
         try:
-            self.coords: np.ndarray = np.array(coords, dtype=float).reshape(-1, 2)
+            coords = np.array(coords, dtype=float)
         except (TypeError, ValueError) as exc:
             raise MeshError(f"node coordinates must form an (n, 2) table of numbers: {exc}") from exc
+        if coords.shape == (0,):        # no nodes at all
+            coords = coords.reshape(0, 2)
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise MeshError(f"node coordinates must form an (n, 2) table, got shape {coords.shape}")
+        self.coords: np.ndarray = coords
         self.boundary_edges = _edge_labels((boundary_edges or {}).items())
         if not len(vertices) == len(kinds) == len(regions):
             raise MeshError("element table inputs differ in length: vertices, kinds, regions")
@@ -233,25 +289,24 @@ class Mesh:
         self.element_fe: np.ndarray = kinds == ElementKind.FE_QUAD
         if not (self.element_fe | (kinds == ElementKind.VE_POLY)).all():
             raise MeshError("element kinds must be ElementKind members")
-        try:
-            self.element_regions = np.array(regions, dtype=np.int64)
-            n_v, flat = _flat_vertices(vertices)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MeshError(f"element regions and vertex ids must be int64 integers: {exc}") from exc
-        # Every vertex id ends a side, so each side has an exact int64 key from
-        # the ranks of its sorted end nodes among them.
+        self.element_regions = _integers(regions, "element regions").astype(np.int64)
+        n_v, flat = _flat_vertices(vertices)
+        # Every vertex id ends a side, so each side has an exact key from the
+        # ranks of its sorted end nodes among them.
         ends = np.unique(flat)
         self.vertex_groups, side_key = _group_sides(n_v, flat, ends)
 
         # Edge table: ``side_element`` and ``side_edge`` give each side's element
         # position and edge; ``edges`` are the distinct sorted node pairs,
         # numbered in order of first appearance.
-        self.side_element: np.ndarray = np.repeat(np.arange(n_v.size), n_v)
+        self.side_element: np.ndarray = np.repeat(
+            np.arange(n_v.size, dtype=index_dtype(n_v.size)), n_v)
         keys, edge_of_key, self.side_edge = _first_use(side_key)
         del side_key
-        self.edges = np.empty((keys.size, 2), dtype=np.int64)
+        self.edges = np.empty((keys.size, 2), dtype=flat.dtype)
         self.edges[edge_of_key] = ends[np.column_stack(np.divmod(keys, ends.size))]
-        self.edge_counts: np.ndarray = np.bincount(self.side_edge, minlength=keys.size)
+        self.edge_counts: np.ndarray = np.bincount(self.side_edge, minlength=keys.size).astype(
+            index_dtype(flat.size))
         self._edge_lookup = (ends, keys, edge_of_key)
         self.interface_nodes: set[int] = find_interface_nodes(self)
 
@@ -278,9 +333,13 @@ class Mesh:
         pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
         ends, keys, edge_of_key = self._edge_lookup
         if not keys.size:
-            return np.full(len(pairs), -1, dtype=np.int64)
-        rank = np.searchsorted(ends, pairs).clip(max=ends.size - 1)
-        key = rank[:, 0] * ends.size + rank[:, 1]
+            return np.full(len(pairs), -1, dtype=edge_of_key.dtype)
+        # Searched in the tables' own widths, so that numpy makes no wider copy
+        # of them; an id beyond the vertex ids' width has no edge anyway.
+        width = np.iinfo(ends.dtype)
+        rank = np.searchsorted(ends, pairs.clip(width.min, width.max).astype(ends.dtype))
+        rank = rank.clip(max=ends.size - 1)
+        key = (rank[:, 0] * ends.size + rank[:, 1]).astype(keys.dtype)
         k = np.searchsorted(keys, key).clip(max=keys.size - 1)
         return np.where((ends[rank] == pairs).all(axis=1) & (keys[k] == key), edge_of_key[k], -1)
 
@@ -343,6 +402,7 @@ class Mesh:
         """
         n, first = self.n_nodes, self.edges[:, 0]
         indptr = np.concatenate(([0], np.cumsum(np.bincount(first, minlength=n))))
+        indptr = indptr.astype(index_dtype(first.size))   # scipy then widens no array
         graph = sp.csr_array((np.ones(first.size), self.edges[np.argsort(first, kind="stable"), 1],
                               indptr), shape=(n, n))
         return connected_components(graph, directed=False)
@@ -361,21 +421,22 @@ class Mesh:
         field's matrix, and with 2 x 2 blocks of a vector field's.  It is
         the structure of the boolean product of ``incidence()`` with its
         transpose, whose rows scipy builds and sorts one at a time; no array
-        of all vertex pairs is made.  Computed once per mesh; int32 unless
-        the pattern is too large for it.
+        of all vertex pairs is made.  Computed once per mesh, in
+        ``index_dtype``; scipy's arrays are kept when they have it.
         """
         incidence = self.incidence()
         pattern = incidence.T.tocsr() @ incidence
+        del incidence
         pattern.sort_indices()
-        dtype = np.int32 if max(self.n_nodes, pattern.nnz) <= np.iinfo(np.int32).max else np.int64
-        return pattern.indptr.astype(dtype), pattern.indices.astype(dtype)
+        dtype = index_dtype(self.n_nodes, pattern.nnz)
+        return pattern.indptr.astype(dtype, copy=False), pattern.indices.astype(dtype, copy=False)
 
     def incidence(self) -> sp.csr_array:
         """Boolean element x node incidence: row p holds the vertex ids of the
         element at position p, in vertex order.  Built on each call."""
         n_v = np.bincount(self.side_element, minlength=self.n_elements)
-        indptr = np.concatenate(([0], np.cumsum(n_v)))
-        flat = np.empty(indptr[-1], dtype=np.int64)
+        indptr = np.concatenate(([0], np.cumsum(n_v))).astype(index_dtype(self.side_element.size))
+        flat = np.empty(indptr[-1], dtype=self.edges.dtype)     # vertex ids, as edges holds them
         for pos, verts in self.vertex_groups.values():
             flat[indptr[pos, None] + np.arange(verts.shape[1])] = verts
         return sp.csr_array((np.ones(flat.size, dtype=bool), flat, indptr),
@@ -387,21 +448,29 @@ class Mesh:
         return sp.csr_array((np.ones(indices.size, dtype=bool), indices, indptr),
                             shape=(self.n_nodes, self.n_nodes))
 
-    def node_slots(self) -> sp.csr_array:
-        """``node_pattern`` as a CSR array whose entries number their own slots.
+    def node_slots(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Position in ``node_pattern``'s ``indices`` of each (row, column) node pair.
 
-        Indexed with arrays of rows and columns, it gives the position in
-        ``indices`` of each (row, column) node pair: scipy searches within
-        each row.  Built on each call, on the cached pattern's arrays.
+        Every pair must be in the pattern.  A binary search within each row's
+        sorted columns, all pairs at once, so no pattern-sized array is made;
+        the positions are in the pattern's dtype.
         """
         indptr, indices = self.node_pattern
-        return sp.csr_array((np.arange(indices.size, dtype=indices.dtype), indices, indptr),
-                            shape=(self.n_nodes, self.n_nodes))
+        slot, last = np.take(indptr, rows), np.take(indptr, rows + 1) - 1
+        n = int((last - slot).max(initial=-1)) + 1      # the longest row searched
+        # The answer lies in [slot, slot + n]; past its row's end a column reads
+        # as the row's last, which is not below the column sought.
+        while n > 1:
+            half = n >> 1
+            mid = slot + half
+            slot = np.where(np.take(indices, np.minimum(mid, last)) < cols, mid, slot)
+            n -= half
+        return slot + (np.take(indices, slot) < cols)
 
     @cached_property
     def dissection_order(self) -> np.ndarray:
         """Nested-dissection elimination order of the nodes (see ``_dissection_order``)."""
-        return _dissection_order(self.coords, self._node_graph())
+        return _dissection_order(self.coords, self._node_graph()).astype(index_dtype(self.n_nodes))
 
 
 # Node sets of at most this many nodes are not split.  Measured on the
@@ -665,8 +734,11 @@ def _violations(mesh: Mesh) -> list[Violation]:
 
 
 def _run_offsets(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, ..., n-1 for each run length n, concatenated."""
-    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    """0, 1, ..., n-1 for each run length n, concatenated, in ``index_dtype`` of their count."""
+    total = int(lengths.sum())
+    offsets = np.arange(total, dtype=index_dtype(total))
+    offsets -= np.repeat((np.cumsum(lengths) - lengths).astype(offsets.dtype), lengths)
+    return offsets
 
 
 def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
@@ -1114,7 +1186,7 @@ def element_lines(mesh: Mesh, records: bool = True) -> Iterator[str]:
     for start, stop in text_windows(mesh.n_elements):
         lines = np.empty(stop - start, dtype=object)
         for n_v, (group, group_verts) in mesh.vertex_groups.items():
-            first, last = np.searchsorted(group, (start, stop))
+            first, last = np.searchsorted(group, np.array((start, stop), dtype=group.dtype))
             pos, verts = group[first:last], group_verts[first:last]
             line = f"{n_v}" + " %d" * n_v + "\n"
             if records:
@@ -1159,7 +1231,7 @@ def save_mesh(mesh: Mesh, path: str) -> None:
 
 
 def _int64(token: str) -> int:
-    """An integer record field; ids, regions and node ids are stored as int64."""
+    """An integer record field: ids, regions and node ids of a mesh file are int64 integers."""
     if not -2 ** 63 <= (value := int(token)) < 2 ** 63:
         raise ValueError(f"integer {token} outside the int64 range")
     return value

@@ -22,8 +22,8 @@ import numpy as np
 from . import fem, vem
 from .errors import FevecError
 from .materials import MaterialProps, Plane, gather_materials
-from .mesh import (_BLOCK_ROWS, Mesh, _run_offsets, element_lines, require_valid, rowdot,
-                   text_windows)
+from .mesh import (_BLOCK_ROWS, Mesh, _run_offsets, element_lines, index_dtype, require_valid,
+                   rowdot, text_windows)
 from .solver import SolutionFields
 
 # One record per element: Voigt (xx, yy, xy) stress in MPa and its von Mises value.
@@ -213,7 +213,7 @@ class FieldEvaluator:
         self.solution = solution
         self.stresses = None if stresses is None else as_stresses(mesh, stresses)
         # Element boxes, a window of one vertex group's rows at a time.
-        self._n_v = np.empty(mesh.n_elements, dtype=np.int64)
+        self._n_v = np.empty(mesh.n_elements, dtype=np.int32)     # vertex counts
         lo, hi = np.empty((mesh.n_elements, 2)), np.empty((mesh.n_elements, 2))
         for n_v, (group, verts) in mesh.vertex_groups.items():
             self._n_v[group] = n_v
@@ -236,28 +236,36 @@ class FieldEvaluator:
             cells = np.maximum(np.ceil(cells / math.sqrt(excess)), 1.0)
         self._cells = cells
         self._cell_size = extent / cells
-        # int32 throughout: positions, offsets and cells stay below about 4 x n_elements.
-        first, last = self._cell_of(lo), self._cell_of(hi)
-        span = last - first + 1
+        # One index width for positions, offsets and cells: the bucket entries
+        # number at least the elements and the cells.
+        first = self._cell_of(lo)
+        span = self._cell_of(hi) - first + 1
         count = span[:, 0] * span[:, 1]
-        pos = np.repeat(np.arange(mesh.n_elements, dtype=np.int32), count)
-        row, col = np.divmod(_run_offsets(count).astype(np.int32), span[pos, 0])
-        cell = (first[pos, 1] + row) * int(cells[0]) + first[pos, 0] + col
-        del row, col
+        idx = index_dtype(count.sum(), cells.prod())
+        pos = np.repeat(np.arange(mesh.n_elements, dtype=idx), count)
+        row, col = np.divmod(_run_offsets(count), span[pos, 0])
+        cell = first[pos, 1] + row        # then in place: one bucket-sized array at a time
+        del row
+        cell *= int(cells[0])
+        cell += first[pos, 0]
+        cell += col
+        del col
         self._bucket = pos[np.argsort(cell, kind="stable")]
-        self._bucket_start = np.concatenate(
-            ([0], np.cumsum(np.bincount(cell, minlength=int(cells.prod()))))).astype(np.int32)
+        del pos
+        self._bucket_start = np.zeros(int(cells.prod()) + 1, dtype=idx)
+        np.cumsum(np.bincount(cell, minlength=int(cells.prod())), out=self._bucket_start[1:])
 
     def _cell_of(self, points: np.ndarray) -> np.ndarray:
         """(column, row) of the grid cell of each point, clamped to the grid (NaN to 0)."""
         with np.errstate(invalid="ignore"):
             index = np.floor((points - self._origin) / self._cell_size)
-        return np.fmin(np.fmax(index, 0.0), self._cells - 1).astype(np.int32)
+        return np.fmin(np.fmax(index, 0.0), self._cells - 1).astype(index_dtype(self._cells.prod()))
 
     def _vertices(self, pos: np.ndarray, n_v: int) -> np.ndarray:
         """(len(pos), n_v) vertex ids of the ``n_v``-vertex elements at ``pos``."""
         group, verts = self.mesh.vertex_groups[n_v]
-        return verts[np.searchsorted(group, pos)]
+        # searched in the group's own width, so numpy makes no wider copy of it
+        return verts[np.searchsorted(group, pos.astype(group.dtype, copy=False))]
 
     def locate_many(self, points) -> np.ndarray:
         """Position of the first element containing each (x, y) row of ``points``, -1 for none."""

@@ -26,6 +26,7 @@ from test_validation import mutated_meshes
 FE = ElementKind.FE_QUAD
 VE = ElementKind.VE_POLY
 INT64 = np.iinfo(np.int64)
+INT32 = np.iinfo(np.int32)
 N_NODES = 6
 
 
@@ -59,7 +60,14 @@ def assert_edge_arrays_match(mesh, queries=()):
     oracle = edge_dict(mesh)
     pairs = list(oracle)
     assert [tuple(p) for p in mesh.edges.tolist()] == pairs
-    assert mesh.edges.dtype == np.int64 and mesh.edges.shape == (len(pairs), 2)
+    # Vertex ids are int32 unless one of them does not fit it; the other
+    # tables here count far fewer sides than that.
+    ids = [v for e in mesh.elements for v in e.vertices]
+    wide = any(not INT32.min <= v <= INT32.max for v in ids)
+    assert mesh.edges.dtype == (np.int64 if wide else np.int32)
+    assert mesh.edges.shape == (len(pairs), 2)
+    for table in (mesh.side_element, mesh.side_edge, mesh.edge_counts):
+        assert table.dtype == np.int32
     assert mesh.edge_counts.tolist() == [len(owners) for owners in oracle.values()]
     owners, start = mesh.edge_owners()
     assert [owners[s:s + n].tolist() for s, n in zip(start.tolist(), mesh.edge_counts.tolist())] \
@@ -99,6 +107,20 @@ class TestEdgeArrays:
                                        lambda: generate_fcbga(0)])
     def test_generated_meshes(self, build):
         assert_edge_arrays_match(build(), [(0, 1), (0, 10 ** 6), (-1, 0)])
+
+    @pytest.mark.parametrize("big", [2 ** 31, INT32.min - 1])
+    def test_vertex_id_beyond_int32_keeps_int64(self, big):
+        mesh = Mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], [(0, 1, 2), (0, 1, big)], [VE, VE],
+                    [0, 0])
+        assert mesh.edges.dtype == np.int64
+        assert_edge_arrays_match(mesh, [(0, big), (big, 1), (0, big - 2 ** 32)])
+        assert [v.message for v in validate_mesh(mesh)] == ["element 1: vertex id out of range"]
+
+    def test_int32_mesh_looks_up_wider_ids(self):
+        mesh = generate_split_square(4.0, 2.0, 4, 2)
+        assert mesh.edges.dtype == np.int32
+        assert_edge_arrays_match(mesh, [(0, 2 ** 32), (2 ** 32 + 1, 1), (INT64.min, 0),
+                                        (INT32.max, INT32.min)])
 
     def test_empty_mesh(self):
         mesh = Mesh([], [], [], [], {(0, 1): "x"})

@@ -14,7 +14,7 @@ from fevec import bench
 from fevec import mesh as meshmod
 from fevec import post
 from fevec.assembly import BoundaryConditionSet
-from fevec.config import build_mesh, parse_config
+from fevec.config import build_bcs, build_mesh, parse_config
 from fevec.errors import MeshError, ParseError
 from fevec.materials import MaterialProps
 from fevec.mesh import (ElementKind, Mesh, Violation, find_interface_nodes,
@@ -199,11 +199,53 @@ class TestElementTable:
         (NODES, [(0, 1, 2, 3)], ["a"]),
         (NODES, [(0, 1, 2, "x")], [0]),
         (NODES, [(0, 1, 2, 3)], [2 ** 70]),
+        (NODES, [(0, 1, 2, 3)], np.array([2 ** 63], dtype=np.uint64)),
         ([(0, 0), (1, 0, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)], [0])],
-        ids=["region-a", "vertex-x", "region-2**70", "ragged-coords"])
+        ids=["region-a", "vertex-x", "region-2**70", "region-uint64-2**63", "ragged-coords"])
     def test_bad_python_input_is_a_mesh_error(self, nodes, vertices, regions):
         with pytest.raises(MeshError):
             Mesh(nodes, vertices, [FE], regions)
+
+    @pytest.mark.parametrize("nodes", [
+        [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
+        [0, 0, 1, 0, 1, 1, 0, 1],
+        np.zeros((2, 2, 2)),
+        np.zeros((4, 0)),
+        np.zeros((0, 3)),
+        [[]]],
+        ids=["x-y-z-rows", "flat-list", "3-d-array", "4-by-0", "0-by-3", "one-empty-row"])
+    def test_coordinates_not_n_by_2_refused(self, nodes):
+        # none of these may be read as pairs of coordinates
+        with pytest.raises(MeshError, match=re.escape(f"got shape {np.shape(nodes)}")):
+            Mesh(nodes, [(0, 1, 2, 3)], [FE], [0])
+
+    @pytest.mark.parametrize("nodes", [NODES, np.array(NODES, dtype=float), []],
+                             ids=["list", "array", "empty"])
+    def test_n_by_2_coordinates_accepted(self, nodes):
+        vertices = [(0, 1, 2, 3)] if len(nodes) else []
+        mesh = Mesh(nodes, vertices, [FE] * len(vertices), [0] * len(vertices))
+        assert mesh.coords.shape == (len(nodes), 2)
+
+    @pytest.mark.parametrize("vertices, regions, message", [
+        ([(0, 1, 2, 3)], [1.5], "element regions must be integers, got 1.5"),
+        ([(0, 1, 2, 3)], [True], "element regions must be integers, got True"),
+        ([(0, 1, 2, 3)], np.array([1.0]), "element regions must be integers, got "),
+        ([(0, 1, 2, 1.7)], [0], "vertex ids must be integers, got 1.7"),
+        ([(0, 1, 2, True)], [0], "vertex ids must be integers, got True"),
+        ([(0, 1, 2, np.bool_(True))], [0], "vertex ids must be integers, got "),
+        (np.array([[0.0, 1.0, 2.0, 3.0]]), [0], "vertex ids must be integers, got ")],
+        ids=["region-1.5", "region-True", "region-float-array", "vertex-1.7", "vertex-True",
+             "vertex-numpy-bool", "vertex-float-array"])
+    def test_non_integer_ids_refused(self, vertices, regions, message):
+        # neither truncated nor read as 0 / 1
+        with pytest.raises(MeshError, match="^" + re.escape(message)):
+            Mesh(self.NODES, vertices, [FE], regions)
+
+    def test_integer_ids_of_any_width_accepted(self):
+        ids = np.array([[0, 1, 2, 3]], dtype=np.uint8)
+        mesh = Mesh(self.NODES, ids, [FE], np.array([7], dtype=np.int16))
+        assert mesh.element_regions.tolist() == [7] and not validate_mesh(mesh)
+        assert mesh.vertex_groups[4][1].tolist() == ids.tolist()
 
     @pytest.mark.parametrize("key, label", [
         ((0, 1, 2), "x"), ((0,), "x"), (("a", "b"), "x"), ((0.5, 1), "x"), ((0, 1), None)])
@@ -487,6 +529,37 @@ ANALYTIC_MESHES = {
 def config_mesh(name):
     path = CONFIGS / f"{name}.cfg"
     return build_mesh(parse_config(path.read_text(), str(path)))
+
+
+def integer_arrays(value, name):
+    """(name, array) of every integer array in ``value``, through dicts, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iu":
+            yield name, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from integer_arrays(item, f"{name}[{key!r}]")
+    elif isinstance(value, (tuple, list)):
+        for k, item in enumerate(value):
+            yield from integer_arrays(item, f"{name}[{k}]")
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
+def test_mesh_index_tables_are_int32_when_they_fit(name):
+    # every index table a mesh keeps, cached ones included, is int32 unless a
+    # value it holds does not fit int32; region ids are int64 by design
+    path = CONFIGS / f"{name}.cfg"
+    cfg = parse_config(path.read_text(), str(path))
+    mesh = build_mesh(cfg)
+    run_pipeline(mesh, cfg.materials, build_bcs(cfg, mesh), cfg.solver)
+    tables = dict(integer_arrays(vars(mesh), "mesh"))
+    assert {"mesh['edges']", "mesh['node_pattern'][1]", "mesh['node_components'][1]",
+            "mesh['dissection_order']", "mesh['_edge_lookup'][1]"} <= tables.keys()
+    assert tables.pop("mesh['element_regions']").dtype == np.int64
+    int32 = np.iinfo(np.int32)
+    for key, table in tables.items():
+        fits = not table.size or int32.min <= table.min() and table.max() <= int32.max
+        assert table.dtype.itemsize <= (4 if fits else 8), (key, table.dtype)
 
 
 class TestAnalyticGrids:

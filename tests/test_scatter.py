@@ -243,11 +243,10 @@ def test_windows_match_oracle(name, rows, monkeypatch):
 def test_node_slots_point_at_their_pairs():
     mesh = hub_polygons(3)
     indptr, indices = mesh.node_pattern
-    slot_of = mesh.node_slots()
     for _, _, verts in mesh.element_blocks():
         rows = np.repeat(verts, verts.shape[1], axis=1).ravel()
         cols = np.tile(verts, (1, verts.shape[1])).ravel()
-        slots = slot_of[rows, cols]
+        slots = mesh.node_slots(rows, cols)
         assert np.array_equal(np.searchsorted(indptr, slots, side="right") - 1, rows)
         assert np.array_equal(indices[slots], cols)
 
