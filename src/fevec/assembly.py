@@ -9,8 +9,9 @@ Both kinds run batched, after the mesh and the materials pass
 ``require_valid``: one kernel call per block of one kind and vertex count in
 a window of consecutive element positions (``Mesh.element_windows``),
 through the batched Q4 kernels of ``fem`` and the stacked polygon kernels of
-``vem``.  Both fields share one sparsity pattern, ``Mesh.node_pattern`` (the
-node pairs that share an element), the mechanical one with 2 x 2 blocks.
+``vem``, whose blocks ``vem.bounded_blocks`` cuts to its entry bound.  Both
+fields share one sparsity pattern, ``Mesh.node_pattern`` (the node pairs
+that share an element), the mechanical one with 2 x 2 blocks.
 
 The prescribed dofs never get an equation (Hughes, *The Finite Element
 Method*, the ID array): each assembly numbers the unknowns in the solve's
@@ -40,7 +41,7 @@ import scipy.sparse as sp
 from . import fem, vem
 from .errors import AssemblyError
 from .materials import MaterialProps, gather_materials
-from .mesh import Mesh, index_dtype, require_valid
+from .mesh import Mesh, as_field, index_dtype, require_valid
 
 
 def _bc_value(value, what: str, free: bool = False) -> float | None:
@@ -159,7 +160,8 @@ class BoundaryConditionSet:
 
 DOFS_PER_NODE = {"thermal": 1, "mechanical": 2}
 
-# Rows whose column numbers _block_columns writes at once; bounds that pass's scratch.
+# _block_columns writes the column numbers of _ROW_BLOCK / p rows at once (p dofs per
+# node): about the same number of entries in both fields, which bounds that pass's scratch.
 _ROW_BLOCK = 1 << 13
 
 
@@ -331,7 +333,8 @@ def _scatter(mesh: Mesh, dof_map: DofMap, kernels, rhs: np.ndarray,
         return np.moveaxis(where, -1, 0).reshape(m, -1)
 
     for window in mesh.element_windows():
-        parts = [(pos, verts, *kernels(is_fe, pos, verts)) for is_fe, pos, verts in window]
+        parts = [(pos, verts, *kernels(is_fe, pos, verts))
+                 for is_fe, pos, verts in vem.bounded_blocks(window, per)]
         np.add.at(data, _in_element_order([(pos, places(verts)) for pos, verts, _, _ in parts]),
                   _in_element_order([(pos, ke.reshape(len(pos), -1)) for pos, _, ke, _ in parts]))
         if parts[0][3] is not None:
@@ -352,15 +355,16 @@ def _block_columns(mesh: Mesh, per: int, free: np.ndarray, number: np.ndarray,
 
     Each free row lists its node's pattern columns in natural order, the free
     ones (``unknown``) as ``number`` into the free block and the prescribed
-    ones into the coupling; ``_ROW_BLOCK`` rows at a time.
+    ones into the coupling; ``_ROW_BLOCK`` / p rows at a time.
     """
     indptr, indices = mesh.node_pattern
     nnz = free_ptr[-1]
     column = np.empty(nnz + fixed_ptr[-1], dtype=number.dtype)
     # one opaque item per node: a node's p numbers or flags move together
     number, unknown = (a.view(np.dtype((np.void, per * a.itemsize))) for a in (number, unknown))
-    for start in range(0, free.size, _ROW_BLOCK):
-        nodes = free[start:start + _ROW_BLOCK] // per
+    rows = _ROW_BLOCK // per
+    for start in range(0, free.size, rows):
+        nodes = free[start:start + rows] // per
         first = indptr[nodes]
         count = indptr[nodes + 1] - first
         slots = np.repeat(first - (np.cumsum(count, dtype=first.dtype) - count), count)
@@ -444,6 +448,9 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
     ``temperature=None`` means an isothermal problem at reference temperature
     (zero thermal load).  ``elimination_order`` as for ``assemble_thermal``.
     """
+    if temperature is not None:
+        temperature = as_field(mesh, "temperature", temperature)
+
     def element_contributions(is_fe, pos, verts):
         mats = gather_materials(materials, mesh.element_regions[pos])
         te = None if temperature is None else temperature[verts]

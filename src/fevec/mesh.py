@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import AssemblyError, MeshError, ParseError
+from .errors import AssemblyError, FevecError, MeshError, ParseError
 
 
 class ElementKind(Enum):
@@ -118,8 +118,12 @@ def polygon_stack(coords: np.ndarray) -> PolygonStack:
     cx = rowdot(x + x_next, cross) / (6.0 * areas)
     cy = rowdot(y + y_next, cross) / (6.0 * areas)
 
-    diffs = coords[:, :, None, :] - coords[:, None, :, :]
-    h = np.sqrt((diffs ** 2).sum(axis=3).max(axis=(1, 2)))
+    # the largest vertex distance, over the vertex pairs d = 1 .. n_v - 1 apart
+    h2 = np.zeros(len(coords))
+    for d in range(1, coords.shape[1]):
+        diffs = coords[:, d:] - coords[:, :-d]
+        np.maximum(h2, (diffs ** 2).sum(axis=2).max(axis=1), out=h2)
+    h = np.sqrt(h2)
 
     # Outward normal of a CCW edge is the tangent rotated -90 degrees.
     normals = np.stack((deltas[..., 1], -deltas[..., 0]), axis=-1) / lengths[..., None]
@@ -691,6 +695,29 @@ def require_valid(mesh: Mesh, materials: dict) -> None:
     missing = sorted(mesh.regions() - materials.keys())
     if missing:
         raise AssemblyError(f"mesh regions without material blocks: {missing}")
+
+
+# The values each node carries in a solved field.
+FIELD_SHAPES = {"temperature": (), "displacement": (2,)}
+
+
+def as_field(mesh: Mesh, name: str, values, finite: bool = True) -> np.ndarray:
+    """The one gate for a solved field: ``values`` as a float array of one
+    ``FIELD_SHAPES[name]`` row per node of ``mesh``, every value finite where
+    ``finite``; FevecError naming the field and its shape otherwise."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FevecError(f"{name}: not an array of numbers: {exc}") from None
+    shape = (mesh.n_nodes, *FIELD_SHAPES[name])
+    if array.shape != shape:
+        raise FevecError(f"{name} of shape {array.shape}, expected {shape}: "
+                         f"one value per node")
+    if finite and not np.isfinite(array).all():
+        bad = np.flatnonzero(~np.isfinite(array.reshape(len(array), -1)).all(axis=1))
+        raise FevecError(f"{name} of shape {shape}: non-finite values at nodes "
+                         f"{bad[:8].tolist()}")
+    return array
 
 
 def _violations(mesh: Mesh) -> list[Violation]:

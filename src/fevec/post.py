@@ -2,9 +2,10 @@
 
 FE stress is the average of the four Gauss-point stresses; VE stress is the
 constant stress of the projected displacement polynomial, from elastic
-projections recomputed in one stacked call per block of polygons, into one
-record array by element position (``sigma`` (m, 3), ``von_mises`` (m,)) that
-every stress reader takes through ``as_stresses``.  Nodal stress
+projections recomputed in one stacked call per block of polygons (cut to
+``vem.STACK_ENTRIES``), into one record array by element position (``sigma``
+(m, 3), ``von_mises`` (m,)) that every stress reader takes through
+``as_stresses``.  The solved fields pass ``mesh.as_field``.  Nodal stress
 plots average adjacent element values weighted by element area, optionally
 restricted to one region (per-material-side values at bimaterial
 interfaces).  Elements are named by their position in the mesh's element
@@ -22,8 +23,8 @@ import numpy as np
 from . import fem, vem
 from .errors import FevecError
 from .materials import MaterialProps, Plane, gather_materials
-from .mesh import (_BLOCK_ROWS, Mesh, _run_offsets, element_lines, index_dtype, require_valid,
-                   rowdot, text_windows)
+from .mesh import (_BLOCK_ROWS, Mesh, _run_offsets, as_field, element_lines, index_dtype,
+                   require_valid, rowdot, text_windows)
 from .solver import SolutionFields
 
 # One record per element: Voigt (xx, yy, xy) stress in MPa and its von Mises value.
@@ -104,11 +105,13 @@ def recover_stress(mesh: Mesh, materials: dict[int, MaterialProps],
     require_valid(mesh, materials)
     if solution.displacement is None:
         raise FevecError("stress recovery needs a solved displacement field")
-    u = solution.displacement
+    u = as_field(mesh, "displacement", solution.displacement)
     temps = solution.temperature
+    if temps is not None:
+        temps = as_field(mesh, "temperature", temps)
 
     stresses = np.recarray(mesh.n_elements, dtype=STRESS_DTYPE)
-    for is_fe, pos, verts in mesh.element_blocks():
+    for is_fe, pos, verts in vem.bounded_blocks(mesh.element_blocks(), 2):
         mats = gather_materials(materials, mesh.element_regions[pos])
         coords = mesh.coords[verts]
         ue = u[verts].reshape(len(pos), -1)
@@ -542,11 +545,18 @@ def export_fields(mesh: Mesh, solution: SolutionFields, stresses, path: str) -> 
     """Write a legacy ASCII unstructured-grid file (version 3.0 header).
 
     Points carry temperature (scalar) and displacement (vector); cells carry
-    von Mises (scalar) and the full stress tensor when ``stresses`` is given
-    (checked before the file opens).  Every point and cell section is
-    formatted and written a text window of rows at a time.
+    von Mises (scalar) and the full stress tensor when ``stresses`` is given.
+    The shapes of the fields and stresses are checked before the file opens;
+    their values, non-finite ones included, are written as they are.  Every
+    point and cell section is formatted and written a text window of rows at
+    a time.
     """
     stresses = None if stresses is None else as_stresses(mesh, stresses)
+    temperature, displacement = solution.temperature, solution.displacement
+    if temperature is not None:
+        temperature = as_field(mesh, "temperature", temperature, finite=False)
+    if displacement is not None:
+        displacement = as_field(mesh, "displacement", displacement, finite=False)
     n, m = mesh.n_nodes, mesh.n_elements
     size = sum(verts.size + len(pos) for pos, verts in mesh.vertex_groups.values())
     with open(path, "w") as f:
@@ -559,15 +569,15 @@ def export_fields(mesh: Mesh, solution: SolutionFields, stresses, path: str) -> 
         f.writelines("7\n" * (stop - start) for start, stop in text_windows(m))
         f.write(f"POINT_DATA {n}\nSCALARS temperature double 1\nLOOKUP_TABLE default\n")
         # a field not solved is written as zeros: "%.17g" % 0.0 is "0"
-        if solution.temperature is None:
+        if temperature is None:
             f.writelines("0\n" * (stop - start) for start, stop in text_windows(n))
         else:
-            _write_rows(f, "%.17g\n", solution.temperature)
+            _write_rows(f, "%.17g\n", temperature)
         f.write("VECTORS displacement double\n")
-        if solution.displacement is None:
+        if displacement is None:
             f.writelines("0 0 0\n" * (stop - start) for start, stop in text_windows(n))
         else:
-            _write_rows(f, "%.17g %.17g 0\n", solution.displacement)
+            _write_rows(f, "%.17g %.17g 0\n", displacement)
         if stresses is not None:
             f.write(f"CELL_DATA {m}\nSCALARS von_mises double 1\nLOOKUP_TABLE default\n")
             _write_rows(f, "%.17g\n", stresses.von_mises)

@@ -1,8 +1,9 @@
-"""Scratch memory of the stages of a thermal run, measured with tracemalloc.
+"""Scratch memory of the stages of a run, measured with tracemalloc.
 
 Each test measures one call with ``conftest.scratch_bytes`` (its traced
-peak above the bytes live before it) on the cylinder config's quarter
-annulus at n_r 60, n_t 120: 7 381 nodes, 7 200 elements.  ``BEFORE`` holds
+peak above the bytes live before it).  The stages of a thermal run use the
+cylinder config's quarter annulus at n_r 60, n_t 120: 7 381 nodes, 7 200
+elements.  ``BEFORE`` holds
 what each call took when it made its temporaries over the whole mesh at
 once, ``NOW`` what it takes with bounded windows, in bytes, both measured
 with numpy 2.4 and scipy 1.17.  The bound, 1.5 x ``NOW``, sits below
@@ -14,6 +15,14 @@ assembly with the node pattern it builds.  Their ``BEFORE`` is what they
 took with int64 tables and with the assembly's pattern-sized slot numbers.
 Most of the assembly's peak at this size is the element kernels' window
 arrays, which do not grow with the mesh, so its bound is 1.1 x ``NOW``.
+
+The mechanical assembly runs on the FC-BGA config's mesh (7 041 nodes,
+3 520 of its 6 656 elements VE quads), with its node pattern built, as the
+thermal assembly leaves it in a run.  Its ``BEFORE`` is what it took with
+VE stacks of a whole 1 024-element window and column blocks of 8 192 rows;
+``NOW`` bounds each VE stack to ``vem.STACK_ENTRIES`` element-matrix entries
+and each column block to ``assembly._BLOCK_ENTRIES`` entries.  More than half
+of its peak is the system it returns, so its bound is 1.1 x ``NOW`` too.
 """
 
 import hashlib
@@ -22,7 +31,7 @@ import numpy as np
 import pytest
 
 from fevec import cli, post
-from fevec.assembly import assemble_thermal
+from fevec.assembly import assemble_mechanical, assemble_thermal
 from fevec.config import build_bcs, build_mesh, parse_config
 from fevec.mesh import Mesh, mesh_text_chunks, validate_mesh
 from fevec.solver import SolutionFields
@@ -31,11 +40,11 @@ from test_mesh import CONFIGS
 
 BEFORE = {"mesh": 4_008_814, "components": 1_725_637, "evaluator": 2_091_944,
           "probe": 1_308_002, "export": 1_524_265, "provenance": 2_651_039,
-          "mesh bytes": 1_573_944, "assembly": 3_418_232}
+          "mesh bytes": 1_573_944, "assembly": 3_418_232, "mechanical assembly": 7_759_105}
 NOW = {"mesh": 1_965_450, "components": 441_511, "evaluator": 995_297,
        "probe": 369_140, "export": 860_752, "provenance": 1_517_194,
-       "mesh bytes": 878_420, "assembly": 2_979_612}
-MARGIN = {"assembly": 1.1}
+       "mesh bytes": 878_420, "assembly": 2_979_612, "mechanical assembly": 5_246_415}
+MARGIN = {"assembly": 1.1, "mechanical assembly": 1.1}
 
 
 def arrays(value):
@@ -87,6 +96,20 @@ def test_thermal_assembly(run):
     system, used = scratch_bytes(assemble_thermal, again, cfg.materials, bcs)
     assert system.matrix.shape == (7381 - 2 * 121,) * 2
     check("assembly", used)
+
+
+def test_mechanical_assembly():
+    cfg = parse_config((CONFIGS / "fcbga.cfg").read_text(), str(CONFIGS / "fcbga.cfg"))
+    mesh = build_mesh(cfg, str(CONFIGS))
+    assert (mesh.n_nodes, mesh.n_elements) == (7041, 6656) and not validate_mesh(mesh)
+    bcs = build_bcs(cfg, mesh)
+    mesh.node_pattern
+    x, y = mesh.coords.T
+    temperature = 50.0 + 400.0 * np.exp(-x * x - y * y)
+    system, used = scratch_bytes(assemble_mechanical, mesh, cfg.materials, bcs, temperature,
+                                 elimination_order=True)
+    assert system.matrix.shape == (13648, 13648)
+    check("mechanical assembly", used)
 
 
 def test_node_components(run):

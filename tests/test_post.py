@@ -1,14 +1,18 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from fevec import config as configmod
 from fevec import post
-from fevec.assembly import BoundaryConditionSet
+from fevec.assembly import BoundaryConditionSet, assemble_mechanical
 from fevec.errors import FevecError
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, generate_split_square, generate_structured_quads
 from fevec.solver import SolutionFields, run_pipeline
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def props(**kw):
@@ -366,3 +370,39 @@ class TestPositionInputs:
         mesh, _, _, stresses = solved_quads()
         with pytest.raises(FevecError, match=r"element_ids must be integers in \[0, 16\)"):
             post.nodal_von_mises(mesh, stresses, element_ids=ids)
+
+
+def plate_problem():
+    cfg = configmod.parse_config((CONFIGS / "plate.cfg").read_text(), str(CONFIGS / "plate.cfg"))
+    mesh = configmod.build_mesh(cfg, str(CONFIGS))
+    return mesh, cfg.materials, configmod.build_bcs(cfg, mesh)
+
+
+class TestSolvedFields:
+    """``mesh.as_field`` is the one gate for a solved field: one row per node, of
+    the field's shape, and finite wherever the field feeds a computation."""
+
+    @pytest.mark.parametrize("temperature, match", [
+        (np.zeros(3), r"temperature of shape \(3,\), expected \(425,\)"),
+        (np.full(425, np.nan), r"temperature of shape \(425,\): non-finite values at nodes "
+                               r"\[0, 1, 2, 3, 4, 5, 6, 7\]")],
+        ids=["three-values", "all-nan"])
+    def test_mechanical_assembly_refuses_bad_temperature(self, temperature, match):
+        mesh, mats, bcs = plate_problem()
+        with pytest.raises(FevecError, match=match):
+            assemble_mechanical(mesh, mats, bcs, temperature)
+
+    def test_recovery_refuses_bad_displacement(self):
+        mesh, mats, _ = plate_problem()
+        fields = SolutionFields(temperature=None, displacement=np.zeros((3, 2)))
+        match = r"displacement of shape \(3, 2\), expected \(425, 2\)"
+        with pytest.raises(FevecError, match=match):
+            post.recover_stress(mesh, mats, fields)
+
+    def test_export_refuses_bad_temperature(self, tmp_path):
+        mesh, _, _ = plate_problem()
+        path = tmp_path / "f.vtk"
+        fields = SolutionFields(temperature=np.zeros(3), displacement=None)
+        with pytest.raises(FevecError, match=r"temperature of shape \(3,\), expected \(425,\)"):
+            post.export_fields(mesh, fields, None, str(path))
+        assert not path.exists()

@@ -21,14 +21,15 @@ from hypothesis import given, settings
 
 import kernel_oracles
 import test_patch
-from fevec import assembly, bench
+from fevec import assembly, bench, post, vem
 from fevec import mesh as meshmod
 from fevec import config as configmod
 from fevec.assembly import BoundaryConditionSet, DofMap
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import ElementKind, Mesh, generate_fcbga, generate_sandwich
-from fevec.solver import SolveOptions, run_pipeline
+from fevec.mesh import ElementKind, Mesh, generate_fcbga, generate_sandwich, generate_split_square
+from fevec.solver import SolutionFields, SolveOptions, run_pipeline
 from conftest import polygon_family
+from merged_polygons import merge_ve_blocks
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 FE = ElementKind.FE_QUAD
@@ -238,6 +239,57 @@ def test_windows_match_oracle(name, rows, monkeypatch):
     monkeypatch.setattr(meshmod, "_BLOCK_ROWS", rows)
     assert len(mesh.element_windows()) == -(-mesh.n_elements // rows)
     assert_matches_oracle(mesh, materials, bcs, monkeypatch)
+
+
+def merged_square_problem():
+    """``merge_ve_blocks`` of a 24 x 24 split square: 4-, 6- and 8-vertex VE stacks, held
+    at the boundary in both fields."""
+    mesh = merge_ve_blocks(generate_split_square(1.0, 1.0, 24, 24), 24, 24)
+    assert {4, 6, 8} <= mesh.vertex_groups.keys()
+    bcs = BoundaryConditionSet()
+    for label in sorted(mesh.labels()):
+        for v in mesh.nodes_with_label(label):
+            x, y = mesh.coords[v]
+            bcs.set_temperature(v, 20.0 + x * y)
+            bcs.set_displacement(v, 1e-3 * x, -2e-3 * y)
+    return mesh, {0: props()}, bcs
+
+
+BOUND_PROBLEMS = {"fcbga_l1": lambda: case_problem("fcbga", generate_fcbga(1)),
+                  "merged_square": merged_square_problem}
+
+
+@pytest.mark.parametrize("entries", [1, 3 * 8 * 8], ids=["one-row", "three-elastic-quads"])
+@pytest.mark.parametrize("name", sorted(BOUND_PROBLEMS))
+def test_ve_stack_bound_changes_no_bit(name, entries, monkeypatch):
+    # stacked rows are independent: where vem.bounded_blocks cuts a VE block must
+    # change no bit of either system or of the recovered stresses
+    mesh, materials, bcs = BOUND_PROBLEMS[name]()
+    temperature = temperature_field(mesh)
+    fields = SolutionFields(temperature=temperature,
+                            displacement=1e-3 * np.sin(mesh.coords[:, ::-1] + 0.3))
+    calls = []      # (stack rows, dofs per element) of each projection call
+
+    def outputs():
+        return (assembly.assemble_thermal(mesh, materials, bcs, elimination_order=True),
+                assembly.assemble_mechanical(mesh, materials, bcs, temperature),
+                post.recover_stress(mesh, materials, fields))
+
+    expected = outputs()
+    for kernel_name, per in (("thermal_projection", 1), ("elastic_projection", 2)):
+        def spy(coords, *args, kernel=getattr(vem, kernel_name), per=per):
+            calls.append((len(coords), per * coords.shape[1]))
+            return kernel(coords, *args)
+        monkeypatch.setattr(vem, kernel_name, spy)
+    monkeypatch.setattr(vem, "STACK_ENTRIES", entries)
+    actual = outputs()
+    assert calls and all(m <= max(entries // (n * n), 1) for m, n in calls)
+    assert entries > 1 or {m for m, _ in calls} == {1}
+    for a, e in zip(actual[:2], expected[:2]):
+        assert_same_matrix(a.matrix, e.matrix)
+        assert_same_vector(a.rhs, e.rhs)
+    assert_same_vector(actual[2].sigma, expected[2].sigma)
+    assert_same_vector(actual[2].von_mises, expected[2].von_mises)
 
 
 def test_node_slots_point_at_their_pairs():
