@@ -7,10 +7,10 @@ with VE-interior dofs because no single element contains both.
 
 Both kinds run batched, after the mesh and the materials pass
 ``require_valid``: one kernel call per block of one kind and vertex count in
-a window of consecutive element positions (``Mesh.element_windows``),
-through the batched Q4 kernels of ``fem`` and the stacked polygon kernels of
-``vem``, whose blocks ``vem.bounded_blocks`` cuts to its entry bound.  Both
-fields share one sparsity pattern, ``Mesh.node_pattern`` (the node pairs
+a window of ``Mesh.element_windows``, which bounds each VE block to
+``mesh.STACK_ENTRIES`` element-matrix entries, through the batched Q4
+kernels of ``fem`` and the stacked polygon kernels of ``vem``.  Both fields
+share one sparsity pattern, ``Mesh.node_pattern`` (the node pairs
 that share an element), the mechanical one with 2 x 2 blocks.
 
 The prescribed dofs never get an equation (Hughes, *The Finite Element
@@ -332,9 +332,8 @@ def _scatter(mesh: Mesh, dof_map: DofMap, kernels, rhs: np.ndarray,
             where[..., bound] = np.where(unknown[r], at, trash)
         return np.moveaxis(where, -1, 0).reshape(m, -1)
 
-    for window in mesh.element_windows():
-        parts = [(pos, verts, *kernels(is_fe, pos, verts))
-                 for is_fe, pos, verts in vem.bounded_blocks(window, per)]
+    for window in mesh.element_windows(per):
+        parts = [(pos, verts, *kernels(is_fe, pos, verts)) for is_fe, pos, verts in window]
         np.add.at(data, _in_element_order([(pos, places(verts)) for pos, verts, _, _ in parts]),
                   _in_element_order([(pos, ke.reshape(len(pos), -1)) for pos, _, ke, _ in parts]))
         if parts[0][3] is not None:
@@ -384,7 +383,7 @@ def _dirichlet_dofs(bcs: BoundaryConditionSet, dof_map: DofMap) -> tuple[np.ndar
     n = dof_map.n_nodes
     edge_nodes = (v for a, b, _ in bcs.flux_edges + bcs.traction_edges for v in (a, b))
     for node in (*bcs.dirichlet_T, *bcs.dirichlet_u, *edge_nodes):
-        if not (isinstance(node, numbers.Integral) and 0 <= node < n):
+        if isinstance(node, bool) or not (isinstance(node, numbers.Integral) and 0 <= node < n):
             raise AssemblyError(f"boundary condition references node {node!r}, "
                                 f"not an integer in 0..{n - 1}")
     if dof_map.dofs_per_node == 1:

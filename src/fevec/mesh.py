@@ -15,6 +15,10 @@ mesh (vertex groups, edge lookup, ``node_pattern``) are int32 whenever the
 largest value they store fits it, else int64 (``index_dtype``); region ids
 are int64.
 
+``Mesh.element_windows`` alone decides which elements one kernel call takes:
+windows of at most 1 024 positions, ended early where a VE block would pass
+``STACK_ENTRIES`` element-matrix entries.
+
 ``validate_mesh`` is the one definition of a valid mesh: every element a
 simple counter-clockwise polygon, every FE quad strictly convex.  The
 assembly, stress recovery and probes pass ``require_valid`` before any
@@ -132,6 +136,8 @@ def polygon_stack(coords: np.ndarray) -> PolygonStack:
 
 
 _BLOCK_ROWS = 1 << 10   # see Mesh.element_windows
+# Element-matrix entries of one stacked VE kernel call at most: the bound on its scratch.
+STACK_ENTRIES = 1 << 14
 
 
 def _edge_labels(entries: Iterable[tuple[Any, Any]]) -> dict[tuple[int, int], str]:
@@ -365,34 +371,40 @@ class Mesh:
     def regions(self) -> set[int]:
         return set(np.unique(self.element_regions).tolist())
 
-    def element_windows(self) -> list[list[tuple[bool, np.ndarray, np.ndarray]]]:
-        """The element blocks of each window of ``_BLOCK_ROWS`` consecutive element positions.
+    def element_windows(self, dofs_per_node: int = 1
+                        ) -> Iterator[list[tuple[bool, np.ndarray, np.ndarray]]]:
+        """Blocks ``(is_fe, positions, (m, n_v) vertices)`` of each window of consecutive
+        positions, in order: one kind and vertex count each, by position, views of
+        ``vertex_groups`` (searched in their own widths: no wider copy) where the group's rows
+        in the window are of one kind.  A window ends every ``_BLOCK_ROWS`` positions and before
+        each VE element of rank k * rows in its group there (k >= 1), ``rows`` polygons making
+        ``STACK_ENTRIES`` element-matrix entries at ``dofs_per_node``: no VE block passes them."""
+        def rows_in(group, verts, start, stop):
+            first, last = np.searchsorted(group, np.array((start, stop), dtype=group.dtype))
+            return group[first:last], verts[first:last]
 
-        A block is ``(is_fe, positions, (m, n_v) vertices)``: the elements of
-        one kind and vertex count in one window, by increasing position.
-        Windows come in increasing position order.  The window bounds the
-        kernel arrays that a block, or assembly of a window, holds at once.
-        """
-        windows: dict[int, list] = {}
-        for count in sorted(self.vertex_groups):
-            pos, verts = self.vertex_groups[count]
-            fe = self.element_fe[pos]
-            for flag in (True, False):
-                rows = np.flatnonzero(fe == flag)
-                window, start = np.unique(pos[rows] // _BLOCK_ROWS, return_index=True)
-                for w, part in zip(window.tolist(), np.split(rows, start[1:])):
-                    windows.setdefault(w, []).append((flag, pos[part], verts[part]))
-        return [windows[w] for w in sorted(windows)]
-
-    def element_blocks(self) -> list[tuple[bool, np.ndarray, np.ndarray]]:
-        """Every block of ``element_windows``, window by window."""
-        return [block for window in self.element_windows() for block in window]
+        for start in range(0, self.n_elements, _BLOCK_ROWS):
+            cuts = {start, start + _BLOCK_ROWS}
+            for group, verts in self.vertex_groups.values():
+                pos, _ = rows_in(group, verts, start, start + _BLOCK_ROWS)
+                rows = max(STACK_ENTRIES // (dofs_per_node * verts.shape[1]) ** 2, 1)
+                cuts.update(pos[~self.element_fe[pos]][rows::rows].tolist())
+            for first, last in itertools.pairwise(sorted(cuts)):
+                window = []
+                for group in self.vertex_groups.values():
+                    pos, verts = rows_in(*group, first, last)
+                    fe = self.element_fe[pos]
+                    if fe.all() or not fe.any():
+                        window += [(bool(fe[0]), pos, verts)] if pos.size else []
+                    else:
+                        window += [(True, pos[fe], verts[fe]), (False, pos[~fe], verts[~fe])]
+                yield window
 
     @cached_property
     def element_areas(self) -> np.ndarray:
         """Signed shoelace area of every element, by position."""
         areas = np.empty(self.n_elements)
-        for pos, verts in self.vertex_groups.values():
+        for _, pos, verts in itertools.chain.from_iterable(self.element_windows()):
             areas[pos] = shoelace_areas(self.coords[verts])
         return areas
 

@@ -2,18 +2,19 @@
 
 FE stress is the average of the four Gauss-point stresses; VE stress is the
 constant stress of the projected displacement polynomial, from elastic
-projections recomputed in one stacked call per block of polygons (cut to
-``vem.STACK_ENTRIES``), into one record array by element position (``sigma``
-(m, 3), ``von_mises`` (m,)) that every stress reader takes through
-``as_stresses``.  The solved fields pass ``mesh.as_field``.  Nodal stress
-plots average adjacent element values weighted by element area, optionally
-restricted to one region (per-material-side values at bimaterial
-interfaces).  Elements are named by their position in the mesh's element
-table.
+projections recomputed in one stacked call per block of polygons, each
+bounded by ``Mesh.element_windows``, into one record array by element
+position (``sigma`` (m, 3), ``von_mises`` (m,)) that every stress reader
+takes through ``as_stresses``.  The solved fields pass ``mesh.as_field``.
+Nodal stress plots average adjacent element values weighted by element
+area, optionally restricted to one region (per-material-side values at
+bimaterial interfaces).  Elements are named by their position in the
+mesh's element table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -111,7 +112,7 @@ def recover_stress(mesh: Mesh, materials: dict[int, MaterialProps],
         temps = as_field(mesh, "temperature", temps)
 
     stresses = np.recarray(mesh.n_elements, dtype=STRESS_DTYPE)
-    for is_fe, pos, verts in vem.bounded_blocks(mesh.element_blocks(), 2):
+    for is_fe, pos, verts in itertools.chain.from_iterable(mesh.element_windows(2)):
         mats = gather_materials(materials, mesh.element_regions[pos])
         coords = mesh.coords[verts]
         ue = u[verts].reshape(len(pos), -1)
@@ -130,10 +131,10 @@ def nodal_von_mises(mesh: Mesh, stresses, region: int | None = None,
     """Area-weighted nodal average of element von Mises values.
 
     With ``region`` set, only elements of that region contribute (the
-    per-material-side value at interfaces; a region that no element has is a
-    FevecError); ``element_ids`` restricts to an
+    per-material-side value at interfaces); ``element_ids`` restricts to an
     explicit subset of element positions (per-side values at a coupling
-    interface).  Nodes with no contributing element hold NaN.
+    interface).  A selection that keeps no element is a FevecError.  Nodes
+    with no contributing element hold NaN.
 
     The sums are products with the transposed ``Mesh.incidence()``, which
     run over the elements in order, so each node adds its elements' terms
@@ -147,8 +148,11 @@ def nodal_von_mises(mesh: Mesh, stresses, region: int | None = None,
             raise FevecError(f"region {region!r}: no element of the mesh has it "
                              f"(regions {sorted(mesh.regions())})")
     if element_ids is not None:
-        keep &= np.isin(np.arange(mesh.n_elements),
-                        _positions(mesh, "element_ids", list(element_ids)))
+        ids = _positions(mesh, "element_ids", list(element_ids))
+        keep &= np.isin(np.arange(mesh.n_elements), ids)
+        if not keep.any():
+            raise FevecError(f"element_ids {ids[:8].tolist()}: they select no element"
+                             + ("" if region is None else f" of region {region!r}"))
     weight = np.where(keep, mesh.element_areas, 0.0)
     to_nodes = mesh.incidence().T
     acc = to_nodes @ np.where(keep, weight * vm, 0.0)
@@ -215,15 +219,13 @@ class FieldEvaluator:
         self.mesh = mesh
         self.solution = solution
         self.stresses = None if stresses is None else as_stresses(mesh, stresses)
-        # Element boxes, a window of one vertex group's rows at a time.
+        # Element boxes, a block of ``Mesh.element_windows`` at a time.
         self._n_v = np.empty(mesh.n_elements, dtype=np.int32)     # vertex counts
         lo, hi = np.empty((mesh.n_elements, 2)), np.empty((mesh.n_elements, 2))
-        for n_v, (group, verts) in mesh.vertex_groups.items():
-            self._n_v[group] = n_v
-            for start in range(0, group.size, _BLOCK_ROWS):
-                pos = group[start:start + _BLOCK_ROWS]
-                corners = mesh.coords[verts[start:start + _BLOCK_ROWS]]
-                lo[pos], hi[pos] = corners.min(axis=1), corners.max(axis=1)
+        for _, pos, verts in itertools.chain.from_iterable(mesh.element_windows()):
+            corners = mesh.coords[verts]
+            self._n_v[pos] = verts.shape[1]
+            lo[pos], hi[pos] = corners.min(axis=1), corners.max(axis=1)
         pad = 1e-9 * max(float((hi - lo).max()), 1.0)
         lo -= pad
         hi += pad

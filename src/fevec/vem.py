@@ -34,11 +34,10 @@ lines of MATLAB", Numer. Algorithms 2017).  Each product is a stacked
 equals that polygon computed on its own, bit for bit.  A single polygon is
 the one-row stack.
 
-A stacked call holds a few arrays of its stack's element-matrix size, so the
-callers cut their VE blocks with ``bounded_blocks`` into stacks of at most
-``STACK_ENTRIES`` (16 384) element-matrix entries: 256 four-vertex polygons
-for elasticity, a whole 1 024-element window of them for heat conduction.
-The rows of a stack are independent, so the cuts change no bit.
+A stacked call holds a few arrays of its stack's element-matrix size, so
+``Mesh.element_windows`` bounds each VE block to ``mesh.STACK_ENTRIES``
+(16 384) entries: 256 four-vertex polygons for elasticity, all 1 024 of a
+window for heat conduction.  Stacked rows are independent: no cut moves a bit.
 
 On polygons that ``mesh.validate_mesh`` accepts both projection systems
 are non-singular for positive moduli (the thermal one is [[1, ., .], [0, c,
@@ -57,19 +56,6 @@ from .materials import MaterialArrays
 from .mesh import PolygonStack, polygon_stack
 
 DEFAULT_STABILIZATION = 0.5
-
-# Element-matrix entries one stacked call makes at most: the bound on its scratch.
-STACK_ENTRIES = 1 << 14
-
-
-def bounded_blocks(blocks, dofs_per_node: int):
-    """Element blocks ``(is_fe, positions, vertices)`` with each VE block cut, in order,
-    into stacks of at most ``STACK_ENTRIES`` element-matrix entries; FE blocks pass whole."""
-    for is_fe, pos, verts in blocks:
-        n = dofs_per_node * verts.shape[1]
-        step = max(len(pos) if is_fe else STACK_ENTRIES // (n * n), 1)
-        for start in range(0, len(pos), step):
-            yield is_fe, pos[start:start + step], verts[start:start + step]
 
 
 def vertex_normal_lengths(geom: PolygonStack) -> np.ndarray:

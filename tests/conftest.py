@@ -37,6 +37,11 @@ def random_polygon(rng, n_v, scale=1.0, center=(0.0, 0.0), convex=False):
     return scale * pts + np.asarray(center)
 
 
+def window_blocks(mesh, dofs_per_node=1):
+    """Every block of ``mesh.element_windows(dofs_per_node)``, window by window."""
+    return [block for window in mesh.element_windows(dofs_per_node) for block in window]
+
+
 def element_table(mesh):
     """The element table of ``mesh`` as (vertices, kinds, regions) lists, to edit and rebuild from."""
     elements = mesh.elements

@@ -112,6 +112,15 @@ class TestAssembleThermal:
             with pytest.raises(AssemblyError, match=f"references node {node!r}, not an integer"):
                 assemble()
 
+    @pytest.mark.parametrize("bcs", [
+        lambda: BoundaryConditionSet(dirichlet_T={True: 5.0, 0: 1.0}),
+        lambda: BoundaryConditionSet(flux_edges=[(True, 2, 1.0)])], ids=["dirichlet_T", "flux"])
+    def test_bool_boundary_node_rejected(self, bcs):
+        # True equals node 1 as a number, but no node id is a bool
+        mesh = generate_structured_quads(2, 1, 2, 1)
+        with pytest.raises(AssemblyError, match="references node True, not an integer"):
+            assemble_thermal(mesh, {0: simple_props()}, bcs())
+
     def test_flux_load_sign(self):
         mesh = generate_structured_quads(1, 1, 1, 1)
         bcs = BoundaryConditionSet()

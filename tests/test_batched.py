@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 from fevec import fem, post
 from fevec import mesh as meshmod
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
-from fevec.errors import AssemblyError, MeshError, SolverError
+from fevec.errors import AssemblyError, FevecError, MeshError, SolverError
 from fevec.materials import (MaterialProps, Plane, elasticity_matrix, gather_materials,
                              thermal_strain_voigt)
 from fevec.mesh import (ElementKind, Mesh, generate_plate_with_hole,
                         generate_structured_quads, shoelace_areas, validate_mesh)
 from fevec.solver import SolutionFields
-from conftest import element_table, polygon_family, polygon_row, random_polygon
+from conftest import element_table, polygon_family, polygon_row, random_polygon, window_blocks
 import kernel_oracles as oracle
 from kernel_oracles import element_coords, shoelace_area
 
@@ -208,7 +208,7 @@ class TestMeshViews:
     def test_blocks_partition_elements_in_id_order(self):
         mesh = random_partition(3)
         seen = []
-        for is_fe, pos, verts in mesh.element_blocks():
+        for is_fe, pos, verts in window_blocks(mesh):
             assert np.all(np.diff(pos) > 0)
             assert np.all(mesh.element_fe[pos] == is_fe)
             for p, row in zip(pos, verts):
@@ -220,11 +220,11 @@ class TestMeshViews:
     @pytest.mark.parametrize("seed", [2, 3])
     def test_windows_cut_blocks_by_position(self, seed, rows):
         # window w holds positions w * rows .. (w + 1) * rows - 1, one block per
-        # kind and vertex count; element_blocks lists the windows' blocks in order
+        # kind and vertex count; every pass lists the same blocks in order
         with mock.patch.object(meshmod, "_BLOCK_ROWS", rows):
             mesh = random_partition(seed)
-            windows = mesh.element_windows()
-            blocks = mesh.element_blocks()
+            windows = list(mesh.element_windows())
+            blocks = window_blocks(mesh)
         assert len(windows) == -(-mesh.n_elements // rows)
         assert [pos.tolist() for _, pos, _ in blocks] == [
             pos.tolist() for window in windows for _, pos, _ in window]
@@ -298,7 +298,8 @@ class TestNodalAveraging:
                    {"region": 2, "element_ids": subset}):
             got = post.nodal_von_mises(mesh, stresses, **kw)
             assert np.array_equal(got, self.loop_oracle(mesh, stresses, **kw), equal_nan=True)
-        assert np.isnan(post.nodal_von_mises(mesh, stresses, element_ids=set())).all()
+        with pytest.raises(FevecError, match=r"^element_ids \[\]: they select no element$"):
+            post.nodal_von_mises(mesh, stresses, element_ids=set())
 
 
 def first_violation(mesh):
@@ -390,7 +391,7 @@ class TestBlockErrors:
         # refusal of a flawed mesh must not depend on where the cuts fall
         with mock.patch.object(meshmod, "_BLOCK_ROWS", 2):
             mesh = disjoint_polygons(5)
-            blocks = mesh.element_blocks()
+            blocks = window_blocks(mesh)
             assert max(len(pos) for _, pos, _ in blocks) == 2
             assert sorted(np.concatenate([pos for _, pos, _ in blocks])) == list(
                 range(mesh.n_elements))

@@ -20,8 +20,8 @@ The mechanical assembly runs on the FC-BGA config's mesh (7 041 nodes,
 3 520 of its 6 656 elements VE quads), with its node pattern built, as the
 thermal assembly leaves it in a run.  Its ``BEFORE`` is what it took with
 VE stacks of a whole 1 024-element window and column blocks of 8 192 rows;
-``NOW`` bounds each VE stack to ``vem.STACK_ENTRIES`` element-matrix entries
-and each column block to ``assembly._BLOCK_ENTRIES`` entries.  More than half
+``NOW`` bounds each VE stack to ``mesh.STACK_ENTRIES`` element-matrix entries
+and each column block to ``assembly._ROW_BLOCK`` / p rows, p dofs per node.  More than half
 of its peak is the system it returns, so its bound is 1.1 x ``NOW`` too.
 """
 

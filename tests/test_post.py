@@ -9,8 +9,9 @@ from fevec import post
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical
 from fevec.errors import FevecError
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import ElementKind, generate_split_square, generate_structured_quads
+from fevec.mesh import ElementKind, Mesh, generate_split_square, generate_structured_quads
 from fevec.solver import SolutionFields, run_pipeline
+from conftest import element_table
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -363,6 +364,21 @@ class TestPositionInputs:
         with pytest.raises(FevecError, match=r"region 7: no element .* \(regions \[0\]\)"):
             post.nodal_von_mises(mesh, stresses, region=7)
         assert np.isfinite(post.nodal_von_mises(mesh, stresses, region=0)).all()
+
+    @pytest.mark.parametrize("region, ids, message", [
+        (None, set(), r"^element_ids \[\]: they select no element$"),
+        (0, set(), r"^element_ids \[\]: they select no element of region 0$"),
+        (1, {3, 5}, r"^element_ids \[3, 5\]: they select no element of region 1$")],
+        ids=["no-ids", "no-ids-in-region", "ids-outside-region"])
+    def test_empty_selection_refused(self, region, ids, message):
+        # once an all-NaN average without a word
+        mesh, _, _, stresses = solved_quads()
+        if region == 1:         # elements 3 and 5 stay in region 0
+            vertices, kinds, regions = element_table(mesh)
+            regions[0] = 1
+            mesh = Mesh(mesh.coords, vertices, kinds, regions, mesh.boundary_edges)
+        with pytest.raises(FevecError, match=message):
+            post.nodal_von_mises(mesh, stresses, region=region, element_ids=ids)
 
     @pytest.mark.parametrize("ids", [{10 ** 9}, {0, -1}, {1.5}],
                              ids=["past-the-end", "negative", "float"])

@@ -28,7 +28,7 @@ from fevec.assembly import BoundaryConditionSet, DofMap
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_fcbga, generate_sandwich, generate_split_square
 from fevec.solver import SolutionFields, SolveOptions, run_pipeline
-from conftest import polygon_family
+from conftest import polygon_family, window_blocks
 from merged_polygons import merge_ve_blocks
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -215,7 +215,7 @@ def test_hub_polygons_with_prescribed_dofs_match_oracle(seed, monkeypatch):
 @pytest.mark.parametrize("seed", [3, 4])
 def test_hub_polygons_match_oracle(seed, monkeypatch):
     mesh = hub_polygons(seed)
-    blocks = mesh.element_blocks()
+    blocks = window_blocks(mesh)
     assert len(blocks) == 8
     owner_blocks = np.zeros(mesh.n_nodes, dtype=np.int64)
     for _, _, verts in blocks:
@@ -237,7 +237,7 @@ def test_windows_match_oracle(name, rows, monkeypatch):
     # must change no bit of any block or right-hand side
     mesh, materials, bcs = WINDOW_PROBLEMS[name]()
     monkeypatch.setattr(meshmod, "_BLOCK_ROWS", rows)
-    assert len(mesh.element_windows()) == -(-mesh.n_elements // rows)
+    assert len(list(mesh.element_windows())) == -(-mesh.n_elements // rows)
     assert_matches_oracle(mesh, materials, bcs, monkeypatch)
 
 
@@ -262,7 +262,7 @@ BOUND_PROBLEMS = {"fcbga_l1": lambda: case_problem("fcbga", generate_fcbga(1)),
 @pytest.mark.parametrize("entries", [1, 3 * 8 * 8], ids=["one-row", "three-elastic-quads"])
 @pytest.mark.parametrize("name", sorted(BOUND_PROBLEMS))
 def test_ve_stack_bound_changes_no_bit(name, entries, monkeypatch):
-    # stacked rows are independent: where vem.bounded_blocks cuts a VE block must
+    # stacked rows are independent: where Mesh.element_windows cuts a VE block must
     # change no bit of either system or of the recovered stresses
     mesh, materials, bcs = BOUND_PROBLEMS[name]()
     temperature = temperature_field(mesh)
@@ -281,7 +281,7 @@ def test_ve_stack_bound_changes_no_bit(name, entries, monkeypatch):
             calls.append((len(coords), per * coords.shape[1]))
             return kernel(coords, *args)
         monkeypatch.setattr(vem, kernel_name, spy)
-    monkeypatch.setattr(vem, "STACK_ENTRIES", entries)
+    monkeypatch.setattr(meshmod, "STACK_ENTRIES", entries)
     actual = outputs()
     assert calls and all(m <= max(entries // (n * n), 1) for m, n in calls)
     assert entries > 1 or {m for m, _ in calls} == {1}
@@ -292,10 +292,58 @@ def test_ve_stack_bound_changes_no_bit(name, entries, monkeypatch):
     assert_same_vector(actual[2].von_mises, expected[2].von_mises)
 
 
+def ve_rank_stacks(mesh, per):
+    """The VE positions of each vertex group in each ``_BLOCK_ROWS`` window, cut in rank
+    order into stacks of ``STACK_ENTRIES // (p n_v)^2`` polygons: the stacks of the mesh
+    when no group's cut falls inside another group's stack."""
+    stacks = set()
+    for n_v, (group, _) in mesh.vertex_groups.items():
+        ve = group[~mesh.element_fe[group]]
+        rows = max(meshmod.STACK_ENTRIES // (per * n_v) ** 2, 1)
+        for w in np.unique(ve // meshmod._BLOCK_ROWS):
+            in_w = ve[ve // meshmod._BLOCK_ROWS == w]
+            stacks.update(tuple(in_w[k:k + rows].tolist()) for k in range(0, in_w.size, rows))
+    return stacks
+
+
+@pytest.mark.parametrize("entries", [None, 3 * 8 * 8], ids=["default", "three-elastic-quads"])
+@pytest.mark.parametrize("per", [1, 2])
+@pytest.mark.parametrize("name", sorted(BOUND_PROBLEMS))
+def test_windows_bound_ve_stacks(name, per, entries, monkeypatch):
+    mesh = BOUND_PROBLEMS[name]()[0]
+    if entries is not None:
+        monkeypatch.setattr(meshmod, "STACK_ENTRIES", entries)
+    windows = list(mesh.element_windows(per))
+    # the windows cover every position once, in order, each a run of positions
+    runs = [np.sort(np.concatenate([pos for _, pos, _ in window])) for window in windows]
+    assert np.array_equal(np.concatenate(runs), np.arange(mesh.n_elements))
+    assert all(run.size <= meshmod._BLOCK_ROWS for run in runs)
+    ve_quad_windows = []
+    for window in windows:
+        n_vs = [verts.shape[1] for _, _, verts in window]
+        for is_fe, pos, verts in window:
+            group, group_verts = mesh.vertex_groups[verts.shape[1]]
+            assert np.all(mesh.element_fe[pos] == is_fe)
+            assert np.array_equal(verts, group_verts[np.searchsorted(group, pos)])
+            size = len(pos) * (per * verts.shape[1]) ** 2
+            if not is_fe:       # no VE block passes the bound
+                assert len(pos) == 1 or size <= meshmod.STACK_ENTRIES
+            if n_vs.count(verts.shape[1]) == 1:     # the group's rows here are of one kind
+                assert np.shares_memory(pos, group) and np.shares_memory(verts, group_verts)
+        if all(not is_fe and verts.shape[1] == 4 for is_fe, _, verts in window):
+            assert len(window) == 1
+            ve_quad_windows.append(len(window[0][1]))
+    if entries is None:     # each VE stack holds what the rank cut gives it
+        assert {tuple(pos.tolist()) for window in windows for is_fe, pos, _ in window
+                if not is_fe} == ve_rank_stacks(mesh, per)
+    if name == "fcbga_l1" and per == 2 and entries is None:
+        assert ve_quad_windows == [256, 256, 128]
+
+
 def test_node_slots_point_at_their_pairs():
     mesh = hub_polygons(3)
     indptr, indices = mesh.node_pattern
-    for _, _, verts in mesh.element_blocks():
+    for _, _, verts in window_blocks(mesh):
         rows = np.repeat(verts, verts.shape[1], axis=1).ravel()
         cols = np.tile(verts, (1, verts.shape[1])).ravel()
         slots = mesh.node_slots(rows, cols)
@@ -316,7 +364,7 @@ def signed_zero_blocks(mesh, per, rng):
     """Random element matrices, per vertex-count block, with signed zeros placed at
     node pairs of the square (0, 1, 2, 3) and the triangle (1, 4, 2)."""
     blocks = []
-    for _, pos, verts in sorted(mesh.element_blocks(), key=lambda block: block[2].shape[1]):
+    for _, pos, verts in sorted(window_blocks(mesh), key=lambda block: block[2].shape[1]):
         n = per * verts.shape[1]
         blocks.append((pos, verts, rng.uniform(-1.0, 1.0, (len(pos), n, n))))
     (_, tri, ke_tri), (_, quad, ke_quad) = blocks
