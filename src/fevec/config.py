@@ -2,8 +2,8 @@
 
 Sections: ``[mesh]``, ``[material <region>]``, ``[bc <label>]``, ``[solver]``,
 ``[probe <name>]``, ``[output]``; only ``[bc <label>]`` may repeat, and
-``[mesh]`` takes either ``path`` or ``generator``.  One ``key value...``
-pair per line, whitespace separated, ``#`` comments.  Example::
+``[mesh]`` takes either ``path`` or ``generator``.  One ``key value`` pair
+per line (``[bc]``: ``kind value...``), whitespace separated, ``#`` comments.  Example::
 
     [mesh]
     generator quarter_annulus
@@ -143,18 +143,18 @@ def _sections(text: str, path: str) -> list[tuple[str, int, list[tuple[int, list
     return out
 
 
-def _kv(records, path, known=None) -> dict[str, list[str]]:
-    """Key -> value tokens of a section; with ``known`` set, other keys are rejected."""
+def _kv(records, path, known=None) -> dict[str, str]:
+    """Key -> value of a section, one each; with ``known`` set, other keys are rejected."""
     out = {}
     for lineno, tok in records:
-        if len(tok) < 2:
+        if len(tok) != 2:
             raise ParseError(f"expected 'key value', got '{' '.join(tok)}'", path, lineno)
         if known is not None and tok[0] not in known:
             raise ParseError(f"unknown key '{tok[0]}' (known: {', '.join(known)})",
                              path, lineno)
         if tok[0] in out:
             raise ParseError(f"duplicate key '{tok[0]}'", path, lineno)
-        out[tok[0]] = tok[1:]
+        out[tok[0]] = tok[1]
     return out
 
 
@@ -179,10 +179,10 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
             if "path" in kv and "generator" in kv:
                 raise ParseError("[mesh] takes either 'path' or 'generator', not both", path)
             if "path" in kv:
-                cfg.mesh_path = kv.pop("path")[0]
+                cfg.mesh_path = kv.pop("path")
             if "generator" in kv:
-                cfg.generator = kv.pop("generator")[0]
-                cfg.generator_params = {k: v[0] for k, v in kv.items()}
+                cfg.generator = kv.pop("generator")
+                cfg.generator_params = kv
             elif kv:
                 raise ParseError(f"unknown mesh keys {sorted(kv)} without a generator", path)
             if cfg.mesh_path is None and cfg.generator is None:
@@ -211,7 +211,7 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
             cfg.probes.append(_parse_probe(parts[1], _kv(records, path, PROBE_KEYS), path))
         elif name == "output":
             once(name)
-            cfg.output_dir = _kv(records, path, ("dir",)).get("dir", [cfg.output_dir])[0]
+            cfg.output_dir = _kv(records, path, ("dir",)).get("dir", cfg.output_dir)
         else:
             raise ParseError(f"unknown section '[{header}]'", path, lineno)
     if ("mesh",) not in seen:
@@ -227,11 +227,11 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
 def _parse_material(kv, path) -> MaterialProps:
     """A ``[material]`` block; only the conductivity changes unit, W/(m*K) to W/(mm*K)."""
     try:
-        plane = Plane(kv.get("plane", ["stress"])[0])
-        return MaterialProps(E=float(kv["E_MPa"][0]), nu=float(kv["nu"][0]),
-                             conductivity=float(kv["k_W_per_mK"][0]) / 1000.0,
-                             alpha=float(kv["alpha_per_C"][0]),
-                             T0=float(kv.get("T0_C", ["25"])[0]), plane=plane)
+        plane = Plane(kv.get("plane", "stress"))
+        return MaterialProps(E=float(kv["E_MPa"]), nu=float(kv["nu"]),
+                             conductivity=float(kv["k_W_per_mK"]) / 1000.0,
+                             alpha=float(kv["alpha_per_C"]),
+                             T0=float(kv.get("T0_C", "25")), plane=plane)
     except KeyError as exc:
         raise ParseError(f"material block missing key {exc}", path) from exc
     except (ValueError, AssemblyError) as exc:
@@ -251,7 +251,7 @@ def _parse_bc(records, path) -> BcSpec:
 
 def _parse_solver(kv, path) -> SolveOptions:
     try:
-        return SolveOptions(**{key: SOLVER_KEYS[key](tok[0]) for key, tok in kv.items()})
+        return SolveOptions(**{key: SOLVER_KEYS[key](value) for key, value in kv.items()})
     except (ValueError, SolverError) as exc:
         raise ParseError(f"bad solver value: {exc}", path) from None
 
@@ -260,10 +260,10 @@ def _parse_probe(name, kv, path) -> ProbeSpec:
     try:
         spec = ProbeSpec(
             name=name,
-            quantity=kv["quantity"][0],
-            p0=(float(kv["x0"][0]), float(kv["y0"][0])),
-            p1=(float(kv["x1"][0]), float(kv["y1"][0])),
-            n_samples=int(kv.get("n_samples", ["50"])[0]))
+            quantity=kv["quantity"],
+            p0=(float(kv["x0"]), float(kv["y0"])),
+            p1=(float(kv["x1"]), float(kv["y1"])),
+            n_samples=int(kv.get("n_samples", "50")))
         check_probe(spec.p0, spec.p1, spec.quantity, spec.n_samples)
     except KeyError as exc:
         raise ParseError(f"probe '{name}' missing key {exc}", path) from exc

@@ -15,9 +15,12 @@ mesh (vertex groups, edge lookup, ``node_pattern``) are int32 whenever the
 largest value they store fits it, else int64 (``index_dtype``); region ids
 are int64.
 
-``Mesh.element_windows`` alone decides which elements one kernel call takes:
-windows of at most 1 024 positions, ended early where a VE block would pass
-``STACK_ENTRIES`` element-matrix entries.
+The mesh build groups the elements once by kind and vertex count
+(``Mesh.vertex_groups``, keyed ``(is_fe, n_v)``): each group is a stack of
+one kernel, and no reader splits it again.  ``Mesh.element_windows`` alone
+decides which rows of the groups one kernel call takes: windows of at most
+1 024 positions, ended early where a VE block would pass ``STACK_ENTRIES``
+element-matrix entries.
 
 ``validate_mesh`` is the one definition of a valid mesh: every element a
 simple counter-clockwise polygon, every FE quad strictly convex.  The
@@ -145,8 +148,8 @@ def _edge_labels(entries: Iterable[tuple[Any, Any]]) -> dict[tuple[int, int], st
 
     A label is one token of the mesh file: a non-empty str with no
     whitespace and no ``#``, which starts a comment there.  MeshError names
-    the first entry whose key is not two integers or whose label is not
-    such a token.
+    the first entry whose key is not two int64 integers or whose label is
+    not such a token.
     """
     out: dict[tuple[int, int], str] = {}
     for key, label in entries:
@@ -157,6 +160,8 @@ def _edge_labels(entries: Iterable[tuple[Any, Any]]) -> dict[tuple[int, int], st
         except (TypeError, ValueError):
             raise MeshError(f"labeled edge {key!r}: {label!r} must map two integer node ids "
                             "to a str label") from None
+        if not -2 ** 63 <= min(a, b) <= max(a, b) < 2 ** 63:
+            raise MeshError(f"labeled edge {key!r}: node ids must be int64 integers")
         if label.split() != [label] or "#" in label:
             raise MeshError(f"labeled edge {key!r}: label {label!r} must be non-empty, "
                             "without whitespace or '#'")
@@ -239,27 +244,30 @@ def _flat_vertices(vertices) -> tuple[np.ndarray, np.ndarray]:
     return n_v, flat.astype(index_dtype(flat.min(initial=0), flat.max(initial=0)), copy=False)
 
 
-def _group_sides(n_v: np.ndarray, flat: np.ndarray, ends: np.ndarray
-                 ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], np.ndarray]:
+def _group_sides(fe: np.ndarray, n_v: np.ndarray, flat: np.ndarray, ends: np.ndarray
+                 ) -> tuple[dict[tuple[bool, int], tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """The vertex groups of an element table in ``_flat_vertices`` form, and a key per side.
 
-    Groups map n_v -> (positions in increasing order, (m, n_v) vertex ids),
-    read from the flat table at each element's offset.  A side (vertex i to
-    i+1, cyclic) is keyed by the ranks in ``ends``, the sorted vertex ids, of
-    its sorted end nodes: ``rank(low) * ends.size + rank(high)``.  Keys are in
-    element order: side i of the element at position p is entry ``start[p] + i``,
-    start the offset of p.  Positions and keys are ``index_dtype`` of their
-    largest value.
+    Groups map (is_fe, n_v) -> (positions in increasing order, (m, n_v) vertex
+    ids), read from the flat table at each element's offset: the elements one
+    kernel takes in a stack.  They are ordered by n_v, FE before VE.  A side
+    (vertex i to i+1, cyclic) is keyed by the ranks in ``ends``, the sorted
+    vertex ids, of its sorted end nodes: ``rank(low) * ends.size + rank(high)``.
+    Keys are in element order: side i of the element at position p is entry
+    ``start[p] + i``, start the offset of p.  Positions and keys are
+    ``index_dtype`` of their largest value.
     """
-    groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    groups: dict[tuple[bool, int], tuple[np.ndarray, np.ndarray]] = {}
     start = np.cumsum(n_v) - n_v
     key = np.empty(flat.size, dtype=index_dtype(ends.size ** 2))
     position = index_dtype(n_v.size)
-    for count in np.unique(n_v).tolist():
-        pos = np.flatnonzero(n_v == count).astype(position)
+    kind = 2 * n_v + ~fe          # one code per element: n_v first, then FE (even) before VE
+    for code in np.unique(kind).tolist():
+        count, ve = divmod(code, 2)
+        pos = np.flatnonzero(kind == code).astype(position)
         rows = start[pos, None] + np.arange(count)
         verts = flat[rows]
-        groups[count] = (pos, verts)
+        groups[not ve, count] = (pos, verts)
         following = np.roll(verts, -1, axis=1)
         key[rows] = np.searchsorted(ends, np.minimum(verts, following)) * ends.size
         key[rows] += np.searchsorted(ends, np.maximum(verts, following))
@@ -272,11 +280,13 @@ class Mesh:
     ``coords`` is the node table: node i is row i of the (n, 2) array.  The
     element table is three inputs indexed by element position: ``vertices``
     (vertex sequences, or an (m, n_v) int array), ``kinds`` and ``regions``.
-    ``boundary_edges`` maps a pair of integer node ids, in either order, to
+    ``boundary_edges`` maps a pair of int64 node ids, in either order, to
     a label string; it is stored keyed by the sorted pair.
     Labels name edge sets for boundary conditions; labels on interior edges
     are allowed (used for embedded Dirichlet surfaces) but flux/traction may
-    only be applied to true boundary edges.
+    only be applied to true boundary edges.  ``vertex_groups`` maps
+    (is_fe, n_v) to the positions and (m, n_v) vertex ids of the elements of
+    that kind and vertex count (see ``_group_sides``).
     """
 
     def __init__(self, coords, vertices: Sequence[Sequence[int]], kinds: Sequence[ElementKind],
@@ -304,7 +314,7 @@ class Mesh:
         # Every vertex id ends a side, so each side has an exact key from the
         # ranks of its sorted end nodes among them.
         ends = np.unique(flat)
-        self.vertex_groups, side_key = _group_sides(n_v, flat, ends)
+        self.vertex_groups, side_key = _group_sides(self.element_fe, n_v, flat, ends)
 
         # Edge table: ``side_element`` and ``side_edge`` give each side's element
         # position and edge; ``edges`` are the distinct sorted node pairs,
@@ -374,31 +384,26 @@ class Mesh:
     def element_windows(self, dofs_per_node: int = 1
                         ) -> Iterator[list[tuple[bool, np.ndarray, np.ndarray]]]:
         """Blocks ``(is_fe, positions, (m, n_v) vertices)`` of each window of consecutive
-        positions, in order: one kind and vertex count each, by position, views of
-        ``vertex_groups`` (searched in their own widths: no wider copy) where the group's rows
-        in the window are of one kind.  A window ends every ``_BLOCK_ROWS`` positions and before
-        each VE element of rank k * rows in its group there (k >= 1), ``rows`` polygons making
-        ``STACK_ENTRIES`` element-matrix entries at ``dofs_per_node``: no VE block passes them."""
-        def rows_in(group, verts, start, stop):
-            first, last = np.searchsorted(group, np.array((start, stop), dtype=group.dtype))
-            return group[first:last], verts[first:last]
-
+        positions, in order: the non-empty ``_group_rows`` of the window.  A window ends
+        every ``_BLOCK_ROWS`` positions and before each element of rank k * rows in its VE
+        group there (k >= 1), ``rows`` polygons making ``STACK_ENTRIES`` element-matrix entries
+        at ``dofs_per_node``: no VE block passes them."""
         for start in range(0, self.n_elements, _BLOCK_ROWS):
             cuts = {start, start + _BLOCK_ROWS}
-            for group, verts in self.vertex_groups.values():
-                pos, _ = rows_in(group, verts, start, start + _BLOCK_ROWS)
-                rows = max(STACK_ENTRIES // (dofs_per_node * verts.shape[1]) ** 2, 1)
-                cuts.update(pos[~self.element_fe[pos]][rows::rows].tolist())
+            for is_fe, pos, verts in self._group_rows(start, start + _BLOCK_ROWS):
+                if not is_fe:
+                    rows = max(STACK_ENTRIES // (dofs_per_node * verts.shape[1]) ** 2, 1)
+                    cuts.update(pos[rows::rows].tolist())
             for first, last in itertools.pairwise(sorted(cuts)):
-                window = []
-                for group in self.vertex_groups.values():
-                    pos, verts = rows_in(*group, first, last)
-                    fe = self.element_fe[pos]
-                    if fe.all() or not fe.any():
-                        window += [(bool(fe[0]), pos, verts)] if pos.size else []
-                    else:
-                        window += [(True, pos[fe], verts[fe]), (False, pos[~fe], verts[~fe])]
-                yield window
+                yield [block for block in self._group_rows(first, last) if block[1].size]
+
+    def _group_rows(self, start: int, stop: int) -> Iterator[tuple[bool, np.ndarray, np.ndarray]]:
+        """``(is_fe, positions, (m, n_v) vertices)`` of each group's elements at positions in
+        [start, stop), in group order: views of ``vertex_groups``, searched in their own
+        widths (no wider copy)."""
+        for (is_fe, _), (group, verts) in self.vertex_groups.items():
+            first, last = np.searchsorted(group, np.array((start, stop), dtype=group.dtype))
+            yield is_fe, group[first:last], verts[first:last]
 
     @cached_property
     def element_areas(self) -> np.ndarray:
@@ -639,7 +644,7 @@ def _first_crossings(coords: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 def _element_violations(mesh: Mesh) -> dict[int, Violation]:
     """The first failed check of every flawed element, keyed by its position.
 
-    Each vertex-count block is checked in one array pass (the geometry in
+    Each vertex group is checked in one array pass (the geometry in
     row chunks); coordinates are read only for rows that pass the vertex-id
     checks.  An area within its rounding error (every vertex on one line)
     would make the elastic projection singular.  An FE quad must turn left
@@ -648,7 +653,7 @@ def _element_violations(mesh: Mesh) -> dict[int, Violation]:
     never meet a singular Jacobian.
     """
     out: dict[int, Violation] = {}
-    for n_v, (pos, verts) in mesh.vertex_groups.items():
+    for (is_fe, n_v), (pos, verts) in mesh.vertex_groups.items():
         m = pos.size
         pairs = _edge_pairs(n_v)
         srt = np.sort(verts, axis=1)
@@ -656,7 +661,7 @@ def _element_violations(mesh: Mesh) -> dict[int, Violation]:
             [((verts < 0) | (verts >= mesh.n_nodes)).any(axis=1),
              (srt[:, 1:] == srt[:, :-1]).any(axis=1),
              np.full(m, n_v < 3),
-             mesh.element_fe[pos] & (n_v != 4)],
+             np.full(m, is_fe and n_v != 4)],
             [0, 1, 2, 3], -1)
         live = np.flatnonzero(failed < 0)
         areas = np.zeros(m)
@@ -676,7 +681,7 @@ def _element_violations(mesh: Mesh) -> dict[int, Violation]:
                  _edges(coords)[2],
                  areas[rows] <= _area_rounding(coords),
                  crossing[rows] >= 0,
-                 mesh.element_fe[pos[rows]] & straight.any(axis=1)],
+                 straight.any(axis=1) & is_fe],
                 [4, 5, 6, 7, 8], -1)
         for r in np.flatnonzero(failed >= 0).tolist():
             code, text = _ELEMENT_CHECKS[failed[r]]
@@ -793,11 +798,10 @@ def _check_interface_coincidence(mesh: Mesh) -> list[Violation]:
     n_nodes = mesh.n_nodes
     in_range = np.ones(mesh.n_elements, dtype=bool)
     touches = {fe: np.zeros(n_nodes, dtype=bool) for fe in (True, False)}
-    for pos, verts in mesh.vertex_groups.values():
+    for (is_fe, _), (pos, verts) in mesh.vertex_groups.items():
         ok = ((verts >= 0) & (verts < n_nodes)).all(axis=1)
         in_range[pos] = ok
-        for fe in (True, False):
-            touches[fe][verts[ok & (mesh.element_fe[pos] == fe)]] = True
+        touches[is_fe][verts[ok]] = True
     mixed = touches[True] & touches[False]
     if not mixed.any():
         return []
@@ -1220,22 +1224,17 @@ def element_lines(mesh: Mesh, records: bool = True) -> Iterator[str]:
     A line is the mesh file's ``elem`` record (see load_mesh) or, with
     ``records`` False, the bare vertex list ``<n_v> <v0> ... <v{n_v-1}>`` of a
     legacy VTK ``CELLS`` section.  The elements of each ``vertex_groups``
-    block in a window are formatted by one ``%`` and merged by position.
+    group in a window are formatted by one ``%`` and merged by position.
     """
     for start, stop in text_windows(mesh.n_elements):
         lines = np.empty(stop - start, dtype=object)
-        for n_v, (group, group_verts) in mesh.vertex_groups.items():
-            first, last = np.searchsorted(group, np.array((start, stop), dtype=group.dtype))
-            pos, verts = group[first:last], group_verts[first:last]
-            line = f"{n_v}" + " %d" * n_v + "\n"
+        for is_fe, pos, verts in mesh._group_rows(start, stop):
+            line = f"{verts.shape[1]}" + " %d" * verts.shape[1] + "\n"
             if records:
-                fmt = "".join(np.where(mesh.element_fe[pos],
-                                       f"elem %d {ElementKind.FE_QUAD.value} %d {line}",
-                                       f"elem %d {ElementKind.VE_POLY.value} %d {line}").tolist())
+                kind = ElementKind.FE_QUAD if is_fe else ElementKind.VE_POLY
+                line = f"elem %d {kind.value} %d {line}"
                 verts = np.column_stack((pos, mesh.element_regions[pos], verts))
-            else:
-                fmt = line * pos.size
-            text = fmt % tuple(verts.ravel().tolist())
+            text = (line * pos.size) % tuple(verts.ravel().tolist())
             lines[pos - start] = np.array(text.splitlines(keepends=True), dtype=object)
         yield "".join(lines.tolist())
 

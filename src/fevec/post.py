@@ -8,8 +8,9 @@ position (``sigma`` (m, 3), ``von_mises`` (m,)) that every stress reader
 takes through ``as_stresses``.  The solved fields pass ``mesh.as_field``.
 Nodal stress plots average adjacent element values weighted by element
 area, optionally restricted to one region (per-material-side values at
-bimaterial interfaces).  Elements are named by their position in the
-mesh's element table.
+bimaterial interfaces).  Point evaluation loops once over the mesh's
+``vertex_groups``, each of one kind.  Elements are named by their position
+in the mesh's element table.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -133,7 +135,8 @@ def nodal_von_mises(mesh: Mesh, stresses, region: int | None = None,
     With ``region`` set, only elements of that region contribute (the
     per-material-side value at interfaces); ``element_ids`` restricts to an
     explicit subset of element positions (per-side values at a coupling
-    interface).  A selection that keeps no element is a FevecError.  Nodes
+    interface).  A ``region`` that is not an integer (``bool`` included) or a
+    selection that keeps no element is a FevecError.  Nodes
     with no contributing element hold NaN.
 
     The sums are products with the transposed ``Mesh.incidence()``, which
@@ -143,6 +146,8 @@ def nodal_von_mises(mesh: Mesh, stresses, region: int | None = None,
     vm = as_stresses(mesh, stresses).von_mises
     keep = np.ones(mesh.n_elements, dtype=bool)
     if region is not None:
+        if not isinstance(region, numbers.Integral) or isinstance(region, bool):
+            raise FevecError(f"region must be an integer, got {region!r}")
         keep &= mesh.element_regions == region
         if not keep.any():
             raise FevecError(f"region {region!r}: no element of the mesh has it "
@@ -220,11 +225,9 @@ class FieldEvaluator:
         self.solution = solution
         self.stresses = None if stresses is None else as_stresses(mesh, stresses)
         # Element boxes, a block of ``Mesh.element_windows`` at a time.
-        self._n_v = np.empty(mesh.n_elements, dtype=np.int32)     # vertex counts
         lo, hi = np.empty((mesh.n_elements, 2)), np.empty((mesh.n_elements, 2))
         for _, pos, verts in itertools.chain.from_iterable(mesh.element_windows()):
             corners = mesh.coords[verts]
-            self._n_v[pos] = verts.shape[1]
             lo[pos], hi[pos] = corners.min(axis=1), corners.max(axis=1)
         pad = 1e-9 * max(float((hi - lo).max()), 1.0)
         lo -= pad
@@ -266,11 +269,16 @@ class FieldEvaluator:
             index = np.floor((points - self._origin) / self._cell_size)
         return np.fmin(np.fmax(index, 0.0), self._cells - 1).astype(index_dtype(self._cells.prod()))
 
-    def _vertices(self, pos: np.ndarray, n_v: int) -> np.ndarray:
-        """(len(pos), n_v) vertex ids of the ``n_v``-vertex elements at ``pos``."""
-        group, verts = self.mesh.vertex_groups[n_v]
-        # searched in the group's own width, so numpy makes no wider copy of it
-        return verts[np.searchsorted(group, pos.astype(group.dtype, copy=False))]
+    def _by_group(self, pos: np.ndarray) -> Iterator[tuple[bool, np.ndarray, np.ndarray]]:
+        """``(is_fe, indices into pos, (k, n_v) vertex ids)`` of the elements at ``pos``
+        in each vertex group that has any, in group order."""
+        for (is_fe, _), (group, verts) in self.mesh.vertex_groups.items():
+            # searched in the group's own width, so numpy makes no wider copy of it
+            at = np.minimum(np.searchsorted(group, pos.astype(group.dtype, copy=False)),
+                            group.size - 1)
+            sel = np.flatnonzero(group[at] == pos)
+            if sel.size:
+                yield is_fe, sel, verts[at[sel]]
 
     def locate_many(self, points) -> np.ndarray:
         """Position of the first element containing each (x, y) row of ``points``, -1 for none."""
@@ -285,12 +293,9 @@ class FieldEvaluator:
         in_box = (lo[:, 0] <= x) & (x <= hi[:, 0]) & (lo[:, 1] <= y) & (y <= hi[:, 1])
         point = point[in_box]
         pos = pos[in_box]
-        n_v = self._n_v[pos]
         hit = np.zeros(pos.size, dtype=bool)
-        for n in self.mesh.vertex_groups:
-            sel = np.flatnonzero(n_v == n)
-            hit[sel] = _polygons_contain(self.mesh.coords[self._vertices(pos[sel], n)],
-                                         points[point[sel]], self._tol)
+        for _, sel, block in self._by_group(pos):
+            hit[sel] = _polygons_contain(self.mesh.coords[block], points[point[sel]], self._tol)
         # Candidates run in element order per point: keep each point's first hit.
         found = np.full(len(points), -1, dtype=np.int64)
         hit_points, first = np.unique(point[hit], return_index=True)
@@ -315,7 +320,7 @@ class FieldEvaluator:
         Position -1 gives NaN; one position per point.  Stress quantities are
         the element's constant values; FE fields are interpolated bilinearly at
         the inverse-mapped point, VE fields by the element's projected linear
-        polynomial, from one stacked projection of the distinct elements per vertex count.
+        polynomial, from one stacked projection of the distinct elements per vertex group.
         """
         positions = _positions(self.mesh, "positions", positions, low=-1)
         points = _points(points)
@@ -345,17 +350,10 @@ class FieldEvaluator:
         else:
             raise FevecError(f"unknown probe quantity '{quantity}'")
 
-        fe = self.mesh.element_fe[pos]
-        n_v = self._n_v[pos]
-        for n in self.mesh.vertex_groups:
-            for is_fe in (True, False):
-                sel = np.flatnonzero((n_v == n) & (fe == is_fe))
-                if not sel.size:
-                    continue
-                block = self._vertices(pos[sel], n)
-                interpolate = self._interpolate_fe if is_fe else self._interpolate_ve
-                values[rows[sel]] = interpolate(pos[sel], self.mesh.coords[block],
-                                                nodal[block], points[rows[sel]])
+        for is_fe, sel, block in self._by_group(pos):
+            interpolate = self._interpolate_fe if is_fe else self._interpolate_ve
+            values[rows[sel]] = interpolate(pos[sel], self.mesh.coords[block],
+                                            nodal[block], points[rows[sel]])
         return values
 
     def _interpolate_fe(self, pos, coords, nodal, points) -> np.ndarray:

@@ -124,6 +124,21 @@ class TestParse:
         with pytest.raises(ParseError, match=f"unknown key '{key}'"):
             configmod.parse_config(MINIMAL.replace(old, new))
 
+    @pytest.mark.parametrize("old,new", [
+        ("nx 4", "nx 4 8"),                             # mesh
+        ("nu 0.3", "nu 0.3 0.45"),                      # material
+        ("method cg", "method cg direct"),              # solver
+        ("n_samples 21", "n_samples 21 41"),            # probe
+        ("dir out/demo", "dir out/demo extra"),         # output
+    ])
+    def test_extra_value_names_key_and_line(self, old, new):
+        # the first value was once taken and the rest dropped without a word
+        text = MINIMAL.replace(old, new)
+        message = re.escape(f"expected 'key value', got '{new}'")
+        with pytest.raises(ParseError, match=message) as err:
+            configmod.parse_config(text)
+        assert err.value.line == text.splitlines().index(new) + 1
+
     @pytest.mark.parametrize("record, text", [
         ("dirichlet_T 0 5", "dirichlet_T takes 1 value"),
         ("dirichlet_T free", "could not convert string to float: 'free'"),

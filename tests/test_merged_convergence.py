@@ -51,7 +51,7 @@ def level_errors(n, tmp_path):
     """Nodal RMS and probe maximum errors of T and u on the merged n x n square."""
     mesh = merge_ve_blocks(generate_split_square(1.0, 1.0, n, n), n, n)
     assert validate_mesh(mesh) == []
-    assert {6, 8} <= mesh.vertex_groups.keys()
+    assert {(False, 6), (False, 8)} <= mesh.vertex_groups.keys()
     mats = {0: MaterialProps(E=200.0, nu=0.3, conductivity=2.0, alpha=0.0, T0=20.0,
                              plane=Plane.STRAIN)}
     bcs = BoundaryConditionSet()

@@ -169,6 +169,14 @@ class TestValidation:
         report = validate_mesh(Mesh(mesh.coords, *element_table(mesh), {edge: "x"}))
         assert [v.code for v in report] == ["bedge-nodes"]
 
+    @pytest.mark.parametrize("edge", [(0, 2 ** 70), (0, 2 ** 63), (-2 ** 70, 1)])
+    def test_bedge_node_outside_int64_refused(self, edge):
+        # once built, and validate_mesh then raised a bare OverflowError
+        mesh = generate_structured_quads(1, 1, 1, 1)
+        with pytest.raises(MeshError, match="^" + re.escape(
+                f"labeled edge {edge!r}: node ids must be int64 integers")):
+            Mesh(mesh.coords, *element_table(mesh), {edge: "x"})
+
     def test_edge_shared_three_times_flagged(self):
         nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0.5), (-1, 0.5)]
         mesh = Mesh(nodes, [(0, 1, 2, 3), (1, 4, 2), (1, 2, 5)],   # edge (1,2) used thrice
@@ -245,7 +253,7 @@ class TestElementTable:
         ids = np.array([[0, 1, 2, 3]], dtype=np.uint8)
         mesh = Mesh(self.NODES, ids, [FE], np.array([7], dtype=np.int16))
         assert mesh.element_regions.tolist() == [7] and not validate_mesh(mesh)
-        assert mesh.vertex_groups[4][1].tolist() == ids.tolist()
+        assert mesh.vertex_groups[True, 4][1].tolist() == ids.tolist()
 
     @pytest.mark.parametrize("key, label", [
         ((0, 1, 2), "x"), ((0,), "x"), (("a", "b"), "x"), ((0.5, 1), "x"), ((0, 1), None)])
@@ -635,7 +643,8 @@ class TestMeshIO:
         # 4-, 6- and 8-vertex VE polygons interleave with each other and with the
         # FE quads, so one text window merges lines of several vertex groups
         mesh = merge_ve_blocks(generate_quarter_annulus(20, 60, 12, 16, 40), 12, 16)
-        assert [len(mesh.vertex_groups[n][0]) for n in (4, 6, 8)] == [108, 24, 12]
+        assert [sum(len(pos) for (_, k), (pos, _) in mesh.vertex_groups.items() if k == n)
+                for n in (4, 6, 8)] == [108, 24, 12]
         fields = special_fields(mesh, 1)
         stresses = post.as_stresses(mesh, special_stresses(mesh, 2))
         vtk = post_oracles.fields_vtk_text(mesh, fields, stresses)

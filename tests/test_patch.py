@@ -90,8 +90,8 @@ def test_linear_fields_reproduced_on_merged_polygons(name, plane):
     n_rows, n_cols, base = MERGED_BASES[name]
     mesh = merge_ve_blocks(base(), n_rows, n_cols)
     assert validate_mesh(mesh) == []
-    assert {6, 8} <= mesh.vertex_groups.keys()
-    coords = mesh.coords[mesh.vertex_groups[8][1]]
+    assert {(False, 6), (False, 8)} <= mesh.vertex_groups.keys()
+    coords = mesh.coords[mesh.vertex_groups[False, 8][1]]
     edges = np.roll(coords, -1, axis=1) - coords
     before = np.roll(edges, 1, axis=1)
     turns = before[..., 0] * edges[..., 1] - before[..., 1] * edges[..., 0]

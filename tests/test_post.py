@@ -365,6 +365,16 @@ class TestPositionInputs:
             post.nodal_von_mises(mesh, stresses, region=7)
         assert np.isfinite(post.nodal_von_mises(mesh, stresses, region=0)).all()
 
+    @pytest.mark.parametrize("region", [False, np.bool_(False), 0.0, "0"],
+                             ids=["bool", "numpy-bool", "float", "str"])
+    def test_region_not_an_integer_refused(self, region):
+        # False once selected region 0 without a word
+        mesh, _, _, stresses = solved_quads()
+        with pytest.raises(FevecError, match=f"^region must be an integer, got {region!r}$"):
+            post.nodal_von_mises(mesh, stresses, region=region)
+        assert np.array_equal(post.nodal_von_mises(mesh, stresses, region=np.int64(0)),
+                              post.nodal_von_mises(mesh, stresses, region=0))
+
     @pytest.mark.parametrize("region, ids, message", [
         (None, set(), r"^element_ids \[\]: they select no element$"),
         (0, set(), r"^element_ids \[\]: they select no element of region 0$"),

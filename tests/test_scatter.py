@@ -30,6 +30,7 @@ from fevec.mesh import ElementKind, Mesh, generate_fcbga, generate_sandwich, gen
 from fevec.solver import SolutionFields, SolveOptions, run_pipeline
 from conftest import polygon_family, window_blocks
 from merged_polygons import merge_ve_blocks
+from quadtree import graded_square
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 FE = ElementKind.FE_QUAD
@@ -245,7 +246,7 @@ def merged_square_problem():
     """``merge_ve_blocks`` of a 24 x 24 split square: 4-, 6- and 8-vertex VE stacks, held
     at the boundary in both fields."""
     mesh = merge_ve_blocks(generate_split_square(1.0, 1.0, 24, 24), 24, 24)
-    assert {4, 6, 8} <= mesh.vertex_groups.keys()
+    assert {(False, 4), (False, 6), (False, 8)} <= mesh.vertex_groups.keys()
     bcs = BoundaryConditionSet()
     for label in sorted(mesh.labels()):
         for v in mesh.nodes_with_label(label):
@@ -297,7 +298,7 @@ def ve_rank_stacks(mesh, per):
     order into stacks of ``STACK_ENTRIES // (p n_v)^2`` polygons: the stacks of the mesh
     when no group's cut falls inside another group's stack."""
     stacks = set()
-    for n_v, (group, _) in mesh.vertex_groups.items():
+    for (_, n_v), (group, _) in mesh.vertex_groups.items():
         ve = group[~mesh.element_fe[group]]
         rows = max(meshmod.STACK_ENTRIES // (per * n_v) ** 2, 1)
         for w in np.unique(ve // meshmod._BLOCK_ROWS):
@@ -320,16 +321,14 @@ def test_windows_bound_ve_stacks(name, per, entries, monkeypatch):
     assert all(run.size <= meshmod._BLOCK_ROWS for run in runs)
     ve_quad_windows = []
     for window in windows:
-        n_vs = [verts.shape[1] for _, _, verts in window]
         for is_fe, pos, verts in window:
-            group, group_verts = mesh.vertex_groups[verts.shape[1]]
+            group, group_verts = mesh.vertex_groups[is_fe, verts.shape[1]]
             assert np.all(mesh.element_fe[pos] == is_fe)
             assert np.array_equal(verts, group_verts[np.searchsorted(group, pos)])
             size = len(pos) * (per * verts.shape[1]) ** 2
             if not is_fe:       # no VE block passes the bound
                 assert len(pos) == 1 or size <= meshmod.STACK_ENTRIES
-            if n_vs.count(verts.shape[1]) == 1:     # the group's rows here are of one kind
-                assert np.shares_memory(pos, group) and np.shares_memory(verts, group_verts)
+            assert np.shares_memory(pos, group) and np.shares_memory(verts, group_verts)
         if all(not is_fe and verts.shape[1] == 4 for is_fe, _, verts in window):
             assert len(window) == 1
             ve_quad_windows.append(len(window[0][1]))
@@ -338,6 +337,27 @@ def test_windows_bound_ve_stacks(name, per, entries, monkeypatch):
                 if not is_fe} == ve_rank_stacks(mesh, per)
     if name == "fcbga_l1" and per == 2 and entries is None:
         assert ve_quad_windows == [256, 256, 128]
+
+
+@pytest.mark.parametrize("build", [lambda: generate_fcbga(1), lambda: merged_square_problem()[0],
+                                   graded_square], ids=["fcbga_l1", "merged_square", "quadtree"])
+def test_vertex_groups_are_kernel_stacks(build):
+    # one group per (kind, vertex count), n_v ascending and FE first; every
+    # window block is a view of its group
+    mesh = build()
+    n_v = np.bincount(mesh.side_element, minlength=mesh.n_elements)
+    keys = list(mesh.vertex_groups)
+    assert keys == sorted(keys, key=lambda key: (key[1], not key[0]))
+    covered = np.zeros(mesh.n_elements, dtype=np.int64)
+    for (is_fe, count), (pos, verts) in mesh.vertex_groups.items():
+        assert np.array_equal(pos, np.flatnonzero((mesh.element_fe == is_fe) & (n_v == count)))
+        assert verts.shape == (pos.size, count)
+        covered[pos] += 1
+    assert (covered == 1).all()
+    for per in (1, 2):
+        for is_fe, pos, verts in window_blocks(mesh, per):
+            group, group_verts = mesh.vertex_groups[is_fe, verts.shape[1]]
+            assert np.shares_memory(pos, group) and np.shares_memory(verts, group_verts)
 
 
 def test_node_slots_point_at_their_pairs():

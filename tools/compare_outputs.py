@@ -4,7 +4,10 @@
 
 This checkout and PARENT_TREE each run in a working directory of their own,
 with ``PYTHONPATH`` set to their ``src``: ``fevec run`` on every
-``configs/*.cfg`` of this checkout, then ``fevec bench all``.  Both trees get
+``configs/*.cfg`` of this checkout and on ``cylinder_cg``, then ``fevec bench
+all``.  ``cylinder_cg`` is ``configs/cylinder.cfg`` solved for temperature
+only by Jacobi-CG, the path no shipped config takes (natural-order assembly,
+CG, an export without displacement).  Both trees get
 the same config text, so ``provenance.txt`` compares too; ``fevec bench`` reads
 each tree's own shipped configs.  Every output file, and each command's
 stdout and exit status, must be equal byte for byte.  The differences are
@@ -17,6 +20,7 @@ import argparse
 import filecmp
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -25,9 +29,27 @@ import tempfile
 CLI = "import sys; from fevec.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
+def cylinder_cg(text: str) -> str:
+    """``configs/cylinder.cfg`` as ``cylinder_cg``: ``method cg`` and ``fields thermal``,
+    without the von Mises probe that a thermal-only run refuses, into ``out/cylinder_cg``."""
+    edits = {"method direct": "method cg\nfields thermal",
+             "dir out/cylinder": "dir out/cylinder_cg"}
+    for old in ("[probe radial_vm]", *edits):
+        if old not in text:
+            raise SystemExit(f"configs/cylinder.cfg: no '{old}' line to derive cylinder_cg from")
+    text = "".join(section for section in re.split(r"(?m)^(?=\[)", text)
+                   if not section.startswith("[probe radial_vm]"))
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    return text
+
+
 def run_tree(tree: pathlib.Path, configs: pathlib.Path, work: pathlib.Path) -> None:
-    """Every shipped config and ``bench all`` with ``tree``'s source, inside ``work``."""
+    """Every shipped config, ``cylinder_cg`` and ``bench all`` with ``tree``'s source,
+    inside ``work``."""
     shutil.copytree(configs, work / "configs")
+    (work / "configs" / "cylinder_cg.cfg").write_text(
+        cylinder_cg((configs / "cylinder.cfg").read_text()))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     commands = {f"run_{path.stem}": ["run", f"configs/{path.name}"]
                 for path in sorted((work / "configs").glob("*.cfg"))}
