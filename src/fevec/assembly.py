@@ -25,6 +25,8 @@ thermal loads to the right-hand side, through ``np.add.at`` in element
 order (an element's id is its position).  Every entry starts at -0.0, so
 repeated runs give bit-identical matrices, equal to an element-by-element
 loop, signed zeros included.  No triplet is sorted and no COO matrix is built.
+A field's edge loads go in from one ``fem.edge_loads`` call in edge order, on
+boundary edges only: ``Mesh.off_boundary``, as for ``config.resolve_bcs``.
 """
 
 from __future__ import annotations
@@ -396,22 +398,31 @@ def _dirichlet_dofs(bcs: BoundaryConditionSet, dof_map: DofMap) -> tuple[np.ndar
 
 
 def _assemble(mesh: Mesh, materials: dict[int, MaterialProps], bcs: BoundaryConditionSet,
-              field_kind: str, kernels, edges, edge_load, elimination_order: bool) -> SparseSystem:
-    """The one assembly body: ``kernels`` as for ``_scatter``, then ``edge_load(xa, xb, load)``
-    of each ``(a, b, load)`` in ``edges``, then the lift of the prescribed values.
-
-    The coupling block lives only here: it is freed once lifted.
+              field_kind: str, kernels, elimination_order: bool) -> SparseSystem:
+    """The one assembly body: ``kernels`` as for ``_scatter``, then the field's edge loads
+    of ``bcs`` (flux or traction; AssemblyError names a pair ``Mesh.off_boundary``
+    refuses), then the lift of the prescribed values, whose coupling block is freed here.
     """
     require_valid(mesh, materials)
     dof_map = DofMap(field_kind, mesh)
     fixed, values = _dirichlet_dofs(bcs, dof_map)
+    kind, edges = (("flux", bcs.flux_edges) if field_kind == "thermal"
+                   else ("traction", bcs.traction_edges))
+    pairs = np.array([(a, b) for a, b, _ in edges], dtype=np.int64).reshape(-1, 2)
+    off = mesh.off_boundary(pairs)
+    if off.any():
+        a, b = pairs[off][0].tolist()
+        raise AssemblyError(f"{kind} on edge ({a},{b}): not a boundary edge, "
+                            "the side of exactly one element")
     free = np.delete(np.arange(dof_map.ndof, dtype=index_dtype(dof_map.ndof)), fixed)
     if elimination_order:
         free = free[dof_map.elimination_order(free)]
     rhs = np.zeros(dof_map.ndof)
     matrix, coupling = _scatter(mesh, dof_map, kernels, rhs, free, fixed)
-    for a, b, load in edges:
-        np.add.at(rhs, dof_map.element_dofs((a, b)), edge_load(mesh.coords[a], mesh.coords[b], load))
+    if edges:
+        loads = fem.edge_loads(mesh.coords[pairs[:, 0]], mesh.coords[pairs[:, 1]],
+                               np.array([load for _, _, load in edges]))
+        np.add.at(rhs, dof_map.element_dofs(pairs), loads)
     return SparseSystem(matrix=matrix, rhs=rhs[free] - coupling @ values, free=free, fixed=fixed,
                         values=values, dof_map=dof_map, elimination_order=elimination_order)
 
@@ -433,8 +444,7 @@ def assemble_thermal(mesh: Mesh, materials: dict[int, MaterialProps],
         return fem.thermal_stiffness_q4_batch(fem.q4_batch_eval(mesh.coords[verts]),
                                               mats.conductivity), None
 
-    return _assemble(mesh, materials, bcs, "thermal", element_matrices,
-                     bcs.flux_edges, fem.flux_load_edge, elimination_order)
+    return _assemble(mesh, materials, bcs, "thermal", element_matrices, elimination_order)
 
 
 def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
@@ -457,9 +467,6 @@ def assemble_mechanical(mesh: Mesh, materials: dict[int, MaterialProps],
             projection = vem.elastic_projection(mesh.coords[verts], mats)
             ke = vem.elastic_element_matrices(projection, tau)
             return ke, None if te is None else vem.vem_thermal_load(projection, mats, te)
-        q = fem.q4_batch_eval(mesh.coords[verts])
-        ke = fem.mechanical_stiffness_q4_batch(q, mats.D)
-        return ke, None if te is None else fem.thermal_load_q4_batch(q, mats, te)
+        return fem.mechanical_q4_batch(fem.q4_batch_eval(mesh.coords[verts]), mats, te)
 
-    return _assemble(mesh, materials, bcs, "mechanical", element_contributions,
-                     bcs.traction_edges, fem.traction_load_edge, elimination_order)
+    return _assemble(mesh, materials, bcs, "mechanical", element_contributions, elimination_order)

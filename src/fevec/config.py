@@ -309,10 +309,9 @@ def resolve_bcs(mesh: Mesh, specs: Iterable[tuple[str, BcSpec]]) -> BoundaryCond
                 prescribe(n, *spec.values)
         else:   # flux or traction: true boundary edges only
             edges = mesh.edges_with_label(label)
-            # An edge of no element (index -1) reads the appended count 0.
-            counts = np.append(mesh.edge_counts, 0)[mesh.edge_index(edges)]
-            if (counts != 1).any():
-                a, b = edges[int(np.argmax(counts != 1))]
+            off = mesh.off_boundary(edges)
+            if off.any():
+                a, b = edges[int(np.argmax(off))]
                 raise AssemblyError(f"{spec.kind} label '{label}' sits on interior edge ({a},{b})")
             add, value = ((bcs.add_flux, spec.values[0]) if spec.kind == "flux"
                           else (bcs.add_traction, spec.values))

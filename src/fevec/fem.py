@@ -2,7 +2,10 @@
 
 Element matrices for heat conduction and plane elasticity, integrated with
 2x2 Gauss quadrature, plus consistent edge loads for prescribed flux and
-traction.  Voigt order is (xx, yy, xy) with engineering shear strain.
+traction, each for a stack of quads or edges in one call.  Voigt order is
+(xx, yy, xy) with engineering shear strain.  The kernels check nothing: the
+assembly passes them only quads of a mesh that passed ``require_valid`` and
+edges of exactly one of its elements, of positive length.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshError
 from .materials import MaterialArrays
 from .mesh import rowdot
 
@@ -27,26 +29,14 @@ _XI_I = np.array([-1.0, 1.0, 1.0, -1.0])
 _ETA_I = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
-def flux_load_edge(p0: np.ndarray, p1: np.ndarray, q_bar: float) -> np.ndarray:
-    """Nodal loads of a constant prescribed outward flux on one boundary edge.
-
-    Exact for linear edge traces: each node receives -q_bar * length / 2.
-    """
-    length = float(np.hypot(p1[0] - p0[0], p1[1] - p0[1]))
-    if length <= 0.0:
-        raise MeshError("flux edge has zero length")
-    v = -q_bar * length * 0.5
-    return np.array([v, v])
-
-
-def traction_load_edge(p0: np.ndarray, p1: np.ndarray,
-                       traction: tuple[float, float]) -> np.ndarray:
-    """Nodal forces of a constant traction on one edge: (tx,ty)*L/2 per node."""
-    length = float(np.hypot(p1[0] - p0[0], p1[1] - p0[1]))
-    if length <= 0.0:
-        raise MeshError("traction edge has zero length")
-    tx, ty = traction
-    return 0.5 * length * np.array([tx, ty, tx, ty])
+def edge_loads(p0: np.ndarray, p1: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    """Consistent nodal loads of constant loads on the edges from ``p0`` to ``p1``, (k, 2):
+    a flux (k,) gives each end node -q * length / 2, rows (a, b), a traction (k, 2)
+    (tx, ty) * length / 2, rows (a_x, a_y, b_x, b_y).  Exact for linear edge traces."""
+    length = np.hypot(p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1])
+    if loads.ndim == 1:
+        return np.tile((-loads * length * 0.5)[:, None], 2)
+    return np.tile(0.5 * length[:, None] * loads, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -118,25 +108,22 @@ def thermal_stiffness_q4_batch(q: Q4Batch, conductivity: np.ndarray) -> np.ndarr
     return 0.5 * (k + np.swapaxes(k, 1, 2))
 
 
-def mechanical_stiffness_q4_batch(q: Q4Batch, d: np.ndarray) -> np.ndarray:
-    """(m, 8, 8) plane-elastic stiffness matrices; ``d`` is (m, 3, 3)."""
-    k = np.zeros((q.detJ.shape[0], 8, 8))
+def mechanical_q4_batch(q: Q4Batch, mats: MaterialArrays, nodal_temperature: np.ndarray | None
+                        ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(m, 8, 8) plane-elastic stiffness matrices and the (m, 8) nodal forces of the
+    thermal strain, T interpolated bilinearly from temperatures (m, 4), or None without
+    them; one Gauss loop builds each strain-displacement stack once."""
+    m = q.detJ.shape[0]
+    k = np.zeros((m, 8, 8))
+    f = None if nodal_temperature is None else np.zeros((m, 8))
     for g, (_, _, w) in enumerate(GAUSS_2X2):
         b_u = _strain_displacement(q.B_T[:, g])
-        k += (w * q.detJ[:, g])[:, None, None] * (np.swapaxes(b_u, 1, 2) @ d @ b_u)
-    return 0.5 * (k + np.swapaxes(k, 1, 2))
-
-
-def thermal_load_q4_batch(q: Q4Batch, mats: MaterialArrays,
-                          nodal_temperature: np.ndarray) -> np.ndarray:
-    """(m, 8) nodal forces of the thermal strain, T interpolated bilinearly; temperatures (m, 4)."""
-    f = np.zeros((q.detJ.shape[0], 8))
-    for g, (_, _, w) in enumerate(GAUSS_2X2):
-        b_u = _strain_displacement(q.B_T[:, g])
-        eps_th = mats.thermal_strain(rowdot(nodal_temperature, q.N[g]))
-        stress = mats.D @ eps_th[..., None]
-        f += (w * q.detJ[:, g])[:, None] * (np.swapaxes(b_u, 1, 2) @ stress)[..., 0]
-    return f
+        b_u_t, weight = np.swapaxes(b_u, 1, 2), w * q.detJ[:, g]
+        k += weight[:, None, None] * (b_u_t @ mats.D @ b_u)
+        if f is not None:
+            eps_th = mats.thermal_strain(rowdot(nodal_temperature, q.N[g]))
+            f += weight[:, None] * (b_u_t @ (mats.D @ eps_th[..., None]))[..., 0]
+    return 0.5 * (k + np.swapaxes(k, 1, 2)), f
 
 
 def stress_q4_batch(q: Q4Batch, mats: MaterialArrays, nodal_displacement: np.ndarray,

@@ -148,15 +148,16 @@ def _edge_labels(entries: Iterable[tuple[Any, Any]]) -> dict[tuple[int, int], st
 
     A label is one token of the mesh file: a non-empty str with no
     whitespace and no ``#``, which starts a comment there.  MeshError names
-    the first entry whose key is not two int64 integers or whose label is
-    not such a token.
+    the first entry whose key is not two int64 integers other than ``bool``
+    or whose label is not such a token.
     """
     out: dict[tuple[int, int], str] = {}
     for key, label in entries:
         try:
-            a, b = map(operator.index, key)
-            if not isinstance(label, str):
+            a, b = key
+            if isinstance(a, bool) or isinstance(b, bool) or not isinstance(label, str):
                 raise TypeError
+            a, b = operator.index(a), operator.index(b)
         except (TypeError, ValueError):
             raise MeshError(f"labeled edge {key!r}: {label!r} must map two integer node ids "
                             "to a str label") from None
@@ -362,6 +363,11 @@ class Mesh:
         key = (rank[:, 0] * ends.size + rank[:, 1]).astype(keys.dtype)
         k = np.searchsorted(keys, key).clip(max=keys.size - 1)
         return np.where((ends[rank] == pairs).all(axis=1) & (keys[k] == key), edge_of_key[k], -1)
+
+    def off_boundary(self, pairs) -> np.ndarray:
+        """Whether each node pair (either order) is not the side of exactly one element,
+        where no flux or traction may act; a pair of no element reads the appended 0."""
+        return np.append(self.edge_counts, 0)[self.edge_index(pairs)] != 1
 
     def edge_owners(self) -> tuple[np.ndarray, np.ndarray]:
         """Element positions of all sides grouped by edge, and where each edge starts:
@@ -703,13 +709,14 @@ def validate_mesh(mesh: Mesh) -> list[Violation]:
     return list(mesh.violations)
 
 
-def require_valid(mesh: Mesh, materials: dict) -> None:
+def require_valid(mesh: Mesh, materials: dict | None) -> None:
     """The gate in front of every element kernel: MeshError with the first message of
-    ``validate_mesh``, then AssemblyError when a region has no entry in ``materials``."""
+    ``validate_mesh``, then AssemblyError when a region has no entry in ``materials``
+    (None for a reader of the mesh alone)."""
     report = validate_mesh(mesh)
     if report:
         raise MeshError(report[0].message)
-    missing = sorted(mesh.regions() - materials.keys())
+    missing = [] if materials is None else sorted(mesh.regions() - materials.keys())
     if missing:
         raise AssemblyError(f"mesh regions without material blocks: {missing}")
 

@@ -9,8 +9,9 @@ takes through ``as_stresses``.  The solved fields pass ``mesh.as_field``.
 Nodal stress plots average adjacent element values weighted by element
 area, optionally restricted to one region (per-material-side values at
 bimaterial interfaces).  Point evaluation loops once over the mesh's
-``vertex_groups``, each of one kind.  Elements are named by their position
-in the mesh's element table.
+``vertex_groups``, each of one kind.  Line probes find their segment's edge
+crossings in one exact array pass per window of edges.  Elements are named
+by their position in the mesh's element table.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ class ElementStress:
 
 def as_stresses(mesh: Mesh, stresses) -> np.recarray:
     """``stresses`` as ``recover_stress`` returns them: a record array of ``STRESS_DTYPE``
-    as it is, any other sequence of items with ``sigma`` and ``von_mises`` converted
-    once.  FevecError unless there is one item per element of ``mesh``."""
+    as it is, a plain structured array of it as a record view, any other sequence of
+    items with ``sigma`` and ``von_mises`` converted once.  FevecError unless there is
+    one item per element of ``mesh``."""
     if len(stresses) != mesh.n_elements:
         raise FevecError(f"stresses: {len(stresses)} items for {mesh.n_elements} elements")
-    if isinstance(stresses, np.recarray) and stresses.dtype == STRESS_DTYPE:
-        return stresses
+    if isinstance(stresses, np.ndarray) and stresses.dtype == STRESS_DTYPE and stresses.ndim == 1:
+        return stresses if isinstance(stresses, np.recarray) else stresses.view(np.recarray)
     try:
         return np.rec.fromarrays([[s.sigma for s in stresses], [s.von_mises for s in stresses]],
                                  dtype=STRESS_DTYPE)
@@ -135,14 +137,15 @@ def nodal_von_mises(mesh: Mesh, stresses, region: int | None = None,
     With ``region`` set, only elements of that region contribute (the
     per-material-side value at interfaces); ``element_ids`` restricts to an
     explicit subset of element positions (per-side values at a coupling
-    interface).  A ``region`` that is not an integer (``bool`` included) or a
-    selection that keeps no element is a FevecError.  Nodes
-    with no contributing element hold NaN.
+    interface).  An invalid mesh is a MeshError (``require_valid``); a ``region``
+    that is not an integer (``bool`` included) or a selection that keeps no
+    element is a FevecError.  Nodes with no contributing element hold NaN.
 
     The sums are products with the transposed ``Mesh.incidence()``, which
     run over the elements in order, so each node adds its elements' terms
     in that order; an element left out adds zero.
     """
+    require_valid(mesh, None)
     vm = as_stresses(mesh, stresses).von_mises
     keep = np.ones(mesh.n_elements, dtype=bool)
     if region is not None:
@@ -483,38 +486,29 @@ def line_probe(evaluator: FieldEvaluator, p0: tuple[float, float], p1: tuple[flo
 def _edge_crossings(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> list[float]:
     """Sorted parameters s in [0, 1] at which the segment a-b crosses a mesh edge.
 
-    Array passes over windows of ``_BLOCK_ROWS`` edges keep those whose s and
-    t lie within a loose margin of [0, 1]; only these go through the exact
-    scalar test.
+    One exact array pass per window of ``_BLOCK_ROWS`` edges: an edge crosses
+    unless it is near-parallel to the segment, and its parameter t on the edge
+    must lie in [0, 1] up to 1e-9, s in [0, 1] up to 1e-12.  Each s is
+    rounded to 12 decimals (numpy's rounding) and clipped to [0, 1].
     """
     d = b - a
     len2 = float(d @ d)
     if len2 == 0.0:
         return []
-    near = []
+    out: set[float] = set()
     for first in range(0, len(mesh.edges), _BLOCK_ROWS):
         edges = mesh.edges[first:first + _BLOCK_ROWS]
         start = mesh.coords[edges[:, 0]]
         ev = mesh.coords[edges[:, 1]] - start
         wv = start - a
+        denom = d[0] * ev[:, 1] - d[1] * ev[:, 0]
+        parallel = np.abs(denom) < 1e-14 * math.sqrt(len2) * np.maximum(np.hypot(*ev.T), 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):
-            denom = d[0] * ev[:, 1] - d[1] * ev[:, 0]
             sv = (wv[:, 0] * ev[:, 1] - wv[:, 1] * ev[:, 0]) / denom
             tv = (wv[:, 0] * d[1] - wv[:, 1] * d[0]) / denom
-        near += edges[(np.abs(sv - 0.5) <= 0.5 + 1e-6) & (np.abs(tv - 0.5) <= 0.5 + 1e-6)].tolist()
-    out: set[float] = set()
-    for (i, j) in near:
-        p = mesh.coords[i]
-        q = mesh.coords[j]
-        e = q - p
-        denom = d[0] * e[1] - d[1] * e[0]
-        if abs(denom) < 1e-14 * math.sqrt(len2) * max(math.hypot(*e), 1e-300):
-            continue
-        w = p - a
-        s = (w[0] * e[1] - w[1] * e[0]) / denom
-        t = (w[0] * d[1] - w[1] * d[0]) / denom
-        if -1e-12 <= s <= 1.0 + 1e-12 and -1e-9 <= t <= 1.0 + 1e-9:
-            out.add(min(max(round(s, 12), 0.0), 1.0))
+        cross = ~parallel & (-1e-12 <= sv) & (sv <= 1.0 + 1e-12)
+        cross &= (-1e-9 <= tv) & (tv <= 1.0 + 1e-9)
+        out.update(np.clip(np.round(sv[cross], 12), 0.0, 1.0).tolist())
     return sorted(out)
 
 

@@ -14,8 +14,8 @@ from fevec import bench, post
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical, assemble_thermal
 from fevec.cli import main as cli_main
 from fevec.materials import MaterialProps, Plane
-from fevec.mesh import ElementKind, Mesh, generate_split_square
-from fevec.solver import SolveOptions, run_pipeline, solve_system
+from fevec.mesh import ElementKind, generate_split_square
+from fevec.solver import SolveOptions, run_pipeline
 from conftest import (dof_classes, edge_dict, elastic_matrix, elastic_row, polygon_family, thermal_matrix,
                       thermal_row)
 from kernel_oracles import element_coords, mechanical_stiffness_q4, thermal_stiffness_q4

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from fevec import bench
 from fevec.assembly import BoundaryConditionSet, DofMap, assemble_mechanical, assemble_thermal
@@ -120,6 +119,31 @@ class TestAssembleThermal:
         mesh = generate_structured_quads(2, 1, 2, 1)
         with pytest.raises(AssemblyError, match="references node True, not an integer"):
             assemble_thermal(mesh, {0: simple_props()}, bcs())
+
+    @pytest.mark.parametrize("field, bcs, message", [
+        ("thermal", dict(flux_edges=[(2, 1, 1.0), (0, 5, 1.0)]), r"flux on edge \(0,5\)"),
+        ("mechanical", dict(traction_edges=[(1, 4, (1.0, 0.0))]), r"traction on edge \(1,4\)"),
+        ("thermal", dict(flux_edges=[(2, 2, 1.0)]), r"flux on edge \(2,2\)")],
+        ids=["diagonal", "interior", "one-node"])
+    def test_load_off_boundary_refused(self, field, bcs, message):
+        # once the diagonal put -1.118 on node 5, the interior edge assembled, and the
+        # one-node pair raised "flux edge has zero length" inside the kernel
+        mesh = generate_structured_quads(2.0, 1.0, 2, 1)
+        bcs = BoundaryConditionSet(**bcs)
+        with pytest.raises(AssemblyError, match=message + ": not a boundary edge"):
+            if field == "thermal":
+                assemble_thermal(mesh, {0: simple_props()}, bcs)
+            else:
+                assemble_mechanical(mesh, {0: simple_props()}, bcs, None)
+
+    def test_boundary_loads_in_either_order(self):
+        mesh = generate_structured_quads(2.0, 1.0, 2, 1)
+        thermal = assemble_thermal(mesh, {0: simple_props()},
+                                   BoundaryConditionSet(flux_edges=[(2, 1, 1.0), (5, 2, 2.0)]))
+        assert np.array_equal(thermal.rhs, [0.0, -0.5, -1.5, 0.0, 0.0, -1.0])
+        mechanical = assemble_mechanical(mesh, {0: simple_props()}, BoundaryConditionSet(
+            traction_edges=[(4, 3, (1.0, 2.0)), (0, 3, (0.5, 0.0))]), None)
+        assert np.array_equal(mechanical.rhs, [0.25, 0, 0, 0, 0, 0, 0.75, 1, 0.5, 1, 0, 0])
 
     def test_flux_load_sign(self):
         mesh = generate_structured_quads(1, 1, 1, 1)

@@ -183,8 +183,9 @@ class TestPolygonKernels:
         disp = rng.normal(size=(len(coords), 8))
         q = fem.q4_batch_eval(coords)
         thermal = fem.thermal_stiffness_q4_batch(q, mats.conductivity)
-        mech = fem.mechanical_stiffness_q4_batch(q, mats.D)
-        load = fem.thermal_load_q4_batch(q, mats, temps)
+        mech, load = fem.mechanical_q4_batch(q, mats, temps)
+        mech_alone, no_load = fem.mechanical_q4_batch(q, mats, None)
+        assert no_load is None and np.array_equal(mech_alone, mech)
         sigma = fem.stress_q4_batch(q, mats, disp, temps)
         for k, c in enumerate(coords):
             props = MATERIALS[regions[k]]

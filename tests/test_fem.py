@@ -1,13 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from fevec import fem
 from fevec.assembly import BoundaryConditionSet, assemble_thermal
-from fevec.errors import MeshError
-from fevec.materials import MaterialProps, Plane
-from fevec.mesh import ElementKind, Mesh, validate_mesh
+from fevec.errors import AssemblyError, MeshError
+from fevec.materials import MaterialProps
+from fevec.mesh import ElementKind, Mesh, generate_structured_quads, validate_mesh
 from fevec.vem import vertex_normal_lengths
 from conftest import UNIT_SQUARE, edge_dict, polygon_row
 from kernel_oracles import (mechanical_stiffness_q4, q4_shape_eval, thermal_load_q4,
@@ -180,23 +178,43 @@ class TestThermalLoad:
 
 
 class TestEdgeLoads:
+    """``fem.edge_loads`` on stacks of edges: rows (a, b) of a flux, (a_x, a_y, b_x, b_y)
+    of a traction."""
+
     def test_zero_flux(self):
-        assert np.allclose(fem.flux_load_edge(np.array([0, 0]), np.array([1, 0]), 0.0), 0.0)
+        f = fem.edge_loads(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 3.0]]),
+                           np.array([0.0, 0.0]))
+        assert f.shape == (2, 2)
+        assert np.allclose(f, 0.0)
 
     def test_unit_flux_length_two(self):
-        f = fem.flux_load_edge(np.array([0.0, 0.0]), np.array([2.0, 0.0]), 1.0)
-        assert np.allclose(f, [-1.0, -1.0])
+        f = fem.edge_loads(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 1.0]]),
+                           np.array([1.0, 2.0]))
+        assert np.allclose(f, [[-1.0, -1.0], [-1.0, -1.0]])
 
     def test_inward_heating_positive_loads(self):
         # prescribed outward flux -1000 mW/mm^2 (heating) on a 1 mm edge
-        f = fem.flux_load_edge(np.array([0.0, 4.48]), np.array([1.0, 4.48]), -1.0)
+        f = fem.edge_loads(np.array([[0.0, 4.48]]), np.array([[1.0, 4.48]]), np.array([-1.0]))
         assert np.all(f > 0)
         assert f.sum() == pytest.approx(1.0)
 
-    def test_zero_length_edge_rejected(self):
-        with pytest.raises(MeshError):
-            fem.flux_load_edge(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 1.0)
+    def test_zero_length_edge_rejected(self, unit_props):
+        # The kernel checks nothing: a pair of one node is no boundary edge, and the
+        # assembly refuses it before any kernel runs.
+        mesh = generate_structured_quads(2.0, 1.0, 2, 1)
+        with pytest.raises(AssemblyError, match=r"flux on edge \(2,2\)"):
+            assemble_thermal(mesh, {0: unit_props}, BoundaryConditionSet(flux_edges=[(2, 2, 1.0)]))
 
     def test_traction_halves(self):
-        f = fem.traction_load_edge(np.array([0.0, 0.0]), np.array([0.0, 2.0]), (0.0, 5.0))
-        assert np.allclose(f, [0, 5, 0, 5])
+        f = fem.edge_loads(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 2.0], [4.0, 4.0]]),
+                           np.array([[0.0, 5.0], [1.0, -2.0]]))
+        assert np.allclose(f, [[0, 5, 0, 5], [2.5, -5, 2.5, -5]])
+
+    def test_stack_rows_equal_single_edges(self):
+        rng = np.random.default_rng(3)
+        p0, p1 = rng.normal(size=(2, 40, 2))
+        for loads in (rng.normal(size=40), rng.normal(size=(40, 2))):
+            stack = fem.edge_loads(p0, p1, loads)
+            for k in range(40):
+                assert np.array_equal(stack[k], fem.edge_loads(p0[k:k + 1], p1[k:k + 1],
+                                                               loads[k:k + 1])[0])

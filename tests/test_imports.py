@@ -1,12 +1,13 @@
-"""No module of the package keeps a module-level import that it never reads,
-and no top-level function or class that nothing names.
+"""No module of the package, ``tests/`` or ``tools/`` keeps a module-level import
+that it never reads, and no package module a top-level function or class that
+nothing names.
 
 No linter is installed, so this walks each module's syntax tree: every name
 that a top-level ``import`` binds must appear as a name somewhere else in the
-module.  ``__init__.py`` is exempt, as its imports are the package's public
-names.  Every top-level function and class of the package, and every public
-method and property of its classes, must be read as a name or an attribute
-somewhere in the package, ``tests/`` or ``perfbench/``.
+module.  The package's ``__init__.py`` is exempt, as its imports are the
+package's public names.  Every top-level function and class of the package,
+and every public method and property of its classes, must be read as a name
+or an attribute somewhere in the package, ``tests/`` or ``perfbench/``.
 """
 
 import ast
@@ -38,10 +39,15 @@ def unused_imports(source: str) -> list[str]:
     return sorted(name for name in bound if name not in used)
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
-                                          if p.name != "__init__.py"))
+# The package's modules by file name, then those of tests/ and tools/ by folder and name.
+SOURCES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+SOURCES.update({f"{folder}/{p.name}": p for folder in ("tests", "tools")
+                for p in (REPO / folder).glob("*.py")})
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_no_unused_module_imports(module):
-    unused = unused_imports((PACKAGE / module).read_text(encoding="utf-8"))
+    unused = unused_imports(SOURCES[module].read_text(encoding="utf-8"))
     assert [name for name in unused if (module, name) not in ALLOWED] == []
 
 

@@ -177,6 +177,14 @@ class TestValidation:
                 f"labeled edge {edge!r}: node ids must be int64 integers")):
             Mesh(mesh.coords, *element_table(mesh), {edge: "x"})
 
+    @pytest.mark.parametrize("edge", [(True, 2), (0, False)], ids=["true-first", "false-second"])
+    def test_bool_bedge_node_refused(self, edge):
+        # (True, 2) once built as the labeled edge (1, 2)
+        mesh = generate_structured_quads(1, 1, 1, 1)
+        with pytest.raises(MeshError, match="^" + re.escape(
+                f"labeled edge {edge!r}: 'x' must map two integer node ids to a str label")):
+            Mesh(mesh.coords, *element_table(mesh), {edge: "x"})
+
     def test_edge_shared_three_times_flagged(self):
         nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0.5), (-1, 0.5)]
         mesh = Mesh(nodes, [(0, 1, 2, 3), (1, 4, 2), (1, 2, 5)],   # edge (1,2) used thrice

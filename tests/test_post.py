@@ -7,7 +7,7 @@ import pytest
 from fevec import config as configmod
 from fevec import post
 from fevec.assembly import BoundaryConditionSet, assemble_mechanical
-from fevec.errors import FevecError
+from fevec.errors import FevecError, MeshError
 from fevec.materials import MaterialProps, Plane
 from fevec.mesh import ElementKind, Mesh, generate_split_square, generate_structured_quads
 from fevec.solver import SolutionFields, run_pipeline
@@ -292,6 +292,21 @@ class TestStressRecords:
         assert np.array_equal(table.sigma, stresses.sigma)
         assert np.array_equal(table.von_mises, stresses.von_mises)
 
+    def test_plain_structured_array_accepted(self, tmp_path):
+        # once refused: "'numpy.void' object has no attribute 'sigma'"
+        mesh, _, fields, stresses = solved_quads()
+        plain = np.zeros(mesh.n_elements, post.STRESS_DTYPE)
+        plain["sigma"], plain["von_mises"] = stresses.sigma, stresses.von_mises
+        table = post.as_stresses(mesh, plain)
+        assert isinstance(table, np.recarray) and np.shares_memory(table, plain)
+        assert np.array_equal(post.nodal_von_mises(mesh, plain),
+                              post.nodal_von_mises(mesh, stresses))
+        post.export_fields(mesh, fields, plain, str(tmp_path / "plain.vtk"))
+        post.export_fields(mesh, fields, stresses, str(tmp_path / "records.vtk"))
+        assert (tmp_path / "plain.vtk").read_bytes() == (tmp_path / "records.vtk").read_bytes()
+        with pytest.raises(FevecError, match="stresses: 3 items for 16 elements"):
+            post.as_stresses(mesh, plain[:3])
+
     @pytest.mark.parametrize("item", [object(), post.ElementStress(0, np.zeros(2), 1.0, "x")],
                              ids=["no-fields", "short-sigma"])
     def test_items_without_stress_fields_refused(self, item):
@@ -389,6 +404,12 @@ class TestPositionInputs:
             mesh = Mesh(mesh.coords, vertices, kinds, regions, mesh.boundary_edges)
         with pytest.raises(FevecError, match=message):
             post.nodal_von_mises(mesh, stresses, region=region, element_ids=ids)
+
+    def test_invalid_mesh_refused(self):
+        # a VE element without vertices once raised a bare ZeroDivisionError
+        mesh = Mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [()], [ElementKind.VE_POLY], [0])
+        with pytest.raises(MeshError, match="^element 0: fewer than 3 vertices$"):
+            post.nodal_von_mises(mesh, np.zeros(1, post.STRESS_DTYPE))
 
     @pytest.mark.parametrize("ids", [{10 ** 9}, {0, -1}, {1.5}],
                              ids=["past-the-end", "negative", "float"])
