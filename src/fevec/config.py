@@ -52,8 +52,8 @@ from .errors import AssemblyError, FevecError, ParseError, SolverError
 from .materials import MaterialProps, Plane
 from .mesh import (Mesh, generate_fcbga, generate_igbt, generate_plate_with_hole,
                    generate_quarter_annulus, generate_sandwich,
-                   generate_split_square, generate_structured_quads, load_mesh, require_valid,
-                   ElementKind)
+                   generate_split_square, generate_structured_quads, load_mesh, number_token,
+                   require_valid, ElementKind)
 from .post import check_probe
 from .solver import SolveOptions
 
@@ -108,6 +108,12 @@ class ProbeSpec:
 MATERIAL_KEYS = ("E_MPa", "nu", "k_W_per_mK", "alpha_per_C", "T0_C", "plane")
 SOLVER_KEYS = dict(method=str, cg_rel_tol=float, cg_max_iter=int, tau=float, fields=str)
 PROBE_KEYS = ("quantity", "x0", "y0", "x1", "y1", "n_samples")
+# Keys whose values are numbers, each a number_token.
+NUMBER_KEYS = ({key for key in MATERIAL_KEYS if key != "plane"}
+               | {key for key, kind in SOLVER_KEYS.items() if kind is not str}
+               | {key for key in PROBE_KEYS if key != "quantity"}
+               | {name for _, params in GENERATORS.values()
+                  for name, kind, *_ in params if kind is not ElementKind})
 
 
 @dataclass
@@ -143,8 +149,9 @@ def _sections(text: str, path: str) -> list[tuple[str, int, list[tuple[int, list
     return out
 
 
-def _kv(records, path, known=None) -> dict[str, str]:
-    """Key -> value of a section, one each; with ``known`` set, other keys are rejected."""
+def _kv(records, path, known=None, numbers=()) -> dict[str, str]:
+    """Key -> value of a section, one each; with ``known`` set, other keys are rejected.
+    The value of a key in ``numbers`` must be a ``number_token``."""
     out = {}
     for lineno, tok in records:
         if len(tok) != 2:
@@ -154,8 +161,18 @@ def _kv(records, path, known=None) -> dict[str, str]:
                              path, lineno)
         if tok[0] in out:
             raise ParseError(f"duplicate key '{tok[0]}'", path, lineno)
+        if tok[0] in numbers:
+            _number(tok[1], path, lineno)
         out[tok[0]] = tok[1]
     return out
+
+
+def _number(token: str, path, lineno) -> str:
+    """``number_token(token)``, its ValueError a ParseError naming the line."""
+    try:
+        return number_token(token)
+    except ValueError as exc:
+        raise ParseError(str(exc), path, lineno) from None
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
@@ -175,7 +192,7 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
             raise ParseError(f"section [{name}] takes no argument, got '[{header}]'", path, lineno)
         if name == "mesh":
             once(name)
-            kv = _kv(records, path)
+            kv = _kv(records, path, numbers=NUMBER_KEYS)
             if "path" in kv and "generator" in kv:
                 raise ParseError("[mesh] takes either 'path' or 'generator', not both", path)
             if "path" in kv:
@@ -192,23 +209,25 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
                 raise ParseError("material section needs a region id: [material <region>]",
                                  path, lineno)
             try:
-                region = int(parts[1])
+                region = int(_number(parts[1], path, lineno))
             except ValueError:
                 raise ParseError(f"region id must be an integer, got '{parts[1]}'", path, lineno)
             once(name, region)
-            cfg.materials[region] = _parse_material(_kv(records, path, MATERIAL_KEYS), path)
+            kv = _kv(records, path, MATERIAL_KEYS, NUMBER_KEYS)
+            cfg.materials[region] = _parse_material(kv, path)
         elif name == "bc":
             if len(parts) != 2:
                 raise ParseError("bc section needs a label: [bc <label>]", path, lineno)
             cfg.bcs.append((parts[1], _parse_bc(records, path)))
         elif name == "solver":
             once(name)
-            cfg.solver = _parse_solver(_kv(records, path, SOLVER_KEYS), path)
+            cfg.solver = _parse_solver(_kv(records, path, SOLVER_KEYS, NUMBER_KEYS), path)
         elif name == "probe":
             if len(parts) != 2:
                 raise ParseError("probe section needs a name: [probe <name>]", path, lineno)
             once(name, parts[1])
-            cfg.probes.append(_parse_probe(parts[1], _kv(records, path, PROBE_KEYS), path))
+            kv = _kv(records, path, PROBE_KEYS, NUMBER_KEYS)
+            cfg.probes.append(_parse_probe(parts[1], kv, path))
         elif name == "output":
             once(name)
             cfg.output_dir = _kv(records, path, ("dir",)).get("dir", cfg.output_dir)
@@ -243,8 +262,8 @@ def _parse_bc(records, path) -> BcSpec:
         raise ParseError("each [bc] section defines exactly one condition", path)
     lineno, (kind, *tok) = records[0]
     try:
-        return BcSpec(kind, tuple(None if t == "free" and kind == "dirichlet_u" else float(t)
-                                  for t in tok))
+        return BcSpec(kind, tuple(None if t == "free" and kind == "dirichlet_u"
+                                  else float(_number(t, path, lineno)) for t in tok))
     except (ValueError, AssemblyError) as exc:
         raise ParseError(f"bad bc record: {exc}", path, lineno) from exc
 

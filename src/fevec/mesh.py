@@ -45,6 +45,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AssemblyError, FevecError, MeshError, ParseError
+from .textfmt import format_rows
 
 
 class ElementKind(Enum):
@@ -148,8 +149,8 @@ def _edge_labels(entries: Iterable[tuple[Any, Any]]) -> dict[tuple[int, int], st
 
     A label is one token of the mesh file: a non-empty str with no
     whitespace and no ``#``, which starts a comment there.  MeshError names
-    the first entry whose key is not two int64 integers other than ``bool``
-    or whose label is not such a token.
+    the first entry whose key is not two int64 integers other than ``bool``,
+    whose label is not such a token, or whose edge already has a label.
     """
     out: dict[tuple[int, int], str] = {}
     for key, label in entries:
@@ -166,7 +167,11 @@ def _edge_labels(entries: Iterable[tuple[Any, Any]]) -> dict[tuple[int, int], st
         if label.split() != [label] or "#" in label:
             raise MeshError(f"labeled edge {key!r}: label {label!r} must be non-empty, "
                             "without whitespace or '#'")
-        out[(a, b) if a < b else (b, a)] = label
+        pair = (a, b) if a < b else (b, a)
+        if pair in out:
+            raise MeshError(f"labeled edge {key!r}: edge {pair} already has label "
+                            f"{out[pair]!r}; an edge takes one label")
+        out[pair] = label
     return out
 
 
@@ -1212,9 +1217,9 @@ def generate_igbt(level: int = 0) -> Mesh:
 FORMAT_HEADER = "mesh 2d v1"
 
 
-# Lines formatted by one ``%`` each in every text output (the mesh file and
-# its hash, the point and cell sections of ``post.export_fields``); bounds the
-# text held at once.
+# Lines formatted at once in every text output (the mesh file and its hash,
+# the point and cell sections of ``post.export_fields``), by one ``%`` or one
+# ``textfmt.format_rows`` call; bounds the text held at once.
 _TEXT_LINES = 1 << 12
 
 
@@ -1256,8 +1261,7 @@ def mesh_text_chunks(mesh: Mesh) -> Iterator[str]:
     yield f"{FORMAT_HEADER}\n"
     for start, stop in text_windows(mesh.n_nodes):
         block = mesh.coords[start:stop]
-        yield "".join(map("node {} {} {}\n".format, range(start, stop),
-                          map(repr, block[:, 0].tolist()), map(repr, block[:, 1].tolist())))
+        yield format_rows("node %d %r %r\n", [np.arange(start, stop), block[:, 0], block[:, 1]])
     yield from element_lines(mesh)
     edges = sorted(mesh.boundary_edges)
     yield ("bedge %s %s %s\n" * len(edges)) % tuple(
@@ -1275,9 +1279,17 @@ def save_mesh(mesh: Mesh, path: str) -> None:
         f.writelines(mesh_text_chunks(mesh))
 
 
+def number_token(token: str) -> str:
+    """``token`` when it can be a number of a mesh or config file: ValueError when it
+    holds ``_`` or a non-ASCII character, which ``float`` and ``int`` would accept."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"number '{token}' must be plain ASCII, without '_'")
+    return token
+
+
 def _int64(token: str) -> int:
     """An integer record field: ids, regions and node ids of a mesh file are int64 integers."""
-    if not -2 ** 63 <= (value := int(token)) < 2 ** 63:
+    if not -2 ** 63 <= (value := int(number_token(token))) < 2 ** 63:
         raise ValueError(f"integer {token} outside the int64 range")
     return value
 
@@ -1299,7 +1311,8 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
     Format: header line ``mesh 2d v1``; then ``node <id> <x> <y>``,
     ``elem <id> <FE|VE> <region> <n_v> <v0> ... <v{n_v-1}>`` and
     ``bedge <label> <n0> <n1>`` records, whitespace separated, ``#`` comments.
-    Ids must be dense from 0.  Raises ParseError with the offending line
+    Ids must be dense from 0, numbers are plain ASCII (no ``_``) and an edge
+    takes one ``bedge`` label.  Raises ParseError with the offending line
     number, or MeshError listing invariant violations.
     """
     nodes: dict[int, tuple[float, float]] = {}
@@ -1326,7 +1339,7 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
                 nid = _int64(tok[1])
                 if nid in nodes:
                     raise ValueError(f"duplicate node id {nid}")
-                nodes[nid] = (float(tok[2]), float(tok[3]))
+                nodes[nid] = (float(number_token(tok[2])), float(number_token(tok[3])))
             elif tok[0] == "elem":
                 eid = _int64(tok[1])
                 if eid in vertices:
@@ -1336,7 +1349,7 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
                 except ValueError:
                     raise ValueError(f"unknown element kind '{tok[2]}' (expected FE or VE)")
                 regions[eid] = _int64(tok[3])
-                nv = int(tok[4])
+                nv = _int64(tok[4])
                 verts = tuple(_int64(t) for t in tok[5:])
                 if len(verts) != nv:
                     raise ValueError(f"element {eid}: declared {nv} vertices, found {len(verts)}")
@@ -1344,7 +1357,11 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
             elif tok[0] == "bedge":
                 if len(tok) != 4:
                     raise ValueError("bedge record needs: bedge <label> <n0> <n1>")
-                bedges[_int64(tok[2]), _int64(tok[3])] = tok[1]
+                a, b = sorted((_int64(tok[2]), _int64(tok[3])))
+                if (a, b) in bedges:
+                    raise ValueError(f"edge ({a}, {b}) already has label '{bedges[a, b]}'; "
+                                     "an edge takes one label")
+                bedges[a, b] = tok[1]
             else:
                 raise ValueError(f"unknown record '{tok[0]}'")
         except (ValueError, IndexError) as exc:

@@ -30,6 +30,7 @@ from .materials import MaterialProps, Plane, gather_materials
 from .mesh import (_BLOCK_ROWS, Mesh, _run_offsets, as_field, element_lines, index_dtype,
                    require_valid, rowdot, text_windows)
 from .solver import SolutionFields
+from .textfmt import format_rows
 
 # One record per element: Voigt (xx, yy, xy) stress in MPa and its von Mises value.
 STRESS_DTYPE = np.dtype([("sigma", float, (3,)), ("von_mises", float)])
@@ -527,12 +528,13 @@ def write_probe_csv(probe: LineProbe, path: str) -> None:
 
 
 def _write_rows(f, line_format: str, values, columns=None) -> None:
-    """Write ``line_format`` once per row of ``values`` (of its ``columns``, when given),
-    ``%`` the row-major values, a text window of rows at a time."""
-    values = np.asarray(values)
+    """Write ``line_format`` once per row of the float ``values`` (of its ``columns``,
+    when given, else of all of them), a text window of rows at a time."""
+    values = np.asarray(values, dtype=float)
     for start, stop in text_windows(len(values)):
-        block = values[start:stop] if columns is None else values[start:stop, columns]
-        f.write((line_format * len(block)) % tuple(block.ravel().tolist()))
+        block = values[start:stop].reshape(stop - start, -1)
+        picked = range(block.shape[1]) if columns is None else columns
+        f.write(format_rows(line_format, [block[:, c] for c in picked]))
 
 
 def export_fields(mesh: Mesh, solution: SolutionFields, stresses, path: str) -> None:

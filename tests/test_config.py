@@ -317,3 +317,31 @@ flux 1.0
         cfg = configmod.parse_config(f"[mesh]\npath {mesh_path}\n")
         mesh = configmod.build_mesh(cfg, str(tmp_path))
         assert mesh.n_nodes == 4
+
+
+class TestNumberTokens:
+    """A number of a config is plain ASCII: ``float`` and ``int`` would read
+    ``1_0`` as 10 and Arabic-Indic digits as decimals."""
+
+    @pytest.mark.parametrize("old,new", [
+        ("nx 4", "nx 4_0"), ("height 1", "height 1_0"), ("nu 0.3", "nu 0.3_0"),
+        ("E_MPa 100", "E_MPa 1_00"), ("tau 0.4", "tau 0._4"), ("n_samples 21", "n_samples ٢١"),
+        ("method cg", "cg_max_iter 5_00")])
+    def test_refused_with_its_line(self, old, new):
+        text = MINIMAL.replace(old, new)
+        assert new in text
+        with pytest.raises(ParseError, match="must be plain ASCII") as err:
+            configmod.parse_config(text)
+        assert err.value.line == text.splitlines().index(new) + 1
+
+    @pytest.mark.parametrize("header", ["[material 1_0]", "[material ١]"])
+    def test_region_id(self, header):
+        text = MINIMAL.replace("[material 0]", header)
+        assert header in text
+        with pytest.raises(ParseError, match="must be plain ASCII"):
+            configmod.parse_config(text)
+
+    def test_bc_value(self):
+        cfg = "[mesh]\ngenerator structured_quads\n[bc top]\ndirichlet_T 1_0\n"
+        with pytest.raises(ParseError, match="^<config>:4: .*must be plain ASCII"):
+            configmod.parse_config(cfg)

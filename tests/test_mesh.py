@@ -718,6 +718,37 @@ class TestMeshIO:
         with pytest.raises(ParseError, match="duplicate node id"):
             load_mesh(str(path))
 
+    @pytest.mark.parametrize("second", ["bedge bottom 3 2", "bedge bottom 2 3", "bedge top 3 2"])
+    def test_second_label_on_an_edge_parse_error(self, tmp_path, second):
+        # the second record once replaced the first without a word
+        path = tmp_path / "labels.txt"
+        path.write_text("mesh 2d v1\nnode 0 0 0\nnode 1 1 0\nnode 2 1 1\nnode 3 0 1\n"
+                        f"elem 0 FE 0 4 0 1 2 3\nbedge top 2 3\n{second}\n")
+        with pytest.raises(ParseError, match=r"edge \(2, 3\) already has label 'top'") as err:
+            load_mesh(str(path))
+        assert err.value.line == 8
+
+    def test_second_label_on_an_edge_mesh_error(self):
+        with pytest.raises(MeshError, match=r"labeled edge \(3, 2\): edge \(2, 3\) already"):
+            Mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)], [ElementKind.FE_QUAD], [0],
+                 {(2, 3): "top", (3, 2): "bottom"})
+
+    @pytest.mark.parametrize("line", ["node 1 1_000 0", "node 1 1 ٠", "elem ٠ FE 0 4 0 1 2 3",
+                                      "elem 0 FE 0 4 0 1 2 3_0", "elem 0 FE 0 ٤ 0 1 2 3",
+                                      "bedge top 2 3_0"])
+    def test_numbers_are_plain_ascii(self, tmp_path, line):
+        # float and int read 1_000 as 1000.0 and Arabic-Indic digits as decimals
+        lines = ["mesh 2d v1", "node 0 0 0", "node 1 1 0", "node 2 1 1", "node 3 0 1",
+                 "elem 0 FE 0 4 0 1 2 3", "bedge top 2 3"]
+        at = next(i for i, old in enumerate(lines) if old.split()[:2] == line.split()[:2]
+                  or (old.split()[0] == line.split()[0] == "elem"))
+        lines[at] = line
+        path = tmp_path / "numbers.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="must be plain ASCII") as err:
+            load_mesh(str(path))
+        assert err.value.line == at + 1
+
     def test_five_vertex_fe_is_validation_error(self, tmp_path):
         path = tmp_path / "fe5.txt"
         path.write_text("mesh 2d v1\n"

@@ -266,7 +266,7 @@ def mutated_meshes(draw):
             coords[draw(st.integers(0, n_nodes - 1))][draw(st.integers(0, 1))] = math.nan
         elif op == "orphan_bedge":
             a, b = draw(st.integers(0, n_nodes - 1)), draw(st.integers(0, n_nodes - 1))
-            bedges[(a, b)] = "x"
+            bedges[min(a, b), max(a, b)] = "x"     # relabels the edge if it has a label
         elif op == "missing_bedge":     # one end past the last node or negative
             missing = draw(st.sampled_from([n_nodes, -3])) + draw(st.integers(0, 2))
             bedges[(draw(st.integers(0, n_nodes - 1)), missing)] = "y"

@@ -3,9 +3,11 @@
     python tools/compare_outputs.py PARENT_TREE [--work DIR]
 
 This checkout and PARENT_TREE each run in a working directory of their own,
-with ``PYTHONPATH`` set to their ``src``: ``fevec run`` on every
+with ``PYTHONPATH`` set to their ``src``: ``fevec run``, ``fevec mesh-gen`` and
+``fevec validate`` of the ``mesh.txt`` that mesh-gen writes, on every
 ``configs/*.cfg`` of this checkout and on ``cylinder_cg``, then ``fevec bench
-all``.  ``cylinder_cg`` is ``configs/cylinder.cfg`` solved for temperature
+all``.  So each mesh file compares byte for byte, and its load round trip
+through ``validate``, not only through the hash in ``provenance.txt``.  ``cylinder_cg`` is ``configs/cylinder.cfg`` solved for temperature
 only by Jacobi-CG, the path no shipped config takes (natural-order assembly,
 CG, an export without displacement).  Both trees get
 the same config text, so ``provenance.txt`` compares too; ``fevec bench`` reads
@@ -45,14 +47,18 @@ def cylinder_cg(text: str) -> str:
 
 
 def run_tree(tree: pathlib.Path, configs: pathlib.Path, work: pathlib.Path) -> None:
-    """Every shipped config, ``cylinder_cg`` and ``bench all`` with ``tree``'s source,
-    inside ``work``."""
+    """``run``, ``mesh-gen`` and ``validate`` of every shipped config and of
+    ``cylinder_cg``, and ``bench all``, with ``tree``'s source, inside ``work``."""
     shutil.copytree(configs, work / "configs")
     (work / "configs" / "cylinder_cg.cfg").write_text(
         cylinder_cg((configs / "cylinder.cfg").read_text()))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    commands = {f"run_{path.stem}": ["run", f"configs/{path.name}"]
-                for path in sorted((work / "configs").glob("*.cfg"))}
+    commands = {}
+    for path in sorted((work / "configs").glob("*.cfg")):
+        out = re.search(r"(?m)^\s*dir\s+(\S+)", path.read_text())
+        commands[f"run_{path.stem}"] = ["run", f"configs/{path.name}"]
+        commands[f"mesh_gen_{path.stem}"] = ["mesh-gen", f"configs/{path.name}"]
+        commands[f"validate_{path.stem}"] = ["validate", f"{out[1] if out else 'out'}/mesh.txt"]
     commands["bench_all"] = ["bench", "all", "-o", "bench_out"]
     streams = work / "stdout"
     streams.mkdir()
