@@ -125,8 +125,9 @@ def _float_digits(v, shortest: bool):
         e[idle] = 0.0
     e = e.astype(np.int64)
     hi, lo = _scale(a, e)
-    # log10 may round across a power of ten: move e by one where y is outside [1e16, 1e17)
-    off = (hi < 1e16) | (hi >= 1e17) | ((hi == 1e16) & (lo < 0))
+    # log10 may round across a power of ten: move e by one where y = hi + lo is
+    # outside [1e16, 1e17); hi alone can round onto either end
+    off = (hi < 1e16) | (hi > 1e17) | ((hi == 1e16) & (lo < 0)) | ((hi == 1e17) & (lo >= 0))
     if off.any():
         fix = np.flatnonzero(off)
         e[fix] += np.where(hi[fix] < 3e16, -1, 1)

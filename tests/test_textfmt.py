@@ -60,6 +60,20 @@ def test_the_writers_formats(line_format):
     check(line_format, *columns[:line_format.count("%")])
 
 
+@pytest.mark.parametrize("log10_towards", [None, -np.inf, np.inf])
+def test_powers_of_ten_and_neighbours(monkeypatch, log10_towards):
+    # the exponent estimate from log10 may be one off either way at a power of ten;
+    # moving log10 by an ulp takes both the estimate and its correction
+    powers = 10.0 ** np.arange(-31, 32)
+    values = np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+    if log10_towards is not None:
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: np.nextafter(log10(x), log10_towards))
+    for conversion in ("%.17g", "%r"):
+        check(conversion + "\n", values)
+        check(conversion + "\n", -values)
+
+
 def test_zero_rows():
     assert format_rows("node %d %r %r\n", [np.zeros(0, int), np.zeros(0), np.zeros(0)]) == ""
 
