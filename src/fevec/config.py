@@ -52,7 +52,7 @@ from .errors import AssemblyError, FevecError, ParseError, SolverError
 from .materials import MaterialProps, Plane
 from .mesh import (Mesh, generate_fcbga, generate_igbt, generate_plate_with_hole,
                    generate_quarter_annulus, generate_sandwich,
-                   generate_split_square, generate_structured_quads, load_mesh, number_token,
+                   generate_split_square, generate_structured_quads, load_mesh, _number_token,
                    require_valid, ElementKind)
 from .post import check_probe
 from .solver import SolveOptions
@@ -108,7 +108,7 @@ class ProbeSpec:
 MATERIAL_KEYS = ("E_MPa", "nu", "k_W_per_mK", "alpha_per_C", "T0_C", "plane")
 SOLVER_KEYS = dict(method=str, cg_rel_tol=float, cg_max_iter=int, tau=float, fields=str)
 PROBE_KEYS = ("quantity", "x0", "y0", "x1", "y1", "n_samples")
-# Keys whose values are numbers, each a number_token.
+# Keys whose values are numbers, each a _number_token.
 NUMBER_KEYS = ({key for key in MATERIAL_KEYS if key != "plane"}
                | {key for key, kind in SOLVER_KEYS.items() if kind is not str}
                | {key for key in PROBE_KEYS if key != "quantity"}
@@ -151,7 +151,7 @@ def _sections(text: str, path: str) -> list[tuple[str, int, list[tuple[int, list
 
 def _kv(records, path, known=None, numbers=()) -> dict[str, str]:
     """Key -> value of a section, one each; with ``known`` set, other keys are rejected.
-    The value of a key in ``numbers`` must be a ``number_token``."""
+    The value of a key in ``numbers`` must be a ``_number_token``."""
     out = {}
     for lineno, tok in records:
         if len(tok) != 2:
@@ -168,9 +168,9 @@ def _kv(records, path, known=None, numbers=()) -> dict[str, str]:
 
 
 def _number(token: str, path, lineno) -> str:
-    """``number_token(token)``, its ValueError a ParseError naming the line."""
+    """``_number_token(token)``, its ValueError a ParseError naming the line."""
     try:
-        return number_token(token)
+        return _number_token(token)
     except ValueError as exc:
         raise ParseError(str(exc), path, lineno) from None
 

@@ -1279,7 +1279,7 @@ def save_mesh(mesh: Mesh, path: str) -> None:
         f.writelines(mesh_text_chunks(mesh))
 
 
-def number_token(token: str) -> str:
+def _number_token(token: str) -> str:
     """``token`` when it can be a number of a mesh or config file: ValueError when it
     holds ``_`` or a non-ASCII character, which ``float`` and ``int`` would accept."""
     if "_" in token or not token.isascii():
@@ -1289,7 +1289,7 @@ def number_token(token: str) -> str:
 
 def _int64(token: str) -> int:
     """An integer record field: ids, regions and node ids of a mesh file are int64 integers."""
-    if not -2 ** 63 <= (value := int(number_token(token))) < 2 ** 63:
+    if not -2 ** 63 <= (value := int(_number_token(token))) < 2 ** 63:
         raise ValueError(f"integer {token} outside the int64 range")
     return value
 
@@ -1339,7 +1339,7 @@ def load_mesh(path: str, validate: bool = True) -> Mesh:
                 nid = _int64(tok[1])
                 if nid in nodes:
                     raise ValueError(f"duplicate node id {nid}")
-                nodes[nid] = (float(number_token(tok[2])), float(number_token(tok[3])))
+                nodes[nid] = (float(_number_token(tok[2])), float(_number_token(tok[3])))
             elif tok[0] == "elem":
                 eid = _int64(tok[1])
                 if eid in vertices:

@@ -37,6 +37,7 @@ and one boolean compaction turns the row's slots into text.  The arrays are
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -48,13 +49,15 @@ _DIGITS = 17
 _ZERO = ord("0")
 
 # 10**k as int64, k = 0 .. 17
-_INT_POW = 10 ** np.arange(_DIGITS + 1, dtype=np.int64)
+_INT_POW = np.array([10 ** k for k in range(_DIGITS + 1)], dtype=np.int64)
 
 
+@functools.cache
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     """The four digit characters of each group 0000 .. 9999, one row per place; and
     per group of the 17 digits (digits 2-5, 6-9, 10-13, 14-17) and value of the
-    group, how many of the 17 digits run up to its last nonzero digit (0 for 0000)."""
+    group, how many of the 17 digits run up to its last nonzero digit (0 for 0000).
+    Built on first use, so that importing fevec does not pay for them."""
     value = np.arange(10_000, dtype=np.uint16)
     groups = np.empty((4, 10_000), dtype=np.uint8)
     for row, place in enumerate((1000, 100, 10, 1)):
@@ -65,8 +68,6 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     ends = np.where(value, np.arange(1, _DIGITS, 4, dtype=np.uint8)[:, None] + last, np.uint8(0))
     return groups, ends
 
-
-_GROUPS, _GROUP_ENDS = _digit_tables()
 
 
 def _double_double(k: int) -> tuple[float, float]:
@@ -175,9 +176,10 @@ def _digit_chars(n, out) -> list:
     lead, high = np.divmod(high.astype(np.int32), np.int32(_INT_POW[8]))
     np.add(lead, _ZERO, out=out[0], casting="unsafe")
     groups = [*np.divmod(high, np.int32(10_000)), *np.divmod(low.astype(np.int32), np.int32(10_000))]
+    chars = _digit_tables()[0]
     for slot, group in zip(range(1, _DIGITS, 4), groups):
         for i in range(4):
-            np.take(_GROUPS[i], group, out=out[slot + i], mode="clip")
+            np.take(chars[i], group, out=out[slot + i], mode="clip")
     return groups
 
 
@@ -199,7 +201,8 @@ def _float_text(v, shortest: bool, chars, keep):
     digits = chars[6:6 + _DIGITS + 1]
     groups = _digit_chars(n, digits[1:])
     # the digits left once trailing zeros are stripped, and those before the point
-    sig = np.maximum.reduce([np.take(ends, g, mode="clip") for ends, g in zip(_GROUP_ENDS, groups)])
+    sig = np.maximum.reduce([np.take(ends, g, mode="clip")
+                             for ends, g in zip(_digit_tables()[1], groups)])
     np.maximum(sig, 1, out=sig)
     whole = np.where(fixed, e + 1, 1)
     point = np.where(~small & (sig > whole), whole, _DIGITS + 1)
