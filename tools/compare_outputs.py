@@ -7,10 +7,11 @@ with ``PYTHONPATH`` set to their ``src``: ``fevec run``, ``fevec mesh-gen`` and
 ``fevec validate`` of the ``mesh.txt`` that mesh-gen writes, on every
 ``configs/*.cfg`` of this checkout and on ``cylinder_cg``, then ``fevec bench
 all``.  So each mesh file compares byte for byte, and its load round trip
-through ``validate``, not only through the hash in ``provenance.txt``.  ``cylinder_cg`` is ``configs/cylinder.cfg`` solved for temperature
-only by Jacobi-CG, the path no shipped config takes (natural-order assembly,
-CG, an export without displacement).  Both trees get
-the same config text, so ``provenance.txt`` compares too; ``fevec bench`` reads
+through ``validate``, not only through the hash in ``provenance.txt``.
+``cylinder_cg`` is ``configs/cylinder.cfg`` solved for temperature only by
+Jacobi-CG, the path no shipped config takes (natural-order assembly, CG, an
+export without displacement).  Both trees get the same config text, so
+``provenance.txt`` compares too; ``fevec bench`` reads
 each tree's own shipped configs.  Every output file, and each command's
 stdout and exit status, must be equal byte for byte.  The differences are
 listed and the exit status is 1 if there is any, else 0.  The working
