@@ -22,7 +22,9 @@ The whole matrix is never built.  Assembly streams the
 windows, so its scratch arrays never exceed one window's: a window's
 element entries go straight to their places in those blocks, and its
 thermal loads to the right-hand side, through ``np.add.at`` in element
-order (an element's id is its position).  Every entry starts at -0.0, so
+order (an element's id is its position), the window's blocks merged by
+``mesh._in_element_order``, the one merge the element-node incidence and
+the element text use too.  Every entry starts at -0.0, so
 repeated runs give bit-identical matrices, equal to an element-by-element
 loop, signed zeros included.  No triplet is sorted and no COO matrix is built.
 A field's edge loads go in from one ``fem.edge_loads`` call in edge order, on
@@ -43,7 +45,7 @@ import scipy.sparse as sp
 from . import fem, vem
 from .errors import AssemblyError
 from .materials import MaterialProps, gather_materials
-from .mesh import Mesh, as_field, index_dtype, require_valid
+from .mesh import Mesh, _in_element_order, as_field, index_dtype, require_valid
 
 
 def _bc_value(value, what: str, free: bool = False) -> float | None:
@@ -239,25 +241,6 @@ class SparseSystem:
         full[self.fixed] = self.values
         full[self.free] = x_free
         return full
-
-
-def _in_element_order(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Concatenate per-element rows of ``(positions, (m, k) values)`` parts in element order.
-
-    The parts are the blocks of one window of ``Mesh.element_windows``, so a
-    single part is already in element order and comes back as a view.
-    """
-    if len(parts) == 1:
-        return parts[0][1].reshape(-1)
-    first = min(int(pos[0]) for pos, _ in parts)
-    lengths = np.zeros(max(int(pos[-1]) for pos, _ in parts) + 1 - first, dtype=np.int64)
-    for pos, values in parts:
-        lengths[pos - first] = values.shape[1]
-    start = np.cumsum(lengths) - lengths
-    out = np.empty(int(lengths.sum()), dtype=parts[0][1].dtype)
-    for pos, values in parts:
-        out[start[pos - first][:, None] + np.arange(values.shape[1])] = values
-    return out
 
 
 def _scatter(mesh: Mesh, dof_map: DofMap, kernels, rhs: np.ndarray,

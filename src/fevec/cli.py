@@ -32,10 +32,6 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _read_config(path: str) -> tuple[configmod.RunConfig, Mesh]:
     """Parse a run or mesh-gen spec and build its mesh (OSError, ParseError, MeshError)."""
     cfg = configmod.parse_config(_read_text(path), path)
@@ -95,7 +91,7 @@ def _sample_probes(cfg: configmod.RunConfig, mesh: Mesh, fields: SolutionFields,
 def _write_provenance(cfg: configmod.RunConfig, mesh, path: str) -> None:
     buf = io.StringIO()
     s = cfg.solver
-    buf.write(f"config_sha256 {_sha256(cfg.source_text.encode())}\n")
+    buf.write(f"config_sha256 {hashlib.sha256(cfg.source_text.encode()).hexdigest()}\n")
     mesh_hash = hashlib.sha256()
     for chunk in mesh_text_chunks(mesh):
         mesh_hash.update(chunk.encode())

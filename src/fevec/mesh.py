@@ -20,7 +20,8 @@ The mesh build groups the elements once by kind and vertex count
 one kernel, and no reader splits it again.  ``Mesh.element_windows`` alone
 decides which rows of the groups one kernel call takes: windows of at most
 1 024 positions, ended early where a VE block would pass ``STACK_ENTRIES``
-element-matrix entries.
+element-matrix entries.  ``_in_element_order`` alone puts groups' rows back in
+element order, for the assembly scatter, ``Mesh.incidence`` and ``element_lines``.
 
 ``validate_mesh`` is the one definition of a valid mesh: every element a
 simple counter-clockwise polygon, every FE quad strictly convex.  The
@@ -280,6 +281,27 @@ def _group_sides(fe: np.ndarray, n_v: np.ndarray, flat: np.ndarray, ends: np.nda
     return groups, key
 
 
+def _in_element_order(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Per-element rows of ``(positions, (m, k) values)`` parts, such as the blocks of
+    ``Mesh._group_rows`` (positions increasing, any part empty), concatenated in element
+    order; offsets in ``index_dtype`` of the output's length.  A single non-empty part
+    comes back as a view, no parts as an empty float array."""
+    parts = [part for part in parts if part[0].size] or parts[:1]
+    if len(parts) < 2:
+        return parts[0][1].reshape(-1) if parts else np.empty(0)
+    first = min(int(pos[0]) for pos, _ in parts)
+    idx = index_dtype(sum(values.size for _, values in parts))
+    # start[i]: the output length of the elements before position first + i
+    start = np.zeros(max(int(pos[-1]) for pos, _ in parts) + 2 - first, dtype=idx)
+    for pos, values in parts:
+        start[pos - (first - 1)] = values.shape[1]
+    np.cumsum(start, dtype=idx, out=start)
+    out = np.empty(int(start[-1]), dtype=parts[0][1].dtype)
+    for pos, values in parts:
+        out[start[pos - first][:, None] + np.arange(values.shape[1], dtype=idx)] = values
+    return out
+
+
 class Mesh:
     """Immutable-after-construction mesh with precomputed adjacency.
 
@@ -465,20 +487,15 @@ class Mesh:
 
     def incidence(self) -> sp.csr_array:
         """Boolean element x node incidence: row p holds the vertex ids of the
-        element at position p, in vertex order.  Built on each call."""
+        element at position p, in vertex order.  Built on each call; its arrays share
+        no memory with ``vertex_groups``."""
         n_v = np.bincount(self.side_element, minlength=self.n_elements)
         indptr = np.concatenate(([0], np.cumsum(n_v))).astype(index_dtype(self.side_element.size))
-        flat = np.empty(indptr[-1], dtype=self.edges.dtype)     # vertex ids, as edges holds them
-        for pos, verts in self.vertex_groups.values():
-            flat[indptr[pos, None] + np.arange(verts.shape[1])] = verts
+        flat = _in_element_order(list(self.vertex_groups.values()))
+        if len(self.vertex_groups) < 2:     # a view of the one group, or no elements
+            flat = flat.astype(self.edges.dtype)    # vertex ids, as edges holds them
         return sp.csr_array((np.ones(flat.size, dtype=bool), flat, indptr),
                             shape=(self.n_elements, self.n_nodes))
-
-    def _node_graph(self) -> sp.csr_array:
-        """``node_pattern`` as a boolean CSR array on its cached arrays."""
-        indptr, indices = self.node_pattern
-        return sp.csr_array((np.ones(indices.size, dtype=bool), indices, indptr),
-                            shape=(self.n_nodes, self.n_nodes))
 
     def node_slots(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Position in ``node_pattern``'s ``indices`` of each (row, column) node pair.
@@ -502,7 +519,10 @@ class Mesh:
     @cached_property
     def dissection_order(self) -> np.ndarray:
         """Nested-dissection elimination order of the nodes (see ``_dissection_order``)."""
-        return _dissection_order(self.coords, self._node_graph()).astype(index_dtype(self.n_nodes))
+        indptr, indices = self.node_pattern
+        graph = sp.csr_array((np.ones(indices.size, dtype=bool), indices, indptr),
+                             shape=(self.n_nodes, self.n_nodes))
+        return _dissection_order(self.coords, graph).astype(index_dtype(self.n_nodes))
 
 
 # Node sets of at most this many nodes are not split.  Measured on the
@@ -1235,20 +1255,23 @@ def element_lines(mesh: Mesh, records: bool = True) -> Iterator[str]:
 
     A line is the mesh file's ``elem`` record (see load_mesh) or, with
     ``records`` False, the bare vertex list ``<n_v> <v0> ... <v{n_v-1}>`` of a
-    legacy VTK ``CELLS`` section.  The elements of each ``vertex_groups``
-    group in a window are formatted by one ``%`` and merged by position.
+    legacy VTK ``CELLS`` section.  Each ``vertex_groups`` group has one line
+    template; a window's templates and values are put in element order by
+    ``_in_element_order`` and formatted by one ``%``.
     """
     for start, stop in text_windows(mesh.n_elements):
-        lines = np.empty(stop - start, dtype=object)
+        templates, template_of, values = [], [], []
         for is_fe, pos, verts in mesh._group_rows(start, stop):
             line = f"{verts.shape[1]}" + " %d" * verts.shape[1] + "\n"
             if records:
                 kind = ElementKind.FE_QUAD if is_fe else ElementKind.VE_POLY
                 line = f"elem %d {kind.value} %d {line}"
                 verts = np.column_stack((pos, mesh.element_regions[pos], verts))
-            text = (line * pos.size) % tuple(verts.ravel().tolist())
-            lines[pos - start] = np.array(text.splitlines(keepends=True), dtype=object)
-        yield "".join(lines.tolist())
+            template_of.append((pos, np.full((pos.size, 1), len(templates))))
+            templates.append(line)
+            values.append((pos, verts))
+        text = "".join([templates[k] for k in _in_element_order(template_of).tolist()])
+        yield text % tuple(_in_element_order(values).tolist())
 
 
 def mesh_text_chunks(mesh: Mesh) -> Iterator[str]:

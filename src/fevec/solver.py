@@ -4,10 +4,10 @@ The pipeline is strictly one-way: temperature is solved first, the thermal
 strain enters the mechanical load, and mechanics never feeds back.
 
 Before any solve, direct or CG, ``solve_system`` checks that the constraints
-fix every rigid mode of every connected part of the mesh: a Dirichlet
-temperature per part for heat conduction; for elasticity, constrained dofs on
-which the two translations and the rotation have rank 3.  An ill-posed system
-raises ``SolverError`` naming the part's lowest node id and what it lacks.
+fix every rigid mode of every connected part of the mesh: its constrained dofs
+must span the constant for heat conduction, and the two translations and the
+rotation for elasticity.  An ill-posed system raises ``SolverError`` naming
+the part's lowest node id and what it lacks.
 
 The direct solve is one path: SuperLU in symmetric mode (Li, ACM TOMS 2005)
 with diagonal pivots and the unknowns in the order of
@@ -148,48 +148,41 @@ def solve_system(system: SparseSystem, options: SolveOptions | None = None
 
 
 def _check_well_posed(system: SparseSystem) -> None:
-    """Raise SolverError unless the constraints fix every rigid mode of every connected part.
+    """Raise SolverError unless, in every connected part of the mesh's node graph, the
+    constrained dofs span the field's rigid modes.
 
-    Parts are the connected components of the mesh's node graph.  Heat
-    conduction needs a Dirichlet temperature in each part; elasticity needs
-    the modes (1, 0), (0, 1) and (-y, x), centred on the part and restricted
-    to its constrained dofs, to have rank 3.
+    Those are the constant for heat conduction, and for elasticity the modes
+    (1, 0), (0, 1) and (-y, x), centred on the part and scaled by its extent:
+    restricted to the part's constrained dofs, the modes must have full rank.
     """
-    mesh = system.dof_map.mesh
-    if system.dof_map.dofs_per_node == 2:
-        _require_rigid_modes_fixed(mesh, system.fixed)
-        return
+    mesh, per = system.dof_map.mesh, system.dof_map.dofs_per_node
     n_parts, part = mesh.node_components
-    floating = np.ones(n_parts, dtype=bool)
-    floating[part[system.fixed]] = False
-    if floating.any():
-        raise SolverError(
-            "ill-posed thermal problem: the connected mesh part containing node "
-            f"{int(np.flatnonzero(floating[part])[0])} has no Dirichlet temperature "
-            "(missing constraints; the temperature is fixed only up to a constant)")
-
-
-def _require_rigid_modes_fixed(mesh: Mesh, fixed: np.ndarray) -> None:
-    """Raise unless the constrained dofs of every mesh part fix its three rigid modes."""
-    n_parts, part = mesh.node_components
-    count = np.bincount(part, minlength=n_parts)
-    centre = np.column_stack([np.bincount(part, mesh.coords[:, k], n_parts) / count
-                              for k in (0, 1)])
-    rel = mesh.coords - centre[part]
-    extent = np.zeros(n_parts)
-    np.maximum.at(extent, part, np.abs(rel).max(axis=1))
-    rel /= np.where(extent > 0, extent, 1.0)[part, None]
-    node, component = np.divmod(fixed, 2)
-    modes = np.zeros((fixed.size, 3))
-    modes[np.arange(fixed.size), component] = 1.0
-    modes[:, 2] = np.where(component == 0, -rel[node, 1], rel[node, 0])
-    gram = np.zeros((n_parts, 3, 3))
+    node, component = np.divmod(system.fixed, per)
+    modes = np.ones((node.size, 1))
+    if per == 2:
+        count = np.bincount(part, minlength=n_parts)
+        centre = np.column_stack([np.bincount(part, mesh.coords[:, k], n_parts) / count
+                                  for k in (0, 1)])
+        rel = mesh.coords - centre[part]
+        extent = np.zeros(n_parts)
+        np.maximum.at(extent, part, np.abs(rel).max(axis=1))
+        rel /= np.where(extent > 0, extent, 1.0)[part, None]
+        modes = np.zeros((node.size, 3))
+        modes[np.arange(node.size), component] = 1.0
+        modes[:, 2] = np.where(component == 0, -rel[node, 1], rel[node, 0])
+    n_modes = modes.shape[1]
+    gram = np.zeros((n_parts, n_modes, n_modes))
     np.add.at(gram, part[node], modes[:, :, None] * modes[:, None, :])
     eig = np.linalg.eigvalsh(gram)
     rank = (eig > _RIGID_RANK_TOL * eig[:, -1:]).sum(axis=1)
-    if (rank == 3).all():
+    if (rank == n_modes).all():
         return
-    lowest = int(np.flatnonzero(rank[part] < 3)[0])
+    lowest = int(np.flatnonzero(rank[part] < n_modes)[0])
+    if per == 1:
+        raise SolverError(
+            f"ill-posed thermal problem: the connected mesh part containing node {lowest} "
+            "has no Dirichlet temperature "
+            "(missing constraints; the temperature is fixed only up to a constant)")
     p = part[lowest]
     missing = [mode for mode, k in (("x translation", 0), ("y translation", 1))
                if p not in part[node[component == k]]]

@@ -179,6 +179,24 @@ class TestNodeGraph:
             assert [rows[p] for p in pos.tolist()] == [tuple(v) for v in verts.tolist()]
         assert "incidence" not in vars(mesh) and mesh.incidence() is not incidence
 
+    @pytest.mark.parametrize("build, groups", [
+        (lambda: generate_structured_quads(2.0, 1.0, 4, 3), 1),
+        (lambda: generate_fcbga(1), 2)], ids=["one_group", "groups"])
+    def test_incidence_shares_no_memory_with_groups(self, build, groups):
+        # one group merges to a view of it, which the incidence must not keep
+        mesh = build()
+        incidence = mesh.incidence()
+        assert len(mesh.vertex_groups) == groups
+        for array in (incidence.indices, incidence.indptr, incidence.data):
+            for group in mesh.vertex_groups.values():
+                assert not any(np.shares_memory(array, part) for part in group)
+
+    def test_mesh_without_elements_has_empty_incidence(self):
+        mesh = Mesh(np.zeros((3, 2)), [], [], [])
+        incidence = mesh.incidence()
+        assert incidence.shape == (0, 3) and incidence.nnz == 0
+        assert incidence.indices.dtype == mesh.edges.dtype
+
 
 class TestDissectionOrder:
     @pytest.mark.parametrize("build", [lambda: generate_sandwich(1),

@@ -17,7 +17,8 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kernel_oracles
 import test_patch
@@ -358,6 +359,36 @@ def test_vertex_groups_are_kernel_stacks(build):
         for is_fe, pos, verts in window_blocks(mesh, per):
             group, group_verts = mesh.vertex_groups[is_fe, verts.shape[1]]
             assert np.shares_memory(pos, group) and np.shares_memory(verts, group_verts)
+
+
+@st.composite
+def element_parts(draw):
+    """Parts ``(positions, (m, k) values)`` as ``Mesh._group_rows`` gives them: each
+    position of 0..n-1 in at most one part, increasing in it; widths 1-16, any
+    part possibly empty, 0-5 parts."""
+    n = draw(st.integers(0, 80))
+    widths = draw(st.lists(st.integers(1, 16), max_size=5))
+    owner = np.array(draw(st.lists(st.integers(-1, len(widths) - 1), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for k, width in enumerate(widths):
+        pos = np.flatnonzero(owner == k).astype(dtype)
+        parts.append((pos, rng.standard_normal((pos.size, width))))
+    return n, parts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(element_parts())
+@example((0, []))
+@example((5, [(np.arange(0), np.empty((0, 3), dtype=np.int32))]))
+@example((5, [(np.arange(2, 5), np.arange(6).reshape(3, 2))]))
+def test_in_element_order_matches_oracle(case):
+    n, parts = case
+    merged = meshmod._in_element_order(parts)
+    expected = kernel_oracles.in_element_order(n, parts)
+    assert merged.dtype == expected.dtype and np.array_equal(merged, expected)
 
 
 def test_node_slots_point_at_their_pairs():
